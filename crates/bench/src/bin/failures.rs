@@ -1,7 +1,7 @@
 //! The bounded link-failure study: what does it cost to verify every
 //! `≤ k` link-failure scenario concretely, versus auditing + repairing
-//! the abstraction once (PR 3), versus the per-scenario refinement
-//! **sweep engine** (orbit-cached refinements, warm-started solves)?
+//! one abstraction for all of them, versus the per-scenario refinement
+//! **sweep** (signature-cached refinements, warm-started solves)?
 //!
 //! ```text
 //! failures                 # diamond / gadget / mesh-10 / fattree-4, k = 1..2
@@ -16,10 +16,10 @@
 //! (pruned vs exhaustive), the audit outcome (counterexamples found,
 //! abstract nodes before → after refinement) and six wall-clock columns:
 //! solving every scenario cold on the concrete network, the same sweep
-//! **warm-started** from the failure-free fixpoint, the one-off PR 3
+//! **warm-started** from the failure-free fixpoint, the one-off
 //! audit-and-refine, solving every scenario on the audit's refined
-//! abstract network, the per-scenario **sweep engine** run over the
-//! audited classes (always exhaustive — the orbit cache absorbs the
+//! abstract network, the sweep plane over the audited classes with
+//! sharing off (always exhaustive — the signature cache absorbs the
 //! symmetry), and the **network-level sweep** over *every* class with
 //! cross-EC refinement sharing — together with the sweep's cache hit
 //! rate, refined sizes, and the cross-EC sharing statistics (classes
@@ -29,7 +29,7 @@ use bonsai_bench::{failures_snapshot_json, secs};
 use bonsai_config::{BuiltTopology, NetworkConfig};
 use bonsai_core::compress::{compress, CompressOptions};
 use bonsai_core::scenarios::{
-    enumerate_scenarios_pruned, exhaustive_scenario_count, FailureScenario, ScenarioStream,
+    exhaustive_scenario_count, link_orbits, FailureScenario, ScenarioStream,
 };
 use bonsai_core::signatures::build_sig_table;
 use bonsai_net::NodeId;
@@ -37,14 +37,12 @@ use bonsai_srp::instance::{EcDest, MultiProtocol};
 use bonsai_srp::solver::{solve, solve_masked, solve_warm_masked, SolverOptions};
 use bonsai_srp::{papernets, Srp};
 use bonsai_topo::{fattree, full_mesh, FattreePolicy};
-use bonsai_verify::failures::{
-    check_cp_equivalence_under_failures, lift_failure_mask, FailureAuditOptions,
-};
+use bonsai_verify::failures::{check_cp_equivalence_under_failures, lift_failure_mask};
 use bonsai_verify::netsweep::{
-    merge_reports, sweep_network, sweep_network_sharded, NetworkSweepOptions,
+    merge_reports, sweep_network, sweep_network_subset, NetworkSweepOptions, ShardSpec,
 };
 use bonsai_verify::session::{QueryRequest, Session, SessionOptions};
-use bonsai_verify::sweep::{sweep_failures, SweepOptions};
+use bonsai_verify::sweep::SweepOptions;
 use std::time::{Duration, Instant};
 
 struct Row {
@@ -243,38 +241,32 @@ fn run_network(label: &str, net: &NetworkConfig, k: usize, max_ecs: usize, prune
     let mut warm = Duration::ZERO;
     let mut audit_time = Duration::ZERO;
     let mut abstract_ = Duration::ZERO;
-    let mut sweep_total = Duration::ZERO;
     let mut counterexamples = 0usize;
     let mut abs_nodes_before = 0usize;
     let mut abs_nodes_after = 0usize;
     let mut scenario_count = 0usize;
-    let mut sweep_scenarios = 0usize;
-    let mut sweep_refinements = 0usize;
-    let mut sweep_base_sum = 0.0f64;
-    let mut sweep_refined_sum = 0.0f64;
-    let mut sweep_max_refined = 0usize;
-    let mut sweep_fallbacks = 0usize;
+    let stream = ScenarioStream::new(&topo.graph, k);
 
     for ec in report.per_ec.iter().take(ecs_audited) {
         let ec_dest = ec.ec.to_ec_dest();
-        let sigs = build_sig_table(&report.policies, net, &topo, &ec_dest);
-        let scenarios = if pruned {
-            enumerate_scenarios_pruned(&topo.graph, &ec.abstraction, &sigs, k)
+        scenario_count += if pruned {
+            let sigs = build_sig_table(&report.policies, net, &topo, &ec_dest);
+            let orbits = link_orbits(&topo.graph, &ec.abstraction, &sigs);
+            stream.iter_pruned(&orbits).count()
         } else {
-            ScenarioStream::new(&topo.graph, k).to_vec()
+            stream.len()
         };
-        scenario_count += scenarios.len();
 
         // Columns 1+2: concrete per-scenario verification, cold (from ⊥)
         // vs warm-started (repairing the failure-free fixpoint, whose one
         // cold solve is part of the column). Both sweep the *exhaustive*
         // enumeration — "verify every scenario" is the workload these
         // columns price, and the same one the sweep engine covers.
-        let all_scenarios = ScenarioStream::new(&topo.graph, k).to_vec();
+        let all_scenarios = stream.to_vec();
         concrete += sweep_time(net, &topo, &ec_dest, &all_scenarios, None, false);
         warm += sweep_time(net, &topo, &ec_dest, &all_scenarios, None, true);
 
-        // Column 3: one-off PR 3 audit + repair through the shared engine.
+        // Column 3: one-off audit + repair through the shared engine.
         let t1 = Instant::now();
         let audit = check_cp_equivalence_under_failures(
             net,
@@ -283,11 +275,9 @@ fn run_network(label: &str, net: &NetworkConfig, k: usize, max_ecs: usize, prune
             &ec.abstraction,
             &ec.abstract_network,
             &report.policies,
-            &FailureAuditOptions {
+            &SweepOptions {
                 max_failures: k,
                 prune_symmetric: pruned,
-                concrete_orders: 2,
-                abstract_orders: 8,
                 ..Default::default()
             },
         )
@@ -307,32 +297,44 @@ fn run_network(label: &str, net: &NetworkConfig, k: usize, max_ecs: usize, prune
             Some((&audit.abstraction, &audit.abstract_network)),
             false,
         );
+    }
 
-        // Column 5: the per-scenario sweep engine — always exhaustive
-        // (the orbit cache absorbs the symmetry; the hit rate proves it).
-        let t2 = Instant::now();
-        let sweep = sweep_failures(
-            net,
-            &topo,
-            &ec_dest,
-            &ec.abstraction,
-            &ec.abstract_network,
-            &report.policies,
-            &SweepOptions {
-                max_failures: k,
-                prune_symmetric: false,
-                threads: 1,
-                ..Default::default()
-            },
-        )
-        .expect("sweep completes");
-        sweep_total += t2.elapsed();
-        sweep_scenarios += sweep.scenarios_swept();
-        sweep_refinements += sweep.refinements.len();
-        sweep_base_sum += sweep.base_abstract_nodes as f64;
-        sweep_refined_sum += sweep.mean_refined_nodes() * sweep.scenarios_swept() as f64;
-        sweep_max_refined = sweep_max_refined.max(sweep.max_refined_nodes());
-        sweep_fallbacks += sweep.fallback_count();
+    let exhaustive = SweepOptions {
+        max_failures: k,
+        prune_symmetric: false,
+        threads: 1,
+        ..Default::default()
+    };
+
+    // Column 5: the sweep plane over the audited classes, nothing shared
+    // between them — always exhaustive (the signature cache absorbs the
+    // symmetry; the hit rate proves it).
+    let audited: Vec<usize> = (0..ecs_audited).collect();
+    let t2 = Instant::now();
+    let per_class = sweep_network_subset(
+        net,
+        &topo,
+        &report,
+        &NetworkSweepOptions {
+            sweep: exhaustive,
+            share_across_ecs: false,
+            ..Default::default()
+        },
+        &audited,
+    )
+    .expect("sweep completes");
+    let sweep_total = t2.elapsed();
+    let sweep_scenarios = per_class.scenarios_swept();
+    let sweep_refinements = per_class.unshared_derivations();
+    let mut sweep_base_sum = 0usize;
+    let mut sweep_refined_sum = 0usize;
+    let mut sweep_max_refined = 0usize;
+    let mut sweep_fallbacks = 0usize;
+    for ec in &per_class.per_ec {
+        sweep_base_sum += ec.report.base_abstract_nodes;
+        sweep_refined_sum += ec.report.stats.refined_nodes_sum;
+        sweep_max_refined = sweep_max_refined.max(ec.report.max_refined_nodes());
+        sweep_fallbacks += ec.report.fallback_count();
     }
 
     // The network-level column: one orchestrated sweep over **every**
@@ -345,12 +347,7 @@ fn run_network(label: &str, net: &NetworkConfig, k: usize, max_ecs: usize, prune
         &topo,
         &report,
         &NetworkSweepOptions {
-            sweep: SweepOptions {
-                max_failures: k,
-                prune_symmetric: false,
-                threads: 1,
-                ..Default::default()
-            },
+            sweep: exhaustive,
             ..Default::default()
         },
     )
@@ -367,14 +364,10 @@ fn run_network(label: &str, net: &NetworkConfig, k: usize, max_ecs: usize, prune
     let netsweep_scenarios = netsweep.scenarios_swept();
     let scenarios_streamed = netsweep.scenarios_streamed;
 
-    let sweep_opts_for = |shard_free: bool| NetworkSweepOptions {
-        sweep: SweepOptions {
-            max_failures: k,
-            prune_symmetric: false,
-            threads: 1,
-            ..Default::default()
-        },
-        collect_outcomes: shard_free,
+    let sweep_opts_for = |collect_outcomes: bool, shard: Option<ShardSpec>| NetworkSweepOptions {
+        sweep: exhaustive,
+        collect_outcomes,
+        shard,
         ..Default::default()
     };
 
@@ -382,7 +375,7 @@ fn run_network(label: &str, net: &NetworkConfig, k: usize, max_ecs: usize, prune
     // outcome records, so the resident gauge proves the O(chunk) claim —
     // the peak must be bounded by threads × chunk no matter how large
     // C(L,k) × ECs is. Its integer tallies must match the collected run.
-    let aggregate = sweep_network(net, &topo, &report, &sweep_opts_for(false))
+    let aggregate = sweep_network(net, &topo, &report, &sweep_opts_for(false, None))
         .expect("aggregate network sweep completes");
     assert!(
         aggregate.peak_resident_scenarios <= aggregate.chunk_size,
@@ -403,7 +396,8 @@ fn run_network(label: &str, net: &NetworkConfig, k: usize, max_ecs: usize, prune
     // the reassembly; the equality asserts prove the sharding exact.
     let shard_reports: Vec<_> = (0..2)
         .map(|i| {
-            sweep_network_sharded(net, &topo, &report, &sweep_opts_for(true), i, 2)
+            let shard = ShardSpec::new(i, 2).expect("index below the shard count");
+            sweep_network(net, &topo, &report, &sweep_opts_for(true, Some(shard)))
                 .expect("shard sweep completes")
         })
         .collect();
@@ -480,11 +474,11 @@ fn run_network(label: &str, net: &NetworkConfig, k: usize, max_ecs: usize, prune
         // Per-EC mean, the same unit as mean_refined_nodes — the snapshot
         // ratio mean_refined_nodes / base_abs_nodes_mean is the headline
         // "stays within 2x of base" number.
-        sweep_base_mean: sweep_base_sum / ecs_audited.max(1) as f64,
+        sweep_base_mean: sweep_base_sum as f64 / ecs_audited.max(1) as f64,
         sweep_mean_refined: if sweep_scenarios == 0 {
             0.0
         } else {
-            sweep_refined_sum / sweep_scenarios as f64
+            sweep_refined_sum as f64 / sweep_scenarios as f64
         },
         sweep_max_refined,
         sweep_fallbacks,

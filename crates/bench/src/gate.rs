@@ -30,8 +30,7 @@
 //! touching code. Missing rows and missing stages are hard failures —
 //! silently dropping a benchmark must not read as "no regression".
 
-use crate::json::Json;
-use bonsai_core::snapshot::Envelope;
+use bonsai_core::snapshot::{Envelope, Json};
 
 /// The per-stage wall-clock fields of a compression snapshot row's
 /// `times` object.

@@ -23,15 +23,15 @@
 //! Criterion micro-benchmarks of the pipeline stages live in `benches/`.
 //!
 //! Snapshots carry provenance metadata (`git_sha`, `toolchain`) so
-//! artifacts uploaded from different runs remain traceable; [`json`] is
-//! the minimal reader the gate uses to load them back.
+//! artifacts uploaded from different runs remain traceable; the gate
+//! loads them back through [`bonsai_core::snapshot`].
 
 #![forbid(unsafe_code)]
 
 pub mod gate;
-pub mod json;
 
 use bonsai_core::compress::CompressionReport;
+use bonsai_core::snapshot::json_escape;
 use bonsai_net::NodeId;
 use bonsai_verify::properties::SolutionAnalysis;
 use bonsai_verify::search_engine::{for_each_solution, SearchBudget, SearchOutcome};
@@ -123,22 +123,6 @@ impl Table1Row {
             "ecHit"
         )
     }
-}
-
-/// Minimal JSON string escaping (labels are ASCII; quotes and backslashes
-/// still must not break the document).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn json_f64(v: f64) -> String {
@@ -447,4 +431,27 @@ pub fn abstract_all_pairs(
 /// Formats a duration like the paper's second columns.
 pub fn secs(d: Duration) -> String {
     format!("{:.2}", d.as_secs_f64())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bonsai_core::snapshot::{Envelope, Json};
+
+    #[test]
+    fn parses_own_writer_output() {
+        // The actual writer output must be readable by the gate.
+        let row = report_json(
+            "X\"y\\z",
+            &bonsai_core::compress::compress(
+                &bonsai_srp::papernets::figure1_rip(),
+                Default::default(),
+            ),
+        );
+        let doc = compress_snapshot_json(&[row]);
+        let env = Envelope::parse(&doc).unwrap();
+        assert_eq!(env.kind, "bench/compress");
+        let rows = env.payload.get("rows").and_then(Json::as_arr).unwrap();
+        assert_eq!(rows[0].get("label").and_then(Json::as_str), Some("X\"y\\z"));
+    }
 }

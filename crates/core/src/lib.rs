@@ -84,7 +84,4 @@ pub use ecs::{compute_ecs, DestEc};
 pub use engine::{CompiledPolicies, DeltaInvalidation, EngineStats};
 pub use fanout::{fan_out, fan_out_ranges};
 pub use roles::{count_roles, role_assignment, RoleOptions};
-pub use scenarios::{
-    enumerate_scenarios_pruned, link_orbits, FailureScenario, LinkOrbits, OrbitSignature,
-    ScenarioStream,
-};
+pub use scenarios::{link_orbits, FailureScenario, LinkOrbits, OrbitSignature, ScenarioStream};

@@ -16,8 +16,7 @@
 //!   `1..=k`, as [`FailureScenario`]s, **lazily**: any rank range of the
 //!   canonical enumeration order (size-major, then lexicographic by link
 //!   index) materializes via combination unranking without enumerating
-//!   its predecessors. (`to_vec` materializes everything — the shape the
-//!   retired `enumerate_scenarios` entry point had.)
+//!   its predecessors.
 //! * [`link_orbits`] — groups links into *orbits* by their position in the
 //!   abstraction: two links are in the same orbit when their endpoints lie
 //!   in the same blocks and both directions carry the same compiled
@@ -34,8 +33,9 @@
 //!   makes `k ≥ 2` caching exact where the old orbit-count multiset
 //!   wrongly merged, e.g., two same-orbit failures sharing an endpoint
 //!   with two disjoint ones.
-//! * [`enumerate_scenarios_pruned`] — one representative scenario (the
-//!   enumeration-first, i.e. lexicographically smallest) per signature.
+//! * [`ScenarioStream::iter_pruned`] — the same stream filtered down to
+//!   one representative scenario (the enumeration-first, i.e.
+//!   lexicographically smallest) per signature.
 //! * [`quotient_canon`] / [`CanonicalSignature`] — the cross-EC layer:
 //!   a canonical labeling of the abstraction's quotient structure that
 //!   lets the network-level sweep compare signatures **across destination
@@ -404,7 +404,7 @@ impl LinkOrbits {
     /// The canonical representative scenario of an orbit signature: the
     /// **enumeration-first** (smallest in link-index order) scenario with
     /// this signature — exactly the representative
-    /// [`enumerate_scenarios_pruned`] emits for it. Found by searching the
+    /// [`ScenarioStream::iter_pruned`] keeps for it. Found by searching the
     /// combinations of the signature's orbits' member links in
     /// link-index order for the first one whose full signature (counts
     /// **and** pattern) matches.
@@ -708,6 +708,35 @@ impl ScenarioStream {
         self.iter_range(0, self.len())
     }
 
+    /// Iterates the stream pruned by signature: one representative — the
+    /// enumeration-first scenario, i.e. [`LinkOrbits::canonical_scenario`]
+    /// — per distinct [`OrbitSignature`] under `orbits`, so two scenarios
+    /// differing only in *which* symmetric links failed collapse to one.
+    ///
+    /// On symmetric topologies this shrinks a sweep by orders of magnitude
+    /// (a fattree's `C(L,2)` pair scenarios collapse to a handful of
+    /// signatures). The walk still computes one signature per exhaustive
+    /// scenario — the price of the `k ≥ 2` exactness discussed in the
+    /// module docs — but only the representatives are ever yielded.
+    ///
+    /// # Panics
+    ///
+    /// The iterator panics when `orbits` was computed over a different
+    /// graph than this stream.
+    pub fn iter_pruned<'a>(
+        &'a self,
+        orbits: &'a LinkOrbits,
+    ) -> impl Iterator<Item = FailureScenario> + 'a {
+        let mut seen: BTreeSet<OrbitSignature> = BTreeSet::new();
+        self.iter().filter(move |scenario| {
+            seen.insert(
+                orbits
+                    .signature_of(scenario)
+                    .expect("scenario links come from the orbits' graph"),
+            )
+        })
+    }
+
     /// Materializes the whole stream (the exhaustive enumeration, in
     /// canonical order).
     pub fn to_vec(&self) -> Vec<FailureScenario> {
@@ -804,54 +833,6 @@ pub fn exhaustive_scenario_count(num_links: usize, k: usize) -> usize {
         total = total.saturating_add(c);
     }
     total
-}
-
-/// Enumerates scenarios with `1..=k` failed links, pruned by signature:
-/// one representative — the enumeration-first scenario — per distinct
-/// [`OrbitSignature`], so two scenarios differing only in *which*
-/// symmetric links failed collapse to one.
-///
-/// On symmetric topologies this shrinks the sweep by orders of magnitude
-/// (a fattree's `C(L,2)` pair scenarios collapse to a handful of
-/// signatures). The enumeration itself walks the exhaustive set once and
-/// deduplicates by signature — linear in `C(L,k)` signature computations,
-/// the price of the `k ≥ 2` exactness discussed in the module docs.
-pub fn enumerate_scenarios_pruned(
-    graph: &Graph,
-    abstraction: &Abstraction,
-    sigs: &SigTable,
-    k: usize,
-) -> Vec<FailureScenario> {
-    let orbits = link_orbits(graph, abstraction, sigs);
-    enumerate_scenarios_pruned_with(graph, &orbits, k)
-        .into_iter()
-        .map(|(s, _)| s)
-        .collect()
-}
-
-/// [`enumerate_scenarios_pruned`] over prebuilt orbits, returning each
-/// representative together with its signature — the single home of the
-/// "representative = first scenario of its signature in enumeration
-/// order" invariant that [`LinkOrbits::canonical_scenario`] reproduces.
-pub fn enumerate_scenarios_pruned_with(
-    graph: &Graph,
-    orbits: &LinkOrbits,
-    k: usize,
-) -> Vec<(FailureScenario, OrbitSignature)> {
-    let mut seen: BTreeSet<OrbitSignature> = BTreeSet::new();
-    let mut out = Vec::new();
-    // Exhaustive enumeration is size-major then lexicographic, so the
-    // first scenario of each signature is the canonical representative.
-    // Streamed: only the representatives are ever materialized.
-    for scenario in ScenarioStream::new(graph, k).iter() {
-        let sig = orbits
-            .signature_of(&scenario)
-            .expect("scenario links come from this graph");
-        if seen.insert(sig.clone()) {
-            out.push((scenario, sig));
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -1175,6 +1156,12 @@ mod tests {
         (topo, abs, sigs, ec)
     }
 
+    /// The pruned enumeration, materialized.
+    fn pruned(graph: &Graph, abs: &Abstraction, sigs: &SigTable, k: usize) -> Vec<FailureScenario> {
+        let orbits = link_orbits(graph, abs, sigs);
+        ScenarioStream::new(graph, k).iter_pruned(&orbits).collect()
+    }
+
     /// The independent enumeration oracle: the recursive combination walk
     /// the stream replaced, over the same link list.
     fn enumerate_oracle(graph: &Graph, k: usize) -> Vec<FailureScenario> {
@@ -1287,13 +1274,13 @@ mod tests {
     fn pruned_enumeration_collapses_symmetric_scenarios() {
         let (topo, abs, sigs, _) = gadget_setup();
         // k=1: 6 exhaustive scenarios collapse to 2 (one per orbit).
-        let p1 = enumerate_scenarios_pruned(&topo.graph, &abs, &sigs, 1);
+        let p1 = pruned(&topo.graph, &abs, &sigs, 1);
         assert_eq!(p1.len(), 2);
         // k=2: the orbit-count multisets {2+0, 0+2, 1+1} split further by
         // sharing structure — the mixed 1+1 class distinguishes "both
         // failures at one b" from "failures at different b's" — plus the
         // two k=1 classes: 6 total.
-        let p2 = enumerate_scenarios_pruned(&topo.graph, &abs, &sigs, 2);
+        let p2 = pruned(&topo.graph, &abs, &sigs, 2);
         assert_eq!(p2.len(), 6);
         assert!(p2.len() < ScenarioStream::new(&topo.graph, 2).to_vec().len());
         // Every pruned scenario is a member of the exhaustive set.
@@ -1337,8 +1324,7 @@ mod tests {
             .map(|s| orbits.signature_of(s).unwrap())
             .collect();
         assert_eq!(sigset2.len(), 6);
-        let pruned = enumerate_scenarios_pruned(&topo.graph, &abs, &sigs, 2);
-        assert_eq!(pruned.len(), sigset2.len());
+        assert_eq!(pruned(&topo.graph, &abs, &sigs, 2).len(), sigset2.len());
     }
 
     /// The k ≥ 2 exactness regression: in the gadget's b—d orbit, failing
@@ -1378,20 +1364,18 @@ mod tests {
         let orbits = link_orbits(&topo.graph, &abs, &sigs);
         // For every pruned representative, round-tripping through its
         // signature reproduces the representative itself.
-        for rep in enumerate_scenarios_pruned(&topo.graph, &abs, &sigs, 2) {
+        for rep in pruned(&topo.graph, &abs, &sigs, 2) {
             let sig = orbits.signature_of(&rep).unwrap();
             assert_eq!(orbits.canonical_scenario(&sig), rep);
         }
         // Every exhaustive scenario canonicalizes to *some* pruned
         // representative with the same signature.
-        let pruned: std::collections::BTreeSet<_> =
-            enumerate_scenarios_pruned(&topo.graph, &abs, &sigs, 2)
-                .into_iter()
-                .collect();
+        let reps: std::collections::BTreeSet<_> =
+            pruned(&topo.graph, &abs, &sigs, 2).into_iter().collect();
         for s in ScenarioStream::new(&topo.graph, 2).to_vec() {
             let sig = orbits.signature_of(&s).unwrap();
             let rep = orbits.canonical_scenario(&sig);
-            assert!(pruned.contains(&rep), "{}", s.describe(&topo.graph));
+            assert!(reps.contains(&rep), "{}", s.describe(&topo.graph));
             assert_eq!(orbits.signature_of(&rep).unwrap(), sig);
         }
     }

@@ -1,88 +1,58 @@
-//! K-failure soundness auditing with counterexample-guided refinement.
+//! The k-failure soundness **audit**: repair one abstraction until it is
+//! sound for every `≤ k` link-failure scenario at once.
 //!
 //! The paper proves CP-equivalence for the failure-free control plane and
 //! warns (§9) that compression may become **unsound when links fail**: an
 //! abstract link stands for a whole orbit of concrete links, so the
 //! abstract network cannot express "exactly one of them is down" — the
-//! very asymmetry a failure introduces. This module turns that caveat
-//! into a checked, repairable property:
+//! very asymmetry a failure introduces. The audit turns that caveat into
+//! a checked, repairable property. It is a thin counterexample-guided
+//! loop over the verification kernel of [`crate::sweep`]:
 //!
-//! 1. [`check_cp_equivalence_under_failures`] sweeps every `≤ k`
-//!    link-failure scenario (enumerated — and optionally symmetry-pruned —
-//!    by [`bonsai_core::scenarios`]), solving the concrete instance under
-//!    the scenario's [`FailureMask`] and the abstract instance under the
-//!    *lifted* mask ([`lift_failure_mask`]), and compares per-block
-//!    behaviors exactly like the failure-free oracle.
-//! 2. On a mismatch it extracts a refinement split — the failed-link
-//!    endpoints still sharing a block with other nodes, falling back to
-//!    the offending block itself — and feeds it to
-//!    [`bonsai_core::compress::refine_ec_with_split`], which isolates the
-//!    nodes, restores the refinement fixpoint and rebuilds the abstract
-//!    network through the same shared engine.
-//! 3. The sweep continues against the refined abstraction (refinement is
-//!    monotone) and repeats in passes until a whole pass finds no
-//!    counterexample: the abstraction is then **k-failure sound**, and the
-//!    [`FailureAuditReport`] carries it together with every counterexample
-//!    found along the way.
+//! 1. Every scenario of the [`ScenarioStream`] (optionally one
+//!    representative per orbit signature of the *current* abstraction) is
+//!    checked by the kernel: the concrete instance solved under the
+//!    scenario's mask, the abstract instance under the *lifted* mask
+//!    ([`lift_failure_mask`]), per-block behaviors compared exactly like
+//!    the failure-free oracle. The audit's context carries no base
+//!    fixpoints — the abstraction moves under it — so both sides sample
+//!    cold rotated activation orders.
+//! 2. On a refutation the kernel's fallback candidate rule names the split
+//!    — failed-link endpoints still sharing a block, else the offending
+//!    block itself — and [`refine_ec_with_split`] isolates those nodes,
+//!    restores the refinement fixpoint and rebuilds the abstract network
+//!    through the shared engine.
+//! 3. The pass continues against the refined abstraction (refinement is
+//!    monotone) and passes repeat until one finds no counterexample: the
+//!    abstraction is then **k-failure sound**, and the
+//!    [`FailureAuditReport`] carries it with every counterexample found
+//!    along the way.
 //!
 //! Termination: every effective refinement strictly increases the block
 //! count, which is bounded by the node count; the discrete partition's
 //! abstract network is isomorphic to the concrete one, where every
-//! scenario passes trivially. In practice one or two splits repair a
-//! failure-broken abstraction while the rest of the network stays
-//! compressed — that is the selling point over "just verify concretely".
+//! scenario passes trivially. On symmetric topologies the splits
+//! accumulate until little compression is left (fattree-4 goes 6 → 20
+//! nodes per class, mesh-10 2 → 10) — callers who can work with one small
+//! refinement *per scenario* use the network sweep ([`crate::netsweep`])
+//! instead.
 
-use crate::equivalence::{
-    abstract_behaviors, behaviors_match, concrete_behaviors, rotated_order, BehaviorMismatch,
-    EquivalenceError,
+use crate::equivalence::EquivalenceError;
+use crate::sweep::{
+    check_scenario_refined, sample_concrete_solutions, split_candidates, SweepCtx, SweepEnv,
+    SweepOptions,
 };
-use bonsai_config::{BuiltTopology, Community, NetworkConfig};
+use bonsai_config::{BuiltTopology, NetworkConfig};
 use bonsai_core::abstraction::AbstractNetwork;
 use bonsai_core::algorithm::Abstraction;
 use bonsai_core::compress::refine_ec_with_split;
 use bonsai_core::engine::CompiledPolicies;
 use bonsai_core::scenarios::{
-    enumerate_scenarios_pruned, exhaustive_scenario_count, FailureScenario, ScenarioStream,
+    exhaustive_scenario_count, link_orbits_with_distances, FailureScenario, ScenarioStream,
 };
-use bonsai_core::signatures::build_sig_table;
 use bonsai_net::partition::BlockId;
 use bonsai_net::{FailureMask, NodeId};
-use bonsai_srp::instance::{EcDest, MultiProtocol};
-use bonsai_srp::solver::{solve_with_order_masked, SolverOptions};
-use bonsai_srp::Srp;
-use std::collections::BTreeSet;
-
-/// Options for a k-failure soundness audit.
-#[derive(Clone, Copy, Debug)]
-pub struct FailureAuditOptions {
-    /// Maximum number of simultaneously failed links (`k`).
-    pub max_failures: usize,
-    /// Enumerate one representative scenario per link-orbit multiset
-    /// instead of every link combination (see
-    /// [`bonsai_core::scenarios::enumerate_scenarios_pruned`] for the
-    /// exactness discussion). Exhaustive sweeps disable this.
-    pub prune_symmetric: bool,
-    /// Concrete activation orders tried per scenario (each must have a
-    /// matching abstract solution).
-    pub concrete_orders: usize,
-    /// Abstract activation orders tried per concrete solution.
-    pub abstract_orders: usize,
-    /// Refinement-round bound; 0 means "node count" (always sufficient:
-    /// each round strictly refines the partition).
-    pub max_rounds: usize,
-}
-
-impl Default for FailureAuditOptions {
-    fn default() -> Self {
-        FailureAuditOptions {
-            max_failures: 1,
-            prune_symmetric: true,
-            concrete_orders: 4,
-            abstract_orders: 16,
-            max_rounds: 0,
-        }
-    }
-}
+use bonsai_srp::instance::EcDest;
 
 /// One scenario the abstraction could not mirror, and how it was repaired.
 #[derive(Clone, Debug)]
@@ -172,17 +142,22 @@ pub fn lift_failure_mask(
 
 /// Sweeps all `≤ k` link-failure scenarios, checking CP-equivalence of
 /// the abstraction under each; on a counterexample, refines the
-/// abstraction (splitting the offending nodes) and restarts the sweep,
-/// until the abstraction is **k-failure sound**.
+/// abstraction (splitting the offending nodes) and continues, until a
+/// whole pass is clean and the abstraction is **k-failure sound**.
+///
+/// `options.prune_symmetric` checks one representative per orbit
+/// signature of the current abstraction instead of every link
+/// combination; `options.threads` is ignored (the loop is sequential —
+/// each check runs against the abstraction the previous one left).
 ///
 /// The attribute abstraction `h` is taken from the engine, exactly as in
-/// [`crate::equivalence::check_cp_equivalence_shared`]; scenario
-/// enumeration, signature tables and the refinement step all run through
-/// the same shared [`CompiledPolicies`] engine, so an audit after a
-/// compression run recompiles nothing.
+/// [`crate::equivalence::check_cp_equivalence_shared`]; signature tables
+/// and the refinement step run through the same shared
+/// [`CompiledPolicies`] engine, so an audit after a compression run
+/// recompiles nothing.
 ///
 /// Errors only when a *concrete* instance diverges under some scenario
-/// (nothing to audit against) or the refinement bound is exhausted.
+/// (nothing to audit against) or a mismatch is left with nothing to split.
 pub fn check_cp_equivalence_under_failures(
     network: &NetworkConfig,
     topo: &BuiltTopology,
@@ -190,225 +165,81 @@ pub fn check_cp_equivalence_under_failures(
     abstraction: &Abstraction,
     abs: &AbstractNetwork,
     engine: &CompiledPolicies,
-    options: &FailureAuditOptions,
+    options: &SweepOptions,
 ) -> Result<FailureAuditReport, EquivalenceError> {
-    let keep: Option<BTreeSet<Community>> = engine
-        .strips_unused_communities()
-        .then(|| engine.communities().iter().copied().collect());
-    let sigs = build_sig_table(engine, network, topo, ec);
+    let env = SweepEnv::new(network, topo, engine, options);
+    let ctx = SweepCtx::hoist(&env, ec.clone(), abstraction, abs);
     let k = options.max_failures;
-    let max_rounds = if options.max_rounds == 0 {
-        topo.graph.node_count() + 1
-    } else {
-        options.max_rounds
-    };
-
+    let stream = ScenarioStream::new(&topo.graph, k);
     let mut current = abstraction.clone();
     let mut current_net = abs.clone();
     let mut counterexamples: Vec<FailureCounterexample> = Vec::new();
     let mut checks_performed = 0usize;
-    let initial_abstract_nodes = abstraction.abstract_node_count();
-    let scenarios_exhaustive = exhaustive_scenario_count(topo.graph.link_count(), k);
 
     loop {
-        // Enumerate per pass: pruning is relative to the *current*
+        // Prune per pass: pruning is relative to the *current*
         // abstraction's orbits, and refinement makes orbits finer. Within
         // a pass, a counterexample refines the abstraction and the sweep
         // **continues** against the refined one (restarting per
         // counterexample would cost rounds × scenarios); a pass with no
         // counterexample is the clean confirmation the soundness claim
         // rests on.
-        let scenarios = if options.prune_symmetric {
-            enumerate_scenarios_pruned(&topo.graph, &current, &sigs, k)
-        } else {
-            ScenarioStream::new(&topo.graph, k).to_vec()
+        let orbits = options.prune_symmetric.then(|| {
+            link_orbits_with_distances(&topo.graph, &current, &ctx.sigs, env.distances.clone())
+        });
+        let scenarios: Box<dyn Iterator<Item = FailureScenario> + '_> = match &orbits {
+            Some(orbits) => Box::new(stream.iter_pruned(orbits)),
+            None => Box::new(stream.iter()),
         };
 
+        let mut scenarios_swept = 0usize;
         let mut refined_this_pass = false;
-        for scenario in &scenarios {
+        for scenario in scenarios {
+            scenarios_swept += 1;
             checks_performed += 1;
-            match check_scenario(
-                network,
-                topo,
-                ec,
-                &current,
-                &current_net,
-                scenario,
-                options,
-                keep.as_ref(),
-            )? {
-                Ok(()) => {}
-                Err(mismatch) => {
-                    let describe = |m: &Option<BehaviorMismatch>| {
-                        m.as_ref()
-                            .map(|m| m.detail.clone())
-                            .unwrap_or_else(|| "abstract instance diverged".to_string())
-                    };
-                    if counterexamples.len() >= max_rounds {
-                        return Err(EquivalenceError::NoMatchingSolution {
-                            detail: format!(
-                                "refinement bound ({max_rounds} rounds) exhausted; last \
-                                 counterexample under {}: {}",
-                                scenario.describe(&topo.graph),
-                                describe(&mismatch),
-                            ),
-                        });
-                    }
-                    let split = split_candidates(&current, scenario, &mismatch);
-                    if split.is_empty() {
-                        // Nothing left to split: a genuine equivalence bug
-                        // rather than a refinable failure asymmetry.
-                        return Err(EquivalenceError::NoMatchingSolution {
-                            detail: format!(
-                                "irrefinable mismatch under {}: {}",
-                                scenario.describe(&topo.graph),
-                                describe(&mismatch),
-                            ),
-                        });
-                    }
-                    let (refined, refined_net) =
-                        refine_ec_with_split(engine, network, topo, ec, &current, &split);
-                    counterexamples.push(FailureCounterexample {
-                        scenario: scenario.clone(),
-                        block: mismatch.as_ref().map(|m| m.block),
-                        detail: describe(&mismatch),
-                        split,
-                    });
-                    current = refined;
-                    current_net = refined_net;
-                    refined_this_pass = true;
-                }
+            let solutions = sample_concrete_solutions(&ctx, &scenario)?;
+            let Err(refutation) =
+                check_scenario_refined(&ctx, &scenario, &solutions, &current, &current_net)?
+            else {
+                continue;
+            };
+            let split = split_candidates(&current, &scenario, &refutation.mismatch);
+            if split.is_empty() {
+                // Nothing left to split: a genuine equivalence bug rather
+                // than a refinable failure asymmetry.
+                return Err(EquivalenceError::NoMatchingSolution {
+                    detail: format!(
+                        "irrefinable mismatch under {}: {}",
+                        scenario.describe(&topo.graph),
+                        refutation.describe(),
+                    ),
+                });
             }
+            (current, current_net) =
+                refine_ec_with_split(engine, network, topo, ec, &current, &split);
+            counterexamples.push(FailureCounterexample {
+                scenario,
+                block: refutation.mismatch.as_ref().map(|m| m.block),
+                detail: refutation.describe(),
+                split,
+            });
+            refined_this_pass = true;
         }
 
         if !refined_this_pass {
-            let refinement_rounds = counterexamples.len();
             return Ok(FailureAuditReport {
                 k,
-                scenarios_exhaustive,
-                scenarios_swept: scenarios.len(),
+                scenarios_exhaustive: exhaustive_scenario_count(topo.graph.link_count(), k),
+                scenarios_swept,
                 checks_performed,
+                refinement_rounds: counterexamples.len(),
                 counterexamples,
-                refinement_rounds,
-                initial_abstract_nodes,
+                initial_abstract_nodes: abstraction.abstract_node_count(),
                 abstraction: current,
                 abstract_network: current_net,
             });
         }
     }
-}
-
-/// Checks one scenario: every concrete solution (over the tried
-/// activation orders) must have a matching abstract solution under the
-/// lifted mask.
-///
-/// `Err(EquivalenceError)` is reserved for unauditable situations
-/// (concrete divergence); the inner `Result` carries the verdict, with
-/// `None` standing for "the abstract instance diverged on every order".
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
-fn check_scenario(
-    network: &NetworkConfig,
-    topo: &BuiltTopology,
-    ec: &EcDest,
-    abstraction: &Abstraction,
-    abs: &AbstractNetwork,
-    scenario: &FailureScenario,
-    options: &FailureAuditOptions,
-    keep: Option<&BTreeSet<Community>>,
-) -> Result<Result<(), Option<BehaviorMismatch>>, EquivalenceError> {
-    let mask = scenario.mask(&topo.graph);
-    let abs_mask = lift_failure_mask(scenario, abstraction, abs);
-
-    let origins: Vec<NodeId> = ec.origins.iter().map(|(n, _)| *n).collect();
-    let nodes: Vec<NodeId> = topo.graph.nodes().collect();
-    let abs_origins: Vec<NodeId> = abs.ec.origins.iter().map(|(n, _)| *n).collect();
-    let abs_nodes: Vec<NodeId> = abs.topo.graph.nodes().collect();
-
-    // One instance each side serves every activation order and mask —
-    // the point of masked solving (nothing below depends on the order).
-    let proto = MultiProtocol::build(network, topo, ec);
-    let srp = Srp::with_origins(&topo.graph, origins, proto);
-    let abs_proto = MultiProtocol::build(&abs.network, &abs.topo, &abs.ec);
-    let abs_srp = Srp::with_origins(&abs.topo.graph, abs_origins, abs_proto);
-
-    for rot in 0..options.concrete_orders.max(1) {
-        let order = rotated_order(&nodes, rot);
-        let solution = solve_with_order_masked(&srp, &order, SolverOptions::default(), Some(&mask))
-            .map_err(|e| {
-                EquivalenceError::ConcreteDiverged(format!(
-                    "under {}: {e}",
-                    scenario.describe(&topo.graph)
-                ))
-            })?;
-        let concrete =
-            concrete_behaviors(network, topo, ec, &solution, abstraction, keep, Some(&mask));
-
-        let mut matched = false;
-        let mut last_mismatch: Option<BehaviorMismatch> = None;
-        let mut seen: BTreeSet<Vec<Option<String>>> = BTreeSet::new();
-        for arot in 0..options.abstract_orders.max(1) {
-            let order = rotated_order(&abs_nodes, arot);
-            let abs_solution = match solve_with_order_masked(
-                &abs_srp,
-                &order,
-                SolverOptions::default(),
-                Some(&abs_mask),
-            ) {
-                Ok(s) => s,
-                // Abstract divergence under a failure the concrete plane
-                // survives is itself an abstraction failure — fall through
-                // to the counterexample path rather than erroring.
-                Err(_) => continue,
-            };
-            let fingerprint: Vec<Option<String>> = abs_solution
-                .labels
-                .iter()
-                .map(|l| l.as_ref().map(|a| format!("{a:?}")))
-                .collect();
-            if !seen.insert(fingerprint) {
-                continue;
-            }
-            let abstract_b = abstract_behaviors(abs, &abs_solution, keep, Some(&abs_mask));
-            match behaviors_match(&concrete, &abstract_b) {
-                Ok(()) => {
-                    matched = true;
-                    break;
-                }
-                Err(mismatch) => last_mismatch = Some(mismatch),
-            }
-        }
-        if !matched {
-            return Ok(Err(last_mismatch));
-        }
-    }
-    Ok(Ok(()))
-}
-
-/// The refinement split for a counterexample: failed-link endpoints that
-/// still share a block with other nodes; if all endpoints are already
-/// singletons, the members of the offending block.
-fn split_candidates(
-    abstraction: &Abstraction,
-    scenario: &FailureScenario,
-    mismatch: &Option<BehaviorMismatch>,
-) -> Vec<NodeId> {
-    let mut out: Vec<NodeId> = scenario
-        .links
-        .iter()
-        .flat_map(|&(u, v)| [u, v])
-        .filter(|&n| abstraction.partition.members(abstraction.role_of(n)).len() > 1)
-        .collect();
-    out.sort();
-    out.dedup();
-    if out.is_empty() {
-        if let Some(m) = mismatch {
-            let members = abstraction.partition.members(m.block);
-            if members.len() > 1 {
-                out = members.iter().map(|&x| NodeId(x)).collect();
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -417,11 +248,16 @@ mod tests {
     use bonsai_core::compress::{compress, CompressOptions};
     use bonsai_srp::papernets;
 
+    /// The audit over one representative per orbit signature.
+    fn pruned() -> SweepOptions {
+        SweepOptions {
+            prune_symmetric: true,
+            ..Default::default()
+        }
+    }
+
     /// Audits the first EC of a compressed network and returns the report.
-    fn audit(
-        net: &NetworkConfig,
-        options: &FailureAuditOptions,
-    ) -> (BuiltTopology, FailureAuditReport) {
+    fn audit(net: &NetworkConfig, options: &SweepOptions) -> (BuiltTopology, FailureAuditReport) {
         let topo = BuiltTopology::build(net).unwrap();
         let report = compress(net, CompressOptions::default());
         let ec = &report.per_ec[0];
@@ -446,7 +282,7 @@ mod tests {
     #[test]
     fn figure1_is_unsound_under_one_failure_and_gets_repaired() {
         let net = papernets::figure1_rip();
-        let (topo, audit) = audit(&net, &FailureAuditOptions::default());
+        let (topo, audit) = audit(&net, &pruned());
         assert!(!audit.was_sound(), "the merged diamond must be refuted");
         assert!(audit.refinement_rounds >= 1);
         assert_eq!(audit.initial_abstract_nodes, 3);
@@ -466,19 +302,13 @@ mod tests {
     #[test]
     fn pruned_and_exhaustive_audits_agree() {
         let net = papernets::figure1_rip();
-        let (_, pruned) = audit(&net, &FailureAuditOptions::default());
-        let (_, full) = audit(
-            &net,
-            &FailureAuditOptions {
-                prune_symmetric: false,
-                ..Default::default()
-            },
-        );
+        let (_, reps) = audit(&net, &pruned());
+        let (_, full) = audit(&net, &SweepOptions::default());
         assert_eq!(
-            pruned.abstraction.partition.as_sets(),
+            reps.abstraction.partition.as_sets(),
             full.abstraction.partition.as_sets()
         );
-        assert!(pruned.scenarios_swept <= full.scenarios_swept);
+        assert!(reps.scenarios_swept <= full.scenarios_swept);
         assert_eq!(full.scenarios_swept, full.scenarios_exhaustive);
     }
 
@@ -488,7 +318,7 @@ mod tests {
     #[test]
     fn gadget_refines_under_single_failure() {
         let net = papernets::figure2_gadget();
-        let (topo, audit) = audit(&net, &FailureAuditOptions::default());
+        let (topo, audit) = audit(&net, &pruned());
         assert!(!audit.was_sound());
         // Whatever the split sequence, the result is k-failure sound and
         // still smaller than or equal to the concrete network.
@@ -502,7 +332,7 @@ mod tests {
     #[test]
     fn incompressible_network_is_already_failure_sound() {
         let net = papernets::figure5_bgp();
-        let (_, audit) = audit(&net, &FailureAuditOptions::default());
+        let (_, audit) = audit(&net, &pruned());
         assert!(audit.was_sound(), "{:?}", audit.counterexamples);
         assert_eq!(audit.refinement_rounds, 0);
     }
@@ -515,9 +345,9 @@ mod tests {
         let net = papernets::figure1_rip();
         let (topo, audit) = audit(
             &net,
-            &FailureAuditOptions {
+            &SweepOptions {
                 max_failures: 2,
-                ..Default::default()
+                ..pruned()
             },
         );
         assert_eq!(audit.k, 2);

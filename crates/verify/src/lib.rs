@@ -10,20 +10,24 @@
 //!   concrete and abstract SRPs and checks label- and fwd-equivalence
 //!   modulo the attribute abstraction `h` (and modulo the
 //!   solution-dependent copy assignment of BGP-split nodes, §4.3).
-//! * [`failures`] — the bounded link-failure audit: sweeps every `≤ k`
-//!   failure scenario through the equivalence oracle and repairs **one**
-//!   abstraction by counterexample-guided refinement until it is globally
-//!   k-failure sound (the paper's §9 caveat, made checkable).
-//! * [`sweep`] — the scalable per-scenario refinement sweep: keeps the
-//!   failure-free base abstraction, derives a tiny localized refinement
-//!   per scenario (cached by orbit signature, verified with warm-started
-//!   masked solves — concrete *and* abstract, via solution transport —
-//!   fanned out over the shared lock-free driver) instead of
-//!   decompressing one abstraction for all scenarios at once.
-//! * [`netsweep`] — the network-level orchestrator over the
-//!   (scenario × destination class) product: one fan-out plane for the
-//!   whole network, with refinements shared **across classes** keyed by
-//!   (policy fingerprint, quotient class, canonical signature).
+//! * Link-failure verification (the paper's §9 caveat, made checkable) is
+//!   **one plane, one kernel and a thin audit loop**:
+//!   * [`netsweep`] — the plane: the only scenario loop. One lazy
+//!     scenario stream, fanned out over the (scenario × destination class)
+//!     product by the shared lock-free driver, with per-worker signature
+//!     caches, refinements shared **across classes** keyed by (policy
+//!     fingerprint, quotient class, canonical signature), symmetry pruning
+//!     as a schedule-independent filter, and signature-class sharding.
+//!     One class, or the classes a config delta moved, is the same plane
+//!     over a subset.
+//!   * [`sweep`] — the kernel: keeps the failure-free base abstraction and
+//!     derives a tiny localized refinement per scenario signature,
+//!     verified with warm-started masked solves (concrete *and* abstract,
+//!     via solution transport). [`sweep::derive_refinement`] runs it once,
+//!     every cache bypassed — the reference the plane is tested against.
+//!   * [`failures`] — the audit: the same kernel checks in a sequential
+//!     counterexample-guided loop that repairs **one** abstraction until
+//!     it is globally k-failure sound.
 //! * [`sim_engine`] — the **Batfish substitute**: simulates the control
 //!   plane per destination class, derives the data plane (with ACLs), and
 //!   answers reachability queries — failure-free, under a failure mask,
@@ -54,8 +58,8 @@ pub use equivalence::{
     EquivalenceError,
 };
 pub use failures::{
-    check_cp_equivalence_under_failures, lift_failure_mask, FailureAuditOptions,
-    FailureAuditReport, FailureCounterexample,
+    check_cp_equivalence_under_failures, lift_failure_mask, FailureAuditReport,
+    FailureCounterexample,
 };
 pub use netsweep::{
     sweep_network, sweep_network_subset, EcSweep, NetworkSweepOptions, NetworkSweepReport,
@@ -69,6 +73,6 @@ pub use session::{
 };
 pub use sim_engine::SimEngine;
 pub use sweep::{
-    derive_refinement, sweep_failures, RefinementProvenance, ScenarioOutcome, ScenarioRefinement,
-    SweepOptions, SweepReport,
+    derive_refinement, RefinementProvenance, ScenarioOutcome, ScenarioRefinement, SweepOptions,
+    SweepReport,
 };

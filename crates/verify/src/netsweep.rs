@@ -1,16 +1,27 @@
-//! The network-level sweep orchestrator: one scenario plane over the
-//! **(scenario × destination class)** product, with refinements shared
-//! across classes.
+//! The failure-verification **plane**: the one scenario loop of the
+//! crate, over the **(scenario × destination class)** product, with
+//! refinements shared across classes.
+//!
+//! Every class walks the same lazy [`ScenarioStream`] — nothing of the
+//! `C(L, k)` space is materialized; workers claim chunked rank ranges of
+//! the flattened plane from [`bonsai_core::fanout`], unrank their start
+//! and step successors. Per item a worker computes the scenario's
+//! [`OrbitSignature`] and probes its local `(class, signature)` cache; a
+//! miss runs the kernel of [`crate::sweep`] once for the signature's
+//! canonical representative. Symmetry pruning
+//! ([`SweepOptions::prune_symmetric`]) is a filter inside the same loop:
+//! an item survives iff it *is* its signature's canonical representative
+//! — a property of the item, not of the schedule. Sweeping one class, or
+//! the classes a config delta moved, is [`sweep_network_subset`] over
+//! those indices.
 //!
 //! The paper's central claim is that one compressed network answers
-//! questions about *all* destination classes cheaply — but a per-EC sweep
-//! ([`crate::sweep::sweep_failures`]) re-derives the same symmetric
-//! refinements once per class: on a fattree every destination class sees
-//! the same five single-failure shapes, and each class pays for them
-//! again. This orchestrator flattens the whole verification into one
-//! [`bonsai_core::fanout`] plane and re-keys the refinement cache from
-//! EC-relative orbit signatures to **(policy fingerprint, quotient class,
-//! canonical signature)**:
+//! questions about *all* destination classes cheaply — but class by class
+//! the same symmetric refinements would be derived again and again: on a
+//! fattree every destination class sees the same five single-failure
+//! shapes. The plane therefore re-keys its refinement cache from
+//! class-relative orbit signatures to **(policy fingerprint, quotient
+//! class, canonical signature)**:
 //!
 //! * [`EcFingerprint`] (from the shared engine) — equal iff the two
 //!   classes provably compile every policy identically.
@@ -48,25 +59,22 @@
 
 use crate::equivalence::EquivalenceError;
 use crate::sweep::{
-    base_abstract_solution, canonical_abstract_solution, check_scenario_refined,
-    derive_scenario_refinement, endpoint_split, sample_concrete_solutions, OutcomeStats,
-    RefinementProvenance, ScenarioOutcome, ScenarioRefinement, SweepCtx, SweepOptions, SweepReport,
+    canonical_abstract_solution, check_scenario_refined, derive_scenario_refinement,
+    endpoint_split, sample_concrete_solutions, OutcomeStats, RefinementProvenance, ScenarioOutcome,
+    ScenarioRefinement, SweepCtx, SweepEnv, SweepOptions, SweepReport,
 };
-use bonsai_config::{BuiltTopology, Community, NetworkConfig};
+use bonsai_config::{BuiltTopology, NetworkConfig};
 use bonsai_core::abstraction::build_abstract_network;
-use bonsai_core::compress::{refine_ec_with_split, CompressionReport, EcCompression};
-use bonsai_core::engine::{CompiledPolicies, EcFingerprint};
+use bonsai_core::compress::{refine_ec_with_split, CompressionReport};
+use bonsai_core::engine::EcFingerprint;
 use bonsai_core::fanout::fan_out_ranges;
 use bonsai_core::scenarios::{
-    canonical_signature_of, enumerate_scenarios_pruned_with, exhaustive_scenario_count,
-    link_orbits_with_distances, quotient_canon, CanonicalSignature, FailureScenario, LinkOrbits,
-    NodeDistances, OrbitSignature, QuotientCanon, QuotientClass, ScenarioStream,
+    canonical_signature_of, exhaustive_scenario_count, quotient_canon, CanonicalSignature,
+    FailureScenario, OrbitSignature, QuotientCanon, QuotientClass, ScenarioStream,
 };
-use bonsai_core::signatures::build_sig_table;
 use bonsai_net::prefix::Prefix;
 use bonsai_net::NodeId;
-use bonsai_srp::instance::{EcDest, MultiProtocol, OriginProto, RibAttr};
-use bonsai_srp::{Solution, Srp};
+use bonsai_srp::instance::OriginProto;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -82,20 +90,43 @@ use std::sync::Arc;
 pub const DEFAULT_CHUNK_SIZE: usize = 1024;
 
 /// One shard of a sharded network sweep: this process sweeps only the
-/// scenarios whose canonical-signature class hashes to `index` mod `of`.
+/// scenarios whose signature class hashes (stable FNV-1a of the
+/// **canonical** signature) to `index` mod `of`. A whole symmetric class —
+/// across every destination class it appears in — therefore lands in
+/// exactly one shard: independent shard processes never duplicate a
+/// derivation, and [`merge_reports`] reassembles the monolithic report
+/// byte-for-byte.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardSpec {
+    index: usize,
+    of: usize,
+}
+
+impl ShardSpec {
+    /// Shard `index` of `of`; rejects `of == 0` and `index >= of`.
+    pub fn new(index: usize, of: usize) -> Result<Self, String> {
+        if index < of {
+            Ok(ShardSpec { index, of })
+        } else {
+            Err(format!("shard index {index} out of 0..{of}"))
+        }
+    }
+
     /// This shard's index, `0 <= index < of`.
-    pub index: usize,
-    /// Total number of shards.
-    pub of: usize,
+    pub fn index(&self) -> usize {
+        self.index
+    }
+
+    /// Total number of shards (at least 1).
+    pub fn of(&self) -> usize {
+        self.of
+    }
 }
 
 /// Options for a network-level sweep.
 #[derive(Clone, Copy, Debug)]
 pub struct NetworkSweepOptions {
-    /// The per-scenario engine options (failure bound, orders, pruning,
-    /// warm starts, thread count).
+    /// The kernel options (failure bound, orders, pruning, thread count).
     pub sweep: SweepOptions,
     /// Share refinements across destination classes through the
     /// (fingerprint, quotient class, canonical signature) cache. Disable
@@ -117,8 +148,8 @@ pub struct NetworkSweepOptions {
     /// for bounded-memory sweeps of huge scenario spaces — the aggregate
     /// [`OutcomeStats`] and the refinement maps are still complete.
     pub collect_outcomes: bool,
-    /// Sweep only the scenarios of one canonical-signature shard (see
-    /// [`sweep_network_sharded`]). `None` sweeps everything.
+    /// Sweep only the scenarios of one canonical-signature shard.
+    /// `None` sweeps everything.
     pub shard: Option<ShardSpec>,
 }
 
@@ -177,13 +208,12 @@ pub struct NetworkSweepReport {
     /// Effective scenarios-per-range of the streamed fan-out.
     pub chunk_size: usize,
     /// Scenario instances generated through the streamed enumeration
-    /// (exhaustive sources only; pruned sources are materialized lists).
+    /// (pruned sweeps stream every item too; the filter runs after).
     pub scenarios_streamed: usize,
     /// High-water mark of concurrently resident `FailureScenario` values:
-    /// materialized source lists + in-flight streamed items + collected
-    /// outcome records. In aggregate mode (`collect_outcomes = false`,
-    /// exhaustive) this is `O(threads)`, bounded by `threads × chunk` —
-    /// never `O(C(L,k))`.
+    /// in-flight streamed items + collected outcome records. In aggregate
+    /// mode (`collect_outcomes = false`) this is `O(threads)`, bounded by
+    /// `threads × chunk` — never `O(C(L,k))`.
     pub peak_resident_scenarios: usize,
     /// The shard this report covers (`None` = the full sweep).
     pub shard: Option<ShardSpec>,
@@ -227,62 +257,12 @@ impl NetworkSweepReport {
     }
 }
 
-/// A class's scenario plane: the implicit exhaustive stream (shared by
-/// every class — nothing materialized), or the materialized pruned list
-/// (inherently small: one representative per signature, with the
-/// signatures the dedup pass already computed).
-enum ScenarioSource {
-    Streamed(Arc<ScenarioStream>),
-    Materialized(Arc<Vec<(FailureScenario, OrbitSignature)>>),
-}
-
-impl ScenarioSource {
-    fn len(&self) -> usize {
-        match self {
-            ScenarioSource::Streamed(s) => s.len(),
-            ScenarioSource::Materialized(v) => v.len(),
-        }
-    }
-}
-
-/// Everything hoisted once per class before the fan-out, shared immutably
-/// by every worker.
+/// One class of the plane: the kernel context hoisted once before the
+/// fan-out, plus the class's half of the cross-EC cache key.
 struct EcPlane<'a> {
-    ec: EcDest,
-    comp: &'a EcCompression,
-    orbits: LinkOrbits,
+    ctx: SweepCtx<'a>,
     canon: Option<QuotientCanon>,
     fingerprint: EcFingerprint,
-    srp: Srp<'a, MultiProtocol<'a>>,
-    base_solution: Option<Solution<RibAttr>>,
-    base_abs_solution: Option<Solution<RibAttr>>,
-    scenarios: ScenarioSource,
-}
-
-impl<'a> EcPlane<'a> {
-    fn ctx<'b>(
-        &'b self,
-        network: &'b NetworkConfig,
-        topo: &'b BuiltTopology,
-        engine: &'b CompiledPolicies,
-        keep: Option<&'b BTreeSet<Community>>,
-        options: &'b SweepOptions,
-    ) -> SweepCtx<'b> {
-        SweepCtx {
-            network,
-            topo,
-            ec: &self.ec,
-            base: &self.comp.abstraction,
-            base_net: &self.comp.abstract_network,
-            engine,
-            orbits: &self.orbits,
-            srp: &self.srp,
-            base_solution: self.base_solution.as_ref(),
-            base_abs_solution: self.base_abs_solution.as_ref(),
-            keep,
-            options,
-        }
-    }
 }
 
 /// The cross-EC cache key: equal only for classes with provably identical
@@ -318,6 +298,10 @@ type SharedCache = std::sync::Mutex<HashMap<SharedKey, Arc<SharedEntry>>>;
 /// Worker-local state of the network fan-out.
 struct WorkerState {
     per_ec: HashMap<(usize, OrbitSignature), ScenarioRefinement>,
+    /// Memoized canonical representative per (class, signature): the
+    /// scenario a refinement is derived from, the one item of its
+    /// signature a pruned sweep keeps, and the input of the shard key.
+    reps: HashMap<(usize, OrbitSignature), FailureScenario>,
     /// Memoized shard membership per (class, signature) — the canonical
     /// key behind it is signature-level, so one probe serves every
     /// scenario of the class.
@@ -332,6 +316,20 @@ struct WorkerState {
     exact_transfers: usize,
     symmetric_transfers: usize,
     verified_transfers: usize,
+}
+
+impl WorkerState {
+    /// The canonical representative of a (class, signature) pair.
+    fn rep(
+        &mut self,
+        e: usize,
+        plane: &EcPlane<'_>,
+        signature: &OrbitSignature,
+    ) -> &FailureScenario {
+        self.reps
+            .entry((e, signature.clone()))
+            .or_insert_with(|| plane.ctx.orbits.canonical_scenario(signature))
+    }
 }
 
 /// Sweeps every `≤ k` link-failure scenario of **every** destination
@@ -362,8 +360,14 @@ pub fn sweep_network(
 /// primitive: after a config delta, only the classes whose fingerprint
 /// moved are re-swept, and the subset's members share refinements among
 /// themselves exactly as a full sweep would (`options.max_ecs` is ignored
-/// — the subset *is* the cap). The returned report's `per_ec` has one
-/// entry per requested index, in request order.
+/// — the subset *is* the cap). With one index and
+/// `share_across_ecs: false` it is the sweep of a single class. The
+/// returned report's `per_ec` has one entry per requested index, in
+/// request order.
+///
+/// Errors when a concrete instance diverges under some scenario or a
+/// representative stays refuted at the discrete partition (a genuine
+/// equivalence bug, not a failure asymmetry).
 pub fn sweep_network_subset(
     network: &NetworkConfig,
     topo: &BuiltTopology,
@@ -371,76 +375,41 @@ pub fn sweep_network_subset(
     options: &NetworkSweepOptions,
     indices: &[usize],
 ) -> Result<NetworkSweepReport, EquivalenceError> {
-    let engine: &CompiledPolicies = &report.policies;
-    let keep: Option<BTreeSet<Community>> = engine
-        .strips_unused_communities()
-        .then(|| engine.communities().iter().copied().collect());
+    let env = SweepEnv::new(network, topo, &report.policies, &options.sweep);
     let k = options.sweep.max_failures;
     let n_ecs = indices.len();
 
     // Hoist the per-class planes sequentially (deterministic fingerprint
-    // interning and engine-cache population), sharing one distance matrix
-    // and — for exhaustive sweeps — one implicit scenario stream. Nothing
-    // of the C(L,k) space is materialized: workers unrank their chunk's
-    // start and step successors.
-    let distances = Arc::new(NodeDistances::of_graph(&topo.graph));
-    let exhaustive: Arc<ScenarioStream> = Arc::new(ScenarioStream::new(&topo.graph, k));
+    // interning and engine-cache population). Every class walks the same
+    // implicit scenario stream.
+    let stream = ScenarioStream::new(&topo.graph, k);
     let mut planes: Vec<EcPlane<'_>> = Vec::with_capacity(n_ecs);
     for &ci in indices {
         let comp = &report.per_ec[ci];
-        let ec = comp.ec.to_ec_dest();
-        let sigs = build_sig_table(engine, network, topo, &ec);
-        let orbits =
-            link_orbits_with_distances(&topo.graph, &comp.abstraction, &sigs, distances.clone());
+        let ctx = SweepCtx::hoist(
+            &env,
+            comp.ec.to_ec_dest(),
+            &comp.abstraction,
+            &comp.abstract_network,
+        )
+        .warmed();
         let canon = if options.share_across_ecs {
-            quotient_canon(&topo.graph, &ec, &comp.abstraction, &sigs, &orbits)
+            quotient_canon(&topo.graph, &ctx.ec, ctx.base, &ctx.sigs, &ctx.orbits)
         } else {
             None
         };
-        let fingerprint = engine.ec_fingerprint(network, topo, &ec);
-        let origins: Vec<NodeId> = ec.origins.iter().map(|(n, _)| *n).collect();
-        let proto = MultiProtocol::build(network, topo, &ec);
-        let srp = Srp::with_origins(&topo.graph, origins, proto);
-        let base_solution = options
-            .sweep
-            .warm_start
-            .then(|| bonsai_srp::solver::solve(&srp).ok())
-            .flatten();
-        let base_abs_solution = base_abstract_solution(&comp.abstract_network, &options.sweep);
-        let scenarios = if options.sweep.prune_symmetric {
-            // Pruned per class (pruning is relative to the class's own
-            // orbits), keeping the signatures so the workers need not
-            // recompute the pattern canonicalization.
-            ScenarioSource::Materialized(Arc::new(enumerate_scenarios_pruned_with(
-                &topo.graph,
-                &orbits,
-                k,
-            )))
-        } else {
-            ScenarioSource::Streamed(exhaustive.clone())
-        };
+        let fingerprint = env.engine.ec_fingerprint(network, topo, &ctx.ec);
         planes.push(EcPlane {
-            ec,
-            comp,
-            orbits,
+            ctx,
             canon,
             fingerprint,
-            srp,
-            base_solution,
-            base_abs_solution,
-            scenarios,
         });
     }
 
-    // The flattened (class, scenario) plane: offsets[e] is the first item
-    // of class e.
-    let mut offsets: Vec<usize> = Vec::with_capacity(n_ecs + 1);
-    let mut total = 0usize;
-    for plane in &planes {
-        offsets.push(total);
-        total += plane.scenarios.len();
-    }
-    offsets.push(total);
+    // The flattened class-major plane: item `i` is scenario rank
+    // `i % per_class` of class `i / per_class`.
+    let per_class = stream.len();
+    let total = n_ecs * per_class;
 
     let chunk_size = if options.chunk_size == 0 {
         DEFAULT_CHUNK_SIZE
@@ -456,17 +425,10 @@ pub fn sweep_network_subset(
     }
     .min(total.div_ceil(chunk_size).max(1));
 
-    // Resident-scenario gauge: materialized (pruned) source lists count
-    // from the start; streamed items count while in flight; collected
-    // outcome records count from collection to the end of the sweep.
-    let base_resident: usize = planes
-        .iter()
-        .map(|p| match &p.scenarios {
-            ScenarioSource::Materialized(v) => v.len(),
-            ScenarioSource::Streamed(_) => 0,
-        })
-        .sum();
-    let resident = ResidentGauge::new(base_resident);
+    // Resident-scenario gauge: streamed items count while in flight;
+    // collected outcome records count from collection to the end of the
+    // sweep.
+    let resident = ResidentGauge::default();
 
     let shared: SharedCache = std::sync::Mutex::new(HashMap::new());
     type ChunkOut = Vec<(usize, ScenarioOutcome)>;
@@ -480,63 +442,20 @@ pub fn sweep_network_subset(
         );
         let mut out: ChunkOut = Vec::new();
         // A chunk may span class boundaries: process it as per-class runs,
-        // each run a contiguous rank range of that class's source.
+        // each run a contiguous rank range of the stream — one unranking
+        // for the run start, successors after.
         let mut i = range.start;
         while i < range.end {
-            let e = offsets.partition_point(|&o| o <= i) - 1;
-            let plane = &planes[e];
-            let run_end = offsets[e + 1].min(range.end);
-            let first = i - offsets[e];
-            match &plane.scenarios {
-                ScenarioSource::Materialized(items) => {
-                    for s in first..(run_end - offsets[e]) {
-                        let (scenario, signature) = &items[s];
-                        process_item(
-                            state,
-                            &mut out,
-                            &shared,
-                            &resident,
-                            e,
-                            s,
-                            scenario.clone(),
-                            signature.clone(),
-                            false,
-                            plane,
-                            network,
-                            topo,
-                            engine,
-                            keep.as_ref(),
-                            options,
-                        )?;
-                    }
-                }
-                ScenarioSource::Streamed(stream) => {
-                    // One unranking for the run start, successors after.
-                    for (j, scenario) in stream.iter_range(first, run_end - i).enumerate() {
-                        resident.add(1);
-                        state.streamed += 1;
-                        let signature = plane
-                            .orbits
-                            .signature_of(&scenario)
-                            .expect("streamed scenarios come from this graph's links");
-                        process_item(
-                            state,
-                            &mut out,
-                            &shared,
-                            &resident,
-                            e,
-                            first + j,
-                            scenario,
-                            signature,
-                            true,
-                            plane,
-                            network,
-                            topo,
-                            engine,
-                            keep.as_ref(),
-                            options,
-                        )?;
-                    }
+            let (e, first) = (i / per_class, i % per_class);
+            let run_end = ((e + 1) * per_class).min(range.end);
+            for (j, scenario) in stream.iter_range(first, run_end - i).enumerate() {
+                resident.add(1);
+                state.streamed += 1;
+                let kept =
+                    process_item(state, &shared, e, first + j, scenario, &planes[e], options)?;
+                match kept {
+                    Some(outcome) if options.collect_outcomes => out.push((e, outcome)),
+                    _ => resident.sub(1),
                 }
             }
             i = run_end;
@@ -547,6 +466,7 @@ pub fn sweep_network_subset(
 
     let init = || WorkerState {
         per_ec: HashMap::new(),
+        reps: HashMap::new(),
         shard_keys: HashMap::new(),
         derivations: vec![0; n_ecs],
         stats: vec![OutcomeStats::default(); n_ecs],
@@ -568,7 +488,7 @@ pub fn sweep_network_subset(
     }
 
     // Merge worker states: per-class refinement maps (racing duplicates
-    // must agree — same debug contract as the per-EC engine), aggregate
+    // are deterministic, so any copy is kept — and must agree), aggregate
     // tallies and the sharing counters.
     let mut refinements: Vec<BTreeMap<OrbitSignature, ScenarioRefinement>> =
         (0..n_ecs).map(|_| BTreeMap::new()).collect();
@@ -613,13 +533,13 @@ pub fn sweep_network_subset(
             "collected outcomes and aggregate tallies must agree"
         );
         per_ec.push(EcSweep {
-            rep: plane.comp.ec.rep,
+            rep: plane.ctx.ec.prefix,
             fingerprint: plane.fingerprint,
             canonical: plane.canon.is_some(),
             report: SweepReport {
                 k,
                 threads,
-                base_abstract_nodes: plane.comp.abstraction.abstract_node_count(),
+                base_abstract_nodes: plane.ctx.base.abstract_node_count(),
                 scenarios_exhaustive: exhaustive_scenario_count(topo.graph.link_count(), k),
                 outcomes: ec_outcomes,
                 stats: per_ec_stats[e],
@@ -651,29 +571,6 @@ pub fn sweep_network_subset(
     };
     report.publish_metrics();
     Ok(report)
-}
-
-/// Runs [`sweep_network`] over one canonical-signature shard: only the
-/// scenarios whose signature class hashes (stable FNV-1a of the canonical
-/// signature, mod `of`) to `index` are verified. Because the hash is a
-/// function of the **canonical** signature, a whole symmetric class —
-/// across every destination class it appears in — lands in exactly one
-/// shard: independent shard processes never duplicate a derivation, and
-/// [`merge_reports`] reassembles the monolithic report byte-for-byte.
-pub fn sweep_network_sharded(
-    network: &NetworkConfig,
-    topo: &BuiltTopology,
-    report: &CompressionReport,
-    options: &NetworkSweepOptions,
-    index: usize,
-    of: usize,
-) -> Result<NetworkSweepReport, EquivalenceError> {
-    assert!(of >= 1 && index < of, "shard index {index} out of 0..{of}");
-    let sharded = NetworkSweepOptions {
-        shard: Some(ShardSpec { index, of }),
-        ..*options
-    };
-    sweep_network(network, topo, report, &sharded)
 }
 
 /// Merges the reports of a complete shard set (`index = 0..of`, any input
@@ -749,19 +646,13 @@ pub fn merge_reports(mut shards: Vec<NetworkSweepReport>) -> Result<NetworkSweep
 
 /// The high-water gauge behind
 /// [`NetworkSweepReport::peak_resident_scenarios`].
+#[derive(Default)]
 struct ResidentGauge {
     current: AtomicUsize,
     peak: AtomicUsize,
 }
 
 impl ResidentGauge {
-    fn new(base: usize) -> Self {
-        ResidentGauge {
-            current: AtomicUsize::new(base),
-            peak: AtomicUsize::new(base),
-        }
-    }
-
     fn add(&self, n: usize) {
         let now = self.current.fetch_add(n, Ordering::Relaxed) + n;
         self.peak.fetch_max(now, Ordering::Relaxed);
@@ -794,116 +685,89 @@ fn fnv64(s: &str) -> u64 {
 /// classes, then shares one shard and its single derivation — falling
 /// back to the per-EC signature otherwise (still deterministic, so each
 /// (scenario, class) item belongs to exactly one shard).
-fn shard_key(plane: &EcPlane<'_>, signature: &OrbitSignature) -> u64 {
-    let canonical = plane.canon.as_ref().and_then(|canon| {
-        let rep = plane.orbits.canonical_scenario(signature);
-        canonical_signature_of(&plane.orbits, canon, &rep)
-    });
+fn shard_key(plane: &EcPlane<'_>, signature: &OrbitSignature, rep: &FailureScenario) -> u64 {
+    let canonical = plane
+        .canon
+        .as_ref()
+        .and_then(|canon| canonical_signature_of(&plane.ctx.orbits, canon, rep));
     match canonical {
         Some(sig) => fnv64(&format!("{sig:?}")),
         None => fnv64(&format!("{signature:?}")),
     }
 }
 
-/// Verifies one (class, scenario) item of a chunk: shard filter, per-EC
-/// cache probe, refinement resolution (see [`resolve_refinement`]),
-/// tallies, and — when collecting — the outcome record. `streamed` items
-/// were counted into the resident gauge by the caller and leave it here
-/// (by ownership transfer into the outcome, or by decrement).
-#[allow(clippy::too_many_arguments)]
+/// Verifies one (class, scenario) item of a chunk: signature, shard and
+/// pruning filters, per-EC cache probe, refinement resolution (see
+/// [`resolve_refinement`]) and tallies. Returns the item's outcome record,
+/// or `None` when a filter dropped it.
 fn process_item(
     state: &mut WorkerState,
-    out: &mut Vec<(usize, ScenarioOutcome)>,
     shared: &SharedCache,
-    resident: &ResidentGauge,
     e: usize,
     rank: usize,
     scenario: FailureScenario,
-    signature: OrbitSignature,
-    streamed: bool,
     plane: &EcPlane<'_>,
-    network: &NetworkConfig,
-    topo: &BuiltTopology,
-    engine: &CompiledPolicies,
-    keep: Option<&BTreeSet<Community>>,
     options: &NetworkSweepOptions,
-) -> Result<(), EquivalenceError> {
+) -> Result<Option<ScenarioOutcome>, EquivalenceError> {
+    let signature = plane
+        .ctx
+        .orbits
+        .signature_of(&scenario)
+        .expect("streamed scenarios come from this graph's links");
+
     if let Some(shard) = options.shard {
         let key = match state.shard_keys.get(&(e, signature.clone())) {
             Some(&k) => k,
             None => {
-                let k = shard_key(plane, &signature);
+                let k = shard_key(plane, &signature, state.rep(e, plane, &signature));
                 state.shard_keys.insert((e, signature.clone()), k);
                 k
             }
         };
-        if key % of_nonzero(shard.of) != shard.index as u64 {
-            if streamed {
-                resident.sub(1);
-            }
-            return Ok(());
+        if key % shard.of() as u64 != shard.index() as u64 {
+            return Ok(None);
         }
+    }
+    // Schedule-independent pruning: exactly one item per signature — its
+    // canonical representative — survives, whichever worker meets it.
+    if options.sweep.prune_symmetric && *state.rep(e, plane, &signature) != scenario {
+        return Ok(None);
     }
 
     let (cache_hit, refined_nodes) = match state.per_ec.get(&(e, signature.clone())) {
         Some(r) => (true, r.refined_nodes()),
         None => {
-            let refinement = resolve_refinement(
-                state, shared, e, plane, &signature, network, topo, engine, keep, options,
-            )?;
+            let refinement = resolve_refinement(state, shared, e, plane, &signature, options)?;
             let nodes = refinement.refined_nodes();
             state.per_ec.insert((e, signature.clone()), refinement);
             (false, nodes)
         }
     };
     state.stats[e].record(refined_nodes);
-
-    if options.collect_outcomes {
-        if !streamed {
-            // The outcome clones a materialized-list entry; streamed items
-            // instead move in, staying resident until the sweep ends.
-            resident.add(1);
-        }
-        out.push((
-            e,
-            ScenarioOutcome {
-                rank,
-                scenario,
-                signature,
-                cache_hit,
-                refined_nodes,
-            },
-        ));
-    } else if streamed {
-        resident.sub(1);
-    }
-    Ok(())
-}
-
-fn of_nonzero(of: usize) -> u64 {
-    debug_assert!(of >= 1, "shard count validated at entry");
-    of.max(1) as u64
+    Ok(Some(ScenarioOutcome {
+        rank,
+        scenario,
+        signature,
+        cache_hit,
+        refined_nodes,
+    }))
 }
 
 /// Resolves a (class, signature) cache miss: cross-EC transfer when the
 /// canonical key hits with a compatible donor, full derivation otherwise
 /// (recording the result for future transfers).
-#[allow(clippy::too_many_arguments)]
 fn resolve_refinement(
     state: &mut WorkerState,
     shared: &SharedCache,
     e: usize,
     plane: &EcPlane<'_>,
     signature: &OrbitSignature,
-    network: &NetworkConfig,
-    topo: &BuiltTopology,
-    engine: &CompiledPolicies,
-    keep: Option<&BTreeSet<Community>>,
     options: &NetworkSweepOptions,
 ) -> Result<ScenarioRefinement, EquivalenceError> {
-    let scenario = plane.orbits.canonical_scenario(signature);
+    let ctx = &plane.ctx;
+    let scenario = state.rep(e, plane, signature).clone();
     let shared_key = plane.canon.as_ref().and_then(|canon| {
-        canonical_signature_of(&plane.orbits, canon, &scenario).map(|sig| SharedKey {
+        canonical_signature_of(&ctx.orbits, canon, &scenario).map(|sig| SharedKey {
             fingerprint: plane.fingerprint,
             quotient: canon.class.clone(),
             signature: sig,
@@ -915,13 +779,12 @@ fn resolve_refinement(
         .as_ref()
         .and_then(|key| shared.lock().unwrap().get(key).cloned());
     if let Some(entry) = hit {
-        if entry.donor_origins == plane.ec.origins {
+        if entry.donor_origins == ctx.ec.origins {
             state.exact_transfers += 1;
-            return Ok(materialize_exact(plane, &entry, signature, network, topo));
+            return Ok(materialize_exact(ctx, &entry, signature));
         }
         if entry.stage1_only {
-            let candidate =
-                materialize_symmetric(plane, signature, &scenario, network, topo, engine);
+            let candidate = materialize_symmetric(ctx, signature, &scenario);
             if !options.verify_transfers {
                 state.symmetric_transfers += 1;
                 return Ok(candidate);
@@ -929,10 +792,9 @@ fn resolve_refinement(
             // Audited mode: run this class's own verification against
             // the transferred refinement; a refutation (the symmetry
             // certificate over-promised) falls back to deriving.
-            let ctx = plane.ctx(network, topo, engine, keep, &options.sweep);
-            let solutions = sample_concrete_solutions(&ctx, &candidate.representative)?;
+            let solutions = sample_concrete_solutions(ctx, &candidate.representative)?;
             if check_scenario_refined(
-                &ctx,
+                ctx,
                 &candidate.representative,
                 &solutions,
                 &candidate.abstraction,
@@ -947,12 +809,11 @@ fn resolve_refinement(
         }
     }
 
-    let ctx = plane.ctx(network, topo, engine, keep, &options.sweep);
-    let refinement = derive_scenario_refinement(&ctx, signature)?;
+    let refinement = derive_scenario_refinement(ctx, signature)?;
     state.derivations[e] += 1;
     if let Some(key) = shared_key {
         let entry = Arc::new(SharedEntry {
-            donor_origins: plane.ec.origins.clone(),
+            donor_origins: ctx.ec.origins.clone(),
             stage1_only: !refinement.localized_refuted && !refinement.global_fallback,
             donor: refinement.clone(),
         });
@@ -965,18 +826,17 @@ fn resolve_refinement(
 /// replays byte-identically, only the abstract network is rebuilt so it
 /// embeds the receiving class's own prefix.
 fn materialize_exact(
-    plane: &EcPlane<'_>,
+    ctx: &SweepCtx<'_>,
     entry: &SharedEntry,
     signature: &OrbitSignature,
-    network: &NetworkConfig,
-    topo: &BuiltTopology,
 ) -> ScenarioRefinement {
     debug_assert_eq!(
         entry.donor.signature, *signature,
         "identical origins and fingerprints must yield identical per-EC signatures"
     );
     let abstraction = entry.donor.abstraction.clone();
-    let abstract_network = build_abstract_network(network, topo, &plane.ec, &abstraction);
+    let abstract_network =
+        build_abstract_network(ctx.env.network, ctx.env.topo, &ctx.ec, &abstraction);
     let abstract_solution =
         canonical_abstract_solution(&abstraction, &abstract_network, &entry.donor.representative);
     ScenarioRefinement {
@@ -998,28 +858,16 @@ fn materialize_exact(
 /// abstraction — exactly what a fresh derivation produces when its first
 /// check passes, which is what the donor's verdict certifies.
 fn materialize_symmetric(
-    plane: &EcPlane<'_>,
+    ctx: &SweepCtx<'_>,
     signature: &OrbitSignature,
     scenario: &FailureScenario,
-    network: &NetworkConfig,
-    topo: &BuiltTopology,
-    engine: &CompiledPolicies,
 ) -> ScenarioRefinement {
-    let split = endpoint_split(&plane.comp.abstraction, scenario);
+    let env = ctx.env;
+    let split = endpoint_split(ctx.base, scenario);
     let (abstraction, abstract_network) = if split.is_empty() {
-        (
-            plane.comp.abstraction.clone(),
-            plane.comp.abstract_network.clone(),
-        )
+        (ctx.base.clone(), ctx.base_net.clone())
     } else {
-        refine_ec_with_split(
-            engine,
-            network,
-            topo,
-            &plane.ec,
-            &plane.comp.abstraction,
-            &split,
-        )
+        refine_ec_with_split(env.engine, env.network, env.topo, &ctx.ec, ctx.base, &split)
     };
     let abstract_solution = canonical_abstract_solution(&abstraction, &abstract_network, scenario);
     ScenarioRefinement {

@@ -1,53 +1,55 @@
-//! The per-scenario refinement sweep engine.
+//! The failure-verification **kernel**: deriving and checking the
+//! refinement of one link-failure scenario for one destination class.
 //!
-//! PR 3's auditor ([`crate::failures`]) repairs **one** abstraction until
-//! it is sound for *every* `≤ k` link-failure scenario at once. The honest
-//! cost, measured in `BENCH_failures.json`: on symmetric topologies the
-//! splits accumulate until the "abstraction" is nearly the concrete
-//! network (fattree-4 goes 6 → 20 nodes per EC, mesh-10 goes 2 → 10) —
-//! compression lost exactly where the paper claims it. This module keeps
+//! The paper's abstraction is CP-equivalent failure-free, but one abstract
+//! link stands for a whole orbit of concrete links and cannot express
+//! "exactly one of them is down" (§9). Instead of decompressing one
+//! abstraction until it survives every scenario at once, the kernel keeps
 //! the failure-free **base** abstraction and derives a tiny refinement
-//! *per scenario* instead:
+//! *per scenario*:
 //!
-//! 1. **Localized split** — only the failed links' endpoint orbits are
-//!    split ([`bonsai_core::compress::refine_ec_with_split`] restores the
+//! 1. **Localized split** — only the failed links' endpoints are isolated
+//!    ([`bonsai_core::compress::refine_ec_with_split`] restores the
 //!    Algorithm-1 fixpoint from there), so the rest of the network stays
-//!    compressed. One failed link typically costs 1–3 extra blocks, not
-//!    the full decompression.
-//! 2. **Orbit-signature cache** — scenarios are keyed by their
-//!    [`OrbitSignature`] (interned edge-signature orbit multiset, from the
-//!    shared engine): symmetric scenarios share one refinement and one
-//!    verified abstract solve, derived from the canonical representative.
-//!    Exhaustive sweeps therefore cost little more than pruned ones.
-//! 3. **Escalation** — when the localized split is refuted, the engine
-//!    splits only the block members whose *concrete behavior deviates*
-//!    from what the abstract copies realize (strictly less aggressive
-//!    than PR 3's whole-block fallback), and only then falls back to the
-//!    PR 3 candidate rule. Every step strictly refines, so the loop is
-//!    bounded by the node count, where abstract = concrete and every
-//!    scenario passes.
-//! 4. **Warm-started solves** — each scenario's concrete check repairs the
-//!    failure-free fixpoint ([`bonsai_srp::solve_warm_masked`]) instead of
-//!    restarting from ⊥; a warm divergence silently falls back to a cold
-//!    solve, so warm-starting is a pure optimization.
-//! 5. **Parallel fan-out** — scenarios are claimed from the same
-//!    lock-free atomic-index driver the compression fan-out uses
-//!    ([`bonsai_core::fanout::fan_out`]), with worker-local refinement
-//!    caches merged by orbit signature afterwards. The merged result is
-//!    identical for any thread count (cache hits change, refinements and
-//!    verdicts do not).
+//!    compressed. One failed link typically costs 1–3 extra blocks.
+//! 2. **Orbit-signature keying** — a refinement is a pure function of the
+//!    scenario's [`OrbitSignature`] (interned edge-signature orbit counts
+//!    plus the canonical failed-subgraph pattern): it is derived from the
+//!    signature's canonical representative, so symmetric scenarios share
+//!    one refinement and one verified abstract solve.
+//! 3. **Escalation** — when the localized split is refuted, only the block
+//!    members whose *concrete behavior deviates* from what the abstract
+//!    copies realize are split, and only then the fallback candidate rule
+//!    (endpoints still sharing a block, else the whole offending block)
+//!    applies. Every step strictly refines, so the loop is bounded by the
+//!    node count, where abstract = concrete and every scenario passes.
+//! 4. **Warm-started solves** — the concrete check repairs the class's
+//!    failure-free fixpoint ([`bonsai_srp::solve_warm_masked`]) and the
+//!    first abstract attempt transports the base abstract fixpoint through
+//!    the partition-refinement map ([`transport_abstract_solution`]);
+//!    cold rotated orders follow on divergence or mismatch, so
+//!    warm-starting is a pure optimization.
 //!
-//! The soundness contract matches the pruned PR 3 sweep: a cached verdict
-//! covers a scenario via the symmetry argument of
-//! [`bonsai_core::scenarios::enumerate_scenarios_pruned`] — exact for
-//! `k = 1`, and for `k ≥ 2` up to labeled failed-subgraph isomorphism
-//! (the pattern-refined [`OrbitSignature`] keeps shared-endpoint and
-//! disjoint same-orbit pairs apart; see the `scenarios` module docs).
-//! Callers wanting one globally k-sound abstraction still use
-//! [`crate::failures::check_cp_equivalence_under_failures`]; callers
-//! sweeping **every destination class** use the network-level
-//! orchestrator ([`crate::netsweep`]), which drives this engine's
-//! derivation loop with a cross-EC refinement cache on top.
+//! Everything a check needs is hoisted **once per class** into a
+//! `SweepCtx` (signature table, link orbits, the concrete SRP instance
+//! and the two failure-free fixpoints) over a per-sweep `SweepEnv`; the
+//! three entry points of the crate all build exactly that and call the
+//! same two functions, `derive_scenario_refinement` and
+//! `check_scenario_refined`:
+//!
+//! * [`crate::netsweep`] — the one scenario loop: the (scenario × class)
+//!   plane, fanned out over worker threads, with per-worker signature
+//!   caches and cross-class sharing. Sweeping a single class is the plane
+//!   restricted to it.
+//! * [`derive_refinement`] — one derivation, every cache bypassed: the
+//!   independent reference cache hits and transfers are tested against.
+//! * [`crate::failures`] — the audit: a thin counterexample-guided loop
+//!   that repairs **one** abstraction until it passes every scenario.
+//!
+//! Soundness of signature keying: exact for `k = 1`, and for `k ≥ 2` up
+//! to labeled failed-subgraph isomorphism (the pattern-refined
+//! [`OrbitSignature`] keeps shared-endpoint and disjoint same-orbit pairs
+//! apart; see the [`bonsai_core::scenarios`] module docs).
 
 use crate::equivalence::{
     abstract_behaviors, aggregate_behaviors, behaviors_match, concrete_node_behaviors,
@@ -59,45 +61,39 @@ use bonsai_core::abstraction::AbstractNetwork;
 use bonsai_core::algorithm::Abstraction;
 use bonsai_core::compress::refine_ec_with_split;
 use bonsai_core::engine::CompiledPolicies;
-use bonsai_core::fanout::fan_out;
 use bonsai_core::scenarios::{
-    enumerate_scenarios_pruned, exhaustive_scenario_count, link_orbits, FailureScenario,
-    LinkOrbits, OrbitSignature, ScenarioStream,
+    link_orbits_with_distances, FailureScenario, LinkOrbits, NodeDistances, OrbitSignature,
 };
-use bonsai_core::signatures::build_sig_table;
+use bonsai_core::signatures::{build_sig_table, SigTable};
 use bonsai_net::NodeId;
 use bonsai_srp::instance::{EcDest, MultiProtocol, RibAttr};
 use bonsai_srp::solver::{
     solve_seeded_masked, solve_warm_masked, solve_with_order_masked, SolveError, SolverOptions,
 };
 use bonsai_srp::{Solution, Srp};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
-/// Options for a per-scenario refinement sweep.
+/// Options of the failure-verification kernel, shared by the network
+/// sweep and the audit.
 #[derive(Clone, Copy, Debug)]
 pub struct SweepOptions {
     /// Maximum number of simultaneously failed links (`k`).
     pub max_failures: usize,
-    /// Enumerate one representative per orbit multiset instead of every
-    /// link combination. With the orbit cache an exhaustive sweep costs
+    /// Verify one representative per orbit signature instead of every
+    /// link combination. With signature caching an exhaustive sweep costs
     /// little more than a pruned one (every duplicate is a cache hit), so
     /// the default keeps the exhaustive per-scenario records.
     pub prune_symmetric: bool,
     /// Worker threads for the scenario fan-out (0 = all available cores).
+    /// The audit is sequential and ignores it.
     pub threads: usize,
-    /// Concrete solution samples per verified representative (the first
-    /// is warm-started, the rest use rotated cold activation orders).
+    /// Concrete solution samples per verified scenario (the first is
+    /// warm-started when a base fixpoint is available, the rest use
+    /// rotated cold activation orders).
     pub concrete_orders: usize,
     /// Abstract activation orders tried per concrete solution.
     pub abstract_orders: usize,
-    /// Warm-start concrete scenario solves from the failure-free fixpoint
-    /// (cold solves on divergence; disable to measure the difference).
-    pub warm_start: bool,
-    /// Warm-start the refined **abstract** solves by transporting the base
-    /// abstract network's failure-free fixpoint through the
-    /// partition-refinement map (first abstract attempt per check; cold
-    /// rotated orders still follow, so solution diversity is preserved).
-    pub warm_abstract: bool,
 }
 
 impl Default for SweepOptions {
@@ -108,8 +104,6 @@ impl Default for SweepOptions {
             threads: 0,
             concrete_orders: 2,
             abstract_orders: 8,
-            warm_start: true,
-            warm_abstract: true,
         }
     }
 }
@@ -152,7 +146,7 @@ pub struct ScenarioRefinement {
     pub localized_refuted: bool,
     /// Rounds that split only deviating block members.
     pub deviating_rounds: usize,
-    /// The PR 3 candidate rule (endpoints, then whole offending block)
+    /// The fallback candidate rule (endpoints, then whole offending block)
     /// had to be used.
     pub global_fallback: bool,
     /// How this refinement entered the result set (derived here, or
@@ -179,9 +173,10 @@ impl ScenarioRefinement {
 /// Per-scenario record of the sweep, in enumeration order.
 #[derive(Clone, Debug)]
 pub struct ScenarioOutcome {
-    /// The scenario's rank in the per-class enumeration (exhaustive stream
-    /// rank, or index in the pruned list) — the global sort key sharded
-    /// sweeps merge by.
+    /// The scenario's rank in the exhaustive [`ScenarioStream`] (pruned
+    /// sweeps keep it) — the global sort key sharded sweeps merge by.
+    ///
+    /// [`ScenarioStream`]: bonsai_core::scenarios::ScenarioStream
     pub rank: usize,
     /// The scenario.
     pub scenario: FailureScenario,
@@ -235,8 +230,8 @@ impl OutcomeStats {
     }
 }
 
-/// The outcome of a per-scenario refinement sweep: every scenario verified
-/// (via its signature's representative), every distinct refinement kept.
+/// One destination class's slice of a sweep: every scenario verified (via
+/// its signature's representative), every distinct refinement kept.
 #[derive(Debug)]
 pub struct SweepReport {
     /// The failure bound that was swept.
@@ -297,7 +292,7 @@ impl SweepReport {
         }
     }
 
-    /// Refinements that needed the PR 3 fallback rule.
+    /// Refinements that needed the fallback candidate rule.
     pub fn fallback_count(&self) -> usize {
         self.refinements
             .values()
@@ -314,24 +309,112 @@ impl SweepReport {
     }
 }
 
-/// Everything a scenario check needs, hoisted once per sweep and shared
-/// (immutably) by every worker. `pub(crate)` so the network-level
-/// orchestrator ([`crate::netsweep`]) can drive the same derivation loop.
-pub(crate) struct SweepCtx<'a> {
+/// What every class of one sweep shares: the network, the compression
+/// run's policy engine, the attribute abstraction `h` it implies, and the
+/// intact-network distance matrix behind every signature pattern.
+pub(crate) struct SweepEnv<'a> {
     pub(crate) network: &'a NetworkConfig,
     pub(crate) topo: &'a BuiltTopology,
-    pub(crate) ec: &'a EcDest,
+    pub(crate) engine: &'a CompiledPolicies,
+    /// The communities labels are compared modulo — `Some` iff the
+    /// compression itself stripped unused tags, so the two cannot disagree.
+    pub(crate) keep: Option<BTreeSet<Community>>,
+    pub(crate) distances: Arc<NodeDistances>,
+    pub(crate) options: SweepOptions,
+}
+
+impl<'a> SweepEnv<'a> {
+    pub(crate) fn new(
+        network: &'a NetworkConfig,
+        topo: &'a BuiltTopology,
+        engine: &'a CompiledPolicies,
+        options: &SweepOptions,
+    ) -> Self {
+        SweepEnv {
+            network,
+            topo,
+            engine,
+            keep: engine
+                .strips_unused_communities()
+                .then(|| engine.communities().iter().copied().collect()),
+            distances: Arc::new(NodeDistances::of_graph(&topo.graph)),
+            options: *options,
+        }
+    }
+}
+
+/// Everything a scenario check of one destination class needs, hoisted
+/// once and shared (immutably) by every worker: masked and warm solves
+/// never clone or rebuild the concrete instance.
+pub(crate) struct SweepCtx<'a> {
+    pub(crate) env: &'a SweepEnv<'a>,
+    pub(crate) ec: EcDest,
+    /// The failure-free (CP-equivalent) base pair refinements start from.
     pub(crate) base: &'a Abstraction,
     pub(crate) base_net: &'a AbstractNetwork,
-    pub(crate) engine: &'a CompiledPolicies,
-    pub(crate) orbits: &'a LinkOrbits,
-    pub(crate) srp: &'a Srp<'a, MultiProtocol<'a>>,
-    pub(crate) base_solution: Option<&'a Solution<RibAttr>>,
+    pub(crate) sigs: Arc<SigTable>,
+    pub(crate) orbits: LinkOrbits,
+    pub(crate) srp: Srp<'a, MultiProtocol<'a>>,
+    /// Failure-free fixpoint of the concrete instance, the warm start of
+    /// every scenario's first concrete sample.
+    pub(crate) base_solution: Option<Solution<RibAttr>>,
     /// Failure-free fixpoint of the **base abstract** network, transported
     /// onto refined abstract networks as a warm initial labeling.
-    pub(crate) base_abs_solution: Option<&'a Solution<RibAttr>>,
-    pub(crate) keep: Option<&'a BTreeSet<Community>>,
-    pub(crate) options: &'a SweepOptions,
+    pub(crate) base_abs_solution: Option<Solution<RibAttr>>,
+}
+
+impl<'a> SweepCtx<'a> {
+    /// Hoists one class: signature table, link orbits and the concrete
+    /// instance. No base fixpoints — every solve runs the cold rotated
+    /// orders (what the audit wants: its abstraction moves under it).
+    pub(crate) fn hoist(
+        env: &'a SweepEnv<'a>,
+        ec: EcDest,
+        base: &'a Abstraction,
+        base_net: &'a AbstractNetwork,
+    ) -> Self {
+        let sigs = build_sig_table(env.engine, env.network, env.topo, &ec);
+        let orbits =
+            link_orbits_with_distances(&env.topo.graph, base, &sigs, env.distances.clone());
+        let srp = class_srp(env.network, env.topo, &ec);
+        SweepCtx {
+            env,
+            ec,
+            base,
+            base_net,
+            sigs,
+            orbits,
+            srp,
+            base_solution: None,
+            base_abs_solution: None,
+        }
+    }
+
+    /// Adds the two failure-free fixpoints (natural order). An instance
+    /// that does not converge failure-free just keeps `None`: its checks
+    /// fall back to cold orders.
+    pub(crate) fn warmed(mut self) -> Self {
+        self.base_solution = bonsai_srp::solver::solve(&self.srp).ok();
+        let abs = self.base_net;
+        self.base_abs_solution =
+            bonsai_srp::solver::solve(&class_srp(&abs.network, &abs.topo, &abs.ec)).ok();
+        self
+    }
+}
+
+/// The SRP instance of one destination class over a (concrete or
+/// abstract) network.
+fn class_srp<'n>(
+    network: &'n NetworkConfig,
+    topo: &'n BuiltTopology,
+    ec: &EcDest,
+) -> Srp<'n, MultiProtocol<'n>> {
+    let origins: Vec<NodeId> = ec.origins.iter().map(|(n, _)| *n).collect();
+    Srp::with_origins(
+        &topo.graph,
+        origins,
+        MultiProtocol::build(network, topo, ec),
+    )
 }
 
 /// Solves a refined abstract network under its representative's lifted
@@ -347,167 +430,22 @@ pub(crate) fn canonical_abstract_solution(
     representative: &FailureScenario,
 ) -> Option<Solution<RibAttr>> {
     let abs_mask = lift_failure_mask(representative, abstraction, abs);
-    let origins: Vec<NodeId> = abs.ec.origins.iter().map(|(n, _)| *n).collect();
-    let proto = MultiProtocol::build(&abs.network, &abs.topo, &abs.ec);
-    let srp = Srp::with_origins(&abs.topo.graph, origins, proto);
+    let srp = class_srp(&abs.network, &abs.topo, &abs.ec);
     bonsai_srp::solver::solve_masked(&srp, Some(&abs_mask)).ok()
 }
 
-/// Solves the failure-free base abstract network (natural order) — the
-/// transport source of warm abstract starts. `None` when disabled or when
-/// the base abstract instance does not converge failure-free (every check
-/// then runs cold, exactly as before).
-pub(crate) fn base_abstract_solution(
-    abs: &AbstractNetwork,
-    options: &SweepOptions,
-) -> Option<Solution<RibAttr>> {
-    if !options.warm_abstract {
-        return None;
-    }
-    let origins: Vec<NodeId> = abs.ec.origins.iter().map(|(n, _)| *n).collect();
-    let proto = MultiProtocol::build(&abs.network, &abs.topo, &abs.ec);
-    let srp = Srp::with_origins(&abs.topo.graph, origins, proto);
-    bonsai_srp::solver::solve(&srp).ok()
-}
-
-/// Sweeps every `≤ k` link-failure scenario with per-scenario refinements
-/// derived from the failure-free base abstraction, cached by orbit
-/// signature and fanned out over worker threads.
+/// Derives (and verifies) the refinement of one orbit signature, bypassing
+/// every cache — the independent reference tests use to prove that a
+/// cache hit or a cross-class transfer returns byte-identically what a
+/// fresh derivation would.
 ///
 /// `abstraction`/`abs` must be the failure-free (CP-equivalent) base pair
 /// of a compression run; `engine` the run's shared policy-compilation
-/// engine (the signature table and every refinement are cache hits).
+/// engine.
 ///
-/// Errors when a concrete instance diverges under some scenario or a
-/// representative stays refuted at the discrete partition (a genuine
+/// Errors when the concrete instance diverges under the representative or
+/// the representative stays refuted at the discrete partition (a genuine
 /// equivalence bug, not a failure asymmetry).
-pub fn sweep_failures(
-    network: &NetworkConfig,
-    topo: &BuiltTopology,
-    ec: &EcDest,
-    abstraction: &Abstraction,
-    abs: &AbstractNetwork,
-    engine: &CompiledPolicies,
-    options: &SweepOptions,
-) -> Result<SweepReport, EquivalenceError> {
-    let keep: Option<BTreeSet<Community>> = engine
-        .strips_unused_communities()
-        .then(|| engine.communities().iter().copied().collect());
-    let sigs = build_sig_table(engine, network, topo, ec);
-    let orbits = link_orbits(&topo.graph, abstraction, &sigs);
-    let k = options.max_failures;
-
-    let scenarios = if options.prune_symmetric {
-        enumerate_scenarios_pruned(&topo.graph, abstraction, &sigs, k)
-    } else {
-        ScenarioStream::new(&topo.graph, k).to_vec()
-    };
-
-    // The concrete instance and its failure-free fixpoint, hoisted across
-    // all scenarios: masked/warm solves never clone or rebuild it.
-    let origins: Vec<NodeId> = ec.origins.iter().map(|(n, _)| *n).collect();
-    let proto = MultiProtocol::build(network, topo, ec);
-    let srp = Srp::with_origins(&topo.graph, origins, proto);
-    let base_solution = if options.warm_start {
-        // A diverging failure-free instance just disables warm starts —
-        // every scenario check falls back to cold orders.
-        bonsai_srp::solver::solve(&srp).ok()
-    } else {
-        None
-    };
-    let base_abs_solution = base_abstract_solution(abs, options);
-
-    let threads = if options.threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        options.threads
-    }
-    .min(scenarios.len().max(1));
-
-    let ctx = SweepCtx {
-        network,
-        topo,
-        ec,
-        base: abstraction,
-        base_net: abs,
-        engine,
-        orbits: &orbits,
-        srp: &srp,
-        base_solution: base_solution.as_ref(),
-        base_abs_solution: base_abs_solution.as_ref(),
-        keep: keep.as_ref(),
-        options,
-    };
-
-    // Worker-local caches: signature → refinement. Workers never
-    // synchronize on the cache; duplicated derivations across workers are
-    // deterministic, so merging keeps any copy.
-    type WorkerCache = HashMap<OrbitSignature, ScenarioRefinement>;
-    let work =
-        |cache: &mut (WorkerCache, usize), i: usize| -> Result<ScenarioOutcome, EquivalenceError> {
-            let scenario = &scenarios[i];
-            let signature = ctx
-                .orbits
-                .signature_of(scenario)
-                .expect("scenario links come from the same graph as the orbits");
-            let (cache_hit, refined_nodes) = match cache.0.get(&signature) {
-                Some(r) => (true, r.refined_nodes()),
-                None => {
-                    let refinement = derive_scenario_refinement(&ctx, &signature)?;
-                    cache.1 += 1;
-                    let nodes = refinement.refined_nodes();
-                    cache.0.insert(signature.clone(), refinement);
-                    (false, nodes)
-                }
-            };
-            Ok(ScenarioOutcome {
-                rank: i,
-                scenario: scenario.clone(),
-                signature,
-                cache_hit,
-                refined_nodes,
-            })
-        };
-
-    let (results, caches) = fan_out(scenarios.len(), threads, || (WorkerCache::new(), 0), work);
-    let outcomes: Vec<ScenarioOutcome> = results.into_iter().collect::<Result<_, _>>()?;
-
-    let mut refinements: BTreeMap<OrbitSignature, ScenarioRefinement> = BTreeMap::new();
-    let mut derivations = 0usize;
-    for (cache, derived) in caches {
-        derivations += derived;
-        for (sig, refinement) in cache {
-            if let Some(existing) = refinements.get(&sig) {
-                debug_assert_eq!(
-                    existing.abstraction.partition.as_sets(),
-                    refinement.abstraction.partition.as_sets(),
-                    "racing derivations of one signature must agree"
-                );
-            } else {
-                refinements.insert(sig, refinement);
-            }
-        }
-    }
-
-    let stats = OutcomeStats::from_outcomes(&outcomes);
-    Ok(SweepReport {
-        k,
-        threads,
-        base_abstract_nodes: abstraction.abstract_node_count(),
-        scenarios_exhaustive: exhaustive_scenario_count(topo.graph.link_count(), k),
-        outcomes,
-        stats,
-        refinements,
-        derivations,
-    })
-}
-
-/// Derives (and verifies) the refinement of one orbit signature, bypassing
-/// every cache — the function worker cache misses call, exposed so tests
-/// can prove a cache hit returns byte-identically what a fresh derivation
-/// would.
 #[allow(clippy::too_many_arguments)]
 pub fn derive_refinement(
     network: &NetworkConfig,
@@ -519,33 +457,8 @@ pub fn derive_refinement(
     options: &SweepOptions,
     signature: &OrbitSignature,
 ) -> Result<ScenarioRefinement, EquivalenceError> {
-    let keep: Option<BTreeSet<Community>> = engine
-        .strips_unused_communities()
-        .then(|| engine.communities().iter().copied().collect());
-    let sigs = build_sig_table(engine, network, topo, ec);
-    let orbits = link_orbits(&topo.graph, abstraction, &sigs);
-    let origins: Vec<NodeId> = ec.origins.iter().map(|(n, _)| *n).collect();
-    let proto = MultiProtocol::build(network, topo, ec);
-    let srp = Srp::with_origins(&topo.graph, origins, proto);
-    let base_solution = options
-        .warm_start
-        .then(|| bonsai_srp::solver::solve(&srp).ok())
-        .flatten();
-    let base_abs_solution = base_abstract_solution(abs, options);
-    let ctx = SweepCtx {
-        network,
-        topo,
-        ec,
-        base: abstraction,
-        base_net: abs,
-        engine,
-        orbits: &orbits,
-        srp: &srp,
-        base_solution: base_solution.as_ref(),
-        base_abs_solution: base_abs_solution.as_ref(),
-        keep: keep.as_ref(),
-        options,
-    };
+    let env = SweepEnv::new(network, topo, engine, options);
+    let ctx = SweepCtx::hoist(&env, ec.clone(), abstraction, abs).warmed();
     derive_scenario_refinement(&ctx, signature)
 }
 
@@ -567,19 +480,20 @@ pub(crate) fn endpoint_split(base: &Abstraction, scenario: &FailureScenario) -> 
 }
 
 /// The escalation loop behind every cache miss: localized endpoint split →
-/// deviating-member splits → PR 3 candidate rule, each round strictly
+/// deviating-member splits → fallback candidate rule, each round strictly
 /// refining, until the canonical representative verifies.
 pub(crate) fn derive_scenario_refinement(
     ctx: &SweepCtx<'_>,
     signature: &OrbitSignature,
 ) -> Result<ScenarioRefinement, EquivalenceError> {
+    let env = ctx.env;
     let rep = ctx.orbits.canonical_scenario(signature);
     let mut split = endpoint_split(ctx.base, &rep);
 
     let (mut cur, mut cur_net) = if split.is_empty() {
         (ctx.base.clone(), ctx.base_net.clone())
     } else {
-        refine_ec_with_split(ctx.engine, ctx.network, ctx.topo, ctx.ec, ctx.base, &split)
+        refine_ec_with_split(env.engine, env.network, env.topo, &ctx.ec, ctx.base, &split)
     };
 
     let mut localized_refuted = false;
@@ -595,7 +509,7 @@ pub(crate) fn derive_scenario_refinement(
     // split, so the loop is bounded by the node count; the discrete
     // partition's abstract network is isomorphic to the concrete one and
     // verifies trivially.
-    for _ in 0..=ctx.topo.graph.node_count() {
+    for _ in 0..=env.topo.graph.node_count() {
         let refutation = match check_scenario_refined(ctx, &rep, &solutions, &cur, &cur_net)? {
             Ok(()) => {
                 let abstract_solution = canonical_abstract_solution(&cur, &cur_net, &rep);
@@ -622,22 +536,17 @@ pub(crate) fn derive_scenario_refinement(
         if !additions.is_empty() {
             deviating_rounds += 1;
         } else {
-            // Stage 3: the PR 3 candidate rule — endpoints still sharing
-            // a block under the *current* partition, else the whole
-            // offending block.
+            // Stage 3: endpoints still sharing a block under the
+            // *current* partition, else the whole offending block.
             global_fallback = true;
-            additions = pr3_candidates(&cur, &rep, &refutation.mismatch);
+            additions = split_candidates(&cur, &rep, &refutation.mismatch);
         }
         if additions.is_empty() {
             return Err(EquivalenceError::NoMatchingSolution {
                 detail: format!(
                     "irrefinable mismatch under {}: {}",
-                    rep.describe(&ctx.topo.graph),
-                    refutation
-                        .mismatch
-                        .as_ref()
-                        .map(|m| m.detail.clone())
-                        .unwrap_or_else(|| "abstract instance diverged".to_string()),
+                    rep.describe(&env.topo.graph),
+                    refutation.describe(),
                 ),
             });
         }
@@ -645,14 +554,14 @@ pub(crate) fn derive_scenario_refinement(
         split.sort();
         split.dedup();
         let refined =
-            refine_ec_with_split(ctx.engine, ctx.network, ctx.topo, ctx.ec, ctx.base, &split);
+            refine_ec_with_split(env.engine, env.network, env.topo, &ctx.ec, ctx.base, &split);
         cur = refined.0;
         cur_net = refined.1;
     }
     Err(EquivalenceError::NoMatchingSolution {
         detail: format!(
             "refinement bound exhausted deriving a refinement for {}",
-            rep.describe(&ctx.topo.graph)
+            rep.describe(&env.topo.graph)
         ),
     })
 }
@@ -661,28 +570,41 @@ pub(crate) fn derive_scenario_refinement(
 /// closest mismatch plus the per-node concrete behaviors of the failing
 /// attempt (the raw material of the deviating-member split).
 pub(crate) struct Refutation {
-    mismatch: Option<BehaviorMismatch>,
+    /// `None` when the abstract instance diverged on every order.
+    pub(crate) mismatch: Option<BehaviorMismatch>,
     node_behaviors: Vec<(NodeId, Behavior)>,
 }
 
+impl Refutation {
+    /// Human-readable reason, for counterexamples and errors.
+    pub(crate) fn describe(&self) -> String {
+        match &self.mismatch {
+            Some(m) => m.detail.clone(),
+            None => "abstract instance diverged".to_string(),
+        }
+    }
+}
+
 /// Samples the concrete solutions of one scenario: the first is
-/// warm-started from the failure-free fixpoint (cold on divergence), the
-/// rest use the PR 3 rotated cold orders. Deduplicated — identical
-/// fixpoints would only repeat the abstract matching work.
+/// warm-started from the failure-free fixpoint when the context carries
+/// one (cold on divergence), the rest use rotated cold orders.
+/// Deduplicated — identical fixpoints would only repeat the abstract
+/// matching work.
 pub(crate) fn sample_concrete_solutions(
     ctx: &SweepCtx<'_>,
     scenario: &FailureScenario,
 ) -> Result<Vec<Solution<RibAttr>>, EquivalenceError> {
-    let mask = scenario.mask(&ctx.topo.graph);
-    let nodes: Vec<NodeId> = ctx.topo.graph.nodes().collect();
+    let env = ctx.env;
+    let mask = scenario.mask(&env.topo.graph);
+    let nodes: Vec<NodeId> = env.topo.graph.nodes().collect();
     let mut out: Vec<Solution<RibAttr>> = Vec::new();
-    for rot in 0..ctx.options.concrete_orders.max(1) {
+    for rot in 0..env.options.concrete_orders.max(1) {
         let solution = if rot == 0 {
-            match ctx.base_solution {
+            match &ctx.base_solution {
                 // Warm-start from the failure-free fixpoint; a warm
                 // divergence is repaired by the cold path below.
                 Some(base) => {
-                    match solve_warm_masked(ctx.srp, base, SolverOptions::default(), &mask) {
+                    match solve_warm_masked(&ctx.srp, base, SolverOptions::default(), &mask) {
                         Ok(s) => Ok(s),
                         Err(SolveError::Diverged { .. }) => cold_solve(ctx, &nodes, rot, &mask),
                         Err(e) => Err(e),
@@ -696,7 +618,7 @@ pub(crate) fn sample_concrete_solutions(
         .map_err(|e| {
             EquivalenceError::ConcreteDiverged(format!(
                 "under {}: {e}",
-                scenario.describe(&ctx.topo.graph)
+                scenario.describe(&env.topo.graph)
             ))
         })?;
         if !out.contains(&solution) {
@@ -706,11 +628,14 @@ pub(crate) fn sample_concrete_solutions(
     Ok(out)
 }
 
-/// Checks one scenario against a per-scenario refinement: every sampled
+/// Checks one scenario against a candidate abstraction: every sampled
 /// concrete solution must have a matching abstract solution under the
 /// lifted mask. The solutions come from [`sample_concrete_solutions`] —
 /// they do not depend on the candidate abstraction, so escalation rounds
 /// reuse them.
+///
+/// `Err(EquivalenceError)` is reserved for unauditable situations; the
+/// inner `Result` carries the verdict.
 pub(crate) fn check_scenario_refined(
     ctx: &SweepCtx<'_>,
     scenario: &FailureScenario,
@@ -718,35 +643,36 @@ pub(crate) fn check_scenario_refined(
     abstraction: &Abstraction,
     abs: &AbstractNetwork,
 ) -> Result<Result<(), Refutation>, EquivalenceError> {
-    let mask = scenario.mask(&ctx.topo.graph);
+    let env = ctx.env;
+    let mask = scenario.mask(&env.topo.graph);
     let abs_mask = lift_failure_mask(scenario, abstraction, abs);
 
-    let abs_origins: Vec<NodeId> = abs.ec.origins.iter().map(|(n, _)| *n).collect();
+    // One abstract instance serves every activation order and mask.
     let abs_nodes: Vec<NodeId> = abs.topo.graph.nodes().collect();
-    let abs_proto = MultiProtocol::build(&abs.network, &abs.topo, &abs.ec);
-    let abs_srp = Srp::with_origins(&abs.topo.graph, abs_origins, abs_proto);
+    let abs_srp = class_srp(&abs.network, &abs.topo, &abs.ec);
 
-    // Attempt 0 for every concrete solution: the base abstract fixpoint
-    // transported through the partition-refinement map (ROADMAP
-    // "warm-started abstract solves") — usually already the matching
-    // solution, found in a handful of label updates. Independent of the
-    // concrete solution, so solved once; divergence or a mismatch falls
-    // through to the cold rotated orders.
-    let transported: Option<Solution<RibAttr>> = ctx.base_abs_solution.and_then(|base_abs| {
-        let initial =
-            transport_abstract_solution(ctx.base, ctx.base_net, abstraction, abs, base_abs);
-        solve_seeded_masked(&abs_srp, initial, SolverOptions::default(), Some(&abs_mask))
-            .ok()
-            .map(|(s, _)| s)
-    });
+    // Attempt 0 for every concrete solution, when the context carries the
+    // base abstract fixpoint: that fixpoint transported through the
+    // partition-refinement map — usually already the matching solution,
+    // found in a handful of label updates. Independent of the concrete
+    // solution, so solved once; divergence or a mismatch falls through to
+    // the cold rotated orders.
+    let transported: Option<Solution<RibAttr>> =
+        ctx.base_abs_solution.as_ref().and_then(|base_abs| {
+            let initial =
+                transport_abstract_solution(ctx.base, ctx.base_net, abstraction, abs, base_abs);
+            solve_seeded_masked(&abs_srp, initial, SolverOptions::default(), Some(&abs_mask))
+                .ok()
+                .map(|(s, _)| s)
+        });
 
     for solution in solutions {
         let node_behaviors = concrete_node_behaviors(
-            ctx.srp,
-            ctx.topo,
+            &ctx.srp,
+            env.topo,
             solution,
             abstraction,
-            ctx.keep,
+            env.keep.as_ref(),
             Some(&mask),
         );
         let concrete = aggregate_behaviors(&node_behaviors, abstraction);
@@ -766,7 +692,8 @@ pub(crate) fn check_scenario_refined(
             if !seen.insert(fingerprint) {
                 return false;
             }
-            let abstract_b = abstract_behaviors(abs, &abs_solution, ctx.keep, Some(&abs_mask));
+            let abstract_b =
+                abstract_behaviors(abs, &abs_solution, env.keep.as_ref(), Some(&abs_mask));
             match behaviors_match(&concrete, &abstract_b) {
                 Ok(()) => true,
                 Err(mismatch) => {
@@ -780,7 +707,7 @@ pub(crate) fn check_scenario_refined(
             matched = consider(s.clone(), &mut last_mismatch, &mut seen);
         }
 
-        for arot in 0..ctx.options.abstract_orders.max(1) {
+        for arot in 0..env.options.abstract_orders.max(1) {
             if matched {
                 break;
             }
@@ -864,7 +791,7 @@ pub fn transport_abstract_solution(
         .collect()
 }
 
-/// One cold masked solve with the PR 3 rotation scheme.
+/// One cold masked solve under the shared rotation scheme.
 fn cold_solve(
     ctx: &SweepCtx<'_>,
     nodes: &[NodeId],
@@ -872,7 +799,7 @@ fn cold_solve(
     mask: &bonsai_net::FailureMask,
 ) -> Result<Solution<RibAttr>, SolveError> {
     let order = rotated_order(nodes, rot);
-    solve_with_order_masked(ctx.srp, &order, SolverOptions::default(), Some(mask))
+    solve_with_order_masked(&ctx.srp, &order, SolverOptions::default(), Some(mask))
 }
 
 /// The deviating-member split: of the offending block, exactly the members
@@ -930,10 +857,11 @@ fn deviating_split(abstraction: &Abstraction, refutation: &Refutation) -> Vec<No
     out
 }
 
-/// PR 3's candidate rule, against the current partition: failed-link
-/// endpoints still sharing a block, else the whole offending block — the
-/// last-resort escalation of [`derive_refinement`].
-fn pr3_candidates(
+/// The fallback candidate rule, against the current partition: failed-link
+/// endpoints still sharing a block with other nodes; if all endpoints are
+/// already singletons, the members of the offending block. The last-resort
+/// escalation of a derivation and the audit's only refinement step.
+pub(crate) fn split_candidates(
     abstraction: &Abstraction,
     scenario: &FailureScenario,
     mismatch: &Option<BehaviorMismatch>,
@@ -960,23 +888,31 @@ fn pr3_candidates(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bonsai_core::compress::{compress, CompressOptions};
+    use crate::netsweep::{sweep_network_subset, NetworkSweepOptions};
+    use bonsai_core::compress::{compress, CompressOptions, CompressionReport};
     use bonsai_srp::papernets;
+
+    /// One class on the plane, nothing shared: the per-class sweep.
+    fn sweep_class(
+        net: &NetworkConfig,
+        topo: &BuiltTopology,
+        report: &CompressionReport,
+        options: &SweepOptions,
+    ) -> SweepReport {
+        let options = NetworkSweepOptions {
+            sweep: *options,
+            share_across_ecs: false,
+            ..Default::default()
+        };
+        let mut sweep =
+            sweep_network_subset(net, topo, report, &options, &[0]).expect("sweep completes");
+        sweep.per_ec.remove(0).report
+    }
 
     fn sweep_first_ec(net: &NetworkConfig, options: &SweepOptions) -> (BuiltTopology, SweepReport) {
         let topo = BuiltTopology::build(net).unwrap();
         let report = compress(net, CompressOptions::default());
-        let ec = &report.per_ec[0];
-        let sweep = sweep_failures(
-            net,
-            &topo,
-            &ec.ec.to_ec_dest(),
-            &ec.abstraction,
-            &ec.abstract_network,
-            &report.policies,
-            options,
-        )
-        .expect("sweep completes");
+        let sweep = sweep_class(net, &topo, &report, options);
         (topo, sweep)
     }
 
@@ -1023,16 +959,7 @@ mod tests {
             threads: 1,
             ..Default::default()
         };
-        let sweep = sweep_failures(
-            &net,
-            &topo,
-            &ec_dest,
-            &ec.abstraction,
-            &ec.abstract_network,
-            &report.policies,
-            &options,
-        )
-        .unwrap();
+        let sweep = sweep_class(&net, &topo, &report, &options);
         for outcome in sweep.outcomes.iter().filter(|o| o.cache_hit) {
             let cached = &sweep.refinements[&outcome.signature];
             let fresh = derive_refinement(
@@ -1064,7 +991,7 @@ mod tests {
     /// A widened Figure-1 diamond (three parallel b's): the deviating-
     /// member split isolates only the b whose behavior deviates under the
     /// failure, yielding a strictly smaller refined abstraction than the
-    /// PR 3 whole-block fallback it replaces.
+    /// whole-block fallback it precedes.
     #[test]
     fn deviating_split_refines_strictly_less_than_whole_block() {
         let net = wide_diamond();
@@ -1171,8 +1098,8 @@ mod tests {
         assert!(sweep.cache_hit_rate() > 0.5);
     }
 
-    /// Pruned sweeps enumerate one representative per signature: no cache
-    /// hits, same refinement set as the exhaustive sweep.
+    /// Pruned sweeps keep one representative per signature: no cache
+    /// hits, same refinement set as the exhaustive sweep, exhaustive ranks.
     #[test]
     fn pruned_and_exhaustive_sweeps_agree_on_refinements() {
         let net = papernets::figure1_rip();
@@ -1203,6 +1130,10 @@ mod tests {
             );
         }
         assert!(pruned.scenarios_swept() <= exhaustive.scenarios_swept());
+        for o in &pruned.outcomes {
+            assert_eq!(exhaustive.outcomes[o.rank].scenario, o.scenario);
+            assert_eq!(pruned.refinements[&o.signature].representative, o.scenario);
+        }
     }
 
     /// The BGP gadget exercises the escalation path end to end (copy

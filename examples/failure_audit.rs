@@ -16,7 +16,8 @@
 
 use bonsai::core::compress::{compress, CompressOptions};
 use bonsai::srp::papernets;
-use bonsai::verify::failures::{check_cp_equivalence_under_failures, FailureAuditOptions};
+use bonsai::verify::failures::check_cp_equivalence_under_failures;
+use bonsai::verify::sweep::SweepOptions;
 use bonsai_config::BuiltTopology;
 
 fn main() {
@@ -32,7 +33,8 @@ fn main() {
     );
     println!("(b1 and b2 share one abstract role — sound while no link fails)\n");
 
-    // Audit every single-link-failure scenario.
+    // Audit every single-link-failure scenario (one representative per
+    // orbit signature of the abstraction being repaired).
     let audit = check_cp_equivalence_under_failures(
         &network,
         &topo,
@@ -40,7 +42,10 @@ fn main() {
         &ec.abstraction,
         &ec.abstract_network,
         &report.policies,
-        &FailureAuditOptions::default(),
+        &SweepOptions {
+            prune_symmetric: true,
+            ..Default::default()
+        },
     )
     .expect("audit converges");
 

@@ -1,16 +1,18 @@
-//! The per-scenario refinement sweep on a fattree: where PR 3's global
-//! audit decompresses the abstraction to survive *every* failure at once,
-//! the sweep keeps the failure-free base and derives a tiny refinement per
+//! The per-scenario refinement sweep on a fattree: where the global audit
+//! decompresses one abstraction to survive *every* failure at once, the
+//! sweep keeps the failure-free base and derives a tiny refinement per
 //! scenario — cached by orbit signature, solved warm-started, fanned out
-//! over worker threads.
+//! over worker threads. One class here: the network plane restricted to
+//! it, with cross-class sharing off.
 //!
 //! ```sh
 //! cargo run --release --example failure_sweep
 //! ```
 
 use bonsai::core::compress::{compress, CompressOptions};
-use bonsai::verify::failures::{check_cp_equivalence_under_failures, FailureAuditOptions};
-use bonsai::verify::sweep::{sweep_failures, SweepOptions};
+use bonsai::verify::failures::check_cp_equivalence_under_failures;
+use bonsai::verify::netsweep::{sweep_network_subset, NetworkSweepOptions};
+use bonsai::verify::sweep::SweepOptions;
 use bonsai_config::BuiltTopology;
 
 fn main() {
@@ -26,7 +28,7 @@ fn main() {
         ec.abstraction.abstract_node_count(),
     );
 
-    // PR 3: repair ONE abstraction until it is sound for every scenario.
+    // The audit: repair ONE abstraction until it is sound for every scenario.
     let t0 = std::time::Instant::now();
     let audit = check_cp_equivalence_under_failures(
         &net,
@@ -35,33 +37,32 @@ fn main() {
         &ec.abstraction,
         &ec.abstract_network,
         &report.policies,
-        &FailureAuditOptions {
-            concrete_orders: 2,
-            abstract_orders: 8,
+        &SweepOptions {
+            prune_symmetric: true,
             ..Default::default()
         },
     )
     .expect("audit converges");
     println!(
-        "global audit (PR 3): {} -> {} abstract nodes after {} refinements ({:.1?})",
+        "global audit: {} -> {} abstract nodes after {} refinements ({:.1?})",
         audit.initial_abstract_nodes,
         audit.final_abstract_nodes(),
         audit.refinement_rounds,
         t0.elapsed(),
     );
 
-    // The sweep engine: exhaustive coverage, per-scenario refinements.
+    // The sweep: exhaustive coverage of class 0, per-scenario refinements.
     let t1 = std::time::Instant::now();
-    let sweep = sweep_failures(
-        &net,
-        &topo,
-        &ec_dest,
-        &ec.abstraction,
-        &ec.abstract_network,
-        &report.policies,
-        &SweepOptions::default(),
-    )
-    .expect("sweep completes");
+    // One scenario per claimed range: 32 scenarios would otherwise fit
+    // one default-sized chunk and leave every other worker idle.
+    let options = NetworkSweepOptions {
+        share_across_ecs: false,
+        chunk_size: 1,
+        ..Default::default()
+    };
+    let mut plane =
+        sweep_network_subset(&net, &topo, &report, &options, &[0]).expect("sweep completes");
+    let sweep = plane.per_ec.remove(0).report;
     println!(
         "per-scenario sweep: {} scenarios, {} refinements (cache hit rate {:.0}%), \
          mean {:.1} / max {} abstract nodes ({:.1?}, {} threads)",

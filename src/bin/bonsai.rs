@@ -77,6 +77,7 @@
 use bonsai::cli::{DiffDoc, FailuresDoc, QueryDoc, RederivedDoc};
 use bonsai::core::compress::{compress, recompress_delta, CompressOptions};
 use bonsai::core::roles::{count_roles, RoleOptions};
+use bonsai::core::snapshot::json_escape;
 use bonsai::daemon::{Client, Server, ServerOptions};
 use bonsai::verify::equivalence::check_cp_equivalence_under_h;
 use bonsai::verify::netsweep::{
@@ -168,21 +169,6 @@ fn json_flag(args: &[String]) -> Option<Option<String>> {
     args.iter()
         .position(|a| a == "--json")
         .map(|i| args.get(i + 1).filter(|v| !v.starts_with("--")).cloned())
-}
-
-/// Minimal JSON string escaping for the `--json` output.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// One `--query` answer: a prefix of the queried destination, and how
@@ -559,12 +545,11 @@ fn main() -> ExitCode {
             // over a partial sweep would be silently wrong.
             let shard = match shard.map(|s| {
                 s.split_once('/')
-                    .and_then(|(i, n)| Some((i.parse().ok()?, n.parse().ok()?)))
-                    .filter(|&(i, n): &(usize, usize)| n >= 1 && i < n)
+                    .and_then(|(i, n)| ShardSpec::new(i.parse().ok()?, n.parse().ok()?).ok())
                     .ok_or_else(|| format!("--shard expects <i>/<n> with i < n, got `{s}`"))
             }) {
                 None => None,
-                Some(Ok((index, of))) => Some(ShardSpec { index, of }),
+                Some(Ok(shard)) => Some(shard),
                 Some(Err(e)) => {
                     eprintln!("{e}");
                     return ExitCode::from(2);
@@ -699,7 +684,7 @@ fn main() -> ExitCode {
                 sweep.chunk_size,
                 sweep.peak_resident_scenarios,
                 match sweep.shard {
-                    Some(ShardSpec { index, of }) => format!(" (shard {index}/{of})"),
+                    Some(shard) => format!(" (shard {}/{})", shard.index(), shard.of()),
                     None => String::new(),
                 },
             );

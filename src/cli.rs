@@ -23,7 +23,7 @@
 //! round-trip), and the optional top-level `shard` marker.
 
 use crate::core::snapshot::{json_escape, write_envelope, Envelope, Json};
-use crate::verify::netsweep::{NetworkSweepReport, ShardSpec};
+use crate::verify::netsweep::NetworkSweepReport;
 use crate::verify::sweep::RefinementProvenance;
 use bonsai_config::BuiltTopology;
 
@@ -430,7 +430,7 @@ impl FailuresDoc {
             symmetric_transfers: sweep.symmetric_transfers,
             verified_transfers: sweep.verified_transfers,
             distinct_fingerprints: sweep.distinct_fingerprints,
-            shard: sweep.shard.map(|ShardSpec { index, of }| (index, of)),
+            shard: sweep.shard.map(|s| (s.index(), s.of())),
             ecs,
             queries,
         }

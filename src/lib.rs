@@ -95,8 +95,7 @@ pub mod prelude {
     // Stage 3: sweep.
     pub use bonsai_core::scenarios::{FailureScenario, ScenarioStream};
     pub use bonsai_verify::netsweep::{
-        merge_reports, sweep_network, sweep_network_sharded, NetworkSweepOptions,
-        NetworkSweepReport, ShardSpec,
+        merge_reports, sweep_network, NetworkSweepOptions, NetworkSweepReport, ShardSpec,
     };
     pub use bonsai_verify::sweep::{ScenarioRefinement, SweepOptions};
 

@@ -23,11 +23,11 @@ fn doc_for(
 ) -> (String, FailuresDoc) {
     let topo = BuiltTopology::build(network).expect("topology builds");
     let report = compress(network, CompressOptions::default());
-    let sweep = match shard {
-        None => sweep_network(network, &topo, &report, options),
-        Some((i, n)) => sweep_network_sharded(network, &topo, &report, options, i, n),
-    }
-    .expect("sweep succeeds");
+    let options = &NetworkSweepOptions {
+        shard: shard.map(|(i, n)| ShardSpec::new(i, n).expect("valid shard")),
+        ..*options
+    };
+    let sweep = sweep_network(network, &topo, &report, options).expect("sweep succeeds");
     let doc = FailuresDoc::from_sweep(
         &topo,
         &sweep,

@@ -10,11 +10,21 @@ use bonsai::core::scenarios::{FailureScenario, ScenarioStream};
 use bonsai::srp::instance::MultiProtocol;
 use bonsai::srp::solver::solve_masked;
 use bonsai::srp::{papernets, Srp};
-use bonsai::verify::failures::{
-    check_cp_equivalence_under_failures, lift_failure_mask, FailureAuditOptions,
-};
+use bonsai::verify::failures::{check_cp_equivalence_under_failures, lift_failure_mask};
+use bonsai::verify::sweep::SweepOptions;
 use bonsai_config::BuiltTopology;
 use bonsai_net::NodeId;
+
+/// The audit at its most thorough sampling: 4 concrete × 16 abstract
+/// activation orders per scenario.
+fn thorough(prune_symmetric: bool) -> SweepOptions {
+    SweepOptions {
+        prune_symmetric,
+        concrete_orders: 4,
+        abstract_orders: 16,
+        ..Default::default()
+    }
+}
 
 /// The crafted gadget: Figure 1's diamond, where {b1, b2} merge into one
 /// abstract node. Failure-free the abstraction is CP-equivalent; under
@@ -82,10 +92,7 @@ fn refinement_repairs_the_gadget_to_k_failure_soundness() {
         &ec.abstraction,
         &ec.abstract_network,
         &report.policies,
-        &FailureAuditOptions {
-            prune_symmetric: false,
-            ..Default::default()
-        },
+        &thorough(false),
     )
     .expect("audit converges");
 
@@ -106,10 +113,7 @@ fn refinement_repairs_the_gadget_to_k_failure_soundness() {
         &audit.abstraction,
         &audit.abstract_network,
         &report.policies,
-        &FailureAuditOptions {
-            prune_symmetric: false,
-            ..Default::default()
-        },
+        &thorough(false),
     )
     .expect("re-audit converges");
     assert!(re_audit.was_sound());
@@ -136,9 +140,8 @@ fn fattree_class_audit_converges() {
         &ec.abstraction,
         &ec.abstract_network,
         &report.policies,
-        &FailureAuditOptions {
-            concrete_orders: 2,
-            abstract_orders: 8,
+        &SweepOptions {
+            prune_symmetric: true,
             ..Default::default()
         },
     )
@@ -148,6 +151,51 @@ fn fattree_class_audit_converges() {
     assert!(!audit.was_sound());
     assert!(audit.final_abstract_nodes() <= topo.graph.node_count());
     assert!(audit.final_abstract_nodes() > audit.initial_abstract_nodes);
+}
+
+/// The repairs the audit converges to at k = 1, pinned: the counterexample
+/// trail and the repaired partition are part of the audit's contract (its
+/// context carries no base fixpoints, so both sides sample the same cold
+/// rotated orders whatever else the sweep machinery learns to reuse). The
+/// symmetric topologies lose all compression — the reason per-scenario
+/// refinements exist.
+#[test]
+fn audit_repairs_are_pinned() {
+    let cases = [
+        ("diamond", papernets::figure1_rip(), 3, 4, 1),
+        ("gadget", papernets::figure2_gadget(), 4, 5, 2),
+        (
+            "fattree-4",
+            bonsai::topo::fattree(4, bonsai::topo::FattreePolicy::ShortestPath),
+            6,
+            20,
+            6,
+        ),
+        ("mesh-10", bonsai::topo::full_mesh(10), 2, 10, 8),
+    ];
+    for (label, net, before, after, counterexamples) in cases {
+        let topo = BuiltTopology::build(&net).unwrap();
+        let report = compress(&net, CompressOptions::default());
+        let ec = &report.per_ec[0];
+        for prune_symmetric in [true, false] {
+            let audit = check_cp_equivalence_under_failures(
+                &net,
+                &topo,
+                &ec.ec.to_ec_dest(),
+                &ec.abstraction,
+                &ec.abstract_network,
+                &report.policies,
+                &thorough(prune_symmetric),
+            )
+            .expect("audit converges");
+            let case = format!("{label} pruned={prune_symmetric}");
+            assert_eq!(audit.initial_abstract_nodes, before, "{case}");
+            assert_eq!(audit.final_abstract_nodes(), after, "{case}");
+            assert_eq!(audit.counterexamples.len(), counterexamples, "{case}");
+            assert_eq!(audit.refinement_rounds, counterexamples, "{case}");
+            assert_eq!(audit.scenarios_swept, audit.scenarios_exhaustive, "{case}");
+        }
+    }
 }
 
 /// Name-based scenario helpers from bonsai-topo compose with the masked

@@ -9,7 +9,7 @@
 use bonsai::core::compress::{compress, CompressOptions, CompressionReport};
 use bonsai::core::scenarios::ScenarioStream;
 use bonsai::verify::netsweep::{
-    merge_reports, sweep_network, sweep_network_sharded, NetworkSweepOptions, NetworkSweepReport,
+    merge_reports, sweep_network, NetworkSweepOptions, NetworkSweepReport, ShardSpec,
 };
 use bonsai::verify::properties::SolutionAnalysis;
 use bonsai::verify::query::QueryCtx;
@@ -298,11 +298,87 @@ fn chunked_sweeps_match_the_reference_at_every_chunk_size() {
     }
 }
 
+/// Symmetry pruning is a filter over the same stream, decided per item:
+/// a scenario survives iff it is its signature's canonical representative.
+/// So at any thread count the pruned sweep keeps the same outcomes (with
+/// their exhaustive ranks) and the same refinement bytes, exactly one
+/// outcome per signature, and per class exactly the exhaustive sweep's
+/// refinement keys — on fattree-4 and mesh-10 at k = 1, 2.
+#[test]
+fn pruned_sweeps_are_schedule_independent_and_cover_every_signature() {
+    let fattree = bonsai::topo::fattree(4, bonsai::topo::FattreePolicy::ShortestPath);
+    let mesh = bonsai::topo::full_mesh(10);
+    for (label, net) in [("fattree4", &fattree), ("mesh10", &mesh)] {
+        let topo = BuiltTopology::build(net).unwrap();
+        let report = compress(net, CompressOptions::default());
+        for k in [1usize, 2] {
+            let options = |prune_symmetric: bool, threads: usize| NetworkSweepOptions {
+                sweep: SweepOptions {
+                    max_failures: k,
+                    prune_symmetric,
+                    threads,
+                    ..Default::default()
+                },
+                // Small ranges, so every requested worker claims some.
+                chunk_size: 7,
+                ..Default::default()
+            };
+            let exhaustive = sweep_network(net, &topo, &report, &options(false, 1)).unwrap();
+            let reference = sweep_network(net, &topo, &report, &options(true, 1)).unwrap();
+            for threads in [1usize, 2, 4] {
+                let case = format!("{label} k={k} threads={threads}");
+                let pruned = sweep_network(net, &topo, &report, &options(true, threads)).unwrap();
+                assert_eq!(pruned.scenarios_streamed, exhaustive.scenarios_streamed);
+                for ((p, r), x) in pruned
+                    .per_ec
+                    .iter()
+                    .zip(&reference.per_ec)
+                    .zip(&exhaustive.per_ec)
+                {
+                    let (p, r, x) = (&p.report, &r.report, &x.report);
+                    assert_eq!(
+                        p.refinements.keys().collect::<Vec<_>>(),
+                        x.refinements.keys().collect::<Vec<_>>(),
+                        "{case}: pruned and exhaustive refinement keys"
+                    );
+                    assert_eq!(p.outcomes.len(), p.refinements.len(), "{case}");
+                    assert_eq!(p.stats, r.stats, "{case}");
+                    assert_eq!(p.outcomes.len(), r.outcomes.len(), "{case}");
+                    for (o, q) in p.outcomes.iter().zip(&r.outcomes) {
+                        assert_eq!(o.rank, q.rank, "{case}");
+                        assert_eq!(o.scenario, q.scenario, "{case}");
+                        assert_eq!(o.signature, q.signature, "{case}");
+                        assert_eq!(o.refined_nodes, q.refined_nodes, "{case}");
+                        // The kept item is the canonical representative,
+                        // at its rank in the exhaustive stream.
+                        assert_eq!(o.scenario, x.outcomes[o.rank].scenario, "{case}");
+                        assert_eq!(
+                            o.scenario, p.refinements[&o.signature].representative,
+                            "{case}"
+                        );
+                    }
+                    for (sig, a) in &p.refinements {
+                        let b = &x.refinements[sig];
+                        assert_eq!(a.split, b.split, "{case}");
+                        assert_eq!(
+                            a.abstraction.partition.as_sets(),
+                            b.abstraction.partition.as_sets(),
+                            "{case}"
+                        );
+                        assert_eq!(a.abstraction.copies, b.abstraction.copies, "{case}");
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Sharding is exact: sweeping each canonical-signature shard
 /// independently (as separate processes would) and merging reproduces
 /// the monolithic `threads = 1` report field for field — outcomes with
 /// their cache-hit flags, refinement provenance, derivation counts —
-/// for 2 and 3 shards on the diamond, fattree-4 and mesh-10 at k = 1, 2.
+/// for 2 and 3 shards on the diamond, fattree-4 and mesh-10 at k = 1, 2,
+/// exhaustive and (2 shards) pruned.
 #[test]
 fn sharded_sweeps_merge_to_the_monolithic_report() {
     let diamond = bonsai::srp::papernets::figure1_rip();
@@ -315,37 +391,51 @@ fn sharded_sweeps_merge_to_the_monolithic_report() {
     ] {
         let topo = BuiltTopology::build(net).unwrap();
         let report = compress(net, CompressOptions::default());
-        for k in [1usize, 2] {
-            let (_, _, monolithic) = run_network_sweep(net, k, 1);
-            for of in [2usize, 3] {
-                let options = NetworkSweepOptions {
-                    sweep: SweepOptions {
-                        max_failures: k,
-                        threads: 1,
-                        ..Default::default()
-                    },
+        for (k, prune_symmetric, of) in [
+            (1usize, false, 2usize),
+            (1, false, 3),
+            (1, true, 2),
+            (2, false, 2),
+            (2, false, 3),
+            (2, true, 2),
+        ] {
+            let label = format!("{label} pruned={prune_symmetric}");
+            let options = NetworkSweepOptions {
+                sweep: SweepOptions {
+                    max_failures: k,
+                    prune_symmetric,
+                    threads: 1,
                     ..Default::default()
-                };
-                let shards: Vec<NetworkSweepReport> = (0..of)
-                    .map(|i| sweep_network_sharded(net, &topo, &report, &options, i, of).unwrap())
-                    .collect();
-                // Every (scenario, class) item lands in exactly one shard.
-                let per_shard: Vec<usize> = shards.iter().map(|s| s.scenarios_swept()).collect();
-                assert_eq!(
-                    per_shard.iter().sum::<usize>(),
-                    monolithic.scenarios_swept(),
-                    "{label} k={k} of={of}: shard sizes {per_shard:?}"
-                );
-                let merged = merge_reports(shards).unwrap();
-                assert!(merged.shard.is_none());
-                assert_reports_equivalent(&format!("{label} k={k} of={of}"), &monolithic, &merged);
-            }
+                },
+                ..Default::default()
+            };
+            let monolithic = sweep_network(net, &topo, &report, &options).unwrap();
+            let shards: Vec<NetworkSweepReport> = (0..of)
+                .map(|i| {
+                    let options = NetworkSweepOptions {
+                        shard: Some(ShardSpec::new(i, of).unwrap()),
+                        ..options
+                    };
+                    sweep_network(net, &topo, &report, &options).unwrap()
+                })
+                .collect();
+            // Every (scenario, class) item lands in exactly one shard.
+            let per_shard: Vec<usize> = shards.iter().map(|s| s.scenarios_swept()).collect();
+            assert_eq!(
+                per_shard.iter().sum::<usize>(),
+                monolithic.scenarios_swept(),
+                "{label} k={k} of={of}: shard sizes {per_shard:?}"
+            );
+            let merged = merge_reports(shards).unwrap();
+            assert!(merged.shard.is_none());
+            assert_reports_equivalent(&format!("{label} k={k} of={of}"), &monolithic, &merged);
         }
     }
 }
 
 /// Merge rejects incomplete or inconsistent shard sets instead of
-/// producing a silently partial report.
+/// producing a silently partial report, and a shard that names no part of
+/// the plane cannot be constructed at all.
 #[test]
 fn merge_rejects_bad_shard_sets() {
     let net = bonsai::srp::papernets::figure1_rip();
@@ -359,9 +449,20 @@ fn merge_rejects_bad_shard_sets() {
         },
         ..Default::default()
     };
-    let s0 = sweep_network_sharded(&net, &topo, &report, &options, 0, 2).unwrap();
-    let s0_dup = sweep_network_sharded(&net, &topo, &report, &options, 0, 2).unwrap();
+    let shard0 = NetworkSweepOptions {
+        shard: Some(ShardSpec::new(0, 2).unwrap()),
+        ..options
+    };
+    let s0 = sweep_network(&net, &topo, &report, &shard0).unwrap();
+    let s0_dup = sweep_network(&net, &topo, &report, &shard0).unwrap();
     let unsharded = sweep_network(&net, &topo, &report, &options).unwrap();
+
+    assert!(ShardSpec::new(3, 2).is_err(), "index past the shard count");
+    assert!(
+        ShardSpec::new(2, 2).is_err(),
+        "index equal to the shard count"
+    );
+    assert!(ShardSpec::new(0, 0).is_err(), "zero shards");
 
     assert!(merge_reports(vec![]).is_err(), "empty set");
     assert!(merge_reports(vec![s0_dup]).is_err(), "missing shard 1");

@@ -1,11 +1,12 @@
-//! Acceptance of the per-scenario refinement sweep engine: the sweep keeps
-//! the failure audit compressed (mean refined size stays near the
-//! failure-free base instead of PR 3's global decompression), the orbit
-//! cache absorbs symmetric scenarios, cache hits are byte-identical to
-//! fresh derivations, the parallel fan-out is deterministic, and
-//! warm-started concrete solves beat cold ones.
+//! Acceptance of the per-scenario refinement sweep of **one class** — the
+//! network plane restricted to it, nothing shared: the sweep keeps failure
+//! verification compressed (mean refined size stays near the failure-free
+//! base instead of the audit's global decompression), the signature cache
+//! absorbs symmetric scenarios, cache hits are byte-identical to fresh
+//! derivations, the parallel fan-out is deterministic, and warm-started
+//! concrete solves beat cold ones.
 
-use bonsai::core::compress::{compress, CompressOptions};
+use bonsai::core::compress::{compress, CompressOptions, CompressionReport};
 use bonsai::core::scenarios::ScenarioStream;
 use bonsai::srp::instance::MultiProtocol;
 use bonsai::srp::solver::{
@@ -14,26 +15,37 @@ use bonsai::srp::solver::{
 };
 use bonsai::srp::Srp;
 use bonsai::verify::failures::lift_failure_mask;
+use bonsai::verify::netsweep::{sweep_network_subset, NetworkSweepOptions};
 use bonsai::verify::sweep::{
-    derive_refinement, sweep_failures, transport_abstract_solution, SweepOptions, SweepReport,
+    derive_refinement, transport_abstract_solution, SweepOptions, SweepReport,
 };
 use bonsai_config::{BuiltTopology, NetworkConfig};
 use bonsai_net::NodeId;
 
+/// Sweeps class 0 alone: the plane over one index with cross-class
+/// sharing off. One scenario per claimed range, so every requested worker
+/// gets work even on the 4-scenario diamond.
+fn sweep_class(
+    net: &NetworkConfig,
+    topo: &BuiltTopology,
+    report: &CompressionReport,
+    options: &SweepOptions,
+) -> SweepReport {
+    let options = NetworkSweepOptions {
+        sweep: *options,
+        share_across_ecs: false,
+        chunk_size: 1,
+        ..Default::default()
+    };
+    let mut sweep =
+        sweep_network_subset(net, topo, report, &options, &[0]).expect("sweep completes");
+    sweep.per_ec.remove(0).report
+}
+
 fn run_sweep(net: &NetworkConfig, options: &SweepOptions) -> (BuiltTopology, SweepReport) {
     let topo = BuiltTopology::build(net).unwrap();
     let report = compress(net, CompressOptions::default());
-    let ec = &report.per_ec[0];
-    let sweep = sweep_failures(
-        net,
-        &topo,
-        &ec.ec.to_ec_dest(),
-        &ec.abstraction,
-        &ec.abstract_network,
-        &report.policies,
-        options,
-    )
-    .expect("sweep completes");
+    let sweep = sweep_class(net, &topo, &report, options);
     (topo, sweep)
 }
 
@@ -48,8 +60,8 @@ fn mean_refinement_nodes(sweep: &SweepReport) -> f64 {
         / sweep.refinements.len().max(1) as f64
 }
 
-/// The headline: fattree-4 at k=1. PR 3's single k-sound abstraction
-/// decompressed to 20 nodes/EC; the per-scenario sweep stays within 2x of
+/// The headline: fattree-4 at k=1. The audit's single k-sound abstraction
+/// decompresses to 20 nodes/EC; the per-scenario sweep stays within 2x of
 /// the 6-node base (per refinement; the scenario-weighted mean is within a
 /// whisker of 2x — 12.1 — because endpoint isolation plus the ∀∃
 /// well-definedness fixpoint is provably the smallest refinement that can
@@ -71,7 +83,7 @@ fn fattree4_sweep_stays_compressed_with_hot_cache() {
     // Orbit cache: 5 distinct refinements serve all 32 scenarios.
     assert!(sweep.cache_hit_rate() > 0.5, "{}", sweep.cache_hit_rate());
     // Compression preserved: within 2x of the base per refinement, loosely
-    // within 2x scenario-weighted, and far below PR 3's 20-node repair —
+    // within 2x scenario-weighted, and far below the audit's 20-node repair —
     // every single scenario stays below the concrete 20 nodes.
     let base = sweep.base_abstract_nodes as f64;
     assert!(mean_refinement_nodes(&sweep) <= 2.0 * base);
@@ -80,7 +92,7 @@ fn fattree4_sweep_stays_compressed_with_hot_cache() {
     assert_eq!(sweep.fallback_count(), 0);
 }
 
-/// mesh-10 at k=1: PR 3 decompressed 2 → 10; the per-scenario sweep stays
+/// mesh-10 at k=1: the audit decompresses 2 → 10; the per-scenario sweep stays
 /// within 2x of the 2-node base outright and two refinements serve all 45
 /// scenarios.
 #[test]
@@ -145,16 +157,7 @@ fn cache_hits_verify_byte_identically_to_fresh_derivations() {
                 threads: 1,
                 ..Default::default()
             };
-            let sweep = sweep_failures(
-                net,
-                &topo,
-                &ec_dest,
-                &ec.abstraction,
-                &ec.abstract_network,
-                &report.policies,
-                &options,
-            )
-            .unwrap();
+            let sweep = sweep_class(net, &topo, &report, &options);
             let hit_signatures: std::collections::BTreeSet<_> = sweep
                 .outcomes
                 .iter()
@@ -208,35 +211,26 @@ fn parallel_sweep_is_deterministic_across_thread_counts() {
     ] {
         let topo = BuiltTopology::build(&net).unwrap();
         let report = compress(&net, CompressOptions::default());
-        let ec = &report.per_ec[0];
-        let ec_dest = ec.ec.to_ec_dest();
-        let reference = sweep_failures(
+        let reference = sweep_class(
             &net,
             &topo,
-            &ec_dest,
-            &ec.abstraction,
-            &ec.abstract_network,
-            &report.policies,
+            &report,
             &SweepOptions {
                 threads: 1,
                 ..Default::default()
             },
-        )
-        .unwrap();
+        );
         for threads in [4usize, 8] {
-            let parallel = sweep_failures(
+            let parallel = sweep_class(
                 &net,
                 &topo,
-                &ec_dest,
-                &ec.abstraction,
-                &ec.abstract_network,
-                &report.policies,
+                &report,
                 &SweepOptions {
                     threads,
                     ..Default::default()
                 },
-            )
-            .unwrap();
+            );
+            assert_eq!(parallel.threads, threads.min(reference.scenarios_swept()));
             assert_eq!(
                 reference.refinements.keys().collect::<Vec<_>>(),
                 parallel.refinements.keys().collect::<Vec<_>>()
@@ -274,19 +268,15 @@ fn transported_abstract_warm_starts_beat_cold_in_updates() {
     let topo = BuiltTopology::build(&net).unwrap();
     let report = compress(&net, CompressOptions::default());
     let ec = &report.per_ec[0];
-    let sweep = sweep_failures(
+    let sweep = sweep_class(
         &net,
         &topo,
-        &ec.ec.to_ec_dest(),
-        &ec.abstraction,
-        &ec.abstract_network,
-        &report.policies,
+        &report,
         &SweepOptions {
             threads: 1,
             ..Default::default()
         },
-    )
-    .unwrap();
+    );
 
     // The base abstract fixpoint (failure-free), computed once.
     let base_abs = &ec.abstract_network;
