@@ -36,6 +36,13 @@
 //! * [`ScenarioStream::iter_pruned`] — the same stream filtered down to
 //!   one representative scenario (the enumeration-first, i.e.
 //!   lexicographically smallest) per signature.
+//! * [`SignatureInterner`] / [`SigId`] — what makes a signature cache
+//!   *hit* cheap: the stream's cursor ([`ScenarioRangeIter`]) exposes each
+//!   item as link indices, the interner maps the item's **raw signature
+//!   inputs** to a dense id with one hash probe, and
+//!   [`LinkOrbits::signature_of`] (the canonicalization, and the reference
+//!   the interner is tested against) runs only on the first sight of a
+//!   raw key.
 //! * [`quotient_canon`] / [`CanonicalSignature`] — the cross-EC layer:
 //!   a canonical labeling of the abstraction's quotient structure that
 //!   lets the network-level sweep compare signatures **across destination
@@ -52,6 +59,23 @@
 //! automorphism — which holds whenever the orbit structure itself
 //! certifies real symmetry, and is witnessed empirically by the
 //! cache-hit ≡ fresh-derivation byte-identity tests.
+//!
+//! Exactness of the raw key: the interner's key is, per failed link in
+//! the order given, `(orbit, block(u), block(v))`, then the upper-triangle
+//! intact-graph distances between the `2k` endpoint positions (0 ⇔ same
+//! node; distances are symmetric because every link is bidirectional).
+//! That is the label-, orbit- and distance-annotated failed multigraph up
+//! to the names of its vertices. On its canonical branch the pattern
+//! search reads nothing else: vertex labels are emitted in colour order
+//! and the rendering is minimized over **all** label-preserving
+//! permutations, so it cannot depend on which isomorphic copy it started
+//! from; `counts` is a function of the orbit ids; and the permutation
+//! budget test is a function of the colour-group sizes. Equal raw keys
+//! therefore imply equal signatures — the converse need not hold (other
+//! link order or endpoint orientation), which is why ids are assigned by
+//! full signature. The over-budget fallback embeds raw node ids, which the
+//! raw key does not determine: a signature with `pattern.canonical ==
+//! false` is never memoized under a raw key.
 
 use crate::algorithm::Abstraction;
 use crate::signatures::{origin_key, SigTable};
@@ -355,7 +379,8 @@ pub struct LinkOrbits {
     distances: Arc<NodeDistances>,
     /// O(1) lookup from a canonical link pair to its index in
     /// [`LinkOrbits::links`] — [`LinkOrbits::signature_of`] runs once per
-    /// enumerated scenario, which is `C(L, k)` times on exhaustive sweeps.
+    /// scenario for sequential callers ([`ScenarioStream::iter_pruned`],
+    /// [`LinkOrbits::canonical_scenario`]'s search).
     index_of_link: HashMap<(NodeId, NodeId), usize>,
 }
 
@@ -363,11 +388,6 @@ impl LinkOrbits {
     /// Number of orbits.
     pub fn num_orbits(&self) -> usize {
         self.orbits.len()
-    }
-
-    /// The shared intact-network distance matrix.
-    pub fn distances(&self) -> &Arc<NodeDistances> {
-        &self.distances
     }
 
     /// Orbit id of a canonical link pair (as stored in
@@ -542,6 +562,142 @@ fn orbit_key(
     }
 }
 
+/// Dense id of an [`OrbitSignature`] interned by a [`SignatureInterner`]:
+/// ids count up from 0 in first-sight order, so per-signature state lives
+/// in a plain `Vec` indexed by [`SigId::index`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct SigId(u32);
+
+impl SigId {
+    /// The id as a `Vec` index.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// Maps scenarios — given as link **indices**, the way
+/// [`ScenarioRangeIter::indices`] yields them — to the dense [`SigId`] of
+/// their [`OrbitSignature`] under one class's [`LinkOrbits`], running
+/// [`LinkOrbits::signature_of`] only on the first sight of a *raw key*.
+///
+/// The raw key is everything `signature_of` reads, before any
+/// canonicalization: per failed link `(orbit, block(u), block(v))` in the
+/// order given, then the upper triangle of intact-graph distances between
+/// the `2k` endpoint positions `u₀ v₀ u₁ v₁ …` (distance 0 ⇔ the two
+/// positions are the same node, which encodes the sharing structure).
+/// See the module docs for why equal raw keys imply equal signatures.
+/// Signatures whose pattern fell back to raw node ids
+/// (`pattern.canonical == false`) are interned by full signature only —
+/// never under a raw key, which does not determine them.
+///
+/// Worker-local by design: no locks, one interner per (worker, class).
+#[derive(Debug)]
+pub struct SignatureInterner<'a> {
+    orbits: &'a LinkOrbits,
+    /// Raw key → id. Holds canonical-pattern signatures only.
+    by_raw_key: HashMap<Box<[u32]>, SigId>,
+    /// Full signature → id, so distinct raw keys of one signature (other
+    /// link order, other endpoint orientation) share one id.
+    by_signature: HashMap<OrbitSignature, SigId>,
+    /// Id → signature.
+    signatures: Vec<OrbitSignature>,
+    /// Reusable raw-key and endpoint buffers: a hit allocates nothing.
+    key: Vec<u32>,
+    endpoints: Vec<NodeId>,
+}
+
+impl<'a> SignatureInterner<'a> {
+    /// An empty interner over one class's orbits.
+    pub fn new(orbits: &'a LinkOrbits) -> Self {
+        SignatureInterner {
+            orbits,
+            by_raw_key: HashMap::new(),
+            by_signature: HashMap::new(),
+            signatures: Vec::new(),
+            key: Vec::new(),
+            endpoints: Vec::new(),
+        }
+    }
+
+    /// The id of the scenario failing the links at `indices` (indices into
+    /// [`LinkOrbits::links`]): [`SignatureInterner::signature`] of the
+    /// result is exactly `signature_of` of that scenario, and two
+    /// scenarios get one id iff their signatures are equal.
+    ///
+    /// # Panics
+    ///
+    /// Panics when an index is out of range for the orbits' link list.
+    pub fn id_of(&mut self, indices: &[usize]) -> SigId {
+        let orbits = self.orbits;
+        self.key.clear();
+        self.endpoints.clear();
+        for &i in indices {
+            let (u, v) = orbits.links[i];
+            self.key.extend([
+                orbits.orbit_of_link[i],
+                orbits.block_of_node[u.index()],
+                orbits.block_of_node[v.index()],
+            ]);
+            self.endpoints.extend([u, v]);
+        }
+        for (p, &a) in self.endpoints.iter().enumerate() {
+            for &b in &self.endpoints[p + 1..] {
+                debug_assert_eq!(
+                    orbits.distances.get(a, b),
+                    orbits.distances.get(b, a),
+                    "links are bidirectional, so intact distances are symmetric"
+                );
+                self.key.push(orbits.distances.get(a, b));
+            }
+        }
+        if let Some(&id) = self.by_raw_key.get(self.key.as_slice()) {
+            return id;
+        }
+
+        let scenario = FailureScenario::new(indices.iter().map(|&i| orbits.links[i]).collect());
+        let signature = orbits
+            .signature_of(&scenario)
+            .expect("indexed links are links of these orbits");
+        let canonical = signature.pattern.canonical;
+        let id = match self.by_signature.get(&signature) {
+            Some(&id) => id,
+            None => {
+                let id = SigId(
+                    u32::try_from(self.signatures.len()).expect("fewer than 2^32 signatures"),
+                );
+                self.signatures.push(signature.clone());
+                self.by_signature.insert(signature, id);
+                id
+            }
+        };
+        if canonical {
+            self.by_raw_key.insert(self.key.as_slice().into(), id);
+        }
+        id
+    }
+
+    /// The signature behind an id this interner handed out.
+    pub fn signature(&self, id: SigId) -> &OrbitSignature {
+        &self.signatures[id.index()]
+    }
+
+    /// Distinct signatures interned so far (ids are `0..len`).
+    pub fn len(&self) -> usize {
+        self.signatures.len()
+    }
+
+    /// True before the first `id_of`.
+    pub fn is_empty(&self) -> bool {
+        self.signatures.is_empty()
+    }
+
+    /// Distinct raw keys memoized so far (`>= len()` on canonical
+    /// signatures; the gap is what interning by full signature merges).
+    pub fn raw_keys(&self) -> usize {
+        self.by_raw_key.len()
+    }
+}
+
 /// One size band of a [`ScenarioStream`]: all scenarios with exactly
 /// `size` failed links occupy ranks `start .. start + count`.
 #[derive(Clone, Copy, Debug)]
@@ -565,11 +721,8 @@ struct SizeBand {
 #[derive(Clone, Debug)]
 pub struct ScenarioStream {
     links: Vec<(NodeId, NodeId)>,
-    k: usize,
     bands: Vec<SizeBand>,
     total: u128,
-    /// Canonical link pair → index in `links` (for [`ScenarioStream::rank_of`]).
-    index_of_link: HashMap<(NodeId, NodeId), usize>,
 }
 
 /// `C(n, k)`, exact in `u128` for every feasible stream (saturating only
@@ -609,24 +762,11 @@ impl ScenarioStream {
             });
             total += count;
         }
-        let index_of_link = links.iter().enumerate().map(|(i, &l)| (l, i)).collect();
         ScenarioStream {
             links,
-            k,
             bands,
             total,
-            index_of_link,
         }
-    }
-
-    /// The failure bound.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Number of links the subsets draw from.
-    pub fn num_links(&self) -> usize {
-        self.links.len()
     }
 
     /// Total scenario count (`C(L,1)+…+C(L,k)`), saturating at
@@ -649,32 +789,6 @@ impl ScenarioStream {
         let mut iter = self.iter_range(rank, 1);
         iter.next()
             .unwrap_or_else(|| panic!("rank {rank} out of range for {} scenarios", self.len()))
-    }
-
-    /// The rank of a scenario in this stream, `None` when any of its
-    /// links is not a link of the stream (or it is empty / above `k`).
-    pub fn rank_of(&self, scenario: &FailureScenario) -> Option<usize> {
-        let size = scenario.links.len();
-        if size == 0 || size > self.k {
-            return None;
-        }
-        let mut idx: Vec<usize> = scenario
-            .links
-            .iter()
-            .map(|l| self.index_of_link.get(l).copied())
-            .collect::<Option<_>>()?;
-        idx.sort_unstable();
-        let band = self.bands.get(size - 1)?;
-        debug_assert_eq!(band.size, size);
-        let n = self.links.len();
-        let mut within: u128 = 0;
-        for (i, &c) in idx.iter().enumerate() {
-            let lo = if i == 0 { 0 } else { idx[i - 1] + 1 };
-            for x in lo..c {
-                within += binom(n - 1 - x, size - 1 - i);
-            }
-        }
-        usize::try_from(band.start + within).ok()
     }
 
     /// Iterates the scenarios of the rank range `start .. start + len`
@@ -700,6 +814,7 @@ impl ScenarioStream {
             band: band_idx,
             chosen,
             remaining,
+            started: false,
         }
     }
 
@@ -764,36 +879,69 @@ fn unrank_combination(n: usize, size: usize, mut rank: u128) -> Vec<usize> {
     chosen
 }
 
-/// Iterator over a rank range of a [`ScenarioStream`] (see
+/// Cursor over a rank range of a [`ScenarioStream`] (see
 /// [`ScenarioStream::iter_range`]).
+///
+/// The cursor itself moves over **link indices**: [`advance`] steps to
+/// the next combination in place, [`indices`] exposes it, and
+/// [`scenario`] materializes it as a [`FailureScenario`] only when a
+/// caller needs one — the failure plane's hit path never does. The
+/// `Iterator` impl is `advance` + `scenario`.
+///
+/// [`advance`]: ScenarioRangeIter::advance
+/// [`indices`]: ScenarioRangeIter::indices
+/// [`scenario`]: ScenarioRangeIter::scenario
 pub struct ScenarioRangeIter<'a> {
     stream: &'a ScenarioStream,
     /// Current size band (index into `stream.bands`).
     band: usize,
-    /// Current combination, as ascending link indices.
+    /// Current combination, as ascending link indices (before the first
+    /// `advance`: the combination the range starts at).
     chosen: Vec<usize>,
+    /// Items not yet stepped onto.
     remaining: usize,
+    /// `chosen` is the current item (false until the first `advance`).
+    started: bool,
+}
+
+impl ScenarioRangeIter<'_> {
+    /// Steps onto the next item of the range; `false` when the range is
+    /// exhausted (the cursor then stays on its last item).
+    pub fn advance(&mut self) -> bool {
+        if self.remaining == 0 {
+            return false;
+        }
+        if self.started && !advance_combination(&mut self.chosen, self.stream.links.len()) {
+            // Band exhausted: restart at the first combination of the next
+            // size (it exists — the range is clamped to the stream).
+            self.band += 1;
+            let size = self.stream.bands[self.band].size;
+            self.chosen.clear();
+            self.chosen.extend(0..size);
+        }
+        self.started = true;
+        self.remaining -= 1;
+        true
+    }
+
+    /// The current item as ascending indices into the stream's link list
+    /// (== [`LinkOrbits::links`] of orbits over the same graph). Meaningful
+    /// after an `advance` that returned `true`.
+    pub fn indices(&self) -> &[usize] {
+        &self.chosen
+    }
+
+    /// The current item as a [`FailureScenario`].
+    pub fn scenario(&self) -> FailureScenario {
+        FailureScenario::new(self.chosen.iter().map(|&i| self.stream.links[i]).collect())
+    }
 }
 
 impl Iterator for ScenarioRangeIter<'_> {
     type Item = FailureScenario;
 
     fn next(&mut self) -> Option<FailureScenario> {
-        if self.remaining == 0 || self.band >= self.stream.bands.len() {
-            return None;
-        }
-        let scenario =
-            FailureScenario::new(self.chosen.iter().map(|&i| self.stream.links[i]).collect());
-        self.remaining -= 1;
-        if self.remaining > 0 && !advance_combination(&mut self.chosen, self.stream.links.len()) {
-            // Band exhausted: restart at the first combination of the next
-            // size.
-            self.band += 1;
-            if let Some(band) = self.stream.bands.get(self.band) {
-                self.chosen = (0..band.size).collect();
-            }
-        }
-        Some(scenario)
+        self.advance().then(|| self.scenario())
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -1221,18 +1369,25 @@ mod tests {
     }
 
     #[test]
-    fn stream_get_and_rank_of_roundtrip() {
+    fn stream_get_and_index_cursor_match_the_enumeration() {
         let (topo, _, _, _) = gadget_setup();
+        let links = topo.graph.links();
         let stream = ScenarioStream::new(&topo.graph, 3);
-        for (rank, scenario) in stream.to_vec().into_iter().enumerate() {
-            assert_eq!(stream.get(rank), scenario);
-            assert_eq!(stream.rank_of(&scenario), Some(rank));
+        let full = stream.to_vec();
+        // Stepping by indices visits the same items, across band
+        // boundaries, without building a scenario per step.
+        let mut cursor = stream.iter_range(2, full.len());
+        for (rank, scenario) in full.iter().enumerate() {
+            assert_eq!(stream.get(rank), *scenario);
+            if rank >= 2 {
+                assert!(cursor.advance());
+                let from_indices =
+                    FailureScenario::new(cursor.indices().iter().map(|&i| links[i]).collect());
+                assert_eq!(from_indices, *scenario);
+                assert_eq!(cursor.scenario(), *scenario);
+            }
         }
-        // A scenario above the bound or off the graph has no rank.
-        let four = stream.get(stream.len() - 1); // largest k=3 scenario
-        let mut links = four.links.clone();
-        links.extend(stream.get(0).links.clone());
-        assert_eq!(stream.rank_of(&FailureScenario::new(links)), None);
+        assert!(!cursor.advance());
     }
 
     #[test]

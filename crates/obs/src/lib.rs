@@ -177,6 +177,14 @@ pub const METRICS: &[MetricDef] = &[
         "sweep.resident.peak",
         "High-water mark of concurrently resident scenarios",
     ),
+    counter(
+        "sweep.signatures.interned",
+        "Orbit signatures interned by sweep workers, per (worker, class)",
+    ),
+    counter(
+        "sweep.signatures.raw_keys",
+        "Raw signature keys memoized by sweep workers, per (worker, class)",
+    ),
     // --- session: the resident query layer --------------------------------
     counter(
         "session.queries",

@@ -5,10 +5,20 @@
 //! Every class walks the same lazy [`ScenarioStream`] — nothing of the
 //! `C(L, k)` space is materialized; workers claim chunked rank ranges of
 //! the flattened plane from [`bonsai_core::fanout`], unrank their start
-//! and step successors. Per item a worker computes the scenario's
-//! [`OrbitSignature`] and probes its local `(class, signature)` cache; a
-//! miss runs the kernel of [`crate::sweep`] once for the signature's
-//! canonical representative. Symmetry pruning
+//! and step successors **over link indices**. Per item a worker asks its
+//! class's [`SignatureInterner`] for the dense `SigId` of the item's
+//! [`OrbitSignature`] — one hash probe of the item's raw signature inputs
+//! (orbits, blocks, endpoint distances; exact, see
+//! [`bonsai_core::scenarios`]) — and indexes its per-class slot vector
+//! with it. A slot holds what the worker knows about one (class,
+//! signature): the resolved refinement and its node count, the memoized
+//! canonical representative, the memoized shard key. A hit reads the slot
+//! and bumps integer tallies; a `FailureScenario` and a signature clone
+//! exist only for a miss, the pruning comparison or a collected outcome
+//! record. A miss runs the kernel of [`crate::sweep`] once for the
+//! signature's canonical representative, and after the fan-out the slots
+//! fold back into the per-class `BTreeMap<OrbitSignature, _>` every
+//! report carries. Symmetry pruning
 //! ([`SweepOptions::prune_symmetric`]) is a filter inside the same loop:
 //! an item survives iff it *is* its signature's canonical representative
 //! — a property of the item, not of the schedule. Sweeping one class, or
@@ -70,23 +80,27 @@ use bonsai_core::engine::EcFingerprint;
 use bonsai_core::fanout::fan_out_ranges;
 use bonsai_core::scenarios::{
     canonical_signature_of, exhaustive_scenario_count, quotient_canon, CanonicalSignature,
-    FailureScenario, OrbitSignature, QuotientCanon, QuotientClass, ScenarioStream,
+    FailureScenario, OrbitSignature, QuotientCanon, QuotientClass, ScenarioRangeIter,
+    ScenarioStream, SignatureInterner,
 };
 use bonsai_net::prefix::Prefix;
 use bonsai_net::NodeId;
 use bonsai_srp::instance::OriginProto;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Default worker chunk size of the streamed fan-out: large enough that
-/// the atomic claim and the one combination unranking per chunk vanish
-/// against per-scenario signature work, small enough that a fattree-8
-/// k=3 plane (~2.8M scenarios/class) spreads over thousands of chunks.
-/// Measured at threads=1: fattree-4 k=2 (4.2K items) and fattree-6 k=2
-/// (106K items) sweep times are flat from 64 through 16384 — the
-/// per-item signature work dominates the atomic claim + unranking — so
-/// the choice favors scheduling granularity over claim amortization.
+/// Default worker chunk size of the streamed fan-out. A chunk costs one
+/// atomic claim, one combination unranking, one span and two touches of
+/// the resident gauge — ≈ 0.6 µs together, measured as the slope of
+/// fattree-8 k=2 `--threads 1 --aggregate` wall over `--chunk-size`
+/// (1.05 s at 1, 0.40 s at 16, flat at 0.36–0.37 s from 64 through 16384).
+/// A hit item costs ≈ 40 ns (median `sweep.chunk` span of that run / 1024)
+/// since the raw-key interner replaced per-item canonicalization, so the
+/// per-chunk overhead is no longer invisible at small sizes; 1024 keeps it
+/// under 2 % while a fattree-8 k=3 plane (~2.8M scenarios/class) still
+/// spreads over thousands of chunks.
 pub const DEFAULT_CHUNK_SIZE: usize = 1024;
 
 /// One shard of a sharded network sweep: this process sweeps only the
@@ -210,11 +224,21 @@ pub struct NetworkSweepReport {
     /// Scenario instances generated through the streamed enumeration
     /// (pruned sweeps stream every item too; the filter runs after).
     pub scenarios_streamed: usize,
-    /// High-water mark of concurrently resident `FailureScenario` values:
-    /// in-flight streamed items + collected outcome records. In aggregate
-    /// mode (`collect_outcomes = false`) this is `O(threads)`, bounded by
-    /// `threads × chunk` — never `O(C(L,k))`.
+    /// High-water mark of concurrently resident scenario items: the item
+    /// each worker is standing on + collected outcome records. Workers
+    /// tally a chunk locally and touch the gauge at its start and end, so
+    /// the value is exact at `threads = 1`; above that the records in
+    /// other workers' unfinished chunks are not seen (short by less than
+    /// `threads × chunk`). In aggregate mode (`collect_outcomes = false`)
+    /// this is the number of workers in flight, `O(threads)` — never
+    /// `O(C(L,k))`.
     pub peak_resident_scenarios: usize,
+    /// Distinct [`OrbitSignature`]s interned by the per-(worker, class)
+    /// interners, summed over workers and classes.
+    pub signatures_interned: usize,
+    /// Distinct raw signature keys those interners memoized, summed the
+    /// same way: the memo a hit probes, and what grows with `k`.
+    pub raw_keys: usize,
     /// The shard this report covers (`None` = the full sweep).
     pub shard: Option<ShardSpec>,
 }
@@ -254,6 +278,8 @@ impl NetworkSweepReport {
         bonsai_obs::add("sweep.scenarios.streamed", self.scenarios_streamed as u64);
         bonsai_obs::add("sweep.scenarios.swept", self.scenarios_swept() as u64);
         bonsai_obs::set_max("sweep.resident.peak", self.peak_resident_scenarios as u64);
+        bonsai_obs::add("sweep.signatures.interned", self.signatures_interned as u64);
+        bonsai_obs::add("sweep.signatures.raw_keys", self.raw_keys as u64);
     }
 }
 
@@ -295,41 +321,55 @@ struct SharedEntry {
 /// insert wins and the duplicate is counted honestly in `derivations`.
 type SharedCache = std::sync::Mutex<HashMap<SharedKey, Arc<SharedEntry>>>;
 
+/// What one worker knows about one (class, signature) pair, indexed by
+/// the class interner's dense `SigId` — a hit reads `refined_nodes` (and
+/// `shard_key`/`rep` when those filters are on) and nothing else.
+#[derive(Default)]
+struct Slot {
+    /// The resolved refinement (`None` until the first unfiltered item of
+    /// the signature), folded into the report's per-class map after the
+    /// fan-out.
+    refinement: Option<ScenarioRefinement>,
+    /// `refinement.refined_nodes()`, hoisted out of the per-item tally.
+    refined_nodes: usize,
+    /// Memoized canonical representative: the scenario a refinement is
+    /// derived from, the one item of its signature a pruned sweep keeps,
+    /// and the input of the shard key.
+    rep: Option<FailureScenario>,
+    /// Memoized shard key — the canonical key behind it is
+    /// signature-level, so one computation serves every scenario of the
+    /// signature.
+    shard_key: Option<u64>,
+}
+
+impl Slot {
+    /// The canonical representative of this slot's signature.
+    fn rep(&mut self, plane: &EcPlane<'_>, signature: &OrbitSignature) -> &FailureScenario {
+        self.rep
+            .get_or_insert_with(|| plane.ctx.orbits.canonical_scenario(signature))
+    }
+}
+
+/// One worker's state for one class of the plane.
+struct ClassState<'a> {
+    interner: SignatureInterner<'a>,
+    /// Indexed by `SigId`; grown as the interner hands out ids.
+    slots: Vec<Slot>,
+    /// Full derivations kept for this class.
+    derivations: usize,
+    /// Aggregate outcome tallies — complete even when outcome records are
+    /// not collected.
+    stats: OutcomeStats,
+}
+
 /// Worker-local state of the network fan-out.
-struct WorkerState {
-    per_ec: HashMap<(usize, OrbitSignature), ScenarioRefinement>,
-    /// Memoized canonical representative per (class, signature): the
-    /// scenario a refinement is derived from, the one item of its
-    /// signature a pruned sweep keeps, and the input of the shard key.
-    reps: HashMap<(usize, OrbitSignature), FailureScenario>,
-    /// Memoized shard membership per (class, signature) — the canonical
-    /// key behind it is signature-level, so one probe serves every
-    /// scenario of the class.
-    shard_keys: HashMap<(usize, OrbitSignature), u64>,
-    /// Full derivations per class index.
-    derivations: Vec<usize>,
-    /// Aggregate outcome tallies per class index — complete even when
-    /// outcome records are not collected.
-    stats: Vec<OutcomeStats>,
-    /// Scenario instances this worker generated through the stream.
+struct WorkerState<'a> {
+    classes: Vec<ClassState<'a>>,
+    /// Scenario items this worker stepped through the stream.
     streamed: usize,
     exact_transfers: usize,
     symmetric_transfers: usize,
     verified_transfers: usize,
-}
-
-impl WorkerState {
-    /// The canonical representative of a (class, signature) pair.
-    fn rep(
-        &mut self,
-        e: usize,
-        plane: &EcPlane<'_>,
-        signature: &OrbitSignature,
-    ) -> &FailureScenario {
-        self.reps
-            .entry((e, signature.clone()))
-            .or_insert_with(|| plane.ctx.orbits.canonical_scenario(signature))
-    }
 }
 
 /// Sweeps every `≤ k` link-failure scenario of **every** destination
@@ -425,14 +465,14 @@ pub fn sweep_network_subset(
     }
     .min(total.div_ceil(chunk_size).max(1));
 
-    // Resident-scenario gauge: streamed items count while in flight;
-    // collected outcome records count from collection to the end of the
-    // sweep.
+    // Resident-scenario gauge: an item counts while in flight, a collected
+    // outcome record from collection to the end of the sweep. Workers
+    // tally a chunk locally and touch the gauge at its start and its end.
     let resident = ResidentGauge::default();
 
     let shared: SharedCache = std::sync::Mutex::new(HashMap::new());
     type ChunkOut = Vec<(usize, ScenarioOutcome)>;
-    let work = |state: &mut WorkerState,
+    let work = |state: &mut WorkerState<'_>,
                 range: std::ops::Range<usize>|
      -> Result<ChunkOut, EquivalenceError> {
         let _chunk_span = bonsai_obs::span!(
@@ -441,35 +481,46 @@ pub fn sweep_network_subset(
             len = range.end - range.start
         );
         let mut out: ChunkOut = Vec::new();
+        resident.begin_chunk();
+        // This chunk's resident high-water mark, relative to its start:
+        // the item in flight plus the outcomes collected so far.
+        let mut high = 1usize;
         // A chunk may span class boundaries: process it as per-class runs,
         // each run a contiguous rank range of the stream — one unranking
-        // for the run start, successors after.
+        // for the run start, successor stepping over link indices after.
         let mut i = range.start;
         while i < range.end {
             let (e, first) = (i / per_class, i % per_class);
             let run_end = ((e + 1) * per_class).min(range.end);
-            for (j, scenario) in stream.iter_range(first, run_end - i).enumerate() {
-                resident.add(1);
-                state.streamed += 1;
-                let kept =
-                    process_item(state, &shared, e, first + j, scenario, &planes[e], options)?;
-                match kept {
-                    Some(outcome) if options.collect_outcomes => out.push((e, outcome)),
-                    _ => resident.sub(1),
+            let mut item = stream.iter_range(first, run_end - i);
+            let mut rank = first;
+            while item.advance() {
+                high = high.max(out.len() + 1);
+                if let Some(outcome) =
+                    process_item(state, &shared, e, rank, &item, &planes[e], options)?
+                {
+                    out.push((e, outcome));
                 }
+                rank += 1;
             }
+            state.streamed += run_end - i;
             i = run_end;
         }
+        resident.end_chunk(high, out.len());
         bonsai_obs::add("sweep.chunks.completed", 1);
         Ok(out)
     };
 
     let init = || WorkerState {
-        per_ec: HashMap::new(),
-        reps: HashMap::new(),
-        shard_keys: HashMap::new(),
-        derivations: vec![0; n_ecs],
-        stats: vec![OutcomeStats::default(); n_ecs],
+        classes: planes
+            .iter()
+            .map(|plane| ClassState {
+                interner: SignatureInterner::new(&plane.ctx.orbits),
+                slots: Vec::new(),
+                derivations: 0,
+                stats: OutcomeStats::default(),
+            })
+            .collect(),
         streamed: 0,
         exact_transfers: 0,
         symmetric_transfers: 0,
@@ -487,42 +538,45 @@ pub fn sweep_network_subset(
         }
     }
 
-    // Merge worker states: per-class refinement maps (racing duplicates
-    // are deterministic, so any copy is kept — and must agree), aggregate
-    // tallies and the sharing counters.
+    // Merge worker states: the slots fold back into per-class refinement
+    // maps keyed by full signature (racing duplicates are deterministic,
+    // so any copy is kept — and must agree), then aggregate tallies and
+    // the sharing counters.
     let mut refinements: Vec<BTreeMap<OrbitSignature, ScenarioRefinement>> =
         (0..n_ecs).map(|_| BTreeMap::new()).collect();
     let mut per_ec_derivations = vec![0usize; n_ecs];
     let mut per_ec_stats = vec![OutcomeStats::default(); n_ecs];
-    let mut derivations = 0usize;
     let mut scenarios_streamed = 0usize;
     let mut exact_transfers = 0usize;
     let mut symmetric_transfers = 0usize;
     let mut verified_transfers = 0usize;
+    let mut signatures_interned = 0usize;
+    let mut raw_keys = 0usize;
     for state in states {
-        for (e, d) in state.derivations.iter().enumerate() {
-            per_ec_derivations[e] += d;
-            derivations += d;
-        }
-        for (e, s) in state.stats.iter().enumerate() {
-            per_ec_stats[e].merge(s);
-        }
         scenarios_streamed += state.streamed;
         exact_transfers += state.exact_transfers;
         symmetric_transfers += state.symmetric_transfers;
         verified_transfers += state.verified_transfers;
-        for ((e, sig), refinement) in state.per_ec {
-            if let Some(existing) = refinements[e].get(&sig) {
-                debug_assert_eq!(
-                    existing.abstraction.partition.as_sets(),
-                    refinement.abstraction.partition.as_sets(),
-                    "racing derivations of one signature must agree"
-                );
-            } else {
-                refinements[e].insert(sig, refinement);
+        for (e, class) in state.classes.into_iter().enumerate() {
+            per_ec_derivations[e] += class.derivations;
+            per_ec_stats[e].merge(&class.stats);
+            signatures_interned += class.interner.len();
+            raw_keys += class.interner.raw_keys();
+            for refinement in class.slots.into_iter().filter_map(|slot| slot.refinement) {
+                match refinements[e].entry(refinement.signature.clone()) {
+                    Entry::Vacant(v) => {
+                        v.insert(refinement);
+                    }
+                    Entry::Occupied(existing) => debug_assert_eq!(
+                        existing.get().abstraction.partition.as_sets(),
+                        refinement.abstraction.partition.as_sets(),
+                        "racing derivations of one signature must agree"
+                    ),
+                }
             }
         }
     }
+    let derivations = per_ec_derivations.iter().sum();
 
     let mut per_ec: Vec<EcSweep> = Vec::with_capacity(n_ecs);
     for (e, plane) in planes.iter().enumerate() {
@@ -567,6 +621,8 @@ pub fn sweep_network_subset(
         chunk_size,
         scenarios_streamed,
         peak_resident_scenarios: resident.peak(),
+        signatures_interned,
+        raw_keys,
         shard: options.shard,
     };
     report.publish_metrics();
@@ -616,6 +672,8 @@ pub fn merge_reports(mut shards: Vec<NetworkSweepReport>) -> Result<NetworkSweep
         acc.chunk_size = acc.chunk_size.max(r.chunk_size);
         acc.scenarios_streamed += r.scenarios_streamed;
         acc.peak_resident_scenarios = acc.peak_resident_scenarios.max(r.peak_resident_scenarios);
+        acc.signatures_interned += r.signatures_interned;
+        acc.raw_keys += r.raw_keys;
         if r.distinct_fingerprints != acc.distinct_fingerprints {
             return Err("shard reports disagree on the fingerprint set".into());
         }
@@ -653,13 +711,22 @@ struct ResidentGauge {
 }
 
 impl ResidentGauge {
-    fn add(&self, n: usize) {
-        let now = self.current.fetch_add(n, Ordering::Relaxed) + n;
-        self.peak.fetch_max(now, Ordering::Relaxed);
+    /// A worker starts a chunk: the item it stands on is resident until
+    /// [`ResidentGauge::end_chunk`], so concurrent workers are counted.
+    fn begin_chunk(&self) {
+        let before = self.current.fetch_add(1, Ordering::Relaxed);
+        self.peak.fetch_max(before + 1, Ordering::Relaxed);
     }
 
-    fn sub(&self, n: usize) {
-        self.current.fetch_sub(n, Ordering::Relaxed);
+    /// The chunk ends: its in-flight item is swapped for the `kept`
+    /// outcome records it leaves resident, and its own high-water mark
+    /// (`high`, in-flight item included, relative to the chunk's start)
+    /// is stacked on whatever else was resident.
+    fn end_chunk(&self, high: usize, kept: usize) {
+        let before = self
+            .current
+            .fetch_add(kept.wrapping_sub(1), Ordering::Relaxed);
+        self.peak.fetch_max(before - 1 + high, Ordering::Relaxed);
     }
 
     fn peak(&self) -> usize {
@@ -696,32 +763,37 @@ fn shard_key(plane: &EcPlane<'_>, signature: &OrbitSignature, rep: &FailureScena
     }
 }
 
-/// Verifies one (class, scenario) item of a chunk: signature, shard and
-/// pruning filters, per-EC cache probe, refinement resolution (see
-/// [`resolve_refinement`]) and tallies. Returns the item's outcome record,
-/// or `None` when a filter dropped it.
+/// Verifies one (class, scenario) item of a chunk — `item` is the stream
+/// cursor standing on it: signature id, shard and pruning filters, slot
+/// probe, refinement resolution on a miss (see [`resolve_refinement`]) and
+/// tallies. A hit touches the interner's raw-key memo and one slot; the
+/// scenario and its signature are materialized only for a miss, the
+/// pruning comparison or a collected outcome. Returns the item's outcome
+/// record when outcomes are collected and no filter dropped it.
 fn process_item(
-    state: &mut WorkerState,
+    state: &mut WorkerState<'_>,
     shared: &SharedCache,
     e: usize,
     rank: usize,
-    scenario: FailureScenario,
+    item: &ScenarioRangeIter<'_>,
     plane: &EcPlane<'_>,
     options: &NetworkSweepOptions,
 ) -> Result<Option<ScenarioOutcome>, EquivalenceError> {
-    let signature = plane
-        .ctx
-        .orbits
-        .signature_of(&scenario)
-        .expect("streamed scenarios come from this graph's links");
+    let class = &mut state.classes[e];
+    let id = class.interner.id_of(item.indices());
+    if id.index() >= class.slots.len() {
+        class.slots.resize_with(id.index() + 1, Slot::default);
+    }
+    let slot = &mut class.slots[id.index()];
+    let signature = class.interner.signature(id);
 
     if let Some(shard) = options.shard {
-        let key = match state.shard_keys.get(&(e, signature.clone())) {
-            Some(&k) => k,
+        let key = match slot.shard_key {
+            Some(key) => key,
             None => {
-                let k = shard_key(plane, &signature, state.rep(e, plane, &signature));
-                state.shard_keys.insert((e, signature.clone()), k);
-                k
+                let key = shard_key(plane, signature, slot.rep(plane, signature));
+                slot.shard_key = Some(key);
+                key
             }
         };
         if key % shard.of() as u64 != shard.index() as u64 {
@@ -730,44 +802,51 @@ fn process_item(
     }
     // Schedule-independent pruning: exactly one item per signature — its
     // canonical representative — survives, whichever worker meets it.
-    if options.sweep.prune_symmetric && *state.rep(e, plane, &signature) != scenario {
+    if options.sweep.prune_symmetric && *slot.rep(plane, signature) != item.scenario() {
         return Ok(None);
     }
 
-    let (cache_hit, refined_nodes) = match state.per_ec.get(&(e, signature.clone())) {
-        Some(r) => (true, r.refined_nodes()),
-        None => {
-            let refinement = resolve_refinement(state, shared, e, plane, &signature, options)?;
-            let nodes = refinement.refined_nodes();
-            state.per_ec.insert((e, signature.clone()), refinement);
-            (false, nodes)
+    let cache_hit = slot.refinement.is_some();
+    if !cache_hit {
+        let rep = slot.rep(plane, signature);
+        let refinement = resolve_refinement(shared, plane, signature, rep, options)?;
+        match refinement.provenance {
+            RefinementProvenance::Derived => class.derivations += 1,
+            RefinementProvenance::TransferredExact => state.exact_transfers += 1,
+            RefinementProvenance::TransferredSymmetric => {
+                state.symmetric_transfers += 1;
+                // In audited mode a symmetric transfer only stands once
+                // re-verified.
+                state.verified_transfers += usize::from(options.verify_transfers);
+            }
         }
-    };
-    state.stats[e].record(refined_nodes);
-    Ok(Some(ScenarioOutcome {
+        slot.refined_nodes = refinement.refined_nodes();
+        slot.refinement = Some(refinement);
+    }
+    class.stats.record(slot.refined_nodes);
+    Ok(options.collect_outcomes.then(|| ScenarioOutcome {
         rank,
-        scenario,
-        signature,
+        scenario: item.scenario(),
+        signature: signature.clone(),
         cache_hit,
-        refined_nodes,
+        refined_nodes: slot.refined_nodes,
     }))
 }
 
-/// Resolves a (class, signature) cache miss: cross-EC transfer when the
-/// canonical key hits with a compatible donor, full derivation otherwise
-/// (recording the result for future transfers).
+/// Resolves a (class, signature) slot miss for the signature's canonical
+/// representative `scenario`: cross-EC transfer when the canonical key
+/// hits with a compatible donor, full derivation otherwise (recording the
+/// result for future transfers). The result's provenance says which.
 fn resolve_refinement(
-    state: &mut WorkerState,
     shared: &SharedCache,
-    e: usize,
     plane: &EcPlane<'_>,
     signature: &OrbitSignature,
+    scenario: &FailureScenario,
     options: &NetworkSweepOptions,
 ) -> Result<ScenarioRefinement, EquivalenceError> {
     let ctx = &plane.ctx;
-    let scenario = state.rep(e, plane, signature).clone();
     let shared_key = plane.canon.as_ref().and_then(|canon| {
-        canonical_signature_of(&ctx.orbits, canon, &scenario).map(|sig| SharedKey {
+        canonical_signature_of(&ctx.orbits, canon, scenario).map(|sig| SharedKey {
             fingerprint: plane.fingerprint,
             quotient: canon.class.clone(),
             signature: sig,
@@ -780,13 +859,11 @@ fn resolve_refinement(
         .and_then(|key| shared.lock().unwrap().get(key).cloned());
     if let Some(entry) = hit {
         if entry.donor_origins == ctx.ec.origins {
-            state.exact_transfers += 1;
             return Ok(materialize_exact(ctx, &entry, signature));
         }
         if entry.stage1_only {
-            let candidate = materialize_symmetric(ctx, signature, &scenario);
+            let candidate = materialize_symmetric(ctx, signature, scenario);
             if !options.verify_transfers {
-                state.symmetric_transfers += 1;
                 return Ok(candidate);
             }
             // Audited mode: run this class's own verification against
@@ -802,15 +879,12 @@ fn resolve_refinement(
             )?
             .is_ok()
             {
-                state.symmetric_transfers += 1;
-                state.verified_transfers += 1;
                 return Ok(candidate);
             }
         }
     }
 
     let refinement = derive_scenario_refinement(ctx, signature)?;
-    state.derivations[e] += 1;
     if let Some(key) = shared_key {
         let entry = Arc::new(SharedEntry {
             donor_origins: ctx.ec.origins.clone(),

@@ -382,6 +382,9 @@ impl SessionBuilder {
             share_across_ecs: true,
             verify_transfers: self.options.verify_transfers,
             max_ecs: self.options.max_ecs,
+            // `from_sweep` reads the refinement maps and the tallies, never
+            // the per-scenario records.
+            collect_outcomes: false,
             ..Default::default()
         };
         let sweep = sweep_network(&self.network, &topo, &report, &sweep_opts)
@@ -1402,6 +1405,7 @@ impl Session {
             share_across_ecs: true,
             verify_transfers: self.options.verify_transfers,
             max_ecs: 0,
+            collect_outcomes: false,
             ..Default::default()
         }
     }

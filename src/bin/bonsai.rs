@@ -317,7 +317,28 @@ fn answer_query(
     Ok(answers)
 }
 
+/// `println!` panics when stdout is closed (`bonsai failures … | head`). A
+/// reader that has seen enough is not a bug of this program: every
+/// subcommand then exits quietly, with the status a SIGPIPE death would
+/// have left (128 + 13) — no message, no backtrace. `std` hands the hook
+/// only the formatted message (no error kind), so the match is on its
+/// text; the "Closed stdout is a quiet exit" CI step pins that wording
+/// against a toolchain bump.
+fn exit_quietly_on_closed_stdout() {
+    let default_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let closed_stdout = info.payload().downcast_ref::<String>().is_some_and(|m| {
+            m.starts_with("failed printing to stdout") && m.contains("Broken pipe")
+        });
+        if closed_stdout {
+            std::process::exit(141);
+        }
+        default_hook(info);
+    }));
+}
+
 fn main() -> ExitCode {
+    exit_quietly_on_closed_stdout();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
         eprintln!(

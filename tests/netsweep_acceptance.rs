@@ -14,7 +14,7 @@ use bonsai::verify::netsweep::{
 use bonsai::verify::properties::SolutionAnalysis;
 use bonsai::verify::query::QueryCtx;
 use bonsai::verify::sim_engine::SimEngine;
-use bonsai::verify::sweep::{derive_refinement, RefinementProvenance, SweepOptions};
+use bonsai::verify::sweep::{derive_refinement, OutcomeStats, RefinementProvenance, SweepOptions};
 use bonsai_config::{BuiltTopology, NetworkConfig};
 use bonsai_net::NodeId;
 
@@ -526,6 +526,97 @@ fn aggregate_mode_bounds_resident_scenarios() {
             a.report.refinements.keys().collect::<Vec<_>>(),
             c.report.refinements.keys().collect::<Vec<_>>()
         );
+    }
+}
+
+/// The hit path keeps no per-item record: a worker's tallies come from
+/// its `SigId`-indexed slots alone. They must equal what the collected
+/// outcome records add up to — at chunk sizes 1 and 1024, 1/2/4 workers,
+/// exhaustive and pruned, unsharded and through both halves of a 2-shard
+/// split — and the interner counts must account for every refinement.
+#[test]
+fn aggregate_tallies_match_collected_outcomes_through_the_slots() {
+    let net = bonsai::topo::fattree(4, bonsai::topo::FattreePolicy::ShortestPath);
+    let topo = BuiltTopology::build(&net).unwrap();
+    let report = compress(&net, CompressOptions::default());
+    let shards = [
+        None,
+        Some(ShardSpec::new(0, 2).unwrap()),
+        Some(ShardSpec::new(1, 2).unwrap()),
+    ];
+    for chunk_size in [1usize, 1024] {
+        for threads in [1usize, 2, 4] {
+            for prune_symmetric in [false, true] {
+                for shard in shards {
+                    let case = format!(
+                        "chunk={chunk_size} threads={threads} pruned={prune_symmetric} {shard:?}"
+                    );
+                    let collected_options = NetworkSweepOptions {
+                        sweep: SweepOptions {
+                            max_failures: 2,
+                            prune_symmetric,
+                            threads,
+                            ..Default::default()
+                        },
+                        chunk_size,
+                        shard,
+                        ..Default::default()
+                    };
+                    let collected =
+                        sweep_network(&net, &topo, &report, &collected_options).unwrap();
+                    let aggregate = sweep_network(
+                        &net,
+                        &topo,
+                        &report,
+                        &NetworkSweepOptions {
+                            collect_outcomes: false,
+                            ..collected_options
+                        },
+                    )
+                    .unwrap();
+                    assert_eq!(
+                        aggregate.scenarios_streamed, collected.scenarios_streamed,
+                        "{case}"
+                    );
+                    for (a, c) in aggregate.per_ec.iter().zip(&collected.per_ec) {
+                        assert!(a.report.outcomes.is_empty(), "{case}");
+                        assert_eq!(
+                            a.report.stats,
+                            OutcomeStats::from_outcomes(&c.report.outcomes),
+                            "{case}"
+                        );
+                        assert_eq!(a.report.stats, c.report.stats, "{case}");
+                        assert_eq!(
+                            a.report.refinements.keys().collect::<Vec<_>>(),
+                            c.report.refinements.keys().collect::<Vec<_>>(),
+                            "{case}"
+                        );
+                        // Every kept item found its refinement under its
+                        // own signature's slot.
+                        for o in &c.report.outcomes {
+                            assert_eq!(
+                                o.refined_nodes,
+                                c.report.refinements[&o.signature].refined_nodes(),
+                                "{case}"
+                            );
+                        }
+                    }
+                    // Filters run after interning, so one worker interns
+                    // every signature of every class exactly once.
+                    assert!(
+                        aggregate.raw_keys >= aggregate.signatures_interned,
+                        "{case}"
+                    );
+                    if threads == 1 && shard.is_none() {
+                        assert_eq!(
+                            aggregate.signatures_interned,
+                            aggregate.unshared_derivations(),
+                            "{case}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }
 

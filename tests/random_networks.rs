@@ -8,6 +8,8 @@
 //! out is *correct*: stable solutions correspond, under several activation
 //! orders on both sides.
 
+mod common;
+
 use bonsai::core::compress::{compress, CompressOptions};
 use bonsai::verify::equivalence::check_cp_equivalence;
 use bonsai_config::{
@@ -184,6 +186,19 @@ proptest! {
             prop_assert!(
                 ec.abstraction.abstract_node_count() <= topo.graph.node_count()
             );
+        }
+    }
+
+    /// On asymmetric networks orbits are small and signatures many: the
+    /// raw-key interner of the failure plane must still agree with
+    /// `signature_of` on every `≤ 2`-failure item of every class.
+    #[test]
+    fn interner_ids_are_exactly_signature_of_on_random_networks(spec in arb_spec()) {
+        let net = build(&spec);
+        let topo = BuiltTopology::build(&net).unwrap();
+        let report = compress(&net, CompressOptions { threads: 1, ..Default::default() });
+        for orbits in common::class_orbits(&net, &topo, &report) {
+            common::assert_interner_matches_signature_of(&topo.graph, &orbits, 2);
         }
     }
 }
