@@ -3,9 +3,14 @@
 //! Bonsai's output is *a smaller network in the same configuration format*
 //! as its input, so that downstream analyzers can run unchanged; this
 //! module is how abstract networks are materialized back into text.
+//!
+//! Everything renders straight into the caller's `fmt::Write` sink — one
+//! buffer per network, no per-device or per-line temporaries — so a
+//! caller that prints many networks ([`print_network_into`]) reuses one
+//! allocation for all of them.
 
 use crate::ir::*;
-use std::fmt::Write;
+use std::fmt::{self, Write};
 
 fn action(a: Action) -> &'static str {
     match a {
@@ -14,36 +19,38 @@ fn action(a: Action) -> &'static str {
     }
 }
 
-fn prefix(p: bonsai_net::prefix::Prefix) -> String {
-    if p.is_default() {
-        "any".to_string()
-    } else {
-        p.to_string()
+/// A prefix as the dialect spells it: the default route prints as `any`.
+struct Pfx(bonsai_net::prefix::Prefix);
+
+impl fmt::Display for Pfx {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0.is_default() {
+            f.write_str("any")
+        } else {
+            self.0.fmt(f)
+        }
     }
 }
 
-/// Renders one device configuration in the textual dialect.
-pub fn print_device(d: &DeviceConfig) -> String {
-    let mut out = String::new();
-    let w = &mut out;
-    writeln!(w, "hostname {}", d.name).unwrap();
+fn write_device(w: &mut impl Write, d: &DeviceConfig) -> fmt::Result {
+    writeln!(w, "hostname {}", d.name)?;
 
     for iface in &d.interfaces {
-        writeln!(w, "interface {}", iface.name).unwrap();
+        writeln!(w, "interface {}", iface.name)?;
         if let Some(p) = iface.prefix {
-            writeln!(w, " ip address {}", prefix(p)).unwrap();
+            writeln!(w, " ip address {}", Pfx(p))?;
         }
         if let Some(acl) = &iface.acl_in {
-            writeln!(w, " ip access-group {acl} in").unwrap();
+            writeln!(w, " ip access-group {acl} in")?;
         }
         if let Some(acl) = &iface.acl_out {
-            writeln!(w, " ip access-group {acl} out").unwrap();
+            writeln!(w, " ip access-group {acl} out")?;
         }
         if let Some(cost) = iface.ospf_cost {
-            writeln!(w, " ip ospf cost {cost}").unwrap();
+            writeln!(w, " ip ospf cost {cost}")?;
         }
         if let Some(area) = iface.ospf_area {
-            writeln!(w, " ip ospf area {area}").unwrap();
+            writeln!(w, " ip ospf area {area}")?;
         }
     }
 
@@ -55,22 +62,21 @@ pub fn print_device(d: &DeviceConfig) -> String {
                 pl.name,
                 e.seq,
                 action(e.action),
-                prefix(e.prefix)
-            )
-            .unwrap();
+                Pfx(e.prefix)
+            )?;
             if let Some(g) = e.ge {
-                write!(w, " ge {g}").unwrap();
+                write!(w, " ge {g}")?;
             }
             if let Some(l) = e.le {
-                write!(w, " le {l}").unwrap();
+                write!(w, " le {l}")?;
             }
-            writeln!(w).unwrap();
+            writeln!(w)?;
         }
     }
 
     for cl in &d.community_lists {
         for c in &cl.communities {
-            writeln!(w, "ip community-list {} permit {c}", cl.name).unwrap();
+            writeln!(w, "ip community-list {} permit {c}", cl.name)?;
         }
     }
 
@@ -81,9 +87,8 @@ pub fn print_device(d: &DeviceConfig) -> String {
                 "ip access-list {} {} {}",
                 acl.name,
                 action(e.action),
-                prefix(e.prefix)
-            )
-            .unwrap();
+                Pfx(e.prefix)
+            )?;
         }
     }
 
@@ -95,44 +100,36 @@ pub fn print_device(d: &DeviceConfig) -> String {
                 map.name,
                 action(clause.action),
                 clause.seq
-            )
-            .unwrap();
+            )?;
             for m in &clause.matches {
                 match m {
-                    MatchCond::Community(n) => writeln!(w, " match community {n}").unwrap(),
-                    MatchCond::PrefixList(n) => {
-                        writeln!(w, " match ip address prefix-list {n}").unwrap()
-                    }
+                    MatchCond::Community(n) => writeln!(w, " match community {n}")?,
+                    MatchCond::PrefixList(n) => writeln!(w, " match ip address prefix-list {n}")?,
                 }
             }
             for s in &clause.sets {
                 match s {
-                    SetAction::LocalPref(lp) => writeln!(w, " set local-preference {lp}").unwrap(),
-                    SetAction::AddCommunity(c) => {
-                        writeln!(w, " set community {c} additive").unwrap()
-                    }
-                    SetAction::DeleteCommunity(c) => {
-                        writeln!(w, " set community-delete {c}").unwrap()
-                    }
-                    SetAction::Prepend(n) => writeln!(w, " set as-path prepend {n}").unwrap(),
-                    SetAction::Metric(m) => writeln!(w, " set metric {m}").unwrap(),
+                    SetAction::LocalPref(lp) => writeln!(w, " set local-preference {lp}")?,
+                    SetAction::AddCommunity(c) => writeln!(w, " set community {c} additive")?,
+                    SetAction::DeleteCommunity(c) => writeln!(w, " set community-delete {c}")?,
+                    SetAction::Prepend(n) => writeln!(w, " set as-path prepend {n}")?,
+                    SetAction::Metric(m) => writeln!(w, " set metric {m}")?,
                 }
             }
         }
     }
 
     if let Some(bgp) = &d.bgp {
-        writeln!(w, "router bgp {}", bgp.asn).unwrap();
+        writeln!(w, "router bgp {}", bgp.asn)?;
         if bgp.default_local_pref != 100 {
             writeln!(
                 w,
                 " bgp default local-preference {}",
                 bgp.default_local_pref
-            )
-            .unwrap();
+            )?;
         }
         for n in &bgp.networks {
-            writeln!(w, " network {}", prefix(*n)).unwrap();
+            writeln!(w, " network {}", Pfx(*n))?;
         }
         for nb in &bgp.neighbors {
             writeln!(
@@ -140,55 +137,73 @@ pub fn print_device(d: &DeviceConfig) -> String {
                 " neighbor {} remote-as {}",
                 nb.iface,
                 if nb.ibgp { "internal" } else { "external" }
-            )
-            .unwrap();
+            )?;
             if let Some(m) = &nb.import_policy {
-                writeln!(w, " neighbor {} route-map {m} in", nb.iface).unwrap();
+                writeln!(w, " neighbor {} route-map {m} in", nb.iface)?;
             }
             if let Some(m) = &nb.export_policy {
-                writeln!(w, " neighbor {} route-map {m} out", nb.iface).unwrap();
+                writeln!(w, " neighbor {} route-map {m} out", nb.iface)?;
             }
         }
         if bgp.redistribute_static {
-            writeln!(w, " redistribute static").unwrap();
+            writeln!(w, " redistribute static")?;
         }
         if bgp.redistribute_ospf {
-            writeln!(w, " redistribute ospf").unwrap();
+            writeln!(w, " redistribute ospf")?;
         }
     }
 
     if let Some(ospf) = &d.ospf {
-        writeln!(w, "router ospf").unwrap();
+        writeln!(w, "router ospf")?;
         for n in &ospf.networks {
-            writeln!(w, " network {}", prefix(*n)).unwrap();
+            writeln!(w, " network {}", Pfx(*n))?;
         }
         if ospf.redistribute_static {
-            writeln!(w, " redistribute static").unwrap();
+            writeln!(w, " redistribute static")?;
         }
     }
 
     for sr in &d.static_routes {
-        writeln!(w, "ip route {} {}", prefix(sr.prefix), sr.iface).unwrap();
+        writeln!(w, "ip route {} {}", Pfx(sr.prefix), sr.iface)?;
     }
 
+    Ok(())
+}
+
+fn write_network(w: &mut impl Write, n: &NetworkConfig) -> fmt::Result {
+    for d in &n.devices {
+        writeln!(w, "device {}", d.name)?;
+        write_device(w, d)?;
+        w.write_str("end\n!\n")?;
+    }
+    for l in &n.links {
+        writeln!(
+            w,
+            "link {} {} {} {}",
+            l.a.device, l.a.iface, l.b.device, l.b.iface
+        )?;
+    }
+    Ok(())
+}
+
+/// Renders one device configuration in the textual dialect.
+pub fn print_device(d: &DeviceConfig) -> String {
+    let mut out = String::new();
+    write_device(&mut out, d).expect("writing to a String cannot fail");
     out
 }
 
 /// Renders a whole network (devices + links) in the textual dialect.
 pub fn print_network(n: &NetworkConfig) -> String {
     let mut out = String::new();
-    for d in &n.devices {
-        out.push_str(&format!("device {}\n", d.name));
-        out.push_str(&print_device(d));
-        out.push_str("end\n!\n");
-    }
-    for l in &n.links {
-        out.push_str(&format!(
-            "link {} {} {} {}\n",
-            l.a.device, l.a.iface, l.b.device, l.b.iface
-        ));
-    }
+    print_network_into(&mut out, n);
     out
+}
+
+/// Appends a whole network to `out` — [`print_network`] into a buffer the
+/// caller keeps (clear it between networks to reuse its allocation).
+pub fn print_network_into(out: &mut String, n: &NetworkConfig) {
+    write_network(out, n).expect("writing to a String cannot fail");
 }
 
 #[cfg(test)]

@@ -11,6 +11,13 @@
 //! are reused by every other class that resolves them the same way; the
 //! report carries the engine statistics that prove (and quantify) the
 //! reuse.
+//!
+//! There is **one** driver, [`compress_each`]: it hands every finished
+//! class to a caller-supplied consumer *inside the worker that compressed
+//! it* and keeps only what the consumer returns, so a consumer that
+//! prints, checks or counts a class and drops it holds one abstract
+//! network per worker instead of one per class. [`compress`] is its
+//! collecting instance (the consumer is the identity).
 
 use crate::abstraction::{build_abstract_network, AbstractNetwork};
 use crate::algorithm::{find_abstraction, Abstraction};
@@ -51,15 +58,47 @@ pub struct EcCompression {
     pub compress_time: Duration,
 }
 
+/// The per-class numbers the report's statistics read — everything a
+/// streaming consumer of [`compress_each`] has to keep of a class for the
+/// Table 1 row to come out the same.
+pub trait ClassStats {
+    /// Abstract nodes of the class.
+    fn abstract_nodes(&self) -> usize;
+    /// Abstract (undirected) links of the class.
+    fn abstract_links(&self) -> usize;
+    /// Time spent building the class's BDD signature table.
+    fn bdd_time(&self) -> Duration;
+    /// Time spent in refinement + abstract-network construction.
+    fn compress_time(&self) -> Duration;
+}
+
+impl ClassStats for EcCompression {
+    fn abstract_nodes(&self) -> usize {
+        self.abstraction.abstract_node_count()
+    }
+    fn abstract_links(&self) -> usize {
+        self.abstract_network.link_count()
+    }
+    fn bdd_time(&self) -> Duration {
+        self.bdd_time
+    }
+    fn compress_time(&self) -> Duration {
+        self.compress_time
+    }
+}
+
 /// Whole-network compression report (the raw material of Table 1).
-pub struct CompressionReport {
+///
+/// `T` is what was kept of each class: the whole [`EcCompression`] for
+/// [`compress`], whatever the consumer returned for [`compress_each`].
+pub struct CompressionReport<T = EcCompression> {
     /// Concrete size: nodes.
     pub concrete_nodes: usize,
     /// Concrete size: undirected links.
     pub concrete_links: usize,
     /// Per-class results, ordered by representative prefix.
-    pub per_ec: Vec<EcCompression>,
-    /// Wall-clock time of the whole run.
+    pub per_ec: Vec<T>,
+    /// Wall-clock time of the whole run (consumer included).
     pub total_time: Duration,
     /// Time spent partitioning the address space into classes.
     pub ec_compute_time: Duration,
@@ -73,46 +112,32 @@ pub struct CompressionReport {
     pub policies: Arc<CompiledPolicies>,
 }
 
-impl CompressionReport {
+impl<T> CompressionReport<T> {
     /// Number of destination equivalence classes.
     pub fn num_ecs(&self) -> usize {
         self.per_ec.len()
     }
+}
 
+impl<T: ClassStats> CompressionReport<T> {
     /// Mean abstract node count across classes.
     pub fn mean_abstract_nodes(&self) -> f64 {
-        mean(
-            self.per_ec
-                .iter()
-                .map(|e| e.abstraction.abstract_node_count() as f64),
-        )
+        mean(self.per_ec.iter().map(|e| e.abstract_nodes() as f64))
     }
 
     /// Standard deviation of the abstract node count.
     pub fn std_abstract_nodes(&self) -> f64 {
-        std_dev(
-            self.per_ec
-                .iter()
-                .map(|e| e.abstraction.abstract_node_count() as f64),
-        )
+        std_dev(self.per_ec.iter().map(|e| e.abstract_nodes() as f64))
     }
 
     /// Mean abstract link count across classes.
     pub fn mean_abstract_links(&self) -> f64 {
-        mean(
-            self.per_ec
-                .iter()
-                .map(|e| e.abstract_network.link_count() as f64),
-        )
+        mean(self.per_ec.iter().map(|e| e.abstract_links() as f64))
     }
 
     /// Standard deviation of the abstract link count.
     pub fn std_abstract_links(&self) -> f64 {
-        std_dev(
-            self.per_ec
-                .iter()
-                .map(|e| e.abstract_network.link_count() as f64),
-        )
+        std_dev(self.per_ec.iter().map(|e| e.abstract_links() as f64))
     }
 
     /// Node compression ratio (concrete / mean abstract).
@@ -129,7 +154,7 @@ impl CompressionReport {
     /// column; our pipeline specializes BDDs per class through the shared
     /// engine, so this is the sum of per-class signature-table builds).
     pub fn bdd_time(&self) -> Duration {
-        self.per_ec.iter().map(|e| e.bdd_time).sum()
+        self.per_ec.iter().map(|e| e.bdd_time()).sum()
     }
 
     /// Mean per-class compression time (the paper's "Compression time
@@ -140,7 +165,7 @@ impl CompressionReport {
         }
         self.per_ec
             .iter()
-            .map(|e| e.compress_time)
+            .map(|e| e.compress_time())
             .sum::<Duration>()
             / self.per_ec.len() as u32
     }
@@ -225,31 +250,23 @@ pub fn refine_ec_with_split(
     (refined, abs_net)
 }
 
-/// The unified fan-out driver: workers claim class indices from one atomic
-/// counter and collect into worker-local vectors (lock-free; the only
-/// shared mutable state is the engine's internal arena lock). `threads: 1`
-/// runs the identical worker loop inline. The generic machinery lives in
-/// [`crate::fanout::fan_out`], which the failure-scenario sweep engine
-/// drives with the same contract.
-fn run_workers(
-    engine: &CompiledPolicies,
+/// Compresses a whole network, streaming: every destination equivalence
+/// class is compressed in parallel over one shared policy-compilation
+/// engine, and `each(index, class)` runs **inside the fan-out worker** that
+/// compressed the class — only what it returns is kept, in class order.
+///
+/// The fan-out is the unified driver of [`crate::fanout::fan_out`]:
+/// workers claim class indices from one atomic counter and collect into
+/// worker-local vectors (lock-free; the only shared mutable state is the
+/// engine's internal arena lock), and `threads: 1` runs the identical
+/// worker loop inline. `each` therefore runs concurrently with itself on
+/// different classes, in no particular order; anything schedule-independent
+/// it wants to say about the whole run belongs in its return value.
+pub fn compress_each<R: Send>(
     network: &NetworkConfig,
-    topo: &BuiltTopology,
-    ecs: &[DestEc],
-    threads: usize,
-) -> Vec<EcCompression> {
-    let (results, _) = crate::fanout::fan_out(
-        ecs.len(),
-        threads,
-        || (),
-        |(), i| compress_ec(engine, network, topo, &ecs[i]),
-    );
-    results
-}
-
-/// Compresses a whole network: every destination equivalence class,
-/// processed in parallel over one shared policy-compilation engine.
-pub fn compress(network: &NetworkConfig, options: CompressOptions) -> CompressionReport {
+    options: CompressOptions,
+    each: impl Fn(usize, EcCompression) -> R + Sync,
+) -> CompressionReport<R> {
     let start = Instant::now();
     let topo = BuiltTopology::build(network).expect("network has a consistent topology");
 
@@ -270,7 +287,12 @@ pub fn compress(network: &NetworkConfig, options: CompressOptions) -> Compressio
     }
     .min(ecs.len().max(1));
 
-    let per_ec = run_workers(&engine, network, &topo, &ecs, threads);
+    let (per_ec, _) = crate::fanout::fan_out(
+        ecs.len(),
+        threads,
+        || (),
+        |(), i| each(i, compress_ec(&engine, network, &topo, &ecs[i])),
+    );
 
     CompressionReport {
         concrete_nodes: topo.graph.node_count(),
@@ -282,6 +304,12 @@ pub fn compress(network: &NetworkConfig, options: CompressOptions) -> Compressio
         engine: engine.stats(),
         policies: engine,
     }
+}
+
+/// Compresses a whole network and keeps every class: [`compress_each`]
+/// with the identity consumer.
+pub fn compress(network: &NetworkConfig, options: CompressOptions) -> CompressionReport {
+    compress_each(network, options, |_, class| class)
 }
 
 /// Result of absorbing a config delta into an existing compression: the

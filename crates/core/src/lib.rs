@@ -75,8 +75,8 @@ pub mod snapshot;
 pub use abstraction::{build_abstract_network, AbstractNetwork};
 pub use algorithm::{find_abstraction, find_abstraction_from, refine_with_split, Abstraction};
 pub use compress::{
-    build_engine, compress, compress_ec, recompress_delta, CompressOptions, CompressionReport,
-    DeltaReport, EcCompression,
+    build_engine, compress, compress_each, compress_ec, recompress_delta, ClassStats,
+    CompressOptions, CompressionReport, DeltaReport, EcCompression,
 };
 pub use conditions::{check_effective, Violation};
 pub use delta::{diff_configs, ConfigDelta};

@@ -144,6 +144,15 @@ pub const METRICS: &[MetricDef] = &[
         "scenarios.ranges.unranked",
         "Rank ranges materialized from scenario streams",
     ),
+    // --- compress: the streamed emit stage of `bonsai compress --out` -----
+    counter(
+        "compress.emit.files",
+        "Abstract-network files written by compress --out",
+    ),
+    counter(
+        "compress.emit.bytes",
+        "Bytes of abstract-network text written by compress --out",
+    ),
     // --- sweep: the (scenario x EC) verification plane --------------------
     counter(
         "sweep.derivations",

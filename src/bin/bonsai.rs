@@ -45,9 +45,11 @@
 //! Every command also accepts a *directory* of `.cfg` files, concatenated
 //! in name order — the usual layout of per-device config dumps — or a
 //! builtin generator spec (`gen:fattree4`, `gen:gadget`, `gen:diamond`,
-//! `gen:mesh10`) in place of the path.
+//! `gen:mesh10`, `gen:datacenter`) in place of the path.
 //! `compress` writes one abstract network per destination equivalence
-//! class (`<out>/<prefix>.cfg`) and prints a Table 1-style summary row.
+//! class (`<out>/<prefix>.cfg`, streamed: printed, written and dropped by
+//! the worker that built it — [`bonsai::cli::compress_streamed`]) and
+//! prints a Table 1-style summary row.
 //! `failures` runs the **network-level** sweep orchestrator
 //! (`bonsai_verify::netsweep`) over the (scenario × destination class)
 //! product, sharing refinements across symmetric classes; it prints
@@ -74,8 +76,11 @@
 //! `docs/PROTOCOL.md` (`--idle-timeout 0` never reaps). `query` is the
 //! matching client and needs no network file.
 
-use bonsai::cli::{DiffDoc, FailuresDoc, QueryDoc, RederivedDoc};
-use bonsai::core::compress::{compress, recompress_delta, CompressOptions};
+use bonsai::cli::{
+    compress_streamed, compress_summary_line, first_emit_error, DiffDoc, FailuresDoc, QueryDoc,
+    RederivedDoc,
+};
+use bonsai::core::compress::{compress, compress_each, recompress_delta, CompressOptions};
 use bonsai::core::roles::{count_roles, RoleOptions};
 use bonsai::core::snapshot::json_escape;
 use bonsai::daemon::{Client, Server, ServerOptions};
@@ -103,10 +108,11 @@ fn read_network_text(path: &str) -> Result<String, String> {
             "gadget" => bonsai::srp::papernets::figure2_gadget(),
             "diamond" => bonsai::srp::papernets::figure1_rip(),
             "mesh10" => bonsai::topo::full_mesh(10),
+            "datacenter" => bonsai::topo::datacenter(Default::default()),
             other => {
                 return Err(format!(
                     "unknown generator `gen:{other}` \
-                     (try fattree4, fattree6, fattree8, gadget, diamond, mesh10)"
+                     (try fattree4, fattree6, fattree8, gadget, diamond, mesh10, datacenter)"
                 ))
             }
         };
@@ -469,39 +475,25 @@ fn main() -> ExitCode {
             );
             ExitCode::SUCCESS
         }
+        // The span covers the emit stage too when `--out` is given: every
+        // class is printed and written inside the worker that built it.
         "compress" => {
             let report = {
                 let _span = bonsai::obs::span!("cli.compress", devices = network.devices.len());
-                compress(&network, options)
-            };
-            println!(
-                "{} devices / {} links -> {:.1}±{:.1} nodes, {:.1}±{:.1} links \
-                 ({:.2}x / {:.2}x) across {} classes; BDD {:.2}s, {:.4}s/EC",
-                report.concrete_nodes,
-                report.concrete_links,
-                report.mean_abstract_nodes(),
-                report.std_abstract_nodes(),
-                report.mean_abstract_links(),
-                report.std_abstract_links(),
-                report.node_ratio(),
-                report.link_ratio(),
-                report.num_ecs(),
-                report.bdd_time().as_secs_f64(),
-                report.compress_time_per_ec().as_secs_f64(),
-            );
-            if let Some(dir) = out_dir {
-                if let Err(e) = std::fs::create_dir_all(&dir) {
-                    eprintln!("cannot create {}: {e}", dir.display());
-                    return ExitCode::from(1);
-                }
-                for ec in &report.per_ec {
-                    let file = dir.join(format!("{}.cfg", ec.ec.rep.to_string().replace('/', "_")));
-                    let body = print_network(&ec.abstract_network.network);
-                    if let Err(e) = std::fs::write(&file, body) {
-                        eprintln!("cannot write {}: {e}", file.display());
+                match compress_streamed(&network, options, out_dir.as_deref()) {
+                    Ok(report) => report,
+                    Err(e) => {
+                        eprintln!("{e}");
                         return ExitCode::from(1);
                     }
                 }
+            };
+            println!("{}", compress_summary_line(&report));
+            if let Some(e) = first_emit_error(&report) {
+                eprintln!("{e}");
+                return ExitCode::from(1);
+            }
+            if let Some(dir) = out_dir {
                 println!(
                     "wrote {} abstract networks to {}",
                     report.num_ecs(),
@@ -510,11 +502,11 @@ fn main() -> ExitCode {
             }
             ExitCode::SUCCESS
         }
+        // Each class is checked inside the worker that compressed it and
+        // dropped after its verdict; the failures print in class order.
         "check" => {
-            let report = compress(&network, options);
-            let mut failures = 0usize;
-            for ec in &report.per_ec {
-                match check_cp_equivalence_under_h(
+            let report = compress_each(&network, options, |_, ec| {
+                check_cp_equivalence_under_h(
                     &network,
                     &topo,
                     &ec.ec.to_ec_dest(),
@@ -523,22 +515,25 @@ fn main() -> ExitCode {
                     4,
                     16,
                     strip,
-                ) {
-                    Ok(()) => {}
-                    Err(e) => {
-                        failures += 1;
-                        eprintln!("class {}: {e}", ec.ec.rep);
-                    }
-                }
+                )
+                .map_err(|e| format!("class {}: {e}", ec.ec.rep))
+            });
+            let failed: Vec<&String> = report
+                .per_ec
+                .iter()
+                .filter_map(|verdict| verdict.as_ref().err())
+                .collect();
+            for line in &failed {
+                eprintln!("{line}");
             }
-            if failures == 0 {
+            if failed.is_empty() {
                 println!(
                     "CP-equivalence verified for all {} classes",
                     report.num_ecs()
                 );
                 ExitCode::SUCCESS
             } else {
-                eprintln!("{failures} classes FAILED");
+                eprintln!("{} classes FAILED", failed.len());
                 ExitCode::from(1)
             }
         }
@@ -834,6 +829,8 @@ fn cmd_diff(args: &[String]) -> ExitCode {
             ..Default::default()
         },
         share_across_ecs: true,
+        // Only counts are read below.
+        collect_outcomes: false,
         ..Default::default()
     };
 

@@ -1,3 +1,8 @@
+//! What the `bonsai` binary does that tests must be able to call: the
+//! document models of `failures --json` / `diff --json`, and the streamed
+//! emit stage of `compress` ([`compress_streamed`], at the end of this
+//! file).
+//!
 //! The document model behind `bonsai failures --json`: one neutral
 //! [`FailuresDoc`] that is **built** from a live [`NetworkSweepReport`],
 //! **parsed** back from a written document, **merged** across shard
@@ -22,10 +27,16 @@
 //! string-encoded `fingerprint` (u64 hashes do not survive a float
 //! round-trip), and the optional top-level `shard` marker.
 
+use crate::core::compress::{
+    compress_each, ClassStats, CompressOptions, CompressionReport, EcCompression,
+};
 use crate::core::snapshot::{json_escape, write_envelope, Envelope, Json};
 use crate::verify::netsweep::NetworkSweepReport;
 use crate::verify::sweep::RefinementProvenance;
-use bonsai_config::BuiltTopology;
+use bonsai_config::{print_network_into, BuiltTopology, NetworkConfig};
+use std::cell::RefCell;
+use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 /// Envelope kind of the failures document.
 pub const FAILURES_DOC_KIND: &str = "cli/failures";
@@ -749,4 +760,172 @@ impl FailuresDoc {
         acc.shard = None;
         Ok(acc)
     }
+}
+
+// ---------------------------------------------------------------------
+// `bonsai compress`: the streamed emit stage
+// ---------------------------------------------------------------------
+
+/// Why `bonsai compress --out <dir>` could not emit.
+#[derive(Debug)]
+pub enum EmitError {
+    /// The output directory could not be created; nothing was compressed.
+    CreateDir {
+        /// The `--out` directory.
+        dir: PathBuf,
+        /// The operating system's reason.
+        source: std::io::Error,
+    },
+    /// One class's abstract network could not be written.
+    Write {
+        /// The class's index in compression-report order.
+        index: usize,
+        /// The file that was being written.
+        file: PathBuf,
+        /// The operating system's reason.
+        source: std::io::Error,
+    },
+}
+
+impl std::fmt::Display for EmitError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            EmitError::CreateDir { dir, source } => {
+                write!(f, "cannot create {}: {source}", dir.display())
+            }
+            EmitError::Write { file, source, .. } => {
+                write!(f, "cannot write {}: {source}", file.display())
+            }
+        }
+    }
+}
+
+impl std::error::Error for EmitError {}
+
+/// What `bonsai compress` keeps of a class once its abstract network has
+/// been printed, written and dropped: the Table 1 numbers and the fate of
+/// its file.
+#[derive(Debug)]
+pub struct ClassSummary {
+    /// Abstract nodes of the class.
+    pub abstract_nodes: usize,
+    /// Abstract (undirected) links of the class.
+    pub abstract_links: usize,
+    /// Time spent building the class's BDD signature table.
+    pub bdd_time: Duration,
+    /// Time spent in refinement + abstract-network construction.
+    pub compress_time: Duration,
+    /// Bytes of the class's `<rep>.cfg` (0 when nothing is emitted), or
+    /// why it could not be written.
+    pub emitted: Result<usize, EmitError>,
+}
+
+impl ClassStats for ClassSummary {
+    fn abstract_nodes(&self) -> usize {
+        self.abstract_nodes
+    }
+    fn abstract_links(&self) -> usize {
+        self.abstract_links
+    }
+    fn bdd_time(&self) -> Duration {
+        self.bdd_time
+    }
+    fn compress_time(&self) -> Duration {
+        self.compress_time
+    }
+}
+
+/// The file `bonsai compress --out` writes a class to: its representative
+/// prefix with the slash made a legal file-name character.
+pub fn class_file_name(rep: bonsai_net::prefix::Prefix) -> String {
+    format!("{}.cfg", rep.to_string().replace('/', "_"))
+}
+
+thread_local! {
+    /// The render buffer of the fan-out worker running on this thread:
+    /// one allocation serves every class the worker prints.
+    static RENDER_BUF: RefCell<String> = const { RefCell::new(String::new()) };
+}
+
+/// `bonsai compress [--out <dir>]`: compresses every class and, inside the
+/// worker that built it, renders the class's abstract network, writes
+/// `<dir>/<rep>.cfg` and drops it — printing and writing run on the
+/// fan-out's workers, and one abstract network per worker is resident
+/// instead of one per class. Files of classes that no longer exist are
+/// left alone.
+///
+/// Fails only when `dir` cannot be created (before any compression). A
+/// class whose file cannot be written records that in its
+/// [`ClassSummary::emitted`] and the run goes on; [`first_emit_error`]
+/// picks the one to report. Everything in the result but the timings is
+/// independent of the thread count and the schedule.
+pub fn compress_streamed(
+    network: &NetworkConfig,
+    options: CompressOptions,
+    out_dir: Option<&Path>,
+) -> Result<CompressionReport<ClassSummary>, EmitError> {
+    if let Some(dir) = out_dir {
+        std::fs::create_dir_all(dir).map_err(|source| EmitError::CreateDir {
+            dir: dir.to_path_buf(),
+            source,
+        })?;
+    }
+    let report = compress_each(network, options, |index, class: EcCompression| {
+        let emitted = match out_dir {
+            None => Ok(0),
+            Some(dir) => RENDER_BUF.with_borrow_mut(|buf| {
+                buf.clear();
+                print_network_into(buf, &class.abstract_network.network);
+                let file = dir.join(class_file_name(class.ec.rep));
+                match std::fs::write(&file, buf.as_bytes()) {
+                    Ok(()) => Ok(buf.len()),
+                    Err(source) => Err(EmitError::Write {
+                        index,
+                        file,
+                        source,
+                    }),
+                }
+            }),
+        };
+        ClassSummary {
+            abstract_nodes: class.abstract_nodes(),
+            abstract_links: class.abstract_links(),
+            bdd_time: class.bdd_time,
+            compress_time: class.compress_time,
+            emitted,
+        }
+    });
+    if out_dir.is_some() {
+        let written = || report.per_ec.iter().filter_map(|c| c.emitted.as_ref().ok());
+        bonsai_obs::add("compress.emit.files", written().count() as u64);
+        bonsai_obs::add("compress.emit.bytes", written().sum::<usize>() as u64);
+    }
+    Ok(report)
+}
+
+/// The write error `bonsai compress` reports: the failing class with the
+/// lowest index, whatever order the workers met the failures in.
+pub fn first_emit_error(report: &CompressionReport<ClassSummary>) -> Option<&EmitError> {
+    report.per_ec.iter().find_map(|c| c.emitted.as_ref().err())
+}
+
+/// The Table 1-style row `bonsai compress` prints. Everything before
+/// `; BDD` is exact (computed from the class-ordered summaries); the two
+/// timings after it vary from run to run.
+pub fn compress_summary_line<T: ClassStats>(report: &CompressionReport<T>) -> String {
+    format!(
+        "{} devices / {} links -> {:.1}±{:.1} nodes, {:.1}±{:.1} links \
+         ({:.2}x / {:.2}x) across {} classes; BDD {:.2}s, {:.4}s/EC",
+        report.concrete_nodes,
+        report.concrete_links,
+        report.mean_abstract_nodes(),
+        report.std_abstract_nodes(),
+        report.mean_abstract_links(),
+        report.std_abstract_links(),
+        report.node_ratio(),
+        report.link_ratio(),
+        report.num_ecs(),
+        report.bdd_time().as_secs_f64(),
+        report.compress_time_per_ec().as_secs_f64(),
+    )
 }

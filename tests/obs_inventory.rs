@@ -69,9 +69,16 @@ fn documented_metrics_exist() {
 #[test]
 fn inventory_spans_the_advertised_layers() {
     // The acceptance bar the docs promise: at least 20 metrics covering
-    // the bdd, engine, sweep, and daemon layers.
+    // the bdd, engine, compress, sweep, session and daemon layers.
     assert!(METRICS.len() >= 20, "inventory shrank to {}", METRICS.len());
-    for layer in ["bdd.", "engine.", "sweep.", "session.", "daemon."] {
+    for layer in [
+        "bdd.",
+        "engine.",
+        "compress.",
+        "sweep.",
+        "session.",
+        "daemon.",
+    ] {
         assert!(
             METRICS.iter().any(|def| def.name.starts_with(layer)),
             "no metric in layer {layer}"
