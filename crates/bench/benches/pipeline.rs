@@ -2,7 +2,7 @@
 //! DESIGN.md ablation: canonical-BDD policy equality vs deep structural
 //! comparison.
 
-use bonsai_core::compress::{compress, CompressOptions};
+use bonsai_core::compress::{compress, refine_ec_with_split, CompressOptions};
 use bonsai_core::ecs::compute_ecs;
 use bonsai_core::engine::CompiledPolicies;
 use bonsai_core::signatures::build_sig_table;
@@ -74,6 +74,37 @@ fn bench_stages(c: &mut Criterion) {
         let sigs = build_sig_table(&engine, &net, &topo, &ec);
         b.iter(|| bonsai_core::algorithm::find_abstraction(&topo.graph, &ec, &sigs))
     });
+    // The failure sweep's kernel, per call: one sample is three calls,
+    // cycling through the endpoint split of every single-link scenario
+    // against the class's base abstraction.
+    {
+        let engine = CompiledPolicies::from_network(&net, false);
+        let sigs = build_sig_table(&engine, &net, &topo, &ec);
+        let base = bonsai_core::algorithm::find_abstraction(&topo.graph, &ec, &sigs);
+        let splits: Vec<Vec<bonsai_net::NodeId>> = topo
+            .graph
+            .links()
+            .into_iter()
+            .map(|(u, v)| {
+                let mut split: Vec<_> = [u, v]
+                    .into_iter()
+                    .filter(|&n| base.partition.members(base.role_of(n)).len() > 1)
+                    .collect();
+                split.sort();
+                split
+            })
+            .filter(|split| !split.is_empty())
+            .collect();
+        let mut next = 0usize;
+        group.sample_size(splits.len());
+        group.bench_function("refine_ec_with_split/fattree8", |b| {
+            b.iter(|| {
+                let split = &splits[next % splits.len()];
+                next += 1;
+                refine_ec_with_split(&net, &topo, &ec, &sigs, &base, split)
+            })
+        });
+    }
     group.finish();
 }
 

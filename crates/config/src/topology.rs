@@ -38,17 +38,15 @@ pub struct BuiltTopology {
     pub in_iface: Vec<usize>,
 }
 
+/// One end of a link with its names resolved: `(device index, index into
+/// that device's interface list)`.
+pub type ResolvedEnd = (usize, usize);
+
 impl BuiltTopology {
     /// Builds the topology, validating that every link endpoint names an
     /// existing device and interface and that no interface is used twice.
     pub fn build(network: &NetworkConfig) -> Result<Self, TopologyError> {
-        let mut gb = GraphBuilder::new();
-        for d in &network.devices {
-            gb.add_node(d.name.clone());
-        }
-
-        let mut used: std::collections::HashSet<(usize, usize)> = std::collections::HashSet::new();
-        let mut resolve = |end: &crate::ir::LinkEnd| -> Result<(NodeId, usize), TopologyError> {
+        let resolve = |end: &crate::ir::LinkEnd| -> Result<ResolvedEnd, TopologyError> {
             let dev = network
                 .device_index(&end.device)
                 .ok_or_else(|| TopologyError(format!("unknown device `{}`", end.device)))?;
@@ -60,42 +58,89 @@ impl BuiltTopology {
                         end.iface, end.device
                     ))
                 })?;
-            if !used.insert((dev, iface)) {
-                return Err(TopologyError(format!(
-                    "interface `{}` on device `{}` appears in two links",
-                    end.iface, end.device
-                )));
-            }
-            Ok((NodeId(dev as u32), iface))
+            Ok((dev, iface))
         };
+        let ends = network
+            .links
+            .iter()
+            .map(|link| Ok((resolve(&link.a)?, resolve(&link.b)?)))
+            .collect::<Result<Vec<_>, TopologyError>>()?;
+        Self::assemble(network, &ends)
+    }
 
-        let mut halves: Vec<(NodeId, NodeId, usize, usize)> = Vec::new();
-        for link in &network.links {
-            let (na, ia) = resolve(&link.a)?;
-            let (nb, ib) = resolve(&link.b)?;
-            if na == nb {
+    /// Assembles the topology of a network whose link ends are already
+    /// resolved: `ends[i]` are the indices `network.links[i]` names, `a`
+    /// side first. [`BuiltTopology::build`] ends here after looking the
+    /// names up; a caller that generated the network — and so knows every
+    /// index — skips the lookups.
+    ///
+    /// Validates what the indices can show: every end exists, no interface
+    /// is used twice, no link is a self-link or parallel to another.
+    pub fn assemble(
+        network: &NetworkConfig,
+        ends: &[(ResolvedEnd, ResolvedEnd)],
+    ) -> Result<Self, TopologyError> {
+        assert_eq!(
+            ends.len(),
+            network.links.len(),
+            "one resolved pair per link"
+        );
+        let mut gb = GraphBuilder::new();
+        for d in &network.devices {
+            gb.add_node(d.name.clone());
+        }
+
+        // One flag per (device, interface), devices back to back.
+        let mut first_iface = Vec::with_capacity(network.devices.len());
+        let mut total = 0usize;
+        for d in &network.devices {
+            first_iface.push(total);
+            total += d.interfaces.len();
+        }
+        let mut used = vec![false; total];
+
+        let mut out_iface = Vec::with_capacity(2 * ends.len());
+        let mut in_iface = Vec::with_capacity(2 * ends.len());
+        for (link, &(a, b)) in network.links.iter().zip(ends) {
+            for ((dev, iface), end) in [(a, &link.a), (b, &link.b)] {
+                let exists = network
+                    .devices
+                    .get(dev)
+                    .is_some_and(|d| iface < d.interfaces.len());
+                if !exists {
+                    return Err(TopologyError(format!(
+                        "link end `{}` `{}` resolved outside the network",
+                        end.device, end.iface
+                    )));
+                }
+                debug_assert_eq!(network.devices[dev].name, end.device);
+                debug_assert_eq!(network.devices[dev].interfaces[iface].name, end.iface);
+                if std::mem::replace(&mut used[first_iface[dev] + iface], true) {
+                    return Err(TopologyError(format!(
+                        "interface `{}` on device `{}` appears in two links",
+                        end.iface, end.device
+                    )));
+                }
+            }
+            if a.0 == b.0 {
                 return Err(TopologyError(format!(
                     "link connects device `{}` to itself",
                     link.a.device
                 )));
             }
-            halves.push((na, nb, ia, ib));
-            halves.push((nb, na, ib, ia));
-        }
-
-        let mut out_iface = Vec::with_capacity(halves.len());
-        let mut in_iface = Vec::with_capacity(halves.len());
-        for (src, dst, oi, ii) in halves {
-            if gb.has_edge(src, dst) {
+            let (na, nb) = (NodeId(a.0 as u32), NodeId(b.0 as u32));
+            if gb.has_edge(na, nb) {
                 return Err(TopologyError(format!(
                     "parallel link between `{}` and `{}` (one link per device pair supported)",
-                    network.devices[src.index()].name,
-                    network.devices[dst.index()].name,
+                    link.a.device, link.b.device,
                 )));
             }
-            gb.add_edge(src, dst);
-            out_iface.push(oi);
-            in_iface.push(ii);
+            gb.add_edge(na, nb);
+            out_iface.push(a.1);
+            in_iface.push(b.1);
+            gb.add_edge(nb, na);
+            out_iface.push(b.1);
+            in_iface.push(a.1);
         }
 
         Ok(BuiltTopology {

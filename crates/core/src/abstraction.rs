@@ -14,15 +14,33 @@
 //! the tool evaluated in the paper, where a full mesh compresses to two
 //! nodes and one link) and expanded between distinct copies for BGP-split
 //! blocks, where loop prevention makes peer routes matter.
+//!
+//! # Assembly by index
+//!
+//! The builder is the other half of the failure sweep's kernel, so it
+//! works block by block on indices and never looks a name up: the copies
+//! of a block get consecutive abstract node ids; one pass over a block's
+//! out-edges finds its adjacent blocks and the representative concrete
+//! edge toward each, which is every device's interface list (ascending by
+//! peer, so "interface `i` of device `a`" is "the `i`-th peer of `a`");
+//! each name is formatted once; and since both ends of every abstract
+//! link are then known as `(device, interface)` indices, the topology is
+//! put together by [`BuiltTopology::assemble`] — the same constructor
+//! [`BuiltTopology::build`] ends in once it has resolved a parsed
+//! network's names. `tests/kernel_reference.rs` keeps the builder that
+//! scanned the abstract links per device and re-resolved every name, and
+//! checks the two produce equal configurations and topologies.
 
 use crate::algorithm::Abstraction;
 use bonsai_config::{
-    BgpNeighbor, BuiltTopology, DeviceConfig, Interface, Link, NetworkConfig, StaticRoute,
+    BgpConfig, BgpNeighbor, BuiltTopology, DeviceConfig, Interface, Link, NetworkConfig,
+    OspfConfig, StaticRoute,
 };
 use bonsai_net::partition::BlockId;
-use bonsai_net::NodeId;
+use bonsai_net::prefix::Prefix;
+use bonsai_net::{EdgeId, NodeId};
 use bonsai_srp::instance::EcDest;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// The abstract network generated for one destination equivalence class.
 #[derive(Clone, Debug)]
@@ -63,174 +81,207 @@ pub fn build_abstract_network(
     abstraction: &Abstraction,
 ) -> AbstractNetwork {
     let graph = &topo.graph;
+    let partition = &abstraction.partition;
+    let copies = &abstraction.copies;
 
     // Deterministic block order: by smallest member.
-    let mut blocks: Vec<BlockId> = abstraction.partition.blocks().collect();
-    blocks.sort_by_key(|b| abstraction.partition.members(*b)[0]);
+    let mut blocks: Vec<BlockId> = partition.blocks().collect();
+    blocks.sort_by_key(|b| partition.members(*b)[0]);
 
-    // Allocate abstract nodes.
-    let mut node_of_copy: HashMap<(BlockId, u32), NodeId> = HashMap::new();
+    // Allocate abstract nodes: the copies of a block are consecutive ids.
+    let mut first_node = vec![0u32; copies.len()];
     let mut copy_of_node: Vec<(BlockId, u32)> = Vec::new();
     for &b in &blocks {
-        for c in 0..abstraction.copies[b.index()] {
-            node_of_copy.insert((b, c), NodeId(copy_of_node.len() as u32));
-            copy_of_node.push((b, c));
-        }
+        first_node[b.index()] = copy_of_node.len() as u32;
+        copy_of_node.extend((0..copies[b.index()]).map(|c| (b, c)));
     }
+    let node_of_copy: HashMap<(BlockId, u32), NodeId> = copy_of_node
+        .iter()
+        .enumerate()
+        .map(|(node, &copy)| (copy, NodeId(node as u32)))
+        .collect();
+    let nodes = copy_of_node.len();
 
-    // Quotient adjacency with a representative concrete edge per pair.
-    let mut quotient: BTreeMap<(BlockId, BlockId), bonsai_net::EdgeId> = BTreeMap::new();
-    for e in graph.edges() {
-        let (u, v) = graph.endpoints(e);
-        let bu = abstraction.partition.block_of(u.0);
-        let bv = abstraction.partition.block_of(v.0);
+    // Every name is formatted once and cloned where a config object owns
+    // a copy.
+    let iface_names: Vec<String> = (0..nodes).map(|peer| format!("to{peer}")).collect();
+
+    // Devices, block by block. `peers[peer_start[a]..peer_start[a + 1]]`
+    // are the abstract neighbors of node `a`, ascending — position `i`
+    // there is interface `i` of device `a`.
+    let mut devices: Vec<DeviceConfig> = Vec::with_capacity(nodes);
+    let mut peer_start: Vec<u32> = Vec::with_capacity(nodes + 1);
+    let mut peers: Vec<u32> = Vec::new();
+    // The quotient edges out of the block at hand: per neighbor block its
+    // representative concrete edge (`NO_EDGE` = not adjacent), and the
+    // adjacent blocks in abstract-node order.
+    const NO_EDGE: u32 = u32::MAX;
+    let mut edge_to_block = vec![NO_EDGE; copies.len()];
+    let mut adjacent: Vec<BlockId> = Vec::new();
+    for &block in &blocks {
+        let members = partition.members(block);
+        let rep = members[0];
         // Prefer an edge whose source is the block representative so the
-        // interface settings we copy exist on the representative device.
-        let rep = abstraction.partition.members(bu)[0];
-        quotient
-            .entry((bu, bv))
-            .and_modify(|slot| {
-                if graph.source(*slot).0 != rep && u.0 == rep {
-                    *slot = e;
+        // interface settings we copy exist on the representative device;
+        // among equals, the lowest edge id. The representative is the
+        // first member and out-edges ascend, so its edges claim their
+        // slots first and only a lower non-representative edge replaces a
+        // non-representative one.
+        for &m in members {
+            for e in graph.out(NodeId(m)) {
+                let to = partition.block_of(graph.target(e).0);
+                let slot = &mut edge_to_block[to.index()];
+                if *slot == NO_EDGE {
+                    adjacent.push(to);
+                    *slot = e.0;
+                } else if m != rep && graph.source(EdgeId(*slot)).0 != rep && e.0 < *slot {
+                    *slot = e.0;
                 }
-            })
-            .or_insert(e);
-    }
+            }
+        }
+        adjacent.sort_unstable_by_key(|b| first_node[b.index()]);
 
-    // Abstract links (undirected, between abstract copies).
-    let mut abs_links: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
-    for &(ba, bb) in quotient.keys() {
-        let ca = abstraction.copies[ba.index()];
-        let cb = abstraction.copies[bb.index()];
-        if ba == bb {
-            if ca > 1 {
-                for i in 0..ca {
-                    for j in (i + 1)..ca {
-                        abs_links.insert(ordered(node_of_copy[&(ba, i)], node_of_copy[&(ba, j)]));
+        let rep_dev = &network.devices[rep as usize];
+        let block_copies = copies[block.index()];
+        for copy in 0..block_copies {
+            let abs_id = first_node[block.index()] + copy;
+            let mut dev = DeviceConfig::new(format!("abs{abs_id}_{}", rep_dev.name));
+            peer_start.push(peers.len() as u32);
+
+            // Copy named policy objects wholesale (referenced by name).
+            dev.route_maps = rep_dev.route_maps.clone();
+            dev.prefix_lists = rep_dev.prefix_lists.clone();
+            dev.community_lists = rep_dev.community_lists.clone();
+            dev.acls = rep_dev.acls.clone();
+
+            // One interface per abstract neighbor, configured from the
+            // representative's concrete interface toward that neighbor
+            // block. Intra-block adjacency links distinct copies only.
+            let degree = adjacent
+                .iter()
+                .map(|b| (copies[b.index()] - u32::from(*b == block)) as usize)
+                .sum::<usize>();
+            dev.interfaces.reserve_exact(degree);
+            let mut bgp_neighbors: Vec<BgpNeighbor> =
+                Vec::with_capacity(if rep_dev.bgp.is_some() { degree } else { 0 });
+            for &peer_block in &adjacent {
+                let ce = EdgeId(edge_to_block[peer_block.index()]);
+                let src_dev = &network.devices[graph.source(ce).index()];
+                let src_iface = &src_dev.interfaces[topo.egress(ce)];
+                let session = src_dev
+                    .bgp
+                    .as_ref()
+                    .and_then(|bgp| bgp.neighbors.iter().find(|n| n.iface == src_iface.name));
+                for peer_copy in 0..copies[peer_block.index()] {
+                    if peer_block == block && peer_copy == copy {
+                        continue;
+                    }
+                    let peer = first_node[peer_block.index()] + peer_copy;
+                    let iface_name = &iface_names[peer as usize];
+                    peers.push(peer);
+                    dev.interfaces.push(Interface {
+                        name: iface_name.clone(),
+                        prefix: None,
+                        acl_in: src_iface.acl_in.clone(),
+                        acl_out: src_iface.acl_out.clone(),
+                        ospf_cost: src_iface.ospf_cost,
+                        ospf_area: src_iface.ospf_area,
+                    });
+
+                    // BGP session on the representative edge → session here.
+                    if let Some(session) = session {
+                        bgp_neighbors.push(BgpNeighbor {
+                            iface: iface_name.clone(),
+                            import_policy: session.import_policy.clone(),
+                            export_policy: session.export_policy.clone(),
+                            ibgp: session.ibgp,
+                        });
+                    }
+
+                    // Static routes out of the representative edge (only
+                    // those matching this class).
+                    for sr in &src_dev.static_routes {
+                        if sr.iface == src_iface.name && sr.prefix.contains(ec.prefix) {
+                            dev.static_routes.push(StaticRoute {
+                                prefix: sr.prefix,
+                                iface: iface_name.clone(),
+                            });
+                        }
                     }
                 }
             }
-            continue;
+
+            // Processes.
+            let covers_class = |p: &Prefix| *p == ec.prefix || p.contains(ec.prefix);
+            dev.bgp = rep_dev.bgp.as_ref().map(|rep_bgp| BgpConfig {
+                asn: rep_bgp.asn,
+                networks: rep_bgp
+                    .networks
+                    .iter()
+                    .copied()
+                    .filter(covers_class)
+                    .collect(),
+                neighbors: bgp_neighbors,
+                default_local_pref: rep_bgp.default_local_pref,
+                redistribute_static: rep_bgp.redistribute_static,
+                redistribute_ospf: rep_bgp.redistribute_ospf,
+            });
+            dev.ospf = rep_dev.ospf.as_ref().map(|rep_ospf| OspfConfig {
+                networks: rep_ospf
+                    .networks
+                    .iter()
+                    .copied()
+                    .filter(covers_class)
+                    .collect(),
+                redistribute_static: rep_ospf.redistribute_static,
+            });
+            devices.push(dev);
         }
-        for i in 0..ca {
-            for j in 0..cb {
-                abs_links.insert(ordered(node_of_copy[&(ba, i)], node_of_copy[&(bb, j)]));
-            }
+
+        for b in adjacent.drain(..) {
+            edge_to_block[b.index()] = NO_EDGE;
         }
     }
+    peer_start.push(peers.len() as u32);
+    let peers_of =
+        |a: u32| &peers[peer_start[a as usize] as usize..peer_start[a as usize + 1] as usize];
 
-    // Build devices.
-    let mut devices: Vec<DeviceConfig> = Vec::new();
-    for (abs_id, &(block, _copy)) in copy_of_node.iter().enumerate() {
-        let abs_id = NodeId(abs_id as u32);
-        let rep = NodeId(abstraction.partition.members(block)[0]);
-        let rep_dev = &network.devices[rep.index()];
-        let mut dev = DeviceConfig::new(abs_name(abs_id, rep_dev));
-
-        // Copy named policy objects wholesale (referenced by name).
-        dev.route_maps = rep_dev.route_maps.clone();
-        dev.prefix_lists = rep_dev.prefix_lists.clone();
-        dev.community_lists = rep_dev.community_lists.clone();
-        dev.acls = rep_dev.acls.clone();
-
-        // One interface per abstract neighbor, configured from the
-        // representative's concrete interface toward that neighbor block.
-        let mut bgp_neighbors: Vec<BgpNeighbor> = Vec::new();
-        let mut static_routes: Vec<StaticRoute> = Vec::new();
-        for &(na, nb) in abs_links.iter() {
-            let peer = if na == abs_id {
-                nb
-            } else if nb == abs_id {
-                na
-            } else {
+    // Links between abstract devices, lower end first; the interface a
+    // link uses at either end is the other end's position among the peers.
+    let mut links = Vec::with_capacity(peers.len() / 2);
+    let mut ends = Vec::with_capacity(peers.len() / 2);
+    for a in 0..nodes as u32 {
+        for (iface_a, &b) in peers_of(a).iter().enumerate() {
+            if b < a {
                 continue;
-            };
-            let (peer_block, _) = copy_of_node[peer.index()];
-            let iface_name = iface_to(peer);
-            // Representative concrete edge rep-block -> peer-block.
-            let Some(&ce) = quotient.get(&(block, peer_block)) else {
-                continue;
-            };
-            let src_dev = &network.devices[graph.source(ce).index()];
-            let src_iface = &src_dev.interfaces[topo.egress(ce)];
-            let mut iface = Interface::named(iface_name.clone());
-            iface.acl_in = src_iface.acl_in.clone();
-            iface.acl_out = src_iface.acl_out.clone();
-            iface.ospf_cost = src_iface.ospf_cost;
-            iface.ospf_area = src_iface.ospf_area;
-            dev.interfaces.push(iface);
-
-            // BGP session on the representative edge → session here.
-            if let Some(rep_bgp) = &src_dev.bgp {
-                if let Some(nb_cfg) = rep_bgp.neighbors.iter().find(|n| n.iface == src_iface.name) {
-                    bgp_neighbors.push(BgpNeighbor {
-                        iface: iface_name.clone(),
-                        import_policy: nb_cfg.import_policy.clone(),
-                        export_policy: nb_cfg.export_policy.clone(),
-                        ibgp: nb_cfg.ibgp,
-                    });
-                }
             }
-
-            // Static routes out of the representative edge (only those
-            // matching this class; point them at the first peer copy).
-            for sr in &src_dev.static_routes {
-                if sr.iface == src_iface.name && sr.prefix.contains(ec.prefix) {
-                    static_routes.push(StaticRoute {
-                        prefix: sr.prefix,
-                        iface: iface_name.clone(),
-                    });
-                }
-            }
+            let iface_b = peers_of(b).binary_search(&a).expect(CONSISTENT);
+            links.push(Link::new(
+                (
+                    devices[a as usize].name.clone(),
+                    iface_names[b as usize].clone(),
+                ),
+                (
+                    devices[b as usize].name.clone(),
+                    iface_names[a as usize].clone(),
+                ),
+            ));
+            ends.push(((a as usize, iface_a), (b as usize, iface_b)));
         }
-
-        // Processes.
-        if let Some(rep_bgp) = &rep_dev.bgp {
-            let mut bgp = rep_bgp.clone();
-            bgp.neighbors = bgp_neighbors;
-            bgp.networks = rep_bgp
-                .networks
-                .iter()
-                .copied()
-                .filter(|p| *p == ec.prefix || p.contains(ec.prefix))
-                .collect();
-            dev.bgp = Some(bgp);
-        }
-        if let Some(rep_ospf) = &rep_dev.ospf {
-            let mut ospf = rep_ospf.clone();
-            ospf.networks = rep_ospf
-                .networks
-                .iter()
-                .copied()
-                .filter(|p| *p == ec.prefix || p.contains(ec.prefix))
-                .collect();
-            dev.ospf = Some(ospf);
-        }
-        dev.static_routes = static_routes;
-        devices.push(dev);
     }
-
-    // Links between abstract devices.
-    let mut links = Vec::new();
-    for &(na, nb) in &abs_links {
-        links.push(Link::new(
-            (devices[na.index()].name.clone(), iface_to(nb)),
-            (devices[nb.index()].name.clone(), iface_to(na)),
-        ));
-    }
+    // A one-way quotient edge would leave a peer without its link.
+    assert_eq!(2 * links.len(), peers.len(), "{CONSISTENT}");
 
     let abs_network = NetworkConfig { devices, links };
-    let abs_topo = BuiltTopology::build(&abs_network)
-        .expect("abstract network construction yields a consistent topology");
+    let abs_topo = BuiltTopology::assemble(&abs_network, &ends).expect(CONSISTENT);
 
     // Transport the EC: origins are copy 0 of each origin block (origin
     // blocks always have exactly one copy).
     let mut abs_origins: Vec<(NodeId, bonsai_srp::instance::OriginProto)> = Vec::new();
-    let mut seen_blocks: BTreeSet<BlockId> = BTreeSet::new();
     for &(n, proto) in &ec.origins {
-        let block = abstraction.role_of(n);
-        if seen_blocks.insert(block) {
-            abs_origins.push((node_of_copy[&(block, 0)], proto));
+        let node = NodeId(first_node[abstraction.role_of(n).index()]);
+        if abs_origins.iter().all(|&(seen, _)| seen != node) {
+            abs_origins.push((node, proto));
         }
     }
     let abs_ec = EcDest {
@@ -248,21 +299,7 @@ pub fn build_abstract_network(
     }
 }
 
-fn ordered(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
-    if a.0 <= b.0 {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
-
-fn abs_name(abs_id: NodeId, rep: &DeviceConfig) -> String {
-    format!("abs{}_{}", abs_id.0, rep.name)
-}
-
-fn iface_to(peer: NodeId) -> String {
-    format!("to{}", peer.0)
-}
+const CONSISTENT: &str = "abstract network construction yields a consistent topology";
 
 #[cfg(test)]
 mod tests {

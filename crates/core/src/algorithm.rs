@@ -12,6 +12,54 @@
 //! `SplitIntoBGPCases` step splits each block into `min(|prefs|, |block|)`
 //! copies, bounding the dynamic behaviors loop prevention can produce
 //! (Theorem 4.4).
+//!
+//! # The key buffer
+//!
+//! `Refine` runs thousands of times per failure sweep (every derivation
+//! round, symmetric transfer and snapshot replay re-enters through
+//! [`refine_with_split`]), so it allocates nothing per member: one
+//! `(signature, neighbor)` pair is one `u64` word, the members' keys are
+//! written back to back into one buffer that lives as long as the
+//! [`find_abstraction_from`] call, and each member's run is sorted and
+//! de-duplicated in place — a set, compared as a slice. Most calls end
+//! right there, on "every run equals the first". Otherwise the member
+//! positions are sorted by `(run, position)`, which makes each group of
+//! equal keys a contiguous run headed by its first-seen member —
+//! `O(n log n)` comparisons even in ∀∀ mode, where every key is distinct —
+//! and [`Partition::split_block_by_groups`] carves the groups off in
+//! first-seen order. That order is what fixes the block id each group
+//! gets, so partitions come out identical to grouping through a hash map
+//! of tree sets, ids included (`tests/kernel_reference.rs` keeps that
+//! version as the oracle).
+//!
+//! # Skipped `Refine` calls
+//!
+//! Algorithm 1 as written re-examines every block in every pass, and the
+//! last pass — the one that proves the fixpoint — splits nothing by
+//! definition. `Refine(B)` is a function of `B`'s members and, in ∀∃
+//! mode, of the blocks of their out-neighbors (∀∀ keys name concrete
+//! neighbors, and the mode itself is a function of the members). So a
+//! call is skipped exactly when neither input changed since `B`'s keys
+//! were last seen to agree:
+//!
+//! * a block's members change only when `Refine` splits that block, and
+//!   then every piece — the remainder and each carved-off group — consists
+//!   of members whose keys agreed under the partition *before* the split.
+//!   A subset of a block has a subset of its preferences, so a piece is
+//!   either in the same mode as its parent or has dropped from ∀∀ to ∀∃,
+//!   where members that agreed on concrete neighbors agree on their
+//!   blocks too. Its keys can only have stopped agreeing if an
+//!   out-neighbor of one of its members moved to a fresh block in that
+//!   very split;
+//! * so after every split, each block holding a predecessor of a moved
+//!   node is marked stale (the pieces of the split block included), and
+//!   nothing else is.
+//!
+//! Every block is stale on entry — the caller's partition is taken as
+//! given, never as a fixpoint — passes still walk the blocks of their
+//! starting snapshot in id order, and a skipped call is one that would
+//! have compared equal keys and returned. Split order, block ids and the
+//! `iterations` count are therefore those of the unskipped loop.
 
 use crate::signatures::{origin_key, SigTable};
 use bonsai_net::partition::BlockId;
@@ -113,18 +161,32 @@ pub fn find_abstraction_from(
     sigs: &SigTable,
     mut partition: Partition,
 ) -> Abstraction {
-    // Lines 5-11: refine until no block splits.
+    // Lines 5-11: refine until no block splits. Every pass walks the
+    // blocks that existed when it started, in id order (ids are dense:
+    // blocks are never emptied, so `0..block_count()`); `stale[b]` says
+    // whether `Refine(b)` could split anything (module docs, "Skipped
+    // `Refine` calls") — nothing is known about the partition handed in,
+    // so every block starts stale.
+    let mut scratch = RefineScratch::default();
+    let mut stale = vec![true; partition.block_count()];
     let mut iterations = 0usize;
     loop {
         iterations += 1;
         let before = partition.block_count();
-        let blocks: Vec<BlockId> = partition.blocks().collect();
-        for block in blocks {
-            if partition.members(block).len() <= 1 {
+        for block in (0..before as u32).map(BlockId) {
+            if !std::mem::take(&mut stale[block.index()]) || partition.members(block).len() <= 1 {
                 continue;
             }
-            let num_prefs = sigs.prefs_of_block(partition.members(block));
-            refine(graph, &mut partition, block, sigs, num_prefs);
+            let forall_forall = sigs.prefs_of_block(partition.members(block)) > 1;
+            refine(
+                graph,
+                &mut partition,
+                block,
+                sigs,
+                forall_forall,
+                &mut scratch,
+                &mut stale,
+            );
         }
         if partition.block_count() == before {
             break;
@@ -134,17 +196,15 @@ pub fn find_abstraction_from(
     // Line 12: SplitIntoBGPCases — each block may exhibit up to
     // |prefs(û)| behaviors (Theorem 4.4), but never more than it has
     // members; origins are pinned and need exactly one copy.
-    let max_block = partition.blocks().map(|b| b.index() + 1).max().unwrap_or(0);
-    let mut copies = vec![1u32; max_block];
+    let mut copies = vec![1u32; partition.block_count()];
     for block in partition.blocks() {
         let members = partition.members(block);
         let is_origin_block = members.iter().any(|&m| origin_key(ec, NodeId(m)) != 0);
-        if is_origin_block {
-            copies[block.index()] = 1;
+        if is_origin_block || members.len() == 1 {
             continue;
         }
         let prefs = sigs.prefs_of_block(members).max(1);
-        copies[block.index()] = (prefs.min(members.len())).max(1) as u32;
+        copies[block.index()] = prefs.min(members.len()) as u32;
     }
 
     Abstraction {
@@ -178,39 +238,127 @@ pub fn refine_with_split(
     find_abstraction_from(graph, ec, sigs, partition)
 }
 
+/// The reusable buffers of one [`find_abstraction_from`] run: every
+/// `Refine` call writes its members' keys into them instead of allocating
+/// a set per member.
+#[derive(Default)]
+struct RefineScratch {
+    /// The members' keys back to back, each a sorted, de-duplicated run of
+    /// `(edge signature << 32) | neighbor` words.
+    keys: Vec<u64>,
+    /// `ends[i]` is where member `i`'s run stops (it starts at `ends[i-1]`).
+    ends: Vec<u32>,
+    /// Member positions, sorted by key to find the groups.
+    order: Vec<u32>,
+    /// Group of each member position, numbered in first-seen order.
+    group_of: Vec<u32>,
+}
+
 /// One `Refine` step (Algorithm 1, lines 14-22): group a block's members
-/// by their outgoing (policy, neighbor) sets and split accordingly.
+/// by their outgoing (policy, neighbor) sets and split accordingly. Marks
+/// every block whose keys the split may have changed in `stale`.
 fn refine(
     graph: &Graph,
     partition: &mut Partition,
     block: BlockId,
     sigs: &SigTable,
-    num_prefs: usize,
+    forall_forall: bool,
+    scratch: &mut RefineScratch,
+    stale: &mut Vec<bool>,
 ) {
-    // The key must be an order-insensitive set; BTreeSet gives canonical
-    // iteration for hashing. Keys are computed against a snapshot of the
-    // current partition before any split is applied.
-    let members = partition.members(block).to_vec();
-    let keys: std::collections::HashMap<u32, BTreeSet<(u32, u32)>> = members
-        .iter()
-        .map(|&m| {
-            let u = NodeId(m);
-            let mut key: BTreeSet<(u32, u32)> = BTreeSet::new();
-            for e in graph.out(u) {
-                let v = graph.target(e);
-                let neighbor = if num_prefs > 1 {
-                    // ∀∀: key on the concrete neighbor (paper line 19).
-                    v.0 | 0x8000_0000
-                } else {
-                    // ∀∃: key on the neighbor's current abstract node.
-                    partition.block_of(v.0).0
-                };
-                key.insert((sigs.sig_of_edge[e.index()], neighbor));
+    // Keys are computed against a snapshot of the current partition,
+    // before any split is applied. A key is an order-insensitive set, so
+    // each run is sorted and de-duplicated.
+    scratch.keys.clear();
+    scratch.ends.clear();
+    for &m in partition.members(block) {
+        let start = scratch.keys.len();
+        for e in graph.out(NodeId(m)) {
+            let v = graph.target(e);
+            let neighbor = if forall_forall {
+                // ∀∀: key on the concrete neighbor (paper line 19).
+                v.0 | 0x8000_0000
+            } else {
+                // ∀∃: key on the neighbor's current abstract node.
+                partition.block_of(v.0).0
+            };
+            scratch
+                .keys
+                .push(u64::from(sigs.sig_of_edge[e.index()]) << 32 | u64::from(neighbor));
+        }
+        scratch.keys[start..].sort_unstable();
+        let mut kept = start;
+        for i in start..scratch.keys.len() {
+            if i == start || scratch.keys[i] != scratch.keys[kept - 1] {
+                scratch.keys[kept] = scratch.keys[i];
+                kept += 1;
             }
-            (m, key)
-        })
-        .collect();
-    partition.refine_block_by_key(block, |u| keys[&u].clone());
+        }
+        scratch.keys.truncate(kept);
+        scratch.ends.push(kept as u32);
+    }
+
+    // The common case by far: every member agrees, nothing to split.
+    let RefineScratch {
+        keys,
+        ends,
+        order,
+        group_of,
+    } = scratch;
+    let key = |member: u32| {
+        let start = match member {
+            0 => 0,
+            m => ends[m as usize - 1] as usize,
+        };
+        &keys[start..ends[member as usize] as usize]
+    };
+    let members = ends.len() as u32;
+    if (1..members).all(|m| key(m) == key(0)) {
+        return;
+    }
+
+    // GroupKeysByValue by sorting member positions on (key, position):
+    // equal keys become adjacent runs headed by their first-seen member,
+    // and numbering the heads in position order numbers the groups in
+    // first-seen order — which decides the block id each group gets.
+    order.clear();
+    order.extend(0..members);
+    order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)).then(a.cmp(&b)));
+    group_of.clear();
+    group_of.resize(members as usize, 0);
+    let mut head = order[0];
+    for &at in order.iter() {
+        if key(at) != key(head) {
+            head = at;
+        }
+        // Until the heads are numbered, a member's group is its head.
+        group_of[at as usize] = head;
+    }
+    let mut groups = 0u32;
+    for at in 0..members as usize {
+        let head = group_of[at] as usize;
+        if head == at {
+            group_of[at] = groups;
+            groups += 1;
+        } else {
+            // A head precedes its group in position order: numbered.
+            group_of[at] = group_of[head];
+        }
+    }
+
+    let first = partition.split_block_by_groups(block, group_of, groups as usize);
+
+    // The nodes that left `block` changed their block id; that can change
+    // the key of exactly the nodes with an edge into them.
+    let end = first.0 + groups - 1;
+    stale.resize(end as usize, false);
+    for fresh in (first.0..end).map(BlockId) {
+        for &moved in partition.members(fresh) {
+            for u in graph.predecessors(NodeId(moved)) {
+                stale[partition.block_of(u.0).index()] = true;
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -227,8 +227,11 @@ pub fn compress_ec(
 
 /// The counterexample-guided refinement step of the failure-scenario
 /// auditor: isolates the given concrete nodes in an existing abstraction,
-/// re-runs refinement to the fixpoint, and rebuilds the abstract network —
-/// all through the same shared engine (the signature table is a cache hit).
+/// re-runs refinement to the fixpoint, and rebuilds the abstract network.
+///
+/// `sigs` is the class's signature table, which every caller hoists once
+/// per class (a sweep refines one class thousands of times); the kernel
+/// itself never touches the engine.
 ///
 /// Returns the refined abstraction and its materialized network. The
 /// result is at least as fine as the input; callers loop this against
@@ -237,15 +240,15 @@ pub fn compress_ec(
 /// bounded by the node count, where abstract = concrete and every check
 /// passes).
 pub fn refine_ec_with_split(
-    engine: &CompiledPolicies,
     network: &NetworkConfig,
     topo: &BuiltTopology,
     ec: &bonsai_srp::instance::EcDest,
-    abstraction: &crate::algorithm::Abstraction,
+    sigs: &SigTable,
+    abstraction: &Abstraction,
     split: &[bonsai_net::NodeId],
-) -> (crate::algorithm::Abstraction, AbstractNetwork) {
-    let sigs = build_sig_table(engine, network, topo, ec);
-    let refined = crate::algorithm::refine_with_split(&topo.graph, ec, &sigs, abstraction, split);
+) -> (Abstraction, AbstractNetwork) {
+    bonsai_obs::add("compress.refine.calls", 1);
+    let refined = crate::algorithm::refine_with_split(&topo.graph, ec, sigs, abstraction, split);
     let abs_net = build_abstract_network(network, topo, ec, &refined);
     (refined, abs_net)
 }
@@ -417,9 +420,13 @@ pub fn recompress_delta(
     let mut per_ec = Vec::with_capacity(ecs.len());
     let mut rederived = Vec::new();
     let mut fingerprints_moved = 0usize;
+    let mut old_survives = vec![false; old.per_ec.len()];
     for (i, ec) in ecs.iter().enumerate() {
         let ec_dest = ec.to_ec_dest();
         let matched = old_state.get(&ec_match_key(ec));
+        if let Some(&(_, _, old_idx)) = matched {
+            old_survives[old_idx] = true;
+        }
         let t0 = Instant::now();
         let new_table = engine.sig_table(new_network, &topo, &ec_dest);
         let bdd_time = t0.elapsed();
@@ -457,11 +464,7 @@ pub fn recompress_delta(
     }
     let reused = per_ec.len() - rederived.len();
     // Old classes the new partition no longer contains also moved.
-    fingerprints_moved += old
-        .per_ec
-        .iter()
-        .filter(|c| !ecs.iter().any(|ec| ec_match_key(ec) == ec_match_key(&c.ec)))
-        .count();
+    fingerprints_moved += old_survives.iter().filter(|&&s| !s).count();
 
     let report = CompressionReport {
         concrete_nodes: topo.graph.node_count(),

@@ -110,7 +110,8 @@ pub struct SigTable {
     /// The distinct signatures, indexed by id.
     pub sigs: Vec<EdgeSig>,
     /// Per node: the set of local-preference values its import policies can
-    /// assign for this EC, plus its default (paper's `prefs(v)`).
+    /// assign for this EC, plus its default (paper's `prefs(v)`), ascending
+    /// without repeats.
     pub prefs: Vec<Vec<u32>>,
 }
 
@@ -121,14 +122,30 @@ impl SigTable {
     }
 
     /// `|prefs(û)|` for a set of concrete nodes: size of the union.
+    ///
+    /// Counts by successive minima over the members' sorted lists — one
+    /// pass over the members per distinct value, no allocation (the
+    /// refinement loop asks this of every block it examines).
     pub fn prefs_of_block(&self, members: &[u32]) -> usize {
-        let mut union: Vec<u32> = Vec::new();
-        for &m in members {
-            union.extend_from_slice(&self.prefs[m as usize]);
+        let mut count = 0usize;
+        let mut floor: Option<u32> = None;
+        loop {
+            let next = members
+                .iter()
+                .filter_map(|&m| {
+                    let prefs = &self.prefs[m as usize];
+                    let from = floor.map_or(0, |f| prefs.partition_point(|&p| p <= f));
+                    prefs.get(from).copied()
+                })
+                .min();
+            match next {
+                Some(value) => {
+                    count += 1;
+                    floor = Some(value);
+                }
+                None => return count,
+            }
         }
-        union.sort_unstable();
-        union.dedup();
-        union.len()
     }
 }
 

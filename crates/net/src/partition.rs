@@ -178,11 +178,60 @@ impl Partition {
         created
     }
 
+    /// [`Partition::refine_block_by_key`] for a caller that has already
+    /// grouped the members: `group_of[i]` is the group of `members(b)[i]`,
+    /// groups numbered `0..groups` in first-seen order (so `group_of[0] ==
+    /// 0`). Group 0 stays in `b`; group `g >= 1` becomes the fresh block
+    /// `first + g - 1`, where `first` is the returned id — exactly the ids
+    /// `refine_block_by_key` hands out for the same grouping.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `group_of` does not cover the block's members or names a
+    /// group outside `0..groups`.
+    pub fn split_block_by_groups(
+        &mut self,
+        b: BlockId,
+        group_of: &[u32],
+        groups: usize,
+    ) -> BlockId {
+        let first = BlockId(self.members.len() as u32);
+        if groups <= 1 {
+            return first;
+        }
+        let old = std::mem::take(&mut self.members[b.index()]);
+        assert_eq!(old.len(), group_of.len(), "one group per block member");
+        assert_eq!(group_of.first(), Some(&0), "groups are numbered first-seen");
+        self.members
+            .resize_with(first.index() + groups - 1, Vec::new);
+        for (&x, &g) in old.iter().zip(group_of) {
+            let target = match g {
+                0 => b,
+                g => BlockId(first.0 + g - 1),
+            };
+            self.block_of[x as usize] = target;
+            self.members[target.index()].push(x);
+        }
+        assert!(
+            self.members[first.index()..].iter().all(|m| !m.is_empty()),
+            "every group in 0..groups has a member"
+        );
+        first
+    }
+
     /// Isolates an element into its own (possibly fresh) block; used to give
     /// the destination its own abstract node at the start of Algorithm 1.
     pub fn isolate(&mut self, x: u32) -> BlockId {
-        self.split(&[x]);
-        self.block_of(x)
+        let b = self.block_of(x);
+        if self.members[b.index()].len() == 1 {
+            return b;
+        }
+        // `split(&[x])` without its grouping map.
+        let new_id = BlockId(self.members.len() as u32);
+        self.members[b.index()].retain(|&m| m != x);
+        self.members.push(vec![x]);
+        self.block_of[x as usize] = new_id;
+        new_id
     }
 
     /// The blocks as a sorted list of sorted member lists (for tests and

@@ -144,7 +144,12 @@ pub const METRICS: &[MetricDef] = &[
         "scenarios.ranges.unranked",
         "Rank ranges materialized from scenario streams",
     ),
-    // --- compress: the streamed emit stage of `bonsai compress --out` -----
+    // --- compress: the refinement kernel, then the streamed emit stage of
+    // `bonsai compress --out` ----------------------------------------------
+    counter(
+        "compress.refine.calls",
+        "Refine-and-materialize kernel invocations (refine_ec_with_split)",
+    ),
     counter(
         "compress.emit.files",
         "Abstract-network files written by compress --out",

@@ -21,7 +21,7 @@
 //!    — failed-link endpoints still sharing a block, else the offending
 //!    block itself — and [`refine_ec_with_split`] isolates those nodes,
 //!    restores the refinement fixpoint and rebuilds the abstract network
-//!    through the shared engine.
+//!    against the class's hoisted signature table.
 //! 3. The pass continues against the refined abstraction (refinement is
 //!    monotone) and passes repeat until one finds no counterexample: the
 //!    abstraction is then **k-failure sound**, and the
@@ -151,10 +151,10 @@ pub fn lift_failure_mask(
 /// each check runs against the abstraction the previous one left).
 ///
 /// The attribute abstraction `h` is taken from the engine, exactly as in
-/// [`crate::equivalence::check_cp_equivalence_shared`]; signature tables
-/// and the refinement step run through the same shared
-/// [`CompiledPolicies`] engine, so an audit after a compression run
-/// recompiles nothing.
+/// [`crate::equivalence::check_cp_equivalence_shared`]; the class's
+/// signature table is looked up once in the same shared
+/// [`CompiledPolicies`] engine (a cache hit after a compression run) and
+/// every refinement step reuses it, so an audit recompiles nothing.
 ///
 /// Errors only when a *concrete* instance diverges under some scenario
 /// (nothing to audit against) or a mismatch is left with nothing to split.
@@ -216,7 +216,7 @@ pub fn check_cp_equivalence_under_failures(
                 });
             }
             (current, current_net) =
-                refine_ec_with_split(engine, network, topo, ec, &current, &split);
+                refine_ec_with_split(network, topo, ec, &ctx.sigs, &current, &split);
             counterexamples.push(FailureCounterexample {
                 scenario,
                 block: refutation.mismatch.as_ref().map(|m| m.block),

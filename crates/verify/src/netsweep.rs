@@ -941,7 +941,7 @@ fn materialize_symmetric(
     let (abstraction, abstract_network) = if split.is_empty() {
         (ctx.base.clone(), ctx.base_net.clone())
     } else {
-        refine_ec_with_split(env.engine, env.network, env.topo, &ctx.ec, ctx.base, &split)
+        refine_ec_with_split(env.network, env.topo, &ctx.ec, &ctx.sigs, ctx.base, &split)
     };
     let abstract_solution = canonical_abstract_solution(&abstraction, &abstract_network, scenario);
     ScenarioRefinement {

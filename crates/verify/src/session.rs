@@ -500,10 +500,10 @@ impl SessionBuilder {
                     (comp.abstraction.clone(), comp.abstract_network.clone())
                 } else {
                     refine_ec_with_split(
-                        &report.policies,
                         &self.network,
                         &topo,
                         &ec_dest,
+                        &sigs,
                         &comp.abstraction,
                         &split,
                     )
@@ -1569,10 +1569,10 @@ impl Session {
                         (comp.abstraction.clone(), comp.abstract_network.clone())
                     } else {
                         refine_ec_with_split(
-                            &report.policies,
                             &new_network,
                             &topo,
                             &ec_dest,
+                            &sigs,
                             &comp.abstraction,
                             &r.split,
                         )

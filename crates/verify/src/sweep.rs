@@ -493,7 +493,7 @@ pub(crate) fn derive_scenario_refinement(
     let (mut cur, mut cur_net) = if split.is_empty() {
         (ctx.base.clone(), ctx.base_net.clone())
     } else {
-        refine_ec_with_split(env.engine, env.network, env.topo, &ctx.ec, ctx.base, &split)
+        refine_ec_with_split(env.network, env.topo, &ctx.ec, &ctx.sigs, ctx.base, &split)
     };
 
     let mut localized_refuted = false;
@@ -554,7 +554,7 @@ pub(crate) fn derive_scenario_refinement(
         split.sort();
         split.dedup();
         let refined =
-            refine_ec_with_split(env.engine, env.network, env.topo, &ctx.ec, ctx.base, &split);
+            refine_ec_with_split(env.network, env.topo, &ctx.ec, &ctx.sigs, ctx.base, &split);
         cur = refined.0;
         cur_net = refined.1;
     }
@@ -1043,14 +1043,9 @@ mod tests {
         };
         let smart = deviating_split(&ec.abstraction, &refutation);
         assert_eq!(smart, vec![b1]);
-        let (smart_abs, _) = refine_ec_with_split(
-            &report.policies,
-            &net,
-            &topo,
-            &ec_dest,
-            &ec.abstraction,
-            &smart,
-        );
+        let sigs = build_sig_table(&report.policies, &net, &topo, &ec_dest);
+        let (smart_abs, _) =
+            refine_ec_with_split(&net, &topo, &ec_dest, &sigs, &ec.abstraction, &smart);
 
         // …while the old fallback isolates the whole offending block.
         let whole: Vec<NodeId> = ec
@@ -1061,14 +1056,8 @@ mod tests {
             .map(|&x| NodeId(x))
             .collect();
         assert_eq!(whole.len(), 3);
-        let (whole_abs, _) = refine_ec_with_split(
-            &report.policies,
-            &net,
-            &topo,
-            &ec_dest,
-            &ec.abstraction,
-            &whole,
-        );
+        let (whole_abs, _) =
+            refine_ec_with_split(&net, &topo, &ec_dest, &sigs, &ec.abstraction, &whole);
 
         // Strictly smaller: {b2, b3} stay merged.
         assert!(smart_abs.abstract_node_count() < whole_abs.abstract_node_count());

@@ -96,6 +96,36 @@ use bonsai_config::{parse_network, print_network, BuiltTopology, NetworkConfig};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+/// Every write to stdout goes through here (the [`out!`] / [`outln!`]
+/// macros). A reader that has seen enough and closed the pipe (`bonsai
+/// failures … | head`) is not a bug of this program: the write fails with
+/// `BrokenPipe` and the process exits quietly, with the status a SIGPIPE
+/// death would have left (128 + 13) — no message, no backtrace. Any other
+/// write error is the panic `println!` would have raised.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(141);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 /// Reads a network source: one config file, a directory whose `.cfg`
 /// files are concatenated in name order, or a `gen:<name>` builtin
 /// generator spec (handy for trying `serve` without config dumps).
@@ -258,9 +288,9 @@ fn cmd_merge_failures(args: &[String]) -> ExitCode {
                 eprintln!("cannot write {path}: {e}");
                 return ExitCode::from(1);
             }
-            println!("wrote {path}");
+            outln!("wrote {path}");
         }
-        _ => print!("{doc}"),
+        _ => out!("{doc}"),
     }
     ExitCode::SUCCESS
 }
@@ -323,28 +353,7 @@ fn answer_query(
     Ok(answers)
 }
 
-/// `println!` panics when stdout is closed (`bonsai failures … | head`). A
-/// reader that has seen enough is not a bug of this program: every
-/// subcommand then exits quietly, with the status a SIGPIPE death would
-/// have left (128 + 13) — no message, no backtrace. `std` hands the hook
-/// only the formatted message (no error kind), so the match is on its
-/// text; the "Closed stdout is a quiet exit" CI step pins that wording
-/// against a toolchain bump.
-fn exit_quietly_on_closed_stdout() {
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let closed_stdout = info.payload().downcast_ref::<String>().is_some_and(|m| {
-            m.starts_with("failed printing to stdout") && m.contains("Broken pipe")
-        });
-        if closed_stdout {
-            std::process::exit(141);
-        }
-        default_hook(info);
-    }));
-}
-
 fn main() -> ExitCode {
-    exit_quietly_on_closed_stdout();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
         eprintln!(
@@ -434,19 +443,19 @@ fn main() -> ExitCode {
         // chiefly for materializing `gen:` specs into editable files
         // (the delta-smoke workflow: print, edit one stanza, `diff`).
         "print" => {
-            print!("{}", print_network(&network));
+            out!("{}", print_network(&network));
             ExitCode::SUCCESS
         }
         "ecs" => {
             let ecs = bonsai::core::ecs::compute_ecs(&network, &topo);
-            println!("{} destination equivalence classes:", ecs.len());
+            outln!("{} destination equivalence classes:", ecs.len());
             for ec in &ecs {
                 let origins: Vec<&str> = ec
                     .origins
                     .iter()
                     .map(|(n, _)| network.devices[n.index()].name.as_str())
                     .collect();
-                println!(
+                outln!(
                     "  {} ({} range{}) originated at {origins:?}",
                     ec.rep,
                     ec.ranges.len(),
@@ -463,7 +472,7 @@ fn main() -> ExitCode {
                     ignore_static_routes: ignore_static,
                 },
             );
-            println!(
+            outln!(
                 "{n} roles among {} devices{}{}",
                 network.devices.len(),
                 if strip { " (unused tags stripped)" } else { "" },
@@ -488,13 +497,13 @@ fn main() -> ExitCode {
                     }
                 }
             };
-            println!("{}", compress_summary_line(&report));
+            outln!("{}", compress_summary_line(&report));
             if let Some(e) = first_emit_error(&report) {
                 eprintln!("{e}");
                 return ExitCode::from(1);
             }
             if let Some(dir) = out_dir {
-                println!(
+                outln!(
                     "wrote {} abstract networks to {}",
                     report.num_ecs(),
                     dir.display()
@@ -527,7 +536,7 @@ fn main() -> ExitCode {
                 eprintln!("{line}");
             }
             if failed.is_empty() {
-                println!(
+                outln!(
                     "CP-equivalence verified for all {} classes",
                     report.num_ecs()
                 );
@@ -665,11 +674,11 @@ fn main() -> ExitCode {
                 FailuresDoc::from_sweep(&topo, &sweep, pruned, share, query_docs).render()
             });
             if let Some(None) = &json {
-                print!("{}", json_doc.as_ref().expect("rendered above"));
+                out!("{}", json_doc.as_ref().expect("rendered above"));
                 return ExitCode::SUCCESS;
             }
 
-            println!(
+            outln!(
                 "network failure sweep: k={k}, {} classes, {}, sharing {}",
                 sweep.per_ec.len(),
                 if pruned {
@@ -679,7 +688,7 @@ fn main() -> ExitCode {
                 },
                 if share { "on" } else { "off" },
             );
-            println!(
+            outln!(
                 "cross-EC: {} derivations for {} refinements ({} exact + {} symmetric \
                  transfers, sharing ratio {:.0}%, {} fingerprint{})",
                 sweep.derivations,
@@ -694,7 +703,7 @@ fn main() -> ExitCode {
                     "s"
                 },
             );
-            println!(
+            outln!(
                 "streamed {} scenario items in chunks of {}, peak resident {}{}",
                 sweep.scenarios_streamed,
                 sweep.chunk_size,
@@ -705,7 +714,7 @@ fn main() -> ExitCode {
                 },
             );
             for ec in &sweep.per_ec {
-                println!(
+                outln!(
                     "class {}: {} scenarios ({} exhaustive), {} refinements ({} derived here), \
                      cache hit rate {:.0}%, base {} -> mean {:.1} / max {} abstract nodes",
                     ec.rep,
@@ -719,7 +728,7 @@ fn main() -> ExitCode {
                     ec.report.max_refined_nodes(),
                 );
                 for r in ec.report.refinements.values() {
-                    println!(
+                    outln!(
                         "  {} -> {} nodes (+{} split, {}, {})",
                         r.representative.describe(&topo.graph),
                         r.refined_nodes(),
@@ -731,7 +740,7 @@ fn main() -> ExitCode {
             }
             for (src, dst, answers) in &queries {
                 for a in answers {
-                    println!(
+                    outln!(
                         "query {src} -> {dst}: {} delivered in {}/{} scenarios{}",
                         a.prefix,
                         a.delivered,
@@ -744,7 +753,7 @@ fn main() -> ExitCode {
                     );
                 }
                 if answers.is_empty() {
-                    println!("query {src} -> {dst}: no class originates at {dst}");
+                    outln!("query {src} -> {dst}: no class originates at {dst}");
                 }
             }
             if let Some(Some(path)) = &json {
@@ -752,7 +761,7 @@ fn main() -> ExitCode {
                     eprintln!("cannot write {path}: {e}");
                     return ExitCode::from(1);
                 }
-                println!("wrote {path}");
+                outln!("wrote {path}");
             }
             ExitCode::SUCCESS
         }
@@ -907,19 +916,19 @@ fn cmd_diff(args: &[String]) -> ExitCode {
         delta_s,
     };
     if let Some(None) = &json {
-        print!("{}", doc.render());
+        out!("{}", doc.render());
         return ExitCode::SUCCESS;
     }
 
     if doc.changed_devices.is_empty() {
-        println!("no device changed; all {} classes reused", doc.ecs_total);
+        outln!("no device changed; all {} classes reused", doc.ecs_total);
     } else if let Some(why) = &doc.structural {
-        println!(
+        outln!(
             "structural delta ({why}); full rebuild of all {} classes",
             doc.ecs_total,
         );
     } else {
-        println!(
+        outln!(
             "delta: {} changed device{} {:?} \
              ({} stages, {} sigs, {} tables evicted)",
             doc.changed_devices.len(),
@@ -934,7 +943,7 @@ fn cmd_diff(args: &[String]) -> ExitCode {
             doc.tables_evicted,
         );
     }
-    println!(
+    outln!(
         "classes: {} total, {} rederived, {} reused, {} fingerprint{} moved",
         doc.ecs_total,
         doc.ecs_rederived,
@@ -943,12 +952,15 @@ fn cmd_diff(args: &[String]) -> ExitCode {
         if doc.fingerprints_moved == 1 { "" } else { "s" },
     );
     for r in &doc.rederived {
-        println!(
+        outln!(
             "re-verified {}: {} scenarios, {} refinements ({} derived)",
-            r.rep, r.scenarios, r.refinements, r.derivations,
+            r.rep,
+            r.scenarios,
+            r.refinements,
+            r.derivations,
         );
     }
-    println!(
+    outln!(
         "full {:.3}s -> delta {:.3}s ({:.1}%)",
         doc.full_s,
         doc.delta_s,
@@ -963,7 +975,7 @@ fn cmd_diff(args: &[String]) -> ExitCode {
             eprintln!("cannot write {path}: {e}");
             return ExitCode::from(1);
         }
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
     ExitCode::SUCCESS
 }
@@ -1051,7 +1063,7 @@ fn cmd_serve(
     if restore_text.is_none() {
         if let Some(p) = &snapshot_path {
             match session.save_snapshot(p) {
-                Ok(n) => println!("wrote snapshot {} ({n} bytes)", p.display()),
+                Ok(n) => outln!("wrote snapshot {} ({n} bytes)", p.display()),
                 Err(e) => {
                     eprintln!("cannot write snapshot {}: {e}", p.display());
                     return ExitCode::from(1);
@@ -1099,7 +1111,7 @@ fn cmd_serve(
     if let Some(addr) = server.tcp_addr() {
         endpoints.push(format!("tcp {addr}"));
     }
-    println!("{summary}, listening on {}", endpoints.join(" + "));
+    outln!("{summary}, listening on {}", endpoints.join(" + "));
     // Keep a handle so the snapshot can be re-saved *warm* after the
     // drain: by then the memo tier holds every answer served, so the next
     // restart replays them without touching the solver.
@@ -1108,7 +1120,7 @@ fn cmd_serve(
         Ok(()) => {
             if let Some(p) = &snapshot_path {
                 match resident.save_snapshot(p) {
-                    Ok(n) => println!("wrote warm snapshot {} ({n} bytes)", p.display()),
+                    Ok(n) => outln!("wrote warm snapshot {} ({n} bytes)", p.display()),
                     Err(e) => {
                         eprintln!("cannot write snapshot {}: {e}", p.display());
                         return ExitCode::from(1);
@@ -1151,7 +1163,7 @@ fn cmd_metrics(args: &[String]) -> ExitCode {
     };
     if socket.is_none() && tcp.is_none() {
         if fallback {
-            print!("{}", bonsai::obs::render_prometheus());
+            out!("{}", bonsai::obs::render_prometheus());
             return ExitCode::SUCCESS;
         }
         structured_error(
@@ -1173,7 +1185,7 @@ fn cmd_metrics(args: &[String]) -> ExitCode {
         Err(e) => {
             if fallback {
                 eprintln!("cannot connect to {endpoint}: {e}; serving the in-process registry");
-                print!("{}", bonsai::obs::render_prometheus());
+                out!("{}", bonsai::obs::render_prometheus());
                 return ExitCode::SUCCESS;
             }
             structured_error("io", &format!("cannot connect to {endpoint}: {e}"));
@@ -1185,7 +1197,7 @@ fn cmd_metrics(args: &[String]) -> ExitCode {
         Err(e) => {
             if fallback {
                 eprintln!("{endpoint}: {e}; serving the in-process registry");
-                print!("{}", bonsai::obs::render_prometheus());
+                out!("{}", bonsai::obs::render_prometheus());
                 return ExitCode::SUCCESS;
             }
             structured_error("io", &format!("{endpoint}: {e}"));
@@ -1208,7 +1220,7 @@ fn cmd_metrics(args: &[String]) -> ExitCode {
         eprintln!("{endpoint}: metrics response has no \"body\"");
         return ExitCode::from(1);
     };
-    print!("{body}");
+    out!("{body}");
     ExitCode::SUCCESS
 }
 
@@ -1370,7 +1382,7 @@ fn cmd_query(args: &[String]) -> ExitCode {
     };
     for line in &lines {
         match client.call(line) {
-            Ok(response) => println!("{response}"),
+            Ok(response) => outln!("{response}"),
             Err(e) => {
                 eprintln!("{endpoint}: {e}");
                 return ExitCode::from(1);

@@ -72,6 +72,41 @@ fn fattree4_network_sweep_shares_refinements_across_classes() {
     assert!(sweep.sharing_ratio() > 0.8, "{}", sweep.sharing_ratio());
 }
 
+/// The refinement kernel takes the class's hoisted signature table: a
+/// sweep probes the engine's table cache once per class (the hoist), on
+/// top of the compression's own once per class — not once per refinement,
+/// however many refinements the kernel materializes.
+#[test]
+fn sweep_looks_a_signature_table_up_once_per_class() {
+    let net = bonsai::topo::fattree(4, bonsai::topo::FattreePolicy::ShortestPath);
+    let topo = BuiltTopology::build(&net).unwrap();
+    let report = compress(&net, CompressOptions::default());
+    let classes = report.num_ecs() as u64;
+    assert_eq!(report.policies.stats().table_lookups, classes);
+
+    let kernel_calls = bonsai::obs::value("compress.refine.calls");
+    let options = NetworkSweepOptions {
+        sweep: SweepOptions {
+            max_failures: 2,
+            threads: 1,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let sweep = sweep_network(&net, &topo, &report, &options).expect("network sweep completes");
+    // Every refinement with a nonempty split went through the kernel
+    // (other tests of this binary may add their own calls meanwhile).
+    let split_refinements = sweep
+        .per_ec
+        .iter()
+        .flat_map(|e| e.report.refinements.values())
+        .filter(|r| !r.split.is_empty())
+        .count() as u64;
+    assert!(split_refinements > classes);
+    assert!(bonsai::obs::value("compress.refine.calls") >= kernel_calls + split_refinements);
+    assert_eq!(report.policies.stats().table_lookups, 2 * classes);
+}
+
 /// Cross-EC sharing soundness: every transferred refinement is
 /// byte-identical to what a fresh per-EC derivation (bypassing all
 /// caches) produces — across the diamond, fattree-4 and mesh-10 at
