@@ -105,6 +105,35 @@ fn bench_stages(c: &mut Criterion) {
             })
         });
     }
+    // The snapshot reader on what a warm restart feeds it: an
+    // answer-tier-shaped document (named link pairs + one bit string per
+    // memoized verdict) of about 300 KB. Linear in the document since
+    // PR 17; it validated the rest of the document once per character
+    // before.
+    {
+        let names: Vec<&str> = topo.graph.nodes().map(|n| topo.graph.name(n)).collect();
+        let bits = "10".repeat(names.len() / 2);
+        let entries: Vec<String> = (0..2000usize)
+            .map(|i| {
+                let name = |j: usize| names[(i * 7 + j * 13) % names.len()];
+                format!(
+                    "{{\"links\": [[\"{}\", \"{}\"], [\"{}\", \"{}\"]], \"bits\": \"{bits}\"}}",
+                    name(0),
+                    name(1),
+                    name(2),
+                    name(3)
+                )
+            })
+            .collect();
+        let doc = format!(
+            "{{\"verdicts\": [{{\"rep\": \"10.0.0.0/24\", \"entries\": [{}]}}]}}",
+            entries.join(", ")
+        );
+        group.sample_size(10);
+        group.bench_function("snapshot_parse", |b| {
+            b.iter(|| bonsai_core::snapshot::Json::parse(&doc).expect("document parses"))
+        });
+    }
     group.finish();
 }
 

@@ -335,6 +335,11 @@ pub struct DeltaReport {
     pub rederived: Vec<usize>,
     /// Classes that kept their old abstraction (table proven equal).
     pub reused: usize,
+    /// Per class of `report`: the index into the *old* report's `per_ec`
+    /// of the class it kept its abstraction from, `None` where the class
+    /// was re-derived — the class correspondence, for callers that carry
+    /// more than the abstraction across the delta.
+    pub kept_from: Vec<Option<usize>>,
     /// Classes whose engine fingerprint changed across the delta
     /// (rederived classes, plus kept classes that converged onto another
     /// class's adopted identity).
@@ -381,6 +386,7 @@ pub fn recompress_delta(
         let report = compress(new_network, options);
         let rederived = (0..report.num_ecs()).collect();
         return DeltaReport {
+            kept_from: vec![None; report.num_ecs()],
             report,
             delta,
             invalidation: crate::engine::DeltaInvalidation::default(),
@@ -419,6 +425,7 @@ pub fn recompress_delta(
 
     let mut per_ec = Vec::with_capacity(ecs.len());
     let mut rederived = Vec::new();
+    let mut kept_from = Vec::with_capacity(ecs.len());
     let mut fingerprints_moved = 0usize;
     let mut old_survives = vec![false; old.per_ec.len()];
     for (i, ec) in ecs.iter().enumerate() {
@@ -436,6 +443,7 @@ pub fn recompress_delta(
                 if adopted != *old_fp {
                     fingerprints_moved += 1;
                 }
+                kept_from.push(Some(*old_idx));
                 let t1 = Instant::now();
                 let abstraction = old.per_ec[*old_idx].abstraction.clone();
                 // The abstraction is provably still the fixpoint (same
@@ -453,6 +461,7 @@ pub fn recompress_delta(
             }
             _ => {
                 rederived.push(i);
+                kept_from.push(None);
                 if matched.is_some() {
                     fingerprints_moved += 1;
                 }
@@ -483,6 +492,7 @@ pub fn recompress_delta(
         full_rebuild: false,
         rederived,
         reused,
+        kept_from,
         fingerprints_moved,
         delta_time: start.elapsed(),
     }
@@ -650,6 +660,15 @@ link a i b i
             .map(|&i| d.report.per_ec[i].ec.rep)
             .collect();
         assert_eq!(touched, vec!["10.0.1.0/24".parse().unwrap()]);
+        // The correspondence: the touched class has no donor, the other
+        // kept the abstraction of the old class with its identity.
+        assert_eq!(d.kept_from.len(), 2);
+        for (new, kept) in d.kept_from.iter().enumerate() {
+            assert_eq!(kept.is_none(), d.rederived.contains(&new));
+            if let Some(old_idx) = kept {
+                assert_eq!(old.per_ec[*old_idx].ec.rep, d.report.per_ec[new].ec.rep);
+            }
+        }
 
         // The delta result is semantically the fresh result.
         let fresh = compress(&new_net, CompressOptions::default());

@@ -286,10 +286,16 @@ impl Envelope {
             .and_then(Json::as_str)
             .unwrap_or("unknown")
             .to_string();
-        let payload = doc
-            .get("payload")
-            .cloned()
-            .ok_or_else(|| "envelope has no \"payload\" field".to_string())?;
+        // Taken out of the parsed object, not cloned: the payload is the
+        // whole document but for five header fields.
+        let payload = match doc {
+            Json::Obj(mut fields) => fields
+                .iter()
+                .rposition(|(k, _)| k == "payload")
+                .map(|i| fields.swap_remove(i).1),
+            _ => None,
+        }
+        .ok_or_else(|| "envelope has no \"payload\" field".to_string())?;
         Ok(Envelope {
             kind,
             version,
@@ -452,6 +458,24 @@ impl Parser<'_> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control
+            // byte. All three are ASCII, so the run ends on a scalar
+            // boundary and is validated on its own — once, not once per
+            // character over the rest of the document.
+            let start = self.pos;
+            while self
+                .peek()
+                .is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20)
+            {
+                self.pos += 1;
+            }
+            match std::str::from_utf8(&self.bytes[start..self.pos]) {
+                Ok(run) => out.push_str(run),
+                Err(e) => {
+                    self.pos = start + e.valid_up_to();
+                    return Err(self.err("invalid UTF-8"));
+                }
+            }
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -492,16 +516,7 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
-                Some(_) => {
-                    // Copy one UTF-8 scalar.
-                    let start = self.pos;
-                    let rest = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("raw control character in string")),
             }
         }
     }
@@ -564,6 +579,37 @@ mod tests {
     }
 
     #[test]
+    fn string_runs_end_exactly_at_escapes_quotes_and_control_bytes() {
+        let parse = |doc: &str| Json::parse(doc).map(|v| v.as_str().map(str::to_string));
+        // Multi-byte scalars on both sides of an escape and of the
+        // closing quote.
+        assert_eq!(parse("\"é\\né\""), Ok(Some("é\né".into())));
+        assert_eq!(parse("\"日本\\\"語\""), Ok(Some("日本\"語".into())));
+        assert_eq!(parse("\"\\t€\""), Ok(Some("\t€".into())));
+        // `\u` escapes between runs, and back to back.
+        assert_eq!(parse("\"a\\u00e9b\""), Ok(Some("aéb".into())));
+        assert_eq!(parse("\"\\u0007\\u0041€\""), Ok(Some("\u{7}A€".into())));
+        assert_eq!(parse("\"\""), Ok(Some(String::new())));
+        // A raw control byte in the middle of a run is rejected at its own
+        // offset (the `é` before it is two bytes), a bad escape at the
+        // escaped character's.
+        let err = parse("\"é\u{1}cd\"").unwrap_err();
+        assert_eq!(
+            (err.offset, err.message.as_str()),
+            (3, "raw control character in string")
+        );
+        let err = parse("\"ab\\qcd\"").unwrap_err();
+        assert_eq!((err.offset, err.message.as_str()), (4, "unknown escape"));
+        let err = parse("\"ab\\u00zz\"").unwrap_err();
+        assert_eq!((err.offset, err.message.as_str()), (4, "bad \\u escape"));
+        let err = parse("\"abé").unwrap_err();
+        assert_eq!(
+            (err.offset, err.message.as_str()),
+            (5, "unterminated string")
+        );
+    }
+
+    #[test]
     fn rejects_malformed_documents() {
         for bad in [
             "",
@@ -592,6 +638,12 @@ mod tests {
             Some(&[][..])
         );
         Envelope::parse_expecting(&doc, "bench/failures", 4).unwrap();
+        // The payload is moved out of the document; a repeated key keeps
+        // the last value, as `Json::get` does.
+        let twice = doc.replace("\"payload\":", "\"payload\": 1, \"payload\":");
+        assert_eq!(Envelope::parse(&twice).unwrap().payload, env.payload);
+        let err = Envelope::parse(&doc.replace("\"payload\"", "\"body\"")).unwrap_err();
+        assert!(err.contains("no \"payload\" field"), "{err}");
     }
 
     #[test]

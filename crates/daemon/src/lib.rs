@@ -67,11 +67,14 @@
 //!
 //! ```
 //! use bonsai_daemon::{Client, Server};
-//! use bonsai_verify::session::Session;
+//! use bonsai_verify::session::{Session, SessionOptions};
 //!
 //! let session = Session::builder(bonsai_srp::papernets::figure2_gadget())
-//!     .max_failures(1)
-//!     .threads(1)
+//!     .options(SessionOptions {
+//!         max_failures: 1,
+//!         threads: 1,
+//!         ..Default::default()
+//!     })
 //!     .build()
 //!     .expect("gadget session builds");
 //! let path = std::env::temp_dir().join(format!("bonsaid-doc-{}.sock", std::process::id()));
@@ -1165,7 +1168,7 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bonsai_verify::session::Session;
+    use bonsai_verify::session::{Session, SessionOptions};
 
     fn tmp_socket(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("bonsaid-test-{name}-{}.sock", std::process::id()))
@@ -1173,8 +1176,11 @@ mod tests {
 
     fn gadget_session() -> Session {
         Session::builder(bonsai_srp::papernets::figure2_gadget())
-            .max_failures(1)
-            .threads(2)
+            .options(SessionOptions {
+                max_failures: 1,
+                threads: 2,
+                ..Default::default()
+            })
             .build()
             .expect("session builds")
     }

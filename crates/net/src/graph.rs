@@ -199,13 +199,10 @@ impl Graph {
     /// Number of undirected links (pairs of antiparallel directed edges are
     /// counted once; a directed edge without its reverse counts as one).
     pub fn link_count(&self) -> usize {
-        let mut links = 0usize;
-        for &(u, v) in &self.edges {
-            if u.0 < v.0 || !self.has_edge(v, u) {
-                links += 1;
-            }
-        }
-        links
+        self.edges
+            .iter()
+            .filter(|&&(u, v)| self.is_canonical(u, v))
+            .count()
     }
 
     /// Iterator over all node ids.
@@ -288,19 +285,37 @@ impl Graph {
         self.out(u).len()
     }
 
+    /// The orientation rule of an undirected link, given that the directed
+    /// edge `u -> v` exists: an antiparallel pair is named smaller id
+    /// first, a directed edge without a reverse source first.
+    fn is_canonical(&self, u: NodeId, v: NodeId) -> bool {
+        u.0 < v.0 || !self.has_edge(v, u)
+    }
+
     /// The undirected links of the graph as canonical node pairs: one
     /// `(u, v)` per antiparallel edge pair with `u < v`, plus one pair per
     /// directed edge without a reverse (in source-first orientation).
     /// Deterministic order (by the canonical edge's id); the basis of
     /// link-failure scenario enumeration.
     pub fn links(&self) -> Vec<(NodeId, NodeId)> {
-        let mut out = Vec::with_capacity(self.link_count());
-        for &(u, v) in &self.edges {
-            if u.0 < v.0 || !self.has_edge(v, u) {
-                out.push((u, v));
-            }
+        self.edges
+            .iter()
+            .copied()
+            .filter(|&(u, v)| self.is_canonical(u, v))
+            .collect()
+    }
+
+    /// The pair [`Graph::links`] lists the link between `u` and `v` as,
+    /// whichever way round the caller names it; `None` when neither
+    /// directed edge exists. O(log m), no link list is built.
+    pub fn canonical_link(&self, u: NodeId, v: NodeId) -> Option<(NodeId, NodeId)> {
+        if self.has_edge(u, v) && self.is_canonical(u, v) {
+            Some((u, v))
+        } else if self.has_edge(v, u) {
+            Some((v, u))
+        } else {
+            None
         }
-        out
     }
 
     /// Unweighted BFS distances from `src` following *out*-edges.
@@ -415,8 +430,23 @@ mod tests {
         let mut g = GraphBuilder::new();
         let a = g.add_node("a");
         let b = g.add_node("b");
-        g.add_edge(a, b);
+        g.add_edge(b, a);
         let g = g.build();
         assert_eq!(g.link_count(), 1);
+        // Source first, whichever way the caller names it.
+        assert_eq!(g.links(), vec![(b, a)]);
+        assert_eq!(g.canonical_link(a, b), Some((b, a)));
+        assert_eq!(g.canonical_link(b, a), Some((b, a)));
+    }
+
+    #[test]
+    fn canonical_link_is_the_links_orientation() {
+        let g = diamond();
+        let a = g.node_by_name("a").unwrap();
+        let b1 = g.node_by_name("b1").unwrap();
+        let d = g.node_by_name("d").unwrap();
+        assert_eq!(g.canonical_link(b1, a), Some((a, b1)));
+        assert_eq!(g.canonical_link(a, b1), Some((a, b1)));
+        assert_eq!(g.canonical_link(a, d), None, "not adjacent");
     }
 }

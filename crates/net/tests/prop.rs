@@ -1,8 +1,24 @@
 //! Property-based tests for the bonsai-net substrate.
 
 use bonsai_net::prefix::{Ipv4Addr, Prefix};
-use bonsai_net::{GraphBuilder, Partition, PrefixTrie};
+use bonsai_net::{Graph, GraphBuilder, Partition, PrefixTrie};
 use proptest::prelude::*;
+
+/// A graph over `n` nodes with the directed edges `pairs` name (modulo
+/// `n`, self loops and repeats skipped) — one- and two-directional links
+/// both arise.
+fn random_graph(n: usize, pairs: Vec<(u32, u32)>) -> Graph {
+    let mut gb = GraphBuilder::new();
+    let nodes = gb.add_nodes("r", n);
+    for (a, b) in pairs {
+        let u = nodes[(a % n as u32) as usize];
+        let v = nodes[(b % n as u32) as usize];
+        if u != v && !gb.has_edge(u, v) {
+            gb.add_edge(u, v);
+        }
+    }
+    gb.build()
+}
 
 fn arb_prefix() -> impl Strategy<Value = Prefix> {
     (any::<u32>(), 0u8..=32).prop_map(|(addr, len)| Prefix::new(Ipv4Addr(addr), len))
@@ -137,16 +153,7 @@ proptest! {
     /// A graph built from random links reports consistent adjacency.
     #[test]
     fn graph_adjacency_consistent(n in 2usize..20, pairs in prop::collection::vec((any::<u32>(), any::<u32>()), 0..60)) {
-        let mut gb = GraphBuilder::new();
-        let nodes = gb.add_nodes("r", n);
-        for (a, b) in pairs {
-            let u = nodes[(a % n as u32) as usize];
-            let v = nodes[(b % n as u32) as usize];
-            if u != v && !gb.has_edge(u, v) {
-                gb.add_edge(u, v);
-            }
-        }
-        let g = gb.build();
+        let g = random_graph(n, pairs);
         let out_sum: usize = g.nodes().map(|u| g.out(u).len()).sum();
         let in_sum: usize = g.nodes().map(|u| g.inn(u).len()).sum();
         prop_assert_eq!(out_sum, g.edge_count());
@@ -155,6 +162,33 @@ proptest! {
             let (u, v) = g.endpoints(e);
             prop_assert!(g.has_edge(u, v));
             prop_assert_eq!(g.find_edge(u, v), Some(e));
+        }
+    }
+
+    /// One orientation rule: `links()` is the de-duplicated
+    /// `canonical_link` of every directed edge (listed at its canonical
+    /// edge's position), and the rule does not care which way round a link
+    /// is named.
+    #[test]
+    fn canonical_link_agrees_with_links(n in 2usize..20, pairs in prop::collection::vec((any::<u32>(), any::<u32>()), 0..60)) {
+        let g = random_graph(n, pairs);
+        let mut from_edges = std::collections::BTreeSet::new();
+        for e in g.edges() {
+            let (u, v) = g.endpoints(e);
+            let link = g.canonical_link(u, v);
+            prop_assert!(link == Some((u, v)) || link == Some((v, u)));
+            prop_assert_eq!(link, g.canonical_link(v, u));
+            from_edges.insert(link.unwrap());
+        }
+        let links = g.links();
+        prop_assert_eq!(links.len(), from_edges.len(), "links() lists no link twice");
+        prop_assert_eq!(from_edges, links.into_iter().collect());
+        for u in g.nodes() {
+            for v in g.nodes() {
+                if !g.has_edge(u, v) && !g.has_edge(v, u) {
+                    prop_assert_eq!(g.canonical_link(u, v), None);
+                }
+            }
         }
     }
 }

@@ -25,15 +25,12 @@ pub fn named_links(topo: &BuiltTopology) -> Vec<(String, String)> {
 }
 
 /// Resolves a device-name pair to the canonical node pair of the link
-/// between them, or `None` if either name is unknown or the devices are
-/// not adjacent.
+/// between them ([`bonsai_net::Graph::canonical_link`]), or `None` if
+/// either name is unknown or the devices are not adjacent.
 pub fn link_by_names(topo: &BuiltTopology, a: &str, b: &str) -> Option<(NodeId, NodeId)> {
     let u = topo.graph.node_by_name(a)?;
     let v = topo.graph.node_by_name(b)?;
-    if topo.graph.find_edge(u, v).is_none() && topo.graph.find_edge(v, u).is_none() {
-        return None;
-    }
-    Some(if u <= v { (u, v) } else { (v, u) })
+    topo.graph.canonical_link(u, v)
 }
 
 /// Builds a failure mask disabling the named links (both directions each).
@@ -64,10 +61,10 @@ mod tests {
         let topo = BuiltTopology::build(&net).unwrap();
         let links = named_links(&topo);
         assert_eq!(links.len(), topo.graph.link_count());
-        for (a, b) in &links {
-            assert!(link_by_names(&topo, a, b).is_some());
-            // Symmetric lookup resolves to the same canonical pair.
-            assert_eq!(link_by_names(&topo, a, b), link_by_names(&topo, b, a));
+        for ((a, b), &link) in links.iter().zip(&topo.graph.links()) {
+            // Either way round resolves to the pair `links()` lists.
+            assert_eq!(link_by_names(&topo, a, b), Some(link));
+            assert_eq!(link_by_names(&topo, b, a), Some(link));
         }
     }
 

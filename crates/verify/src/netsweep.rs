@@ -151,8 +151,6 @@ pub struct NetworkSweepOptions {
     /// certified symmetry. Exact same-origin transfers are never
     /// re-verified — they are byte-identical by determinism.
     pub verify_transfers: bool,
-    /// Cap on the number of destination classes swept (0 = all).
-    pub max_ecs: usize,
     /// Scenarios per claimed fan-out range (0 = [`DEFAULT_CHUNK_SIZE`]).
     /// Peak resident scenario count in aggregate mode is
     /// `O(threads × chunk)`, not `O(C(L,k))`.
@@ -173,7 +171,6 @@ impl Default for NetworkSweepOptions {
             sweep: SweepOptions::default(),
             share_across_ecs: true,
             verify_transfers: false,
-            max_ecs: 0,
             chunk_size: 0,
             collect_outcomes: true,
             shard: None,
@@ -385,13 +382,8 @@ pub fn sweep_network(
     report: &CompressionReport,
     options: &NetworkSweepOptions,
 ) -> Result<NetworkSweepReport, EquivalenceError> {
-    let n_ecs = if options.max_ecs == 0 {
-        report.per_ec.len()
-    } else {
-        report.per_ec.len().min(options.max_ecs)
-    };
-    let selected: Vec<usize> = (0..n_ecs).collect();
-    sweep_network_subset(network, topo, report, options, &selected)
+    let every: Vec<usize> = (0..report.per_ec.len()).collect();
+    sweep_network_subset(network, topo, report, options, &every)
 }
 
 /// [`sweep_network`] restricted to a chosen subset of the compression
@@ -399,8 +391,8 @@ pub fn sweep_network(
 /// caller wants them reported). This is the incremental-re-verification
 /// primitive: after a config delta, only the classes whose fingerprint
 /// moved are re-swept, and the subset's members share refinements among
-/// themselves exactly as a full sweep would (`options.max_ecs` is ignored
-/// — the subset *is* the cap). With one index and
+/// themselves exactly as a full sweep would; a caller that wants only the
+/// first `n` classes passes `0..n`. With one index and
 /// `share_across_ecs: false` it is the sweep of a single class. The
 /// returned report's `per_ec` has one entry per requested index, in
 /// request order.
@@ -736,8 +728,8 @@ impl ResidentGauge {
 
 /// Stable 64-bit FNV-1a. **Not** `std`'s `DefaultHasher`: shard membership
 /// must agree between independent shard processes, so the hash may not
-/// vary per process.
-fn fnv64(s: &str) -> u64 {
+/// vary per process. Also the session's network fingerprint.
+pub(crate) fn fnv64(s: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in s.as_bytes() {
         h ^= u64::from(*b);

@@ -53,10 +53,18 @@ fn socket_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("bonsaid-test-{}-{tag}.sock", std::process::id()))
 }
 
+/// `k = 1`, one thread: what every session of this file is built with.
+fn k1() -> SessionOptions {
+    SessionOptions {
+        max_failures: 1,
+        threads: 1,
+        ..Default::default()
+    }
+}
+
 fn fattree_session() -> Session {
     Session::builder(fattree(4, FattreePolicy::ShortestPath))
-        .max_failures(1)
-        .threads(1)
+        .options(k1())
         .build()
         .expect("fattree-4 session builds")
 }
@@ -228,8 +236,7 @@ fn overloaded_daemon_sheds_queries_instead_of_hanging() {
 fn reload_swaps_the_session_warm_and_keeps_untouched_answers() {
     let path = socket_path("reload");
     let session = Session::builder(parse_network(RELOAD_BASE).expect("base parses"))
-        .max_failures(1)
-        .threads(1)
+        .options(k1())
         .build()
         .expect("session builds");
     let server = Server::bind(session, &path).expect("bind");
@@ -308,8 +315,7 @@ fn snapshot_restores_and_serves_identical_bytes_without_resolving() {
 
     // Warm daemon: restore from the snapshot text alone.
     let restored = Session::builder(fattree(4, FattreePolicy::ShortestPath))
-        .max_failures(1)
-        .threads(1)
+        .options(k1())
         .restore(&snapshot)
         .expect("snapshot restores");
     let stats = restored.stats();
