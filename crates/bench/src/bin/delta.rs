@@ -14,11 +14,14 @@
 //! class's re-sweep while `full_s` pays 32 compressions plus the whole
 //! (class × scenario) plane.
 //!
-//! `--check` turns the run into the CI acceptance gate: every row must
-//! re-derive at most 2 classes and finish the delta path in at most 10%
-//! of the full path's wall clock. `--json` writes the `bench/delta`
-//! snapshot (`BENCH_delta.json`) that `bench_gate` compares against the
-//! committed `BENCH_delta_baseline.json`.
+//! `--check` turns the run into the CI acceptance gate, in **counts**:
+//! the run must re-derive at most 2 classes, and the delta re-sweep must
+//! derive each of their refinements at most once per worker. The
+//! delta/full wall-clock ratio is printed, not judged: every sweep
+//! speed-up shrinks only its denominator (1.4 % when PR 10 recorded it,
+//! 6.7 % at PR 17 with the delta path no slower). `--json` writes the
+//! `bench/delta` snapshot (`BENCH_delta.json`) that `bench_gate` compares
+//! against the committed `BENCH_delta_baseline.json`.
 
 use bonsai_bench::{delta_snapshot_json, secs};
 use bonsai_config::{
@@ -199,14 +202,24 @@ fn main() -> ExitCode {
             );
             return ExitCode::FAILURE;
         }
-        if delta_s > 0.10 * full_s {
-            eprintln!("delta check FAILED: delta {delta_s:.3}s > 10% of full {full_s:.3}s",);
+        let refinements: usize = subset
+            .per_ec
+            .iter()
+            .map(|ec| ec.report.refinements.len())
+            .sum();
+        if subset.derivations > refinements * subset.threads.max(1) {
+            eprintln!(
+                "delta check FAILED: {} derivations for {refinements} refinements on {} workers",
+                subset.derivations, subset.threads,
+            );
             return ExitCode::FAILURE;
         }
         println!(
-            "delta check passed: {}/{} classes re-derived, delta at {:.1}% of full",
+            "delta check passed: {}/{} classes re-derived, {} derivations for {refinements} \
+             refinements; delta at {:.1}% of full (not judged)",
             dr.rederived.len(),
             dr.ecs_total(),
+            subset.derivations,
             100.0 * delta_s / full_s,
         );
     }

@@ -28,9 +28,7 @@
 use bonsai_bench::{failures_snapshot_json, secs};
 use bonsai_config::{BuiltTopology, NetworkConfig};
 use bonsai_core::compress::{compress, CompressOptions};
-use bonsai_core::scenarios::{
-    exhaustive_scenario_count, link_orbits, FailureScenario, ScenarioStream,
-};
+use bonsai_core::scenarios::{link_orbits, FailureScenario, ScenarioStream};
 use bonsai_core::signatures::build_sig_table;
 use bonsai_net::NodeId;
 use bonsai_srp::instance::{EcDest, MultiProtocol};
@@ -454,8 +452,7 @@ fn run_network(label: &str, net: &NetworkConfig, k: usize, max_ecs: usize, prune
         links: topo.graph.link_count(),
         ecs_audited,
         scenarios: scenario_count,
-        scenarios_exhaustive: exhaustive_scenario_count(topo.graph.link_count(), k)
-            * ecs_audited.max(1),
+        scenarios_exhaustive: stream.len() * ecs_audited.max(1),
         counterexamples,
         abs_nodes_before,
         abs_nodes_after,

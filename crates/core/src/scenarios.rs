@@ -745,12 +745,7 @@ impl ScenarioStream {
     /// The stream of every `1..=k` failure scenario of `graph`, in
     /// canonical enumeration order.
     pub fn new(graph: &Graph, k: usize) -> Self {
-        Self::over_links(graph.links(), k)
-    }
-
-    /// The stream over an explicit canonical link list (as produced by
-    /// [`Graph::links`]).
-    pub fn over_links(links: Vec<(NodeId, NodeId)>, k: usize) -> Self {
+        let links = graph.links();
         let mut bands = Vec::new();
         let mut total: u128 = 0;
         for size in 1..=k.min(links.len()) {
@@ -770,7 +765,7 @@ impl ScenarioStream {
     }
 
     /// Total scenario count (`C(L,1)+…+C(L,k)`), saturating at
-    /// `usize::MAX` like [`exhaustive_scenario_count`].
+    /// `usize::MAX`.
     pub fn len(&self) -> usize {
         usize::try_from(self.total).unwrap_or(usize::MAX)
     }
@@ -967,22 +962,6 @@ fn advance_combination(chosen: &mut [usize], n: usize) -> bool {
     false
 }
 
-/// Number of scenarios the exhaustive enumeration produces (the
-/// count `C(L,1)+…+C(L,k)`), without materializing them.
-/// Saturates at `usize::MAX`.
-pub fn exhaustive_scenario_count(num_links: usize, k: usize) -> usize {
-    let mut total = 0usize;
-    for size in 1..=k.min(num_links) {
-        // C(n, size), saturating.
-        let mut c = 1usize;
-        for i in 0..size {
-            c = c.saturating_mul(num_links - i) / (i + 1);
-        }
-        total = total.saturating_add(c);
-    }
-    total
-}
-
 // ---------------------------------------------------------------------------
 // Cross-EC canonicalization: quotient classes and canonical signatures.
 // ---------------------------------------------------------------------------
@@ -1024,12 +1003,12 @@ pub struct QuotientCanon {
 
 impl QuotientCanon {
     /// Canonical color of a block id.
-    pub fn color_of(&self, block: u32) -> u32 {
+    fn color_of(&self, block: u32) -> u32 {
         self.color_of_block[block as usize]
     }
 
     /// Canonical rank of an orbit id.
-    pub fn orbit_rank(&self, orbit: u32) -> u32 {
+    fn orbit_rank(&self, orbit: u32) -> u32 {
         self.canon_orbit_of[orbit as usize]
     }
 }
@@ -1333,7 +1312,7 @@ mod tests {
         assert_eq!(s1.len(), 6);
         let s2 = ScenarioStream::new(&topo.graph, 2).to_vec();
         assert_eq!(s2.len(), 21);
-        assert_eq!(exhaustive_scenario_count(6, 2), 21);
+        assert_eq!(ScenarioStream::new(&topo.graph, 2).len(), 21);
         // All distinct, all within bounds.
         let set: std::collections::BTreeSet<_> = s2.iter().collect();
         assert_eq!(set.len(), 21);

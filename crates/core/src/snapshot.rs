@@ -91,6 +91,17 @@ impl Json {
         }
     }
 
+    /// The value as an exact non-negative integer: `None` for a negative,
+    /// fractional or non-finite number and beyond 2^53, where an `f64`
+    /// stops holding every integer. A float→int `as` cast would saturate
+    /// and truncate those instead (`-1` → 0, `1.5` → 1).
+    pub fn as_usize(&self) -> Option<usize> {
+        const EXACT: f64 = (1u64 << 53) as f64;
+        self.as_f64()
+            .filter(|n| (0.0..=EXACT).contains(n) && n.fract() == 0.0)
+            .and_then(|n| usize::try_from(n as u64).ok())
+    }
+
     /// The value as a string slice.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -273,9 +284,9 @@ impl Envelope {
             .to_string();
         let version = doc
             .get("version")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| "envelope has no numeric \"version\" field".to_string())?
-            as u32;
+            .and_then(Json::as_usize)
+            .and_then(|v| u32::try_from(v).ok())
+            .ok_or_else(|| "envelope has no numeric \"version\" field".to_string())?;
         let git_sha = doc
             .get("git_sha")
             .and_then(Json::as_str)
@@ -671,6 +682,24 @@ mod tests {
         assert!(err.contains("kind mismatch"), "{err}");
         let err = Envelope::parse_expecting(&doc, "bench/compress", 2).unwrap_err();
         assert!(err.contains("version mismatch"), "{err}");
+    }
+
+    #[test]
+    fn integers_are_read_exactly_or_not_at_all() {
+        let as_usize = |text: &str| Json::parse(text).unwrap().as_usize();
+        assert_eq!(as_usize("0"), Some(0));
+        assert_eq!(as_usize("42"), Some(42));
+        assert_eq!(as_usize("4e2"), Some(400));
+        assert_eq!(as_usize("9007199254740992"), Some(1 << 53));
+        for bad in ["-1", "1.5", "-0.5", "1e300", "9007199254740994", "\"3\""] {
+            assert_eq!(as_usize(bad), None, "{bad}");
+        }
+        // An `as u32` cast used to read this envelope as version 3.
+        let doc = write_envelope("cli/failures", 3, "x", "y", "{}")
+            .replace("\"version\": 3", "\"version\": 3.9");
+        assert!(doc.contains("3.9"), "{doc}");
+        let err = Envelope::parse_expecting(&doc, "cli/failures", 3).unwrap_err();
+        assert!(err.contains("no numeric \"version\""), "{err}");
     }
 
     #[test]

@@ -59,7 +59,7 @@ impl std::fmt::Display for EquivalenceError {
 /// The observable content of a label under the attribute abstraction `h`:
 /// everything except concrete node identities in the path.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
-pub enum HLabel {
+pub(crate) enum HLabel {
     /// No route.
     Bottom,
     /// A static route.
@@ -105,7 +105,7 @@ pub(crate) type Behavior = (BTreeSet<HLabel>, BTreeSet<u32>);
 /// a human-readable description. The failure auditor uses the block to
 /// choose a refinement split when no failed-link endpoint is available.
 #[derive(Clone, Debug)]
-pub struct BehaviorMismatch {
+pub(crate) struct BehaviorMismatch {
     /// The block whose concrete and abstract behavior sets disagree.
     pub block: BlockId,
     /// Human-readable description of the disagreement.
@@ -248,7 +248,7 @@ pub(crate) fn abstract_behaviors(
 /// fwd-equivalent to the given concrete solution (modulo `h` and the
 /// copy assignment).
 #[allow(clippy::too_many_arguments)]
-pub fn check_solution_equivalence(
+fn check_solution_equivalence(
     network: &NetworkConfig,
     topo: &BuiltTopology,
     ec: &EcDest,
@@ -351,6 +351,16 @@ pub(crate) fn behaviors_match(
 /// concrete network under `concrete_orders` different activation orders
 /// and requires every resulting solution to have a matching abstract
 /// solution.
+///
+/// The attribute abstraction `h` is taken **from `engine`** — the
+/// compression run's shared policy-compilation engine
+/// (`CompressionReport::policies`): an engine built with
+/// `strip_unused_communities` models exactly the matched-community
+/// universe, so labels are compared modulo unused tags iff the
+/// compression itself stripped them (the `h` of the paper's data-center
+/// study) and the two can never disagree. `None` compares every
+/// community.
+#[allow(clippy::too_many_arguments)]
 pub fn check_cp_equivalence(
     network: &NetworkConfig,
     topo: &BuiltTopology,
@@ -359,99 +369,11 @@ pub fn check_cp_equivalence(
     abs: &AbstractNetwork,
     concrete_orders: usize,
     abstract_orders: usize,
-) -> Result<(), EquivalenceError> {
-    check_cp_equivalence_under_h(
-        network,
-        topo,
-        ec,
-        abstraction,
-        abs,
-        concrete_orders,
-        abstract_orders,
-        false,
-    )
-}
-
-/// [`check_cp_equivalence`] reusing the compression run's shared
-/// policy-compilation engine (`CompressionReport::policies`) instead of
-/// rescanning the network for the modeled-community set. The attribute
-/// abstraction `h` is taken **from the engine**: an engine built with
-/// `strip_unused_communities` models exactly the matched-community
-/// universe, so labels are compared modulo unused tags iff the
-/// compression itself stripped them — the two can never disagree.
-#[allow(clippy::too_many_arguments)]
-pub fn check_cp_equivalence_shared(
-    network: &NetworkConfig,
-    topo: &BuiltTopology,
-    ec: &EcDest,
-    abstraction: &Abstraction,
-    abs: &AbstractNetwork,
-    concrete_orders: usize,
-    abstract_orders: usize,
-    engine: &bonsai_core::engine::CompiledPolicies,
+    engine: Option<&bonsai_core::engine::CompiledPolicies>,
 ) -> Result<(), EquivalenceError> {
     let keep: Option<BTreeSet<Community>> = engine
-        .strips_unused_communities()
-        .then(|| engine.communities().iter().copied().collect());
-    check_cp_equivalence_with_keep(
-        network,
-        topo,
-        ec,
-        abstraction,
-        abs,
-        concrete_orders,
-        abstract_orders,
-        keep,
-    )
-}
-
-/// [`check_cp_equivalence`] with an explicit choice of the attribute
-/// abstraction `h`: with `strip_unused_communities`, labels are compared
-/// modulo communities no configuration ever matches (the `h` the paper
-/// uses for its data-center study). Builds a throwaway engine for the
-/// community scan; callers holding a `CompressionReport` should prefer
-/// [`check_cp_equivalence_shared`].
-#[allow(clippy::too_many_arguments)]
-pub fn check_cp_equivalence_under_h(
-    network: &NetworkConfig,
-    topo: &BuiltTopology,
-    ec: &EcDest,
-    abstraction: &Abstraction,
-    abs: &AbstractNetwork,
-    concrete_orders: usize,
-    abstract_orders: usize,
-    strip_unused_communities: bool,
-) -> Result<(), EquivalenceError> {
-    let keep: Option<BTreeSet<Community>> = strip_unused_communities.then(|| {
-        bonsai_core::engine::CompiledPolicies::from_network(network, true)
-            .communities()
-            .iter()
-            .copied()
-            .collect()
-    });
-    check_cp_equivalence_with_keep(
-        network,
-        topo,
-        ec,
-        abstraction,
-        abs,
-        concrete_orders,
-        abstract_orders,
-        keep,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn check_cp_equivalence_with_keep(
-    network: &NetworkConfig,
-    topo: &BuiltTopology,
-    ec: &EcDest,
-    abstraction: &Abstraction,
-    abs: &AbstractNetwork,
-    concrete_orders: usize,
-    abstract_orders: usize,
-    keep: Option<BTreeSet<Community>>,
-) -> Result<(), EquivalenceError> {
+        .filter(|e| e.strips_unused_communities())
+        .map(|e| e.communities().iter().copied().collect());
     let origins: Vec<NodeId> = ec.origins.iter().map(|(n, _)| *n).collect();
     let nodes: Vec<NodeId> = topo.graph.nodes().collect();
     for rot in 0..concrete_orders.max(1) {
@@ -487,7 +409,7 @@ mod tests {
             let ec_dest = ec.ec.to_ec_dest();
             // Reuse the compression run's shared engine (the same manager)
             // rather than rescanning the network.
-            check_cp_equivalence_shared(
+            check_cp_equivalence(
                 net,
                 &topo,
                 &ec_dest,
@@ -495,7 +417,7 @@ mod tests {
                 &ec.abstract_network,
                 8,
                 16,
-                &report.policies,
+                Some(&report.policies),
             )
             .unwrap_or_else(|e| panic!("CP-equivalence failed for {}: {e}", ec.ec.rep));
         }
@@ -534,7 +456,7 @@ mod tests {
         }
         let naive_abs =
             bonsai_core::abstraction::build_abstract_network(&net, &topo, &ec_dest, &naive);
-        let result = check_cp_equivalence(&net, &topo, &ec_dest, &naive, &naive_abs, 4, 16);
+        let result = check_cp_equivalence(&net, &topo, &ec_dest, &naive, &naive_abs, 4, 16, None);
         assert!(
             result.is_err(),
             "the unsound single-copy abstraction must be rejected"

@@ -47,9 +47,7 @@ use bonsai_core::abstraction::AbstractNetwork;
 use bonsai_core::algorithm::Abstraction;
 use bonsai_core::compress::refine_ec_with_split;
 use bonsai_core::engine::CompiledPolicies;
-use bonsai_core::scenarios::{
-    exhaustive_scenario_count, link_orbits_with_distances, FailureScenario, ScenarioStream,
-};
+use bonsai_core::scenarios::{link_orbits_with_distances, FailureScenario, ScenarioStream};
 use bonsai_net::partition::BlockId;
 use bonsai_net::{FailureMask, NodeId};
 use bonsai_srp::instance::EcDest;
@@ -151,7 +149,7 @@ pub fn lift_failure_mask(
 /// each check runs against the abstraction the previous one left).
 ///
 /// The attribute abstraction `h` is taken from the engine, exactly as in
-/// [`crate::equivalence::check_cp_equivalence_shared`]; the class's
+/// [`crate::equivalence::check_cp_equivalence`]; the class's
 /// signature table is looked up once in the same shared
 /// [`CompiledPolicies`] engine (a cache hit after a compression run) and
 /// every refinement step reuses it, so an audit recompiles nothing.
@@ -229,7 +227,7 @@ pub fn check_cp_equivalence_under_failures(
         if !refined_this_pass {
             return Ok(FailureAuditReport {
                 k,
-                scenarios_exhaustive: exhaustive_scenario_count(topo.graph.link_count(), k),
+                scenarios_exhaustive: stream.len(),
                 scenarios_swept,
                 checks_performed,
                 refinement_rounds: counterexamples.len(),

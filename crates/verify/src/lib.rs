@@ -53,10 +53,7 @@ pub mod session;
 pub mod sim_engine;
 pub mod sweep;
 
-pub use equivalence::{
-    check_cp_equivalence, check_cp_equivalence_shared, check_cp_equivalence_under_h,
-    EquivalenceError,
-};
+pub use equivalence::{check_cp_equivalence, EquivalenceError};
 pub use failures::{
     check_cp_equivalence_under_failures, lift_failure_mask, FailureAuditReport,
     FailureCounterexample,

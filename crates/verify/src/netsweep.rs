@@ -79,9 +79,8 @@ use bonsai_core::compress::{refine_ec_with_split, CompressionReport};
 use bonsai_core::engine::EcFingerprint;
 use bonsai_core::fanout::fan_out_ranges;
 use bonsai_core::scenarios::{
-    canonical_signature_of, exhaustive_scenario_count, quotient_canon, CanonicalSignature,
-    FailureScenario, OrbitSignature, QuotientCanon, QuotientClass, ScenarioRangeIter,
-    ScenarioStream, SignatureInterner,
+    canonical_signature_of, quotient_canon, CanonicalSignature, FailureScenario, OrbitSignature,
+    QuotientCanon, QuotientClass, ScenarioRangeIter, ScenarioStream, SignatureInterner,
 };
 use bonsai_net::prefix::Prefix;
 use bonsai_net::NodeId;
@@ -267,7 +266,7 @@ impl NetworkSweepReport {
     /// Fold this report's tallies into the process-wide metric registry
     /// (`sweep.*` — see `docs/OBSERVABILITY.md`). Counters accumulate
     /// across sweeps; the resident high-water mark is a max.
-    pub fn publish_metrics(&self) {
+    fn publish_metrics(&self) {
         bonsai_obs::add("sweep.derivations", self.derivations as u64);
         bonsai_obs::add("sweep.transfer.exact", self.exact_transfers as u64);
         bonsai_obs::add("sweep.transfer.symmetric", self.symmetric_transfers as u64);
@@ -586,7 +585,7 @@ pub fn sweep_network_subset(
                 k,
                 threads,
                 base_abstract_nodes: plane.ctx.base.abstract_node_count(),
-                scenarios_exhaustive: exhaustive_scenario_count(topo.graph.link_count(), k),
+                scenarios_exhaustive: stream.len(),
                 outcomes: ec_outcomes,
                 stats: per_ec_stats[e],
                 refinements: std::mem::take(&mut refinements[e]),

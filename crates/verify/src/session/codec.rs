@@ -76,22 +76,6 @@ pub(super) fn parse_bits(s: &str, n: usize) -> Option<Vec<bool>> {
         .collect()
 }
 
-fn provenance_str(p: RefinementProvenance) -> &'static str {
-    match p {
-        RefinementProvenance::Derived => "derived",
-        RefinementProvenance::TransferredExact => "transferred-exact",
-        RefinementProvenance::TransferredSymmetric => "transferred-symmetric",
-    }
-}
-
-fn parse_provenance(s: &str) -> RefinementProvenance {
-    match s {
-        "transferred-exact" => RefinementProvenance::TransferredExact,
-        "transferred-symmetric" => RefinementProvenance::TransferredSymmetric,
-        _ => RefinementProvenance::Derived,
-    }
-}
-
 fn array(items: impl Iterator<Item = String>) -> String {
     format!("[{}]", items.collect::<Vec<_>>().join(", "))
 }
@@ -141,7 +125,7 @@ impl<S: AsRef<str>> SnapshotDoc<S> {
                 .field_bool("localized_refuted", r.localized_refuted)
                 .field_u64("deviating_rounds", r.deviating_rounds as u64)
                 .field_bool("global_fallback", r.global_fallback)
-                .field_str("provenance", provenance_str(r.provenance))
+                .field_str("provenance", r.provenance.as_str())
                 .finish()
         };
         let verdict = |v: &VerdictRecord<S>| {
@@ -274,10 +258,12 @@ impl SnapshotDoc<String> {
                 localized_refuted: flag("localized_refuted"),
                 deviating_rounds: r
                     .get("deviating_rounds")
-                    .and_then(Json::as_f64)
-                    .unwrap_or(0.0) as usize,
+                    .and_then(Json::as_usize)
+                    .unwrap_or(0),
                 global_fallback: flag("global_fallback"),
-                provenance: parse_provenance(provenance.unwrap_or("")),
+                provenance: provenance
+                    .and_then(RefinementProvenance::parse)
+                    .unwrap_or(RefinementProvenance::Derived),
             })
         };
         let verdict = |v: &Json| {
@@ -289,12 +275,10 @@ impl SnapshotDoc<String> {
         let answer = |a: &Json| {
             Ok(PathAnswer {
                 prefix: text(a, "prefix", "path answer")?,
-                lengths: a.get("lengths").and_then(Json::as_arr).map(|ls| {
-                    ls.iter()
-                        .filter_map(Json::as_f64)
-                        .map(|l| l as usize)
-                        .collect()
-                }),
+                lengths: a
+                    .get("lengths")
+                    .and_then(Json::as_arr)
+                    .map(|ls| ls.iter().filter_map(Json::as_usize).collect()),
                 waypointed: a.get("waypointed").and_then(Json::as_bool),
             })
         };
@@ -313,8 +297,8 @@ impl SnapshotDoc<String> {
         Ok(SnapshotDoc {
             k: payload
                 .get("k")
-                .and_then(Json::as_f64)
-                .ok_or("payload has no k")? as usize,
+                .and_then(Json::as_usize)
+                .ok_or("payload has no k")?,
             prune_symmetric: payload.get("prune_symmetric").and_then(Json::as_bool),
             fingerprint: text(payload, "fingerprint", "payload")?,
             classes: per_class(payload, "ecs", "refinements", refinement)?,

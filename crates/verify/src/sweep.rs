@@ -126,6 +126,30 @@ pub enum RefinementProvenance {
     TransferredSymmetric,
 }
 
+impl RefinementProvenance {
+    /// The spelling every document and table uses (`cli/failures`,
+    /// `bonsai/session`, the `bonsai failures` listing).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            RefinementProvenance::Derived => "derived",
+            RefinementProvenance::TransferredExact => "transferred-exact",
+            RefinementProvenance::TransferredSymmetric => "transferred-symmetric",
+        }
+    }
+
+    /// The inverse of [`RefinementProvenance::as_str`]; `None` for any
+    /// other spelling.
+    pub fn parse(s: &str) -> Option<Self> {
+        [
+            RefinementProvenance::Derived,
+            RefinementProvenance::TransferredExact,
+            RefinementProvenance::TransferredSymmetric,
+        ]
+        .into_iter()
+        .find(|p| p.as_str() == s)
+    }
+}
+
 /// One cached per-scenario refinement: the abstraction that verified the
 /// canonical representative of an orbit signature, plus how it was found.
 #[derive(Clone, Debug)]
@@ -167,6 +191,20 @@ impl ScenarioRefinement {
     /// Abstract node count of the per-scenario refinement.
     pub fn refined_nodes(&self) -> usize {
         self.abstraction.abstract_node_count()
+    }
+
+    /// How the refinement was found, as the documents and the `bonsai
+    /// failures` listing spell it.
+    pub fn how(&self) -> &'static str {
+        if self.global_fallback {
+            "global fallback"
+        } else if self.deviating_rounds > 0 {
+            "deviating-member split"
+        } else if self.split.is_empty() {
+            "base abstraction"
+        } else {
+            "localized split"
+        }
     }
 }
 
@@ -297,14 +335,6 @@ impl SweepReport {
         self.refinements
             .values()
             .filter(|r| r.global_fallback)
-            .count()
-    }
-
-    /// Refinements whose localized endpoint split was refuted.
-    pub fn localized_refuted_count(&self) -> usize {
-        self.refinements
-            .values()
-            .filter(|r| r.localized_refuted)
             .count()
     }
 }

@@ -142,6 +142,22 @@ fn snapshot_of_other_network_is_rejected() {
     }
 }
 
+/// `"k": 2.5` used to restore as `k = 2` (a float→int cast truncates).
+#[test]
+fn snapshot_with_a_fractional_k_is_rejected() {
+    let s = gadget_session();
+    let snap = s.snapshot_json();
+    assert!(snap.contains("\"k\": 1,"), "{snap}");
+    let err = Session::builder(bonsai_srp::papernets::figure2_gadget())
+        .restore(&snap.replacen("\"k\": 1,", "\"k\": 2.5,", 1))
+        .err()
+        .expect("a fractional k must not restore");
+    match err {
+        SessionError::Snapshot(msg) => assert!(msg.contains("payload has no k"), "{msg}"),
+        other => panic!("wrong error: {other:?}"),
+    }
+}
+
 /// Two devices, two destination classes: a route-map clause on `a`
 /// matches only 10.0.1.0/24, so editing its set action re-derives
 /// exactly that class (mirrors the core delta tests).

@@ -86,7 +86,14 @@ fn main() {
     let naive_net =
         bonsai::core::abstraction::build_abstract_network(&network, &topo, &ec_dest, &naive);
     let verdict = bonsai::verify::equivalence::check_cp_equivalence(
-        &network, &topo, &ec_dest, &naive, &naive_net, 4, 16,
+        &network,
+        &topo,
+        &ec_dest,
+        &naive,
+        &naive_net,
+        4,
+        16,
+        Some(&report.policies),
     );
     println!(
         "\nnaive single-copy abstraction (Figure 2(b)): {}",
@@ -105,6 +112,7 @@ fn main() {
         &ec_result.abstract_network,
         6,
         16,
+        Some(&report.policies),
     )
     .expect("the split abstraction is CP-equivalent");
     println!("two-copy abstraction (Figure 2(c)): CP-equivalent ✓");

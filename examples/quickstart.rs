@@ -57,6 +57,7 @@ fn main() {
         &ec.abstract_network,
         4,
         8,
+        Some(&report.policies),
     )
     .expect("CP-equivalence holds");
     println!("CP-equivalence verified: labels and forwarding correspond.");

@@ -1,7 +1,8 @@
-//! What the `bonsai` binary does that tests must be able to call: the
-//! document models of `failures --json` / `diff --json`, and the streamed
-//! emit stage of `compress` ([`compress_streamed`], at the end of this
-//! file).
+//! What the `bonsai` binary does that tests must be able to call: its
+//! command line ([`args`]: the one table of subcommands and flags, its
+//! parser and the generated usage text), the document models of
+//! `failures --json` / `diff --json`, and the streamed emit stage of
+//! `compress` ([`compress_streamed`], at the end of this file).
 //!
 //! The document model behind `bonsai failures --json`: one neutral
 //! [`FailuresDoc`] that is **built** from a live [`NetworkSweepReport`],
@@ -27,12 +28,13 @@
 //! string-encoded `fingerprint` (u64 hashes do not survive a float
 //! round-trip), and the optional top-level `shard` marker.
 
+pub mod args;
+
 use crate::core::compress::{
     compress_each, ClassStats, CompressOptions, CompressionReport, EcCompression,
 };
 use crate::core::snapshot::{json_escape, write_envelope, Envelope, Json};
 use crate::verify::netsweep::NetworkSweepReport;
-use crate::verify::sweep::RefinementProvenance;
 use bonsai_config::{print_network_into, BuiltTopology, NetworkConfig};
 use std::cell::RefCell;
 use std::path::{Path, PathBuf};
@@ -99,6 +101,14 @@ pub struct DiffDoc {
     pub full_s: f64,
     /// Wall-clock seconds of the delta apply + subset re-sweep.
     pub delta_s: f64,
+}
+
+/// A required integer field: exact ([`Json::as_usize`]) or an error —
+/// `"rank": -1` and `"scenarios": 1.5` do not read as 0 and 1.
+fn usize_of(j: &Json, key: &str) -> Result<usize, String> {
+    j.get(key)
+        .and_then(Json::as_usize)
+        .ok_or_else(|| format!("missing integer field `{key}`"))
 }
 
 impl DiffDoc {
@@ -171,12 +181,6 @@ impl DiffDoc {
     pub fn parse(text: &str) -> Result<DiffDoc, String> {
         let env = Envelope::parse_expecting(text, DIFF_DOC_KIND, DIFF_DOC_VERSION)?;
         let p = &env.payload;
-        let usize_of = |j: &Json, key: &str| -> Result<usize, String> {
-            j.get(key)
-                .and_then(Json::as_f64)
-                .map(|v| v as usize)
-                .ok_or_else(|| format!("missing integer field `{key}`"))
-        };
         let f64_of = |j: &Json, key: &str| -> Result<f64, String> {
             j.get(key)
                 .and_then(Json::as_f64)
@@ -348,26 +352,6 @@ pub struct FailuresDoc {
     pub queries: Vec<QueryDoc>,
 }
 
-fn how_label(r: &crate::verify::sweep::ScenarioRefinement) -> &'static str {
-    if r.global_fallback {
-        "global fallback"
-    } else if r.deviating_rounds > 0 {
-        "deviating-member split"
-    } else if r.split.is_empty() {
-        "base abstraction"
-    } else {
-        "localized split"
-    }
-}
-
-fn provenance_label(p: RefinementProvenance) -> &'static str {
-    match p {
-        RefinementProvenance::Derived => "derived",
-        RefinementProvenance::TransferredExact => "transferred-exact",
-        RefinementProvenance::TransferredSymmetric => "transferred-symmetric",
-    }
-}
-
 impl FailuresDoc {
     /// Builds the document from a live network sweep (which must have
     /// collected outcomes — the CLI always does).
@@ -405,8 +389,8 @@ impl FailuresDoc {
                     representative: r.representative.describe(&topo.graph),
                     nodes: r.refined_nodes(),
                     split: r.split.len(),
-                    how: how_label(r).to_string(),
-                    provenance: provenance_label(r.provenance).to_string(),
+                    how: r.how().to_string(),
+                    provenance: r.provenance.as_str().to_string(),
                 });
             }
             debug_assert_eq!(
@@ -583,12 +567,6 @@ impl FailuresDoc {
     pub fn parse(text: &str) -> Result<FailuresDoc, String> {
         let env = Envelope::parse_expecting(text, FAILURES_DOC_KIND, FAILURES_DOC_VERSION)?;
         let p = &env.payload;
-        let usize_of = |j: &Json, key: &str| -> Result<usize, String> {
-            j.get(key)
-                .and_then(Json::as_f64)
-                .map(|v| v as usize)
-                .ok_or_else(|| format!("missing integer field `{key}`"))
-        };
         let str_of = |j: &Json, key: &str| -> Result<String, String> {
             j.get(key)
                 .and_then(Json::as_str)

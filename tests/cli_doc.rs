@@ -123,3 +123,22 @@ fn merge_rejects_incomplete_or_mixed_shard_sets() {
         "unsharded document in the set"
     );
 }
+
+/// Integers are read exactly or rejected: a float→int cast used to read a
+/// shard document's `"rank": -1` as 0 and `"scenarios": 1.5` as 1, so a
+/// corrupted shard merged. (The envelope's `"version": 3.9` is pinned
+/// beside `Envelope::parse`, in `core::snapshot`.)
+#[test]
+fn inexact_integers_are_rejected_not_truncated() {
+    let network = fattree(4, FattreePolicy::ShortestPath);
+    let (text, _) = doc_for(&network, &options(1), Some((0, 2)));
+    for (key, bad, field) in [
+        ("\"rank\":", "\"rank\":-1,\"was\":", "rank"),
+        ("\"scenarios\":", "\"scenarios\":1.5,\"was\":", "scenarios"),
+        ("\"index\": ", "\"index\": 0.25, \"was\": ", "index"),
+    ] {
+        assert!(text.contains(key), "{key} not in {text}");
+        let err = FailuresDoc::parse(&text.replacen(key, bad, 1)).unwrap_err();
+        assert_eq!(err, format!("missing integer field `{field}`"));
+    }
+}

@@ -10,7 +10,7 @@ use bonsai::core::compress::{compress, CompressOptions};
 use bonsai::topo::{
     datacenter, fattree, full_mesh, ring, wan, DatacenterParams, FattreePolicy, WanParams,
 };
-use bonsai::verify::equivalence::check_cp_equivalence_under_h;
+use bonsai::verify::equivalence::check_cp_equivalence;
 use bonsai_config::{BuiltTopology, NetworkConfig};
 
 fn check(net: &NetworkConfig, options: CompressOptions, sample: usize) {
@@ -19,7 +19,7 @@ fn check(net: &NetworkConfig, options: CompressOptions, sample: usize) {
     assert!(report.num_ecs() > 0);
     let step = (report.per_ec.len() / sample.max(1)).max(1);
     for ec in report.per_ec.iter().step_by(step) {
-        check_cp_equivalence_under_h(
+        check_cp_equivalence(
             net,
             &topo,
             &ec.ec.to_ec_dest(),
@@ -27,7 +27,7 @@ fn check(net: &NetworkConfig, options: CompressOptions, sample: usize) {
             &ec.abstract_network,
             4,
             16,
-            options.strip_unused_communities,
+            Some(&report.policies),
         )
         .unwrap_or_else(|e| panic!("CP-equivalence failed for class {}: {e}", ec.ec.rep));
     }

@@ -39,7 +39,7 @@ fn crafted_gadget_abstract_differs_from_concrete_under_one_failure() {
     let ec_dest = ec.ec.to_ec_dest();
 
     // Failure-free: sound (the PR-2 oracle).
-    bonsai::verify::check_cp_equivalence_shared(
+    bonsai::verify::check_cp_equivalence(
         &net,
         &topo,
         &ec_dest,
@@ -47,7 +47,7 @@ fn crafted_gadget_abstract_differs_from_concrete_under_one_failure() {
         &ec.abstract_network,
         4,
         16,
-        &report.policies,
+        Some(&report.policies),
     )
     .expect("failure-free CP-equivalence holds");
 

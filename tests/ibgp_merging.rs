@@ -89,6 +89,7 @@ fn merged_ibgp_network_is_cp_equivalent() {
         &ec.abstract_network,
         6,
         16,
+        Some(&report.policies),
     )
     .unwrap();
 }

@@ -67,6 +67,7 @@ fn figure5_incompressible_but_sound() {
         &ec.abstract_network,
         4,
         8,
+        Some(&report.policies),
     )
     .unwrap();
 }

@@ -174,6 +174,7 @@ proptest! {
                 &ec.abstract_network,
                 6,
                 24,
+                Some(&report.policies),
             );
             prop_assert!(
                 result.is_ok(),
