@@ -1,17 +1,15 @@
-//! The CI perf-regression gate.
+//! The CI bench gate.
 //!
 //! ```text
-//! bench_gate BASELINE.json CANDIDATE.json [--threshold 1.5] [--floor 0.025]
+//! bench_gate BASELINE.json CANDIDATE.json
 //! ```
 //!
 //! Loads two enveloped snapshots of the same kind (`bench/compress` from
-//! `table1 --json`, or `bench/failures` from `failures --json` — the
-//! stage list follows the kind), compares every
-//! baseline row's per-stage wall-clock times against the candidate, and
-//! exits nonzero when any stage regressed more than `threshold`× (stages
-//! below `floor` seconds in the baseline are measured against the floor,
-//! so micro-stage jitter cannot fail the gate). See `bonsai_bench::gate`
-//! for the exact rule.
+//! `table1 --json`, `bench/failures` from `failures --json`, `bench/delta`
+//! from `delta --json`) and exits nonzero when a count of a baseline row —
+//! any number that is not a duration — differs in the candidate's row, or
+//! when a row or field is missing. Durations are printed and not judged.
+//! See `bonsai_bench::gate` for the exact rule.
 
 use bonsai_bench::gate::{compare_snapshots, render};
 use bonsai_core::snapshot::Envelope;
@@ -22,50 +20,20 @@ fn load(path: &str) -> Result<Envelope, String> {
     Envelope::parse(&text).map_err(|e| format!("parsing {path}: {e}"))
 }
 
-fn flag(args: &[String], name: &str, default: f64) -> Result<f64, String> {
-    match args.iter().position(|a| a == name) {
-        None => Ok(default),
-        Some(i) => args
-            .get(i + 1)
-            .ok_or_else(|| format!("{name} needs a value"))?
-            .parse()
-            .map_err(|e| format!("{name}: {e}")),
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // Positionals are everything that is neither a flag nor a flag's value.
-    let mut positional: Vec<&String> = Vec::new();
-    let mut skip_value = false;
-    for a in &args {
-        if skip_value {
-            skip_value = false;
-        } else if a.starts_with("--") {
-            skip_value = matches!(a.as_str(), "--threshold" | "--floor");
-        } else {
-            positional.push(a);
-        }
-    }
     let run = || -> Result<bool, String> {
-        let [baseline_path, candidate_path] = positional.as_slice() else {
-            return Err(
-                "usage: bench_gate BASELINE.json CANDIDATE.json [--threshold 1.5] [--floor 0.025]"
-                    .to_string(),
-            );
+        let [baseline, candidate] = args.as_slice() else {
+            return Err("usage: bench_gate BASELINE.json CANDIDATE.json".to_string());
         };
-        let threshold = flag(&args, "--threshold", 1.5)?;
-        let floor = flag(&args, "--floor", 0.025)?;
-        let baseline = load(baseline_path.as_str())?;
-        let candidate = load(candidate_path.as_str())?;
-        let result = compare_snapshots(&baseline, &candidate, threshold, floor);
-        print!("{}", render(&result, threshold));
+        let result = compare_snapshots(&load(baseline)?, &load(candidate)?);
+        print!("{}", render(&result));
         Ok(result.passed())
     };
     match run() {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => {
-            eprintln!("perf gate FAILED");
+            eprintln!("bench gate FAILED");
             ExitCode::FAILURE
         }
         Err(msg) => {

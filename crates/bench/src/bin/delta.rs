@@ -23,11 +23,12 @@
 //! `bench/delta` snapshot (`BENCH_delta.json`) that `bench_gate` compares
 //! against the committed `BENCH_delta_baseline.json`.
 
-use bonsai_bench::{delta_snapshot_json, secs};
+use bonsai_bench::{secs, snapshot_json, DELTA_SNAPSHOT_KIND, DELTA_SNAPSHOT_VERSION};
 use bonsai_config::{
     Action, MatchCond, NetworkConfig, PrefixList, PrefixListEntry, RouteMapClause, SetAction,
 };
 use bonsai_core::compress::{compress, recompress_delta, CompressOptions};
+use bonsai_core::snapshot::{write_object, Layout};
 use bonsai_topo::{fattree, FattreePolicy};
 use bonsai_verify::netsweep::{sweep_network, sweep_network_subset, NetworkSweepOptions};
 use bonsai_verify::sweep::SweepOptions;
@@ -169,28 +170,26 @@ fn main() -> ExitCode {
         subset.per_ec.len(),
     );
 
-    let row = format!(
-        concat!(
-            "{{\"label\":\"Fattree8\",\"k\":{},",
-            "\"times\":{{\"full_s\":{:.6},\"delta_s\":{:.6}}},",
-            "\"ecs_total\":{},\"ecs_rederived\":{},\"fingerprints_moved\":{}}}"
-        ),
-        k,
-        full_s,
-        delta_s,
-        dr.ecs_total(),
-        dr.rederived.len(),
-        dr.fingerprints_moved,
-    );
+    let mut row = String::new();
+    write_object(&mut row, Layout::Compact, |o| {
+        o.str("label", "Fattree8").uint("k", k);
+        o.object("times", Layout::Compact, |o| {
+            o.float("full_s", full_s, 6).float("delta_s", delta_s, 6);
+        });
+        o.uint("ecs_total", dr.ecs_total())
+            .uint("ecs_rederived", dr.rederived.len())
+            .uint("fingerprints_moved", dr.fingerprints_moved);
+    });
+    let snapshot = || snapshot_json(DELTA_SNAPSHOT_KIND, DELTA_SNAPSHOT_VERSION, &[row]);
     match &json_path {
         Some(Some(path)) => {
-            if let Err(e) = std::fs::write(path, delta_snapshot_json(&[row])) {
+            if let Err(e) = std::fs::write(path, snapshot()) {
                 eprintln!("cannot write {path}: {e}");
                 return ExitCode::FAILURE;
             }
             println!("wrote {path}");
         }
-        Some(None) => print!("{}", delta_snapshot_json(&[row])),
+        Some(None) => print!("{}", snapshot()),
         None => {}
     }
 

@@ -25,11 +25,12 @@
 //! rate, refined sizes, and the cross-EC sharing statistics (classes
 //! covered, derivations vs. the unshared count, sharing ratio).
 
-use bonsai_bench::{failures_snapshot_json, secs};
+use bonsai_bench::{secs, snapshot_json, FAILURES_SNAPSHOT_KIND, FAILURES_SNAPSHOT_VERSION};
 use bonsai_config::{BuiltTopology, NetworkConfig};
 use bonsai_core::compress::{compress, CompressOptions};
 use bonsai_core::scenarios::{link_orbits, FailureScenario, ScenarioStream};
 use bonsai_core::signatures::build_sig_table;
+use bonsai_core::snapshot::{write_object, Layout};
 use bonsai_net::NodeId;
 use bonsai_srp::instance::{EcDest, MultiProtocol};
 use bonsai_srp::solver::{solve, solve_masked, solve_warm_masked, SolverOptions};
@@ -137,60 +138,53 @@ impl Row {
     }
 
     fn json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"label\":\"{}\",\"k\":{},\"links\":{},\"ecs_audited\":{},",
-                "\"scenarios\":{},\"scenarios_exhaustive\":{},\"counterexamples\":{},",
-                "\"abs_nodes_before\":{},\"abs_nodes_after\":{},",
-                "\"times\":{{\"concrete_s\":{:.6},\"warm_s\":{:.6},\"audit_s\":{:.6},",
-                "\"abstract_s\":{:.6},\"sweep_s\":{:.6},\"netsweep_s\":{:.6},",
-                "\"merge_s\":{:.6}}},",
-                "\"sweep\":{{\"scenarios\":{},\"refinements\":{},\"cache_hit_rate\":{:.6},",
-                "\"base_abs_nodes_mean\":{:.6},\"mean_refined_nodes\":{:.6},\"max_refined_nodes\":{},",
-                "\"global_fallbacks\":{}}},",
-                "\"cross_ec\":{{\"ecs_covered\":{},\"derivations\":{},\"unshared_derivations\":{},",
-                "\"sharing_ratio\":{:.6},\"exact_transfers\":{},\"symmetric_transfers\":{},",
-                "\"distinct_fingerprints\":{}}},",
-                "\"streamed\":{{\"chunk_size\":{},\"scenarios_streamed\":{},",
-                "\"peak_resident_scenarios\":{}}},",
-                "\"query_cold_us\":{:.3},\"query_warm_us\":{:.3}}}"
-            ),
-            self.label,
-            self.k,
-            self.links,
-            self.ecs_audited,
-            self.scenarios,
-            self.scenarios_exhaustive,
-            self.counterexamples,
-            self.abs_nodes_before,
-            self.abs_nodes_after,
-            self.concrete.as_secs_f64(),
-            self.warm.as_secs_f64(),
-            self.audit.as_secs_f64(),
-            self.abstract_.as_secs_f64(),
-            self.sweep.as_secs_f64(),
-            self.netsweep.as_secs_f64(),
-            self.merge.as_secs_f64(),
-            self.sweep_scenarios,
-            self.sweep_refinements,
-            self.sweep_hit_rate,
-            self.sweep_base_mean,
-            self.sweep_mean_refined,
-            self.sweep_max_refined,
-            self.sweep_fallbacks,
-            self.netsweep_ecs,
-            self.netsweep_derivations,
-            self.netsweep_unshared,
-            self.netsweep_sharing_ratio,
-            self.netsweep_exact,
-            self.netsweep_symmetric,
-            self.netsweep_fingerprints,
-            self.chunk_size,
-            self.scenarios_streamed,
-            self.peak_resident_scenarios,
-            self.query_cold_us,
-            self.query_warm_us,
-        )
+        let mut row = String::new();
+        write_object(&mut row, Layout::Compact, |o| {
+            o.str("label", &self.label)
+                .uint("k", self.k)
+                .uint("links", self.links)
+                .uint("ecs_audited", self.ecs_audited)
+                .uint("scenarios", self.scenarios)
+                .uint("scenarios_exhaustive", self.scenarios_exhaustive)
+                .uint("counterexamples", self.counterexamples)
+                .uint("abs_nodes_before", self.abs_nodes_before)
+                .uint("abs_nodes_after", self.abs_nodes_after);
+            o.object("times", Layout::Compact, |o| {
+                o.float("concrete_s", self.concrete.as_secs_f64(), 6)
+                    .float("warm_s", self.warm.as_secs_f64(), 6)
+                    .float("audit_s", self.audit.as_secs_f64(), 6)
+                    .float("abstract_s", self.abstract_.as_secs_f64(), 6)
+                    .float("sweep_s", self.sweep.as_secs_f64(), 6)
+                    .float("netsweep_s", self.netsweep.as_secs_f64(), 6)
+                    .float("merge_s", self.merge.as_secs_f64(), 6);
+            });
+            o.object("sweep", Layout::Compact, |o| {
+                o.uint("scenarios", self.sweep_scenarios)
+                    .uint("refinements", self.sweep_refinements)
+                    .float("cache_hit_rate", self.sweep_hit_rate, 6)
+                    .float("base_abs_nodes_mean", self.sweep_base_mean, 6)
+                    .float("mean_refined_nodes", self.sweep_mean_refined, 6)
+                    .uint("max_refined_nodes", self.sweep_max_refined)
+                    .uint("global_fallbacks", self.sweep_fallbacks);
+            });
+            o.object("cross_ec", Layout::Compact, |o| {
+                o.uint("ecs_covered", self.netsweep_ecs)
+                    .uint("derivations", self.netsweep_derivations)
+                    .uint("unshared_derivations", self.netsweep_unshared)
+                    .float("sharing_ratio", self.netsweep_sharing_ratio, 6)
+                    .uint("exact_transfers", self.netsweep_exact)
+                    .uint("symmetric_transfers", self.netsweep_symmetric)
+                    .uint("distinct_fingerprints", self.netsweep_fingerprints);
+            });
+            o.object("streamed", Layout::Compact, |o| {
+                o.uint("chunk_size", self.chunk_size)
+                    .uint("scenarios_streamed", self.scenarios_streamed)
+                    .uint("peak_resident_scenarios", self.peak_resident_scenarios);
+            });
+            o.float("query_cold_us", self.query_cold_us, 3);
+            o.float("query_warm_us", self.query_warm_us, 3);
+        });
+        row
     }
 }
 
@@ -539,7 +533,7 @@ fn main() {
     }
 
     if let Some(path) = json_path {
-        let doc = failures_snapshot_json(&snapshot);
+        let doc = snapshot_json(FAILURES_SNAPSHOT_KIND, FAILURES_SNAPSHOT_VERSION, &snapshot);
         std::fs::write(&path, doc).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         eprintln!("wrote {path} ({} rows)", snapshot.len());
     }

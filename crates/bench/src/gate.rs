@@ -1,119 +1,73 @@
-//! The CI perf-regression gate: compare two snapshots of the same
-//! envelope kind stage by stage and fail on wall-clock regressions.
+//! The CI bench gate: compare two snapshots of the same envelope kind row
+//! by row and fail when a **count** moved.
 //!
-//! CI has always *uploaded* the perf snapshots; this module is what reads
-//! them back. Committed baselines (`BENCH_baseline.json` for the
-//! compression study, `BENCH_failures_baseline.json` for the failure
-//! study) record the blessed per-stage times; the gate compares a freshly
-//! generated snapshot against its baseline, row by row (matched on
-//! `label`, failure rows additionally on `k`) and stage by stage, and
-//! reports a regression when
+//! CI has always *uploaded* the bench snapshots; this module is what reads
+//! them back. The committed baselines (`BENCH_baseline.json`,
+//! `BENCH_failures_baseline.json`, `BENCH_delta_baseline.json`) record
+//! what `table1 --quick --json`, `failures --quick --json` and
+//! `delta --json` wrote when they were blessed. Everything those rows
+//! carry besides wall-clock time is exact and repeats from run to run —
+//! sizes, scenario and counterexample counts, engine lookups and hits,
+//! derivations, transfers, hit rates computed from them — so the gate
+//! requires every such number of a baseline row to be **equal** in the
+//! candidate's row (rows matched on `label`, failure rows additionally on
+//! `k`). A moved count is a behaviour change: either a regression, or an
+//! intended one that re-blesses the baseline in the same commit.
 //!
-//! ```text
-//! candidate > threshold * max(baseline, floor)
-//! ```
+//! Durations — everything under a row's `times` object and every field
+//! named `*_s` / `*_us` — are printed with their ratio and never judged:
+//! the rows run for milliseconds, below what a shared runner resolves
+//! (wall-clock is judged by `sysbench`, which runs long enough to tell).
 //!
-//! Snapshots arrive as [`bonsai_core::snapshot::Envelope`]s; the stage
-//! list follows the envelope kind ([`stages_for_kind`]): compression
-//! snapshots gate the pipeline stages, failure snapshots gate the cold /
-//! warm / audit / refined-abstract / sweep-engine / network-sweep columns
-//! — which is what locks in the warm-start and per-scenario-sweep
-//! speedups. Pre-envelope snapshots (and enveloped ones of an older
-//! payload version) fail with an explicit regenerate message rather than
-//! a silent pass.
-//!
-//! The `floor` (default 25 ms) keeps micro-stages out of the verdict:
-//! sub-millisecond stages jitter by integer factors on shared CI runners
-//! without any code change, while a genuine pipeline regression shows up
-//! in stages that take real time. Both knobs are command-line flags of
-//! the `bench_gate` binary, so a noisy runner can be accommodated without
-//! touching code. Missing rows and missing stages are hard failures —
-//! silently dropping a benchmark must not read as "no regression".
+//! Missing rows, missing fields and a kind or version mismatch are hard
+//! failures — silently dropping a benchmark must not read as "nothing
+//! moved". Candidate-only rows are ignored: a new benchmark may land
+//! before its baseline is re-blessed.
 
 use bonsai_core::snapshot::{Envelope, Json};
 
-/// The per-stage wall-clock fields of a compression snapshot row's
-/// `times` object.
-pub const STAGES: [&str; 5] = [
-    "total_s",
-    "ec_compute_s",
-    "engine_build_s",
-    "bdd_s",
-    "per_ec_s",
-];
-
-/// The per-stage wall-clock fields of a failure-study snapshot row's
-/// `times` object (cold concrete sweep, warm-started sweep, PR 3 audit,
-/// refined-abstract sweep, per-scenario sweep engine, network-level
-/// sweep, sharded-report merge). The resident-session query latencies
-/// (`query_cold_us`, `query_warm_us`) ride in the rows but are **not**
-/// gated — they are microsecond-scale and would drown in runner jitter;
-/// same for the `streamed` counters, which are exact integers gated by
-/// the acceptance tests instead.
-pub const FAILURE_STAGES: [&str; 7] = [
-    "concrete_s",
-    "warm_s",
-    "audit_s",
-    "abstract_s",
-    "sweep_s",
-    "netsweep_s",
-    "merge_s",
-];
-
-/// The per-stage wall-clock fields of a delta-reverification snapshot
-/// row's `times` object (fresh full pipeline vs warm delta pipeline on
-/// the same edited config). The reuse counters (`ecs_rederived`,
-/// `fingerprints_moved`) ride in the rows ungated — they are exact
-/// integers asserted by the `delta --check` acceptance run.
-pub const DELTA_STAGES: [&str; 2] = ["full_s", "delta_s"];
-
-/// The stage list the gate compares for an envelope kind + payload
-/// version, or `None` for snapshots it does not know how to gate.
-pub fn stages_for_kind(kind: &str, version: u32) -> Option<&'static [&'static str]> {
-    match (kind, version) {
-        (crate::COMPRESS_SNAPSHOT_KIND, crate::COMPRESS_SNAPSHOT_VERSION) => Some(&STAGES),
-        (crate::FAILURES_SNAPSHOT_KIND, crate::FAILURES_SNAPSHOT_VERSION) => Some(&FAILURE_STAGES),
-        (crate::DELTA_SNAPSHOT_KIND, crate::DELTA_SNAPSHOT_VERSION) => Some(&DELTA_STAGES),
-        _ => None,
-    }
+/// One number of a baseline row, set against the candidate's.
+#[derive(Clone, Debug)]
+pub struct FieldComparison {
+    /// Row key: the label, plus ` k=<k>` for rows that carry a bound.
+    pub row: String,
+    /// Dotted path of the field inside the row (`engine.sig_hits`).
+    pub field: String,
+    /// The baseline's value.
+    pub baseline: f64,
+    /// The candidate's value.
+    pub candidate: f64,
+    /// False for a duration, which is printed and not judged.
+    pub judged: bool,
 }
 
-/// One stage comparison.
-#[derive(Clone, Debug)]
-pub struct StageComparison {
-    /// Row label (topology).
-    pub label: String,
-    /// Stage name (a member of [`STAGES`]).
-    pub stage: String,
-    /// Baseline seconds.
-    pub baseline_s: f64,
-    /// Candidate seconds.
-    pub candidate_s: f64,
-    /// `candidate / max(baseline, floor)`.
-    pub ratio: f64,
-    /// True when the stage regressed past the threshold.
-    pub regressed: bool,
+impl FieldComparison {
+    /// True when a judged number differs from its baseline.
+    pub fn moved(&self) -> bool {
+        self.judged && self.baseline != self.candidate
+    }
 }
 
 /// Outcome of a snapshot comparison.
 #[derive(Clone, Debug, Default)]
 pub struct GateResult {
-    /// Every stage comparison performed, in row order.
-    pub comparisons: Vec<StageComparison>,
-    /// Structural problems (missing rows/stages, kind/version mismatch).
+    /// Every number of every baseline row, in row and field order.
+    pub comparisons: Vec<FieldComparison>,
+    /// Structural problems (missing rows or fields, kind or version
+    /// mismatch).
     pub errors: Vec<String>,
 }
 
 impl GateResult {
-    /// The comparisons that regressed.
-    pub fn regressions(&self) -> impl Iterator<Item = &StageComparison> {
-        self.comparisons.iter().filter(|c| c.regressed)
+    /// The judged numbers that differ from their baseline.
+    pub fn moved(&self) -> impl Iterator<Item = &FieldComparison> {
+        self.comparisons.iter().filter(|c| c.moved())
     }
 
-    /// True when the candidate passes: no regressions, no structural
+    /// True when the candidate passes: nothing moved, no structural
     /// problems.
     pub fn passed(&self) -> bool {
-        self.errors.is_empty() && self.regressions().next().is_none()
+        self.errors.is_empty() && self.moved().next().is_none()
     }
 }
 
@@ -147,110 +101,105 @@ fn rows_by_label<'j>(
     out
 }
 
-/// Compares a candidate snapshot against a baseline of the same envelope
-/// kind and payload version.
-///
-/// The stage list is derived from the baseline's kind
-/// ([`stages_for_kind`]); the candidate must carry the identical kind and
-/// version. Every baseline row must exist in the candidate and every
-/// stage must be present in both (missing data is a structural error).
-/// Candidate-only rows are compared against nothing — new benchmarks may
-/// land before their baseline is re-blessed.
-pub fn compare_snapshots(
-    baseline: &Envelope,
-    candidate: &Envelope,
-    threshold: f64,
-    floor_s: f64,
-) -> GateResult {
-    let mut result = GateResult::default();
-    let Some(stages) = stages_for_kind(&baseline.kind, baseline.version) else {
-        result.errors.push(format!(
-            "baseline: don't know how to gate snapshot kind \"{}\" v{} — regenerate it \
-             with the current writers",
-            baseline.kind, baseline.version
-        ));
-        return result;
+/// Sets every number under `baseline` (one row, or an object nested in
+/// it at `path`) against the same field of `candidate`. `timed` is true
+/// inside a `times` object.
+fn compare_fields(
+    row: &str,
+    path: &str,
+    baseline: &Json,
+    candidate: Option<&Json>,
+    timed: bool,
+    result: &mut GateResult,
+) {
+    let Json::Obj(fields) = baseline else {
+        return;
     };
+    for (key, value) in fields {
+        let field = if path.is_empty() {
+            key.clone()
+        } else {
+            format!("{path}.{key}")
+        };
+        let other = candidate.and_then(|c| c.get(key));
+        match value {
+            Json::Obj(_) => {
+                let timed = timed || key == "times";
+                compare_fields(row, &field, value, other, timed, result);
+            }
+            Json::Num(baseline) => match other.and_then(Json::as_f64) {
+                Some(candidate) => result.comparisons.push(FieldComparison {
+                    row: row.to_string(),
+                    field,
+                    baseline: *baseline,
+                    candidate,
+                    judged: !(timed || key.ends_with("_s") || key.ends_with("_us")),
+                }),
+                None => result.errors.push(format!(
+                    "row '{row}': field '{field}' is missing from the candidate"
+                )),
+            },
+            _ => {}
+        }
+    }
+}
+
+/// Compares a candidate snapshot against a baseline of the same envelope
+/// kind and payload version: every baseline row must exist in the
+/// candidate and every number it carries must be present there (missing
+/// data is a structural error); the numbers that are not durations must
+/// be equal.
+pub fn compare_snapshots(baseline: &Envelope, candidate: &Envelope) -> GateResult {
+    let mut result = GateResult::default();
     if (candidate.kind.as_str(), candidate.version) != (baseline.kind.as_str(), baseline.version) {
         result.errors.push(format!(
-            "candidate snapshot \"{}\" v{} does not match baseline \"{}\" v{}",
+            "candidate snapshot \"{}\" v{} does not match baseline \"{}\" v{} — regenerate \
+             the baseline with the current writers",
             candidate.kind, candidate.version, baseline.kind, baseline.version
         ));
         return result;
     }
     let base_rows = rows_by_label(baseline, "baseline", &mut result.errors);
     let cand_rows = rows_by_label(candidate, "candidate", &mut result.errors);
-
     for (label, base_row) in &base_rows {
-        let Some((_, cand_row)) = cand_rows.iter().find(|(l, _)| l == label) else {
-            result
+        match cand_rows.iter().find(|(l, _)| l == label) {
+            Some((_, cand_row)) => {
+                compare_fields(label, "", base_row, Some(cand_row), false, &mut result)
+            }
+            None => result
                 .errors
-                .push(format!("candidate is missing baseline row '{label}'"));
-            continue;
-        };
-        for &stage in stages {
-            let get = |row: &Json| -> Option<f64> {
-                row.get("times")
-                    .and_then(|t| t.get(stage))
-                    .and_then(Json::as_f64)
-            };
-            let (base, cand) = match (get(base_row), get(cand_row)) {
-                (Some(b), Some(c)) => (b, c),
-                _ => {
-                    result.errors.push(format!(
-                        "row '{label}': stage '{stage}' missing on one side"
-                    ));
-                    continue;
-                }
-            };
-            let effective_base = base.max(floor_s);
-            let ratio = cand / effective_base;
-            result.comparisons.push(StageComparison {
-                label: label.to_string(),
-                stage: stage.to_string(),
-                baseline_s: base,
-                candidate_s: cand,
-                ratio,
-                regressed: ratio > threshold,
-            });
+                .push(format!("candidate is missing baseline row '{label}'")),
         }
     }
     result
 }
 
-/// Renders the comparison as the table `bench_gate` prints.
-pub fn render(result: &GateResult, threshold: f64) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<14} {:<16} {:>12} {:>12} {:>8}  verdict\n",
-        "row", "stage", "baseline(s)", "candidate(s)", "ratio"
-    ));
-    for c in &result.comparisons {
+/// Renders the comparison as the table `bench_gate` prints: every moved
+/// count, every duration with its ratio, then the tally.
+pub fn render(result: &GateResult) -> String {
+    let mut out = format!(
+        "{:<14} {:<32} {:>14} {:>14}  verdict\n",
+        "row", "field", "baseline", "candidate"
+    );
+    for c in result.comparisons.iter().filter(|c| c.moved() || !c.judged) {
+        let verdict = if c.judged {
+            "MOVED".to_string()
+        } else {
+            format!("{:.2}x (not judged)", c.candidate / c.baseline)
+        };
         out.push_str(&format!(
-            "{:<14} {:<16} {:>12.4} {:>12.4} {:>8.2}  {}\n",
-            c.label,
-            c.stage,
-            c.baseline_s,
-            c.candidate_s,
-            c.ratio,
-            if c.regressed {
-                "REGRESSED"
-            } else if c.ratio > 1.0 {
-                "ok (slower)"
-            } else {
-                "ok"
-            }
+            "{:<14} {:<32} {:>14} {:>14}  {verdict}\n",
+            c.row, c.field, c.baseline, c.candidate
         ));
     }
     for e in &result.errors {
         out.push_str(&format!("error: {e}\n"));
     }
-    let regressions = result.regressions().count();
+    let judged = result.comparisons.iter().filter(|c| c.judged).count();
     out.push_str(&format!(
-        "{} comparisons, {} regression(s) at threshold {:.2}x, {} structural error(s)\n",
-        result.comparisons.len(),
-        regressions,
-        threshold,
+        "{judged} counts compared, {} moved; {} durations not judged; {} structural error(s)\n",
+        result.moved().count(),
+        result.comparisons.len() - judged,
         result.errors.len()
     ));
     out
@@ -259,196 +208,154 @@ pub fn render(result: &GateResult, threshold: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{compress_snapshot_json, failures_snapshot_json};
+    use crate::{COMPRESS_SNAPSHOT_KIND, FAILURES_SNAPSHOT_KIND, FAILURES_SNAPSHOT_VERSION};
+    use bonsai_core::snapshot::{write_envelope, Layout};
 
-    fn snap(rows: &[(&str, f64)]) -> Envelope {
-        let body: Vec<String> = rows
+    fn snap(kind: &str, version: u32, rows: &[String]) -> Envelope {
+        let doc = write_envelope(kind, version, "sha", "tc", Layout::Lines(4), |p| {
+            p.rendered("rows", Layout::Lines(6), rows);
+        });
+        Envelope::parse(&doc).unwrap()
+    }
+
+    /// A compression snapshot: per row a label, one duration and the
+    /// `engine.sig_hits` count.
+    fn compress_snap(rows: &[(&str, f64, usize)]) -> Envelope {
+        let rows: Vec<String> = rows
             .iter()
-            .map(|(label, t)| {
+            .map(|(label, t, hits)| {
                 format!(
-                    "{{\"label\":\"{label}\",\"times\":{{\"total_s\":{t},\"ec_compute_s\":{t},\
-                     \"engine_build_s\":{t},\"bdd_s\":{t},\"per_ec_s\":{t}}}}}"
+                    "{{\"label\":\"{label}\",\"nodes\":20,\"node_ratio\":3.333333,\
+                     \"times\":{{\"total_s\":{t},\"bdd_s\":{t}}},\
+                     \"engine\":{{\"sig_lookups\":64,\"sig_hits\":{hits},\"sig_hit_rate\":0.5}}}}"
                 )
             })
             .collect();
-        Envelope::parse(&compress_snapshot_json(&body)).unwrap()
+        snap(COMPRESS_SNAPSHOT_KIND, 1, &rows)
+    }
+
+    /// A failure-study snapshot: rows keyed by (label, k), a duration
+    /// object, a top-level `*_us` duration and the derivation count.
+    fn failures_snap(version: u32, rows: &[(&str, usize, f64, usize)]) -> Envelope {
+        let rows: Vec<String> = rows
+            .iter()
+            .map(|(label, k, t, derivations)| {
+                format!(
+                    "{{\"label\":\"{label}\",\"k\":{k},\"times\":{{\"netsweep_s\":{t}}},\
+                     \"cross_ec\":{{\"derivations\":{derivations},\"sharing_ratio\":0.875}},\
+                     \"query_cold_us\":{t},\"query_warm_us\":{t}}}"
+                )
+            })
+            .collect();
+        snap(FAILURES_SNAPSHOT_KIND, version, &rows)
     }
 
     #[test]
-    fn identical_snapshots_pass() {
-        let a = snap(&[("Fattree4", 0.1), ("Ring20", 0.05)]);
-        let r = compare_snapshots(&a, &a, 1.5, 0.025);
-        assert!(r.passed(), "{r:?}");
-        assert_eq!(r.comparisons.len(), 2 * STAGES.len());
+    fn equal_snapshots_pass_and_every_number_is_compared() {
+        let a = compress_snap(&[("Fattree4", 0.1, 32), ("Ring20", 0.05, 0)]);
+        let r = compare_snapshots(&a, &a);
+        assert!(r.passed(), "{}", render(&r));
+        // Per row: nodes, node_ratio and three engine fields judged, two
+        // durations not.
+        assert_eq!(r.comparisons.len(), 2 * 7);
+        assert_eq!(r.comparisons.iter().filter(|c| c.judged).count(), 2 * 5);
     }
 
     #[test]
-    fn regression_past_threshold_fails() {
-        let base = snap(&[("Fattree4", 0.1)]);
-        let cand = snap(&[("Fattree4", 0.16)]);
-        let r = compare_snapshots(&base, &cand, 1.5, 0.025);
+    fn one_moved_count_fails_and_is_named() {
+        let base = compress_snap(&[("Fattree4", 0.1, 32), ("Ring20", 0.05, 0)]);
+        let cand = compress_snap(&[("Fattree4", 0.1, 32), ("Ring20", 0.05, 7)]);
+        let r = compare_snapshots(&base, &cand);
         assert!(!r.passed());
-        assert!(r.regressions().count() >= 1);
-        // 1.6x over every stage.
-        assert!(r.regressions().all(|c| c.ratio > 1.5));
+        let moved: Vec<_> = r
+            .moved()
+            .map(|c| (c.row.as_str(), c.field.as_str()))
+            .collect();
+        assert_eq!(moved, [("Ring20", "engine.sig_hits")]);
+        let table = render(&r);
+        assert!(table.contains("MOVED"), "{table}");
+        assert!(table.contains("Ring20") && table.contains("engine.sig_hits"));
+        assert!(table.contains("10 counts compared, 1 moved"), "{table}");
     }
 
     #[test]
-    fn floor_absorbs_micro_stage_jitter() {
-        // 1 ms → 3 ms is a 3x blowup but far below the 25 ms floor.
-        let base = snap(&[("Ring20", 0.001)]);
-        let cand = snap(&[("Ring20", 0.003)]);
-        let r = compare_snapshots(&base, &cand, 1.5, 0.025);
-        assert!(r.passed(), "{}", render(&r, 1.5));
-        // Without the floor the same pair fails.
-        let r2 = compare_snapshots(&base, &cand, 1.5, 0.0);
-        assert!(!r2.passed());
+    fn durations_alone_never_fail() {
+        // 50x slower under `times`: printed, not judged.
+        let base = compress_snap(&[("Fattree4", 0.1, 32)]);
+        let cand = compress_snap(&[("Fattree4", 5.0, 32)]);
+        let r = compare_snapshots(&base, &cand);
+        assert!(r.passed(), "{}", render(&r));
+        assert!(render(&r).contains("50.00x (not judged)"));
+        // So are the `*_us` columns that sit beside the counts.
+        let base = failures_snap(5, &[("Fattree4", 1, 0.1, 5)]);
+        let cand = failures_snap(5, &[("Fattree4", 1, 0.9, 5)]);
+        let r = compare_snapshots(&base, &cand);
+        assert!(r.passed(), "{}", render(&r));
+        let unjudged: Vec<_> = r.comparisons.iter().filter(|c| !c.judged).collect();
+        assert_eq!(unjudged.len(), 3, "{unjudged:?}");
+    }
+
+    #[test]
+    fn rows_are_matched_on_label_and_k() {
+        let base = failures_snap(5, &[("Fattree4", 1, 0.1, 5), ("Fattree4", 2, 0.2, 42)]);
+        let cand = failures_snap(5, &[("Fattree4", 2, 0.2, 43), ("Fattree4", 1, 0.1, 5)]);
+        let r = compare_snapshots(&base, &cand);
+        let moved: Vec<_> = r
+            .moved()
+            .map(|c| (c.row.as_str(), c.field.as_str()))
+            .collect();
+        assert_eq!(moved, [("Fattree4 k=2", "cross_ec.derivations")]);
     }
 
     #[test]
     fn missing_row_is_a_structural_error() {
-        let base = snap(&[("Fattree4", 0.1), ("Ring20", 0.05)]);
-        let cand = snap(&[("Fattree4", 0.1)]);
-        let r = compare_snapshots(&base, &cand, 1.5, 0.025);
+        let base = compress_snap(&[("Fattree4", 0.1, 32), ("Ring20", 0.05, 0)]);
+        let cand = compress_snap(&[("Fattree4", 0.1, 32)]);
+        let r = compare_snapshots(&base, &cand);
         assert!(!r.passed());
         assert!(r.errors.iter().any(|e| e.contains("Ring20")));
     }
 
     #[test]
-    fn candidate_only_rows_are_ignored() {
-        let base = snap(&[("Fattree4", 0.1)]);
-        let cand = snap(&[("Fattree4", 0.1), ("Brandnew", 9.9)]);
-        let r = compare_snapshots(&base, &cand, 1.5, 0.025);
-        assert!(r.passed(), "{}", render(&r, 1.5));
-    }
-
-    #[test]
-    fn unknown_kind_is_flagged() {
-        let base = snap(&[("Fattree4", 0.1)]);
-        let other = Envelope::parse(&bonsai_core::snapshot::write_envelope(
-            "bench/other",
-            1,
-            "sha",
-            "tc",
-            "{\"rows\": []}",
-        ))
-        .unwrap();
-        let r = compare_snapshots(&other, &base, 1.5, 0.025);
+    fn missing_field_is_a_structural_error() {
+        let base = compress_snap(&[("Fattree4", 0.1, 32)]);
+        let rows = [
+            "{\"label\":\"Fattree4\",\"nodes\":20,\"node_ratio\":3.333333,\
+                     \"times\":{\"total_s\":0.1},\"engine\":{\"sig_lookups\":64,\"sig_hits\":32}}"
+                .to_string(),
+        ];
+        let r = compare_snapshots(&base, &snap(COMPRESS_SNAPSHOT_KIND, 1, &rows));
         assert!(!r.passed());
-        assert!(r
-            .errors
-            .iter()
-            .any(|e| e.contains("don't know how to gate")));
-    }
-
-    fn failures_snap(rows: &[(&str, usize, f64)]) -> Envelope {
-        let body: Vec<String> = rows
-            .iter()
-            .map(|(label, k, t)| {
-                format!(
-                    "{{\"label\":\"{label}\",\"k\":{k},\"times\":{{\"concrete_s\":{t},\
-                     \"warm_s\":{t},\"audit_s\":{t},\"abstract_s\":{t},\"sweep_s\":{t},\
-                     \"netsweep_s\":{t},\"merge_s\":{t}}},\
-                     \"streamed\":{{\"chunk_size\":1024,\"scenarios_streamed\":8,\
-                     \"peak_resident_scenarios\":2}},\
-                     \"query_cold_us\":{t},\"query_warm_us\":{t}}}"
-                )
-            })
-            .collect();
-        Envelope::parse(&failures_snapshot_json(&body)).unwrap()
+        // A missing duration is as structural as a missing count.
+        for field in ["times.bdd_s", "engine.sig_hit_rate"] {
+            assert!(
+                r.errors.iter().any(|e| e.contains(field)),
+                "{field}: {:?}",
+                r.errors
+            );
+        }
+        assert_eq!(r.errors.len(), 2);
     }
 
     #[test]
-    fn failure_snapshots_gate_on_their_own_stages() {
-        let base = failures_snap(&[("Fattree4", 1, 0.1), ("Fattree4", 2, 0.2)]);
-        let same = compare_snapshots(&base, &base, 1.5, 0.025);
-        assert!(same.passed(), "{same:?}");
-        // Rows are matched on (label, k): regressing only k=2 is caught.
-        assert_eq!(same.comparisons.len(), 2 * FAILURE_STAGES.len());
-        let cand = failures_snap(&[("Fattree4", 1, 0.1), ("Fattree4", 2, 0.4)]);
-        let r = compare_snapshots(&base, &cand, 1.5, 0.025);
-        assert!(!r.passed());
-        assert!(r.regressions().all(|c| c.label.contains("k=2")));
-        // The failure stages include the sweep and merge columns.
-        assert!(r.comparisons.iter().any(|c| c.stage == "sweep_s"));
-        assert!(r.comparisons.iter().any(|c| c.stage == "netsweep_s"));
-        assert!(r.comparisons.iter().any(|c| c.stage == "merge_s"));
-    }
-
-    fn delta_snap(rows: &[(&str, usize, f64, f64)]) -> Envelope {
-        let body: Vec<String> = rows
-            .iter()
-            .map(|(label, k, full, delta)| {
-                format!(
-                    "{{\"label\":\"{label}\",\"k\":{k},\
-                     \"times\":{{\"full_s\":{full},\"delta_s\":{delta}}},\
-                     \"ecs_total\":32,\"ecs_rederived\":1,\"fingerprints_moved\":1}}"
-                )
-            })
-            .collect();
-        Envelope::parse(&crate::delta_snapshot_json(&body)).unwrap()
+    fn candidate_only_rows_and_fields_are_ignored() {
+        let base = compress_snap(&[("Fattree4", 0.1, 32)]);
+        let cand = compress_snap(&[("Fattree4", 0.1, 32), ("Brandnew", 9.9, 1)]);
+        let r = compare_snapshots(&base, &cand);
+        assert!(r.passed(), "{}", render(&r));
     }
 
     #[test]
-    fn delta_snapshots_gate_full_and_delta_stages() {
-        let base = delta_snap(&[("Fattree8", 2, 3.0, 0.1)]);
-        let same = compare_snapshots(&base, &base, 1.5, 0.025);
-        assert!(same.passed(), "{same:?}");
-        assert_eq!(same.comparisons.len(), DELTA_STAGES.len());
-        // A delta-path slowdown regresses the gate even when the full
-        // pipeline is unchanged — the incremental speedup is the product.
-        let cand = delta_snap(&[("Fattree8", 2, 3.0, 0.5)]);
-        let r = compare_snapshots(&base, &cand, 1.5, 0.025);
-        assert!(!r.passed());
-        assert!(r.regressions().all(|c| c.stage == "delta_s"));
-        // The reuse counters ride along ungated.
-        assert!(r.comparisons.iter().all(|c| !c.stage.contains("ecs")));
-    }
-
-    #[test]
-    fn query_latency_columns_ride_along_ungated() {
-        let base = failures_snap(&[("Fattree4", 1, 0.1)]);
-        let r = compare_snapshots(&base, &base, 1.5, 0.025);
-        assert!(r.passed());
-        assert!(r.comparisons.iter().all(|c| !c.stage.contains("query")));
-    }
-
-    #[test]
-    fn version_mismatch_is_flagged_not_silently_passed() {
-        let base = failures_snap(&[("Fattree4", 1, 0.1)]);
-        let old = Envelope::parse(&bonsai_core::snapshot::write_envelope(
-            crate::FAILURES_SNAPSHOT_KIND,
-            3,
-            "sha",
-            "tc",
-            "{\"rows\": []}",
-        ))
-        .unwrap();
-        let r = compare_snapshots(&base, &old, 1.5, 0.025);
-        assert!(!r.passed());
-        assert!(r.errors.iter().any(|e| e.contains("does not match")));
-        // And an old baseline cannot gate at all.
-        let r2 = compare_snapshots(&old, &base, 1.5, 0.025);
-        assert!(!r2.passed());
-        assert!(r2.errors.iter().any(|e| e.contains("regenerate")));
-    }
-
-    #[test]
-    fn mismatched_snapshot_kinds_are_flagged() {
-        let compress = snap(&[("Fattree4", 0.1)]);
-        let failures = failures_snap(&[("Fattree4", 1, 0.1)]);
-        let r = compare_snapshots(&compress, &failures, 1.5, 0.025);
-        assert!(!r.passed());
-        assert!(r.errors.iter().any(|e| e.contains("does not match")));
-    }
-
-    #[test]
-    fn render_mentions_regressions() {
-        let base = snap(&[("Fattree4", 0.1)]);
-        let cand = snap(&[("Fattree4", 0.2)]);
-        let r = compare_snapshots(&base, &cand, 1.5, 0.025);
-        let table = render(&r, 1.5);
-        assert!(table.contains("REGRESSED"));
-        assert!(table.contains("Fattree4"));
+    fn kind_and_version_mismatches_are_flagged_not_silently_passed() {
+        let compress = compress_snap(&[("Fattree4", 0.1, 32)]);
+        let failures = failures_snap(FAILURES_SNAPSHOT_VERSION, &[("Fattree4", 1, 0.1, 5)]);
+        let old = failures_snap(3, &[("Fattree4", 1, 0.1, 5)]);
+        for (base, cand) in [(&compress, &failures), (&failures, &old), (&old, &failures)] {
+            let r = compare_snapshots(base, cand);
+            assert!(!r.passed());
+            assert!(r.comparisons.is_empty());
+            assert!(r.errors.iter().any(|e| e.contains("does not match")));
+            assert!(r.errors.iter().any(|e| e.contains("regenerate")));
+        }
     }
 }

@@ -31,7 +31,7 @@
 pub mod gate;
 
 use bonsai_core::compress::CompressionReport;
-use bonsai_core::snapshot::json_escape;
+use bonsai_core::snapshot::{write_envelope, write_object, Layout};
 use bonsai_net::NodeId;
 use bonsai_verify::properties::SolutionAnalysis;
 use bonsai_verify::search_engine::{for_each_solution, SearchBudget, SearchOutcome};
@@ -125,66 +125,50 @@ impl Table1Row {
     }
 }
 
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Serializes one compression run for the `BENCH_compress.json` perf
 /// snapshot: per-stage times, shared-engine arena/cache statistics and
 /// compression ratios.
 pub fn report_json(label: &str, report: &CompressionReport) -> String {
     let e = &report.engine;
-    format!(
-        concat!(
-            "{{\"label\":\"{}\",\"nodes\":{},\"links\":{},\"ecs\":{},",
-            "\"abs_nodes_mean\":{},\"abs_nodes_std\":{},",
-            "\"abs_links_mean\":{},\"abs_links_std\":{},",
-            "\"node_ratio\":{},\"link_ratio\":{},",
-            "\"times\":{{\"total_s\":{},\"ec_compute_s\":{},\"engine_build_s\":{},",
-            "\"bdd_s\":{},\"per_ec_s\":{}}},",
-            "\"engine\":{{\"arena_nodes\":{},\"arena_peak\":{},",
-            "\"apply_lookups\":{},\"apply_hits\":{},\"apply_hit_rate\":{},",
-            "\"unique_lookups\":{},\"unique_hits\":{},",
-            "\"stage_lookups\":{},\"stage_hits\":{},\"stage_hit_rate\":{},",
-            "\"sig_lookups\":{},\"sig_hits\":{},\"sig_hit_rate\":{},",
-            "\"table_lookups\":{},\"table_hits\":{},\"table_hit_rate\":{}}}}}"
-        ),
-        json_escape(label),
-        report.concrete_nodes,
-        report.concrete_links,
-        report.num_ecs(),
-        json_f64(report.mean_abstract_nodes()),
-        json_f64(report.std_abstract_nodes()),
-        json_f64(report.mean_abstract_links()),
-        json_f64(report.std_abstract_links()),
-        json_f64(report.node_ratio()),
-        json_f64(report.link_ratio()),
-        json_f64(report.total_time.as_secs_f64()),
-        json_f64(report.ec_compute_time.as_secs_f64()),
-        json_f64(report.engine_build_time.as_secs_f64()),
-        json_f64(report.bdd_time().as_secs_f64()),
-        json_f64(report.compress_time_per_ec().as_secs_f64()),
-        e.arena_nodes,
-        e.arena_peak,
-        e.apply_lookups,
-        e.apply_hits,
-        json_f64(e.apply_hit_rate()),
-        e.unique_lookups,
-        e.unique_hits,
-        e.stage_lookups,
-        e.stage_hits,
-        json_f64(e.stage_hit_rate()),
-        e.sig_lookups,
-        e.sig_hits,
-        json_f64(e.sig_hit_rate()),
-        e.table_lookups,
-        e.table_hits,
-        json_f64(e.table_hit_rate()),
-    )
+    let mut row = String::new();
+    write_object(&mut row, Layout::Compact, |o| {
+        o.str("label", label)
+            .uint("nodes", report.concrete_nodes)
+            .uint("links", report.concrete_links)
+            .uint("ecs", report.num_ecs())
+            .float("abs_nodes_mean", report.mean_abstract_nodes(), 6)
+            .float("abs_nodes_std", report.std_abstract_nodes(), 6)
+            .float("abs_links_mean", report.mean_abstract_links(), 6)
+            .float("abs_links_std", report.std_abstract_links(), 6)
+            .float("node_ratio", report.node_ratio(), 6)
+            .float("link_ratio", report.link_ratio(), 6);
+        o.object("times", Layout::Compact, |o| {
+            o.float("total_s", report.total_time.as_secs_f64(), 6)
+                .float("ec_compute_s", report.ec_compute_time.as_secs_f64(), 6)
+                .float("engine_build_s", report.engine_build_time.as_secs_f64(), 6)
+                .float("bdd_s", report.bdd_time().as_secs_f64(), 6)
+                .float("per_ec_s", report.compress_time_per_ec().as_secs_f64(), 6);
+        });
+        o.object("engine", Layout::Compact, |o| {
+            o.uint("arena_nodes", e.arena_nodes)
+                .uint("arena_peak", e.arena_peak)
+                .uint("apply_lookups", e.apply_lookups)
+                .uint("apply_hits", e.apply_hits)
+                .float("apply_hit_rate", e.apply_hit_rate(), 6)
+                .uint("unique_lookups", e.unique_lookups)
+                .uint("unique_hits", e.unique_hits)
+                .uint("stage_lookups", e.stage_lookups)
+                .uint("stage_hits", e.stage_hits)
+                .float("stage_hit_rate", e.stage_hit_rate(), 6)
+                .uint("sig_lookups", e.sig_lookups)
+                .uint("sig_hits", e.sig_hits)
+                .float("sig_hit_rate", e.sig_hit_rate(), 6)
+                .uint("table_lookups", e.table_lookups)
+                .uint("table_hits", e.table_hits)
+                .float("table_hit_rate", e.table_hit_rate(), 6);
+        });
+    });
+    row
 }
 
 /// The commit the snapshot was generated from: `GITHUB_SHA` when CI
@@ -220,79 +204,45 @@ pub fn toolchain() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// The shared provenance fields of every snapshot document.
-/// Envelope kind of the compression perf snapshot.
+/// Envelope kind of the compression perf snapshot (`table1 --json`).
 pub const COMPRESS_SNAPSHOT_KIND: &str = "bench/compress";
 /// Payload version of the compression perf snapshot.
 pub const COMPRESS_SNAPSHOT_VERSION: u32 = 1;
-/// Envelope kind of the delta-reverification perf snapshot.
+/// Envelope kind of the delta-reverification perf snapshot (the `delta`
+/// binary). Each row carries `times.full_s` (fresh compress + sweep on
+/// the edited config) vs `times.delta_s` (warm delta apply + subset
+/// re-sweep) plus the exact reuse counters (`ecs_total`,
+/// `ecs_rederived`, `fingerprints_moved`).
 pub const DELTA_SNAPSHOT_KIND: &str = "bench/delta";
 /// Payload version of the delta-reverification snapshot.
 pub const DELTA_SNAPSHOT_VERSION: u32 = 1;
-/// Envelope kind of the failure-study perf snapshot.
+/// Envelope kind of the failure-study perf snapshot (the `failures`
+/// binary).
 pub const FAILURES_SNAPSHOT_KIND: &str = "bench/failures";
-/// Payload version of the failure-study snapshot. v5 adds the streamed
-/// fan-out columns (`scenarios_streamed`, `peak_resident_scenarios`,
-/// `chunk_size` in the `streamed` object) and the sharded-sweep merge
-/// stage (`merge_s` in `times`).
+/// Payload version of the failure-study snapshot. Lineage: v2 added the
+/// sweep-engine stages (`warm_s`, `sweep_s` in `times`, plus the per-row
+/// `sweep` statistics object); v3 the network-level sweep (`netsweep_s`
+/// plus the `cross_ec` object); v4 — the first enveloped version — the
+/// resident-session query latencies (`query_cold_us`, `query_warm_us`);
+/// v5 the streamed fan-out columns (`chunk_size`, `scenarios_streamed`,
+/// `peak_resident_scenarios` in the `streamed` object — the
+/// bounded-memory proof) and the sharded-sweep merge stage (`merge_s`).
 pub const FAILURES_SNAPSHOT_VERSION: u32 = 5;
 
-fn rows_payload(rows: &[String]) -> String {
-    let indented: Vec<String> = rows.iter().map(|json| format!("      {json}")).collect();
-    format!("{{\n    \"rows\": [\n{}\n    ]\n  }}", indented.join(",\n"))
-}
-
-/// Assembles the full `BENCH_compress.json` document from
-/// [`report_json`] rows: a [`bonsai_core::snapshot`] envelope of kind
-/// [`COMPRESS_SNAPSHOT_KIND`], stamped with provenance metadata
-/// (`git_sha`, `toolchain`) so uploaded artifacts are traceable across
-/// runs.
-pub fn compress_snapshot_json(rows: &[String]) -> String {
-    bonsai_core::snapshot::write_envelope(
-        COMPRESS_SNAPSHOT_KIND,
-        COMPRESS_SNAPSHOT_VERSION,
+/// Assembles a bench snapshot: `rows` — each already rendered through
+/// the shared writer — one per line in a [`bonsai_core::snapshot`]
+/// envelope of `kind` / `version`, stamped with provenance metadata
+/// (`git_sha`, `toolchain`) so uploaded artifacts stay traceable.
+pub fn snapshot_json(kind: &str, version: u32, rows: &[String]) -> String {
+    write_envelope(
+        kind,
+        version,
         &git_sha(),
         &toolchain(),
-        &rows_payload(rows),
-    )
-}
-
-/// Assembles the `BENCH_failures.json` document from failure-study rows
-/// (see the `failures` binary): an envelope of kind
-/// [`FAILURES_SNAPSHOT_KIND`], with the same provenance metadata.
-/// Payload lineage: v2 added the sweep-engine stages (`warm_s`,
-/// `sweep_s` in `times`, plus the per-row `sweep` statistics object);
-/// v3 added the network-level sweep (`netsweep_s` in `times` plus the
-/// `cross_ec` object); v4 — the first enveloped version — added the
-/// resident-session query latencies (`query_cold_us`, `query_warm_us`)
-/// so the table shows warm answers decoupled from solve time; v5 adds
-/// the streamed-enumeration columns (the `streamed` object:
-/// `chunk_size`, `scenarios_streamed`, `peak_resident_scenarios` — the
-/// bounded-memory proof) and the sharded-sweep merge stage (`merge_s`).
-pub fn failures_snapshot_json(rows: &[String]) -> String {
-    bonsai_core::snapshot::write_envelope(
-        FAILURES_SNAPSHOT_KIND,
-        FAILURES_SNAPSHOT_VERSION,
-        &git_sha(),
-        &toolchain(),
-        &rows_payload(rows),
-    )
-}
-
-/// Assembles the `BENCH_delta.json` document from delta-study rows (see
-/// the `delta` binary): an envelope of kind [`DELTA_SNAPSHOT_KIND`].
-/// Each row carries `times.full_s` (fresh compress + sweep on the edited
-/// config) vs `times.delta_s` (warm delta apply + subset re-sweep) plus
-/// the exact reuse counters (`ecs_total`, `ecs_rederived`,
-/// `fingerprints_moved`) — the counters are gated by the acceptance
-/// checks, the times by the perf gate.
-pub fn delta_snapshot_json(rows: &[String]) -> String {
-    bonsai_core::snapshot::write_envelope(
-        DELTA_SNAPSHOT_KIND,
-        DELTA_SNAPSHOT_VERSION,
-        &git_sha(),
-        &toolchain(),
-        &rows_payload(rows),
+        Layout::Lines(4),
+        |payload| {
+            payload.rendered("rows", Layout::Lines(6), rows);
+        },
     )
 }
 
@@ -448,7 +398,7 @@ mod tests {
                 Default::default(),
             ),
         );
-        let doc = compress_snapshot_json(&[row]);
+        let doc = snapshot_json(COMPRESS_SNAPSHOT_KIND, COMPRESS_SNAPSHOT_VERSION, &[row]);
         let env = Envelope::parse(&doc).unwrap();
         assert_eq!(env.kind, "bench/compress");
         let rows = env.payload.get("rows").and_then(Json::as_arr).unwrap();

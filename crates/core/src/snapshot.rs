@@ -1,14 +1,17 @@
-//! The shared snapshot serializer: a minimal JSON reader/writer plus the
-//! one versioned **envelope** every persisted artifact in the workspace
-//! uses.
+//! The shared snapshot serializer: the workspace's one JSON reader, its
+//! one JSON writer, and the one versioned **envelope** every persisted
+//! artifact uses.
 //!
-//! The workspace is offline (no serde); snapshots are *written* with the
-//! hand-rolled helpers here and in `bonsai-bench`, and *read back* by the
-//! CI perf-regression gate and the daemon with the hand-rolled
-//! recursive-descent parser below. It supports exactly the JSON the
-//! snapshots use — objects, arrays, strings (with the escapes our writer
-//! emits), finite numbers, booleans and null — and rejects anything
-//! malformed with a byte offset.
+//! The workspace is offline (no serde). Everything a machine consumes —
+//! wire replies, snapshots, the `cli/*` and `bench/*` documents, trace
+//! lines — is *written* through the streaming writer re-exported here
+//! ([`write_object`], [`Object`], [`Layout`]; it lives in
+//! [`bonsai_obs::json`], below the tracer that also uses it) and *read
+//! back* by the daemon, the document mergers and the CI gate with the
+//! recursive-descent parser below. The reader supports exactly the JSON
+//! the writer emits — objects, arrays, strings (with its escapes), finite
+//! numbers, booleans and null — nested at most [`MAX_DEPTH`] deep, and
+//! rejects anything else with a byte offset.
 //!
 //! # The envelope (`bonsai/envelope-v1`)
 //!
@@ -38,7 +41,14 @@
 //! with an explicit "legacy snapshot" message telling the caller to
 //! regenerate, rather than a confusing field-missing error.
 
+pub use bonsai_obs::json::{escape_into, write_object, Layout, Object, Uint};
 use std::fmt;
+
+/// How deep the reader follows nested arrays and objects. The deepest
+/// document the workspace writes nests 7 (envelope → payload → `paths[]`
+/// → entry → `answers[]` → answer → `lengths[]`); the bound keeps a line
+/// of `[` from recursing the parser off its stack.
+pub const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -65,6 +75,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -147,90 +158,8 @@ impl std::error::Error for JsonError {}
 /// Escapes a string for embedding in a JSON document.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    escape_into(&mut out, s);
     out
-}
-
-/// An ordered single-line JSON object builder: fields render in
-/// insertion order, exactly once, with no trailing whitespace — the
-/// byte-deterministic shape the daemon's line protocol and the snapshot
-/// writers both promise. Build with the typed `field_*` methods and
-/// [`JsonObj::finish`]:
-///
-/// ```
-/// use bonsai_core::snapshot::JsonObj;
-///
-/// let mut obj = JsonObj::new();
-/// obj.field_bool("ok", true);
-/// obj.field_str("op", "ping");
-/// obj.field_u64("queries", 3);
-/// assert_eq!(obj.finish(), r#"{"ok": true, "op": "ping", "queries": 3}"#);
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct JsonObj {
-    buf: String,
-}
-
-impl JsonObj {
-    /// An empty object (`{}` if finished immediately).
-    pub fn new() -> JsonObj {
-        JsonObj { buf: String::new() }
-    }
-
-    fn key(&mut self, name: &str) {
-        if !self.buf.is_empty() {
-            self.buf.push_str(", ");
-        }
-        self.buf.push('"');
-        self.buf.push_str(&json_escape(name));
-        self.buf.push_str("\": ");
-    }
-
-    /// Appends an unsigned integer field.
-    pub fn field_u64(&mut self, name: &str, value: u64) -> &mut JsonObj {
-        self.key(name);
-        self.buf.push_str(&value.to_string());
-        self
-    }
-
-    /// Appends a boolean field.
-    pub fn field_bool(&mut self, name: &str, value: bool) -> &mut JsonObj {
-        self.key(name);
-        self.buf.push_str(if value { "true" } else { "false" });
-        self
-    }
-
-    /// Appends a string field, escaping the value.
-    pub fn field_str(&mut self, name: &str, value: &str) -> &mut JsonObj {
-        self.key(name);
-        self.buf.push('"');
-        self.buf.push_str(&json_escape(value));
-        self.buf.push('"');
-        self
-    }
-
-    /// Appends a field whose value is already-rendered JSON (a nested
-    /// object, array, or number the caller formatted).
-    pub fn field_raw(&mut self, name: &str, value: &str) -> &mut JsonObj {
-        self.key(name);
-        self.buf.push_str(value);
-        self
-    }
-
-    /// Closes the object and returns the rendered line.
-    pub fn finish(&self) -> String {
-        format!("{{{}}}", self.buf)
-    }
 }
 
 /// The one top-level schema identifier shared by every snapshot.
@@ -337,28 +266,35 @@ impl Envelope {
     }
 }
 
-/// Wraps an already-serialized JSON payload in the versioned envelope.
-///
-/// `payload` must be a complete JSON document (typically an object); it
-/// is embedded verbatim.
+/// Renders an enveloped document: the header, then the payload object
+/// `payload` fills, laid out as `layout`, then a newline.
 pub fn write_envelope(
     kind: &str,
     version: u32,
     git_sha: &str,
     toolchain: &str,
-    payload: &str,
+    layout: Layout,
+    payload: impl FnOnce(&mut Object<'_>),
 ) -> String {
-    format!(
-        "{{\n  \"schema\": \"{ENVELOPE_SCHEMA}\",\n  \"kind\": \"{}\",\n  \"version\": {version},\n  \"git_sha\": \"{}\",\n  \"toolchain\": \"{}\",\n  \"payload\": {payload}\n}}\n",
-        json_escape(kind),
-        json_escape(git_sha),
-        json_escape(toolchain),
-    )
+    let mut out = String::new();
+    write_object(&mut out, Layout::Lines(2), |envelope| {
+        envelope
+            .str("schema", ENVELOPE_SCHEMA)
+            .str("kind", kind)
+            .uint("version", version)
+            .str("git_sha", git_sha)
+            .str("toolchain", toolchain)
+            .object("payload", layout, payload);
+    });
+    out.push('\n');
+    out
 }
 
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -394,8 +330,11 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
+                Err(self.err(format!("nesting deeper than {MAX_DEPTH}")))
+            }
+            Some(b'{') => self.nested(Parser::object),
+            Some(b'[') => self.nested(Parser::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -403,6 +342,16 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, text: &str, value: Json) -> Result<Json, JsonError> {
@@ -638,7 +587,22 @@ mod tests {
 
     #[test]
     fn envelope_roundtrips() {
-        let doc = write_envelope("bench/failures", 4, "abc123", "rustc 1.0", "{\"rows\": []}");
+        let doc = write_envelope(
+            "bench/failures",
+            4,
+            "abc123",
+            "rustc 1.0",
+            Layout::Spaced,
+            |p| {
+                p.rendered("rows", Layout::Spaced, [""; 0]);
+            },
+        );
+        assert_eq!(
+            doc,
+            "{\n  \"schema\": \"bonsai/envelope-v1\",\n  \"kind\": \"bench/failures\",\n  \
+             \"version\": 4,\n  \"git_sha\": \"abc123\",\n  \"toolchain\": \"rustc 1.0\",\n  \
+             \"payload\": {\"rows\": []}\n}\n"
+        );
         let env = Envelope::parse(&doc).unwrap();
         assert_eq!(env.kind, "bench/failures");
         assert_eq!(env.version, 4);
@@ -677,7 +641,7 @@ mod tests {
 
     #[test]
     fn kind_and_version_mismatches_are_explicit() {
-        let doc = write_envelope("bench/compress", 1, "x", "y", "{}");
+        let doc = write_envelope("bench/compress", 1, "x", "y", Layout::Spaced, |_| {});
         let err = Envelope::parse_expecting(&doc, "bench/failures", 4).unwrap_err();
         assert!(err.contains("kind mismatch"), "{err}");
         let err = Envelope::parse_expecting(&doc, "bench/compress", 2).unwrap_err();
@@ -695,7 +659,7 @@ mod tests {
             assert_eq!(as_usize(bad), None, "{bad}");
         }
         // An `as u32` cast used to read this envelope as version 3.
-        let doc = write_envelope("cli/failures", 3, "x", "y", "{}")
+        let doc = write_envelope("cli/failures", 3, "x", "y", Layout::Spaced, |_| {})
             .replace("\"version\": 3", "\"version\": 3.9");
         assert!(doc.contains("3.9"), "{doc}");
         let err = Envelope::parse_expecting(&doc, "cli/failures", 3).unwrap_err();
@@ -703,25 +667,160 @@ mod tests {
     }
 
     #[test]
-    fn json_obj_renders_in_insertion_order_and_roundtrips() {
-        let mut obj = JsonObj::new();
-        obj.field_bool("ok", false)
-            .field_str("code", "bad_request")
-            .field_str("error", "tab\there \"quoted\"")
-            .field_u64("n", 42)
-            .field_raw("nested", "{\"a\": 1}");
-        let line = obj.finish();
-        assert_eq!(
-            line,
-            "{\"ok\": false, \"code\": \"bad_request\", \
-             \"error\": \"tab\\there \\\"quoted\\\"\", \"n\": 42, \"nested\": {\"a\": 1}}"
-        );
-        let parsed = Json::parse(&line).unwrap();
-        assert_eq!(
-            parsed.get("error").and_then(Json::as_str),
-            Some("tab\there \"quoted\"")
-        );
-        assert_eq!(parsed.get("n").and_then(Json::as_f64), Some(42.0));
-        assert_eq!(JsonObj::new().finish(), "{}");
+    fn nesting_is_bounded_at_the_offending_byte() {
+        let nested = |open: &str, close: &str, depth: usize| {
+            format!("{}1{}", open.repeat(depth), close.repeat(depth))
+        };
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            Json::parse(&nested(open, close, MAX_DEPTH)).expect("the bound itself parses");
+            let err = Json::parse(&nested(open, close, MAX_DEPTH + 1)).unwrap_err();
+            assert_eq!(
+                (err.offset, err.message.as_str()),
+                (MAX_DEPTH * open.len(), "nesting deeper than 64")
+            );
+        }
+        // Siblings do not accumulate: depth counts what is open, not seen.
+        let wide = format!("[{}]", vec!["[[1]]"; 1000].join(","));
+        Json::parse(&wide).expect("1000 shallow siblings");
+        // The line that used to abort the process: no recursion is left to
+        // overflow even a 256 KB stack.
+        let verdict = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| Json::parse(&"[".repeat(1_000_000)).map_err(|e| e.offset))
+            .expect("thread spawns")
+            .join()
+            .expect("the parser returns instead of overflowing");
+        assert_eq!(verdict, Err(MAX_DEPTH));
+    }
+
+    /// A tree the writer can render: each variant is one member type.
+    #[derive(Clone, Debug)]
+    enum Member {
+        Uint(u64),
+        Bool(bool),
+        Str(String),
+        Float(f64),
+        OptStr(Option<String>),
+        Strs(Vec<String>),
+        Uints(Vec<u64>),
+        Pairs(Vec<(String, String)>),
+        Object(Vec<(String, Member)>),
+        Rows(Vec<Vec<(String, Member)>>),
+    }
+
+    fn write_members(o: &mut Object<'_>, layout: Layout, members: &[(String, Member)]) {
+        for (key, member) in members {
+            match member {
+                Member::Uint(n) => o.uint(key, *n),
+                Member::Bool(b) => o.bool(key, *b),
+                Member::Str(s) => o.str(key, s),
+                Member::Float(f) => o.float(key, *f, 6),
+                Member::OptStr(s) => o.opt(key, s.as_deref(), Object::str),
+                Member::Strs(items) => o.strs(key, items),
+                Member::Uints(items) => o.uints(key, items.iter().copied()),
+                Member::Pairs(items) => o.pairs(key, items),
+                Member::Object(inner) => o.object(key, layout, |o| write_members(o, layout, inner)),
+                Member::Rows(rows) => {
+                    o.rows(key, layout, rows, |o, row| write_members(o, layout, row))
+                }
+            };
+        }
+    }
+
+    /// What the reader must hand back for `members`.
+    fn expected(members: &[(String, Member)]) -> Json {
+        let strs = |items: &[String]| Json::Arr(items.iter().cloned().map(Json::Str).collect());
+        let fields = members.iter().map(|(key, member)| {
+            let value = match member {
+                Member::Uint(n) => Json::Num(*n as f64),
+                Member::Bool(b) => Json::Bool(*b),
+                Member::Str(s) => Json::Str(s.clone()),
+                Member::Float(f) if f.is_finite() => Json::Num(format!("{f:.6}").parse().unwrap()),
+                Member::Float(_) | Member::OptStr(None) => Json::Null,
+                Member::OptStr(Some(s)) => Json::Str(s.clone()),
+                Member::Strs(items) => strs(items),
+                Member::Uints(items) => {
+                    Json::Arr(items.iter().map(|n| Json::Num(*n as f64)).collect())
+                }
+                Member::Pairs(items) => Json::Arr(
+                    items
+                        .iter()
+                        .map(|(a, b)| strs(&[a.clone(), b.clone()]))
+                        .collect(),
+                ),
+                Member::Object(inner) => expected(inner),
+                Member::Rows(rows) => Json::Arr(rows.iter().map(|row| expected(row)).collect()),
+            };
+            (key.clone(), value)
+        });
+        Json::Obj(fields.collect())
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Everything the escape loop distinguishes, multi-byte scalars
+        /// and the characters JSON gives a meaning to.
+        const CHARS: [char; 21] = [
+            'a', 'Z', '0', ' ', '"', '\\', '/', '\n', '\t', '\r', '\u{0}', '\u{1}', '\u{1f}',
+            '\u{7f}', 'é', '日', '🦀', '{', '[', ',', ':',
+        ];
+        const FLOATS: [f64; 9] = [
+            0.0,
+            -0.0,
+            1.5,
+            -2.25e-7,
+            1e15,
+            2.0 / 3.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+
+        fn text() -> impl Strategy<Value = String> {
+            prop::collection::vec(0..CHARS.len(), 0..6)
+                .prop_map(|picks| picks.into_iter().map(|i| CHARS[i]).collect())
+        }
+
+        fn leaf() -> impl Strategy<Value = Member> {
+            prop_oneof![
+                (0u64..(1 << 53)).prop_map(Member::Uint),
+                any::<bool>().prop_map(Member::Bool),
+                text().prop_map(Member::Str),
+                (0..FLOATS.len()).prop_map(|i| Member::Float(FLOATS[i])),
+                prop::option::of(text()).prop_map(Member::OptStr),
+                prop::collection::vec(text(), 0..3).prop_map(Member::Strs),
+                prop::collection::vec(0u64..1000, 0..3).prop_map(Member::Uints),
+                prop::collection::vec((text(), text()), 0..3).prop_map(Member::Pairs),
+            ]
+        }
+
+        fn members(
+            of: impl Strategy<Value = Member>,
+        ) -> impl Strategy<Value = Vec<(String, Member)>> {
+            prop::collection::vec((text(), of), 0..4)
+        }
+
+        fn tree() -> impl Strategy<Value = Vec<(String, Member)>> {
+            members(leaf().prop_recursive(3, 24, 4, |inner| {
+                prop_oneof![
+                    members(inner.clone()).prop_map(Member::Object),
+                    prop::collection::vec(members(inner), 0..3).prop_map(Member::Rows),
+                ]
+            }))
+        }
+
+        proptest! {
+            #[test]
+            fn the_reader_reads_back_what_the_writer_renders(tree in tree()) {
+                for layout in [Layout::Spaced, Layout::Compact, Layout::Lines(2)] {
+                    let mut text = String::new();
+                    write_object(&mut text, layout, |o| write_members(o, layout, &tree));
+                    let parsed = Json::parse(&text);
+                    prop_assert_eq!(parsed.as_ref(), Ok(&expected(&tree)), "{:?}: {}", layout, text);
+                }
+            }
+        }
     }
 }

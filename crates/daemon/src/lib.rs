@@ -82,16 +82,16 @@
 //! let join = server.spawn();
 //!
 //! let mut client = Client::connect(&path).expect("connects");
-//! let pong = client.call("{\"op\": \"ping\"}").expect("answers");
-//! assert!(pong.starts_with("{\"ok\": true"));
-//! client.call("{\"op\": \"shutdown\"}").expect("drains");
+//! let pong = client.call(r#"{"op": "ping"}"#).expect("answers");
+//! assert!(pong.starts_with(r#"{"ok": true"#));
+//! client.call(r#"{"op": "shutdown"}"#).expect("drains");
 //! join.join().unwrap().expect("clean exit");
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use bonsai_core::snapshot::{json_escape, Json, JsonObj};
+use bonsai_core::snapshot::{write_object, Json, Layout, Object};
 use bonsai_verify::session::{
     QueryAnswer, QueryRequest, ReloadOutcome, Session, SessionError, SessionStats,
 };
@@ -338,78 +338,83 @@ fn parse_waypoints(doc: &Json) -> Result<Vec<String>, String> {
         .collect()
 }
 
+/// One protocol line: a single-line object, members in the order written.
+fn line(members: impl FnOnce(&mut Object<'_>)) -> String {
+    let mut line = String::new();
+    write_object(&mut line, Layout::Spaced, members);
+    line
+}
+
+/// One request line: `{"op": <op>, …}`.
+fn request(op: &str, fields: impl FnOnce(&mut Object<'_>)) -> String {
+    line(|o| fields(o.str("op", op)))
+}
+
+/// Renders a query as the request line [`parse_query`] reads back — what
+/// `bonsai query` sends for its convenience flags.
+pub fn render_query(query: &QueryRequest) -> String {
+    match query {
+        QueryRequest::Reach { src, dst, links } => request("reach", |o| {
+            o.str("src", src).str("dst", dst).pairs("links", links);
+        }),
+        QueryRequest::Sweep { src, dst } => request("sweep", |o| {
+            o.str("src", src).str("dst", dst);
+        }),
+        QueryRequest::AllPairs { links } => request("all_pairs", |o| {
+            o.pairs("links", links);
+        }),
+        QueryRequest::Path {
+            src,
+            dst,
+            links,
+            waypoints,
+        } => request("path", |o| {
+            o.str("src", src).str("dst", dst).pairs("links", links);
+            o.strs("waypoints", waypoints);
+        }),
+    }
+}
+
+/// Renders a control op's request line: `ping`, `stats`, `metrics` and
+/// `shutdown` bare, `reload` with the `path` of the config to load.
+pub fn render_control(op: &str, path: Option<&str>) -> String {
+    request(op, |o| {
+        if let Some(path) = path {
+            o.str("path", path);
+        }
+    })
+}
+
+/// One success reply: `{"ok": true, "op": <op>, …}`.
+fn reply(op: &str, fields: impl FnOnce(&mut Object<'_>)) -> String {
+    line(|o| fields(o.bool("ok", true).str("op", op)))
+}
+
 /// Renders a query result as one response object with fixed key order.
 pub fn render_result(result: &Result<QueryAnswer, SessionError>) -> String {
     match result {
         Err(e) => render_error("query", &e.to_string()),
-        Ok(QueryAnswer::Reach(answers)) => {
-            let rows: Vec<String> = answers
-                .iter()
-                .map(|a| {
-                    format!(
-                        "{{\"prefix\": \"{}\", \"delivered\": {}}}",
-                        json_escape(&a.prefix),
-                        a.delivered
-                    )
-                })
-                .collect();
-            format!(
-                "{{\"ok\": true, \"op\": \"reach\", \"answers\": [{}]}}",
-                rows.join(", ")
-            )
-        }
-        Ok(QueryAnswer::Sweep(answers)) => {
-            let rows: Vec<String> = answers
-                .iter()
-                .map(|a| {
-                    format!(
-                        "{{\"prefix\": \"{}\", \"delivered\": {}, \"scenarios\": {}}}",
-                        json_escape(&a.prefix),
-                        a.delivered,
-                        a.scenarios
-                    )
-                })
-                .collect();
-            format!(
-                "{{\"ok\": true, \"op\": \"sweep\", \"answers\": [{}]}}",
-                rows.join(", ")
-            )
-        }
-        Ok(QueryAnswer::AllPairs(a)) => format!(
-            "{{\"ok\": true, \"op\": \"all_pairs\", \"delivered\": {}, \"unreachable\": {}}}",
-            a.delivered, a.unreachable
-        ),
-        Ok(QueryAnswer::Path(answers)) => {
-            let rows: Vec<String> = answers
-                .iter()
-                .map(|a| {
-                    let lengths = match &a.lengths {
-                        Some(ls) => format!(
-                            "[{}]",
-                            ls.iter()
-                                .map(|l| l.to_string())
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        ),
-                        None => "null".to_string(),
-                    };
-                    let waypointed = match a.waypointed {
-                        Some(w) => w.to_string(),
-                        None => "null".to_string(),
-                    };
-                    format!(
-                        "{{\"prefix\": \"{}\", \"lengths\": {}, \"waypointed\": {}}}",
-                        json_escape(&a.prefix),
-                        lengths,
-                        waypointed
-                    )
-                })
-                .collect();
-            format!(
-                "{{\"ok\": true, \"op\": \"path\", \"answers\": [{}]}}",
-                rows.join(", ")
-            )
-        }
+        Ok(QueryAnswer::Reach(answers)) => reply("reach", |o| {
+            o.rows("answers", Layout::Spaced, answers, |o, a| {
+                o.str("prefix", &a.prefix).bool("delivered", a.delivered);
+            });
+        }),
+        Ok(QueryAnswer::Sweep(answers)) => reply("sweep", |o| {
+            o.rows("answers", Layout::Spaced, answers, |o, a| {
+                o.str("prefix", &a.prefix)
+                    .uint("delivered", a.delivered)
+                    .uint("scenarios", a.scenarios);
+            });
+        }),
+        Ok(QueryAnswer::AllPairs(a)) => reply("all_pairs", |o| {
+            o.uint("delivered", a.delivered)
+                .uint("unreachable", a.unreachable);
+        }),
+        Ok(QueryAnswer::Path(answers)) => reply("path", |o| {
+            o.rows("answers", Layout::Spaced, answers, |o, a| {
+                a.write_members(o)
+            });
+        }),
     }
 }
 
@@ -417,77 +422,61 @@ pub fn render_result(result: &Result<QueryAnswer, SessionError>) -> String {
 /// is the wire contract: the memo-size gauges are *trailing* fields per
 /// the protocol's additive-evolution policy.
 pub fn render_stats(s: &SessionStats) -> String {
-    let mut sweep = JsonObj::new();
-    sweep
-        .field_u64("scenarios_swept", s.sweep.scenarios_swept as u64)
-        .field_u64("derivations", s.sweep.derivations as u64)
-        .field_u64("exact_transfers", s.sweep.exact_transfers as u64)
-        .field_u64("symmetric_transfers", s.sweep.symmetric_transfers as u64)
-        .field_u64("refinements", s.sweep.refinements as u64)
-        .field_u64("restored", s.sweep.restored as u64)
-        .field_u64("restored_answers", s.sweep.restored_answers as u64);
-    let mut obj = JsonObj::new();
-    obj.field_bool("ok", true)
-        .field_str("op", "stats")
-        .field_u64("classes", s.classes as u64)
-        .field_u64("k", s.k as u64)
-        .field_u64("scenarios", s.scenarios as u64)
-        .field_u64("queries", s.queries as u64)
-        .field_u64("verdict_cache_hits", s.verdict_cache_hits as u64)
-        .field_u64("abstract_solves", s.abstract_solves as u64)
-        .field_u64("concrete_solves", s.concrete_solves as u64)
-        .field_u64("solver_updates", s.solver_updates as u64)
-        .field_u64("cached_answers", s.cached_answers as u64)
-        .field_raw("sweep", &sweep.finish())
-        .field_u64("verdict_memo", s.verdict_memo as u64)
-        .field_u64("path_memo", s.path_memo as u64);
-    obj.finish()
+    reply("stats", |o| {
+        o.uint("classes", s.classes)
+            .uint("k", s.k)
+            .uint("scenarios", s.scenarios)
+            .uint("queries", s.queries)
+            .uint("verdict_cache_hits", s.verdict_cache_hits)
+            .uint("abstract_solves", s.abstract_solves)
+            .uint("concrete_solves", s.concrete_solves)
+            .uint("solver_updates", s.solver_updates)
+            .uint("cached_answers", s.cached_answers)
+            .object("sweep", Layout::Spaced, |o| {
+                o.uint("scenarios_swept", s.sweep.scenarios_swept)
+                    .uint("derivations", s.sweep.derivations)
+                    .uint("exact_transfers", s.sweep.exact_transfers)
+                    .uint("symmetric_transfers", s.sweep.symmetric_transfers)
+                    .uint("refinements", s.sweep.refinements)
+                    .uint("restored", s.sweep.restored)
+                    .uint("restored_answers", s.sweep.restored_answers);
+            })
+            .uint("verdict_memo", s.verdict_memo)
+            .uint("path_memo", s.path_memo);
+    })
 }
 
 /// Renders the `metrics` response: the whole process-wide registry as
 /// Prometheus text exposition, carried as one escaped `body` string
 /// (the line protocol cannot carry raw newlines).
 pub fn render_metrics() -> String {
-    let mut obj = JsonObj::new();
-    obj.field_bool("ok", true)
-        .field_str("op", "metrics")
-        .field_str("content_type", bonsai_obs::PROMETHEUS_CONTENT_TYPE)
-        .field_str("body", &bonsai_obs::render_prometheus());
-    obj.finish()
+    reply("metrics", |o| {
+        o.str("content_type", bonsai_obs::PROMETHEUS_CONTENT_TYPE)
+            .str("body", &bonsai_obs::render_prometheus());
+    })
 }
 
 /// Renders a [`ReloadOutcome`] as the `reload` response object with
 /// fixed key order.
-pub fn render_reload(o: &ReloadOutcome, elapsed: Duration) -> String {
-    let devices: Vec<String> = o
-        .changed_devices
-        .iter()
-        .map(|d| format!("\"{}\"", json_escape(d)))
-        .collect();
-    let structural = match &o.structural {
-        Some(why) => format!("\"{}\"", json_escape(why)),
-        None => "null".to_string(),
-    };
-    let mut obj = JsonObj::new();
-    obj.field_bool("ok", true)
-        .field_str("op", "reload")
-        .field_bool("full_rebuild", o.full_rebuild)
-        .field_raw("structural", &structural)
-        .field_raw("changed_devices", &format!("[{}]", devices.join(", ")))
-        .field_u64("classes", o.classes as u64)
-        .field_u64("rederived", o.rederived as u64)
-        .field_u64("reused", o.reused as u64)
-        .field_u64("fingerprints_moved", o.fingerprints_moved as u64)
-        .field_u64("refinements_replayed", o.refinements_replayed as u64)
-        .field_u64("verdicts_kept", o.verdicts_kept as u64)
-        .field_u64("verdicts_dropped", o.verdicts_dropped as u64)
-        .field_u64("paths_kept", o.paths_kept as u64)
-        .field_u64("paths_dropped", o.paths_dropped as u64)
-        .field_u64("stages_evicted", o.invalidation.stages_evicted as u64)
-        .field_u64("sigs_evicted", o.invalidation.sigs_evicted as u64)
-        .field_u64("tables_evicted", o.invalidation.tables_evicted as u64)
-        .field_u64("reload_us", elapsed.as_micros() as u64);
-    obj.finish()
+pub fn render_reload(r: &ReloadOutcome, elapsed: Duration) -> String {
+    reply("reload", |o| {
+        o.bool("full_rebuild", r.full_rebuild)
+            .opt("structural", r.structural.as_deref(), Object::str)
+            .strs("changed_devices", &r.changed_devices)
+            .uint("classes", r.classes)
+            .uint("rederived", r.rederived)
+            .uint("reused", r.reused)
+            .uint("fingerprints_moved", r.fingerprints_moved)
+            .uint("refinements_replayed", r.refinements_replayed)
+            .uint("verdicts_kept", r.verdicts_kept)
+            .uint("verdicts_dropped", r.verdicts_dropped)
+            .uint("paths_kept", r.paths_kept)
+            .uint("paths_dropped", r.paths_dropped)
+            .uint("stages_evicted", r.invalidation.stages_evicted)
+            .uint("sigs_evicted", r.invalidation.sigs_evicted)
+            .uint("tables_evicted", r.invalidation.tables_evicted)
+            .uint("reload_us", elapsed.as_micros() as u64);
+    })
 }
 
 /// Renders a structured error response (the connection stays open unless
@@ -495,11 +484,9 @@ pub fn render_reload(o: &ReloadOutcome, elapsed: Duration) -> String {
 pub fn render_error(code: &str, message: &str) -> String {
     debug_assert!(ERROR_CODES.contains(&code), "undeclared error code {code}");
     bonsai_obs::add("daemon.errors.total", 1);
-    let mut obj = JsonObj::new();
-    obj.field_bool("ok", false)
-        .field_str("code", code)
-        .field_str("error", message);
-    obj.finish()
+    line(|o| {
+        o.bool("ok", false).str("code", code).str("error", message);
+    })
 }
 
 /// Answers one request line. Returns the response line and whether the
@@ -539,11 +526,10 @@ pub fn answer_line(
     let op = doc.get("op").and_then(Json::as_str).unwrap_or("");
     match op {
         "ping" => (
-            format!(
-                "{{\"ok\": true, \"op\": \"ping\", \"classes\": {}, \"k\": {}}}",
-                session.classes(),
-                session.max_failures()
-            ),
+            reply("ping", |o| {
+                o.uint("classes", session.classes())
+                    .uint("k", session.max_failures());
+            }),
             false,
         ),
         "stats" => (render_stats(&session.stats()), false),
@@ -605,18 +591,15 @@ pub fn answer_line(
                 }
             }
             let results = session.batch(&requests);
-            let rows: Vec<String> = results.iter().map(render_result).collect();
+            let response = reply("batch", |o| {
+                let answers = results.iter().map(render_result);
+                o.rendered("answers", Layout::Spaced, answers);
+            });
             bonsai_obs::observe(
                 "daemon.query.latency_us",
                 start.elapsed().as_micros() as u64,
             );
-            (
-                format!(
-                    "{{\"ok\": true, \"op\": \"batch\", \"answers\": [{}]}}",
-                    rows.join(", ")
-                ),
-                false,
-            )
+            (response, false)
         }
         "snapshot" => {
             let Some(path) = doc.get("path").and_then(Json::as_str) else {
@@ -627,10 +610,9 @@ pub fn answer_line(
             };
             match session.save_snapshot(Path::new(path)) {
                 Ok(bytes) => (
-                    format!(
-                        "{{\"ok\": true, \"op\": \"snapshot\", \"path\": \"{}\", \"bytes\": {bytes}}}",
-                        json_escape(path)
-                    ),
+                    reply("snapshot", |o| {
+                        o.str("path", path).uint("bytes", bytes);
+                    }),
                     false,
                 ),
                 Err(e) => (render_error("io", &format!("writing {path}: {e}")), false),
@@ -673,7 +655,7 @@ pub fn answer_line(
                 Err(e) => (render_error("query", &format!("reload failed: {e}")), false),
             }
         }
-        "shutdown" => ("{\"ok\": true, \"op\": \"shutdown\"}".to_string(), true),
+        "shutdown" => (reply("shutdown", |_| {}), true),
         "" => (render_error("bad_request", "request has no \"op\""), false),
         other => (
             render_error("unknown_op", &format!("unknown op \"{other}\"")),
@@ -1215,6 +1197,60 @@ mod tests {
         assert!(bye.contains("shutdown"), "{bye}");
         join.join().unwrap().unwrap();
         assert!(!path.exists(), "socket file removed on shutdown");
+    }
+
+    #[test]
+    fn every_query_shape_survives_render_and_parse() {
+        let odd = |name: &str| format!("{name}\"q\\b\n\t\u{1}é日");
+        let links = vec![(odd("u"), odd("v")), ("a".to_string(), "b".to_string())];
+        let (src, dst) = (odd("src"), "d".to_string());
+        let shapes = [
+            QueryRequest::Reach {
+                src: src.clone(),
+                dst: dst.clone(),
+                links: links.clone(),
+            },
+            QueryRequest::Reach {
+                src: src.clone(),
+                dst: dst.clone(),
+                links: Vec::new(),
+            },
+            QueryRequest::Sweep {
+                src: src.clone(),
+                dst: dst.clone(),
+            },
+            QueryRequest::AllPairs {
+                links: links.clone(),
+            },
+            QueryRequest::AllPairs { links: Vec::new() },
+            QueryRequest::Path {
+                src: src.clone(),
+                dst: dst.clone(),
+                links,
+                waypoints: vec![odd("w"), "b2".to_string()],
+            },
+            QueryRequest::Path {
+                src,
+                dst,
+                links: Vec::new(),
+                waypoints: Vec::new(),
+            },
+        ];
+        for request in shapes {
+            let line = render_query(&request);
+            let doc = Json::parse(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert_eq!(parse_query(&doc), Ok(request), "{line}");
+        }
+        // The lines `bonsai query` has always sent for its flags.
+        assert_eq!(
+            render_query(&QueryRequest::AllPairs { links: Vec::new() }),
+            r#"{"op": "all_pairs", "links": []}"#
+        );
+        assert_eq!(render_control("ping", None), r#"{"op": "ping"}"#);
+        assert_eq!(
+            render_control("reload", Some("a \"b\".cfg")),
+            r#"{"op": "reload", "path": "a \"b\".cfg"}"#
+        );
     }
 
     #[test]

@@ -38,6 +38,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod json;
+
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -505,45 +507,24 @@ pub fn trace_enabled() -> bool {
     TRACE_ON.load(Ordering::Relaxed)
 }
 
-fn trace_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn write_record(kind: &str, name: &str, dur_us: Option<u64>, fields: &[(&str, FieldVal)]) {
     let Some(tracer) = TRACER.get() else {
         return;
     };
     let ts_us = tracer.epoch.elapsed().as_micros() as u64;
-    let mut line = format!(
-        "{{\"ts_us\": {ts_us}, \"kind\": \"{kind}\", \"name\": \"{}\"",
-        trace_escape(name)
-    );
-    if let Some(d) = dur_us {
-        line.push_str(&format!(", \"dur_us\": {d}"));
-    }
-    for (k, v) in fields {
-        match v {
-            FieldVal::U64(n) => line.push_str(&format!(", \"{}\": {n}", trace_escape(k))),
-            FieldVal::Str(s) => line.push_str(&format!(
-                ", \"{}\": \"{}\"",
-                trace_escape(k),
-                trace_escape(s)
-            )),
+    let mut line = String::new();
+    json::write_object(&mut line, json::Layout::Spaced, |o| {
+        o.uint("ts_us", ts_us).str("kind", kind).str("name", name);
+        if let Some(d) = dur_us {
+            o.uint("dur_us", d);
         }
-    }
-    line.push('}');
+        for (key, value) in fields {
+            match value {
+                FieldVal::U64(n) => o.uint(key, *n),
+                FieldVal::Str(s) => o.str(key, s),
+            };
+        }
+    });
     let mut sink = tracer.sink.lock().unwrap();
     let _ = writeln!(sink, "{line}");
     let _ = sink.flush();
@@ -560,9 +541,7 @@ pub struct Span {
 impl Drop for Span {
     fn drop(&mut self) {
         let dur_us = self.start.elapsed().as_micros() as u64;
-        let fields: Vec<(&str, FieldVal)> =
-            self.fields.iter().map(|(k, v)| (*k, v.clone())).collect();
-        write_record("span", self.name, Some(dur_us), &fields);
+        write_record("span", self.name, Some(dur_us), &self.fields);
     }
 }
 
@@ -585,7 +564,6 @@ pub fn emit_event(name: &str, fields: Vec<(&'static str, FieldVal)>) {
     if !trace_enabled() {
         return;
     }
-    let fields: Vec<(&str, FieldVal)> = fields.iter().map(|(k, v)| (*k, v.clone())).collect();
     write_record("event", name, None, &fields);
 }
 

@@ -9,7 +9,7 @@
 
 use super::{PathAnswer, SESSION_SNAPSHOT_KIND, SESSION_SNAPSHOT_VERSION};
 use crate::sweep::RefinementProvenance;
-use bonsai_core::snapshot::{json_escape, write_envelope, Envelope, Json, JsonObj};
+use bonsai_core::snapshot::{write_envelope, Envelope, Json, Layout, Object};
 use std::sync::Arc;
 
 /// Failed links by endpoint names.
@@ -76,105 +76,70 @@ pub(super) fn parse_bits(s: &str, n: usize) -> Option<Vec<bool>> {
         .collect()
 }
 
-fn array(items: impl Iterator<Item = String>) -> String {
-    format!("[{}]", items.collect::<Vec<_>>().join(", "))
+impl PathAnswer {
+    /// The members of one path answer — the `path` op's reply rows and
+    /// the snapshot's path memo are the same bytes.
+    pub fn write_members(&self, o: &mut Object<'_>) {
+        o.str("prefix", &self.prefix)
+            .opt("lengths", self.lengths.as_deref(), |o, key, lengths| {
+                o.uints(key, lengths.iter().copied())
+            })
+            .opt("waypointed", self.waypointed, Object::bool);
+    }
 }
 
-fn names_json<S: AsRef<str>>(names: &[S]) -> String {
-    array(
-        names
-            .iter()
-            .map(|n| format!("\"{}\"", json_escape(n.as_ref()))),
-    )
-}
-
-fn links_json<S: AsRef<str>>(links: &[(S, S)]) -> String {
-    array(
-        links
-            .iter()
-            .map(|(a, b)| names_json(&[a.as_ref(), b.as_ref()])),
-    )
-}
-
-/// `[{"rep": …, "<list>": [rows…]}, …]` — the shape of both per-class
-/// sections.
-fn per_class_json<S: AsRef<str>, R>(
-    classes: &[(S, Vec<R>)],
+/// `"<section>": [{"rep": …, "<list>": [rows…]}, …]` — the shape of both
+/// per-class sections.
+fn per_class<S: AsRef<str>, R>(
+    payload: &mut Object<'_>,
+    section: &str,
     list: &str,
-    row: impl Fn(&R) -> String,
-) -> String {
-    array(classes.iter().map(|(rep, rows)| {
-        JsonObj::new()
-            .field_str("rep", rep.as_ref())
-            .field_raw(list, &array(rows.iter().map(&row)))
-            .finish()
-    }))
-}
-
-fn or_null<T>(value: &Option<T>, render: impl Fn(&T) -> String) -> String {
-    value.as_ref().map_or_else(|| "null".to_string(), render)
+    classes: &[(S, Vec<R>)],
+    row: impl Fn(&mut Object<'_>, &R),
+) {
+    payload.rows(section, Layout::Spaced, classes, |o, (rep, rows)| {
+        o.str("rep", rep.as_ref())
+            .rows(list, Layout::Spaced, rows, &row);
+    });
 }
 
 impl<S: AsRef<str>> SnapshotDoc<S> {
     /// The enveloped snapshot text.
     pub(super) fn encode(&self) -> String {
-        let refinement = |r: &RefinementRecord<S>| {
-            JsonObj::new()
-                .field_raw("links", &links_json(&r.links))
-                .field_raw("split", &names_json(&r.split))
-                .field_bool("localized_refuted", r.localized_refuted)
-                .field_u64("deviating_rounds", r.deviating_rounds as u64)
-                .field_bool("global_fallback", r.global_fallback)
-                .field_str("provenance", r.provenance.as_str())
-                .finish()
+        let payload = |payload: &mut Object<'_>| {
+            payload.uint("k", self.k);
+            if let Some(prune) = self.prune_symmetric {
+                payload.bool("prune_symmetric", prune);
+            }
+            payload.str("fingerprint", self.fingerprint.as_ref());
+            per_class(payload, "ecs", "refinements", &self.classes, |o, r| {
+                o.pairs("links", &r.links)
+                    .strs("split", &r.split)
+                    .bool("localized_refuted", r.localized_refuted)
+                    .uint("deviating_rounds", r.deviating_rounds)
+                    .bool("global_fallback", r.global_fallback)
+                    .str("provenance", r.provenance.as_str());
+            });
+            per_class(payload, "verdicts", "entries", &self.verdicts, |o, v| {
+                o.pairs("links", &v.links).str("bits", &v.bits);
+            });
+            payload.rows("paths", Layout::Spaced, &self.paths, |o, p| {
+                o.str("src", p.src.as_ref())
+                    .str("dst", p.dst.as_ref())
+                    .pairs("links", &p.links)
+                    .strs("waypoints", &p.waypoints)
+                    .rows("answers", Layout::Spaced, p.answers.iter(), |o, a| {
+                        a.write_members(o)
+                    });
+            });
         };
-        let verdict = |v: &VerdictRecord<S>| {
-            JsonObj::new()
-                .field_raw("links", &links_json(&v.links))
-                .field_str("bits", &v.bits)
-                .finish()
-        };
-        let answer = |a: &PathAnswer| {
-            JsonObj::new()
-                .field_str("prefix", &a.prefix)
-                .field_raw(
-                    "lengths",
-                    &or_null(&a.lengths, |ls| array(ls.iter().map(usize::to_string))),
-                )
-                .field_raw("waypointed", &or_null(&a.waypointed, bool::to_string))
-                .finish()
-        };
-        let path = |p: &PathRecord<S>| {
-            JsonObj::new()
-                .field_str("src", p.src.as_ref())
-                .field_str("dst", p.dst.as_ref())
-                .field_raw("links", &links_json(&p.links))
-                .field_raw("waypoints", &names_json(&p.waypoints))
-                .field_raw("answers", &array(p.answers.iter().map(answer)))
-                .finish()
-        };
-        let mut payload = JsonObj::new();
-        payload.field_u64("k", self.k as u64);
-        if let Some(prune) = self.prune_symmetric {
-            payload.field_bool("prune_symmetric", prune);
-        }
-        payload
-            .field_str("fingerprint", self.fingerprint.as_ref())
-            .field_raw(
-                "ecs",
-                &per_class_json(&self.classes, "refinements", refinement),
-            )
-            .field_raw(
-                "verdicts",
-                &per_class_json(&self.verdicts, "entries", verdict),
-            )
-            .field_raw("paths", &array(self.paths.iter().map(path)));
         write_envelope(
             SESSION_SNAPSHOT_KIND,
             SESSION_SNAPSHOT_VERSION,
             "unknown",
             "unknown",
-            &payload.finish(),
+            Layout::Spaced,
+            payload,
         )
     }
 }
@@ -226,7 +191,7 @@ fn rows<R>(
 
 /// `"<section>": [{"rep": …, "<list>": [rows…]}, …]`. A class without a
 /// `rep` reads as `""`, which no network serves.
-fn per_class<R>(
+fn read_per_class<R>(
     payload: &Json,
     section: &str,
     list: &str,
@@ -301,10 +266,10 @@ impl SnapshotDoc<String> {
                 .ok_or("payload has no k")?,
             prune_symmetric: payload.get("prune_symmetric").and_then(Json::as_bool),
             fingerprint: text(payload, "fingerprint", "payload")?,
-            classes: per_class(payload, "ecs", "refinements", refinement)?,
+            classes: read_per_class(payload, "ecs", "refinements", refinement)?,
             // The answer tier is optional and additive: absent in
             // snapshots written before it existed.
-            verdicts: per_class(payload, "verdicts", "entries", verdict)?,
+            verdicts: read_per_class(payload, "verdicts", "entries", verdict)?,
             paths: rows(payload, "paths", path)?,
         })
     }

@@ -57,14 +57,14 @@ use bonsai::cli::{
 use bonsai::core::compress::{compress, compress_each, recompress_delta, CompressOptions};
 use bonsai::core::engine::CompiledPolicies;
 use bonsai::core::roles::{count_roles, RoleOptions};
-use bonsai::core::snapshot::{json_escape, Json};
-use bonsai::daemon::{Client, Server, ServerOptions};
+use bonsai::core::snapshot::Json;
+use bonsai::daemon::{render_control, render_error, render_query, Client, Server, ServerOptions};
 use bonsai::verify::equivalence::check_cp_equivalence;
 use bonsai::verify::netsweep::{
     sweep_network, sweep_network_subset, NetworkSweepOptions, NetworkSweepReport, ShardSpec,
 };
 use bonsai::verify::query::QueryCtx;
-use bonsai::verify::session::{Session, SessionOptions};
+use bonsai::verify::session::{QueryRequest, Session, SessionOptions};
 use bonsai::verify::sim_engine::SimEngine;
 use bonsai::verify::sweep::SweepOptions;
 use bonsai_config::{parse_network, print_network, BuiltTopology, NetworkConfig};
@@ -865,10 +865,7 @@ fn cmd_metrics(m: &Matches) -> Result<(), Failure> {
     let fallback = m.switch("--fallback");
     let structured = |code: u8, error: &str| Failure {
         code,
-        message: format!(
-            "{{\"ok\": false, \"code\": \"io\", \"error\": \"{}\"}}",
-            json_escape(error),
-        ),
+        message: render_error("io", error),
     };
     let Some((endpoint, client)) = connect(m) else {
         if fallback {
@@ -885,7 +882,7 @@ fn cmd_metrics(m: &Matches) -> Result<(), Failure> {
         .map_err(|e| format!("cannot connect to {endpoint}: {e}"))
         .and_then(|mut client| {
             client
-                .call("{\"op\": \"metrics\"}")
+                .call(&render_control("metrics", None))
                 .map_err(|e| format!("{endpoint}: {e}"))
         });
     let response = match scraped {
@@ -915,56 +912,44 @@ fn cmd_metrics(m: &Matches) -> Result<(), Failure> {
 /// convenience flags, or both: the raw lines first, in order, then the
 /// flags in the fixed order below.
 fn cmd_query(m: &Matches) -> Result<(), Failure> {
-    let quoted = |s: &str| format!("\"{}\"", json_escape(s));
-    let list = |items: Vec<String>| format!("[{}]", items.join(", "));
     // Every `--fail u:v` adds one failed link to the query masks; every
     // `--via n` adds one waypoint to the `--path` query.
-    let links = list(
-        m.pairs("--fail")?
-            .iter()
-            .map(|(u, v)| list(vec![quoted(u), quoted(v)]))
-            .collect(),
-    );
-    let waypoints = list(m.values("--via").iter().map(|w| quoted(w)).collect());
-    let ends =
-        |(src, dst): (&str, &str)| format!("\"src\": {}, \"dst\": {}", quoted(src), quoted(dst));
+    let owned = |(a, b): (&str, &str)| (a.to_string(), b.to_string());
+    let links: Vec<(String, String)> = m.pairs("--fail")?.into_iter().map(owned).collect();
 
     let mut lines: Vec<String> = m.positionals().to_vec();
     if m.switch("--ping") {
-        lines.push("{\"op\": \"ping\"}".to_string());
+        lines.push(render_control("ping", None));
     }
-    if let Some(pair) = m.pair("--reach")? {
-        lines.push(format!(
-            "{{\"op\": \"reach\", {}, \"links\": {links}}}",
-            ends(pair)
-        ));
+    if let Some((src, dst)) = m.pair("--reach")?.map(owned) {
+        let links = links.clone();
+        lines.push(render_query(&QueryRequest::Reach { src, dst, links }));
     }
-    if let Some(pair) = m.pair("--sweep")? {
-        lines.push(format!("{{\"op\": \"sweep\", {}}}", ends(pair)));
+    if let Some((src, dst)) = m.pair("--sweep")?.map(owned) {
+        lines.push(render_query(&QueryRequest::Sweep { src, dst }));
     }
-    if let Some(pair) = m.pair("--path")? {
-        lines.push(format!(
-            "{{\"op\": \"path\", {}, \"links\": {links}, \"waypoints\": {waypoints}}}",
-            ends(pair)
-        ));
+    if let Some((src, dst)) = m.pair("--path")?.map(owned) {
+        lines.push(render_query(&QueryRequest::Path {
+            src,
+            dst,
+            links: links.clone(),
+            waypoints: m.values("--via").to_vec(),
+        }));
     }
     if m.switch("--all-pairs") {
-        lines.push(format!("{{\"op\": \"all_pairs\", \"links\": {links}}}"));
+        lines.push(render_query(&QueryRequest::AllPairs { links }));
     }
     if m.switch("--stats") {
-        lines.push("{\"op\": \"stats\"}".to_string());
+        lines.push(render_control("stats", None));
     }
     if let Some(path) = m.value("--reload") {
-        lines.push(format!(
-            "{{\"op\": \"reload\", \"path\": {}}}",
-            quoted(path)
-        ));
+        lines.push(render_control("reload", Some(path)));
     }
     if m.switch("--shutdown") {
-        lines.push("{\"op\": \"shutdown\"}".to_string());
+        lines.push(render_control("shutdown", None));
     }
     if lines.is_empty() {
-        lines.push("{\"op\": \"ping\"}".to_string());
+        lines.push(render_control("ping", None));
     }
 
     let (endpoint, client) =

@@ -33,7 +33,7 @@ pub mod args;
 use crate::core::compress::{
     compress_each, ClassStats, CompressOptions, CompressionReport, EcCompression,
 };
-use crate::core::snapshot::{json_escape, write_envelope, Envelope, Json};
+use crate::core::snapshot::{write_envelope, Envelope, Json, Layout, Object};
 use crate::verify::netsweep::NetworkSweepReport;
 use bonsai_config::{print_network_into, BuiltTopology, NetworkConfig};
 use std::cell::RefCell;
@@ -111,69 +111,51 @@ fn usize_of(j: &Json, key: &str) -> Result<usize, String> {
         .ok_or_else(|| format!("missing integer field `{key}`"))
 }
 
+/// `"network": {"nodes": …, "links": …, "ecs": …}`, as both documents
+/// carry it.
+fn write_network(payload: &mut Object<'_>, nodes: usize, links: usize, ecs: usize) {
+    payload.object("network", Layout::Spaced, |o| {
+        o.uint("nodes", nodes).uint("links", links).uint("ecs", ecs);
+    });
+}
+
 impl DiffDoc {
     /// Renders the enveloped document. Provenance fields are pinned to
     /// `"unknown"` like the failures document, so bytes depend only on
     /// the diff content (and the two measured timings).
     pub fn render(&self) -> String {
-        let devices: Vec<String> = self
-            .changed_devices
-            .iter()
-            .map(|d| format!("\"{}\"", json_escape(d)))
-            .collect();
-        let rederived: Vec<String> = self
-            .rederived
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"rep\":\"{}\",\"scenarios\":{},\"refinements\":{},\"derivations\":{}}}",
-                    json_escape(&r.rep),
-                    r.scenarios,
-                    r.refinements,
-                    r.derivations,
-                )
-            })
-            .collect();
-        let structural = match &self.structural {
-            Some(why) => format!("\"{}\"", json_escape(why)),
-            None => "null".to_string(),
+        let payload = |p: &mut Object<'_>| {
+            p.uint("k", self.k).uint("threads", self.threads);
+            write_network(p, self.nodes, self.links, self.ecs_total);
+            p.object("delta", Layout::Spaced, |o| {
+                o.bool("full_rebuild", self.full_rebuild)
+                    .opt("structural", self.structural.as_deref(), Object::str)
+                    .strs("changed_devices", &self.changed_devices)
+                    .uint("stages_evicted", self.stages_evicted)
+                    .uint("sigs_evicted", self.sigs_evicted)
+                    .uint("tables_evicted", self.tables_evicted);
+            });
+            p.uint("ecs_rederived", self.ecs_rederived)
+                .uint("reused", self.reused)
+                .uint("fingerprints_moved", self.fingerprints_moved);
+            p.object("timing", Layout::Spaced, |o| {
+                o.float("full_s", self.full_s, 6)
+                    .float("delta_s", self.delta_s, 6);
+            });
+            p.rows("rederived", Layout::Compact, &self.rederived, |o, r| {
+                o.str("rep", &r.rep)
+                    .uint("scenarios", r.scenarios)
+                    .uint("refinements", r.refinements)
+                    .uint("derivations", r.derivations);
+            });
         };
-        let payload = format!(
-            concat!(
-                "{{\n    \"k\": {},\n    \"threads\": {},\n",
-                "    \"network\": {{\"nodes\": {}, \"links\": {}, \"ecs\": {}}},\n",
-                "    \"delta\": {{\"full_rebuild\": {}, \"structural\": {}, ",
-                "\"changed_devices\": [{}], \"stages_evicted\": {}, ",
-                "\"sigs_evicted\": {}, \"tables_evicted\": {}}},\n",
-                "    \"ecs_rederived\": {},\n    \"reused\": {},\n",
-                "    \"fingerprints_moved\": {},\n",
-                "    \"timing\": {{\"full_s\": {:.6}, \"delta_s\": {:.6}}},\n",
-                "    \"rederived\": [{}]\n  }}"
-            ),
-            self.k,
-            self.threads,
-            self.nodes,
-            self.links,
-            self.ecs_total,
-            self.full_rebuild,
-            structural,
-            devices.join(", "),
-            self.stages_evicted,
-            self.sigs_evicted,
-            self.tables_evicted,
-            self.ecs_rederived,
-            self.reused,
-            self.fingerprints_moved,
-            self.full_s,
-            self.delta_s,
-            rederived.join(","),
-        );
         write_envelope(
             DIFF_DOC_KIND,
             DIFF_DOC_VERSION,
             "unknown",
             "unknown",
-            &payload,
+            Layout::Lines(4),
+            payload,
         )
     }
 
@@ -435,129 +417,88 @@ impl FailuresDoc {
     /// `"unknown"` so the bytes depend only on the sweep content —
     /// which is what makes the sharded-merge byte-equality provable.
     pub fn render(&self) -> String {
-        let ecs: Vec<String> = self
-            .ecs
-            .iter()
-            .map(|ec| {
-                let details: Vec<String> = ec
-                    .details
-                    .iter()
-                    .map(|d| {
-                        format!(
-                            "{{\"rank\":{},\"representative\":\"{}\",\"nodes\":{},\"split\":{},\"how\":\"{}\",\"provenance\":\"{}\"}}",
-                            d.rank,
-                            json_escape(&d.representative),
-                            d.nodes,
-                            d.split,
-                            json_escape(&d.how),
-                            json_escape(&d.provenance),
-                        )
-                    })
-                    .collect();
-                let scenarios: Vec<String> = ec
-                    .per_scenario
-                    .iter()
-                    .map(|s| {
-                        format!(
-                            "{{\"rank\":{},\"links\":\"{}\",\"nodes\":{}}}",
-                            s.rank,
-                            json_escape(&s.links),
-                            s.nodes,
-                        )
-                    })
-                    .collect();
-                let cache_hit_rate = if ec.scenarios == 0 {
-                    0.0
-                } else {
-                    1.0 - ec.refinements as f64 / ec.scenarios as f64
-                };
-                let mean_refined = if ec.scenarios == 0 {
-                    ec.base_abstract_nodes as f64
-                } else {
-                    ec.refined_nodes_sum as f64 / ec.scenarios as f64
-                };
-                format!(
-                    concat!(
-                        "{{\"rep\":\"{}\",\"fingerprint\":\"{}\",\"canonical\":{},",
-                        "\"scenarios\":{},\"refinements\":{},\"derivations\":{},",
-                        "\"cache_hit_rate\":{:.6},\"base_abstract_nodes\":{},",
-                        "\"refined_nodes_sum\":{},\"mean_refined_nodes\":{:.6},",
-                        "\"max_refined_nodes\":{},",
-                        "\"refinements_detail\":[{}],\"per_scenario\":[{}]}}"
-                    ),
-                    json_escape(&ec.rep),
-                    json_escape(&ec.fingerprint),
-                    ec.canonical,
-                    ec.scenarios,
-                    ec.refinements,
-                    ec.derivations,
-                    cache_hit_rate,
-                    ec.base_abstract_nodes,
-                    ec.refined_nodes_sum,
-                    mean_refined,
-                    ec.max_refined_nodes,
-                    details.join(","),
-                    scenarios.join(","),
+        let ratio = |part: usize, whole: usize| part as f64 / whole as f64;
+        let class = |o: &mut Object<'_>, ec: &EcDoc| {
+            let (cache_hit_rate, mean_refined) = if ec.scenarios == 0 {
+                (0.0, ec.base_abstract_nodes as f64)
+            } else {
+                (
+                    1.0 - ratio(ec.refinements, ec.scenarios),
+                    ratio(ec.refined_nodes_sum, ec.scenarios),
                 )
-            })
-            .collect();
-        let queries: Vec<String> = self
-            .queries
-            .iter()
-            .map(|q| {
-                format!(
-                    "{{\"src\":\"{}\",\"dst\":\"{}\",\"prefix\":\"{}\",\"delivered\":{},\"scenarios\":{},\"always\":{}}}",
-                    json_escape(&q.src),
-                    json_escape(&q.dst),
-                    json_escape(&q.prefix),
-                    q.delivered,
-                    q.scenarios,
-                    q.delivered == q.scenarios,
-                )
-            })
-            .collect();
+            };
+            o.str("rep", &ec.rep)
+                .str("fingerprint", &ec.fingerprint)
+                .bool("canonical", ec.canonical)
+                .uint("scenarios", ec.scenarios)
+                .uint("refinements", ec.refinements)
+                .uint("derivations", ec.derivations)
+                .float("cache_hit_rate", cache_hit_rate, 6)
+                .uint("base_abstract_nodes", ec.base_abstract_nodes)
+                .uint("refined_nodes_sum", ec.refined_nodes_sum)
+                .float("mean_refined_nodes", mean_refined, 6)
+                .uint("max_refined_nodes", ec.max_refined_nodes);
+            o.rows(
+                "refinements_detail",
+                Layout::Compact,
+                &ec.details,
+                |o, d| {
+                    o.uint("rank", d.rank)
+                        .str("representative", &d.representative)
+                        .uint("nodes", d.nodes)
+                        .uint("split", d.split)
+                        .str("how", &d.how)
+                        .str("provenance", &d.provenance);
+                },
+            );
+            o.rows("per_scenario", Layout::Compact, &ec.per_scenario, |o, s| {
+                o.uint("rank", s.rank)
+                    .str("links", &s.links)
+                    .uint("nodes", s.nodes);
+            });
+        };
         let sharing_ratio = if self.unshared_derivations == 0 {
             0.0
         } else {
-            (1.0 - self.derivations as f64 / self.unshared_derivations as f64).max(0.0)
+            (1.0 - ratio(self.derivations, self.unshared_derivations)).max(0.0)
         };
-        let shard = match self.shard {
-            Some((index, of)) => format!("\n    \"shard\": {{\"index\": {index}, \"of\": {of}}},"),
-            None => String::new(),
+        let payload = |p: &mut Object<'_>| {
+            p.uint("k", self.k)
+                .uint("threads", self.threads)
+                .bool("pruned", self.pruned)
+                .bool("share_across_ecs", self.share);
+            write_network(p, self.nodes, self.links, self.ecs.len());
+            p.object("sharing", Layout::Spaced, |o| {
+                o.uint("derivations", self.derivations)
+                    .uint("unshared_derivations", self.unshared_derivations)
+                    .float("sharing_ratio", sharing_ratio, 6)
+                    .uint("exact_transfers", self.exact_transfers)
+                    .uint("symmetric_transfers", self.symmetric_transfers)
+                    .uint("verified_transfers", self.verified_transfers)
+                    .uint("distinct_fingerprints", self.distinct_fingerprints);
+            });
+            if let Some((index, of)) = self.shard {
+                p.object("shard", Layout::Spaced, |o| {
+                    o.uint("index", index).uint("of", of);
+                });
+            }
+            p.rows("ecs", Layout::Compact, &self.ecs, class);
+            p.rows("queries", Layout::Compact, &self.queries, |o, q| {
+                o.str("src", &q.src)
+                    .str("dst", &q.dst)
+                    .str("prefix", &q.prefix)
+                    .uint("delivered", q.delivered)
+                    .uint("scenarios", q.scenarios)
+                    .bool("always", q.delivered == q.scenarios);
+            });
         };
-        let payload = format!(
-            concat!(
-                "{{\n    \"k\": {},\n    \"threads\": {},\n    \"pruned\": {},\n    \"share_across_ecs\": {},\n",
-                "    \"network\": {{\"nodes\": {}, \"links\": {}, \"ecs\": {}}},\n",
-                "    \"sharing\": {{\"derivations\": {}, \"unshared_derivations\": {}, ",
-                "\"sharing_ratio\": {:.6}, \"exact_transfers\": {}, \"symmetric_transfers\": {}, ",
-                "\"verified_transfers\": {}, \"distinct_fingerprints\": {}}},{}\n",
-                "    \"ecs\": [{}],\n    \"queries\": [{}]\n  }}"
-            ),
-            self.k,
-            self.threads,
-            self.pruned,
-            self.share,
-            self.nodes,
-            self.links,
-            self.ecs.len(),
-            self.derivations,
-            self.unshared_derivations,
-            sharing_ratio,
-            self.exact_transfers,
-            self.symmetric_transfers,
-            self.verified_transfers,
-            self.distinct_fingerprints,
-            shard,
-            ecs.join(","),
-            queries.join(","),
-        );
         write_envelope(
             FAILURES_DOC_KIND,
             FAILURES_DOC_VERSION,
             "unknown",
             "unknown",
-            &payload,
+            Layout::Lines(4),
+            payload,
         )
     }
 

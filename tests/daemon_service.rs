@@ -354,3 +354,37 @@ fn snapshot_restores_and_serves_identical_bytes_without_resolving() {
         "replayed answers must come from the restored memos"
     );
 }
+
+/// The line that used to kill the daemon for every client: 20 KB of `[`
+/// recursed the request parser off its stack (`fatal runtime error: stack
+/// overflow`, exit 134). It is a `bad_request` now — for arrays and
+/// objects, at 20 KB and just under the 1 MiB line limit, over both
+/// transports — and the connection that sent it is still served.
+#[test]
+fn deeply_nested_lines_are_bad_requests_on_a_connection_that_stays_open() {
+    let path = socket_path("deep");
+    let server = Server::bind(fattree_session(), &path)
+        .and_then(|server| server.with_tcp("127.0.0.1:0"))
+        .expect("bind");
+    let tcp = server.tcp_addr().expect("tcp listener").to_string();
+    let handle = server.spawn();
+
+    let unix = Client::connect(&path).expect("connect");
+    let tcp = Client::connect_tcp(&tcp).expect("connect over tcp");
+    for mut client in [unix, tcp] {
+        for (open, count) in [("[", 20_000), ("[", 1_000_000), ("{\"a\":", 200_000)] {
+            let reply = client.call(&open.repeat(count)).expect("answered");
+            assert!(
+                reply.starts_with(r#"{"ok": false, "code": "bad_request""#)
+                    && reply.contains("nesting deeper than 64"),
+                "{count} x {open}: {reply}"
+            );
+            let pong = client.call(r#"{"op": "ping"}"#).expect("same connection");
+            assert_eq!(pong, r#"{"ok": true, "op": "ping", "classes": 8, "k": 1}"#);
+        }
+    }
+
+    let mut client = Client::connect(&path).expect("connect");
+    client.call(r#"{"op": "shutdown"}"#).expect("shutdown");
+    handle.join().unwrap().expect("clean exit");
+}
