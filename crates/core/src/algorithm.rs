@@ -231,6 +231,7 @@ pub fn refine_with_split(
     abstraction: &Abstraction,
     split: &[NodeId],
 ) -> Abstraction {
+    bonsai_obs::add("compress.refine.calls", 1);
     let mut partition = abstraction.partition.clone();
     for &u in split {
         partition.isolate(u.0);

@@ -247,7 +247,6 @@ pub fn refine_ec_with_split(
     abstraction: &Abstraction,
     split: &[bonsai_net::NodeId],
 ) -> (Abstraction, AbstractNetwork) {
-    bonsai_obs::add("compress.refine.calls", 1);
     let refined = crate::algorithm::refine_with_split(&topo.graph, ec, sigs, abstraction, split);
     let abs_net = build_abstract_network(network, topo, ec, &refined);
     (refined, abs_net)

@@ -50,6 +50,12 @@ use std::fmt;
 /// of `[` from recursing the parser off its stack.
 pub const MAX_DEPTH: usize = 64;
 
+/// How many bytes of a file a *client* names are read (the daemon's
+/// `reload` by `path`). Two orders of magnitude above the largest
+/// configuration in the tree; the bound, with a regular-file check, keeps
+/// `/dev/zero` from growing the daemon until the OOM killer ends it.
+pub const MAX_CONFIG_FILE_BYTES: u64 = 64 << 20;
+
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {

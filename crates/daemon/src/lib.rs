@@ -91,7 +91,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use bonsai_core::snapshot::{write_object, Json, Layout, Object};
+use bonsai_core::snapshot::{write_object, Json, Layout, Object, MAX_CONFIG_FILE_BYTES};
 use bonsai_verify::session::{
     QueryAnswer, QueryRequest, ReloadOutcome, Session, SessionError, SessionStats,
 };
@@ -623,7 +623,7 @@ pub fn answer_line(
             let file = doc.get("path").and_then(Json::as_str);
             let text = match (inline, file) {
                 (Some(text), None) => text.to_string(),
-                (None, Some(p)) => match std::fs::read_to_string(p) {
+                (None, Some(p)) => match read_config_file(Path::new(p)) {
                     Ok(t) => t,
                     Err(e) => return (render_error("io", &format!("reading {p}: {e}")), false),
                 },
@@ -662,6 +662,31 @@ pub fn answer_line(
             false,
         ),
     }
+}
+
+/// Reads the configuration a `reload` names by path: a regular file of at
+/// most [`MAX_CONFIG_FILE_BYTES`]. The path comes off the wire, so a
+/// device, a directory or a FIFO — which would grow the daemon without
+/// bound or park the handler in `open` — is refused before it is opened,
+/// and the read is capped in case the file grows under it.
+fn read_config_file(path: &Path) -> std::io::Result<String> {
+    let refuse = |why: String| std::io::Error::new(ErrorKind::InvalidInput, why);
+    let too_large = || refuse(format!("larger than {MAX_CONFIG_FILE_BYTES} bytes"));
+    let meta = std::fs::metadata(path)?;
+    if !meta.is_file() {
+        return Err(refuse("not a regular file".into()));
+    }
+    if meta.len() > MAX_CONFIG_FILE_BYTES {
+        return Err(too_large());
+    }
+    let mut text = String::new();
+    std::fs::File::open(path)?
+        .take(MAX_CONFIG_FILE_BYTES + 1)
+        .read_to_string(&mut text)?;
+    if text.len() as u64 > MAX_CONFIG_FILE_BYTES {
+        return Err(too_large());
+    }
+    Ok(text)
 }
 
 fn overloaded_response(options: &ServerOptions) -> String {

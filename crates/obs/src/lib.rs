@@ -150,7 +150,7 @@ pub const METRICS: &[MetricDef] = &[
     // `bonsai compress --out` ----------------------------------------------
     counter(
         "compress.refine.calls",
-        "Refine-and-materialize kernel invocations (refine_ec_with_split)",
+        "Algorithm-1 refinement kernel runs (algorithm::refine_with_split)",
     ),
     counter(
         "compress.emit.files",
@@ -200,6 +200,10 @@ pub const METRICS: &[MetricDef] = &[
     counter(
         "sweep.signatures.raw_keys",
         "Raw signature keys memoized by sweep workers, per (worker, class)",
+    ),
+    counter(
+        "sweep.refinements.materialized",
+        "Refinements whose abstract network and canonical solution were built on first read",
     ),
     // --- session: the resident query layer --------------------------------
     counter(

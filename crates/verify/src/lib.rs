@@ -70,6 +70,6 @@ pub use session::{
 };
 pub use sim_engine::SimEngine;
 pub use sweep::{
-    derive_refinement, RefinementProvenance, ScenarioOutcome, ScenarioRefinement, SweepOptions,
-    SweepReport,
+    derive_refinement, Materialized, RefinementProvenance, ScenarioOutcome, ScenarioRefinement,
+    SweepOptions, SweepReport,
 };

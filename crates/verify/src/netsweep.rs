@@ -69,13 +69,13 @@
 
 use crate::equivalence::EquivalenceError;
 use crate::sweep::{
-    canonical_abstract_solution, check_scenario_refined, derive_scenario_refinement,
-    endpoint_split, sample_concrete_solutions, OutcomeStats, RefinementProvenance, ScenarioOutcome,
-    ScenarioRefinement, SweepCtx, SweepEnv, SweepOptions, SweepReport,
+    check_scenario_refined, derive_scenario_refinement, endpoint_split, sample_concrete_solutions,
+    OutcomeStats, RefinementProvenance, ScenarioOutcome, ScenarioRefinement, SweepCtx, SweepEnv,
+    SweepOptions, SweepReport,
 };
 use bonsai_config::{BuiltTopology, NetworkConfig};
-use bonsai_core::abstraction::build_abstract_network;
-use bonsai_core::compress::{refine_ec_with_split, CompressionReport};
+use bonsai_core::algorithm::refine_with_split;
+use bonsai_core::compress::CompressionReport;
 use bonsai_core::engine::EcFingerprint;
 use bonsai_core::fanout::fan_out_ranges;
 use bonsai_core::scenarios::{
@@ -850,10 +850,10 @@ fn resolve_refinement(
         .and_then(|key| shared.lock().unwrap().get(key).cloned());
     if let Some(entry) = hit {
         if entry.donor_origins == ctx.ec.origins {
-            return Ok(materialize_exact(ctx, &entry, signature));
+            return Ok(transfer_exact(&entry.donor, signature));
         }
         if entry.stage1_only {
-            let candidate = materialize_symmetric(ctx, signature, scenario);
+            let candidate = transfer_symmetric(ctx, signature, scenario);
             if !options.verify_transfers {
                 return Ok(candidate);
             }
@@ -861,12 +861,15 @@ fn resolve_refinement(
             // the transferred refinement; a refutation (the symmetry
             // certificate over-promised) falls back to deriving.
             let solutions = sample_concrete_solutions(ctx, &candidate.representative)?;
+            let abs = candidate
+                .materialized(ctx.env.network, ctx.env.topo, &ctx.ec)
+                .abstract_network();
             if check_scenario_refined(
                 ctx,
                 &candidate.representative,
                 &solutions,
                 &candidate.abstraction,
-                &candidate.abstract_network,
+                abs,
             )?
             .is_ok()
             {
@@ -880,71 +883,50 @@ fn resolve_refinement(
         let entry = Arc::new(SharedEntry {
             donor_origins: ctx.ec.origins.clone(),
             stage1_only: !refinement.localized_refuted && !refinement.global_fallback,
-            donor: refinement.clone(),
+            donor: refinement.unmaterialized(),
         });
         shared.lock().unwrap().entry(key).or_insert(entry);
     }
     Ok(refinement)
 }
 
-/// Materializes an exact (same-origin) transfer: the donor's partition
-/// replays byte-identically, only the abstract network is rebuilt so it
-/// embeds the receiving class's own prefix.
-fn materialize_exact(
-    ctx: &SweepCtx<'_>,
-    entry: &SharedEntry,
-    signature: &OrbitSignature,
-) -> ScenarioRefinement {
+/// An exact (same-origin) transfer: the donor's partition replays
+/// byte-identically. The abstract network — the one part that embeds the
+/// receiving class's own prefix — is left to the refinement's first
+/// reader.
+fn transfer_exact(donor: &ScenarioRefinement, signature: &OrbitSignature) -> ScenarioRefinement {
     debug_assert_eq!(
-        entry.donor.signature, *signature,
+        donor.signature, *signature,
         "identical origins and fingerprints must yield identical per-EC signatures"
     );
-    let abstraction = entry.donor.abstraction.clone();
-    let abstract_network =
-        build_abstract_network(ctx.env.network, ctx.env.topo, &ctx.ec, &abstraction);
-    let abstract_solution =
-        canonical_abstract_solution(&abstraction, &abstract_network, &entry.donor.representative);
-    ScenarioRefinement {
-        signature: signature.clone(),
-        representative: entry.donor.representative.clone(),
-        split: entry.donor.split.clone(),
-        abstraction,
-        abstract_network,
-        localized_refuted: entry.donor.localized_refuted,
-        deviating_rounds: entry.donor.deviating_rounds,
-        global_fallback: entry.donor.global_fallback,
-        provenance: RefinementProvenance::TransferredExact,
-        abstract_solution,
-    }
+    let mut refinement = donor.unmaterialized();
+    refinement.provenance = RefinementProvenance::TransferredExact;
+    refinement
 }
 
-/// Materializes a symmetric transfer: the stage-1 endpoint split of the
-/// receiving class's own representative, refined against its own base
-/// abstraction — exactly what a fresh derivation produces when its first
-/// check passes, which is what the donor's verdict certifies.
-fn materialize_symmetric(
+/// A symmetric transfer: the stage-1 endpoint split of the receiving
+/// class's own representative, refined against its own base abstraction —
+/// exactly the partition a fresh derivation produces when its first check
+/// passes, which is what the donor's verdict certifies.
+fn transfer_symmetric(
     ctx: &SweepCtx<'_>,
     signature: &OrbitSignature,
     scenario: &FailureScenario,
 ) -> ScenarioRefinement {
-    let env = ctx.env;
     let split = endpoint_split(ctx.base, scenario);
-    let (abstraction, abstract_network) = if split.is_empty() {
-        (ctx.base.clone(), ctx.base_net.clone())
+    let abstraction = if split.is_empty() {
+        ctx.base.clone()
     } else {
-        refine_ec_with_split(env.network, env.topo, &ctx.ec, &ctx.sigs, ctx.base, &split)
+        refine_with_split(&ctx.env.topo.graph, &ctx.ec, &ctx.sigs, ctx.base, &split)
     };
-    let abstract_solution = canonical_abstract_solution(&abstraction, &abstract_network, scenario);
-    ScenarioRefinement {
-        signature: signature.clone(),
-        representative: scenario.clone(),
+    ScenarioRefinement::new(
+        signature.clone(),
+        scenario.clone(),
         split,
         abstraction,
-        abstract_network,
-        localized_refuted: false,
-        deviating_rounds: 0,
-        global_fallback: false,
-        provenance: RefinementProvenance::TransferredSymmetric,
-        abstract_solution,
-    }
+        false,
+        0,
+        false,
+        RefinementProvenance::TransferredSymmetric,
+    )
 }

@@ -9,9 +9,9 @@
 //!
 //! 1. **build** — parse → compress ([`bonsai_core::compress::compress`])
 //!    → network sweep ([`crate::netsweep::sweep_network`]), keeping the
-//!    shared engine, every per-scenario [`ScenarioRefinement`] (each with
-//!    its canonical abstract solution cached at derivation time), and a
-//!    per-class orbit index.
+//!    shared engine, every per-scenario [`ScenarioRefinement`] (its
+//!    abstract network and canonical solution built by the first query to
+//!    touch it, a derivation's at once), and a per-class orbit index.
 //! 2. **query** — [`Session::reach`], [`Session::sweep_reach`],
 //!    [`Session::all_pairs`], [`Session::path`] (path lengths and
 //!    waypointing, the §4.4 checkers), and [`Session::batch`] (fanned out
@@ -26,12 +26,11 @@
 //!    refinement cache *and both answer memos* (see [module docs on the
 //!    format](#snapshot-format)) and [`SessionBuilder::restore`] rebuilds
 //!    a warm session from it with **zero verification solves**: splits
-//!    are replayed through
-//!    [`bonsai_core::compress::refine_ec_with_split`], only the cheap
-//!    canonical solutions are recomputed, and every persisted verdict and
-//!    path answer is reloaded verbatim — so a restarted daemon answers
-//!    previously-seen queries byte-identically **without touching the
-//!    solver at all** (answer-warm, not just refinement-warm).
+//!    are replayed through [`bonsai_core::algorithm::refine_with_split`]
+//!    and every persisted verdict and path answer is reloaded verbatim —
+//!    so a restarted daemon answers previously-seen queries
+//!    byte-identically **without touching the solver at all**
+//!    (answer-warm, not just refinement-warm).
 //! 4. **reload** — [`Session::reload`] absorbs a config edit: classes the
 //!    edit touched are re-swept, every other class's query plane is
 //!    carried over as it is, with its memoized answers.
@@ -281,14 +280,13 @@ impl SessionBuilder {
         let report = compress(&self.network, self.options.compress);
         let options = sweep_options(&self.options, self.options.max_failures);
         let sweep = sweep_network(&self.network, &topo, &report, &options).map_err(build_error)?;
-        Session::from_sweep(self.network, report, sweep, self.options)
+        Session::of_sweep(self.network, topo, report, sweep, self.options)
     }
 
     /// Rebuilds a warm session from a snapshot produced by
     /// [`Session::snapshot_json`]: compression runs (it is not part of
-    /// the snapshot), but **no verification solves** — the recorded
-    /// splits are replayed and only the canonical per-refinement
-    /// solutions are recomputed. Rejects snapshots of other networks
+    /// the snapshot), but **no solves** — the recorded splits are
+    /// replayed to partitions. Rejects snapshots of other networks
     /// (fingerprint), other schema kinds/versions, and pre-envelope
     /// dialects, each with an explicit message.
     pub fn restore(mut self, snapshot_text: &str) -> Result<Session, SessionError> {
@@ -362,6 +360,7 @@ impl SessionBuilder {
         let session = Session::assemble(
             self.network,
             topo,
+            fingerprint,
             report,
             self.options,
             planes,
@@ -513,6 +512,18 @@ impl Session {
         sweep: NetworkSweepReport,
         options: SessionOptions,
     ) -> Result<Session, SessionError> {
+        let topo = build_topo(&network)?;
+        Session::of_sweep(network, topo, report, sweep, options)
+    }
+
+    /// [`Session::from_sweep`] over the topology the sweep already ran on.
+    fn of_sweep(
+        network: NetworkConfig,
+        topo: BuiltTopology,
+        report: CompressionReport,
+        sweep: NetworkSweepReport,
+        options: SessionOptions,
+    ) -> Result<Session, SessionError> {
         if !sweep
             .per_ec
             .iter()
@@ -523,7 +534,6 @@ impl Session {
                 "the sweep does not cover the compression run's classes in order".into(),
             ));
         }
-        let topo = build_topo(&network)?;
         let summary = SweepSummary::of_sweep(&sweep);
         let planes = sweep
             .per_ec
@@ -531,18 +541,30 @@ impl Session {
             .map(|class| PlaneSource::Swept(class.report.refinements))
             .collect();
         let memos = Memos::new(options.memo_cap_bytes);
-        Session::assemble(network, topo, report, options, planes, memos, summary)
+        let fingerprint = network_fingerprint(&network);
+        Session::assemble(
+            network,
+            topo,
+            fingerprint,
+            report,
+            options,
+            planes,
+            memos,
+            summary,
+        )
     }
 
     /// The one way a session comes to be. `sources` names, per class of
     /// `report` and in its order, where the class's query plane comes
-    /// from; everything that is a function of the network, its topology
-    /// and `summary.k` is computed here, and `summary` arrives with the
-    /// caller's sweep tallies and leaves with `refinements` and `restored`
-    /// counted off the planes.
+    /// from; `topo` and `fingerprint` are the network's (every caller
+    /// has them), the rest of what is a function of it and `summary.k` is
+    /// computed here, and `summary` arrives with the caller's sweep tallies
+    /// and leaves with `refinements` and `restored` counted off the planes.
+    #[allow(clippy::too_many_arguments)]
     fn assemble(
         network: NetworkConfig,
         topo: BuiltTopology,
+        fingerprint: String,
         report: CompressionReport,
         options: SessionOptions,
         sources: Vec<PlaneSource>,
@@ -560,7 +582,6 @@ impl Session {
                 let orbits =
                     link_orbits_with_distances(&topo.graph, base, &sigs, Arc::clone(&distances));
                 ClassHoist {
-                    network: &network,
                     topo: &topo,
                     comp,
                     ec_dest,
@@ -589,7 +610,6 @@ impl Session {
             planes.push(plane);
         }
         let scenarios = ScenarioStream::new(&topo.graph, summary.k);
-        let fingerprint = network_fingerprint(&network);
         Ok(Session {
             network,
             topo,
@@ -688,12 +708,13 @@ impl Session {
             return Ok(v);
         }
         let comp = &self.report.per_ec[i];
+        let (network, topo, ec) = (&self.network, &self.topo, &comp.ec);
         let plane = &self.planes[i];
         let mut stats = QueryStats::default();
         let verdict = if scenario.is_empty() {
             abstract_verdict(
-                &self.topo,
-                &comp.ec,
+                topo,
+                ec,
                 &comp.abstraction,
                 &comp.abstract_network,
                 None,
@@ -707,17 +728,14 @@ impl Session {
                 .and_then(|sig| plane.refinements.get(&sig))
             {
                 Some(refinement) => {
-                    refined_verdict(&self.topo, &comp.ec, refinement, scenario, &mut stats)
+                    refined_verdict(network, topo, ec, refinement, scenario, &mut stats)
                 }
                 // Scenarios past the swept bound (or stray masks) fall
                 // back to the concrete masked simulation.
-                None => concrete_verdict(
-                    &self.network,
-                    &self.topo,
-                    &comp.ec,
-                    Some(&scenario.mask(&self.topo.graph)),
-                    &mut stats,
-                ),
+                None => {
+                    let mask = scenario.mask(&topo.graph);
+                    concrete_verdict(network, topo, ec, Some(&mask), &mut stats)
+                }
             }
         }
         .map_err(|e| SessionError::Solve(e.to_string()))?;
@@ -980,11 +998,24 @@ impl Session {
     }
 
     /// Writes [`Session::snapshot_json`] to a file, returning the byte
-    /// count.
+    /// count. The document goes to `<path>.tmp.<pid>`, is synced and is
+    /// renamed over `path`, so a failed or interrupted save leaves the
+    /// previous snapshot — what the next start restores from — untouched.
     pub fn save_snapshot(&self, path: &std::path::Path) -> std::io::Result<usize> {
+        use std::io::Write;
         let doc = self.snapshot_json();
-        std::fs::write(path, &doc)?;
-        Ok(doc.len())
+        let mut temp = path.as_os_str().to_owned();
+        temp.push(format!(".tmp.{}", std::process::id()));
+        let written = std::fs::File::create(&temp)
+            .and_then(|mut file| {
+                file.write_all(doc.as_bytes())?;
+                file.sync_all()
+            })
+            .and_then(|()| std::fs::rename(&temp, path));
+        if written.is_err() {
+            let _ = std::fs::remove_file(&temp);
+        }
+        written.map(|()| doc.len())
     }
 }
 

@@ -5,8 +5,9 @@
 use super::codec::RefinementRecord;
 use super::{in_snapshot, resolve_scenario, Refinements, SessionError};
 use crate::sweep::{canonical_abstract_solution, ScenarioRefinement};
-use bonsai_config::{BuiltTopology, NetworkConfig};
-use bonsai_core::compress::{refine_ec_with_split, EcCompression};
+use bonsai_config::BuiltTopology;
+use bonsai_core::algorithm::refine_with_split;
+use bonsai_core::compress::EcCompression;
 use bonsai_core::scenarios::{FailureScenario, LinkOrbits};
 use bonsai_core::signatures::SigTable;
 use bonsai_srp::instance::{EcDest, RibAttr};
@@ -42,7 +43,6 @@ pub(super) enum PlaneSource {
 /// per class that is not carried over whole: the signature table and the
 /// link orbits of the class's base abstraction.
 pub(super) struct ClassHoist<'a> {
-    pub(super) network: &'a NetworkConfig,
     pub(super) topo: &'a BuiltTopology,
     pub(super) comp: &'a EcCompression,
     pub(super) ec_dest: EcDest,
@@ -52,8 +52,9 @@ pub(super) struct ClassHoist<'a> {
 
 impl ClassHoist<'_> {
     /// Rebuilds a recorded refinement: the split goes back through
-    /// Algorithm 1 against the class's base and only the canonical
-    /// solution is re-solved — no verification.
+    /// Algorithm 1 against the class's base — no verification, and the
+    /// abstract network and its canonical solution wait for the first
+    /// query that touches the refinement.
     pub(super) fn replay(
         &self,
         record: RefinementRecord<String>,
@@ -70,33 +71,22 @@ impl ClassHoist<'_> {
                 SessionError::Snapshot(format!("snapshot split names unknown node {name}"))
             })?);
         }
-        let comp = self.comp;
-        let (abstraction, abstract_network) = if split.is_empty() {
-            (comp.abstraction.clone(), comp.abstract_network.clone())
+        let base = &self.comp.abstraction;
+        let abstraction = if split.is_empty() {
+            base.clone()
         } else {
-            refine_ec_with_split(
-                self.network,
-                self.topo,
-                &self.ec_dest,
-                &self.sigs,
-                &comp.abstraction,
-                &split,
-            )
+            refine_with_split(graph, &self.ec_dest, &self.sigs, base, &split)
         };
-        let abstract_solution =
-            canonical_abstract_solution(&abstraction, &abstract_network, &representative);
-        Ok(ScenarioRefinement {
+        Ok(ScenarioRefinement::new(
             signature,
             representative,
             split,
             abstraction,
-            abstract_network,
-            localized_refuted: record.localized_refuted,
-            deviating_rounds: record.deviating_rounds,
-            global_fallback: record.global_fallback,
-            provenance: record.provenance,
-            abstract_solution,
-        })
+            record.localized_refuted,
+            record.deviating_rounds,
+            record.global_fallback,
+            record.provenance,
+        ))
     }
 
     pub(super) fn into_plane(self, refinements: Refinements) -> Arc<QueryPlane> {

@@ -2,7 +2,8 @@
 //! session of an edited configuration.
 
 use super::{
-    build_error, build_topo, sweep_options, Memos, PlaneSource, Session, SessionError, SweepSummary,
+    build_error, build_topo, network_fingerprint, sweep_options, Memos, PlaneSource, Session,
+    SessionError, SweepSummary,
 };
 use crate::netsweep::sweep_network_subset;
 use bonsai_config::NetworkConfig;
@@ -168,9 +169,11 @@ impl Session {
         }
 
         summary.restored_answers = outcome.verdicts_kept + outcome.paths_kept;
+        let fingerprint = network_fingerprint(&new_network);
         let session = Session::assemble(
             new_network,
             topo,
+            fingerprint,
             report,
             self.options,
             planes,

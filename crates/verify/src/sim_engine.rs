@@ -15,9 +15,9 @@
 //! verdict mapped back to concrete nodes — the compressed fast path whose
 //! agreement with the concrete masked simulation is the §9-closing
 //! acceptance check. When the queried scenario is the refinement's
-//! canonical representative, the answer comes from the solution cached at
-//! derivation time ([`ScenarioRefinement::abstract_solution`]) with
-//! **zero** solver work.
+//! canonical representative, the answer comes from the refinement's
+//! canonical solution ([`crate::sweep::Materialized::abstract_solution`])
+//! with **zero** solver work.
 
 use crate::failures::lift_failure_mask;
 use crate::properties::SolutionAnalysis;
@@ -209,7 +209,14 @@ impl<'a> SimEngine<'a> {
     ) -> Result<(Vec<bool>, QueryStats), SolveError> {
         let mut stats = QueryStats::default();
         if let (Some(refinement), QueryScope::Scenario(scenario)) = (ctx.refinement, &ctx.scope) {
-            let verdict = refined_verdict(&self.topo, ec, refinement, scenario, &mut stats)?;
+            let verdict = refined_verdict(
+                self.network,
+                &self.topo,
+                ec,
+                refinement,
+                scenario,
+                &mut stats,
+            )?;
             return Ok((verdict, stats));
         }
         let mut verdict: Vec<bool> = vec![true; self.topo.graph.node_count()];
@@ -244,35 +251,37 @@ impl<'a> SimEngine<'a> {
 /// class under one scenario on the scenario's refined abstract network,
 /// mapping the verdict back to concrete nodes.
 ///
-/// When `scenario` is the refinement's canonical representative, the
-/// solution cached at derivation time is used verbatim — zero solver
-/// updates; otherwise the refined network is solved under the scenario's
-/// lifted mask with the same natural activation order the cache was
-/// built with, so cached and uncached answers agree byte-for-byte.
+/// When `scenario` is the refinement's canonical representative, its
+/// canonical solution is used verbatim — zero solver updates; otherwise
+/// the refined network is solved under the scenario's lifted mask with
+/// the same natural activation order the canonical solution was built
+/// with, so cached and uncached answers agree byte-for-byte. The first
+/// touch of a transferred refinement materializes it
+/// ([`ScenarioRefinement::materialized`]); that canonical solve is part
+/// of the refinement, not of the query, and `stats` does not count it.
 pub(crate) fn refined_verdict(
+    network: &NetworkConfig,
     topo: &BuiltTopology,
     ec: &DestEc,
     refinement: &ScenarioRefinement,
     scenario: &FailureScenario,
     stats: &mut QueryStats,
 ) -> Result<Vec<bool>, SolveError> {
+    let materialized = refinement.materialized(network, topo, &ec.to_ec_dest());
+    let abs = materialized.abstract_network();
     let cached = (*scenario == refinement.representative)
-        .then_some(refinement.abstract_solution.as_ref())
+        .then_some(materialized.abstract_solution())
         .flatten();
     let abs_mask = if cached.is_some() {
         None
     } else {
-        Some(lift_failure_mask(
-            scenario,
-            &refinement.abstraction,
-            &refinement.abstract_network,
-        ))
+        Some(lift_failure_mask(scenario, &refinement.abstraction, abs))
     };
     abstract_verdict(
         topo,
         ec,
         &refinement.abstraction,
-        &refinement.abstract_network,
+        abs,
         abs_mask.as_ref(),
         cached,
         stats,

@@ -57,7 +57,7 @@ use crate::equivalence::{
 };
 use crate::failures::lift_failure_mask;
 use bonsai_config::{BuiltTopology, Community, NetworkConfig};
-use bonsai_core::abstraction::AbstractNetwork;
+use bonsai_core::abstraction::{build_abstract_network, AbstractNetwork};
 use bonsai_core::algorithm::Abstraction;
 use bonsai_core::compress::refine_ec_with_split;
 use bonsai_core::engine::CompiledPolicies;
@@ -72,7 +72,7 @@ use bonsai_srp::solver::{
 };
 use bonsai_srp::{Solution, Srp};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Options of the failure-verification kernel, shared by the network
 /// sweep and the audit.
@@ -150,8 +150,14 @@ impl RefinementProvenance {
     }
 }
 
-/// One cached per-scenario refinement: the abstraction that verified the
+/// One cached per-scenario refinement: the partition that verified the
 /// canonical representative of an orbit signature, plus how it was found.
+///
+/// A refinement *is* its partition (Algorithm 1's output). The abstract
+/// network and its canonical solution are derived data — a pure function
+/// of (network, class, partition, representative) — and live behind
+/// [`ScenarioRefinement::materialized`], built by the first reader: a
+/// sweep that only counts refined nodes never assembles or solves them.
 #[derive(Clone, Debug)]
 pub struct ScenarioRefinement {
     /// The orbit signature this refinement is cached under.
@@ -164,8 +170,6 @@ pub struct ScenarioRefinement {
     /// The per-scenario abstraction (base + split, at the Algorithm-1
     /// fixpoint).
     pub abstraction: Abstraction,
-    /// Its materialized abstract network.
-    pub abstract_network: AbstractNetwork,
     /// The localized endpoint split was refuted at least once.
     pub localized_refuted: bool,
     /// Rounds that split only deviating block members.
@@ -176,18 +180,127 @@ pub struct ScenarioRefinement {
     /// How this refinement entered the result set (derived here, or
     /// transferred from another destination class by the network sweep).
     pub provenance: RefinementProvenance,
-    /// The **canonical solution** of the refined abstract network under
-    /// the representative's lifted failure mask: the natural-order
-    /// [`bonsai_srp::solver::solve_masked`] fixpoint, computed once at
-    /// derivation (or transfer, or snapshot-restore) time. This is exactly
-    /// the solve every reachability query against this refinement used to
-    /// repeat per call — caching it decouples query cost from solve cost.
-    /// `None` when the natural-order solve diverges (queries then report
-    /// the divergence, as an uncached solve would have).
-    pub abstract_solution: Option<Solution<RibAttr>>,
+    /// Filled by the derivation that verified it, or by the first
+    /// [`ScenarioRefinement::materialized`] read; never evicted.
+    materialized: OnceLock<Materialized>,
+}
+
+/// What [`ScenarioRefinement::materialized`] derives from a refinement's
+/// partition.
+#[derive(Clone, Debug)]
+pub struct Materialized {
+    abstract_network: AbstractNetwork,
+    abstract_solution: Option<Solution<RibAttr>>,
+}
+
+impl Materialized {
+    /// The refinement's abstract network.
+    pub fn abstract_network(&self) -> &AbstractNetwork {
+        &self.abstract_network
+    }
+
+    /// The **canonical solution** of that network under the
+    /// representative's lifted failure mask: the natural-order
+    /// [`bonsai_srp::solver::solve_masked`] fixpoint. This is exactly the
+    /// solve every reachability query against the refinement would
+    /// otherwise repeat per call — keeping it decouples query cost from
+    /// solve cost. `None` when the natural-order solve diverges (queries
+    /// then report the divergence, as an uncached solve would have).
+    pub fn abstract_solution(&self) -> Option<&Solution<RibAttr>> {
+        self.abstract_solution.as_ref()
+    }
+}
+
+/// The one function from a partition to its derived pair: assembles the
+/// abstract network and solves it canonically under the representative.
+fn materialize(
+    network: &NetworkConfig,
+    topo: &BuiltTopology,
+    ec: &EcDest,
+    abstraction: &Abstraction,
+    representative: &FailureScenario,
+) -> Materialized {
+    let abstract_network = build_abstract_network(network, topo, ec, abstraction);
+    let abstract_solution =
+        canonical_abstract_solution(abstraction, &abstract_network, representative);
+    Materialized {
+        abstract_network,
+        abstract_solution,
+    }
 }
 
 impl ScenarioRefinement {
+    /// The one place a refinement is put together: what it is and how it
+    /// was found, the derived pair left to its first reader.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn new(
+        signature: OrbitSignature,
+        representative: FailureScenario,
+        split: Vec<NodeId>,
+        abstraction: Abstraction,
+        localized_refuted: bool,
+        deviating_rounds: usize,
+        global_fallback: bool,
+        provenance: RefinementProvenance,
+    ) -> Self {
+        ScenarioRefinement {
+            signature,
+            representative,
+            split,
+            abstraction,
+            localized_refuted,
+            deviating_rounds,
+            global_fallback,
+            provenance,
+            materialized: OnceLock::new(),
+        }
+    }
+
+    /// A copy that holds the partition only: what the cross-class cache
+    /// keeps of a donor and what an exact transfer starts from (the
+    /// derived pair embeds the class's own prefix, so it never transfers).
+    pub(crate) fn unmaterialized(&self) -> Self {
+        ScenarioRefinement::new(
+            self.signature.clone(),
+            self.representative.clone(),
+            self.split.clone(),
+            self.abstraction.clone(),
+            self.localized_refuted,
+            self.deviating_rounds,
+            self.global_fallback,
+            self.provenance,
+        )
+    }
+
+    /// The refinement's abstract network and canonical solution, built on
+    /// first read and shared by every later one (racing first readers get
+    /// one value). `network`, `topo` and `ec` must be the ones the
+    /// refinement was derived for. Deterministic, so a value built here
+    /// equals the one a derivation pre-fills byte for byte.
+    pub fn materialized(
+        &self,
+        network: &NetworkConfig,
+        topo: &BuiltTopology,
+        ec: &EcDest,
+    ) -> &Materialized {
+        self.materialized.get_or_init(|| {
+            let _span = bonsai_obs::span!(
+                "refinement.materialize",
+                class = ec.prefix.to_string(),
+                abstract_nodes = self.refined_nodes()
+            );
+            bonsai_obs::add("sweep.refinements.materialized", 1);
+            materialize(network, topo, ec, &self.abstraction, &self.representative)
+        })
+    }
+
+    /// Whether the derived pair is resident (a derivation's is from the
+    /// start; a transferred or replayed refinement's after its first
+    /// [`ScenarioRefinement::materialized`] read).
+    pub fn is_materialized(&self) -> bool {
+        self.materialized.get().is_some()
+    }
+
     /// Abstract node count of the per-scenario refinement.
     pub fn refined_nodes(&self) -> usize {
         self.abstraction.abstract_node_count()
@@ -449,8 +562,8 @@ fn class_srp<'n>(
 
 /// Solves a refined abstract network under its representative's lifted
 /// failure mask with the **natural** activation order — the canonical
-/// per-refinement solution cached in
-/// [`ScenarioRefinement::abstract_solution`]. Deterministic (no rotation,
+/// per-refinement solution kept in
+/// [`Materialized::abstract_solution`]. Deterministic (no rotation,
 /// no warm seed), so a cached copy, a fresh derivation, and a
 /// snapshot-restored refinement all agree byte-for-byte. `None` when the
 /// instance diverges under the mask.
@@ -542,19 +655,26 @@ pub(crate) fn derive_scenario_refinement(
     for _ in 0..=env.topo.graph.node_count() {
         let refutation = match check_scenario_refined(ctx, &rep, &solutions, &cur, &cur_net)? {
             Ok(()) => {
+                // The network just verified is the one `materialize` would
+                // build: keep it, and pay the canonical solve here as a
+                // derivation always has.
                 let abstract_solution = canonical_abstract_solution(&cur, &cur_net, &rep);
-                return Ok(ScenarioRefinement {
-                    signature: signature.clone(),
-                    representative: rep,
+                let refinement = ScenarioRefinement::new(
+                    signature.clone(),
+                    rep,
                     split,
-                    abstraction: cur,
-                    abstract_network: cur_net,
+                    cur,
                     localized_refuted,
                     deviating_rounds,
                     global_fallback,
-                    provenance: RefinementProvenance::Derived,
+                    RefinementProvenance::Derived,
+                );
+                let filled = refinement.materialized.set(Materialized {
+                    abstract_network: cur_net,
                     abstract_solution,
                 });
+                debug_assert!(filled.is_ok(), "a new refinement's cell is empty");
+                return Ok(refinement);
             }
             Err(r) => r,
         };
@@ -1010,10 +1130,11 @@ mod tests {
                 fresh.abstraction.partition.as_sets()
             );
             assert_eq!(cached.abstraction.copies, fresh.abstraction.copies);
-            assert_eq!(
-                bonsai_config::print_network(&cached.abstract_network.network),
-                bonsai_config::print_network(&fresh.abstract_network.network)
-            );
+            let network_of = |r: &ScenarioRefinement| {
+                let abs = r.materialized(&net, &topo, &ec_dest).abstract_network();
+                bonsai_config::print_network(&abs.network)
+            };
+            assert_eq!(network_of(cached), network_of(&fresh));
         }
         assert!(sweep.outcomes.iter().any(|o| o.cache_hit));
     }

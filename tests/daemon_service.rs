@@ -355,6 +355,130 @@ fn snapshot_restores_and_serves_identical_bytes_without_resolving() {
     );
 }
 
+/// The `snapshot` op replaces its file atomically. It used to be a
+/// truncating write onto the very path the next start restores from, so
+/// a save that failed half-way destroyed the last good snapshot. Now the
+/// document goes to `<path>.tmp.<pid>` first: a successful save leaves no
+/// temp behind, and a save whose temp cannot be created is an `io` error
+/// that leaves the previous file byte-identical.
+#[test]
+fn a_failed_snapshot_leaves_the_previous_one_untouched() {
+    let path = socket_path("snapshot-atomic");
+    let handle = Server::bind(fattree_session(), &path)
+        .expect("bind")
+        .spawn();
+    let mut client = Client::connect(&path).expect("connect");
+
+    let dir = std::env::temp_dir().join(format!("bonsaid-test-{}-snapshot", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch directory");
+    let target = dir.join("session.json");
+    let temp = dir.join(format!("session.json.tmp.{}", std::process::id()));
+    let save = format!(r#"{{"op": "snapshot", "path": "{}"}}"#, target.display());
+
+    let saved = client.call(&save).expect("answered");
+    assert!(saved.contains("\"ok\": true"), "{saved}");
+    let good = std::fs::read(&target).expect("snapshot written");
+    Session::builder(fattree(4, FattreePolicy::ShortestPath))
+        .options(k1())
+        .restore(std::str::from_utf8(&good).expect("utf-8"))
+        .expect("the written snapshot restores");
+    assert!(!temp.exists(), "a successful save leaves no temp file");
+
+    // Change what a save would write, then make the temp uncreatable (a
+    // directory sits at its name — works whoever the tests run as).
+    run_batch(&mut client);
+    std::fs::create_dir(&temp).expect("blocker");
+    let failed = client.call(&save).expect("answered");
+    assert!(
+        failed.starts_with(r#"{"ok": false, "code": "io""#),
+        "{failed}"
+    );
+    assert_eq!(std::fs::read(&target).expect("still there"), good);
+    let pong = client.call(r#"{"op": "ping"}"#).expect("same connection");
+    assert_eq!(pong, r#"{"ok": true, "op": "ping", "classes": 8, "k": 1}"#);
+
+    // With the blocker gone the answer-warm snapshot replaces the old one.
+    std::fs::remove_dir(&temp).expect("blocker removed");
+    let saved = client.call(&save).expect("answered");
+    assert!(saved.contains("\"ok\": true"), "{saved}");
+    assert_ne!(std::fs::read(&target).expect("rewritten"), good);
+    assert!(!temp.exists());
+
+    client.call(r#"{"op": "shutdown"}"#).expect("shutdown");
+    handle.join().unwrap().expect("clean exit");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `reload` by `path` reads a client-named file: `/dev/zero` used to grow
+/// the daemon by 300 MB a second until the OOM killer took it from every
+/// client, and a FIFO parked the handler in `open` forever. Anything but
+/// a regular file of bounded length is a structured `io` error now, on a
+/// connection that then answers `ping` — and a real file still reloads.
+#[test]
+fn reload_by_path_reads_only_a_bounded_regular_file() {
+    let path = socket_path("reload-path");
+    let session = Session::builder(parse_network(RELOAD_BASE).expect("base parses"))
+        .options(k1())
+        .build()
+        .expect("session builds");
+    let handle = Server::bind(session, &path).expect("bind").spawn();
+    let mut client = Client::connect(&path).expect("connect");
+
+    let dir = std::env::temp_dir().join(format!("bonsaid-test-{}-reload", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch directory");
+    let mut hostile = vec!["/dev/zero".to_string(), dir.display().to_string()];
+    #[cfg(unix)]
+    {
+        let fifo = dir.join("config.fifo");
+        let made = std::process::Command::new("mkfifo").arg(&fifo).status();
+        assert!(made.expect("mkfifo runs").success());
+        hostile.push(fifo.display().to_string());
+    }
+    for target in &hostile {
+        let reply = client
+            .call(&format!(r#"{{"op": "reload", "path": "{target}"}}"#))
+            .expect("answered");
+        assert!(
+            reply.starts_with(r#"{"ok": false, "code": "io""#)
+                && reply.contains("not a regular file"),
+            "{target}: {reply}"
+        );
+        let pong = client.call(r#"{"op": "ping"}"#).expect("same connection");
+        assert_eq!(pong, r#"{"ok": true, "op": "ping", "classes": 2, "k": 1}"#);
+    }
+
+    // A regular file over the fixed limit (sparse: nothing is written).
+    let big = dir.join("big.cfg");
+    let limit = bonsai::core::snapshot::MAX_CONFIG_FILE_BYTES;
+    let sized = std::fs::File::create(&big).and_then(|f| f.set_len(limit + 1));
+    sized.expect("sparse file");
+    let reply = client
+        .call(&format!(
+            r#"{{"op": "reload", "path": "{}"}}"#,
+            big.display()
+        ))
+        .expect("answered");
+    assert!(
+        reply.contains(r#""code": "io""#) && reply.contains("larger than"),
+        "{reply}"
+    );
+
+    let config = dir.join("edited.cfg");
+    let edited = RELOAD_BASE.replace("local-preference 200", "local-preference 300");
+    std::fs::write(&config, edited).expect("config written");
+    let reloaded = client
+        .call(&format!(
+            r#"{{"op": "reload", "path": "{}"}}"#,
+            config.display()
+        ))
+        .expect("reload");
+    assert!(reloaded.contains("\"rederived\": 1"), "{reloaded}");
+
+    client.call(r#"{"op": "shutdown"}"#).expect("shutdown");
+    handle.join().unwrap().expect("clean exit");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The line that used to kill the daemon for every client: 20 KB of `[`
 /// recursed the request parser off its stack (`fatal runtime error: stack
 /// overflow`, exit 134). It is a `bad_request` now — for arrays and

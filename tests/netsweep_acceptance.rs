@@ -14,7 +14,9 @@ use bonsai::verify::netsweep::{
 use bonsai::verify::properties::SolutionAnalysis;
 use bonsai::verify::query::QueryCtx;
 use bonsai::verify::sim_engine::SimEngine;
-use bonsai::verify::sweep::{derive_refinement, OutcomeStats, RefinementProvenance, SweepOptions};
+use bonsai::verify::sweep::{
+    derive_refinement, OutcomeStats, RefinementProvenance, ScenarioRefinement, SweepOptions,
+};
 use bonsai_config::{BuiltTopology, NetworkConfig};
 use bonsai_net::NodeId;
 
@@ -159,9 +161,13 @@ fn transfers_are_byte_identical_to_fresh_derivations() {
                         "{label} k={k}"
                     );
                     assert_eq!(cached.abstraction.copies, fresh.abstraction.copies);
+                    let network_of = |r: &ScenarioRefinement| {
+                        let abs = r.materialized(net, &topo, &ec_dest).abstract_network();
+                        bonsai_config::print_network(&abs.network)
+                    };
                     assert_eq!(
-                        bonsai_config::print_network(&cached.abstract_network.network),
-                        bonsai_config::print_network(&fresh.abstract_network.network),
+                        network_of(cached),
+                        network_of(&fresh),
                         "{label} k={k}: transferred and fresh abstract networks differ"
                     );
                     assert_eq!(cached.localized_refuted, fresh.localized_refuted);

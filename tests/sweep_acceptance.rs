@@ -17,7 +17,7 @@ use bonsai::srp::Srp;
 use bonsai::verify::failures::lift_failure_mask;
 use bonsai::verify::netsweep::{sweep_network_subset, NetworkSweepOptions};
 use bonsai::verify::sweep::{
-    derive_refinement, transport_abstract_solution, SweepOptions, SweepReport,
+    derive_refinement, transport_abstract_solution, ScenarioRefinement, SweepOptions, SweepReport,
 };
 use bonsai_config::{BuiltTopology, NetworkConfig};
 use bonsai_net::NodeId;
@@ -189,9 +189,13 @@ fn cache_hits_verify_byte_identically_to_fresh_derivations() {
                     "{label} k={k}"
                 );
                 assert_eq!(cached.abstraction.copies, fresh.abstraction.copies);
+                let network_of = |r: &ScenarioRefinement| {
+                    let abs = r.materialized(net, &topo, &ec_dest).abstract_network();
+                    bonsai_config::print_network(&abs.network)
+                };
                 assert_eq!(
-                    bonsai_config::print_network(&cached.abstract_network.network),
-                    bonsai_config::print_network(&fresh.abstract_network.network),
+                    network_of(cached),
+                    network_of(&fresh),
                     "{label} k={k}: cached and fresh abstract networks differ"
                 );
             }
@@ -288,7 +292,9 @@ fn transported_abstract_warm_starts_beat_cold_in_updates() {
     let mut warm_updates = 0usize;
     let mut cold_updates = 0usize;
     for r in sweep.refinements.values() {
-        let abs = &r.abstract_network;
+        let abs = r
+            .materialized(&net, &topo, &ec.ec.to_ec_dest())
+            .abstract_network();
         let abs_mask = lift_failure_mask(&r.representative, &r.abstraction, abs);
         let origins: Vec<NodeId> = abs.ec.origins.iter().map(|(n, _)| *n).collect();
         let proto = MultiProtocol::build(&abs.network, &abs.topo, &abs.ec);
