@@ -219,6 +219,18 @@ pub const METRICS: &[MetricDef] = &[
         "Solves avoided via cached canonical solutions",
     ),
     counter(
+        "session.answers.representative",
+        "Scenario verdicts read off the held refinement's canonical solution",
+    ),
+    counter(
+        "session.answers.own_refinement",
+        "Scenario verdicts computed on the scenario's own stage-1 refinement",
+    ),
+    counter(
+        "session.answers.concrete",
+        "Scenario verdicts computed by the concrete masked simulation",
+    ),
+    counter(
         "session.solver.updates",
         "Label updates performed by session solver runs",
     ),

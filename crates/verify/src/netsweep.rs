@@ -70,11 +70,10 @@
 use crate::equivalence::EquivalenceError;
 use crate::sweep::{
     check_scenario_refined, derive_scenario_refinement, endpoint_split, sample_concrete_solutions,
-    OutcomeStats, RefinementProvenance, ScenarioOutcome, ScenarioRefinement, SweepCtx, SweepEnv,
-    SweepOptions, SweepReport,
+    split_partition, OutcomeStats, RefinementProvenance, ScenarioOutcome, ScenarioRefinement,
+    SweepCtx, SweepEnv, SweepOptions, SweepReport,
 };
 use bonsai_config::{BuiltTopology, NetworkConfig};
-use bonsai_core::algorithm::refine_with_split;
 use bonsai_core::compress::CompressionReport;
 use bonsai_core::engine::EcFingerprint;
 use bonsai_core::fanout::fan_out_ranges;
@@ -882,7 +881,7 @@ fn resolve_refinement(
     if let Some(key) = shared_key {
         let entry = Arc::new(SharedEntry {
             donor_origins: ctx.ec.origins.clone(),
-            stage1_only: !refinement.localized_refuted && !refinement.global_fallback,
+            stage1_only: refinement.stage1_only(),
             donor: refinement.unmaterialized(),
         });
         shared.lock().unwrap().entry(key).or_insert(entry);
@@ -914,11 +913,8 @@ fn transfer_symmetric(
     scenario: &FailureScenario,
 ) -> ScenarioRefinement {
     let split = endpoint_split(ctx.base, scenario);
-    let abstraction = if split.is_empty() {
-        ctx.base.clone()
-    } else {
-        refine_with_split(&ctx.env.topo.graph, &ctx.ec, &ctx.sigs, ctx.base, &split)
-    };
+    let graph = &ctx.env.topo.graph;
+    let abstraction = split_partition(graph, &ctx.ec, &ctx.sigs, ctx.base, &split);
     ScenarioRefinement::new(
         signature.clone(),
         scenario.clone(),

@@ -67,12 +67,12 @@ impl QueryScope {
 /// The query context: a failure scope plus (optionally) the per-scenario
 /// refinement to answer on.
 ///
-/// With a refinement and a [`QueryScope::Scenario`] scope, engines take
-/// the **compressed fast path**: the scenario's refined abstract network
-/// answers (using the canonical solution cached at derivation time when
-/// the scenario is the refinement's representative — zero solves), and
-/// the verdict is mapped back to concrete nodes. Without one, they
-/// simulate the concrete network under the scope's mask.
+/// With a refinement and a [`QueryScope::Scenario`] scope naming the
+/// refinement's representative, engines take the **compressed fast
+/// path**: the refinement's canonical solution answers (zero solves) and
+/// the verdict is mapped back to concrete nodes. Without one, or for any
+/// other scenario, they simulate the concrete network under the scope's
+/// mask ([`crate::sweep::scenario_verdict`]).
 #[derive(Clone, Debug, Default)]
 pub struct QueryCtx<'r> {
     /// Which failures apply.
@@ -122,8 +122,10 @@ impl QueryCtx<'static> {
 }
 
 impl<'r> QueryCtx<'r> {
-    /// One scenario answered on its refined abstract network (the
-    /// compressed fast path of the retired `_under_refinement` methods).
+    /// One scenario answered on the refinement verified for it (the
+    /// compressed fast path of the retired `_under_refinement` methods);
+    /// a scenario that is not `refinement`'s representative is simulated
+    /// concretely.
     pub fn refined(refinement: &'r ScenarioRefinement, scenario: FailureScenario) -> Self {
         QueryCtx {
             scope: QueryScope::Scenario(scenario),
@@ -156,7 +158,13 @@ pub(crate) fn scope_masks(graph: &Graph, scope: &QueryScope) -> Vec<Option<Failu
 /// performs **zero** solver updates by differencing these.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueryStats {
-    /// Abstract (refined-network) control-plane solves performed.
+    /// Abstract (refined-network) control-plane solves performed: the
+    /// canonical solve of a scenario's own stage-1 refinement, built for
+    /// the query and dropped after it. The canonical solve of a refinement
+    /// the *sweep* holds is not a query's — a derivation paid it, a
+    /// transferred or replayed one pays it once at its representative's
+    /// first read ([`crate::sweep::ScenarioRefinement::materialized`]) —
+    /// and is counted by `sweep.refinements.materialized` instead.
     pub abstract_solves: usize,
     /// Concrete control-plane solves performed.
     pub concrete_solves: usize,
@@ -165,6 +173,14 @@ pub struct QueryStats {
     pub solver_updates: usize,
     /// Queries answered from a cached canonical solution (no solve).
     pub cached_answers: usize,
+    /// Scenario verdicts by the arm of [`crate::sweep::scenario_verdict`]
+    /// that answered: the held refinement's canonical solution (the
+    /// scenario is its representative) …
+    pub by_representative: usize,
+    /// … the scenario's own stage-1 refinement, materialized and dropped …
+    pub by_own_refinement: usize,
+    /// … or the concrete masked simulation.
+    pub by_concrete: usize,
 }
 
 impl QueryStats {
@@ -174,5 +190,8 @@ impl QueryStats {
         self.concrete_solves += other.concrete_solves;
         self.solver_updates += other.solver_updates;
         self.cached_answers += other.cached_answers;
+        self.by_representative += other.by_representative;
+        self.by_own_refinement += other.by_own_refinement;
+        self.by_concrete += other.by_concrete;
     }
 }

@@ -16,11 +16,13 @@
 //!    [`Session::all_pairs`], [`Session::path`] (path lengths and
 //!    waypointing, the §4.4 checkers), and [`Session::batch`] (fanned out
 //!    over [`bonsai_core::fanout::fan_out`]) answer under any `≤ k`
-//!    failure scenario by orbit-signature lookup: representative
-//!    scenarios are served from the cached canonical solution with
-//!    **zero** solver work, symmetric ones by one tiny refined-abstract
-//!    solve, and verdicts memoized per `(class, scenario)` — a repeated
-//!    query batch performs zero solver updates (counter-asserted by
+//!    failure scenario through [`scenario_verdict`]: a representative
+//!    scenario is served from its refinement's canonical solution with
+//!    **zero** solver work, a symmetric one on its *own* stage-1
+//!    refinement (one tiny abstract solve), anything else concretely —
+//!    never by lifting a scenario onto another one's refinement — and
+//!    verdicts are memoized per `(class, scenario)`: a repeated query
+//!    batch performs zero solver updates (counter-asserted by
 //!    [`Session::stats`]).
 //! 3. **snapshot** — [`Session::snapshot_json`] serializes the sweep's
 //!    refinement cache *and both answer memos* (see [module docs on the
@@ -127,28 +129,25 @@ use crate::equivalence::EquivalenceError;
 use crate::netsweep::{sweep_network, NetworkSweepOptions, NetworkSweepReport};
 use crate::properties::SolutionAnalysis;
 use crate::query::QueryStats;
-use crate::sim_engine::{abstract_verdict, concrete_data_plane, concrete_verdict, refined_verdict};
-use crate::sweep::ScenarioRefinement;
+use crate::sim_engine::{abstract_verdict, concrete_data_plane, concrete_verdict};
+use crate::sweep::{scenario_verdict, ScenarioRefinement};
 use bonsai_config::{print_network, BuiltTopology, NetworkConfig};
 use bonsai_core::compress::{compress, CompressionReport};
 use bonsai_core::ecs::DestEc;
 use bonsai_core::fanout::fan_out;
-use bonsai_core::scenarios::{
-    link_orbits_with_distances, FailureScenario, NodeDistances, OrbitSignature, ScenarioStream,
-};
-use bonsai_core::signatures::build_sig_table;
+use bonsai_core::scenarios::{FailureScenario, NodeDistances, OrbitSignature, ScenarioStream};
 use bonsai_net::{Graph, NodeId};
 use codec::{bits_string, parse_bits, PathRecord, RefinementRecord, SnapshotDoc, VerdictRecord};
-use memo::MemoTier;
-use plane::{ClassHoist, PlaneSource, QueryPlane};
+use memo::{lock, MemoTier, VerdictKey, VerdictKeyRef};
+use plane::{PlaneSource, QueryPlane};
 pub use reload::ReloadOutcome;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The per-`(class index, scenario)` verdict memo behind a [`Session`].
-type VerdictMemo = MemoTier<(usize, FailureScenario), Vec<bool>>;
+type VerdictMemo = MemoTier<VerdictKey, Vec<bool>>;
 
 /// Key of the path-query memo: `(src, dst, scenario, sorted waypoints)`.
 type PathKey = (NodeId, NodeId, FailureScenario, Vec<NodeId>);
@@ -462,6 +461,14 @@ pub struct SessionStats {
     /// Query verdicts served from a refinement's cached canonical
     /// solution.
     pub cached_answers: usize,
+    /// Scenario verdicts computed (memo misses) by the arm of
+    /// [`scenario_verdict`] that answered: the held refinement's canonical
+    /// solution, for its representative …
+    pub by_representative: usize,
+    /// … the scenario's own stage-1 refinement …
+    pub by_own_refinement: usize,
+    /// … or the concrete masked simulation.
+    pub by_concrete: usize,
     /// Entries resident in the (class, scenario) verdict memo.
     pub verdict_memo: usize,
     /// Entries resident in the path-query memo.
@@ -480,17 +487,21 @@ impl SessionStats {
     /// (`session.*` — see `docs/OBSERVABILITY.md`). The counters are
     /// lifetime-cumulative, so each publish overwrites the last.
     pub fn publish(&self) {
-        bonsai_obs::set("session.queries", self.queries as u64);
-        bonsai_obs::set("session.verdict.hits", self.verdict_cache_hits as u64);
-        bonsai_obs::set("session.answers.cached", self.cached_answers as u64);
-        bonsai_obs::set("session.solver.updates", self.solver_updates as u64);
-        bonsai_obs::set(
-            "session.answers.restored",
-            self.sweep.restored_answers as u64,
-        );
-        bonsai_obs::set("session.memo.verdicts", self.verdict_memo as u64);
-        bonsai_obs::set("session.memo.paths", self.path_memo as u64);
-        bonsai_obs::set("session.memo.bytes", self.memo_bytes as u64);
+        for (metric, value) in [
+            ("session.queries", self.queries),
+            ("session.verdict.hits", self.verdict_cache_hits),
+            ("session.answers.cached", self.cached_answers),
+            ("session.answers.representative", self.by_representative),
+            ("session.answers.own_refinement", self.by_own_refinement),
+            ("session.answers.concrete", self.by_concrete),
+            ("session.solver.updates", self.solver_updates),
+            ("session.answers.restored", self.sweep.restored_answers),
+            ("session.memo.verdicts", self.verdict_memo),
+            ("session.memo.paths", self.path_memo),
+            ("session.memo.bytes", self.memo_bytes),
+        ] {
+            bonsai_obs::set(metric, value as u64);
+        }
     }
 }
 
@@ -575,35 +586,26 @@ impl Session {
         let mut planes = Vec::with_capacity(sources.len());
         for (comp, source) in report.per_ec.iter().zip(sources) {
             // The one per-class hoist, for a class not carried over whole.
-            let hoist = || {
-                let ec_dest = comp.ec.to_ec_dest();
-                let sigs = build_sig_table(&report.policies, &network, &topo, &ec_dest);
-                let base = &comp.abstraction;
-                let orbits =
-                    link_orbits_with_distances(&topo.graph, base, &sigs, Arc::clone(&distances));
-                ClassHoist {
-                    topo: &topo,
-                    comp,
-                    ec_dest,
-                    sigs,
-                    orbits,
-                }
-            };
+            let hoist = || QueryPlane::hoist(&network, &topo, &report, comp, &distances);
             let plane = match source {
-                PlaneSource::Swept(refinements) => hoist().into_plane(refinements),
+                PlaneSource::Swept(refinements) => {
+                    let mut plane = hoist();
+                    plane.refinements = refinements;
+                    Arc::new(plane)
+                }
                 PlaneSource::Kept(plane) => {
                     summary.restored += plane.refinements.len();
                     plane
                 }
                 PlaneSource::Recorded(records) => {
-                    let class = hoist();
-                    let mut refinements = Refinements::new();
+                    let mut plane = hoist();
                     for record in records {
-                        let refinement = class.replay(record)?;
-                        refinements.insert(refinement.signature.clone(), refinement);
+                        let refinement = plane.replay(&topo.graph, &comp.abstraction, record)?;
+                        let signature = refinement.signature.clone();
+                        plane.refinements.insert(signature, refinement);
                     }
-                    summary.restored += refinements.len();
-                    class.into_plane(refinements)
+                    summary.restored += plane.refinements.len();
+                    Arc::new(plane)
                 }
             };
             summary.refinements += plane.refinements.len();
@@ -652,13 +654,13 @@ impl Session {
     /// A point-in-time copy of the counters. Also folds the snapshot
     /// into the process-wide metric registry (`session.*`).
     pub fn stats(&self) -> SessionStats {
-        let solve = *self.solve_stats.lock().unwrap();
+        let solve = *self.solve_stats();
         let (verdict_memo, verdict_bytes) = {
-            let v = self.verdicts.lock().unwrap();
+            let v = lock(&self.verdicts);
             (v.len(), v.resident_bytes())
         };
         let (path_memo, path_bytes) = {
-            let p = self.paths.lock().unwrap();
+            let p = lock(&self.paths);
             (p.len(), p.resident_bytes())
         };
         let stats = SessionStats {
@@ -671,6 +673,9 @@ impl Session {
             concrete_solves: solve.concrete_solves,
             solver_updates: solve.solver_updates,
             cached_answers: solve.cached_answers,
+            by_representative: solve.by_representative,
+            by_own_refinement: solve.by_own_refinement,
+            by_concrete: solve.by_concrete,
             verdict_memo,
             path_memo,
             memo_bytes: verdict_bytes + path_bytes,
@@ -696,14 +701,22 @@ impl Session {
         resolve_scenario(&self.topo.graph, links)
     }
 
+    /// The query-work counters; plain integers, so a lock a panicking
+    /// holder poisoned still holds a usable tally.
+    fn solve_stats(&self) -> std::sync::MutexGuard<'_, QueryStats> {
+        let stats = self.solve_stats.lock();
+        stats.unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The memoizing verdict: one bool per concrete node for class `i`
-    /// under `scenario`.
+    /// under `scenario` — the base abstract network's canonical solution
+    /// for the failure-free state, [`scenario_verdict`] for every other.
     fn ec_verdict(
         &self,
         i: usize,
         scenario: &FailureScenario,
     ) -> Result<Arc<Vec<bool>>, SessionError> {
-        if let Some(v) = self.verdicts.lock().unwrap().get(&(i, scenario.clone())) {
+        if let Some(v) = lock(&self.verdicts).get(&(i, scenario) as &dyn VerdictKeyRef) {
             self.verdict_cache_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(v);
         }
@@ -711,41 +724,22 @@ impl Session {
         let (network, topo, ec) = (&self.network, &self.topo, &comp.ec);
         let plane = &self.planes[i];
         let mut stats = QueryStats::default();
-        let verdict = if scenario.is_empty() {
-            abstract_verdict(
-                topo,
-                ec,
-                &comp.abstraction,
-                &comp.abstract_network,
-                None,
-                plane.base_solution.as_ref(),
-                &mut stats,
-            )
+        let verdict = if !scenario.is_empty() {
+            let class = plane.class_base(&comp.abstraction);
+            let signature = plane.orbits.signature_of(scenario);
+            let held = signature.and_then(|sig| plane.refinements.get(&sig));
+            scenario_verdict(network, topo, ec, Some(class), held, scenario, &mut stats)
+        } else if let Some(solution) = &plane.base_solution {
+            stats.cached_answers += 1;
+            let (base, abs) = (&comp.abstraction, &comp.abstract_network);
+            Ok(abstract_verdict(topo, ec, base, abs, solution))
         } else {
-            match plane
-                .orbits
-                .signature_of(scenario)
-                .and_then(|sig| plane.refinements.get(&sig))
-            {
-                Some(refinement) => {
-                    refined_verdict(network, topo, ec, refinement, scenario, &mut stats)
-                }
-                // Scenarios past the swept bound (or stray masks) fall
-                // back to the concrete masked simulation.
-                None => {
-                    let mask = scenario.mask(&topo.graph);
-                    concrete_verdict(network, topo, ec, Some(&mask), &mut stats)
-                }
-            }
+            concrete_verdict(network, topo, ec, None, &mut stats)
         }
         .map_err(|e| SessionError::Solve(e.to_string()))?;
-        self.solve_stats.lock().unwrap().absorb(&stats);
+        self.solve_stats().absorb(&stats);
         let verdict = Arc::new(verdict);
-        let evicted = self
-            .verdicts
-            .lock()
-            .unwrap()
-            .insert((i, scenario.clone()), verdict.clone());
+        let evicted = lock(&self.verdicts).insert((i, scenario.clone()), verdict.clone());
         self.note_evictions(evicted);
         Ok(verdict)
     }
@@ -856,7 +850,7 @@ impl Session {
         let scenario = self.scenario_of(links)?;
         let points = resolve_waypoints(&self.topo.graph, waypoints)?;
         let key: PathKey = (src, dst, scenario, points);
-        if let Some(v) = self.paths.lock().unwrap().get(&key) {
+        if let Some(v) = lock(&self.paths).get(&key) {
             self.verdict_cache_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(v.as_ref().clone());
         }
@@ -889,9 +883,9 @@ impl Session {
                 waypointed,
             });
         }
-        self.solve_stats.lock().unwrap().absorb(&stats);
+        self.solve_stats().absorb(&stats);
         let answers = Arc::new(answers);
-        let evicted = self.paths.lock().unwrap().insert(key, answers.clone());
+        let evicted = lock(&self.paths).insert(key, answers.clone());
         self.note_evictions(evicted);
         Ok(answers.as_ref().clone())
     }
@@ -962,7 +956,7 @@ impl Session {
 
         // The answer tier: both memos, in deterministic (sorted) order so
         // identical sessions snapshot byte-identically.
-        let verdicts = self.verdicts.lock().unwrap();
+        let verdicts = lock(&self.verdicts);
         let mut entries: Vec<_> = verdicts.iter().collect();
         entries.sort_by_key(|&(key, _)| key);
         let mut by_class: BTreeMap<usize, Vec<VerdictRecord<&str>>> = BTreeMap::new();
@@ -972,7 +966,7 @@ impl Session {
                 bits: bits_string(verdict),
             });
         }
-        let paths = self.paths.lock().unwrap();
+        let paths = lock(&self.paths);
         let sorted_paths: BTreeMap<&PathKey, &Arc<Vec<PathAnswer>>> = paths.iter().collect();
         SnapshotDoc {
             k: self.summary.k,

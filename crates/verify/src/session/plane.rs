@@ -1,15 +1,18 @@
-//! The per-class query plane, where `Session::assemble` takes it from,
-//! and the per-class hoist a plane that is not carried over is built
-//! against — including the one replay of a recorded refinement.
+//! The per-class query plane — what `Session::assemble` hoists once for
+//! a class that is not carried over whole — where it takes the plane's
+//! refinements from, and the one replay of a recorded refinement.
 
 use super::codec::RefinementRecord;
 use super::{in_snapshot, resolve_scenario, Refinements, SessionError};
-use crate::sweep::{canonical_abstract_solution, ScenarioRefinement};
-use bonsai_config::BuiltTopology;
-use bonsai_core::algorithm::refine_with_split;
-use bonsai_core::compress::EcCompression;
-use bonsai_core::scenarios::{FailureScenario, LinkOrbits};
-use bonsai_core::signatures::SigTable;
+use crate::sweep::{canonical_abstract_solution, split_partition, ClassBase, ScenarioRefinement};
+use bonsai_config::{BuiltTopology, NetworkConfig};
+use bonsai_core::algorithm::Abstraction;
+use bonsai_core::compress::{CompressionReport, EcCompression};
+use bonsai_core::scenarios::{
+    link_orbits_with_distances, FailureScenario, LinkOrbits, NodeDistances,
+};
+use bonsai_core::signatures::{build_sig_table, SigTable};
+use bonsai_net::Graph;
 use bonsai_srp::instance::{EcDest, RibAttr};
 use bonsai_srp::Solution;
 use std::sync::Arc;
@@ -17,6 +20,12 @@ use std::sync::Arc;
 /// Per-class query state. Immutable once built, so a reload shares an
 /// untouched class's plane with the session it came from.
 pub(super) struct QueryPlane {
+    /// The class, as the SRP instance names it.
+    ec_dest: EcDest,
+    /// The class's signature table: with `ec_dest` and the base
+    /// abstraction, what every refinement of the class — a recorded one
+    /// replayed, a queried scenario's own — is built against.
+    sigs: Arc<SigTable>,
     /// The class's link-orbit index (scenario → signature).
     pub(super) orbits: LinkOrbits,
     /// The sweep's verified refinements, by signature.
@@ -39,27 +48,53 @@ pub(super) enum PlaneSource {
     Recorded(Vec<RefinementRecord<String>>),
 }
 
-/// What every refinement of one class is resolved against, hoisted once
-/// per class that is not carried over whole: the signature table and the
-/// link orbits of the class's base abstraction.
-pub(super) struct ClassHoist<'a> {
-    pub(super) topo: &'a BuiltTopology,
-    pub(super) comp: &'a EcCompression,
-    pub(super) ec_dest: EcDest,
-    pub(super) sigs: Arc<SigTable>,
-    pub(super) orbits: LinkOrbits,
-}
+impl QueryPlane {
+    /// Hoists one class of `report`: signature table, link orbits and the
+    /// base abstract network's canonical solution; no refinements yet.
+    pub(super) fn hoist(
+        network: &NetworkConfig,
+        topo: &BuiltTopology,
+        report: &CompressionReport,
+        comp: &EcCompression,
+        distances: &Arc<NodeDistances>,
+    ) -> QueryPlane {
+        let ec_dest = comp.ec.to_ec_dest();
+        let sigs = build_sig_table(&report.policies, network, topo, &ec_dest);
+        let base = &comp.abstraction;
+        let orbits = link_orbits_with_distances(&topo.graph, base, &sigs, Arc::clone(distances));
+        let failure_free = FailureScenario::new(vec![]);
+        let base_solution =
+            canonical_abstract_solution(base, &comp.abstract_network, &failure_free)
+                .map(|(solution, _)| solution);
+        QueryPlane {
+            ec_dest,
+            sigs,
+            orbits,
+            refinements: Refinements::new(),
+            base_solution,
+        }
+    }
 
-impl ClassHoist<'_> {
+    /// The class over its base abstraction `base` (the compression
+    /// report's, which the session holds beside the plane).
+    pub(super) fn class_base<'a>(&'a self, base: &'a Abstraction) -> ClassBase<'a> {
+        ClassBase {
+            ec: &self.ec_dest,
+            sigs: &self.sigs,
+            abstraction: base,
+        }
+    }
+
     /// Rebuilds a recorded refinement: the split goes back through
     /// Algorithm 1 against the class's base — no verification, and the
     /// abstract network and its canonical solution wait for the first
     /// query that touches the refinement.
     pub(super) fn replay(
         &self,
+        graph: &Graph,
+        base: &Abstraction,
         record: RefinementRecord<String>,
     ) -> Result<ScenarioRefinement, SessionError> {
-        let graph = &self.topo.graph;
         let representative = resolve_scenario(graph, &record.links).map_err(in_snapshot)?;
         let signature = self
             .orbits
@@ -71,12 +106,7 @@ impl ClassHoist<'_> {
                 SessionError::Snapshot(format!("snapshot split names unknown node {name}"))
             })?);
         }
-        let base = &self.comp.abstraction;
-        let abstraction = if split.is_empty() {
-            base.clone()
-        } else {
-            refine_with_split(graph, &self.ec_dest, &self.sigs, base, &split)
-        };
+        let abstraction = split_partition(graph, &self.ec_dest, &self.sigs, base, &split);
         Ok(ScenarioRefinement::new(
             signature,
             representative,
@@ -87,18 +117,5 @@ impl ClassHoist<'_> {
             record.global_fallback,
             record.provenance,
         ))
-    }
-
-    pub(super) fn into_plane(self, refinements: Refinements) -> Arc<QueryPlane> {
-        let base_solution = canonical_abstract_solution(
-            &self.comp.abstraction,
-            &self.comp.abstract_network,
-            &FailureScenario::new(vec![]),
-        );
-        Arc::new(QueryPlane {
-            orbits: self.orbits,
-            refinements,
-            base_solution,
-        })
     }
 }

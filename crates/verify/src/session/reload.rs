@@ -2,7 +2,7 @@
 //! session of an edited configuration.
 
 use super::{
-    build_error, build_topo, network_fingerprint, sweep_options, Memos, PlaneSource, Session,
+    build_error, build_topo, lock, network_fingerprint, sweep_options, Memos, PlaneSource, Session,
     SessionError, SweepSummary,
 };
 use crate::netsweep::sweep_network_subset;
@@ -136,7 +136,7 @@ impl Session {
             .enumerate()
             .filter_map(|(new, old)| old.map(|old| (old, new)))
             .collect();
-        for ((old_i, scenario), verdict) in self.verdicts.lock().unwrap().iter() {
+        for ((old_i, scenario), verdict) in lock(&self.verdicts).iter() {
             match new_index.get(old_i) {
                 Some(&i) => {
                     memos
@@ -156,7 +156,7 @@ impl Session {
                 dirty_dsts.extend(comp.ec.origins.iter().map(|&(n, _)| n));
             }
         }
-        for (key, answers) in self.paths.lock().unwrap().iter() {
+        for (key, answers) in lock(&self.paths).iter() {
             if !dr.full_rebuild
                 && !dirty_dsts.contains(&key.1)
                 && answers.iter().all(|a| kept_reps.contains(&a.prefix))

@@ -10,23 +10,22 @@
 //! Every query takes a [`QueryCtx`] saying which failures apply: the
 //! intact network, an explicit [`FailureMask`], one bounded link-failure
 //! scenario, or every `≤ k` scenario at once. When the context carries a
-//! [`ScenarioRefinement`] (from the sweep engines), per-node reachability
-//! is answered on the scenario's **refined abstract network** and the
-//! verdict mapped back to concrete nodes — the compressed fast path whose
-//! agreement with the concrete masked simulation is the §9-closing
-//! acceptance check. When the queried scenario is the refinement's
-//! canonical representative, the answer comes from the refinement's
+//! [`crate::sweep::ScenarioRefinement`] (from the sweep engines) and asks
+//! for the scenario that refinement was verified for — its canonical
+//! representative — per-node reachability is read off the refinement's
 //! canonical solution ([`crate::sweep::Materialized::abstract_solution`])
-//! with **zero** solver work.
+//! with **zero** solver work and mapped back to concrete nodes: the
+//! compressed fast path whose agreement with the concrete masked
+//! simulation is the §9-closing acceptance check. Any other scenario is
+//! simulated concretely — a refinement answers for its own scenario only
+//! ([`crate::sweep::scenario_verdict`]).
 
-use crate::failures::lift_failure_mask;
 use crate::properties::SolutionAnalysis;
 use crate::query::{QueryCtx, QueryScope, QueryStats};
-use crate::sweep::ScenarioRefinement;
+use crate::sweep::scenario_verdict;
 use bonsai_config::eval::acl_permits;
 use bonsai_config::{BuiltTopology, NetworkConfig};
 use bonsai_core::ecs::{compute_ecs, DestEc};
-use bonsai_core::scenarios::FailureScenario;
 use bonsai_net::prefix::Prefix;
 use bonsai_net::{FailureMask, NodeId};
 use bonsai_srp::instance::{MultiProtocol, RibAttr};
@@ -187,14 +186,14 @@ impl<'a> SimEngine<'a> {
     /// state of the scope.
     ///
     /// With a refinement and a [`QueryScope::Scenario`] scope the verdict
-    /// is computed on the scenario's **refined abstract network** and
-    /// mapped back to concrete nodes (a concrete node is reachable iff
-    /// every copy of its block delivers — the copy assignment is
-    /// solution-dependent, so universal quantification is the sound
-    /// direction). Agreement with the concrete masked simulation is
-    /// exactly what the refinement's CP-equivalence-under-this-scenario
-    /// guarantees — the acceptance tests check the two verdict vectors
-    /// are equal on every scenario.
+    /// is [`scenario_verdict`]'s without a class base: read off the
+    /// refinement's abstract network when the scenario is its
+    /// representative (a concrete node is reachable iff every copy of its
+    /// block delivers — the copy assignment is solution-dependent, so
+    /// universal quantification is the sound direction), simulated
+    /// concretely otherwise. Agreement of the two is exactly what the
+    /// refinement's CP-equivalence-under-its-scenario guarantees — the
+    /// acceptance tests check the verdict vectors are equal.
     pub fn reachability(&self, ec: &DestEc, ctx: &QueryCtx<'_>) -> Result<Vec<bool>, SolveError> {
         self.reachability_with_stats(ec, ctx).map(|(v, _)| v)
     }
@@ -209,14 +208,9 @@ impl<'a> SimEngine<'a> {
     ) -> Result<(Vec<bool>, QueryStats), SolveError> {
         let mut stats = QueryStats::default();
         if let (Some(refinement), QueryScope::Scenario(scenario)) = (ctx.refinement, &ctx.scope) {
-            let verdict = refined_verdict(
-                self.network,
-                &self.topo,
-                ec,
-                refinement,
-                scenario,
-                &mut stats,
-            )?;
+            let (network, held) = (self.network, Some(refinement));
+            let verdict =
+                scenario_verdict(network, &self.topo, ec, None, held, scenario, &mut stats)?;
             return Ok((verdict, stats));
         }
         let mut verdict: Vec<bool> = vec![true; self.topo.graph.node_count()];
@@ -246,85 +240,23 @@ impl<'a> SimEngine<'a> {
     }
 }
 
-/// The refined fast path, shared by [`SimEngine`] and the resident
-/// [`crate::session::Session`]: answers per-node reachability for one
-/// class under one scenario on the scenario's refined abstract network,
-/// mapping the verdict back to concrete nodes.
-///
-/// When `scenario` is the refinement's canonical representative, its
-/// canonical solution is used verbatim — zero solver updates; otherwise
-/// the refined network is solved under the scenario's lifted mask with
-/// the same natural activation order the canonical solution was built
-/// with, so cached and uncached answers agree byte-for-byte. The first
-/// touch of a transferred refinement materializes it
-/// ([`ScenarioRefinement::materialized`]); that canonical solve is part
-/// of the refinement, not of the query, and `stats` does not count it.
-pub(crate) fn refined_verdict(
-    network: &NetworkConfig,
-    topo: &BuiltTopology,
-    ec: &DestEc,
-    refinement: &ScenarioRefinement,
-    scenario: &FailureScenario,
-    stats: &mut QueryStats,
-) -> Result<Vec<bool>, SolveError> {
-    let materialized = refinement.materialized(network, topo, &ec.to_ec_dest());
-    let abs = materialized.abstract_network();
-    let cached = (*scenario == refinement.representative)
-        .then_some(materialized.abstract_solution())
-        .flatten();
-    let abs_mask = if cached.is_some() {
-        None
-    } else {
-        Some(lift_failure_mask(scenario, &refinement.abstraction, abs))
-    };
-    abstract_verdict(
-        topo,
-        ec,
-        &refinement.abstraction,
-        abs,
-        abs_mask.as_ref(),
-        cached,
-        stats,
-    )
-}
-
-/// Per-node reachability on *any* verified abstract network (the
-/// failure-free base or a per-scenario refinement), mapped back to
-/// concrete nodes. `cached` short-circuits the control-plane solve with a
-/// previously computed canonical solution of the same `(network, mask)`
-/// instance; otherwise the instance is solved under `abs_mask` with the
-/// natural activation order (the canonical order), so cached and fresh
-/// answers agree byte-for-byte.
+/// Per-node reachability read off a solution of a verified abstract
+/// network (the failure-free base or a per-scenario refinement), mapped
+/// back to concrete nodes: a node delivers iff every copy of its block
+/// does. No solve — `solution` is the canonical solution of `abs` under
+/// the state asked about.
 pub(crate) fn abstract_verdict(
     topo: &BuiltTopology,
     ec: &DestEc,
     abstraction: &bonsai_core::algorithm::Abstraction,
     abs: &bonsai_core::abstraction::AbstractNetwork,
-    abs_mask: Option<&FailureMask>,
-    cached: Option<&Solution<RibAttr>>,
-    stats: &mut QueryStats,
-) -> Result<Vec<bool>, SolveError> {
-    let abs_origins: Vec<NodeId> = abs.ec.origins.iter().map(|(n, _)| *n).collect();
-    let mut solution = match cached {
-        Some(cached) => {
-            stats.cached_answers += 1;
-            cached.clone()
-        }
-        None => {
-            let proto = MultiProtocol::build(&abs.network, &abs.topo, &abs.ec);
-            let srp = Srp::with_origins(&abs.topo.graph, abs_origins.clone(), proto);
-            let order: Vec<NodeId> = abs.topo.graph.nodes().collect();
-            let (solution, solve_stats) =
-                solve_with_order_masked_stats(&srp, &order, SolverOptions::default(), abs_mask)?;
-            stats.abstract_solves += 1;
-            stats.solver_updates += solve_stats.updates;
-            solution
-        }
-    };
-
+    solution: &Solution<RibAttr>,
+) -> Vec<bool> {
     // Abstract data plane: the projected configs carry the ACLs, so the
     // same pruning applies on the abstract side.
+    let abs_origins: Vec<NodeId> = abs.ec.origins.iter().map(|(n, _)| *n).collect();
     let range = ec.ranges.first().copied().unwrap_or(ec.rep);
+    let mut solution = solution.clone();
     for fwd in solution.fwd.iter_mut() {
         fwd.retain(|&e| edge_passes_acls(&abs.network, &abs.topo, e, range));
     }
@@ -332,8 +264,7 @@ pub(crate) fn abstract_verdict(
 
     // Map back: concrete node → all copies of its block deliver.
     let concrete_origins: Vec<NodeId> = ec.origins.iter().map(|(n, _)| *n).collect();
-    Ok(topo
-        .graph
+    topo.graph
         .nodes()
         .map(|u| {
             if concrete_origins.contains(&u) {
@@ -343,7 +274,7 @@ pub(crate) fn abstract_verdict(
                 .iter()
                 .all(|&c| analysis.can_reach(c))
         })
-        .collect())
+        .collect()
 }
 
 /// The concrete data plane of one class under a mask: the masked

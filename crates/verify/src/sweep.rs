@@ -56,19 +56,23 @@ use crate::equivalence::{
     rotated_order, Behavior, BehaviorMismatch, EquivalenceError,
 };
 use crate::failures::lift_failure_mask;
+use crate::query::QueryStats;
+use crate::sim_engine::{abstract_verdict, concrete_verdict};
 use bonsai_config::{BuiltTopology, Community, NetworkConfig};
 use bonsai_core::abstraction::{build_abstract_network, AbstractNetwork};
-use bonsai_core::algorithm::Abstraction;
+use bonsai_core::algorithm::{refine_with_split, Abstraction};
 use bonsai_core::compress::refine_ec_with_split;
+use bonsai_core::ecs::DestEc;
 use bonsai_core::engine::CompiledPolicies;
 use bonsai_core::scenarios::{
     link_orbits_with_distances, FailureScenario, LinkOrbits, NodeDistances, OrbitSignature,
 };
 use bonsai_core::signatures::{build_sig_table, SigTable};
-use bonsai_net::NodeId;
+use bonsai_net::{Graph, NodeId};
 use bonsai_srp::instance::{EcDest, MultiProtocol, RibAttr};
 use bonsai_srp::solver::{
-    solve_seeded_masked, solve_warm_masked, solve_with_order_masked, SolveError, SolverOptions,
+    solve_seeded_masked, solve_warm_masked, solve_with_order_masked, solve_with_order_masked_stats,
+    SolveError, SolverOptions,
 };
 use bonsai_srp::{Solution, Srp};
 use std::collections::{BTreeMap, BTreeSet};
@@ -190,7 +194,8 @@ pub struct ScenarioRefinement {
 #[derive(Clone, Debug)]
 pub struct Materialized {
     abstract_network: AbstractNetwork,
-    abstract_solution: Option<Solution<RibAttr>>,
+    /// The canonical solution and the label updates it took.
+    canonical: Option<(Solution<RibAttr>, usize)>,
 }
 
 impl Materialized {
@@ -204,10 +209,10 @@ impl Materialized {
     /// [`bonsai_srp::solver::solve_masked`] fixpoint. This is exactly the
     /// solve every reachability query against the refinement would
     /// otherwise repeat per call — keeping it decouples query cost from
-    /// solve cost. `None` when the natural-order solve diverges (queries
-    /// then report the divergence, as an uncached solve would have).
+    /// solve cost. `None` when the natural-order solve diverges (the
+    /// scenario is then answered on the concrete network).
     pub fn abstract_solution(&self) -> Option<&Solution<RibAttr>> {
-        self.abstract_solution.as_ref()
+        self.canonical.as_ref().map(|(solution, _)| solution)
     }
 }
 
@@ -220,12 +225,17 @@ fn materialize(
     abstraction: &Abstraction,
     representative: &FailureScenario,
 ) -> Materialized {
+    let _span = bonsai_obs::span!(
+        "refinement.materialize",
+        class = ec.prefix.to_string(),
+        abstract_nodes = abstraction.abstract_node_count()
+    );
+    bonsai_obs::add("sweep.refinements.materialized", 1);
     let abstract_network = build_abstract_network(network, topo, ec, abstraction);
-    let abstract_solution =
-        canonical_abstract_solution(abstraction, &abstract_network, representative);
+    let canonical = canonical_abstract_solution(abstraction, &abstract_network, representative);
     Materialized {
         abstract_network,
-        abstract_solution,
+        canonical,
     }
 }
 
@@ -283,15 +293,8 @@ impl ScenarioRefinement {
         topo: &BuiltTopology,
         ec: &EcDest,
     ) -> &Materialized {
-        self.materialized.get_or_init(|| {
-            let _span = bonsai_obs::span!(
-                "refinement.materialize",
-                class = ec.prefix.to_string(),
-                abstract_nodes = self.refined_nodes()
-            );
-            bonsai_obs::add("sweep.refinements.materialized", 1);
-            materialize(network, topo, ec, &self.abstraction, &self.representative)
-        })
+        self.materialized
+            .get_or_init(|| materialize(network, topo, ec, &self.abstraction, &self.representative))
     }
 
     /// Whether the derived pair is resident (a derivation's is from the
@@ -299,6 +302,13 @@ impl ScenarioRefinement {
     /// [`ScenarioRefinement::materialized`] read).
     pub fn is_materialized(&self) -> bool {
         self.materialized.get().is_some()
+    }
+
+    /// The derivation converged on the stage-1 endpoint split with no
+    /// escalation: what makes a refinement transferable to a symmetric
+    /// class, and to another scenario of its signature.
+    pub fn stage1_only(&self) -> bool {
+        !self.localized_refuted && !self.global_fallback
     }
 
     /// Abstract node count of the per-scenario refinement.
@@ -563,18 +573,22 @@ fn class_srp<'n>(
 /// Solves a refined abstract network under its representative's lifted
 /// failure mask with the **natural** activation order — the canonical
 /// per-refinement solution kept in
-/// [`Materialized::abstract_solution`]. Deterministic (no rotation,
-/// no warm seed), so a cached copy, a fresh derivation, and a
-/// snapshot-restored refinement all agree byte-for-byte. `None` when the
-/// instance diverges under the mask.
+/// [`Materialized::abstract_solution`] — with the label updates it took.
+/// Deterministic (no rotation, no warm seed), so a cached copy, a fresh
+/// derivation, and a snapshot-restored refinement all agree byte-for-byte.
+/// `None` when the instance diverges under the mask.
 pub(crate) fn canonical_abstract_solution(
     abstraction: &Abstraction,
     abs: &AbstractNetwork,
     representative: &FailureScenario,
-) -> Option<Solution<RibAttr>> {
+) -> Option<(Solution<RibAttr>, usize)> {
     let abs_mask = lift_failure_mask(representative, abstraction, abs);
     let srp = class_srp(&abs.network, &abs.topo, &abs.ec);
-    bonsai_srp::solver::solve_masked(&srp, Some(&abs_mask)).ok()
+    let order: Vec<NodeId> = abs.topo.graph.nodes().collect();
+    let solved = solve_with_order_masked_stats(&srp, &order, Default::default(), Some(&abs_mask));
+    solved
+        .ok()
+        .map(|(solution, stats)| (solution, stats.updates))
 }
 
 /// Derives (and verifies) the refinement of one orbit signature, bypassing
@@ -622,6 +636,110 @@ pub(crate) fn endpoint_split(base: &Abstraction, scenario: &FailureScenario) -> 
     split
 }
 
+/// From a split to its partition: the class's base with `split` isolated,
+/// back at the Algorithm-1 fixpoint (the base itself for an empty split).
+/// With [`endpoint_split`] this is stage 1 of a derivation without its
+/// check — what a symmetric transfer, a snapshot replay and
+/// [`scenario_verdict`]'s own-refinement arm all start from.
+pub(crate) fn split_partition(
+    graph: &Graph,
+    ec: &EcDest,
+    sigs: &SigTable,
+    base: &Abstraction,
+    split: &[NodeId],
+) -> Abstraction {
+    if split.is_empty() {
+        base.clone()
+    } else {
+        refine_with_split(graph, ec, sigs, base, split)
+    }
+}
+
+/// What a scenario's own refinement is built against: one destination
+/// class, its hoisted signature table and its failure-free base
+/// abstraction.
+#[derive(Clone, Copy)]
+pub struct ClassBase<'a> {
+    /// The class, as the SRP instance names it.
+    pub ec: &'a EcDest,
+    /// The class's signature table
+    /// ([`bonsai_core::signatures::build_sig_table`]).
+    pub sigs: &'a SigTable,
+    /// The class's failure-free base abstraction.
+    pub abstraction: &'a Abstraction,
+}
+
+/// The per-node verdict of class `ec` under `scenario` — one flag per
+/// concrete node, origins `true` — and the one place a scenario of the
+/// sweep is answered: the resident [`crate::session::Session`], `bonsai
+/// failures --query` and [`crate::sim_engine::SimEngine`] all end here.
+/// `held` is the refinement the sweep keeps for the scenario's orbit
+/// signature, if any. A scenario is answered on **its own** refinement,
+/// never by lifting its links onto the refinement of another one:
+///
+/// 1. `scenario` is `held`'s representative — the scenario that
+///    refinement was verified for: its canonical solution answers, with
+///    no solver work in the query ([`QueryStats::by_representative`]).
+/// 2. `held` verified at stage 1 ([`ScenarioRefinement::stage1_only`]) and
+///    the class base is known: the scenario's own endpoint split (the
+///    failed links' endpoints that share a block under the base) goes
+///    through Algorithm 1 and the one `materialize`, its canonical
+///    solution answers, and the network is dropped — one small abstract
+///    solve, counted in `stats` ([`QueryStats::by_own_refinement`]).
+/// 3. Anything else — an escalated `held` (its split names nodes specific
+///    to the representative), no refinement, a scenario past the swept
+///    bound, no class base, a diverging abstract solve: the concrete
+///    masked simulation ([`QueryStats::by_concrete`]).
+///
+/// Arms 1 and 3 are exact by construction. Arm 2 rests on the argument
+/// the sweep already trusts for every symmetric transfer — scenarios of
+/// one orbit signature verify at the same stage — which is measured, not
+/// proved: `tests/answer_oracle.rs` reads 0 differences from the concrete
+/// simulation over every `≤ 2` scenario of its networks, and the
+/// automorphism witness of ROADMAP item 1(c) is what would certify it.
+pub fn scenario_verdict(
+    network: &NetworkConfig,
+    topo: &BuiltTopology,
+    ec: &DestEc,
+    class: Option<ClassBase<'_>>,
+    held: Option<&ScenarioRefinement>,
+    scenario: &FailureScenario,
+    stats: &mut QueryStats,
+) -> Result<Vec<bool>, SolveError> {
+    let answer_on = |abstraction: &Abstraction, materialized: &Materialized| {
+        let abs = materialized.abstract_network();
+        let solution = materialized.abstract_solution()?;
+        Some(abstract_verdict(topo, ec, abstraction, abs, solution))
+    };
+    let verdict = match (held, class) {
+        (Some(held), _) if held.representative == *scenario => {
+            let materialized = held.materialized(network, topo, &ec.to_ec_dest());
+            let verdict = answer_on(&held.abstraction, materialized);
+            stats.by_representative += usize::from(verdict.is_some());
+            stats.cached_answers += usize::from(verdict.is_some());
+            verdict
+        }
+        (Some(held), Some(class)) if held.stage1_only() => {
+            let (sigs, base) = (class.sigs, class.abstraction);
+            let split = endpoint_split(base, scenario);
+            let own = split_partition(&topo.graph, class.ec, sigs, base, &split);
+            let materialized = materialize(network, topo, class.ec, &own, scenario);
+            stats.abstract_solves += 1;
+            stats.solver_updates += materialized.canonical.as_ref().map_or(0, |c| c.1);
+            let verdict = answer_on(&own, &materialized);
+            stats.by_own_refinement += usize::from(verdict.is_some());
+            verdict
+        }
+        _ => None,
+    };
+    if let Some(verdict) = verdict {
+        return Ok(verdict);
+    }
+    stats.by_concrete += 1;
+    let mask = scenario.mask(&topo.graph);
+    concrete_verdict(network, topo, ec, Some(&mask), stats)
+}
+
 /// The escalation loop behind every cache miss: localized endpoint split →
 /// deviating-member splits → fallback candidate rule, each round strictly
 /// refining, until the canonical representative verifies.
@@ -658,7 +776,7 @@ pub(crate) fn derive_scenario_refinement(
                 // The network just verified is the one `materialize` would
                 // build: keep it, and pay the canonical solve here as a
                 // derivation always has.
-                let abstract_solution = canonical_abstract_solution(&cur, &cur_net, &rep);
+                let canonical = canonical_abstract_solution(&cur, &cur_net, &rep);
                 let refinement = ScenarioRefinement::new(
                     signature.clone(),
                     rep,
@@ -671,7 +789,7 @@ pub(crate) fn derive_scenario_refinement(
                 );
                 let filled = refinement.materialized.set(Materialized {
                     abstract_network: cur_net,
-                    abstract_solution,
+                    canonical,
                 });
                 debug_assert!(filled.is_ok(), "a new refinement's cell is empty");
                 return Ok(refinement);

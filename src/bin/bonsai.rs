@@ -57,16 +57,16 @@ use bonsai::cli::{
 use bonsai::core::compress::{compress, compress_each, recompress_delta, CompressOptions};
 use bonsai::core::engine::CompiledPolicies;
 use bonsai::core::roles::{count_roles, RoleOptions};
+use bonsai::core::signatures::build_sig_table;
 use bonsai::core::snapshot::Json;
 use bonsai::daemon::{render_control, render_error, render_query, Client, Server, ServerOptions};
 use bonsai::verify::equivalence::check_cp_equivalence;
 use bonsai::verify::netsweep::{
     sweep_network, sweep_network_subset, NetworkSweepOptions, NetworkSweepReport, ShardSpec,
 };
-use bonsai::verify::query::QueryCtx;
+use bonsai::verify::query::QueryStats;
 use bonsai::verify::session::{QueryRequest, Session, SessionOptions};
-use bonsai::verify::sim_engine::SimEngine;
-use bonsai::verify::sweep::SweepOptions;
+use bonsai::verify::sweep::{scenario_verdict, ClassBase, SweepOptions};
 use bonsai_config::{parse_network, print_network, BuiltTopology, NetworkConfig};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -389,10 +389,11 @@ fn cmd_merge(m: &Matches) -> Result<(), Failure> {
     emit_json(&merged.render(), m.optional("--json").flatten())
 }
 
-/// Answers `--query src:dst` on the refined abstract networks: for
-/// every class originated at `dst`, in how many swept scenarios does
-/// `src` deliver? Runs on the compressed per-scenario networks — the
-/// point of the sweep — with verdicts mapped back through the blocks.
+/// Answers `--query src:dst`: for every class originated at `dst`, in
+/// how many swept scenarios does `src` deliver? Every scenario is answered
+/// by [`scenario_verdict`] — on its own compressed refinement wherever the
+/// sweep verified one at stage 1, the point of the sweep — exactly as a
+/// resident session answers it.
 fn answer_query(
     network: &NetworkConfig,
     topo: &BuiltTopology,
@@ -406,31 +407,26 @@ fn answer_query(
             .ok_or_else(|| format!("--query: unknown device `{name}`"))
     };
     let (src_node, dst_node) = (node(src)?, node(dst)?);
-    let engine = SimEngine::new(network);
+    let mut stats = QueryStats::default();
     let mut answers = Vec::new();
     for (comp, ec_sweep) in report.per_ec.iter().zip(&sweep.per_ec) {
         if !comp.ec.origins.iter().any(|(n, _)| *n == dst_node) {
             continue;
         }
-        let sim_ec = engine
-            .ecs
-            .iter()
-            .find(|e| e.rep == comp.ec.rep)
-            .ok_or_else(|| format!("class {} missing from the simulation engine", comp.ec.rep))?;
+        let ec_dest = comp.ec.to_ec_dest();
+        let sigs = build_sig_table(&report.policies, network, topo, &ec_dest);
+        let class = ClassBase {
+            ec: &ec_dest,
+            sigs: &sigs,
+            abstraction: &comp.abstraction,
+        };
         let mut delivered = 0usize;
         for outcome in &ec_sweep.report.outcomes {
-            let refinement = &ec_sweep.report.refinements[&outcome.signature];
-            let reach = engine
-                .reachability(
-                    sim_ec,
-                    &QueryCtx::refined(refinement, outcome.scenario.clone()),
-                )
-                .map_err(|e| {
-                    format!(
-                        "query under {}: {e}",
-                        outcome.scenario.describe(&topo.graph)
-                    )
-                })?;
+            let held = ec_sweep.report.refinements.get(&outcome.signature);
+            let (ec, scenario) = (&comp.ec, &outcome.scenario);
+            let reach =
+                scenario_verdict(network, topo, ec, Some(class), held, scenario, &mut stats)
+                    .map_err(|e| format!("query under {}: {e}", scenario.describe(&topo.graph)))?;
             if reach[src_node.index()] {
                 delivered += 1;
             }

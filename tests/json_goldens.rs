@@ -3,9 +3,18 @@
 //! `tests/data/` came out of that commit's release binary — the `cli/diff`
 //! and trace goldens out of its library, driven with the literals below —
 //! so a byte that moves here is a format change, not a refactor.
+//!
+//! One file was re-blessed since, for its *content*: the answer-warm
+//! snapshot's verdict `bits` held the lifted two-failure answers the parent
+//! served wrong (24 strings of class `10.1.0.0/24`, 92 characters `0` → `1`,
+//! nothing else and no length moved). What stands in for "the parent wrote
+//! it" there is stronger: every verdict in the file is compared with the
+//! concrete masked simulation.
 
 use bonsai::cli::{DiffDoc, RederivedDoc};
+use bonsai::core::snapshot::{Envelope, Json};
 use bonsai::daemon::Client;
+use bonsai::prelude::*;
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 
@@ -142,6 +151,48 @@ fn the_serve_transcript_and_its_warm_snapshot_are_the_parents_bytes() {
         "the answer-warm snapshot moved ({} bytes)",
         warm.len()
     );
+    assert_eq!(wrong_verdict_bits(&warm), (544, 0));
+}
+
+/// `(verdicts checked, verdicts differing)` of a fattree-4 session
+/// snapshot's answer tier against the concrete masked simulation — one cold
+/// solve per recorded (class, scenario).
+fn wrong_verdict_bits(snapshot: &str) -> (usize, usize) {
+    let net = fattree(4, FattreePolicy::ShortestPath);
+    let engine = SimEngine::new(&net);
+    let envelope = Envelope::parse(snapshot).expect("the snapshot is an envelope");
+    let rows = |json: &Json, key: &str| {
+        json.get(key)
+            .and_then(Json::as_arr)
+            .expect("an array")
+            .to_vec()
+    };
+    let (mut checked, mut wrong) = (0, 0);
+    for class in rows(&envelope.payload, "verdicts") {
+        let rep = class.get("rep").and_then(Json::as_str).expect("a prefix");
+        let ec = engine.ecs.iter().find(|ec| ec.rep.to_string() == rep);
+        for entry in rows(&class, "entries") {
+            let names = rows(&entry, "links");
+            let pairs: Vec<(&str, &str)> = names
+                .iter()
+                .map(|pair| match pair.as_arr().expect("a pair") {
+                    [a, b] => (a.as_str().expect("a name"), b.as_str().expect("a name")),
+                    other => panic!("not a pair: {other:?}"),
+                })
+                .collect();
+            let mask = bonsai::topo::fail_links_by_name(&engine.topo, &pairs);
+            let concrete = engine
+                .reachability(ec.expect("a served class"), &QueryCtx::masked(Some(&mask)))
+                .expect("the concrete network converges");
+            let bits: String = concrete
+                .iter()
+                .map(|&d| if d { '1' } else { '0' })
+                .collect();
+            checked += 1;
+            wrong += usize::from(entry.get("bits").and_then(Json::as_str) != Some(&bits));
+        }
+    }
+    (checked, wrong)
 }
 
 #[test]

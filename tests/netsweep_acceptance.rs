@@ -8,14 +8,16 @@
 
 use bonsai::core::compress::{compress, CompressOptions, CompressionReport};
 use bonsai::core::scenarios::ScenarioStream;
+use bonsai::core::signatures::build_sig_table;
 use bonsai::verify::netsweep::{
     merge_reports, sweep_network, NetworkSweepOptions, NetworkSweepReport, ShardSpec,
 };
 use bonsai::verify::properties::SolutionAnalysis;
-use bonsai::verify::query::QueryCtx;
+use bonsai::verify::query::{QueryCtx, QueryStats};
 use bonsai::verify::sim_engine::SimEngine;
 use bonsai::verify::sweep::{
-    derive_refinement, OutcomeStats, RefinementProvenance, ScenarioRefinement, SweepOptions,
+    derive_refinement, scenario_verdict, ClassBase, OutcomeStats, RefinementProvenance,
+    ScenarioRefinement, SweepOptions,
 };
 use bonsai_config::{BuiltTopology, NetworkConfig};
 use bonsai_net::NodeId;
@@ -707,7 +709,10 @@ fn verified_transfers_agree_with_trusted_transfers() {
 /// The failure-aware query acceptance: a masked reachability query
 /// through the simulation engine returns the same per-node verdict as
 /// the scenario's refined **abstract** network, for every class and
-/// every k=1 scenario of the diamond and the fattree.
+/// every k=1 scenario of the diamond and the fattree. The compressed side
+/// is [`scenario_verdict`] over the class base — a representative on the
+/// refinement the sweep holds, every other scenario on its own — and never
+/// falls back to the concrete simulation it is compared with.
 #[test]
 fn masked_sim_queries_agree_with_refined_abstract_networks() {
     for net in [
@@ -717,7 +722,15 @@ fn masked_sim_queries_agree_with_refined_abstract_networks() {
         let (topo, report, sweep) = run_network_sweep(&net, 1, 1);
         let engine = SimEngine::new(&net);
         let scenarios = ScenarioStream::new(&topo.graph, 1).to_vec();
+        let mut stats = QueryStats::default();
         for (comp, ec_sweep) in report.per_ec.iter().zip(&sweep.per_ec) {
+            let ec_dest = comp.ec.to_ec_dest();
+            let sigs = build_sig_table(&report.policies, &net, &topo, &ec_dest);
+            let class = ClassBase {
+                ec: &ec_dest,
+                sigs: &sigs,
+                abstraction: &comp.abstraction,
+            };
             let sim_ec = engine
                 .ecs
                 .iter()
@@ -736,10 +749,15 @@ fn masked_sim_queries_agree_with_refined_abstract_networks() {
                 let data = engine.data_plane(sim_ec, &solution);
                 let analysis = SolutionAnalysis::new(&topo.graph, &data, &origins);
 
-                // Compressed path: the refined abstract network.
-                let abstract_reach = engine
-                    .reachability(sim_ec, &QueryCtx::refined(refinement, scenario.clone()))
-                    .unwrap();
+                // Compressed path: the refined abstract network. Without
+                // a class base the engine has the held refinement only,
+                // and must still say the same.
+                let held = Some(refinement);
+                let abstract_reach =
+                    scenario_verdict(&net, &topo, sim_ec, Some(class), held, scenario, &mut stats)
+                        .unwrap();
+                let ctx = QueryCtx::refined(refinement, scenario.clone());
+                assert_eq!(engine.reachability(sim_ec, &ctx).unwrap(), abstract_reach);
 
                 for u in topo.graph.nodes() {
                     if origins.contains(&u) {
@@ -756,5 +774,10 @@ fn masked_sim_queries_agree_with_refined_abstract_networks() {
                 }
             }
         }
+        assert!(stats.by_representative > 0 && stats.by_own_refinement > 0);
+        assert_eq!(
+            stats.by_concrete, 0,
+            "the compressed side stayed compressed"
+        );
     }
 }
