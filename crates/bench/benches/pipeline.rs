@@ -1,6 +1,5 @@
-//! Criterion micro-benchmarks of the compression pipeline stages, plus the
-//! DESIGN.md ablation: canonical-BDD policy equality vs deep structural
-//! comparison.
+//! Criterion micro-benchmarks of the compression pipeline stages, plus an
+//! ablation: canonical-BDD policy equality vs deep structural comparison.
 
 use bonsai_core::compress::{compress, refine_ec_with_split, CompressOptions};
 use bonsai_core::ecs::compute_ecs;

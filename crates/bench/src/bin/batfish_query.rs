@@ -8,6 +8,7 @@
 //! destination ECs that are relevant for a query", §7) — that selectivity
 //! plus the tiny abstract networks is where the speedup comes from.
 
+use bonsai_bench::flags::{Arity, Flags};
 use bonsai_core::compress::{build_engine, compress_ec, CompressOptions};
 use bonsai_topo::{datacenter, DatacenterParams};
 use bonsai_verify::query::QueryCtx;
@@ -15,7 +16,7 @@ use bonsai_verify::SimEngine;
 use std::time::Instant;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = Flags::from_env(&[("--quick", Arity::Switch)]).switch("--quick");
     let params = if quick {
         DatacenterParams {
             clusters: 4,

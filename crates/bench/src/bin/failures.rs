@@ -1,7 +1,5 @@
-//! The bounded link-failure study: what does it cost to verify every
-//! `≤ k` link-failure scenario concretely, versus auditing + repairing
-//! one abstraction for all of them, versus the per-scenario refinement
-//! **sweep** (signature-cached refinements, warm-started solves)?
+//! The bounded link-failure study (`bonsai_bench::failures`): concrete vs
+//! refined-abstract solving per network and failure bound.
 //!
 //! ```text
 //! failures                 # diamond / gadget / mesh-10 / fattree-4, k = 1..2
@@ -11,530 +9,36 @@
 //! failures --json [PATH]   # write a BENCH_failures.json snapshot
 //!                          # (default path BENCH_failures.json)
 //! ```
-//!
-//! Per network and per `k`, the table reports the scenario counts
-//! (pruned vs exhaustive), the audit outcome (counterexamples found,
-//! abstract nodes before → after refinement) and six wall-clock columns:
-//! solving every scenario cold on the concrete network, the same sweep
-//! **warm-started** from the failure-free fixpoint, the one-off
-//! audit-and-refine, solving every scenario on the audit's refined
-//! abstract network, the sweep plane over the audited classes with
-//! sharing off (always exhaustive — the signature cache absorbs the
-//! symmetry), and the **network-level sweep** over *every* class with
-//! cross-EC refinement sharing — together with the sweep's cache hit
-//! rate, refined sizes, and the cross-EC sharing statistics (classes
-//! covered, derivations vs. the unshared count, sharing ratio).
 
-use bonsai_bench::{secs, snapshot_json, FAILURES_SNAPSHOT_KIND, FAILURES_SNAPSHOT_VERSION};
-use bonsai_config::{BuiltTopology, NetworkConfig};
-use bonsai_core::compress::{compress, CompressOptions};
-use bonsai_core::scenarios::{link_orbits, FailureScenario, ScenarioStream};
-use bonsai_core::signatures::build_sig_table;
-use bonsai_core::snapshot::{write_object, Layout};
-use bonsai_net::NodeId;
-use bonsai_srp::instance::{EcDest, MultiProtocol};
-use bonsai_srp::solver::{solve, solve_masked, solve_warm_masked, SolverOptions};
-use bonsai_srp::{papernets, Srp};
-use bonsai_topo::{fattree, full_mesh, FattreePolicy};
-use bonsai_verify::failures::{check_cp_equivalence_under_failures, lift_failure_mask};
-use bonsai_verify::netsweep::{
-    merge_reports, sweep_network, sweep_network_subset, NetworkSweepOptions, ShardSpec,
-};
-use bonsai_verify::session::{QueryRequest, Session, SessionOptions};
-use bonsai_verify::sweep::SweepOptions;
-use std::time::{Duration, Instant};
-
-struct Row {
-    label: String,
-    k: usize,
-    links: usize,
-    ecs_audited: usize,
-    scenarios: usize,
-    scenarios_exhaustive: usize,
-    counterexamples: usize,
-    abs_nodes_before: usize,
-    abs_nodes_after: usize,
-    concrete: Duration,
-    warm: Duration,
-    audit: Duration,
-    abstract_: Duration,
-    sweep: Duration,
-    sweep_scenarios: usize,
-    sweep_refinements: usize,
-    sweep_hit_rate: f64,
-    sweep_base_mean: f64,
-    sweep_mean_refined: f64,
-    sweep_max_refined: usize,
-    sweep_fallbacks: usize,
-    netsweep: Duration,
-    netsweep_ecs: usize,
-    netsweep_derivations: usize,
-    netsweep_unshared: usize,
-    netsweep_sharing_ratio: f64,
-    netsweep_exact: usize,
-    netsweep_symmetric: usize,
-    netsweep_fingerprints: usize,
-    chunk_size: usize,
-    scenarios_streamed: usize,
-    peak_resident_scenarios: usize,
-    merge: Duration,
-    query_cold_us: f64,
-    query_warm_us: f64,
-}
-
-impl Row {
-    fn render(&self) -> String {
-        format!(
-            "{:<10} {:>2} {:>6} {:>7}/{:<7} {:>4} {:>6} -> {:<6} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>5.0}% {:>5.0}% {:>6.1} {:>7} {:>9.0} {:>9.0}",
-            self.label,
-            self.k,
-            self.links,
-            self.scenarios,
-            self.scenarios_exhaustive,
-            self.counterexamples,
-            self.abs_nodes_before,
-            self.abs_nodes_after,
-            secs(self.concrete),
-            secs(self.warm),
-            secs(self.audit),
-            secs(self.abstract_),
-            secs(self.sweep),
-            secs(self.netsweep),
-            secs(self.merge),
-            self.sweep_hit_rate * 100.0,
-            self.netsweep_sharing_ratio * 100.0,
-            self.sweep_mean_refined,
-            self.peak_resident_scenarios,
-            self.query_cold_us,
-            self.query_warm_us,
-        )
-    }
-
-    fn header() -> String {
-        format!(
-            "{:<10} {:>2} {:>6} {:>7}/{:<7} {:>4} {:>6}    {:<6} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>6} {:>6} {:>6} {:>7} {:>9} {:>9}",
-            "Topology",
-            "k",
-            "Links",
-            "Scen.",
-            "All",
-            "Cex",
-            "Abs",
-            "Abs'",
-            "Cold(s)",
-            "Warm(s)",
-            "Audit(s)",
-            "Abst'(s)",
-            "Sweep(s)",
-            "Net(s)",
-            "Merge(s)",
-            "Hit",
-            "Share",
-            "Mean",
-            "Peak",
-            "Qcold(us)",
-            "Qwarm(us)"
-        )
-    }
-
-    fn json(&self) -> String {
-        let mut row = String::new();
-        write_object(&mut row, Layout::Compact, |o| {
-            o.str("label", &self.label)
-                .uint("k", self.k)
-                .uint("links", self.links)
-                .uint("ecs_audited", self.ecs_audited)
-                .uint("scenarios", self.scenarios)
-                .uint("scenarios_exhaustive", self.scenarios_exhaustive)
-                .uint("counterexamples", self.counterexamples)
-                .uint("abs_nodes_before", self.abs_nodes_before)
-                .uint("abs_nodes_after", self.abs_nodes_after);
-            o.object("times", Layout::Compact, |o| {
-                o.float("concrete_s", self.concrete.as_secs_f64(), 6)
-                    .float("warm_s", self.warm.as_secs_f64(), 6)
-                    .float("audit_s", self.audit.as_secs_f64(), 6)
-                    .float("abstract_s", self.abstract_.as_secs_f64(), 6)
-                    .float("sweep_s", self.sweep.as_secs_f64(), 6)
-                    .float("netsweep_s", self.netsweep.as_secs_f64(), 6)
-                    .float("merge_s", self.merge.as_secs_f64(), 6);
-            });
-            o.object("sweep", Layout::Compact, |o| {
-                o.uint("scenarios", self.sweep_scenarios)
-                    .uint("refinements", self.sweep_refinements)
-                    .float("cache_hit_rate", self.sweep_hit_rate, 6)
-                    .float("base_abs_nodes_mean", self.sweep_base_mean, 6)
-                    .float("mean_refined_nodes", self.sweep_mean_refined, 6)
-                    .uint("max_refined_nodes", self.sweep_max_refined)
-                    .uint("global_fallbacks", self.sweep_fallbacks);
-            });
-            o.object("cross_ec", Layout::Compact, |o| {
-                o.uint("ecs_covered", self.netsweep_ecs)
-                    .uint("derivations", self.netsweep_derivations)
-                    .uint("unshared_derivations", self.netsweep_unshared)
-                    .float("sharing_ratio", self.netsweep_sharing_ratio, 6)
-                    .uint("exact_transfers", self.netsweep_exact)
-                    .uint("symmetric_transfers", self.netsweep_symmetric)
-                    .uint("distinct_fingerprints", self.netsweep_fingerprints);
-            });
-            o.object("streamed", Layout::Compact, |o| {
-                o.uint("chunk_size", self.chunk_size)
-                    .uint("scenarios_streamed", self.scenarios_streamed)
-                    .uint("peak_resident_scenarios", self.peak_resident_scenarios);
-            });
-            o.float("query_cold_us", self.query_cold_us, 3);
-            o.float("query_warm_us", self.query_warm_us, 3);
-        });
-        row
-    }
-}
-
-/// Solves every scenario of the sweep on one (network, EC) instance —
-/// cold (from ⊥) or warm-started from the failure-free fixpoint.
-fn sweep_time(
-    network: &NetworkConfig,
-    topo: &BuiltTopology,
-    ec: &EcDest,
-    scenarios: &[FailureScenario],
-    lift: Option<(&bonsai_core::Abstraction, &bonsai_core::AbstractNetwork)>,
-    warm: bool,
-) -> Duration {
-    let proto = MultiProtocol::build(network, topo, ec);
-    let origins: Vec<NodeId> = ec.origins.iter().map(|(n, _)| *n).collect();
-    let srp = Srp::with_origins(&topo.graph, origins, proto);
-    let t0 = Instant::now();
-    // The failure-free fixpoint is part of the warm column's cost: one
-    // cold solve amortized over every scenario.
-    let base = if warm { solve(&srp).ok() } else { None };
-    for scenario in scenarios {
-        let mask = match lift {
-            None => scenario.mask(&topo.graph),
-            Some((abstraction, abs)) => lift_failure_mask(scenario, abstraction, abs),
-        };
-        // Divergence is a property of the instance, not the harness; it
-        // is counted like any other solve.
-        match &base {
-            Some(b) => {
-                let _ = solve_warm_masked(&srp, b, SolverOptions::default(), &mask);
-            }
-            None => {
-                let _ = solve_masked(&srp, Some(&mask));
-            }
-        }
-    }
-    t0.elapsed()
-}
-
-fn run_network(label: &str, net: &NetworkConfig, k: usize, max_ecs: usize, pruned: bool) -> Row {
-    let topo = BuiltTopology::build(net).expect("network builds");
-    let report = compress(net, CompressOptions::default());
-    let ecs_audited = report.num_ecs().min(max_ecs);
-
-    let mut concrete = Duration::ZERO;
-    let mut warm = Duration::ZERO;
-    let mut audit_time = Duration::ZERO;
-    let mut abstract_ = Duration::ZERO;
-    let mut counterexamples = 0usize;
-    let mut abs_nodes_before = 0usize;
-    let mut abs_nodes_after = 0usize;
-    let mut scenario_count = 0usize;
-    let stream = ScenarioStream::new(&topo.graph, k);
-
-    for ec in report.per_ec.iter().take(ecs_audited) {
-        let ec_dest = ec.ec.to_ec_dest();
-        scenario_count += if pruned {
-            let sigs = build_sig_table(&report.policies, net, &topo, &ec_dest);
-            let orbits = link_orbits(&topo.graph, &ec.abstraction, &sigs);
-            stream.iter_pruned(&orbits).count()
-        } else {
-            stream.len()
-        };
-
-        // Columns 1+2: concrete per-scenario verification, cold (from ⊥)
-        // vs warm-started (repairing the failure-free fixpoint, whose one
-        // cold solve is part of the column). Both sweep the *exhaustive*
-        // enumeration — "verify every scenario" is the workload these
-        // columns price, and the same one the sweep engine covers.
-        let all_scenarios = stream.to_vec();
-        concrete += sweep_time(net, &topo, &ec_dest, &all_scenarios, None, false);
-        warm += sweep_time(net, &topo, &ec_dest, &all_scenarios, None, true);
-
-        // Column 3: one-off audit + repair through the shared engine.
-        let t1 = Instant::now();
-        let audit = check_cp_equivalence_under_failures(
-            net,
-            &topo,
-            &ec_dest,
-            &ec.abstraction,
-            &ec.abstract_network,
-            &report.policies,
-            &SweepOptions {
-                max_failures: k,
-                prune_symmetric: pruned,
-                ..Default::default()
-            },
-        )
-        .expect("audit converges");
-        audit_time += t1.elapsed();
-        counterexamples += audit.counterexamples.len();
-        abs_nodes_before += audit.initial_abstract_nodes;
-        abs_nodes_after += audit.final_abstract_nodes();
-
-        // Column 4: the same exhaustive sweep on the audit's refined
-        // abstract network (comparable to the cold/warm columns).
-        abstract_ += sweep_time(
-            &audit.abstract_network.network,
-            &audit.abstract_network.topo,
-            &audit.abstract_network.ec,
-            &all_scenarios,
-            Some((&audit.abstraction, &audit.abstract_network)),
-            false,
-        );
-    }
-
-    let exhaustive = SweepOptions {
-        max_failures: k,
-        prune_symmetric: false,
-        threads: 1,
-        ..Default::default()
-    };
-
-    // Column 5: the sweep plane over the audited classes, nothing shared
-    // between them — always exhaustive (the signature cache absorbs the
-    // symmetry; the hit rate proves it).
-    let audited: Vec<usize> = (0..ecs_audited).collect();
-    let t2 = Instant::now();
-    let per_class = sweep_network_subset(
-        net,
-        &topo,
-        &report,
-        &NetworkSweepOptions {
-            sweep: exhaustive,
-            share_across_ecs: false,
-            ..Default::default()
-        },
-        &audited,
-    )
-    .expect("sweep completes");
-    let sweep_total = t2.elapsed();
-    let sweep_scenarios = per_class.scenarios_swept();
-    let sweep_refinements = per_class.unshared_derivations();
-    let mut sweep_base_sum = 0usize;
-    let mut sweep_refined_sum = 0usize;
-    let mut sweep_max_refined = 0usize;
-    let mut sweep_fallbacks = 0usize;
-    for ec in &per_class.per_ec {
-        sweep_base_sum += ec.report.base_abstract_nodes;
-        sweep_refined_sum += ec.report.stats.refined_nodes_sum;
-        sweep_max_refined = sweep_max_refined.max(ec.report.max_refined_nodes());
-        sweep_fallbacks += ec.report.fallback_count();
-    }
-
-    // The network-level column: one orchestrated sweep over **every**
-    // class (not just the audited subset) with cross-EC sharing — the
-    // "verify any property under ≤ k failures, for all destinations"
-    // workload. Single-threaded like the other columns.
-    let t3 = Instant::now();
-    let netsweep = sweep_network(
-        net,
-        &topo,
-        &report,
-        &NetworkSweepOptions {
-            sweep: exhaustive,
-            ..Default::default()
-        },
-    )
-    .expect("network sweep completes");
-    let netsweep_time = t3.elapsed();
-
-    let netsweep_ecs = netsweep.per_ec.len();
-    let netsweep_derivations = netsweep.derivations;
-    let netsweep_unshared = netsweep.unshared_derivations();
-    let netsweep_sharing_ratio = netsweep.sharing_ratio();
-    let netsweep_exact = netsweep.exact_transfers;
-    let netsweep_symmetric = netsweep.symmetric_transfers;
-    let netsweep_fingerprints = netsweep.distinct_fingerprints;
-    let netsweep_scenarios = netsweep.scenarios_swept();
-    let scenarios_streamed = netsweep.scenarios_streamed;
-
-    let sweep_opts_for = |collect_outcomes: bool, shard: Option<ShardSpec>| NetworkSweepOptions {
-        sweep: exhaustive,
-        collect_outcomes,
-        shard,
-        ..Default::default()
-    };
-
-    // The bounded-memory rerun: aggregate mode drops the per-scenario
-    // outcome records, so the resident gauge proves the O(chunk) claim —
-    // the peak must be bounded by threads × chunk no matter how large
-    // C(L,k) × ECs is. Its integer tallies must match the collected run.
-    let aggregate = sweep_network(net, &topo, &report, &sweep_opts_for(false, None))
-        .expect("aggregate network sweep completes");
-    assert!(
-        aggregate.peak_resident_scenarios <= aggregate.chunk_size,
-        "aggregate-mode peak {} exceeds the chunk bound {}",
-        aggregate.peak_resident_scenarios,
-        aggregate.chunk_size
-    );
-    assert_eq!(
-        aggregate.scenarios_swept(),
-        netsweep_scenarios,
-        "aggregate tallies must match the collected sweep"
-    );
-    let chunk_size = aggregate.chunk_size;
-    let peak_resident_scenarios = aggregate.peak_resident_scenarios;
-
-    // The sharded run: two canonical-signature shards swept independently
-    // (as two processes would), then merged. The merge column times only
-    // the reassembly; the equality asserts prove the sharding exact.
-    let shard_reports: Vec<_> = (0..2)
-        .map(|i| {
-            let shard = ShardSpec::new(i, 2).expect("index below the shard count");
-            sweep_network(net, &topo, &report, &sweep_opts_for(true, Some(shard)))
-                .expect("shard sweep completes")
-        })
-        .collect();
-    let t_merge = Instant::now();
-    let merged = merge_reports(shard_reports).expect("shard set merges");
-    let merge_time = t_merge.elapsed();
-    assert_eq!(merged.scenarios_swept(), netsweep_scenarios);
-    assert_eq!(merged.derivations, netsweep_derivations);
-    assert_eq!(merged.unshared_derivations(), netsweep_unshared);
-
-    // The resident-session columns: wire a Session from the compression +
-    // sweep just measured (no re-solving) and time one identical query
-    // batch twice. Cold fills the per-(class, scenario) verdict memo from
-    // the sweep's cached refinements; warm must be pure memo lookups —
-    // latency decoupled from solve time.
-    let (query_cold_us, query_warm_us) = {
-        let session = Session::from_sweep(
-            net.clone(),
-            report,
-            netsweep,
-            SessionOptions {
-                max_failures: k,
-                threads: 1,
-                ..Default::default()
-            },
-        )
-        .expect("session wires from the sweep");
-        let (u, v) = topo.graph.links()[0];
-        let link = (
-            topo.graph.name(u).to_string(),
-            topo.graph.name(v).to_string(),
-        );
-        let requests = vec![
-            QueryRequest::AllPairs { links: vec![] },
-            QueryRequest::AllPairs { links: vec![link] },
-        ];
-        let t4 = Instant::now();
-        let cold = session.batch(&requests);
-        let cold_us = t4.elapsed().as_secs_f64() * 1e6;
-        let t5 = Instant::now();
-        let warm = session.batch(&requests);
-        let warm_us = t5.elapsed().as_secs_f64() * 1e6;
-        assert_eq!(
-            cold.iter().map(|r| format!("{r:?}")).collect::<Vec<_>>(),
-            warm.iter().map(|r| format!("{r:?}")).collect::<Vec<_>>(),
-            "repeated batch must answer identically"
-        );
-        (cold_us, warm_us)
-    };
-
-    Row {
-        label: label.to_string(),
-        k,
-        links: topo.graph.link_count(),
-        ecs_audited,
-        scenarios: scenario_count,
-        scenarios_exhaustive: stream.len() * ecs_audited.max(1),
-        counterexamples,
-        abs_nodes_before,
-        abs_nodes_after,
-        concrete,
-        warm,
-        audit: audit_time,
-        abstract_,
-        sweep: sweep_total,
-        sweep_scenarios,
-        sweep_refinements,
-        sweep_hit_rate: if sweep_scenarios == 0 {
-            0.0
-        } else {
-            1.0 - sweep_refinements as f64 / sweep_scenarios as f64
-        },
-        // Per-EC mean, the same unit as mean_refined_nodes — the snapshot
-        // ratio mean_refined_nodes / base_abs_nodes_mean is the headline
-        // "stays within 2x of base" number.
-        sweep_base_mean: sweep_base_sum as f64 / ecs_audited.max(1) as f64,
-        sweep_mean_refined: if sweep_scenarios == 0 {
-            0.0
-        } else {
-            sweep_refined_sum as f64 / sweep_scenarios as f64
-        },
-        sweep_max_refined,
-        sweep_fallbacks,
-        netsweep: netsweep_time,
-        netsweep_ecs,
-        netsweep_derivations,
-        netsweep_unshared,
-        netsweep_sharing_ratio,
-        netsweep_exact,
-        netsweep_symmetric,
-        netsweep_fingerprints,
-        chunk_size,
-        scenarios_streamed,
-        peak_resident_scenarios,
-        merge: merge_time,
-        query_cold_us,
-        query_warm_us,
-    }
-}
+use bonsai_bench::failures::{rows, FailureRow};
+use bonsai_bench::flags::{Arity, Flags};
+use bonsai_bench::{snapshot_json, FAILURES_SNAPSHOT_KIND, FAILURES_SNAPSHOT_VERSION};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let exhaustive = args.iter().any(|a| a == "--exhaustive");
-    let max_k: usize = args
-        .iter()
-        .position(|a| a == "--k")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2);
-    let json_path = args.iter().position(|a| a == "--json").map(|i| {
-        args.get(i + 1)
-            .filter(|p| !p.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| "BENCH_failures.json".to_string())
-    });
+    let flags = Flags::from_env(&[
+        ("--quick", Arity::Switch),
+        ("--exhaustive", Arity::Switch),
+        ("--k", Arity::Number),
+        ("--json", Arity::Optional),
+    ]);
+    let max_k = flags.number("--k").unwrap_or(2);
 
     println!("Bounded link-failure study (concrete vs refined-abstract solving)");
-    println!("{}", Row::header());
+    println!("{}", FailureRow::header());
     let mut snapshot: Vec<String> = Vec::new();
-
-    let fattree_net = fattree(4, FattreePolicy::ShortestPath);
-    let mesh_net = full_mesh(10);
-    let diamond = papernets::figure1_rip();
-    let gadget = papernets::figure2_gadget();
-    let mut cases: Vec<(&str, &NetworkConfig, usize)> = vec![
-        ("Diamond", &diamond, usize::MAX),
-        ("Gadget", &gadget, usize::MAX),
-        ("Fattree4", &fattree_net, if quick { 2 } else { 4 }),
-    ];
-    if !quick {
-        cases.push(("FullMesh10", &mesh_net, 1));
+    for row in rows(
+        flags.switch("--quick"),
+        max_k,
+        !flags.switch("--exhaustive"),
+    ) {
+        println!("{}", row.render());
+        snapshot.push(row.json());
     }
 
-    for (label, net, max_ecs) in &cases {
-        for k in 1..=max_k {
-            let row = run_network(label, net, k, *max_ecs, !exhaustive);
-            println!("{}", row.render());
-            snapshot.push(row.json());
-        }
-    }
-
-    if let Some(path) = json_path {
+    if let Some(path) = flags.optional("--json") {
+        let path = path.unwrap_or("BENCH_failures.json");
         let doc = snapshot_json(FAILURES_SNAPSHOT_KIND, FAILURES_SNAPSHOT_VERSION, &snapshot);
-        std::fs::write(&path, doc).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        std::fs::write(path, doc).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         eprintln!("wrote {path} ({} rows)", snapshot.len());
     }
 }

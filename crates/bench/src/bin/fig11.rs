@@ -3,11 +3,12 @@
 //! tier". The policy variant must produce a strictly larger abstraction
 //! because the aggregation routers can exhibit more forwarding behaviors.
 
+use bonsai_bench::flags::{Arity, Flags};
 use bonsai_core::compress::{compress, CompressOptions};
 use bonsai_topo::{fattree, FattreePolicy};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = Flags::from_env(&[("--quick", Arity::Switch)]).switch("--quick");
     let ks: &[usize] = if quick { &[4] } else { &[4, 8, 12] };
     println!(
         "{:<4} {:<16} {:>14} {:>14} {:>10}",

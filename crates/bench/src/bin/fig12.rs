@@ -11,21 +11,19 @@
 //! ```
 
 use bonsai_bench::fig12_point;
+use bonsai_bench::flags::{Arity, Flags};
 use bonsai_topo::{fattree, full_mesh, ring, FattreePolicy};
 use bonsai_verify::search_engine::SearchBudget;
 use std::time::Duration;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let timeout = args
-        .iter()
-        .position(|a| a == "--timeout")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse::<u64>().ok())
+    let flags = Flags::from_env(&[("--quick", Arity::Switch), ("--timeout", Arity::Number)]);
+    let quick = flags.switch("--quick");
+    let timeout = flags
+        .number("--timeout")
         .unwrap_or(if quick { 10 } else { 120 });
     let budget = SearchBudget {
-        wall: Duration::from_secs(timeout),
+        wall: Duration::from_secs(timeout as u64),
         ..Default::default()
     };
 

@@ -13,31 +13,32 @@
 //! ```
 //!
 //! With `--json` the classes are compressed by one worker: the snapshot's
-//! engine counters are what `bench_gate` judges, and which class finds a
-//! signature cached depends on the order the workers claim them.
+//! engine counters are held equal to `BENCH_baseline.json` by
+//! `tests/bench_baselines.rs`, and which class finds a signature cached
+//! depends on the order the workers claim them.
 
+use bonsai_bench::flags::{Arity, Flags};
 use bonsai_bench::{
-    report_json, snapshot_json, Table1Row, COMPRESS_SNAPSHOT_KIND, COMPRESS_SNAPSHOT_VERSION,
+    report_json, snapshot_json, table1_real, table1_synthetic, Table1Row, COMPRESS_SNAPSHOT_KIND,
+    COMPRESS_SNAPSHOT_VERSION,
 };
-use bonsai_core::compress::{compress, CompressOptions, CompressionReport};
+use bonsai_core::compress::{CompressOptions, CompressionReport};
 use bonsai_core::roles::{count_roles, RoleOptions};
-use bonsai_topo::{
-    datacenter, fattree, full_mesh, ring, wan, DatacenterParams, FattreePolicy, WanParams,
-};
+use bonsai_topo::{datacenter, wan, DatacenterParams, WanParams};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let real = args.iter().any(|a| a == "--real");
-    let roles = args.iter().any(|a| a == "--roles");
-    let json_path = args.iter().position(|a| a == "--json").map(|i| {
-        args.get(i + 1)
-            .filter(|p| !p.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| "BENCH_compress.json".to_string())
-    });
+    let flags = Flags::from_env(&[
+        ("--quick", Arity::Switch),
+        ("--real", Arity::Switch),
+        ("--roles", Arity::Switch),
+        ("--json", Arity::Optional),
+    ]);
+    let quick = flags.switch("--quick");
+    let json_path = flags
+        .optional("--json")
+        .map(|path| path.unwrap_or("BENCH_compress.json"));
 
-    if roles {
+    if flags.switch("--roles") {
         if json_path.is_some() {
             eprintln!("warning: --json is ignored with --roles (the role study produces no compression snapshot)");
         }
@@ -48,82 +49,24 @@ fn main() {
         threads: if json_path.is_some() { 1 } else { 0 },
         ..Default::default()
     };
-    let mut snapshot: Vec<String> = Vec::new();
-    if real {
-        run_real(quick, options, &mut snapshot);
+    let rows: Box<dyn Iterator<Item = (String, CompressionReport)>> = if flags.switch("--real") {
+        println!("(b) Real networks (structural simulacra of the paper's proprietary networks)");
+        Box::new(table1_real(quick, options))
     } else {
-        run_synthetic(quick, options, &mut snapshot);
+        println!("(a) Synthetic networks");
+        Box::new(table1_synthetic(quick, options))
+    };
+    println!("{}", Table1Row::header());
+    let mut snapshot: Vec<String> = Vec::new();
+    for (label, report) in rows {
+        println!("{}", Table1Row::from_report(&label, &report).render());
+        snapshot.push(report_json(&label, &report));
     }
     if let Some(path) = json_path {
         let doc = snapshot_json(COMPRESS_SNAPSHOT_KIND, COMPRESS_SNAPSHOT_VERSION, &snapshot);
-        std::fs::write(&path, doc).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        std::fs::write(path, doc).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         eprintln!("wrote {path} ({} rows)", snapshot.len());
     }
-}
-
-fn run_one(label: &str, report: &CompressionReport, snapshot: &mut Vec<String>) {
-    println!("{}", Table1Row::from_report(label, report).render());
-    snapshot.push(report_json(label, report));
-}
-
-fn run_synthetic(quick: bool, options: CompressOptions, snapshot: &mut Vec<String>) {
-    println!("(a) Synthetic networks");
-    println!("{}", Table1Row::header());
-    let fattree_ks: &[usize] = if quick { &[4, 8] } else { &[12, 20, 30] };
-    for &k in fattree_ks {
-        let net = fattree(k, FattreePolicy::ShortestPath);
-        let report = compress(&net, options);
-        run_one(&format!("Fattree{k}"), &report, snapshot);
-    }
-    let ring_ns: &[usize] = if quick { &[20, 50] } else { &[100, 500, 1000] };
-    for &n in ring_ns {
-        let report = compress(&ring(n), options);
-        run_one(&format!("Ring{n}"), &report, snapshot);
-    }
-    let mesh_ns: &[usize] = if quick { &[10, 20] } else { &[50, 150, 250] };
-    for &n in mesh_ns {
-        let report = compress(&full_mesh(n), options);
-        run_one(&format!("FullMesh{n}"), &report, snapshot);
-    }
-}
-
-fn run_real(quick: bool, options: CompressOptions, snapshot: &mut Vec<String>) {
-    println!("(b) Real networks (structural simulacra; see DESIGN.md)");
-    println!("{}", Table1Row::header());
-    let dc_params = if quick {
-        DatacenterParams {
-            clusters: 4,
-            tors_per_cluster: 6,
-            prefixes_per_tor: 3,
-            ..Default::default()
-        }
-    } else {
-        DatacenterParams::default()
-    };
-    let dc = datacenter(dc_params);
-    // The paper's data-center run uses the unused-tag-stripping h.
-    let report = compress(
-        &dc,
-        CompressOptions {
-            strip_unused_communities: true,
-            ..options
-        },
-    );
-    run_one("Data center", &report, snapshot);
-
-    let wan_params = if quick {
-        WanParams {
-            pops: 6,
-            access_per_pop: 10,
-            prefixes_per_agg: 2,
-            ..Default::default()
-        }
-    } else {
-        WanParams::default()
-    };
-    let w = wan(wan_params);
-    let report = compress(&w, options);
-    run_one("WAN", &report, snapshot);
 }
 
 fn run_roles(quick: bool) {

@@ -1,22 +1,23 @@
-//! The CI bench gate: compare two snapshots of the same envelope kind row
-//! by row and fail when a **count** moved.
+//! The bench gate: compare two snapshots of the same envelope kind row by
+//! row and name every **count** that moved.
 //!
-//! CI has always *uploaded* the bench snapshots; this module is what reads
-//! them back. The committed baselines (`BENCH_baseline.json`,
+//! The committed baselines (`BENCH_baseline.json`,
 //! `BENCH_failures_baseline.json`, `BENCH_delta_baseline.json`) record
 //! what `table1 --quick --json`, `failures --quick --json` and
-//! `delta --json` wrote when they were blessed. Everything those rows
-//! carry besides wall-clock time is exact and repeats from run to run —
-//! sizes, scenario and counterexample counts, engine lookups and hits,
-//! derivations, transfers, hit rates computed from them — so the gate
-//! requires every such number of a baseline row to be **equal** in the
-//! candidate's row (rows matched on `label`, failure rows additionally on
-//! `k`). A moved count is a behaviour change: either a regression, or an
-//! intended one that re-blesses the baseline in the same commit.
+//! `delta --json` wrote when they were blessed, and `tests/bench_baselines.rs`
+//! at the repository root compares a fresh in-process run of the same rows
+//! against them on every `cargo test`. Everything those rows carry besides
+//! wall-clock time is exact and repeats from run to run — sizes, scenario
+//! and counterexample counts, engine lookups and hits, derivations,
+//! transfers, hit rates computed from them — so the gate requires every
+//! such number of a baseline row to be **equal** in the candidate's row
+//! (rows matched on `label`, failure rows additionally on `k`). A moved
+//! count is a behaviour change: either a regression, or an intended one
+//! that re-blesses the baseline in the same commit.
 //!
 //! Durations — everything under a row's `times` object and every field
-//! named `*_s` / `*_us` — are printed with their ratio and never judged:
-//! the rows run for milliseconds, below what a shared runner resolves
+//! named `*_s` / `*_us` — must be present and are otherwise skipped: the
+//! rows run for milliseconds, below what a shared runner resolves
 //! (wall-clock is judged by `sysbench`, which runs long enough to tell).
 //!
 //! Missing rows, missing fields and a kind or version mismatch are hard
@@ -26,7 +27,7 @@
 
 use bonsai_core::snapshot::{Envelope, Json};
 
-/// One number of a baseline row, set against the candidate's.
+/// One count of a baseline row, set against the candidate's.
 #[derive(Clone, Debug)]
 pub struct FieldComparison {
     /// Row key: the label, plus ` k=<k>` for rows that carry a bound.
@@ -37,21 +38,19 @@ pub struct FieldComparison {
     pub baseline: f64,
     /// The candidate's value.
     pub candidate: f64,
-    /// False for a duration, which is printed and not judged.
-    pub judged: bool,
 }
 
 impl FieldComparison {
-    /// True when a judged number differs from its baseline.
+    /// True when the count differs from its baseline.
     pub fn moved(&self) -> bool {
-        self.judged && self.baseline != self.candidate
+        self.baseline != self.candidate
     }
 }
 
 /// Outcome of a snapshot comparison.
 #[derive(Clone, Debug, Default)]
 pub struct GateResult {
-    /// Every number of every baseline row, in row and field order.
+    /// Every count of every baseline row, in row and field order.
     pub comparisons: Vec<FieldComparison>,
     /// Structural problems (missing rows or fields, kind or version
     /// mismatch).
@@ -59,7 +58,7 @@ pub struct GateResult {
 }
 
 impl GateResult {
-    /// The judged numbers that differ from their baseline.
+    /// The counts that differ from their baseline.
     pub fn moved(&self) -> impl Iterator<Item = &FieldComparison> {
         self.comparisons.iter().filter(|c| c.moved())
     }
@@ -128,12 +127,12 @@ fn compare_fields(
                 compare_fields(row, &field, value, other, timed, result);
             }
             Json::Num(baseline) => match other.and_then(Json::as_f64) {
+                Some(_) if timed || key.ends_with("_s") || key.ends_with("_us") => {}
                 Some(candidate) => result.comparisons.push(FieldComparison {
                     row: row.to_string(),
                     field,
                     baseline: *baseline,
                     candidate,
-                    judged: !(timed || key.ends_with("_s") || key.ends_with("_us")),
                 }),
                 None => result.errors.push(format!(
                     "row '{row}': field '{field}' is missing from the candidate"
@@ -172,37 +171,6 @@ pub fn compare_snapshots(baseline: &Envelope, candidate: &Envelope) -> GateResul
         }
     }
     result
-}
-
-/// Renders the comparison as the table `bench_gate` prints: every moved
-/// count, every duration with its ratio, then the tally.
-pub fn render(result: &GateResult) -> String {
-    let mut out = format!(
-        "{:<14} {:<32} {:>14} {:>14}  verdict\n",
-        "row", "field", "baseline", "candidate"
-    );
-    for c in result.comparisons.iter().filter(|c| c.moved() || !c.judged) {
-        let verdict = if c.judged {
-            "MOVED".to_string()
-        } else {
-            format!("{:.2}x (not judged)", c.candidate / c.baseline)
-        };
-        out.push_str(&format!(
-            "{:<14} {:<32} {:>14} {:>14}  {verdict}\n",
-            c.row, c.field, c.baseline, c.candidate
-        ));
-    }
-    for e in &result.errors {
-        out.push_str(&format!("error: {e}\n"));
-    }
-    let judged = result.comparisons.iter().filter(|c| c.judged).count();
-    out.push_str(&format!(
-        "{judged} counts compared, {} moved; {} durations not judged; {} structural error(s)\n",
-        result.moved().count(),
-        result.comparisons.len() - judged,
-        result.errors.len()
-    ));
-    out
 }
 
 #[cfg(test)]
@@ -254,11 +222,10 @@ mod tests {
     fn equal_snapshots_pass_and_every_number_is_compared() {
         let a = compress_snap(&[("Fattree4", 0.1, 32), ("Ring20", 0.05, 0)]);
         let r = compare_snapshots(&a, &a);
-        assert!(r.passed(), "{}", render(&r));
-        // Per row: nodes, node_ratio and three engine fields judged, two
-        // durations not.
-        assert_eq!(r.comparisons.len(), 2 * 7);
-        assert_eq!(r.comparisons.iter().filter(|c| c.judged).count(), 2 * 5);
+        assert!(r.passed(), "{r:?}");
+        // Per row: nodes, node_ratio and three engine fields; the two
+        // durations are skipped.
+        assert_eq!(r.comparisons.len(), 2 * 5);
     }
 
     #[test]
@@ -272,27 +239,27 @@ mod tests {
             .map(|c| (c.row.as_str(), c.field.as_str()))
             .collect();
         assert_eq!(moved, [("Ring20", "engine.sig_hits")]);
-        let table = render(&r);
-        assert!(table.contains("MOVED"), "{table}");
-        assert!(table.contains("Ring20") && table.contains("engine.sig_hits"));
-        assert!(table.contains("10 counts compared, 1 moved"), "{table}");
+        let moved: Vec<_> = r.moved().map(|c| (c.baseline, c.candidate)).collect();
+        assert_eq!(moved, [(0.0, 7.0)]);
     }
 
     #[test]
     fn durations_alone_never_fail() {
-        // 50x slower under `times`: printed, not judged.
+        // 50x slower under `times`: skipped.
         let base = compress_snap(&[("Fattree4", 0.1, 32)]);
         let cand = compress_snap(&[("Fattree4", 5.0, 32)]);
         let r = compare_snapshots(&base, &cand);
-        assert!(r.passed(), "{}", render(&r));
-        assert!(render(&r).contains("50.00x (not judged)"));
+        assert!(r.passed(), "{r:?}");
         // So are the `*_us` columns that sit beside the counts.
         let base = failures_snap(5, &[("Fattree4", 1, 0.1, 5)]);
         let cand = failures_snap(5, &[("Fattree4", 1, 0.9, 5)]);
         let r = compare_snapshots(&base, &cand);
-        assert!(r.passed(), "{}", render(&r));
-        let unjudged: Vec<_> = r.comparisons.iter().filter(|c| !c.judged).collect();
-        assert_eq!(unjudged.len(), 3, "{unjudged:?}");
+        assert!(r.passed(), "{r:?}");
+        let fields: Vec<_> = r.comparisons.iter().map(|c| c.field.as_str()).collect();
+        assert_eq!(
+            fields,
+            ["k", "cross_ec.derivations", "cross_ec.sharing_ratio"]
+        );
     }
 
     #[test]
@@ -342,7 +309,7 @@ mod tests {
         let base = compress_snap(&[("Fattree4", 0.1, 32)]);
         let cand = compress_snap(&[("Fattree4", 0.1, 32), ("Brandnew", 9.9, 1)]);
         let r = compare_snapshots(&base, &cand);
-        assert!(r.passed(), "{}", render(&r));
+        assert!(r.passed(), "{r:?}");
     }
 
     #[test]

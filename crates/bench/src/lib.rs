@@ -1,36 +1,42 @@
 //! # bonsai-bench
 //!
 //! The benchmark harness that regenerates every table and figure of the
-//! paper's evaluation (§8). Each experiment is a binary printing rows in
-//! the paper's format:
+//! paper's evaluation (§8). An experiment is a library function that
+//! returns its rows; each binary prints them in the paper's format and,
+//! with `--json`, writes them as a snapshot:
 //!
 //! * `table1` — compression results for the synthetic topologies
-//!   (Table 1(a)) and, with `--real`, the data-center and WAN simulacra
-//!   (Table 1(b)); `--roles` reproduces the role-count study.
+//!   (Table 1(a), [`table1_synthetic`]) and, with `--real`, the
+//!   data-center and WAN simulacra (Table 1(b), [`table1_real`]);
+//!   `--roles` reproduces the role-count study.
 //! * `fig11` — abstraction size for the fattree under the two policies.
 //! * `fig12` — all-pairs reachability verification time with and without
-//!   compression (Minesweeper substitute), with timeout/OOM reporting.
+//!   compression (Minesweeper substitute, [`fig12_point`]), with
+//!   timeout/OOM reporting.
 //! * `batfish_query` — the single reachability query on the data center
 //!   (simulation engine), with and without compression.
+//! * `failures` — the bounded link-failure study ([`failures::rows`]):
+//!   concrete vs refined-abstract solve time per failure bound `k`.
+//! * `delta` — one route-map edit on fattree-8, fresh full pipeline vs
+//!   warm delta pipeline ([`delta::run`]).
 //!
-//! * `failures` — the bounded link-failure study: concrete vs
-//!   refined-abstract solve time per failure bound `k`, with the
-//!   `BENCH_failures.json` snapshot.
-//! * `bench_gate` — the CI perf-regression gate comparing a fresh
-//!   `table1 --quick --json` snapshot against the committed
-//!   `BENCH_baseline.json` (see [`gate`]).
-//!
-//! Criterion micro-benchmarks of the pipeline stages live in `benches/`.
+//! The bins share one declared-flags reader ([`flags`]). Criterion
+//! micro-benchmarks of the pipeline stages live in `benches/`.
 //!
 //! Snapshots carry provenance metadata (`git_sha`, `toolchain`) so
-//! artifacts uploaded from different runs remain traceable; the gate
-//! loads them back through [`bonsai_core::snapshot`].
+//! artifacts uploaded from different runs remain traceable. Every count
+//! of the three committed `--quick` baselines is held equal by
+//! `tests/bench_baselines.rs` at the repository root, which runs the same
+//! functions in process and compares through [`gate`].
 
 #![forbid(unsafe_code)]
 
+pub mod delta;
+pub mod failures;
+pub mod flags;
 pub mod gate;
 
-use bonsai_core::compress::CompressionReport;
+use bonsai_core::compress::{compress, CompressOptions, CompressionReport};
 use bonsai_core::snapshot::{write_envelope, write_object, Layout};
 use bonsai_net::NodeId;
 use bonsai_verify::properties::SolutionAnalysis;
@@ -123,6 +129,72 @@ impl Table1Row {
             "ecHit"
         )
     }
+}
+
+/// The rows of Table 1(a), each compressed when the iterator reaches it:
+/// fattree, ring and full-mesh sweeps at the paper's sizes, or the small
+/// sizes the committed `BENCH_baseline.json` records under `quick`.
+pub fn table1_synthetic(
+    quick: bool,
+    options: CompressOptions,
+) -> impl Iterator<Item = (String, CompressionReport)> {
+    let fattree_ks: &[usize] = if quick { &[4, 8] } else { &[12, 20, 30] };
+    let ring_ns: &[usize] = if quick { &[20, 50] } else { &[100, 500, 1000] };
+    let mesh_ns: &[usize] = if quick { &[10, 20] } else { &[50, 150, 250] };
+    let fattrees = fattree_ks.iter().map(|&k| {
+        let net = bonsai_topo::fattree(k, bonsai_topo::FattreePolicy::ShortestPath);
+        (format!("Fattree{k}"), net)
+    });
+    let rings = ring_ns
+        .iter()
+        .map(|&n| (format!("Ring{n}"), bonsai_topo::ring(n)));
+    let meshes = mesh_ns
+        .iter()
+        .map(|&n| (format!("FullMesh{n}"), bonsai_topo::full_mesh(n)));
+    fattrees
+        .chain(rings)
+        .chain(meshes)
+        .map(move |(label, net)| (label, compress(&net, options)))
+}
+
+/// The rows of Table 1(b): structural simulacra of the paper's
+/// proprietary data-center and WAN networks (scaled down under `quick`).
+pub fn table1_real(
+    quick: bool,
+    options: CompressOptions,
+) -> impl Iterator<Item = (String, CompressionReport)> {
+    use bonsai_topo::{datacenter, wan, DatacenterParams, WanParams};
+    let dc_params = if quick {
+        DatacenterParams {
+            clusters: 4,
+            tors_per_cluster: 6,
+            prefixes_per_tor: 3,
+            ..Default::default()
+        }
+    } else {
+        DatacenterParams::default()
+    };
+    let wan_params = if quick {
+        WanParams {
+            pops: 6,
+            access_per_pop: 10,
+            prefixes_per_agg: 2,
+            ..Default::default()
+        }
+    } else {
+        WanParams::default()
+    };
+    // The paper's data-center run uses the unused-tag-stripping h.
+    let dc_options = CompressOptions {
+        strip_unused_communities: true,
+        ..options
+    };
+    [
+        ("Data center", datacenter(dc_params), dc_options),
+        ("WAN", wan(wan_params), options),
+    ]
+    .into_iter()
+    .map(|(label, net, options)| (label.to_string(), compress(&net, options)))
 }
 
 /// Serializes one compression run for the `BENCH_compress.json` perf
@@ -282,7 +354,7 @@ pub fn fig12_point(net: &bonsai_config::NetworkConfig, budget: SearchBudget) -> 
     // includes partitioning, BDD and abstraction time in the abstract
     // series).
     let t1 = Instant::now();
-    let report = bonsai_core::compress::compress(net, Default::default());
+    let report = compress(net, Default::default());
     let abstract_outcome = abstract_all_pairs(&report, budget);
     let compressed_time = t1.elapsed();
 
@@ -393,10 +465,7 @@ mod tests {
         // The actual writer output must be readable by the gate.
         let row = report_json(
             "X\"y\\z",
-            &bonsai_core::compress::compress(
-                &bonsai_srp::papernets::figure1_rip(),
-                Default::default(),
-            ),
+            &compress(&bonsai_srp::papernets::figure1_rip(), Default::default()),
         );
         let doc = snapshot_json(COMPRESS_SNAPSHOT_KIND, COMPRESS_SNAPSHOT_VERSION, &[row]);
         let env = Envelope::parse(&doc).unwrap();

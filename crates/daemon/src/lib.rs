@@ -50,6 +50,8 @@
 //! | `connection_limit` | per-connection request budget spent (connection closes) |
 //! | `query` | the session rejected the query (unknown device, solve failure) |
 //! | `io` | a filesystem side effect (snapshot write) failed |
+//! | `forbidden` | a path-taking op (`snapshot`, `reload` by `path`) on a TCP connection |
+//! | `internal` | the handler of this request panicked; the daemon serves on |
 //!
 //! # Hardening
 //!
@@ -58,7 +60,10 @@
 //! with `too_large`, the connection survives), query work is admitted
 //! through a [`Gate`] bounding global in-flight queries (excess load is
 //! shed immediately with `overloaded` instead of queueing behind the
-//! solver), idle connections are reaped by a read timeout, and
+//! solver), idle connections are reaped by a read timeout, a handler
+//! that panics answers `internal` on a connection that stays open (the
+//! daemon's own locks recover from the poison), the ops that name a file
+//! are answered on the Unix socket only, and
 //! `shutdown` drains gracefully: in-flight requests complete and write
 //! their responses, read sides close, accept loops refuse new work, and
 //! the socket file is removed. All knobs live in [`ServerOptions`].
@@ -98,9 +103,10 @@ use bonsai_verify::session::{
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, LockResult, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -130,6 +136,8 @@ pub const ERROR_CODES: &[&str] = &[
     "connection_limit",
     "query",
     "io",
+    "forbidden",
+    "internal",
 ];
 
 /// Serving limits and timeouts of a [`Server`].
@@ -220,6 +228,15 @@ impl Drop for GatePermit<'_> {
     }
 }
 
+/// Takes a lock of the daemon whether or not a holder panicked. Every
+/// update under these locks is one push, one slot assignment or one `Arc`
+/// swap, so the data is valid at every step and a poisoned registry is
+/// still a valid registry — one panicking handler must not take the
+/// accept loops, the drain and every other connection down with it.
+fn held<G>(lock: LockResult<G>) -> G {
+    lock.unwrap_or_else(PoisonError::into_inner)
+}
+
 /// The swappable resident session behind a server: every request clones
 /// the current [`Arc`] cheaply and answers against it, while a `reload`
 /// builds the successor session **off-lock** (queries keep flowing
@@ -245,7 +262,7 @@ impl SessionSlot {
 
     /// The session serving right now.
     pub fn current(&self) -> Arc<Session> {
-        self.slot.read().unwrap().clone()
+        held(self.slot.read()).clone()
     }
 
     /// Warm-reloads onto `network` through [`Session::reload`] and swaps
@@ -254,10 +271,10 @@ impl SessionSlot {
         &self,
         network: bonsai_config::NetworkConfig,
     ) -> Result<ReloadOutcome, SessionError> {
-        let _guard = self.reload_lock.lock().unwrap();
+        let _guard = held(self.reload_lock.lock());
         let current = self.current();
         let (next, outcome) = current.reload(network)?;
-        *self.slot.write().unwrap() = Arc::new(next);
+        *held(self.slot.write()) = Arc::new(next);
         Ok(outcome)
     }
 }
@@ -489,6 +506,17 @@ pub fn render_error(code: &str, message: &str) -> String {
     })
 }
 
+/// Which listener a request arrived on. The Unix socket's authority is
+/// its file's permissions; a TCP peer is anyone who can reach the port, so
+/// the ops that name a file on the daemon's host are not served to it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Transport {
+    /// The Unix socket.
+    Unix,
+    /// The TCP listener.
+    Tcp,
+}
+
 /// Answers one request line. Returns the response line and whether the
 /// server should drain and stop after sending it.
 ///
@@ -496,12 +524,15 @@ pub fn render_error(code: &str, message: &str) -> String {
 /// take a permit from `gate` for the duration of the work; when the gate
 /// is full the request is answered `overloaded` without blocking.
 /// Control ops (`ping`/`stats`/`metrics`/`snapshot`/`reload`/`shutdown`)
-/// bypass the gate — they stay answerable under full query load.
+/// bypass the gate — they stay answerable under full query load. The two
+/// that take a file path (`snapshot`, `reload` by `path`) are answered
+/// `forbidden` unless `transport` is the Unix socket.
 pub fn answer_line(
     sessions: &SessionSlot,
     line: &str,
     options: &ServerOptions,
     gate: &Gate,
+    transport: Transport,
 ) -> (String, bool) {
     bonsai_obs::add("daemon.requests.total", 1);
     let session = sessions.current();
@@ -524,6 +555,11 @@ pub fn answer_line(
         }
     };
     let op = doc.get("op").and_then(Json::as_str).unwrap_or("");
+    let names_a_file = op == "snapshot" || (op == "reload" && doc.get("path").is_some());
+    if names_a_file && transport != Transport::Unix {
+        let message = format!("op \"{op}\" with a \"path\" is served on the Unix socket only");
+        return (render_error("forbidden", &message), false);
+    }
     match op {
         "ping" => (
             reply("ping", |o| {
@@ -714,9 +750,12 @@ pub trait Conn: Read + Write + Send + Sync + Sized + 'static {
     /// Closes the read side: a blocked reader observes EOF, pending
     /// writes still flush — the drain primitive.
     fn shutdown_read(&self) -> std::io::Result<()>;
+    /// The listener this kind of connection is accepted on.
+    const TRANSPORT: Transport;
 }
 
 impl Conn for UnixStream {
+    const TRANSPORT: Transport = Transport::Unix;
     fn try_clone_conn(&self) -> std::io::Result<Self> {
         self.try_clone()
     }
@@ -734,6 +773,7 @@ impl Conn for UnixStream {
 }
 
 impl Conn for TcpStream {
+    const TRANSPORT: Transport = Transport::Tcp;
     fn try_clone_conn(&self) -> std::io::Result<Self> {
         self.try_clone()
     }
@@ -869,7 +909,7 @@ struct Shared {
 
 impl Shared {
     fn register_conn(&self, close: ConnCloser) -> usize {
-        let mut conns = self.conns.lock().unwrap();
+        let mut conns = held(self.conns.lock());
         if let Some(slot) = conns.iter().position(Option::is_none) {
             conns[slot] = Some(close);
             slot
@@ -880,17 +920,17 @@ impl Shared {
     }
 
     fn unregister_conn(&self, slot: usize) {
-        self.conns.lock().unwrap()[slot] = None;
+        held(self.conns.lock())[slot] = None;
     }
 
     /// The drain: refuse new work, close every connection's read side so
     /// in-flight requests finish and blocked readers see EOF.
     fn drain(&self) {
         self.stop.store(true, Ordering::SeqCst);
-        for close in self.conns.lock().unwrap().iter().flatten() {
+        for close in held(self.conns.lock()).iter().flatten() {
             close();
         }
-        for wake in self.wakes.lock().unwrap().iter() {
+        for wake in held(self.wakes.lock()).iter() {
             wake.poke();
         }
     }
@@ -940,12 +980,7 @@ impl Server {
         }
         let listener = UnixListener::bind(path)?;
         let mut server = Server::new(session, options);
-        server
-            .shared
-            .wakes
-            .lock()
-            .unwrap()
-            .push(Wake::Unix(path.to_path_buf()));
+        held(server.shared.wakes.lock()).push(Wake::Unix(path.to_path_buf()));
         server.unix = Some(listener);
         server.path = Some(path.to_path_buf());
         Ok(server)
@@ -970,7 +1005,7 @@ impl Server {
     pub fn with_tcp(mut self, addr: &str) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        self.shared.wakes.lock().unwrap().push(Wake::Tcp(local));
+        held(self.shared.wakes.lock()).push(Wake::Tcp(local));
         self.tcp = Some(listener);
         Ok(self)
     }
@@ -1014,8 +1049,7 @@ impl Server {
         for a in accepts {
             let _ = a.join();
         }
-        let handlers: Vec<JoinHandle<()>> =
-            self.shared.handlers.lock().unwrap().drain(..).collect();
+        let handlers: Vec<JoinHandle<()>> = held(self.shared.handlers.lock()).drain(..).collect();
         for h in handlers {
             let _ = h.join();
         }
@@ -1051,7 +1085,7 @@ fn accept_loop<C: Conn>(mut accept: impl FnMut() -> std::io::Result<C>, shared: 
         let handle = std::thread::spawn(move || {
             let _ = handle_connection(stream, &shared_conn);
         });
-        shared.handlers.lock().unwrap().push(handle);
+        held(shared.handlers.lock()).push(handle);
     }
 }
 
@@ -1066,6 +1100,29 @@ fn handle_connection<C: Conn>(stream: C, shared: &Arc<Shared>) -> std::io::Resul
     let result = serve_connection(stream, shared, &options);
     shared.unregister_conn(slot);
     result
+}
+
+/// Runs one request's handler with its panic, if any, contained: the
+/// request is answered `internal` and counted, and the connection — and
+/// the daemon — serve on. (The gate permit and every lock guard of the
+/// handler are released by the unwind; see [`held`] for the poison.)
+fn isolate(handler: impl FnOnce() -> (String, bool)) -> (String, bool) {
+    catch_unwind(AssertUnwindSafe(handler)).unwrap_or_else(|panic| {
+        bonsai_obs::add("daemon.panics.total", 1);
+        let what = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied())
+            .unwrap_or("a panic without a message");
+        let message = format!("the handler of this request panicked: {what}");
+        (render_error("internal", &message), false)
+    })
+}
+
+fn send(writer: &mut impl Write, response: &str) -> std::io::Result<()> {
+    writer.write_all(response.as_bytes())?;
+    writer.write_all(b"\n")?;
+    writer.flush()
 }
 
 fn serve_connection<C: Conn>(
@@ -1094,9 +1151,7 @@ fn serve_connection<C: Conn>(
                     "too_large",
                     &format!("request exceeds {} bytes", options.max_request_bytes),
                 );
-                writer.write_all(response.as_bytes())?;
-                writer.write_all(b"\n")?;
-                writer.flush()?;
+                send(&mut writer, &response)?;
                 continue;
             }
             LineRead::Line => String::from_utf8_lossy(&buf),
@@ -1112,16 +1167,13 @@ fn serve_connection<C: Conn>(
                     options.max_requests_per_conn
                 ),
             );
-            writer.write_all(response.as_bytes())?;
-            writer.write_all(b"\n")?;
-            writer.flush()?;
+            send(&mut writer, &response)?;
             break;
         }
         served += 1;
-        let (response, shutdown) = answer_line(&shared.session, &line, options, &shared.gate);
-        writer.write_all(response.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
+        let (response, shutdown) =
+            isolate(|| answer_line(&shared.session, &line, options, &shared.gate, C::TRANSPORT));
+        send(&mut writer, &response)?;
         if shutdown {
             shared.drain();
             break;
@@ -1492,6 +1544,89 @@ mod tests {
         if let Ok(line) = idle.call("{\"op\": \"ping\"}") {
             assert!(line.is_empty(), "drained, got {line}");
         }
+        assert!(!path.exists(), "socket file removed on shutdown");
+    }
+
+    /// A handler that dies mid-request — holding a query permit and the
+    /// reload lock — is one `internal` reply: the unwind returns the
+    /// permit, the poisoned lock still locks, and the same connection
+    /// answers what comes next.
+    #[test]
+    fn a_panicking_handler_is_an_internal_reply_on_a_connection_that_serves_on() {
+        let slot = SessionSlot::new(gadget_session());
+        let (options, gate) = (ServerOptions::default(), Gate::new(1));
+        let (mut served, client) = UnixStream::pair().expect("a connection");
+        let mut client = BufReader::new(client);
+        let mut reply = || {
+            let mut line = String::new();
+            client.read_line(&mut line).expect("a reply line");
+            line
+        };
+
+        let panics = bonsai_obs::value("daemon.panics.total");
+        let (response, shutdown) = isolate(|| {
+            let _permit = gate.try_acquire().expect("a free permit");
+            let _reloading = slot.reload_lock.lock().expect("not poisoned yet");
+            panic!("boom {}", 7)
+        });
+        assert!(!shutdown);
+        send(&mut served, &response).expect("written");
+        assert_eq!(
+            reply(),
+            "{\"ok\": false, \"code\": \"internal\", \"error\": \"the handler of \
+             this request panicked: boom 7\"}\n"
+        );
+        assert!(bonsai_obs::value("daemon.panics.total") > panics);
+        assert_eq!(gate.available(), 1, "the unwind returned the permit");
+        assert!(slot.reload_lock.is_poisoned());
+
+        let mut answer = |line: &str| {
+            let (response, _) =
+                isolate(|| answer_line(&slot, line, &options, &gate, Transport::Unix));
+            send(&mut served, &response).expect("written");
+            reply()
+        };
+        let pong = answer("{\"op\": \"ping\"}");
+        assert_eq!(
+            pong,
+            "{\"ok\": true, \"op\": \"ping\", \"classes\": 1, \"k\": 1}\n"
+        );
+        let config = bonsai_config::print_network(&bonsai_srp::papernets::figure2_gadget());
+        let reloaded = answer(&request("reload", |o| {
+            o.str("config", &config);
+        }));
+        assert!(reloaded.contains("\"rederived\": 0"), "{reloaded}");
+        let reach = answer("{\"op\": \"reach\", \"src\": \"a\", \"dst\": \"d\"}");
+        assert!(reach.contains("\"delivered\": true"), "{reach}");
+    }
+
+    /// A thread that panics holding the connection registry (and the
+    /// handler and wake lists) poisons all three; the server still
+    /// registers connections, serves them, drains and removes its socket.
+    #[test]
+    fn poisoned_registries_still_register_and_drain() {
+        let path = tmp_socket("poisoned");
+        let server = Server::bind(gadget_session(), &path).expect("socket binds");
+        let shared = server.shared.clone();
+        let died = std::thread::spawn(move || {
+            let _conns = shared.conns.lock().expect("first holder");
+            let _handlers = shared.handlers.lock().expect("first holder");
+            let _wakes = shared.wakes.lock().expect("first holder");
+            panic!("died holding the registries");
+        })
+        .join();
+        assert!(died.is_err());
+        assert!(server.shared.conns.is_poisoned());
+        assert!(server.shared.handlers.is_poisoned());
+        assert!(server.shared.wakes.is_poisoned());
+
+        let join = server.spawn();
+        let mut idle = Client::connect(&path).expect("a connection registers");
+        let pong = idle.call("{\"op\": \"ping\"}").unwrap();
+        assert!(pong.contains("\"ok\": true"), "{pong}");
+        let mut closer = Client::connect(&path).expect("and a second one");
+        closer.call("{\"op\": \"shutdown\"}").unwrap();
+        join.join().unwrap().expect("the drain completes");
         assert!(!path.exists(), "socket file removed on shutdown");
     }
 }

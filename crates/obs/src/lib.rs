@@ -251,6 +251,10 @@ pub const METRICS: &[MetricDef] = &[
     // --- daemon: bonsaid serving ------------------------------------------
     counter("daemon.requests.total", "Request lines answered"),
     counter("daemon.errors.total", "Error responses rendered"),
+    counter(
+        "daemon.panics.total",
+        "Handler panics contained and answered `internal`",
+    ),
     counter("daemon.reloads.total", "Warm config reloads applied"),
     counter(
         "daemon.query.shed",

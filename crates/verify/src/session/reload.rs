@@ -79,6 +79,10 @@ impl Session {
         &self,
         new_network: NetworkConfig,
     ) -> Result<(Session, ReloadOutcome), SessionError> {
+        // First, and fallibly: a configuration that parses but names an
+        // interface or device it does not define is an error for the
+        // client, not a panic inside the compression below.
+        let topo = build_topo(&new_network)?;
         let dr = recompress_delta(
             &self.report,
             &self.network,
@@ -108,7 +112,6 @@ impl Session {
         // One subset sweep over every re-derived class: the subset shares
         // refinements among itself exactly as the cold build's full sweep
         // would have.
-        let topo = build_topo(&new_network)?;
         let options = sweep_options(&self.options, k);
         let sweep = sweep_network_subset(&new_network, &topo, &report, &options, &dr.rederived)
             .map_err(build_error)?;

@@ -479,6 +479,73 @@ fn reload_by_path_reads_only_a_bounded_regular_file() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `snapshot` writes, and `reload` by `path` reads, a file the client
+/// names on the daemon's host: any TCP peer could overwrite any file the
+/// daemon's user can, or probe the file system. Both are `forbidden` on
+/// a TCP connection — before the path is looked at, on a connection that
+/// stays open — while inline `reload` works there and the Unix socket
+/// (whose file permissions are the access control) serves both as ever.
+#[test]
+fn path_taking_ops_are_served_on_the_unix_socket_only() {
+    let path = socket_path("path-ops");
+    let session = Session::builder(parse_network(RELOAD_BASE).expect("base parses"))
+        .options(k1())
+        .build()
+        .expect("session builds");
+    let server = Server::bind(session, &path)
+        .and_then(|server| server.with_tcp("127.0.0.1:0"))
+        .expect("bind");
+    let tcp = server.tcp_addr().expect("tcp listener").to_string();
+    let handle = server.spawn();
+    let mut unix = Client::connect(&path).expect("connect");
+    let mut tcp = Client::connect_tcp(&tcp).expect("connect over tcp");
+
+    let dir = std::env::temp_dir().join(format!("bonsaid-test-{}-path-ops", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch directory");
+    let (target, config) = (dir.join("session.json"), dir.join("edited.cfg"));
+    let edited = RELOAD_BASE.replace("local-preference 200", "local-preference 300");
+    std::fs::write(&config, &edited).expect("config written");
+    let save = format!(r#"{{"op": "snapshot", "path": "{}"}}"#, target.display());
+    let reload = format!(r#"{{"op": "reload", "path": "{}"}}"#, config.display());
+
+    for request in [&save, &reload, r#"{"op": "snapshot"}"#] {
+        let refused = tcp.call(request).expect("answered");
+        assert!(
+            refused.starts_with(r#"{"ok": false, "code": "forbidden""#)
+                && refused.contains("Unix socket"),
+            "{request}: {refused}"
+        );
+        let pong = tcp.call(r#"{"op": "ping"}"#).expect("same connection");
+        assert_eq!(pong, r#"{"ok": true, "op": "ping", "classes": 2, "k": 1}"#);
+    }
+    assert!(!target.exists(), "a refused snapshot writes nothing");
+
+    // The same two requests over the Unix socket, then the inline form
+    // of the same push over TCP (an empty delta by then).
+    let saved = unix.call(&save).expect("answered");
+    assert!(
+        saved.starts_with(r#"{"ok": true, "op": "snapshot""#),
+        "{saved}"
+    );
+    assert!(target.exists());
+    let reloaded = unix.call(&reload).expect("answered");
+    assert!(reloaded.contains("\"rederived\": 1"), "{reloaded}");
+    let inline = format!(
+        r#"{{"op": "reload", "config": "{}"}}"#,
+        edited.replace('\n', "\\n")
+    );
+    let reloaded = tcp.call(&inline).expect("answered");
+    assert!(
+        reloaded.starts_with(r#"{"ok": true, "op": "reload""#)
+            && reloaded.contains("\"rederived\": 0"),
+        "{reloaded}"
+    );
+
+    unix.call(r#"{"op": "shutdown"}"#).expect("shutdown");
+    handle.join().unwrap().expect("clean exit");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The line that used to kill the daemon for every client: 20 KB of `[`
 /// recursed the request parser off its stack (`fatal runtime error: stack
 /// overflow`, exit 134). It is a `bad_request` now — for arrays and

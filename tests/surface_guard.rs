@@ -1,0 +1,197 @@
+//! One concept, one implementation (`docs/SURFACE.md`), held by reading
+//! the tree: each kernel a past PR merged its twins into is defined once,
+//! the paths that were cut stay cut, and the size ceilings hold. These
+//! are structural counts over the first-party Rust sources — `crates/`
+//! (without the vendored `crates/shims/`), `src/`, `tests/`, `examples/` —
+//! not a list of retired names: a rename defeats a name, and a deleted
+//! concept does not come back under its old one.
+
+use std::path::Path;
+
+/// One source file: its path from the repository root, and its text.
+struct Source {
+    path: String,
+    text: String,
+}
+
+impl Source {
+    /// The lines before the file's `#[cfg(test)]` module.
+    fn shipped_lines(&self) -> impl Iterator<Item = (usize, &str)> {
+        let lines = self.text.lines().enumerate();
+        lines.take_while(|(_, l)| !l.contains("#[cfg(test)]"))
+    }
+}
+
+fn collect(root: &Path, dir: &Path, into: &mut Vec<Source>) {
+    let entries = std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
+    for entry in entries {
+        let at = entry.expect("directory entry").path();
+        let path = at.strip_prefix(root).expect("under the root");
+        let path = path.to_str().expect("utf-8 path").to_string();
+        if at.is_dir() {
+            if path != "crates/shims" {
+                collect(root, &at, into);
+            }
+        } else if path.ends_with(".rs") && path != "tests/surface_guard.rs" {
+            let text = std::fs::read_to_string(&at).expect("utf-8 source");
+            into.push(Source { path, text });
+        }
+    }
+}
+
+/// Every first-party `.rs` file but this one, sorted by path.
+fn tree() -> Vec<Source> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut sources = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        collect(root, &root.join(dir), &mut sources);
+    }
+    sources.sort_by(|a, b| a.path.cmp(&b.path));
+    sources
+}
+
+/// `path:line` of every line under one of `roots` (path prefixes) that
+/// contains `needle`.
+fn lines_with(tree: &[Source], roots: &[&str], needle: &str) -> Vec<String> {
+    let mut hits = Vec::new();
+    for source in tree {
+        if roots.iter().any(|root| source.path.starts_with(root)) {
+            for (at, line) in source.text.lines().enumerate() {
+                if line.contains(needle) {
+                    hits.push(format!("{}:{}", source.path, at + 1));
+                }
+            }
+        }
+    }
+    hits
+}
+
+const EVERYWHERE: &[&str] = &["crates/", "src/", "tests/", "examples/"];
+const VERIFY: &[&str] = &["crates/verify/src/"];
+const SESSION: &[&str] = &["crates/verify/src/session"];
+
+#[test]
+fn each_merged_kernel_is_defined_once() {
+    let tree = tree();
+    let equivalence: &[&str] = &["crates/verify/src/equivalence.rs"];
+    for (needle, roots) in [
+        // JSON escaping has one home, whatever the loop is called.
+        ("fn json_escape", EVERYWHERE),
+        ("u{:04x}", EVERYWHERE),
+        // The refinement kernel has no twin (`_sigs`, `_fast`, `_v2`, …).
+        ("fn refine_ec_with_split", EVERYWHERE),
+        // A refinement is its partition (PR 21): partition → (network,
+        // canonical solution) exists once.
+        ("fn materialize(", VERIFY),
+        // A scenario is answered on its own refinement (PR 22): one
+        // split → partition body, the only caller of `refine_with_split`
+        // in the crate, behind one verdict function.
+        ("fn split_partition(", VERIFY),
+        ("refine_with_split(", VERIFY),
+        ("fn scenario_verdict(", &["crates/", "src/"]),
+        // One way to make a `Session` (PR 17): one struct literal (its
+        // counter field is written once) behind one assembler, and names
+        // become links through one orientation rule.
+        ("verdict_cache_hits: AtomicUsize::new(", VERIFY),
+        ("fn assemble", VERIFY),
+        ("fn canonical_link(", EVERYWHERE),
+        // One CP-equivalence oracle: where `h` comes from is an argument.
+        ("fn check_cp_equivalence", equivalence),
+    ] {
+        let hits = lines_with(&tree, roots, needle);
+        assert_eq!(hits.len(), 1, "`{needle}` exists once, found at {hits:?}");
+    }
+}
+
+#[test]
+fn the_refinement_kernel_takes_the_hoisted_signature_table() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/crates/core/src/compress.rs");
+    let text = std::fs::read_to_string(path).expect("the kernel's source");
+    let body: Vec<&str> = text
+        .lines()
+        .skip_while(|l| !l.starts_with("pub fn refine_ec_with_split("))
+        .take_while(|l| *l != "}")
+        .collect();
+    assert!(!body.is_empty(), "`pub fn refine_ec_with_split(` is gone");
+    // Its body never goes back to the engine for a table.
+    for line in body {
+        assert!(
+            !line.contains("sig_table") && !line.contains("CompiledPolicies"),
+            "the kernel looks a signature table up: {line}"
+        );
+    }
+}
+
+#[test]
+fn cut_paths_stay_cut() {
+    let tree = tree();
+    let none = |roots: &[&str], needle: &str| {
+        let hits = lines_with(&tree, roots, needle);
+        assert!(hits.is_empty(), "`{needle}` is back at {hits:?}");
+    };
+    // No eager abstract network or solution field beside the lazy cell.
+    let sweep = &["crates/verify/src/sweep.rs"];
+    none(sweep, "pub abstract_network");
+    none(sweep, "pub abstract_solution");
+    // The serving side never lifts a queried scenario onto a refinement
+    // (the kernel's check and the bench keep the verified lift), and
+    // every served scenario goes through the one verdict function.
+    let engine = "crates/verify/src/sim_engine.rs";
+    none(&[engine], "lift_failure_mask");
+    none(SESSION, "lift_failure_mask");
+    for caller in ["crates/verify/src/session.rs", engine, "src/bin/bonsai.rs"] {
+        let calls = lines_with(&tree, &[caller], "scenario_verdict(");
+        assert!(!calls.is_empty(), "{caller} answers without the verdict");
+    }
+    // A closed stdout is a BrokenPipe at the write site, not a panic hook
+    // matching message text.
+    let binary = &["src/bin/bonsai.rs"];
+    none(binary, "set_hook");
+    none(binary, "take_hook");
+    // Declared flags, read through the one reader of the program: no
+    // binary scans argv, no flag helper comes back beside the readers.
+    let programs = &["src/bin/", "crates/bench/src/bin/"];
+    none(programs, "any(|a| a ==");
+    none(programs, "position(|a| a ==");
+    for helper in ["fn usize_flag", "fn str_flag", "fn json_flag"] {
+        none(&["src/", "crates/bench/src/"], helper);
+    }
+    // Every failure of `bonsai` leaves through `main`'s one exit site.
+    let exits = lines_with(&tree, binary, "ExitCode::from(");
+    assert!(exits.len() <= 2, "exit sites: {exits:?}");
+}
+
+#[test]
+fn no_json_object_is_opened_by_hand() {
+    // One JSON writer (`bonsai_obs::json`, re-exported by
+    // `core::snapshot`): outside its own file no shipped line opens an
+    // object literal in a format string.
+    for source in tree() {
+        let shipped = source.path.starts_with("src/")
+            || (source.path.starts_with("crates/") && source.path.contains("/src/"));
+        if !shipped || source.path == "crates/obs/src/json.rs" {
+            continue;
+        }
+        for (at, line) in source.shipped_lines() {
+            assert!(
+                !line.contains("{{\\\"") && !line.contains("\"{\\\""),
+                "{}:{}: build JSON with `write_object`: {line}",
+                source.path,
+                at + 1
+            );
+        }
+    }
+}
+
+#[test]
+fn the_session_layer_stays_under_its_line_ceilings() {
+    for source in tree() {
+        let ceiling = match source.path.as_str() {
+            "crates/verify/src/session.rs" => 1200,
+            path if path.starts_with("crates/verify/src/session/") => 800,
+            _ => continue,
+        };
+        let lines = source.text.lines().count();
+        assert!(lines <= ceiling, "{}: {lines} > {ceiling}", source.path);
+    }
+}
