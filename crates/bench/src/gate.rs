@@ -73,10 +73,10 @@ impl GateResult {
 /// Row key: the label, extended with the failure bound `k` when present
 /// (failure-study rows repeat a topology across bounds).
 fn row_key(row: &Json) -> Option<String> {
-    let label = row.get("label").and_then(Json::as_str)?;
-    match row.get("k").and_then(Json::as_f64) {
-        Some(k) => Some(format!("{label} k={k}")),
-        None => Some(label.to_string()),
+    let label = row.str("label").ok()?;
+    match row.usize("k") {
+        Ok(k) => Some(format!("{label} k={k}")),
+        Err(_) => Some(label.to_string()),
     }
 }
 
@@ -86,9 +86,9 @@ fn rows_by_label<'j>(
     errors: &mut Vec<String>,
 ) -> Vec<(String, &'j Json)> {
     let mut out = Vec::new();
-    match env.payload.get("rows").and_then(Json::as_arr) {
-        None => errors.push(format!("{which}: no rows array in the payload")),
-        Some(rows) => {
+    match env.payload.arr("rows") {
+        Err(_) => errors.push(format!("{which}: no rows array in the payload")),
+        Ok(rows) => {
             for row in rows {
                 match row_key(row) {
                     Some(key) => out.push((key, row)),
@@ -126,15 +126,15 @@ fn compare_fields(
                 let timed = timed || key == "times";
                 compare_fields(row, &field, value, other, timed, result);
             }
-            Json::Num(baseline) => match other.and_then(Json::as_f64) {
-                Some(_) if timed || key.ends_with("_s") || key.ends_with("_us") => {}
-                Some(candidate) => result.comparisons.push(FieldComparison {
+            Json::Num(baseline) => match other {
+                Some(Json::Num(_)) if timed || key.ends_with("_s") || key.ends_with("_us") => {}
+                Some(Json::Num(candidate)) => result.comparisons.push(FieldComparison {
                     row: row.to_string(),
                     field,
                     baseline: *baseline,
-                    candidate,
+                    candidate: *candidate,
                 }),
-                None => result.errors.push(format!(
+                _ => result.errors.push(format!(
                     "row '{row}': field '{field}' is missing from the candidate"
                 )),
             },

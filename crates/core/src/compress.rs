@@ -38,9 +38,6 @@ pub struct CompressOptions {
     pub strip_unused_communities: bool,
     /// Number of worker threads for per-EC work (0 = all available cores).
     pub threads: usize,
-    /// Apply-cache size of the shared arena, as a power of two
-    /// (`2^bits` entries; 0 = the library default of 2^16).
-    pub apply_cache_bits: u32,
 }
 
 /// Result of compressing one destination equivalence class.
@@ -191,12 +188,7 @@ fn std_dev(values: impl Iterator<Item = f64>) -> f64 {
 /// Builds the shared engine a compression run (or an external caller that
 /// wants to share one) uses.
 pub fn build_engine(network: &NetworkConfig, options: CompressOptions) -> CompiledPolicies {
-    let bits = if options.apply_cache_bits == 0 {
-        bonsai_bdd::DEFAULT_APPLY_CACHE_BITS
-    } else {
-        options.apply_cache_bits
-    };
-    CompiledPolicies::with_cache_bits(network, options.strip_unused_communities, bits)
+    CompiledPolicies::from_network(network, options.strip_unused_communities)
 }
 
 /// Compresses one destination class against a shared engine.

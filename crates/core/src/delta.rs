@@ -62,7 +62,7 @@ impl ConfigDelta {
 
 /// The community universe the engine's `PolicyCtx` models: matched
 /// communities, or matched ∪ written without the stripping abstraction.
-/// Mirrors the scan in `PolicyCtx::with_cache_bits` — the two must agree,
+/// Mirrors the scan in `PolicyCtx::from_network` — the two must agree,
 /// or a delta could silently invalidate the BDD variable model.
 fn community_universe(network: &NetworkConfig, strip_unused: bool) -> BTreeSet<Community> {
     let mut matched: BTreeSet<Community> = BTreeSet::new();

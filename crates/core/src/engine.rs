@@ -374,13 +374,7 @@ impl CompiledPolicies {
     /// applies the attribute abstraction `h` that ignores communities which
     /// are attached but never matched (§8).
     pub fn from_network(network: &NetworkConfig, strip_unused: bool) -> Self {
-        Self::with_cache_bits(network, strip_unused, bonsai_bdd::DEFAULT_APPLY_CACHE_BITS)
-    }
-
-    /// [`CompiledPolicies::from_network`] with an explicit apply-cache size
-    /// (`2^bits` entries) for the shared arena.
-    pub fn with_cache_bits(network: &NetworkConfig, strip_unused: bool, bits: u32) -> Self {
-        let mut ctx = PolicyCtx::with_cache_bits(network, strip_unused, bits);
+        let mut ctx = PolicyCtx::from_network(network, strip_unused);
         let identity = ctx.identity_inputs();
         let communities = ctx.communities.clone();
         let index = communities

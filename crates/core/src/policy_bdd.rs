@@ -62,12 +62,6 @@ impl PolicyCtx {
     /// never tested cannot influence any transfer function, so ignoring
     /// them merges otherwise-identical roles.
     pub fn from_network(network: &NetworkConfig, strip_unused: bool) -> Self {
-        Self::with_cache_bits(network, strip_unused, bonsai_bdd::DEFAULT_APPLY_CACHE_BITS)
-    }
-
-    /// [`PolicyCtx::from_network`] with an explicit apply-cache size
-    /// (`2^bits` entries) for the owned arena.
-    pub fn with_cache_bits(network: &NetworkConfig, strip_unused: bool, bits: u32) -> Self {
         let mut matched: BTreeSet<Community> = BTreeSet::new();
         let mut written: BTreeSet<Community> = BTreeSet::new();
         for d in &network.devices {
@@ -102,7 +96,7 @@ impl PolicyCtx {
             .map(|(i, c)| (*c, i as u32))
             .collect();
         PolicyCtx {
-            bdd: Bdd::with_apply_cache_bits(bits),
+            bdd: Bdd::new(),
             communities,
             index,
         }

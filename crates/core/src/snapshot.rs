@@ -7,11 +7,14 @@
 //! lines — is *written* through the streaming writer re-exported here
 //! ([`write_object`], [`Object`], [`Layout`]; it lives in
 //! [`bonsai_obs::json`], below the tracer that also uses it) and *read
-//! back* by the daemon, the document mergers and the CI gate with the
+//! back* by the daemon, the document mergers and the count gate with the
 //! recursive-descent parser below. The reader supports exactly the JSON
 //! the writer emits — objects, arrays, strings (with its escapes), finite
 //! numbers, booleans and null — nested at most [`MAX_DEPTH`] deep, and
-//! rejects anything else with a byte offset.
+//! rejects anything else with a byte offset. A parsed document's members
+//! are read through the typed accessors on [`Json`] (`str`, `usize`, …,
+//! `opt_*`), the one place where an absent member is told from a
+//! wrong-typed one.
 //!
 //! # The envelope (`bonsai/envelope-v1`)
 //!
@@ -144,6 +147,142 @@ impl Json {
     }
 }
 
+/// # Typed member reads
+///
+/// Every document the workspace accepts — request lines, session
+/// snapshots, `cli/failures`, the envelope header — reads its members
+/// through these, so what *absent* and *wrong type* mean is decided here
+/// and nowhere else:
+///
+/// * an **optional** member (`opt_*`) is `Ok(None)` when absent — the
+///   caller's default stands — and a refusal naming the member and what
+///   was expected when present with any other type, `null` included;
+/// * a **required** member (no prefix) is one refusal, `missing <kind>
+///   field` with the member named, whether it is absent or wrong-typed. A
+///   caller whose message is pinned elsewhere replaces it
+///   (`.or(Err("…"))`); it cannot make the two cases differ.
+impl Json {
+    /// The one place the three outcomes of a member read are told apart.
+    fn member<'a, T>(
+        &'a self,
+        key: &str,
+        expected: &str,
+        read: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        match self.get(key).map(read) {
+            None => Ok(None),
+            Some(Some(value)) => Ok(Some(value)),
+            Some(None) => Err(format!("\"{key}\" must be {expected}")),
+        }
+    }
+
+    /// The reader's half of [`Object::opt`], which writes a value that is
+    /// not there as `null`: such a member reads as absent through `read`,
+    /// one of the `opt_*` accessors.
+    pub fn nullable<'a, T>(
+        &'a self,
+        key: &str,
+        read: impl FnOnce(&'a Json, &str) -> Result<Option<T>, String>,
+    ) -> Result<Option<T>, String> {
+        match self.get(key) {
+            Some(Json::Null) => Ok(None),
+            _ => read(self, key),
+        }
+    }
+
+    /// An optional string member.
+    pub fn opt_str(&self, key: &str) -> Result<Option<&str>, String> {
+        self.member(key, "a string", Json::as_str)
+    }
+
+    /// An optional exact non-negative integer member ([`Json::as_usize`]).
+    pub fn opt_usize(&self, key: &str) -> Result<Option<usize>, String> {
+        self.member(key, "a non-negative integer", Json::as_usize)
+    }
+
+    /// An optional boolean member.
+    pub fn opt_bool(&self, key: &str) -> Result<Option<bool>, String> {
+        self.member(key, "true or false", Json::as_bool)
+    }
+
+    /// An optional array member.
+    pub fn opt_arr(&self, key: &str) -> Result<Option<&[Json]>, String> {
+        self.member(key, "an array", Json::as_arr)
+    }
+
+    /// An optional array of strings — what [`Object::strs`] writes.
+    pub fn opt_strs(&self, key: &str) -> Result<Option<Vec<String>>, String> {
+        self.member(key, "an array of strings", |v| {
+            let items = v.as_arr()?.iter();
+            items.map(|s| s.as_str().map(str::to_string)).collect()
+        })
+    }
+
+    /// An optional array of exact non-negative integers — what
+    /// [`Object::uints`] writes.
+    pub fn opt_uints(&self, key: &str) -> Result<Option<Vec<usize>>, String> {
+        self.member(key, "an array of non-negative integers", |v| {
+            v.as_arr()?.iter().map(Json::as_usize).collect()
+        })
+    }
+
+    /// An optional array of `[name, name]` pairs — what [`Object::pairs`]
+    /// writes, and in every document that has one a set of links by their
+    /// endpoint names. The first item that is not a pair is refused as the
+    /// member's shape, the first pair holding anything but two strings as
+    /// its endpoints.
+    pub fn opt_pairs(&self, key: &str) -> Result<Option<Vec<(String, String)>>, String> {
+        let mut endpoints = false;
+        let pairs = self.member(key, "an array of [name, name] pairs", |v| {
+            let pair = |pair: &Json| match pair.as_arr()? {
+                [a, b] => {
+                    let names = a.as_str().zip(b.as_str());
+                    endpoints = names.is_none();
+                    names.map(|(a, b)| (a.to_string(), b.to_string()))
+                }
+                _ => None,
+            };
+            v.as_arr()?.iter().map(pair).collect()
+        });
+        if endpoints {
+            return Err("link endpoints must be strings".to_string());
+        }
+        pairs
+    }
+
+    /// A required string member.
+    pub fn str(&self, key: &str) -> Result<&str, String> {
+        required(self.opt_str(key), "string", key)
+    }
+
+    /// A required exact non-negative integer member.
+    pub fn usize(&self, key: &str) -> Result<usize, String> {
+        required(self.opt_usize(key), "integer", key)
+    }
+
+    /// A required boolean member.
+    pub fn bool(&self, key: &str) -> Result<bool, String> {
+        required(self.opt_bool(key), "boolean", key)
+    }
+
+    /// A required array member.
+    pub fn arr(&self, key: &str) -> Result<&[Json], String> {
+        required(self.opt_arr(key), "array", key)
+    }
+
+    /// A required array of `[name, name]` pairs.
+    pub fn pairs(&self, key: &str) -> Result<Vec<(String, String)>, String> {
+        required(self.opt_pairs(key), "pair array", key)
+    }
+}
+
+/// The required reading of a member: absent and wrong-typed are the same
+/// refusal.
+fn required<T>(member: Result<Option<T>, String>, kind: &str, key: &str) -> Result<T, String> {
+    let value = member.ok().flatten();
+    value.ok_or_else(|| format!("missing {kind} field `{key}`"))
+}
+
 /// A parse failure, with the byte offset it occurred at.
 #[derive(Clone, Debug, PartialEq)]
 pub struct JsonError {
@@ -197,9 +336,8 @@ impl Envelope {
     pub fn parse(text: &str) -> Result<Envelope, String> {
         let doc = Json::parse(text).map_err(|e| e.to_string())?;
         let schema = doc
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "snapshot has no top-level \"schema\" field".to_string())?;
+            .str("schema")
+            .or(Err("snapshot has no top-level \"schema\" field"))?;
         if schema != ENVELOPE_SCHEMA {
             if schema.starts_with("bonsai-bench/") || schema.starts_with("bonsai-cli/") {
                 return Err(format!(
@@ -212,26 +350,13 @@ impl Envelope {
                 "unknown snapshot schema \"{schema}\" (expected \"{ENVELOPE_SCHEMA}\")"
             ));
         }
-        let kind = doc
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "envelope has no \"kind\" field".to_string())?
-            .to_string();
-        let version = doc
-            .get("version")
-            .and_then(Json::as_usize)
-            .and_then(|v| u32::try_from(v).ok())
-            .ok_or_else(|| "envelope has no numeric \"version\" field".to_string())?;
-        let git_sha = doc
-            .get("git_sha")
-            .and_then(Json::as_str)
-            .unwrap_or("unknown")
-            .to_string();
-        let toolchain = doc
-            .get("toolchain")
-            .and_then(Json::as_str)
-            .unwrap_or("unknown")
-            .to_string();
+        let kind = doc.str("kind").or(Err("envelope has no \"kind\" field"))?;
+        let kind = kind.to_string();
+        let version = doc.usize("version").ok();
+        let version = version.and_then(|v| u32::try_from(v).ok());
+        let version = version.ok_or("envelope has no numeric \"version\" field")?;
+        let git_sha = doc.opt_str("git_sha")?.unwrap_or("unknown").to_string();
+        let toolchain = doc.opt_str("toolchain")?.unwrap_or("unknown").to_string();
         // Taken out of the parsed object, not cloned: the payload is the
         // whole document but for five header fields.
         let payload = match doc {
@@ -625,6 +750,11 @@ mod tests {
         assert_eq!(Envelope::parse(&twice).unwrap().payload, env.payload);
         let err = Envelope::parse(&doc.replace("\"payload\"", "\"body\"")).unwrap_err();
         assert!(err.contains("no \"payload\" field"), "{err}");
+        // The provenance members are optional, not untyped.
+        let anonymous = doc.replace("\"git_sha\": \"abc123\",", "");
+        assert_eq!(Envelope::parse(&anonymous).unwrap().git_sha, "unknown");
+        let err = Envelope::parse(&doc.replace("\"abc123\"", "7")).unwrap_err();
+        assert_eq!(err, "\"git_sha\" must be a string");
     }
 
     #[test]
@@ -670,6 +800,116 @@ mod tests {
         assert!(doc.contains("3.9"), "{doc}");
         let err = Envelope::parse_expecting(&doc, "cli/failures", 3).unwrap_err();
         assert!(err.contains("no numeric \"version\""), "{err}");
+    }
+
+    #[test]
+    fn a_member_is_absent_wrong_typed_or_a_value() {
+        let doc = Json::parse(
+            r#"{"s": "x", "n": 3, "b": true, "a": [1, "y"], "names": ["u", "v"], "ns": [1, 2],
+                "links": [["u", "v"], ["v", "w"]], "nothing": null, "neg": -1}"#,
+        )
+        .unwrap();
+        fn refused<T>(message: &str) -> Result<T, String> {
+            Err(message.to_string())
+        }
+        // A value reads the same through both flavours.
+        assert_eq!(doc.opt_str("s"), Ok(Some("x")));
+        assert_eq!(doc.str("s"), Ok("x"));
+        assert_eq!((doc.opt_usize("n"), doc.usize("n")), (Ok(Some(3)), Ok(3)));
+        assert_eq!(
+            (doc.opt_bool("b"), doc.bool("b")),
+            (Ok(Some(true)), Ok(true))
+        );
+        assert_eq!(doc.arr("a").map(<[Json]>::len), Ok(2));
+        assert_eq!(
+            doc.opt_strs("names"),
+            Ok(Some(vec!["u".into(), "v".into()]))
+        );
+        assert_eq!(doc.opt_uints("ns"), Ok(Some(vec![1, 2])));
+        let links = vec![("u".into(), "v".into()), ("v".into(), "w".into())];
+        assert_eq!(doc.opt_pairs("links"), Ok(Some(links.clone())));
+        assert_eq!(doc.pairs("links"), Ok(links));
+        // Absent: the optional flavour leaves the default to the caller,
+        // the required one refuses.
+        assert_eq!(doc.opt_str("zz"), Ok(None));
+        assert_eq!(doc.opt_pairs("zz"), Ok(None));
+        assert_eq!(doc.str("zz"), refused("missing string field `zz`"));
+        assert_eq!(doc.arr("zz"), refused("missing array field `zz`"));
+        // Wrong type: the optional flavour names the member and what it
+        // expected; the required one cannot tell it from absent.
+        assert_eq!(doc.opt_str("n"), refused("\"n\" must be a string"));
+        assert_eq!(doc.str("n"), refused("missing string field `n`"));
+        assert_eq!(
+            doc.opt_usize("neg"),
+            refused("\"neg\" must be a non-negative integer")
+        );
+        assert_eq!(doc.usize("neg"), refused("missing integer field `neg`"));
+        assert_eq!(doc.opt_bool("s"), refused("\"s\" must be true or false"));
+        assert_eq!(doc.bool("s"), refused("missing boolean field `s`"));
+        assert_eq!(doc.opt_arr("s"), refused("\"s\" must be an array"));
+        assert_eq!(
+            doc.opt_strs("a"),
+            refused("\"a\" must be an array of strings")
+        );
+        assert_eq!(
+            doc.opt_uints("a"),
+            refused("\"a\" must be an array of non-negative integers")
+        );
+        assert_eq!(doc.pairs("a"), refused("missing pair array field `a`"));
+        // `null` is a value of the wrong type, except where the writer's
+        // `opt` put it.
+        assert_eq!(
+            doc.opt_bool("nothing"),
+            refused("\"nothing\" must be true or false")
+        );
+        assert_eq!(
+            doc.str("nothing"),
+            refused("missing string field `nothing`")
+        );
+        assert_eq!(doc.nullable("nothing", Json::opt_bool), Ok(None));
+        assert_eq!(doc.nullable("zz", Json::opt_bool), Ok(None));
+        assert_eq!(doc.nullable("b", Json::opt_bool), Ok(Some(true)));
+        assert_eq!(doc.nullable("ns", Json::opt_uints), Ok(Some(vec![1, 2])));
+        assert_eq!(
+            doc.nullable("s", Json::opt_bool),
+            refused("\"s\" must be true or false")
+        );
+        // A member of anything but an object is absent.
+        assert_eq!(Json::Num(7.0).opt_str("s"), Ok(None));
+    }
+
+    #[test]
+    fn pairs_are_refused_at_the_first_item_that_is_not_one() {
+        let pairs = |links: &str| {
+            let doc = Json::parse(&format!("{{\"links\": {links}}}")).unwrap();
+            doc.opt_pairs("links").unwrap_err()
+        };
+        let shape = "\"links\" must be an array of [name, name] pairs";
+        let endpoints = "link endpoints must be strings";
+        for links in [
+            "7",
+            "\"u:v\"",
+            "{}",
+            "null",
+            "[\"u\", \"v\"]",
+            "[[]]",
+            "[[\"u\"]]",
+            "[[\"u\", \"v\", \"w\"]]",
+            "[[\"u\", 7, \"w\"]]",
+            "[[\"u\", \"v\"], [\"w\"]]",
+            "[[\"u\"], [\"v\", 7]]",
+        ] {
+            assert_eq!(pairs(links), shape, "{links}");
+        }
+        for links in [
+            "[[\"u\", 7]]",
+            "[[7, \"v\"]]",
+            "[[\"u\", null]]",
+            "[[\"u\", \"v\"], [[], \"w\"]]",
+            "[[\"u\", 7], [\"w\"]]",
+        ] {
+            assert_eq!(pairs(links), endpoints, "{links}");
+        }
     }
 
     #[test]

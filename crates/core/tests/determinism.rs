@@ -93,7 +93,6 @@ fn fattree8_policy_compression_is_thread_count_invariant() {
         CompressOptions {
             threads: 1,
             strip_unused_communities: true,
-            ..Default::default()
         },
     );
     let parallel = compress(
@@ -101,7 +100,6 @@ fn fattree8_policy_compression_is_thread_count_invariant() {
         CompressOptions {
             threads: 4,
             strip_unused_communities: true,
-            ..Default::default()
         },
     );
     assert_eq!(canonical_bytes(&sequential), canonical_bytes(&parallel));

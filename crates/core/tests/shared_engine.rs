@@ -24,7 +24,6 @@ fn assert_shared_matches_rebuilt(net: &bonsai_config::NetworkConfig, strip: bool
     let options = CompressOptions {
         strip_unused_communities: strip,
         threads: 1,
-        ..Default::default()
     };
     let shared = compress(net, options);
 

@@ -283,76 +283,32 @@ impl SessionSlot {
 ///
 /// Shared by the single-query ops and the entries of a `batch`.
 pub fn parse_query(doc: &Json) -> Result<QueryRequest, String> {
-    let op = doc
-        .get("op")
-        .and_then(Json::as_str)
-        .ok_or_else(|| "request has no \"op\"".to_string())?;
-    let field = |name: &str| -> Result<String, String> {
-        doc.get(name)
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("op \"{op}\" needs a string \"{name}\" field"))
-    };
+    let op = doc.str("op").or(Err("request has no \"op\""))?;
+    let needs = |name: &str| format!("op \"{op}\" needs a string \"{name}\" field");
     match op {
         "reach" => Ok(QueryRequest::Reach {
-            src: field("src")?,
-            dst: field("dst")?,
-            links: parse_links(doc)?,
+            src: doc.str("src").map_err(|_| needs("src"))?.to_string(),
+            dst: doc.str("dst").map_err(|_| needs("dst"))?.to_string(),
+            links: doc.opt_pairs("links")?.unwrap_or_default(),
         }),
         "sweep" => Ok(QueryRequest::Sweep {
-            src: field("src")?,
-            dst: field("dst")?,
+            src: doc.str("src").map_err(|_| needs("src"))?.to_string(),
+            dst: doc.str("dst").map_err(|_| needs("dst"))?.to_string(),
         }),
         "all_pairs" => Ok(QueryRequest::AllPairs {
-            links: parse_links(doc)?,
+            links: doc.opt_pairs("links")?.unwrap_or_default(),
         }),
         "path" => Ok(QueryRequest::Path {
-            src: field("src")?,
-            dst: field("dst")?,
-            links: parse_links(doc)?,
-            waypoints: parse_waypoints(doc)?,
+            src: doc.str("src").map_err(|_| needs("src"))?.to_string(),
+            dst: doc.str("dst").map_err(|_| needs("dst"))?.to_string(),
+            links: doc.opt_pairs("links")?.unwrap_or_default(),
+            waypoints: doc
+                .opt_strs("waypoints")
+                .or(Err("\"waypoints\" must be an array of device names"))?
+                .unwrap_or_default(),
         }),
         other => Err(format!("unknown query op \"{other}\"")),
     }
-}
-
-fn parse_links(doc: &Json) -> Result<Vec<(String, String)>, String> {
-    let Some(v) = doc.get("links") else {
-        return Ok(Vec::new());
-    };
-    let arr = v
-        .as_arr()
-        .ok_or_else(|| "\"links\" must be an array of [name, name] pairs".to_string())?;
-    let mut out = Vec::with_capacity(arr.len());
-    for pair in arr {
-        let p = pair
-            .as_arr()
-            .filter(|p| p.len() == 2)
-            .ok_or_else(|| "\"links\" must be an array of [name, name] pairs".to_string())?;
-        let name = |j: &Json| {
-            j.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| "link endpoints must be strings".to_string())
-        };
-        out.push((name(&p[0])?, name(&p[1])?));
-    }
-    Ok(out)
-}
-
-fn parse_waypoints(doc: &Json) -> Result<Vec<String>, String> {
-    let Some(v) = doc.get("waypoints") else {
-        return Ok(Vec::new());
-    };
-    let arr = v
-        .as_arr()
-        .ok_or_else(|| "\"waypoints\" must be an array of device names".to_string())?;
-    arr.iter()
-        .map(|j| {
-            j.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| "\"waypoints\" must be an array of device names".to_string())
-        })
-        .collect()
 }
 
 /// One protocol line: a single-line object, members in the order written.
@@ -554,7 +510,7 @@ pub fn answer_line(
             )
         }
     };
-    let op = doc.get("op").and_then(Json::as_str).unwrap_or("");
+    let op = doc.str("op").unwrap_or("");
     let names_a_file = op == "snapshot" || (op == "reload" && doc.get("path").is_some());
     if names_a_file && transport != Transport::Unix {
         let message = format!("op \"{op}\" with a \"path\" is served on the Unix socket only");
@@ -596,7 +552,7 @@ pub fn answer_line(
             out
         }
         "batch" => {
-            let Some(entries) = doc.get("queries").and_then(Json::as_arr) else {
+            let Ok(entries) = doc.arr("queries") else {
                 return (
                     render_error("bad_request", "op \"batch\" needs a \"queries\" array"),
                     false,
@@ -638,7 +594,7 @@ pub fn answer_line(
             (response, false)
         }
         "snapshot" => {
-            let Some(path) = doc.get("path").and_then(Json::as_str) else {
+            let Ok(path) = doc.str("path") else {
                 return (
                     render_error("bad_request", "op \"snapshot\" needs a \"path\""),
                     false,
@@ -655,9 +611,7 @@ pub fn answer_line(
             }
         }
         "reload" => {
-            let inline = doc.get("config").and_then(Json::as_str);
-            let file = doc.get("path").and_then(Json::as_str);
-            let text = match (inline, file) {
+            let text = match (doc.str("config").ok(), doc.str("path").ok()) {
                 (Some(text), None) => text.to_string(),
                 (None, Some(p)) => match read_config_file(Path::new(p)) {
                     Ok(t) => t,
@@ -1085,7 +1039,11 @@ fn accept_loop<C: Conn>(mut accept: impl FnMut() -> std::io::Result<C>, shared: 
         let handle = std::thread::spawn(move || {
             let _ = handle_connection(stream, &shared_conn);
         });
-        held(shared.handlers.lock()).push(handle);
+        // Keep the live handlers for the drain to join, not one handle per
+        // connection ever served.
+        let mut handlers = held(shared.handlers.lock());
+        handlers.retain(|handler| !handler.is_finished());
+        handlers.push(handle);
     }
 }
 
@@ -1628,5 +1586,185 @@ mod tests {
         closer.call("{\"op\": \"shutdown\"}").unwrap();
         join.join().unwrap().expect("the drain completes");
         assert!(!path.exists(), "socket file removed on shutdown");
+    }
+
+    /// The handler registry holds the live handlers, not one handle per
+    /// connection ever accepted: a thousand connections that came and went
+    /// leave nothing behind, and the drain still joins the ones that stay.
+    #[test]
+    fn finished_handlers_are_reaped_as_new_connections_arrive() {
+        let path = tmp_socket("reaped");
+        let server = Server::bind(gadget_session(), &path).expect("socket binds");
+        let shared = server.shared.clone();
+        let join = server.spawn();
+        let held_handlers = || held(shared.handlers.lock()).len();
+        let mut idle = Client::connect(&path).expect("a connection that stays");
+        idle.call("{\"op\": \"ping\"}").unwrap();
+        let mut peak = 0;
+        for _ in 0..1000 {
+            let mut client = Client::connect(&path).expect("connects");
+            let pong = client.call("{\"op\": \"ping\"}").unwrap();
+            assert!(pong.contains("\"ok\": true"), "{pong}");
+            peak = peak.max(held_handlers());
+        }
+        assert!(peak < 100, "{peak} handles held at once");
+        // Each of those handlers ends at its client's EOF; once they have,
+        // the next accept drops every one of them.
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        let live = || {
+            let handlers = held(shared.handlers.lock());
+            handlers.iter().filter(|h| !h.is_finished()).count()
+        };
+        while live() > 1 {
+            assert!(std::time::Instant::now() < deadline, "handlers never end");
+            std::thread::yield_now();
+        }
+        let mut closer = Client::connect(&path).expect("one more connection");
+        closer.call("{\"op\": \"ping\"}").unwrap();
+        assert_eq!(held_handlers(), 2, "the idle connection and this one");
+        closer.call("{\"op\": \"shutdown\"}").unwrap();
+        join.join()
+            .unwrap()
+            .expect("the drain joins the live handlers");
+        assert_eq!(held_handlers(), 0);
+        if let Ok(line) = idle.call("{\"op\": \"ping\"}") {
+            assert!(line.is_empty(), "drained, got {line}");
+        }
+    }
+
+    /// The fattree-4 batch `tests/daemon_service.rs` replays: every query
+    /// op, alone and inside a `batch`.
+    const BATCH: &[&str] = &[
+        r#"{"op": "ping"}"#,
+        r#"{"op": "reach", "src": "edge0_0", "dst": "edge1_1"}"#,
+        r#"{"op": "reach", "src": "edge0_0", "dst": "edge1_1", "links": [["agg0_0", "core0"]]}"#,
+        r#"{"op": "sweep", "src": "edge0_1", "dst": "edge1_0"}"#,
+        r#"{"op": "all_pairs", "links": [["core0", "agg1_0"]]}"#,
+        r#"{"op": "path", "src": "edge0_0", "dst": "edge1_1", "links": [["agg0_0", "core0"]], "waypoints": ["agg1_0", "agg1_1"]}"#,
+        r#"{"op": "batch", "queries": [{"op": "reach", "src": "edge1_1", "dst": "edge0_0"}, {"op": "all_pairs"}, {"op": "path", "src": "edge1_0", "dst": "edge0_1"}]}"#,
+    ];
+
+    /// What a rolling update does to a daemon under load. Four connections
+    /// replay the batch in a loop while a fifth pushes, in order, a config
+    /// that does not parse, one that parses but names an undefined
+    /// interface, a structural edit (`edge0_0` loses both uplinks) and the
+    /// original text back. Every reply a reader gets is, byte for byte,
+    /// what a cold build of the configuration resident at that moment
+    /// answers — a `batch` is answered whole by one session, and once a
+    /// connection has seen a swap it never hears from the session before
+    /// it again; each refused reload is a structured error on a connection
+    /// that answers `ping` next; and when the readers are done nothing
+    /// holds a swapped-out session any more.
+    #[test]
+    fn reloads_under_query_load_swap_whole_sessions_and_leak_none() {
+        const READERS: usize = 4;
+        let original = bonsai_config::print_network(&bonsai_topo::fattree(
+            4,
+            bonsai_topo::FattreePolicy::ShortestPath,
+        ));
+        let undefined = original.replacen("interface to_agg0_0\n", "", 1);
+        let uplink = |l: &str| l.starts_with("link ") && l.split(' ').any(|w| w == "edge0_0");
+        let cut: Vec<&str> = original.lines().filter(|l| !uplink(l)).collect();
+        let cut = cut.join("\n");
+        let build = |text: &str| {
+            Session::builder(bonsai_config::parse_network(text).expect("config parses"))
+                .options(SessionOptions {
+                    max_failures: 1,
+                    threads: 1,
+                    ..Default::default()
+                })
+                .build()
+                .expect("session builds")
+        };
+        let cold = |text: &str| -> Vec<String> {
+            let (slot, options, gate) = (
+                SessionSlot::new(build(text)),
+                ServerOptions::default(),
+                Gate::new(1),
+            );
+            let answer = |line: &&str| answer_line(&slot, line, &options, &gate, Transport::Unix).0;
+            BATCH.iter().map(answer).collect()
+        };
+        // The sessions a reader can meet, in swap order. The edit moves two
+        // of the three answers inside the `batch`, so one answered half by
+        // each session would equal neither golden.
+        let (before, after) = (cold(&original), cold(&cut));
+        assert!(before[1] != after[1] && before[4] != after[4] && before[6] != after[6]);
+        let phases = [&before, &after, &before];
+
+        let path = tmp_socket("reload-load");
+        let server = Server::bind(build(&original), &path).expect("socket binds");
+        let shared = server.shared.clone();
+        let join = server.spawn();
+        let passes: Vec<AtomicUsize> = (0..READERS).map(|_| AtomicUsize::new(0)).collect();
+        let done = AtomicBool::new(false);
+        // Blocks until every reader has finished a pass that began after
+        // this call: whatever was swapped in before it has been queried.
+        let readers_catch_up = || {
+            let seen: Vec<usize> = passes.iter().map(|p| p.load(Ordering::SeqCst)).collect();
+            while passes
+                .iter()
+                .zip(&seen)
+                .any(|(p, seen)| p.load(Ordering::SeqCst) < seen + 2)
+            {
+                std::thread::yield_now();
+            }
+        };
+        let retired = std::thread::scope(|scope| {
+            for tally in &passes {
+                let (path, done, phases) = (&path, &done, &phases);
+                scope.spawn(move || {
+                    let mut client = Client::connect(path).expect("reader connects");
+                    let mut phase = 0;
+                    loop {
+                        let last = done.load(Ordering::SeqCst);
+                        for (i, line) in BATCH.iter().enumerate() {
+                            let reply = client.call(line).expect("daemon answers");
+                            while reply != phases[phase][i] {
+                                phase += 1;
+                                assert!(phase < phases.len(), "{line} got {reply}");
+                            }
+                        }
+                        tally.fetch_add(1, Ordering::SeqCst);
+                        if last {
+                            break;
+                        }
+                    }
+                    // A pass begun after the last swap: the reader has met
+                    // all three sessions, and the last one answered it.
+                    assert_eq!(phase, 2, "answered by a retired session");
+                });
+            }
+            let mut client = Client::connect(&path).expect("the updater connects");
+            let mut push = |config: &str| {
+                let reply = client
+                    .call(&request("reload", |o| {
+                        o.str("config", config);
+                    }))
+                    .expect("reload answered");
+                let pong = client.call("{\"op\": \"ping\"}").expect("ping answered");
+                assert!(pong.starts_with("{\"ok\": true"), "{pong}");
+                reply
+            };
+            readers_catch_up();
+            let refused = push("device a\nnot-a-stanza");
+            assert!(refused.contains("\"code\": \"bad_request\""), "{refused}");
+            let refused = push(&undefined);
+            assert!(refused.contains("\"code\": \"query\""), "{refused}");
+            let mut retired = Vec::new();
+            for config in [&cut, &original] {
+                retired.push(Arc::downgrade(&shared.session.current()));
+                let swapped = push(config);
+                assert!(swapped.contains("\"full_rebuild\": true"), "{swapped}");
+                readers_catch_up();
+            }
+            done.store(true, Ordering::SeqCst);
+            retired
+        });
+        let held: Vec<usize> = retired.iter().map(std::sync::Weak::strong_count).collect();
+        assert_eq!(held, [0, 0], "references to the swapped-out sessions");
+        let mut closer = Client::connect(&path).expect("connects");
+        closer.call("{\"op\": \"shutdown\"}").unwrap();
+        join.join().unwrap().expect("clean exit");
     }
 }

@@ -114,6 +114,10 @@
 //! That is the payload versioning policy: **additive optional fields do
 //! not bump the version; a field changing shape or meaning does** (and
 //! readers reject other versions with an explicit regenerate message).
+//! Optional means *may be absent*: a member that is present with the
+//! wrong type — `"split": "b1"`, `"deviating_rounds": -1`, `"verdicts":
+//! "none"` — refuses the restore with a message naming it, and a member
+//! this version does not know is skipped.
 //!
 //! Everything node-valued is stored by **display name** (stable across
 //! processes); the `fingerprint` guards against restoring onto a
@@ -233,14 +237,12 @@ pub struct SessionOptions {
     /// Sweep one representative per orbit signature instead of every
     /// scenario (cheaper build, identical query coverage).
     pub prune_symmetric: bool,
-    /// Re-verify symmetric cross-EC transfers during the sweep.
-    pub verify_transfers: bool,
     /// Byte cap applied to **each** answer memo (verdict tier and path
     /// tier independently); 0 = unbounded. When an insert pushes a tier
     /// past the cap, the least-recently-used entries are evicted (counted
     /// by `session.memo.evictions` and [`SessionStats::memo_evictions`]).
     pub memo_cap_bytes: usize,
-    /// Compression options (community stripping, arena size).
+    /// Compression options (community stripping, worker threads).
     pub compress: bonsai_core::compress::CompressOptions,
 }
 
@@ -250,7 +252,6 @@ impl Default for SessionOptions {
             max_failures: 1,
             threads: 0,
             prune_symmetric: false,
-            verify_transfers: false,
             memo_cap_bytes: 0,
             compress: Default::default(),
         }
@@ -1129,7 +1130,6 @@ fn sweep_options(options: &SessionOptions, k: usize) -> NetworkSweepOptions {
             ..Default::default()
         },
         share_across_ecs: true,
-        verify_transfers: options.verify_transfers,
         // The session reads the refinement maps and the tallies, never
         // the per-scenario records.
         collect_outcomes: false,

@@ -144,69 +144,28 @@ impl<S: AsRef<str>> SnapshotDoc<S> {
     }
 }
 
-/// An optional array field: absent reads as empty.
-fn items<'a>(v: &'a Json, key: &str) -> &'a [Json] {
-    v.get(key).and_then(Json::as_arr).unwrap_or(&[])
-}
-
-fn text(v: &Json, key: &str, of: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("{of} has no {key}"))
-}
-
-/// An optional array of names (anything but a string is skipped).
-fn names(v: &Json, key: &str) -> Vec<String> {
-    items(v, key)
-        .iter()
-        .filter_map(|n| n.as_str().map(str::to_string))
-        .collect()
-}
-
-/// `"links": [["a", "b"], …]`, required and strictly shaped.
-fn named_links(v: &Json, malformed: &str) -> Result<NamedLinks<String>, String> {
-    let pairs = v.get("links").and_then(Json::as_arr);
-    pairs
-        .and_then(|pairs| {
-            pairs
-                .iter()
-                .map(|pair| match pair.as_arr()? {
-                    [a, b] => Some((a.as_str()?.to_string(), b.as_str()?.to_string())),
-                    _ => None,
-                })
-                .collect()
-        })
-        .ok_or_else(|| malformed.to_string())
-}
-
-/// An optional array field, each item decoded by `row`.
-fn rows<R>(
-    v: &Json,
-    key: &str,
-    row: impl Fn(&Json) -> Result<R, String>,
-) -> Result<Vec<R>, String> {
-    items(v, key).iter().map(row).collect()
-}
-
-/// `"<section>": [{"rep": …, "<list>": [rows…]}, …]`. A class without a
-/// `rep` reads as `""`, which no network serves.
+/// `"<section>": [{"rep": …, "<list>": [rows…]}, …]`: the section and a
+/// class's list may be absent, a class's `rep` may not.
 fn read_per_class<R>(
     payload: &Json,
     section: &str,
     list: &str,
     row: impl Fn(&Json) -> Result<R, String>,
 ) -> Result<Vec<(String, Vec<R>)>, String> {
-    rows(payload, section, |class| {
-        let rep = class.get("rep").and_then(Json::as_str).unwrap_or("");
-        Ok((rep.to_string(), rows(class, list, &row)?))
-    })
+    let class = |class: &Json| {
+        let rows = class.opt_arr(list)?.unwrap_or(&[]).iter();
+        let rows = rows.map(&row).collect::<Result<_, _>>()?;
+        Ok((class.str("rep")?.to_string(), rows))
+    };
+    let classes = payload.opt_arr(section)?.unwrap_or(&[]).iter();
+    classes.map(class).collect()
 }
 
 impl SnapshotDoc<String> {
     /// Parses an enveloped snapshot; rejects other kinds, versions and
-    /// pre-envelope dialects, and every field of the wrong shape, each
-    /// with an explicit message.
+    /// pre-envelope dialects, and every member of the wrong type or shape,
+    /// each with an explicit message. A member this version does not know
+    /// is skipped; an optional one that is absent reads as its default.
     pub(super) fn decode(snapshot_text: &str) -> Result<Self, String> {
         let env = Envelope::parse_expecting(
             snapshot_text,
@@ -215,62 +174,57 @@ impl SnapshotDoc<String> {
         )?;
         let payload = &env.payload;
         let refinement = |r: &Json| {
-            let flag = |key: &str| r.get(key).and_then(Json::as_bool).unwrap_or(false);
-            let provenance = r.get("provenance").and_then(Json::as_str);
+            let provenance = r.opt_str("provenance")?;
+            let provenance = provenance.unwrap_or(RefinementProvenance::Derived.as_str());
+            let unknown = || format!("unknown refinement provenance \"{provenance}\"");
             Ok(RefinementRecord {
-                links: named_links(r, "malformed refinement links")?,
-                split: names(r, "split"),
-                localized_refuted: flag("localized_refuted"),
-                deviating_rounds: r
-                    .get("deviating_rounds")
-                    .and_then(Json::as_usize)
-                    .unwrap_or(0),
-                global_fallback: flag("global_fallback"),
-                provenance: provenance
-                    .and_then(RefinementProvenance::parse)
-                    .unwrap_or(RefinementProvenance::Derived),
+                links: r.pairs("links").or(Err("malformed refinement links"))?,
+                split: r.opt_strs("split")?.unwrap_or_default(),
+                localized_refuted: r.opt_bool("localized_refuted")?.unwrap_or(false),
+                deviating_rounds: r.opt_usize("deviating_rounds")?.unwrap_or(0),
+                global_fallback: r.opt_bool("global_fallback")?.unwrap_or(false),
+                provenance: RefinementProvenance::parse(provenance).ok_or_else(unknown)?,
             })
         };
         let verdict = |v: &Json| {
+            let bits = v.str("bits").or(Err("verdict entry has no bits"))?;
             Ok(VerdictRecord {
-                links: named_links(v, "malformed snapshot links")?,
-                bits: text(v, "bits", "verdict entry")?,
+                links: v.pairs("links").or(Err("malformed snapshot links"))?,
+                bits: bits.to_string(),
             })
         };
         let answer = |a: &Json| {
+            let prefix = a.str("prefix").or(Err("path answer has no prefix"))?;
             Ok(PathAnswer {
-                prefix: text(a, "prefix", "path answer")?,
-                lengths: a
-                    .get("lengths")
-                    .and_then(Json::as_arr)
-                    .map(|ls| ls.iter().filter_map(Json::as_usize).collect()),
-                waypointed: a.get("waypointed").and_then(Json::as_bool),
+                prefix: prefix.to_string(),
+                lengths: a.nullable("lengths", Json::opt_uints)?,
+                waypointed: a.nullable("waypointed", Json::opt_bool)?,
             })
         };
         let path = |p: &Json| {
+            let answers = p.opt_arr("answers")?.unwrap_or(&[]).iter();
             Ok(PathRecord {
-                src: text(p, "src", "path entry")?,
-                dst: text(p, "dst", "path entry")?,
-                links: named_links(p, "malformed snapshot links")?,
-                waypoints: names(p, "waypoints"),
-                answers: Arc::new(rows(p, "answers", answer)?),
+                src: p.str("src").or(Err("path entry has no src"))?.to_string(),
+                dst: p.str("dst").or(Err("path entry has no dst"))?.to_string(),
+                links: p.pairs("links").or(Err("malformed snapshot links"))?,
+                waypoints: p.opt_strs("waypoints")?.unwrap_or_default(),
+                answers: Arc::new(answers.map(answer).collect::<Result<_, String>>()?),
             })
         };
-        if payload.get("ecs").and_then(Json::as_arr).is_none() {
-            return Err("payload has no ecs".into());
-        }
+        let fingerprint = payload.str("fingerprint");
+        payload.arr("ecs").or(Err("payload has no ecs"))?;
+        let paths = payload.opt_arr("paths")?.unwrap_or(&[]).iter();
         Ok(SnapshotDoc {
-            k: payload
-                .get("k")
-                .and_then(Json::as_usize)
-                .ok_or("payload has no k")?,
-            prune_symmetric: payload.get("prune_symmetric").and_then(Json::as_bool),
-            fingerprint: text(payload, "fingerprint", "payload")?,
+            k: payload.usize("k").or(Err("payload has no k"))?,
+            prune_symmetric: payload.opt_bool("prune_symmetric")?,
+            fingerprint: fingerprint
+                .or(Err("payload has no fingerprint"))?
+                .to_string(),
             classes: read_per_class(payload, "ecs", "refinements", refinement)?,
             // The answer tier is optional and additive: absent in
             // snapshots written before it existed.
             verdicts: read_per_class(payload, "verdicts", "entries", verdict)?,
-            paths: rows(payload, "paths", path)?,
+            paths: paths.map(path).collect::<Result<_, String>>()?,
         })
     }
 }

@@ -892,13 +892,12 @@ fn cmd_metrics(m: &Matches) -> Result<(), Failure> {
     };
     let doc = Json::parse(&response)
         .map_err(|e| format!("{endpoint}: unparsable metrics response: {e}"))?;
-    if doc.get("ok").and_then(Json::as_bool) != Some(true) {
+    if doc.bool("ok") != Ok(true) {
         return Err(format!("{endpoint}: {response}").into());
     }
     let body = doc
-        .get("body")
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("{endpoint}: metrics response has no \"body\""))?;
+        .str("body")
+        .map_err(|_| format!("{endpoint}: metrics response has no \"body\""))?;
     out!("{body}");
     Ok(())
 }

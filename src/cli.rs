@@ -103,14 +103,6 @@ pub struct DiffDoc {
     pub delta_s: f64,
 }
 
-/// A required integer field: exact ([`Json::as_usize`]) or an error —
-/// `"rank": -1` and `"scenarios": 1.5` do not read as 0 and 1.
-fn usize_of(j: &Json, key: &str) -> Result<usize, String> {
-    j.get(key)
-        .and_then(Json::as_usize)
-        .ok_or_else(|| format!("missing integer field `{key}`"))
-}
-
 /// `"network": {"nodes": …, "links": …, "ecs": …}`, as both documents
 /// carry it.
 fn write_network(payload: &mut Object<'_>, nodes: usize, links: usize, ecs: usize) {
@@ -157,73 +149,6 @@ impl DiffDoc {
             Layout::Lines(4),
             payload,
         )
-    }
-
-    /// Parses a document written by [`DiffDoc::render`].
-    pub fn parse(text: &str) -> Result<DiffDoc, String> {
-        let env = Envelope::parse_expecting(text, DIFF_DOC_KIND, DIFF_DOC_VERSION)?;
-        let p = &env.payload;
-        let f64_of = |j: &Json, key: &str| -> Result<f64, String> {
-            j.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("missing number field `{key}`"))
-        };
-        let network = p.get("network").ok_or("missing `network`")?;
-        let delta = p.get("delta").ok_or("missing `delta`")?;
-        let timing = p.get("timing").ok_or("missing `timing`")?;
-        let changed_devices = delta
-            .get("changed_devices")
-            .and_then(Json::as_arr)
-            .ok_or("missing `changed_devices`")?
-            .iter()
-            .map(|d| {
-                d.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| "non-string device name".to_string())
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut rederived = Vec::new();
-        for r in p
-            .get("rederived")
-            .and_then(Json::as_arr)
-            .ok_or("missing `rederived`")?
-        {
-            rederived.push(RederivedDoc {
-                rep: r
-                    .get("rep")
-                    .and_then(Json::as_str)
-                    .map(str::to_string)
-                    .ok_or("missing `rep`")?,
-                scenarios: usize_of(r, "scenarios")?,
-                refinements: usize_of(r, "refinements")?,
-                derivations: usize_of(r, "derivations")?,
-            });
-        }
-        Ok(DiffDoc {
-            k: usize_of(p, "k")?,
-            threads: usize_of(p, "threads")?,
-            nodes: usize_of(network, "nodes")?,
-            links: usize_of(network, "links")?,
-            ecs_total: usize_of(network, "ecs")?,
-            ecs_rederived: usize_of(p, "ecs_rederived")?,
-            reused: usize_of(p, "reused")?,
-            fingerprints_moved: usize_of(p, "fingerprints_moved")?,
-            full_rebuild: delta
-                .get("full_rebuild")
-                .and_then(Json::as_bool)
-                .ok_or("missing `full_rebuild`")?,
-            structural: delta
-                .get("structural")
-                .and_then(Json::as_str)
-                .map(str::to_string),
-            changed_devices,
-            stages_evicted: usize_of(delta, "stages_evicted")?,
-            sigs_evicted: usize_of(delta, "sigs_evicted")?,
-            tables_evicted: usize_of(delta, "tables_evicted")?,
-            rederived,
-            full_s: f64_of(timing, "full_s")?,
-            delta_s: f64_of(timing, "delta_s")?,
-        })
     }
 }
 
@@ -508,96 +433,77 @@ impl FailuresDoc {
     pub fn parse(text: &str) -> Result<FailuresDoc, String> {
         let env = Envelope::parse_expecting(text, FAILURES_DOC_KIND, FAILURES_DOC_VERSION)?;
         let p = &env.payload;
-        let str_of = |j: &Json, key: &str| -> Result<String, String> {
-            j.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing string field `{key}`"))
-        };
-        let bool_of = |j: &Json, key: &str| -> Result<bool, String> {
-            j.get(key)
-                .and_then(Json::as_bool)
-                .ok_or_else(|| format!("missing boolean field `{key}`"))
-        };
         let network = p.get("network").ok_or("missing `network`")?;
         let sharing = p.get("sharing").ok_or("missing `sharing`")?;
         let shard = match p.get("shard") {
             None => None,
-            Some(s) => Some((usize_of(s, "index")?, usize_of(s, "of")?)),
+            Some(s) => Some((s.usize("index")?, s.usize("of")?)),
         };
-        let mut ecs = Vec::new();
-        for ec in p.get("ecs").and_then(Json::as_arr).ok_or("missing `ecs`")? {
-            let mut details = Vec::new();
-            for d in ec
-                .get("refinements_detail")
-                .and_then(Json::as_arr)
-                .ok_or("missing `refinements_detail`")?
-            {
-                details.push(DetailDoc {
-                    rank: usize_of(d, "rank")?,
-                    representative: str_of(d, "representative")?,
-                    nodes: usize_of(d, "nodes")?,
-                    split: usize_of(d, "split")?,
-                    how: str_of(d, "how")?,
-                    provenance: str_of(d, "provenance")?,
-                });
-            }
-            let mut per_scenario = Vec::new();
-            for s in ec
-                .get("per_scenario")
-                .and_then(Json::as_arr)
-                .ok_or("missing `per_scenario`")?
-            {
-                per_scenario.push(ScenarioDoc {
-                    rank: usize_of(s, "rank")?,
-                    links: str_of(s, "links")?,
-                    nodes: usize_of(s, "nodes")?,
-                });
-            }
-            ecs.push(EcDoc {
-                rep: str_of(ec, "rep")?,
-                fingerprint: str_of(ec, "fingerprint")?,
-                canonical: bool_of(ec, "canonical")?,
-                scenarios: usize_of(ec, "scenarios")?,
-                refinements: usize_of(ec, "refinements")?,
-                derivations: usize_of(ec, "derivations")?,
-                base_abstract_nodes: usize_of(ec, "base_abstract_nodes")?,
-                refined_nodes_sum: usize_of(ec, "refined_nodes_sum")?,
-                max_refined_nodes: usize_of(ec, "max_refined_nodes")?,
-                details,
-                per_scenario,
-            });
-        }
-        let mut queries = Vec::new();
-        for q in p
-            .get("queries")
-            .and_then(Json::as_arr)
-            .ok_or("missing `queries`")?
-        {
-            queries.push(QueryDoc {
-                src: str_of(q, "src")?,
-                dst: str_of(q, "dst")?,
-                prefix: str_of(q, "prefix")?,
-                delivered: usize_of(q, "delivered")?,
-                scenarios: usize_of(q, "scenarios")?,
-            });
-        }
+        let detail = |d: &Json| {
+            Ok(DetailDoc {
+                rank: d.usize("rank")?,
+                representative: d.str("representative")?.to_string(),
+                nodes: d.usize("nodes")?,
+                split: d.usize("split")?,
+                how: d.str("how")?.to_string(),
+                provenance: d.str("provenance")?.to_string(),
+            })
+        };
+        let scenario = |s: &Json| {
+            Ok(ScenarioDoc {
+                rank: s.usize("rank")?,
+                links: s.str("links")?.to_string(),
+                nodes: s.usize("nodes")?,
+            })
+        };
+        let class = |ec: &Json| {
+            let details = ec.arr("refinements_detail");
+            let details = details.or(Err("missing `refinements_detail`"))?.iter();
+            let per_scenario = ec.arr("per_scenario").or(Err("missing `per_scenario`"))?;
+            Ok(EcDoc {
+                rep: ec.str("rep")?.to_string(),
+                fingerprint: ec.str("fingerprint")?.to_string(),
+                canonical: ec.bool("canonical")?,
+                scenarios: ec.usize("scenarios")?,
+                refinements: ec.usize("refinements")?,
+                derivations: ec.usize("derivations")?,
+                base_abstract_nodes: ec.usize("base_abstract_nodes")?,
+                refined_nodes_sum: ec.usize("refined_nodes_sum")?,
+                max_refined_nodes: ec.usize("max_refined_nodes")?,
+                details: details.map(detail).collect::<Result<_, String>>()?,
+                per_scenario: per_scenario
+                    .iter()
+                    .map(scenario)
+                    .collect::<Result<_, String>>()?,
+            })
+        };
+        let query = |q: &Json| {
+            Ok(QueryDoc {
+                src: q.str("src")?.to_string(),
+                dst: q.str("dst")?.to_string(),
+                prefix: q.str("prefix")?.to_string(),
+                delivered: q.usize("delivered")?,
+                scenarios: q.usize("scenarios")?,
+            })
+        };
+        let ecs = p.arr("ecs").or(Err("missing `ecs`"))?.iter();
+        let queries = p.arr("queries").or(Err("missing `queries`"))?.iter();
         Ok(FailuresDoc {
-            k: usize_of(p, "k")?,
-            threads: usize_of(p, "threads")?,
-            pruned: bool_of(p, "pruned")?,
-            share: bool_of(p, "share_across_ecs")?,
-            nodes: usize_of(network, "nodes")?,
-            links: usize_of(network, "links")?,
-            derivations: usize_of(sharing, "derivations")?,
-            unshared_derivations: usize_of(sharing, "unshared_derivations")?,
-            exact_transfers: usize_of(sharing, "exact_transfers")?,
-            symmetric_transfers: usize_of(sharing, "symmetric_transfers")?,
-            verified_transfers: usize_of(sharing, "verified_transfers")?,
-            distinct_fingerprints: usize_of(sharing, "distinct_fingerprints")?,
+            k: p.usize("k")?,
+            threads: p.usize("threads")?,
+            pruned: p.bool("pruned")?,
+            share: p.bool("share_across_ecs")?,
+            nodes: network.usize("nodes")?,
+            links: network.usize("links")?,
+            derivations: sharing.usize("derivations")?,
+            unshared_derivations: sharing.usize("unshared_derivations")?,
+            exact_transfers: sharing.usize("exact_transfers")?,
+            symmetric_transfers: sharing.usize("symmetric_transfers")?,
+            verified_transfers: sharing.usize("verified_transfers")?,
+            distinct_fingerprints: sharing.usize("distinct_fingerprints")?,
             shard,
-            ecs,
-            queries,
+            ecs: ecs.map(class).collect::<Result<_, String>>()?,
+            queries: queries.map(query).collect::<Result<_, String>>()?,
         })
     }
 

@@ -151,6 +151,64 @@ fn damaged_snapshots_are_rejected_with_the_known_messages() {
             r#""rep": "10.9.9.0/24", "refinements""#,
             "snapshot has no class for prefix 10.0.0.0/24",
         ),
+        // Well-formed JSON, a member of the wrong type: each of these
+        // restored before the typed member reads, the item skipped or the
+        // member defaulted.
+        (
+            r#""split": ["b1"]"#,
+            r#""split": ["b1", 3]"#,
+            r#""split" must be an array of strings"#,
+        ),
+        (
+            r#""split": ["b1"]"#,
+            r#""split": "b1""#,
+            r#""split" must be an array of strings"#,
+        ),
+        (
+            r#""localized_refuted": false"#,
+            r#""localized_refuted": "yes""#,
+            r#""localized_refuted" must be true or false"#,
+        ),
+        (
+            r#""deviating_rounds": 0"#,
+            r#""deviating_rounds": -1"#,
+            r#""deviating_rounds" must be a non-negative integer"#,
+        ),
+        (
+            r#""provenance": "derived""#,
+            r#""provenance": "bogus""#,
+            r#"unknown refinement provenance "bogus""#,
+        ),
+        (
+            r#""lengths": [2]"#,
+            r#""lengths": [2, "x", -1]"#,
+            r#""lengths" must be an array of non-negative integers"#,
+        ),
+        (
+            r#""waypoints": ["b1", "b2", "b3"]"#,
+            r#""waypoints": ["b1", 7]"#,
+            r#""waypoints" must be an array of strings"#,
+        ),
+        (
+            r#"{"rep": "10.0.0.0/24", "entries""#,
+            r#"{"entries""#,
+            "missing string field `rep`",
+        ),
+        (
+            r#""verdicts": [{"#,
+            r#""verdicts": "none", "was": [{"#,
+            r#""verdicts" must be an array"#,
+        ),
+        (
+            r#""paths": [{"#,
+            r#""paths": "none", "was": [{"#,
+            r#""paths" must be an array"#,
+        ),
+        (
+            r#""prune_symmetric": false"#,
+            r#""prune_symmetric": "yes""#,
+            r#""prune_symmetric" must be true or false"#,
+        ),
     ] {
         assert_eq!(rejection(from, to), message, "`{from}` → `{to}`");
     }
@@ -185,11 +243,15 @@ fn a_snapshot_of_another_network_is_refused_by_fingerprint() {
 }
 
 /// Sections written before the answer tier existed are absent, not
-/// empty: such a snapshot restores refinement-warm.
+/// empty: such a snapshot restores refinement-warm — as it does without
+/// the optional `prune_symmetric`, and with a member a later version adds.
 #[test]
 fn a_snapshot_without_the_answer_tier_restores_refinement_warm() {
     let cut = GOLDEN.find(r#", "verdicts""#).expect("golden has the tier");
     let bare = format!("{}}}\n}}\n", &GOLDEN[..cut]);
+    let prune = r#""prune_symmetric": false, "#;
+    assert!(bare.contains(prune), "golden has the option");
+    let bare = bare.replacen(prune, r#""from_the_future": {"x": [null]}, "#, 1);
     let warm = gadget().restore(&bare).expect("pre-tier text restores");
     let stats = warm.stats();
     assert_eq!((stats.sweep.restored, stats.sweep.restored_answers), (2, 0));

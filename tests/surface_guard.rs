@@ -15,6 +15,13 @@ struct Source {
 }
 
 impl Source {
+    /// Whether the file is compiled into a shipped crate (not a test, an
+    /// example or a bench target).
+    fn is_shipped(&self) -> bool {
+        self.path.starts_with("src/")
+            || (self.path.starts_with("crates/") && self.path.contains("/src/"))
+    }
+
     /// The lines before the file's `#[cfg(test)]` module.
     fn shipped_lines(&self) -> impl Iterator<Item = (usize, &str)> {
         let lines = self.text.lines().enumerate();
@@ -167,15 +174,43 @@ fn no_json_object_is_opened_by_hand() {
     // `core::snapshot`): outside its own file no shipped line opens an
     // object literal in a format string.
     for source in tree() {
-        let shipped = source.path.starts_with("src/")
-            || (source.path.starts_with("crates/") && source.path.contains("/src/"));
-        if !shipped || source.path == "crates/obs/src/json.rs" {
+        if !source.is_shipped() || source.path == "crates/obs/src/json.rs" {
             continue;
         }
         for (at, line) in source.shipped_lines() {
             assert!(
                 !line.contains("{{\\\"") && !line.contains("\"{\\\""),
                 "{}:{}: build JSON with `write_object`: {line}",
+                source.path,
+                at + 1
+            );
+        }
+    }
+}
+
+#[test]
+fn members_are_read_through_the_typed_accessors() {
+    // One member reader (`core::snapshot::Json::{str, usize, …, opt_*}`)
+    // decides what absent and wrong-typed mean: outside its file no
+    // shipped line chains `get` into a value conversion, and none of the
+    // per-document helpers over a `Json` comes back beside it.
+    let helpers = [
+        "fn usize_of(",
+        "fn str_of(",
+        "fn bool_of(",
+        "fn f64_of(",
+        "fn parse_links(",
+        "fn named_links(",
+    ];
+    for source in tree() {
+        if !source.is_shipped() || source.path == "crates/core/src/snapshot.rs" {
+            continue;
+        }
+        for (at, line) in source.shipped_lines() {
+            let helper = line.contains("Json") && helpers.iter().any(|h| line.contains(h));
+            assert!(
+                !helper && !line.contains(".and_then(Json::as_"),
+                "{}:{}: read members with the `Json` accessors: {line}",
                 source.path,
                 at + 1
             );
