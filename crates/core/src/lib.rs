@@ -44,6 +44,9 @@
 //! 11. [`snapshot`] — the minimal JSON reader/writer and the one
 //!     versioned snapshot envelope shared by the bench, CLI, and daemon
 //!     serializers.
+//! 12. [`symmetry`] — the class witness: a verified automorphism carrying
+//!     one destination class onto another, found by
+//!     individualization–refinement from the quotient's canonical colours.
 //!
 //! ```
 //! use bonsai_core::compress::{compress, CompressOptions};
@@ -71,6 +74,7 @@ pub mod roles;
 pub mod scenarios;
 pub mod signatures;
 pub mod snapshot;
+pub mod symmetry;
 
 pub use abstraction::{build_abstract_network, AbstractNetwork};
 pub use algorithm::{find_abstraction, find_abstraction_from, refine_with_split, Abstraction};

@@ -1003,7 +1003,7 @@ pub struct QuotientCanon {
 
 impl QuotientCanon {
     /// Canonical color of a block id.
-    fn color_of(&self, block: u32) -> u32 {
+    pub(crate) fn color_of(&self, block: u32) -> u32 {
         self.color_of_block[block as usize]
     }
 

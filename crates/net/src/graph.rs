@@ -13,6 +13,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Identifier of a node (router) in a [`Graph`].
 ///
@@ -166,6 +167,7 @@ impl GraphBuilder {
             out_edges,
             in_start,
             in_edges,
+            by_name: OnceLock::new(),
         }
     }
 }
@@ -173,7 +175,8 @@ impl GraphBuilder {
 /// An immutable directed graph: the topology of an SRP instance.
 ///
 /// Build one with [`GraphBuilder`]. All queries are O(1) or O(degree) except
-/// [`Graph::has_edge`], which is O(log m).
+/// [`Graph::has_edge`] and [`Graph::node_by_name`], which are O(log m) and
+/// O(log n).
 #[derive(Clone, Debug)]
 pub struct Graph {
     names: Vec<String>,
@@ -183,6 +186,10 @@ pub struct Graph {
     out_edges: Vec<EdgeId>,
     in_start: Vec<u32>,
     in_edges: Vec<EdgeId>,
+    /// Node ids sorted by name (ids ascending among equal names), built by
+    /// the first [`Graph::node_by_name`] call — graphs nobody asks by name
+    /// (every abstract network a compression assembles) never pay for it.
+    by_name: OnceLock<Vec<u32>>,
 }
 
 impl Graph {
@@ -220,12 +227,20 @@ impl Graph {
         &self.names[u.index()]
     }
 
-    /// Looks a node up by display name (O(n); intended for tests/examples).
+    /// Looks a node up by display name: the first node of that name, by
+    /// binary search over a name index built on the first call.
     pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
-        self.names
-            .iter()
-            .position(|n| n == name)
-            .map(|i| NodeId(i as u32))
+        let name_of = |i: u32| self.names[i as usize].as_str();
+        let index = self.by_name.get_or_init(|| {
+            let mut ids: Vec<u32> = (0..self.names.len() as u32).collect();
+            ids.sort_by_key(|&i| name_of(i));
+            ids
+        });
+        let at = index.partition_point(|&i| name_of(i) < name);
+        index
+            .get(at)
+            .filter(|&&i| name_of(i) == name)
+            .map(|&i| NodeId(i))
     }
 
     /// The `(source, target)` pair of a directed edge.
@@ -437,6 +452,27 @@ mod tests {
         assert_eq!(g.links(), vec![(b, a)]);
         assert_eq!(g.canonical_link(a, b), Some((b, a)));
         assert_eq!(g.canonical_link(b, a), Some((b, a)));
+    }
+
+    #[test]
+    fn node_by_name_answers_like_a_scan() {
+        let scan = |g: &Graph, name: &str| g.nodes().find(|&n| g.name(n) == name);
+        let mut b = GraphBuilder::new();
+        for name in ["d", "b2", "a", "b1", "b2", "core10", "core1"] {
+            b.add_node(name);
+        }
+        let g = b.build();
+        for n in g.nodes() {
+            assert_eq!(g.node_by_name(g.name(n)), scan(&g, g.name(n)));
+        }
+        // Duplicate names resolve to the first node, as the scan did.
+        assert_eq!(g.node_by_name("b2"), Some(NodeId(1)));
+        for missing in ["", "b", "b3", "core", "core100", "zz"] {
+            assert_eq!(g.node_by_name(missing), None, "{missing:?}");
+        }
+        assert_eq!(GraphBuilder::new().build().node_by_name("a"), None);
+        let d = diamond();
+        assert!(d.nodes().all(|n| d.node_by_name(d.name(n)) == Some(n)));
     }
 
     #[test]

@@ -202,6 +202,10 @@ pub const METRICS: &[MetricDef] = &[
         "Raw signature keys memoized by sweep workers, per (worker, class)",
     ),
     counter(
+        "sweep.classes.tallied",
+        "Classes tallied through a verified class witness instead of visited",
+    ),
+    counter(
         "sweep.refinements.materialized",
         "Refinements whose abstract network and canonical solution were built on first read",
     ),
@@ -556,6 +560,14 @@ pub struct Span {
     name: &'static str,
     start: Instant,
     fields: Vec<(&'static str, FieldVal)>,
+}
+
+impl Span {
+    /// Adds a field known only once the spanned work is done (an outcome,
+    /// a count).
+    pub fn record(&mut self, key: &'static str, value: impl Into<FieldVal>) {
+        self.fields.push((key, value.into()));
+    }
 }
 
 impl Drop for Span {

@@ -47,10 +47,13 @@ use bonsai_core::abstraction::AbstractNetwork;
 use bonsai_core::algorithm::Abstraction;
 use bonsai_core::compress::refine_ec_with_split;
 use bonsai_core::engine::CompiledPolicies;
-use bonsai_core::scenarios::{link_orbits_with_distances, FailureScenario, ScenarioStream};
+use bonsai_core::scenarios::{
+    link_orbits_with_distances, FailureScenario, NodeDistances, ScenarioStream,
+};
 use bonsai_net::partition::BlockId;
 use bonsai_net::{FailureMask, NodeId};
 use bonsai_srp::instance::EcDest;
+use std::sync::Arc;
 
 /// One scenario the abstraction could not mirror, and how it was repaired.
 #[derive(Clone, Debug)]
@@ -165,7 +168,8 @@ pub fn check_cp_equivalence_under_failures(
     engine: &CompiledPolicies,
     options: &SweepOptions,
 ) -> Result<FailureAuditReport, EquivalenceError> {
-    let env = SweepEnv::new(network, topo, engine, options);
+    let distances = Arc::new(NodeDistances::of_graph(&topo.graph));
+    let env = SweepEnv::new(network, topo, engine, options, distances);
     let ctx = SweepCtx::hoist(&env, ec.clone(), abstraction, abs);
     let k = options.max_failures;
     let stream = ScenarioStream::new(&topo.graph, k);

@@ -59,13 +59,40 @@
 //!   checked rather than trusted, falling back to a full derivation on
 //!   refutation.
 //!
+//! **Whole-class symmetry.** When outcomes are not collected and sharing
+//! is on, the plane does not visit every class. Classes are grouped by
+//! `(EcFingerprint, QuotientClass)`; the first class of a group is
+//! visited, and each later one asks [`bonsai_core::symmetry`] for a class
+//! witness onto an earlier visited class of its group — a node permutation
+//! σ of the concrete graph, verified edge by edge, carrying the class's
+//! origins, edge signatures and base blocks onto the donor's. A class with
+//! a witness is **tallied**: for each donor signature with representative
+//! R, its own signature is `signature_of(σ⁻¹(R))` and its representative
+//! the `canonical_scenario` of that; its refinement is resolved by the
+//! same [`resolve_refinement`] a visit calls (same shared cache, same
+//! transfer or derivation, same provenance), and its item count is the
+//! donor's count for that signature, the shard and prune filters applied
+//! per signature as a visit applies them per item. A class without a
+//! witness — no automorphism, or the search ran out of budget — is
+//! visited.
+//!
 //! Exactness: the fingerprint + quotient-class + canonical-signature key
-//! certifies policy-level and quotient-level symmetry; it does not
-//! construct a concrete automorphism. On networks whose orbit structure
-//! certifies real symmetry (every topology in our suite) a transfer is
-//! byte-identical to the fresh derivation — `tests/netsweep_acceptance.rs`
-//! proves exactly that, per transfer, against
-//! [`crate::sweep::derive_refinement`].
+//! certifies policy-level and quotient-level symmetry between two classes;
+//! the class witness *constructs* it. σ is a bijection of the scenario
+//! space that commutes with signatures — intact distances are
+//! automorphism-invariant, and blocks and orbits map through σ, which the
+//! verifier checks — so a tallied class's per-signature counts are its
+//! donor's, and everything else is computed by the code that computes it
+//! for a visited class. What stays trusted is *within* a class: that
+//! scenarios of one signature are automorphic images of its
+//! representative (see [`bonsai_core::scenarios`]), which every signature
+//! cache hit and every symmetric transfer rests on, tallied or not. On
+//! networks whose orbit structure certifies real symmetry (every topology
+//! in our suite) a transfer is byte-identical to the fresh derivation —
+//! `tests/netsweep_acceptance.rs` proves exactly that, per transfer,
+//! against [`crate::sweep::derive_refinement`] — and a tallied sweep's
+//! tallies and refinements equal those of the collected sweep, which
+//! always visits.
 
 use crate::equivalence::EquivalenceError;
 use crate::sweep::{
@@ -76,13 +103,15 @@ use crate::sweep::{
 use bonsai_config::{BuiltTopology, NetworkConfig};
 use bonsai_core::compress::CompressionReport;
 use bonsai_core::engine::EcFingerprint;
-use bonsai_core::fanout::fan_out_ranges;
+use bonsai_core::fanout::{fan_out, fan_out_ranges};
 use bonsai_core::scenarios::{
-    canonical_signature_of, quotient_canon, CanonicalSignature, FailureScenario, OrbitSignature,
-    QuotientCanon, QuotientClass, ScenarioRangeIter, ScenarioStream, SignatureInterner,
+    canonical_signature_of, quotient_canon, CanonicalSignature, FailureScenario, NodeDistances,
+    OrbitSignature, QuotientCanon, QuotientClass, ScenarioRangeIter, ScenarioStream,
+    SignatureInterner,
 };
+use bonsai_core::symmetry::{find_class_witness, ClassView, ClassWitness};
 use bonsai_net::prefix::Prefix;
-use bonsai_net::NodeId;
+use bonsai_net::{Graph, NodeId};
 use bonsai_srp::instance::OriginProto;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -132,6 +161,11 @@ impl ShardSpec {
     /// Total number of shards (at least 1).
     pub fn of(&self) -> usize {
         self.of
+    }
+
+    /// Whether the signature class with this [`shard_key`] is this shard's.
+    fn holds(&self, key: u64) -> bool {
+        key % self.of as u64 == self.index as u64
     }
 }
 
@@ -214,10 +248,16 @@ pub struct NetworkSweepReport {
     pub verified_transfers: usize,
     /// Distinct policy fingerprints among the swept classes.
     pub distinct_fingerprints: usize,
+    /// Classes tallied through a verified class witness instead of
+    /// visited item by item (see the module docs; 0 whenever outcomes are
+    /// collected or sharing is off).
+    pub classes_tallied: usize,
     /// Effective scenarios-per-range of the streamed fan-out.
     pub chunk_size: usize,
-    /// Scenario instances generated through the streamed enumeration
-    /// (pruned sweeps stream every item too; the filter runs after).
+    /// The (scenario, class) items the plane **covers**: every class's
+    /// whole stream, whether its items were stepped one by one or tallied
+    /// through a witness (pruned sweeps stream every item too; the filter
+    /// runs after) — always classes × `C(L,1) + … + C(L,k)`.
     pub scenarios_streamed: usize,
     /// High-water mark of concurrently resident scenario items: the item
     /// each worker is standing on + collected outcome records. Workers
@@ -229,7 +269,8 @@ pub struct NetworkSweepReport {
     /// `O(C(L,k))`.
     pub peak_resident_scenarios: usize,
     /// Distinct [`OrbitSignature`]s interned by the per-(worker, class)
-    /// interners, summed over workers and classes.
+    /// interners, summed over workers and visited classes (a tallied class
+    /// interns nothing).
     pub signatures_interned: usize,
     /// Distinct raw signature keys those interners memoized, summed the
     /// same way: the memo a hit probes, and what grows with `k`.
@@ -275,6 +316,7 @@ impl NetworkSweepReport {
         bonsai_obs::set_max("sweep.resident.peak", self.peak_resident_scenarios as u64);
         bonsai_obs::add("sweep.signatures.interned", self.signatures_interned as u64);
         bonsai_obs::add("sweep.signatures.raw_keys", self.raw_keys as u64);
+        bonsai_obs::add("sweep.classes.tallied", self.classes_tallied as u64);
     }
 }
 
@@ -284,6 +326,19 @@ struct EcPlane<'a> {
     ctx: SweepCtx<'a>,
     canon: Option<QuotientCanon>,
     fingerprint: EcFingerprint,
+}
+
+impl EcPlane<'_> {
+    /// The class as a witness search sees it (`None` without a canonical
+    /// quotient).
+    fn view(&self) -> Option<ClassView<'_>> {
+        self.canon.as_ref().map(|canon| ClassView {
+            ec: &self.ctx.ec,
+            sigs: &self.ctx.sigs,
+            base: self.ctx.base,
+            canon,
+        })
+    }
 }
 
 /// The cross-EC cache key: equal only for classes with provably identical
@@ -317,10 +372,14 @@ struct SharedEntry {
 type SharedCache = std::sync::Mutex<HashMap<SharedKey, Arc<SharedEntry>>>;
 
 /// What one worker knows about one (class, signature) pair, indexed by
-/// the class interner's dense `SigId` — a hit reads `refined_nodes` (and
-/// `shard_key`/`rep` when those filters are on) and nothing else.
+/// the class interner's dense `SigId` — a hit bumps `items`, reads
+/// `refined_nodes` (and `shard_key`/`rep` when those filters are on) and
+/// nothing else.
 #[derive(Default)]
 struct Slot {
+    /// Items of the signature this worker stepped onto, filters or not:
+    /// what a class tallied against this one counts.
+    items: usize,
     /// The resolved refinement (`None` until the first unfiltered item of
     /// the signature), folded into the report's per-class map after the
     /// fan-out.
@@ -345,26 +404,65 @@ impl Slot {
     }
 }
 
-/// One worker's state for one class of the plane.
+/// How a class's refinements were resolved, by provenance.
+#[derive(Clone, Copy, Default)]
+struct Resolved {
+    /// Full derivations kept for the class.
+    derived: usize,
+    exact: usize,
+    symmetric: usize,
+    /// Symmetric transfers re-verified (`verify_transfers`).
+    verified: usize,
+}
+
+impl Resolved {
+    fn record(&mut self, refinement: &ScenarioRefinement, options: &NetworkSweepOptions) {
+        match refinement.provenance {
+            RefinementProvenance::Derived => self.derived += 1,
+            RefinementProvenance::TransferredExact => self.exact += 1,
+            RefinementProvenance::TransferredSymmetric => {
+                self.symmetric += 1;
+                // In audited mode a symmetric transfer only stands once
+                // re-verified.
+                self.verified += usize::from(options.verify_transfers);
+            }
+        }
+    }
+
+    fn merge(&mut self, other: &Resolved) {
+        self.derived += other.derived;
+        self.exact += other.exact;
+        self.symmetric += other.symmetric;
+        self.verified += other.verified;
+    }
+}
+
+/// One class's slice of the sweep before it becomes an [`EcSweep`]: what
+/// a worker holds for a visited class, and what a tally produces.
+#[derive(Default)]
+struct ClassTally {
+    refinements: BTreeMap<OrbitSignature, ScenarioRefinement>,
+    /// Aggregate outcome tallies — complete even when outcome records are
+    /// not collected.
+    stats: OutcomeStats,
+    resolved: Resolved,
+}
+
+/// One worker's state for one visited class of the plane.
 struct ClassState<'a> {
     interner: SignatureInterner<'a>,
     /// Indexed by `SigId`; grown as the interner hands out ids.
     slots: Vec<Slot>,
-    /// Full derivations kept for this class.
-    derivations: usize,
-    /// Aggregate outcome tallies — complete even when outcome records are
-    /// not collected.
     stats: OutcomeStats,
+    resolved: Resolved,
 }
 
 /// Worker-local state of the network fan-out.
 struct WorkerState<'a> {
+    /// One per visited class, in visiting order.
     classes: Vec<ClassState<'a>>,
     /// Scenario items this worker stepped through the stream.
     streamed: usize,
-    exact_transfers: usize,
-    symmetric_transfers: usize,
-    verified_transfers: usize,
 }
 
 /// Sweeps every `≤ k` link-failure scenario of **every** destination
@@ -405,7 +503,27 @@ pub fn sweep_network_subset(
     options: &NetworkSweepOptions,
     indices: &[usize],
 ) -> Result<NetworkSweepReport, EquivalenceError> {
-    let env = SweepEnv::new(network, topo, &report.policies, &options.sweep);
+    let distances = Arc::new(NodeDistances::of_graph(&topo.graph));
+    sweep_with_distances(network, topo, report, options, indices, &distances)
+}
+
+/// [`sweep_network_subset`] over the intact-network distance matrix of
+/// `topo.graph` the caller already holds.
+pub(crate) fn sweep_with_distances(
+    network: &NetworkConfig,
+    topo: &BuiltTopology,
+    report: &CompressionReport,
+    options: &NetworkSweepOptions,
+    indices: &[usize],
+    distances: &Arc<NodeDistances>,
+) -> Result<NetworkSweepReport, EquivalenceError> {
+    let env = SweepEnv::new(
+        network,
+        topo,
+        &report.policies,
+        &options.sweep,
+        Arc::clone(distances),
+    );
     let k = options.sweep.max_failures;
     let n_ecs = indices.len();
 
@@ -436,16 +554,27 @@ pub fn sweep_network_subset(
         });
     }
 
-    // The flattened class-major plane: item `i` is scenario rank
-    // `i % per_class` of class `i / per_class`.
+    // A class with a verified witness onto an earlier visited class is
+    // tallied after the fan-out; the plane visits the rest.
+    let donors: Vec<Option<(usize, ClassWitness)>> =
+        if options.share_across_ecs && !options.collect_outcomes {
+            find_donors(&topo.graph, &planes)
+        } else {
+            planes.iter().map(|_| None).collect()
+        };
+    let visited: Vec<usize> = (0..n_ecs).filter(|&e| donors[e].is_none()).collect();
+
+    // The flattened class-major plane of the visited classes: item `i` is
+    // scenario rank `i % per_class` of class `visited[i / per_class]`.
     let per_class = stream.len();
-    let total = n_ecs * per_class;
+    let total = visited.len() * per_class;
 
     let chunk_size = if options.chunk_size == 0 {
         DEFAULT_CHUNK_SIZE
     } else {
         options.chunk_size
     };
+    // Sized by the plane the sweep covers, tallied classes included.
     let threads = if options.sweep.threads == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -453,7 +582,7 @@ pub fn sweep_network_subset(
     } else {
         options.sweep.threads
     }
-    .min(total.div_ceil(chunk_size).max(1));
+    .min((n_ecs * per_class).div_ceil(chunk_size).max(1));
 
     // Resident-scenario gauge: an item counts while in flight, a collected
     // outcome record from collection to the end of the sweep. Workers
@@ -480,14 +609,16 @@ pub fn sweep_network_subset(
         // for the run start, successor stepping over link indices after.
         let mut i = range.start;
         while i < range.end {
-            let (e, first) = (i / per_class, i % per_class);
-            let run_end = ((e + 1) * per_class).min(range.end);
+            let (v, first) = (i / per_class, i % per_class);
+            let e = visited[v];
+            let run_end = ((v + 1) * per_class).min(range.end);
             let mut item = stream.iter_range(first, run_end - i);
             let mut rank = first;
             while item.advance() {
                 high = high.max(out.len() + 1);
+                let class = &mut state.classes[v];
                 if let Some(outcome) =
-                    process_item(state, &shared, e, rank, &item, &planes[e], options)?
+                    process_item(class, &shared, rank, &item, &planes[e], options)?
                 {
                     out.push((e, outcome));
                 }
@@ -502,19 +633,16 @@ pub fn sweep_network_subset(
     };
 
     let init = || WorkerState {
-        classes: planes
+        classes: visited
             .iter()
-            .map(|plane| ClassState {
-                interner: SignatureInterner::new(&plane.ctx.orbits),
+            .map(|&e| ClassState {
+                interner: SignatureInterner::new(&planes[e].ctx.orbits),
                 slots: Vec::new(),
-                derivations: 0,
                 stats: OutcomeStats::default(),
+                resolved: Resolved::default(),
             })
             .collect(),
         streamed: 0,
-        exact_transfers: 0,
-        symmetric_transfers: 0,
-        verified_transfers: 0,
     };
     let (chunks, states) = fan_out_ranges(total, chunk_size, threads, init, work);
 
@@ -531,29 +659,32 @@ pub fn sweep_network_subset(
     // Merge worker states: the slots fold back into per-class refinement
     // maps keyed by full signature (racing duplicates are deterministic,
     // so any copy is kept — and must agree), then aggregate tallies and
-    // the sharing counters.
-    let mut refinements: Vec<BTreeMap<OrbitSignature, ScenarioRefinement>> =
+    // the sharing counters; the slots also fold into per-signature item
+    // counts, keyed by representative — what a tally against the class
+    // reads.
+    let mut classes: Vec<ClassTally> = (0..n_ecs).map(|_| ClassTally::default()).collect();
+    let mut donor_items: Vec<BTreeMap<FailureScenario, usize>> =
         (0..n_ecs).map(|_| BTreeMap::new()).collect();
-    let mut per_ec_derivations = vec![0usize; n_ecs];
-    let mut per_ec_stats = vec![OutcomeStats::default(); n_ecs];
-    let mut scenarios_streamed = 0usize;
-    let mut exact_transfers = 0usize;
-    let mut symmetric_transfers = 0usize;
-    let mut verified_transfers = 0usize;
+    let mut scenarios_streamed = (n_ecs - visited.len()) * per_class;
     let mut signatures_interned = 0usize;
     let mut raw_keys = 0usize;
     for state in states {
         scenarios_streamed += state.streamed;
-        exact_transfers += state.exact_transfers;
-        symmetric_transfers += state.symmetric_transfers;
-        verified_transfers += state.verified_transfers;
-        for (e, class) in state.classes.into_iter().enumerate() {
-            per_ec_derivations[e] += class.derivations;
-            per_ec_stats[e].merge(&class.stats);
+        for (class, &e) in state.classes.into_iter().zip(&visited) {
+            let tally = &mut classes[e];
+            tally.stats.merge(&class.stats);
+            tally.resolved.merge(&class.resolved);
             signatures_interned += class.interner.len();
             raw_keys += class.interner.raw_keys();
-            for refinement in class.slots.into_iter().filter_map(|slot| slot.refinement) {
-                match refinements[e].entry(refinement.signature.clone()) {
+            for slot in class.slots {
+                if slot.items > 0 {
+                    let rep = slot.rep.expect("a stepped slot knows its representative");
+                    *donor_items[e].entry(rep).or_insert(0) += slot.items;
+                }
+                let Some(refinement) = slot.refinement else {
+                    continue;
+                };
+                match tally.refinements.entry(refinement.signature.clone()) {
                     Entry::Vacant(v) => {
                         v.insert(refinement);
                     }
@@ -566,16 +697,36 @@ pub fn sweep_network_subset(
             }
         }
     }
-    let derivations = per_ec_derivations.iter().sum();
 
+    // The tallied classes, after every visited one: a donor's shared-cache
+    // entries are all in place, so a tally resolves exactly what the visit
+    // would have.
+    let tallied: Vec<(usize, usize, &ClassWitness)> = donors
+        .iter()
+        .enumerate()
+        .filter_map(|(e, donor)| donor.as_ref().map(|(d, witness)| (e, *d, witness)))
+        .collect();
+    let (tallies, _) = fan_out(
+        tallied.len(),
+        threads,
+        || (),
+        |_, t| {
+            let (e, d, witness) = tallied[t];
+            tally_class(&shared, &planes[e], witness, &donor_items[d], options)
+        },
+    );
+    for (&(e, _, _), tally) in tallied.iter().zip(tallies) {
+        classes[e] = tally?;
+    }
+
+    let mut resolved = Resolved::default();
     let mut per_ec: Vec<EcSweep> = Vec::with_capacity(n_ecs);
-    for (e, plane) in planes.iter().enumerate() {
-        let ec_outcomes = std::mem::take(&mut per_ec_outcomes[e]);
+    for ((plane, class), outcomes) in planes.iter().zip(classes).zip(per_ec_outcomes) {
         debug_assert!(
-            !options.collect_outcomes
-                || per_ec_stats[e] == OutcomeStats::from_outcomes(&ec_outcomes),
+            !options.collect_outcomes || class.stats == OutcomeStats::from_outcomes(&outcomes),
             "collected outcomes and aggregate tallies must agree"
         );
+        resolved.merge(&class.resolved);
         per_ec.push(EcSweep {
             rep: plane.ctx.ec.prefix,
             fingerprint: plane.fingerprint,
@@ -585,10 +736,10 @@ pub fn sweep_network_subset(
                 threads,
                 base_abstract_nodes: plane.ctx.base.abstract_node_count(),
                 scenarios_exhaustive: stream.len(),
-                outcomes: ec_outcomes,
-                stats: per_ec_stats[e],
-                refinements: std::mem::take(&mut refinements[e]),
-                derivations: per_ec_derivations[e],
+                outcomes,
+                stats: class.stats,
+                refinements: class.refinements,
+                derivations: class.resolved.derived,
             },
         });
     }
@@ -603,11 +754,12 @@ pub fn sweep_network_subset(
         k,
         threads,
         per_ec,
-        derivations,
-        exact_transfers,
-        symmetric_transfers,
-        verified_transfers,
+        derivations: resolved.derived,
+        exact_transfers: resolved.exact,
+        symmetric_transfers: resolved.symmetric,
+        verified_transfers: resolved.verified,
         distinct_fingerprints,
+        classes_tallied: tallied.len(),
         chunk_size,
         scenarios_streamed,
         peak_resident_scenarios: resident.peak(),
@@ -617,6 +769,80 @@ pub fn sweep_network_subset(
     };
     report.publish_metrics();
     Ok(report)
+}
+
+/// For each class: the earlier visited class of its group
+/// `(EcFingerprint, QuotientClass)` it has a verified witness onto, and
+/// the witness — `None` for a class that is visited (the first of its
+/// group, one without a canonical quotient, or one no search succeeded
+/// for; such a class is a donor candidate for the classes after it).
+fn find_donors(graph: &Graph, planes: &[EcPlane<'_>]) -> Vec<Option<(usize, ClassWitness)>> {
+    let mut groups: HashMap<(EcFingerprint, &QuotientClass), Vec<usize>> = HashMap::new();
+    let mut donors = Vec::with_capacity(planes.len());
+    for (e, plane) in planes.iter().enumerate() {
+        let Some(receiver) = plane.view() else {
+            donors.push(None);
+            continue;
+        };
+        let group = groups
+            .entry((plane.fingerprint, &receiver.canon.class))
+            .or_default();
+        let found = group.iter().find_map(|&d| {
+            let donor = planes[d].view().expect("group members canonicalize");
+            let mut span =
+                bonsai_obs::span!("sweep.witness", class = plane.ctx.ec.prefix.to_string());
+            let search = find_class_witness(graph, donor, receiver);
+            if let Some(span) = &mut span {
+                span.record("found", u64::from(search.witness.is_some()));
+                span.record("nodes", search.nodes);
+            }
+            search.witness.map(|witness| (d, witness))
+        });
+        if found.is_none() {
+            group.push(e);
+        }
+        donors.push(found);
+    }
+    donors
+}
+
+/// A tallied class (module docs): every signature of the donor, carried
+/// onto this class through σ⁻¹, resolved as a visit would resolve it, and
+/// counted with the donor's item count.
+fn tally_class(
+    shared: &SharedCache,
+    plane: &EcPlane<'_>,
+    witness: &ClassWitness,
+    donor_items: &BTreeMap<FailureScenario, usize>,
+    options: &NetworkSweepOptions,
+) -> Result<ClassTally, EquivalenceError> {
+    let orbits = &plane.ctx.orbits;
+    let mut tally = ClassTally::default();
+    for (donor_rep, &items) in donor_items {
+        let scenario = witness.to_receiver(&plane.ctx.env.topo.graph, donor_rep);
+        let signature = orbits
+            .signature_of(&scenario)
+            .expect("σ⁻¹ maps links onto links");
+        let rep = orbits.canonical_scenario(&signature);
+        if options
+            .shard
+            .is_some_and(|shard| !shard.holds(shard_key(plane, &signature, &rep)))
+        {
+            continue;
+        }
+        let refinement = resolve_refinement(shared, plane, &signature, &rep, options)?;
+        tally.resolved.record(&refinement, options);
+        // A pruned sweep keeps one item per signature: its representative.
+        let items = if options.sweep.prune_symmetric {
+            1
+        } else {
+            items
+        };
+        tally.stats.record_items(refinement.refined_nodes(), items);
+        let previous = tally.refinements.insert(signature, refinement);
+        debug_assert!(previous.is_none(), "σ maps signature classes one to one");
+    }
+    Ok(tally)
 }
 
 /// Merges the reports of a complete shard set (`index = 0..of`, any input
@@ -659,6 +885,7 @@ pub fn merge_reports(mut shards: Vec<NetworkSweepReport>) -> Result<NetworkSweep
         acc.exact_transfers += r.exact_transfers;
         acc.symmetric_transfers += r.symmetric_transfers;
         acc.verified_transfers += r.verified_transfers;
+        acc.classes_tallied += r.classes_tallied;
         acc.chunk_size = acc.chunk_size.max(r.chunk_size);
         acc.scenarios_streamed += r.scenarios_streamed;
         acc.peak_resident_scenarios = acc.peak_resident_scenarios.max(r.peak_resident_scenarios);
@@ -761,20 +988,19 @@ fn shard_key(plane: &EcPlane<'_>, signature: &OrbitSignature, rep: &FailureScena
 /// pruning comparison or a collected outcome. Returns the item's outcome
 /// record when outcomes are collected and no filter dropped it.
 fn process_item(
-    state: &mut WorkerState<'_>,
+    class: &mut ClassState<'_>,
     shared: &SharedCache,
-    e: usize,
     rank: usize,
     item: &ScenarioRangeIter<'_>,
     plane: &EcPlane<'_>,
     options: &NetworkSweepOptions,
 ) -> Result<Option<ScenarioOutcome>, EquivalenceError> {
-    let class = &mut state.classes[e];
     let id = class.interner.id_of(item.indices());
     if id.index() >= class.slots.len() {
         class.slots.resize_with(id.index() + 1, Slot::default);
     }
     let slot = &mut class.slots[id.index()];
+    slot.items += 1;
     let signature = class.interner.signature(id);
 
     if let Some(shard) = options.shard {
@@ -786,7 +1012,7 @@ fn process_item(
                 key
             }
         };
-        if key % shard.of() as u64 != shard.index() as u64 {
+        if !shard.holds(key) {
             return Ok(None);
         }
     }
@@ -800,16 +1026,7 @@ fn process_item(
     if !cache_hit {
         let rep = slot.rep(plane, signature);
         let refinement = resolve_refinement(shared, plane, signature, rep, options)?;
-        match refinement.provenance {
-            RefinementProvenance::Derived => class.derivations += 1,
-            RefinementProvenance::TransferredExact => state.exact_transfers += 1,
-            RefinementProvenance::TransferredSymmetric => {
-                state.symmetric_transfers += 1;
-                // In audited mode a symmetric transfer only stands once
-                // re-verified.
-                state.verified_transfers += usize::from(options.verify_transfers);
-            }
-        }
+        class.resolved.record(&refinement, options);
         slot.refined_nodes = refinement.refined_nodes();
         slot.refinement = Some(refinement);
     }

@@ -130,7 +130,7 @@ mod plane;
 mod reload;
 
 use crate::equivalence::EquivalenceError;
-use crate::netsweep::{sweep_network, NetworkSweepOptions, NetworkSweepReport};
+use crate::netsweep::{sweep_with_distances, NetworkSweepOptions, NetworkSweepReport};
 use crate::properties::SolutionAnalysis;
 use crate::query::QueryStats;
 use crate::sim_engine::{abstract_verdict, concrete_data_plane, concrete_verdict};
@@ -277,10 +277,14 @@ impl SessionBuilder {
     /// query planes — the cold path.
     pub fn build(self) -> Result<Session, SessionError> {
         let topo = build_topo(&self.network)?;
+        let distances = Arc::new(NodeDistances::of_graph(&topo.graph));
         let report = compress(&self.network, self.options.compress);
         let options = sweep_options(&self.options, self.options.max_failures);
-        let sweep = sweep_network(&self.network, &topo, &report, &options).map_err(build_error)?;
-        Session::of_sweep(self.network, topo, report, sweep, self.options)
+        let every: Vec<usize> = (0..report.per_ec.len()).collect();
+        let sweep =
+            sweep_with_distances(&self.network, &topo, &report, &options, &every, &distances)
+                .map_err(build_error)?;
+        Session::of_sweep(self.network, (topo, distances), report, sweep, self.options)
     }
 
     /// Rebuilds a warm session from a snapshot produced by
@@ -357,9 +361,10 @@ impl SessionBuilder {
             restored_answers,
             ..Default::default()
         };
+        let distances = Arc::new(NodeDistances::of_graph(&topo.graph));
         let session = Session::assemble(
             self.network,
-            topo,
+            (topo, distances),
             fingerprint,
             report,
             self.options,
@@ -525,13 +530,15 @@ impl Session {
         options: SessionOptions,
     ) -> Result<Session, SessionError> {
         let topo = build_topo(&network)?;
-        Session::of_sweep(network, topo, report, sweep, options)
+        let distances = Arc::new(NodeDistances::of_graph(&topo.graph));
+        Session::of_sweep(network, (topo, distances), report, sweep, options)
     }
 
-    /// [`Session::from_sweep`] over the topology the sweep already ran on.
+    /// [`Session::from_sweep`] over the topology (and its distance matrix)
+    /// the sweep already ran on.
     fn of_sweep(
         network: NetworkConfig,
-        topo: BuiltTopology,
+        topo: (BuiltTopology, Arc<NodeDistances>),
         report: CompressionReport,
         sweep: NetworkSweepReport,
         options: SessionOptions,
@@ -568,14 +575,16 @@ impl Session {
 
     /// The one way a session comes to be. `sources` names, per class of
     /// `report` and in its order, where the class's query plane comes
-    /// from; `topo` and `fingerprint` are the network's (every caller
-    /// has them), the rest of what is a function of it and `summary.k` is
-    /// computed here, and `summary` arrives with the caller's sweep tallies
-    /// and leaves with `refinements` and `restored` counted off the planes.
+    /// from; the topology with its intact-distance matrix and
+    /// `fingerprint` are the network's (every caller has them — a build or
+    /// reload swept over the same matrix), the rest of what is a function
+    /// of it and `summary.k` is computed here, and `summary` arrives with
+    /// the caller's sweep tallies and leaves with `refinements` and
+    /// `restored` counted off the planes.
     #[allow(clippy::too_many_arguments)]
     fn assemble(
         network: NetworkConfig,
-        topo: BuiltTopology,
+        (topo, distances): (BuiltTopology, Arc<NodeDistances>),
         fingerprint: String,
         report: CompressionReport,
         options: SessionOptions,
@@ -583,7 +592,6 @@ impl Session {
         memos: Memos,
         mut summary: SweepSummary,
     ) -> Result<Session, SessionError> {
-        let distances = Arc::new(NodeDistances::of_graph(&topo.graph));
         let mut planes = Vec::with_capacity(sources.len());
         for (comp, source) in report.per_ec.iter().zip(sources) {
             // The one per-class hoist, for a class not carried over whole.

@@ -5,10 +5,11 @@ use super::{
     build_error, build_topo, lock, network_fingerprint, sweep_options, Memos, PlaneSource, Session,
     SessionError, SweepSummary,
 };
-use crate::netsweep::sweep_network_subset;
+use crate::netsweep::sweep_with_distances;
 use bonsai_config::NetworkConfig;
 use bonsai_core::compress::recompress_delta;
 use bonsai_core::engine::DeltaInvalidation;
+use bonsai_core::scenarios::NodeDistances;
 use bonsai_net::NodeId;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -56,7 +57,7 @@ impl Session {
     /// classified and absorbed by
     /// [`recompress_delta`]:
     /// only destination classes whose signature table actually changed
-    /// are re-swept (through [`sweep_network_subset`], sharing
+    /// are re-swept (through [`crate::netsweep::sweep_network_subset`], sharing
     /// refinements among themselves exactly as a full sweep would), while
     /// every untouched class keeps its abstraction and **carries its
     /// query plane over as it is** — orbit index, refinements and their
@@ -113,8 +114,16 @@ impl Session {
         // refinements among itself exactly as the cold build's full sweep
         // would have.
         let options = sweep_options(&self.options, k);
-        let sweep = sweep_network_subset(&new_network, &topo, &report, &options, &dr.rederived)
-            .map_err(build_error)?;
+        let distances = Arc::new(NodeDistances::of_graph(&topo.graph));
+        let sweep = sweep_with_distances(
+            &new_network,
+            &topo,
+            &report,
+            &options,
+            &dr.rederived,
+            &distances,
+        )
+        .map_err(build_error)?;
         let mut summary = SweepSummary::of_sweep(&sweep);
         let mut swept = sweep.per_ec.into_iter();
         let planes = kept_from
@@ -175,7 +184,7 @@ impl Session {
         let fingerprint = network_fingerprint(&new_network);
         let session = Session::assemble(
             new_network,
-            topo,
+            (topo, distances),
             fingerprint,
             report,
             self.options,

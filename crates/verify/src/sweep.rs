@@ -31,11 +31,11 @@
 //!    warm-starting is a pure optimization.
 //!
 //! Everything a check needs is hoisted **once per class** into a
-//! `SweepCtx` (signature table, link orbits, the concrete SRP instance
-//! and the two failure-free fixpoints) over a per-sweep `SweepEnv`; the
-//! three entry points of the crate all build exactly that and call the
-//! same two functions, `derive_scenario_refinement` and
-//! `check_scenario_refined`:
+//! `SweepCtx` (signature table, link orbits, the concrete SRP instance,
+//! and the two failure-free fixpoints once a derivation reads them) over
+//! a per-sweep `SweepEnv`; the three entry points of the crate all build
+//! exactly that and call the same two functions,
+//! `derive_scenario_refinement` and `check_scenario_refined`:
 //!
 //! * [`crate::netsweep`] — the one scenario loop: the (scenario × class)
 //!   plane, fanned out over worker threads, with per-worker signature
@@ -369,8 +369,14 @@ pub struct OutcomeStats {
 impl OutcomeStats {
     /// Records one verified scenario.
     pub fn record(&mut self, refined_nodes: usize) {
-        self.scenarios += 1;
-        self.refined_nodes_sum += refined_nodes;
+        self.record_items(refined_nodes, 1);
+    }
+
+    /// Records `items` verified scenarios served by one refinement (a
+    /// tallied class's signature).
+    pub(crate) fn record_items(&mut self, refined_nodes: usize, items: usize) {
+        self.scenarios += items;
+        self.refined_nodes_sum += refined_nodes * items;
         self.max_refined_nodes = self.max_refined_nodes.max(refined_nodes);
     }
 
@@ -477,11 +483,15 @@ pub(crate) struct SweepEnv<'a> {
 }
 
 impl<'a> SweepEnv<'a> {
+    /// `distances` must be [`NodeDistances::of_graph`] of `topo.graph` —
+    /// a session passes the one it holds, so a build or reload computes
+    /// it once.
     pub(crate) fn new(
         network: &'a NetworkConfig,
         topo: &'a BuiltTopology,
         engine: &'a CompiledPolicies,
         options: &SweepOptions,
+        distances: Arc<NodeDistances>,
     ) -> Self {
         SweepEnv {
             network,
@@ -490,7 +500,7 @@ impl<'a> SweepEnv<'a> {
             keep: engine
                 .strips_unused_communities()
                 .then(|| engine.communities().iter().copied().collect()),
-            distances: Arc::new(NodeDistances::of_graph(&topo.graph)),
+            distances,
             options: *options,
         }
     }
@@ -508,12 +518,10 @@ pub(crate) struct SweepCtx<'a> {
     pub(crate) sigs: Arc<SigTable>,
     pub(crate) orbits: LinkOrbits,
     pub(crate) srp: Srp<'a, MultiProtocol<'a>>,
-    /// Failure-free fixpoint of the concrete instance, the warm start of
-    /// every scenario's first concrete sample.
-    pub(crate) base_solution: Option<Solution<RibAttr>>,
-    /// Failure-free fixpoint of the **base abstract** network, transported
-    /// onto refined abstract networks as a warm initial labeling.
-    pub(crate) base_abs_solution: Option<Solution<RibAttr>>,
+    /// `Some` once [`SweepCtx::warmed`]: the two failure-free fixpoints
+    /// (`[concrete, base abstract]`), solved by the first derivation that
+    /// reads them — on a symmetric sweep most classes derive nothing.
+    fixpoints: Option<OnceLock<[Option<Solution<RibAttr>>; 2]>>,
 }
 
 impl<'a> SweepCtx<'a> {
@@ -538,20 +546,39 @@ impl<'a> SweepCtx<'a> {
             sigs,
             orbits,
             srp,
-            base_solution: None,
-            base_abs_solution: None,
+            fixpoints: None,
         }
     }
 
-    /// Adds the two failure-free fixpoints (natural order). An instance
-    /// that does not converge failure-free just keeps `None`: its checks
-    /// fall back to cold orders.
+    /// Warm-starts the context's checks from the two failure-free
+    /// fixpoints (natural order), solved on first read. An instance that
+    /// does not converge failure-free keeps `None`: its checks fall back
+    /// to cold orders.
     pub(crate) fn warmed(mut self) -> Self {
-        self.base_solution = bonsai_srp::solver::solve(&self.srp).ok();
-        let abs = self.base_net;
-        self.base_abs_solution =
-            bonsai_srp::solver::solve(&class_srp(&abs.network, &abs.topo, &abs.ec)).ok();
+        self.fixpoints = Some(OnceLock::new());
         self
+    }
+
+    /// Failure-free fixpoint of the concrete instance, the warm start of
+    /// every scenario's first concrete sample.
+    fn base_solution(&self) -> Option<&Solution<RibAttr>> {
+        self.fixpoints()?[0].as_ref()
+    }
+
+    /// Failure-free fixpoint of the **base abstract** network, transported
+    /// onto refined abstract networks as a warm initial labeling.
+    fn base_abs_solution(&self) -> Option<&Solution<RibAttr>> {
+        self.fixpoints()?[1].as_ref()
+    }
+
+    fn fixpoints(&self) -> Option<&[Option<Solution<RibAttr>>; 2]> {
+        let abs = self.base_net;
+        Some(self.fixpoints.as_ref()?.get_or_init(|| {
+            [
+                bonsai_srp::solver::solve(&self.srp).ok(),
+                bonsai_srp::solver::solve(&class_srp(&abs.network, &abs.topo, &abs.ec)).ok(),
+            ]
+        }))
     }
 }
 
@@ -614,7 +641,8 @@ pub fn derive_refinement(
     options: &SweepOptions,
     signature: &OrbitSignature,
 ) -> Result<ScenarioRefinement, EquivalenceError> {
-    let env = SweepEnv::new(network, topo, engine, options);
+    let distances = Arc::new(NodeDistances::of_graph(&topo.graph));
+    let env = SweepEnv::new(network, topo, engine, options, distances);
     let ctx = SweepCtx::hoist(&env, ec.clone(), abstraction, abs).warmed();
     derive_scenario_refinement(&ctx, signature)
 }
@@ -868,7 +896,7 @@ pub(crate) fn sample_concrete_solutions(
     let mut out: Vec<Solution<RibAttr>> = Vec::new();
     for rot in 0..env.options.concrete_orders.max(1) {
         let solution = if rot == 0 {
-            match &ctx.base_solution {
+            match ctx.base_solution() {
                 // Warm-start from the failure-free fixpoint; a warm
                 // divergence is repaired by the cold path below.
                 Some(base) => {
@@ -925,14 +953,13 @@ pub(crate) fn check_scenario_refined(
     // found in a handful of label updates. Independent of the concrete
     // solution, so solved once; divergence or a mismatch falls through to
     // the cold rotated orders.
-    let transported: Option<Solution<RibAttr>> =
-        ctx.base_abs_solution.as_ref().and_then(|base_abs| {
-            let initial =
-                transport_abstract_solution(ctx.base, ctx.base_net, abstraction, abs, base_abs);
-            solve_seeded_masked(&abs_srp, initial, SolverOptions::default(), Some(&abs_mask))
-                .ok()
-                .map(|(s, _)| s)
-        });
+    let transported: Option<Solution<RibAttr>> = ctx.base_abs_solution().and_then(|base_abs| {
+        let initial =
+            transport_abstract_solution(ctx.base, ctx.base_net, abstraction, abs, base_abs);
+        solve_seeded_masked(&abs_srp, initial, SolverOptions::default(), Some(&abs_mask))
+            .ok()
+            .map(|(s, _)| s)
+    });
 
     for solution in solutions {
         let node_behaviors = concrete_node_behaviors(

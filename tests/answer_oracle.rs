@@ -14,28 +14,13 @@
 //! refinement, fattree-4 read 192 wrong (class, scenario) pairs / 736
 //! wrong per-node verdicts at `k = 2`.
 
-// Only `NetSpec` and `build`: the sixteen networks are seeded here so the
-// pinned counts name them, not drawn from the module's proptest strategy.
-#[allow(dead_code)]
+// The sixteen seeded networks, so the pinned counts name them.
 #[path = "common/random_nets.rs"]
 mod random_nets;
 
 use bonsai::prelude::*;
 use bonsai_net::Graph;
-use random_nets::NetSpec;
-
-/// A deterministic generator for the seeded networks and samples.
-struct Lcg(u64);
-
-impl Lcg {
-    fn below(&mut self, n: usize) -> usize {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        ((self.0 >> 33) % n as u64) as usize
-    }
-}
+use random_nets::{seeded_networks, Lcg};
 
 /// Which states of a network are audited, and through a session of which
 /// failure bound.
@@ -246,27 +231,6 @@ fn audit(
     (wrong, 0)
 }
 
-/// Sixteen seeded networks from the shared generator: 4–8 routers, a
-/// path backbone plus chords, import policies that tag, prefer tagged
-/// routes or filter, one or two origins.
-fn random_networks() -> Vec<NetworkConfig> {
-    let mut rng = Lcg(0x5eed);
-    (0..16)
-        .map(|_| {
-            let n = 4 + rng.below(5);
-            let spec = NetSpec {
-                n,
-                extra_edges: (0..rng.below(6))
-                    .map(|_| (rng.below(256) as u8, rng.below(256) as u8))
-                    .collect(),
-                policies: (0..n).map(|_| rng.below(4) as u8).collect(),
-                origins: 1 + rng.below(2),
-            };
-            random_nets::build(&spec)
-        })
-        .collect()
-}
-
 /// `(family, wrong answers, unswept networks)`. The second column is the
 /// point of the file; the third is one seeded 7-router network whose sweep
 /// fails closed on a single link (`irrefinable mismatch`, ROADMAP item 1).
@@ -283,7 +247,7 @@ fn session_answers_agree_with_the_concrete_simulation() {
     let fattree4 = fattree(4, FattreePolicy::ShortestPath);
     let fattree6 = fattree(6, FattreePolicy::ShortestPath);
     let mesh10 = full_mesh(10);
-    let random = random_networks();
+    let random = seeded_networks();
     let families: [(Vec<&NetworkConfig>, Coverage); 5] = [
         (vec![&fattree4], Coverage::Full(2)),
         (vec![&fattree6], Coverage::Full(1)),

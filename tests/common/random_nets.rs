@@ -2,7 +2,9 @@
 //! with `#[path]`, not a test target itself): random connected eBGP
 //! topologies with per-device import policies drawn from a pool
 //! (community tagging, local-preference bumps on tagged routes, filters)
-//! — deliberately un-symmetric.
+//! — deliberately un-symmetric. Each includer uses a different part.
+
+#![allow(dead_code)]
 
 use bonsai_config::{
     BgpConfig, BgpNeighbor, Community, CommunityList, DeviceConfig, Interface, Link, MatchCond,
@@ -21,6 +23,41 @@ pub struct NetSpec {
     pub policies: Vec<u8>,
     /// Number of origin routers (1..=2).
     pub origins: usize,
+}
+
+/// A deterministic generator for seeded networks and samples.
+pub struct Lcg(pub u64);
+
+impl Lcg {
+    pub fn below(&mut self, n: usize) -> usize {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((self.0 >> 33) % n as u64) as usize
+    }
+}
+
+/// Sixteen seeded networks from [`build`]: 4–8 routers, a path backbone
+/// plus chords, import policies that tag, prefer tagged routes or filter,
+/// one or two origins. Seeded rather than drawn from [`arb_spec`], so a
+/// count pinned against them names the same networks every run.
+pub fn seeded_networks() -> Vec<NetworkConfig> {
+    let mut rng = Lcg(0x5eed);
+    (0..16)
+        .map(|_| {
+            let n = 4 + rng.below(5);
+            let spec = NetSpec {
+                n,
+                extra_edges: (0..rng.below(6))
+                    .map(|_| (rng.below(256) as u8, rng.below(256) as u8))
+                    .collect(),
+                policies: (0..n).map(|_| rng.below(4) as u8).collect(),
+                origins: 1 + rng.below(2),
+            };
+            build(&spec)
+        })
+        .collect()
 }
 
 pub fn arb_spec() -> impl Strategy<Value = NetSpec> {

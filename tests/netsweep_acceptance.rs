@@ -6,11 +6,15 @@
 //! through the simulation engine agree with the per-scenario refined
 //! abstract networks on every scenario.
 
+#[path = "common/random_nets.rs"]
+mod random_nets;
+
 use bonsai::core::compress::{compress, CompressOptions, CompressionReport};
 use bonsai::core::scenarios::ScenarioStream;
 use bonsai::core::signatures::build_sig_table;
 use bonsai::verify::netsweep::{
-    merge_reports, sweep_network, NetworkSweepOptions, NetworkSweepReport, ShardSpec,
+    merge_reports, sweep_network, sweep_network_subset, NetworkSweepOptions, NetworkSweepReport,
+    ShardSpec,
 };
 use bonsai::verify::properties::SolutionAnalysis;
 use bonsai::verify::query::{QueryCtx, QueryStats};
@@ -21,6 +25,7 @@ use bonsai::verify::sweep::{
 };
 use bonsai_config::{BuiltTopology, NetworkConfig};
 use bonsai_net::NodeId;
+use std::collections::BTreeSet;
 
 fn run_network_sweep(
     net: &NetworkConfig,
@@ -572,94 +577,291 @@ fn aggregate_mode_bounds_resident_scenarios() {
     }
 }
 
-/// The hit path keeps no per-item record: a worker's tallies come from
-/// its `SigId`-indexed slots alone. They must equal what the collected
-/// outcome records add up to — at chunk sizes 1 and 1024, 1/2/4 workers,
-/// exhaustive and pruned, unsharded and through both halves of a 2-shard
-/// split — and the interner counts must account for every refinement.
+/// A network of eBGP routers over `edges`, each its own AS originating one
+/// /24.
+fn bgp_network(n: usize, edges: &[(usize, usize)]) -> NetworkConfig {
+    let mut text = String::new();
+    for r in 0..n {
+        let peers: Vec<usize> = edges
+            .iter()
+            .filter_map(|&(a, b)| (a == r).then_some(b).or((b == r).then_some(a)))
+            .collect();
+        text += &format!("device r{r}\n");
+        for p in &peers {
+            text += &format!("interface to{p}\n");
+        }
+        text += &format!("router bgp {}\n network 10.0.{r}.0/24\n", r + 1);
+        for p in &peers {
+            text += &format!(" neighbor to{p} remote-as external\n");
+        }
+        text += "end\n";
+    }
+    for (a, b) in edges {
+        text += &format!("link r{a} to{b} r{b} to{a}\n");
+    }
+    bonsai_config::parse_network(&text).expect("the network parses")
+}
+
+/// Adjacent roots r0 and r1 with two children and four leaf grandchildren
+/// each — split 1 + 3 under r0, 2 + 2 under r1: equal quotient classes, no
+/// automorphism, so r1 is visited although it groups with r0.
+fn lopsided_tree() -> NetworkConfig {
+    let edges = [
+        (0, 1),
+        (0, 2),
+        (0, 3),
+        (2, 4),
+        (3, 5),
+        (3, 6),
+        (3, 7),
+        (1, 8),
+        (1, 9),
+        (8, 10),
+        (8, 11),
+        (9, 12),
+        (9, 13),
+    ];
+    bgp_network(14, &edges)
+}
+
+/// One tally case: a network, its failure bound, the classes swept
+/// (`None`: all), and the classes the aggregate sweep must tally.
+struct TallyCase {
+    label: &'static str,
+    net: NetworkConfig,
+    k: usize,
+    subset: Option<Vec<usize>>,
+    tallied: usize,
+}
+
+/// The hit path keeps no per-item record — a worker's tallies come from
+/// its `SigId`-indexed slots alone — and a class with a verified witness
+/// onto an earlier one is not visited at all: its tallies are its donor's
+/// per-signature counts, its refinements resolved as a visit resolves
+/// them. Both must equal what the collected outcome records add up to:
+/// the collected sweep always visits, so it is the reference. Covered over
+/// fattree-4/6/8 at `k ≤ 2` (fattree-8 `k = 2` on three classes: the
+/// collected plane of all 32 is a million records), mesh-10, ring-20, the
+/// lopsided tree (a group without a witness) and the sixteen seeded
+/// policy networks, exhaustive and pruned, unsharded and through both
+/// halves of a 2-shard split, at 1, 2 and 4 workers (fattree-4 also at
+/// chunk size 1). A search that finds nothing — no automorphism, or an
+/// exhausted budget (`bonsai_core::symmetry`'s own tests) — visits.
 #[test]
 fn aggregate_tallies_match_collected_outcomes_through_the_slots() {
-    let net = bonsai::topo::fattree(4, bonsai::topo::FattreePolicy::ShortestPath);
-    let topo = BuiltTopology::build(&net).unwrap();
-    let report = compress(&net, CompressOptions::default());
+    use bonsai::topo::{fattree, full_mesh, ring, FattreePolicy::ShortestPath};
+    let mut cases = vec![
+        TallyCase {
+            label: "fattree4",
+            net: fattree(4, ShortestPath),
+            k: 2,
+            subset: None,
+            tallied: 7,
+        },
+        TallyCase {
+            label: "fattree6",
+            net: fattree(6, ShortestPath),
+            k: 2,
+            subset: None,
+            tallied: 17,
+        },
+        TallyCase {
+            label: "fattree8",
+            net: fattree(8, ShortestPath),
+            k: 1,
+            subset: None,
+            tallied: 31,
+        },
+        TallyCase {
+            label: "fattree8 x3",
+            net: fattree(8, ShortestPath),
+            k: 2,
+            subset: Some(vec![0, 1, 2]),
+            tallied: 2,
+        },
+        TallyCase {
+            label: "mesh10",
+            net: full_mesh(10),
+            k: 2,
+            subset: None,
+            tallied: 9,
+        },
+        TallyCase {
+            label: "ring20",
+            net: ring(20),
+            k: 2,
+            subset: None,
+            tallied: 19,
+        },
+        TallyCase {
+            label: "lopsided tree",
+            net: lopsided_tree(),
+            k: 2,
+            subset: None,
+            // r1 groups with r0 but has no witness; the groups r5–r7,
+            // r8–r9 and r10–r13 tally 2 + 1 + 3.
+            tallied: 6,
+        },
+    ];
+    // Deliberately un-symmetric: nothing tallies, and nothing may change.
+    for net in random_nets::seeded_networks() {
+        cases.push(TallyCase {
+            label: "seeded",
+            net,
+            k: 2,
+            subset: None,
+            tallied: 0,
+        });
+    }
     let shards = [
         None,
         Some(ShardSpec::new(0, 2).unwrap()),
         Some(ShardSpec::new(1, 2).unwrap()),
     ];
-    for chunk_size in [1usize, 1024] {
-        for threads in [1usize, 2, 4] {
-            for prune_symmetric in [false, true] {
-                for shard in shards {
-                    let case = format!(
-                        "chunk={chunk_size} threads={threads} pruned={prune_symmetric} {shard:?}"
-                    );
-                    let collected_options = NetworkSweepOptions {
-                        sweep: SweepOptions {
-                            max_failures: 2,
-                            prune_symmetric,
-                            threads,
+    for (n, case) in cases.iter().enumerate() {
+        let topo = BuiltTopology::build(&case.net).unwrap();
+        let report = compress(&case.net, CompressOptions::default());
+        let every: Vec<usize> = (0..report.num_ecs()).collect();
+        let subset = case.subset.as_deref().unwrap_or(&every);
+        let chunk_sizes: &[usize] = if n == 0 { &[1, 1024] } else { &[1024] };
+        for &chunk_size in chunk_sizes {
+            for threads in [1usize, 2, 4] {
+                for prune_symmetric in [false, true] {
+                    for shard in shards {
+                        let label = format!(
+                            "{} #{n} chunk={chunk_size} threads={threads} pruned={prune_symmetric} {shard:?}",
+                            case.label
+                        );
+                        let collected_options = NetworkSweepOptions {
+                            sweep: SweepOptions {
+                                max_failures: case.k,
+                                prune_symmetric,
+                                threads,
+                                ..Default::default()
+                            },
+                            chunk_size,
+                            shard,
                             ..Default::default()
-                        },
-                        chunk_size,
-                        shard,
-                        ..Default::default()
-                    };
-                    let collected =
-                        sweep_network(&net, &topo, &report, &collected_options).unwrap();
-                    let aggregate = sweep_network(
-                        &net,
-                        &topo,
-                        &report,
-                        &NetworkSweepOptions {
+                        };
+                        let aggregate_options = NetworkSweepOptions {
                             collect_outcomes: false,
                             ..collected_options
-                        },
-                    )
-                    .unwrap();
-                    assert_eq!(
-                        aggregate.scenarios_streamed, collected.scenarios_streamed,
-                        "{case}"
-                    );
-                    for (a, c) in aggregate.per_ec.iter().zip(&collected.per_ec) {
-                        assert!(a.report.outcomes.is_empty(), "{case}");
-                        assert_eq!(
-                            a.report.stats,
-                            OutcomeStats::from_outcomes(&c.report.outcomes),
-                            "{case}"
-                        );
-                        assert_eq!(a.report.stats, c.report.stats, "{case}");
-                        assert_eq!(
-                            a.report.refinements.keys().collect::<Vec<_>>(),
-                            c.report.refinements.keys().collect::<Vec<_>>(),
-                            "{case}"
-                        );
-                        // Every kept item found its refinement under its
-                        // own signature's slot.
-                        for o in &c.report.outcomes {
-                            assert_eq!(
-                                o.refined_nodes,
-                                c.report.refinements[&o.signature].refined_nodes(),
-                                "{case}"
-                            );
+                        };
+                        let sweep = |options| {
+                            sweep_network_subset(&case.net, &topo, &report, options, subset)
+                        };
+                        match (sweep(&collected_options), sweep(&aggregate_options)) {
+                            (Ok(collected), Ok(aggregate)) => {
+                                assert_tally_matches(&label, &collected, &aggregate, threads);
+                                let unsharded = threads == 1 && shard.is_none();
+                                assert_interned(&label, &collected, &aggregate, unsharded);
+                                assert_eq!(aggregate.classes_tallied, case.tallied, "{label}");
+                            }
+                            // The one unsweepable seeded network fails the
+                            // same way either way (`tests/answer_oracle.rs`).
+                            (Err(c), Err(a)) => assert_eq!(c.to_string(), a.to_string(), "{label}"),
+                            (c, a) => {
+                                panic!("{label}: collected {:?}, aggregate {:?}", c.err(), a.err())
+                            }
                         }
-                    }
-                    // Filters run after interning, so one worker interns
-                    // every signature of every class exactly once.
-                    assert!(
-                        aggregate.raw_keys >= aggregate.signatures_interned,
-                        "{case}"
-                    );
-                    if threads == 1 && shard.is_none() {
-                        assert_eq!(
-                            aggregate.signatures_interned,
-                            aggregate.unshared_derivations(),
-                            "{case}"
-                        );
                     }
                 }
             }
         }
+    }
+}
+
+/// The aggregate sweep's tallies, refinements and (at one worker, where
+/// no derivation races) provenance equal the collected sweep's.
+fn assert_tally_matches(
+    label: &str,
+    collected: &NetworkSweepReport,
+    aggregate: &NetworkSweepReport,
+    threads: usize,
+) {
+    assert_eq!(collected.classes_tallied, 0, "{label}: collecting visits");
+    assert_eq!(
+        aggregate.scenarios_streamed, collected.scenarios_streamed,
+        "{label}"
+    );
+    for (a, c) in aggregate.per_ec.iter().zip(&collected.per_ec) {
+        assert!(a.report.outcomes.is_empty(), "{label}");
+        assert_eq!(
+            a.report.stats,
+            OutcomeStats::from_outcomes(&c.report.outcomes),
+            "{label} {}",
+            c.rep
+        );
+        assert_eq!(a.report.stats, c.report.stats, "{label} {}", c.rep);
+        assert_eq!(
+            a.report.refinements.keys().collect::<Vec<_>>(),
+            c.report.refinements.keys().collect::<Vec<_>>(),
+            "{label} {}",
+            c.rep
+        );
+        for (sig, r) in &c.report.refinements {
+            let t = &a.report.refinements[sig];
+            assert_eq!(t.representative, r.representative, "{label}");
+            assert_eq!(t.split, r.split, "{label}");
+            assert_eq!(
+                t.abstraction.partition.as_sets(),
+                r.abstraction.partition.as_sets(),
+                "{label}"
+            );
+            if threads == 1 {
+                assert_eq!(t.provenance, r.provenance, "{label} {}", c.rep);
+            }
+        }
+        if threads == 1 {
+            assert_eq!(a.report.derivations, c.report.derivations, "{label}");
+        }
+        // Every kept item found its refinement under its own signature's
+        // slot.
+        for o in &c.report.outcomes {
+            assert_eq!(
+                o.refined_nodes,
+                c.report.refinements[&o.signature].refined_nodes(),
+                "{label}"
+            );
+        }
+    }
+    if threads == 1 {
+        let counts =
+            |r: &NetworkSweepReport| (r.derivations, r.exact_transfers, r.symmetric_transfers);
+        assert_eq!(counts(aggregate), counts(collected), "{label}");
+    }
+}
+
+/// The interner counters. Filters run after interning, so one worker
+/// interns every signature of every class it visits exactly once, and a
+/// tallied class interns nothing.
+fn assert_interned(
+    label: &str,
+    collected: &NetworkSweepReport,
+    aggregate: &NetworkSweepReport,
+    unsharded: bool,
+) {
+    for r in [collected, aggregate] {
+        assert!(r.raw_keys >= r.signatures_interned, "{label}");
+    }
+    if !unsharded {
+        return;
+    }
+    let unshared = collected.unshared_derivations();
+    assert_eq!(collected.signatures_interned, unshared, "{label}");
+    assert_eq!(
+        aggregate.signatures_interned == unshared,
+        aggregate.classes_tallied == 0,
+        "{label}"
+    );
+    let per_class: BTreeSet<usize> = collected
+        .per_ec
+        .iter()
+        .map(|e| e.report.refinements.len())
+        .collect();
+    if let [count] = per_class.into_iter().collect::<Vec<_>>()[..] {
+        let visited = collected.per_ec.len() - aggregate.classes_tallied;
+        assert_eq!(aggregate.signatures_interned, visited * count, "{label}");
     }
 }
 

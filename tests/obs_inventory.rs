@@ -85,3 +85,56 @@ fn inventory_spans_the_advertised_layers() {
         );
     }
 }
+
+/// Every span name the shipped code opens (`span!("…"` under `src/` and
+/// `crates/*/src/`, outside test modules) has a row in the document's span
+/// table, and the table has no other rows.
+#[test]
+fn span_names_match_the_documented_table() {
+    let doc = observability_doc();
+    let section = doc
+        .split("## Structured tracing")
+        .nth(1)
+        .and_then(|rest| rest.split("\n## ").next())
+        .expect("OBSERVABILITY.md keeps its tracing section");
+    let documented: std::collections::BTreeSet<String> = section
+        .lines()
+        .filter_map(|line| line.strip_prefix("| `")?.split('`').next())
+        .map(str::to_string)
+        .collect();
+    let root = env!("CARGO_MANIFEST_DIR");
+    let mut dirs = vec![std::path::PathBuf::from(root).join("src")];
+    for crate_dir in std::fs::read_dir(format!("{root}/crates")).unwrap() {
+        dirs.push(crate_dir.unwrap().path().join("src"));
+    }
+    let mut opened = std::collections::BTreeSet::new();
+    while let Some(dir) = dirs.pop() {
+        let Ok(entries) = std::fs::read_dir(&dir) else {
+            continue;
+        };
+        for entry in entries {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let text = std::fs::read_to_string(&path).unwrap();
+                let shipped = text.split("#[cfg(test)]").next().unwrap_or_default();
+                // `span!(` then the name literal, possibly on the next line;
+                // doc comments (the macro's own example) do not count.
+                let code: String = shipped
+                    .lines()
+                    .filter(|l| !l.trim_start().starts_with("//"))
+                    .collect();
+                for rest in code.split("span!(").skip(1) {
+                    if let Some(name) = rest.trim_start().strip_prefix('"') {
+                        opened.insert(name.split('"').next().unwrap().to_string());
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(
+        opened, documented,
+        "span names in code vs docs/OBSERVABILITY.md"
+    );
+}
