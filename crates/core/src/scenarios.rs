@@ -42,7 +42,9 @@
 //!   inputs** to a dense id with one hash probe, and
 //!   [`LinkOrbits::signature_of`] (the canonicalization, and the reference
 //!   the interner is tested against) runs only on the first sight of a
-//!   raw key.
+//!   raw key. The one search for a signature's representative,
+//!   [`SignatureInterner::canonical_scenario`], checks its candidates
+//!   through the same memo.
 //! * [`quotient_canon`] / [`CanonicalSignature`] — the cross-EC layer:
 //!   a canonical labeling of the abstraction's quotient structure that
 //!   lets the network-level sweep compare signatures **across destination
@@ -340,7 +342,8 @@ fn permute_groups(groups: &mut [Vec<usize>], at: usize, visit: &mut impl FnMut(&
 /// This is the cache key of the per-scenario sweep engine
 /// (`bonsai-verify`'s `sweep` module): scenarios with equal signatures
 /// fail symmetric link sets, so one refinement — derived from the
-/// [`LinkOrbits::canonical_scenario`] representative — serves them all.
+/// [`SignatureInterner::canonical_scenario`] representative — serves them
+/// all.
 /// The orbit ids come from the interned edge-signature descriptors of
 /// [`link_orbits`], so signature equality is semantic, not syntactic; the
 /// pattern part keeps `k ≥ 2` exact (see the module docs).
@@ -379,8 +382,7 @@ pub struct LinkOrbits {
     distances: Arc<NodeDistances>,
     /// O(1) lookup from a canonical link pair to its index in
     /// [`LinkOrbits::links`] — [`LinkOrbits::signature_of`] runs once per
-    /// scenario for sequential callers ([`ScenarioStream::iter_pruned`],
-    /// [`LinkOrbits::canonical_scenario`]'s search).
+    /// scenario for sequential callers ([`ScenarioStream::iter_pruned`]).
     index_of_link: HashMap<(NodeId, NodeId), usize>,
 }
 
@@ -419,61 +421,6 @@ impl LinkOrbits {
             counts: counts.into_iter().collect(),
             pattern,
         })
-    }
-
-    /// The canonical representative scenario of an orbit signature: the
-    /// **enumeration-first** (smallest in link-index order) scenario with
-    /// this signature — exactly the representative
-    /// [`ScenarioStream::iter_pruned`] keeps for it. Found by searching the
-    /// combinations of the signature's orbits' member links in
-    /// link-index order for the first one whose full signature (counts
-    /// **and** pattern) matches.
-    ///
-    /// # Panics
-    ///
-    /// Panics when no scenario of this graph realizes the signature (it
-    /// came from different orbits).
-    pub fn canonical_scenario(&self, sig: &OrbitSignature) -> FailureScenario {
-        // Candidate links: the union of the signature's orbits' members,
-        // in ascending link-index order (== lexicographic by node pairs,
-        // since `Graph::links` is sorted by construction order and we
-        // compare final sorted link lists below).
-        let mut member_links: Vec<usize> = sig
-            .counts
-            .iter()
-            .flat_map(|&(orbit, _)| self.orbits[orbit as usize].iter().copied())
-            .collect();
-        member_links.sort_unstable();
-        let total: usize = sig.counts.iter().map(|&(_, c)| c as usize).sum();
-
-        let mut found: Option<FailureScenario> = None;
-        let mut chosen: Vec<usize> = Vec::new();
-        // Combinations in lexicographic index order over the ascending
-        // `member_links` — the same link-index order the exhaustive
-        // enumeration uses — aborting the walk on the first match, so the
-        // result is exactly the representative the pruned enumeration
-        // keeps for this signature. Candidates are rejected on the cheap
-        // per-orbit counts before the pattern canonicalization runs.
-        search_combinations(member_links.len(), total, 0, &mut chosen, &mut |c| {
-            let candidate =
-                FailureScenario::new(c.iter().map(|&i| self.links[member_links[i]]).collect());
-            debug_assert_eq!(candidate.links.len(), total, "member links are distinct");
-            let counts_match = {
-                let mut counts: BTreeMap<u32, u32> = BTreeMap::new();
-                for &link in &candidate.links {
-                    *counts
-                        .entry(self.orbit_of(link).expect("members of these orbits"))
-                        .or_insert(0) += 1;
-                }
-                counts.into_iter().eq(sig.counts.iter().copied())
-            };
-            if counts_match && self.signature_of(&candidate).as_ref() == Some(sig) {
-                found = Some(candidate);
-                return true;
-            }
-            false
-        });
-        found.unwrap_or_else(|| panic!("no scenario of this graph realizes signature {sig:?}"))
     }
 }
 
@@ -659,21 +606,80 @@ impl<'a> SignatureInterner<'a> {
             .signature_of(&scenario)
             .expect("indexed links are links of these orbits");
         let canonical = signature.pattern.canonical;
-        let id = match self.by_signature.get(&signature) {
-            Some(&id) => id,
-            None => {
-                let id = SigId(
-                    u32::try_from(self.signatures.len()).expect("fewer than 2^32 signatures"),
-                );
-                self.signatures.push(signature.clone());
-                self.by_signature.insert(signature, id);
-                id
-            }
-        };
+        let id = self.intern(&signature);
         if canonical {
             self.by_raw_key.insert(self.key.as_slice().into(), id);
         }
         id
+    }
+
+    /// The id of `signature`, interned by full signature if it is new.
+    fn intern(&mut self, signature: &OrbitSignature) -> SigId {
+        if let Some(&id) = self.by_signature.get(signature) {
+            return id;
+        }
+        let id = SigId(u32::try_from(self.signatures.len()).expect("fewer than 2^32 signatures"));
+        self.signatures.push(signature.clone());
+        self.by_signature.insert(signature.clone(), id);
+        id
+    }
+
+    /// The canonical representative scenario of an orbit signature: the
+    /// **enumeration-first** (smallest in link-index order) scenario with
+    /// this signature — exactly the representative
+    /// [`ScenarioStream::iter_pruned`] keeps for it.
+    ///
+    /// A count-respecting walk: the combinations of the signature's orbits'
+    /// member links, in the lexicographic link-index order of the
+    /// exhaustive enumeration, with a prefix cut as soon as one orbit's
+    /// count is spent (its further members are skipped) or can no longer
+    /// be met by the members left. Every leaf therefore has the
+    /// signature's per-orbit counts, and the walk visits them in the order
+    /// an exhaustive search over all subsets would — so the first leaf
+    /// whose full signature matches is that search's answer. Leaves are
+    /// compared through [`SignatureInterner::id_of`]: a raw key this
+    /// interner has seen — from an earlier walk or item — costs one hash
+    /// probe, not a canonicalization. Signatures interned along the way
+    /// stay interned.
+    ///
+    /// # Panics
+    ///
+    /// Panics when no scenario of this graph realizes the signature (it
+    /// came from different orbits).
+    pub fn canonical_scenario(&mut self, signature: &OrbitSignature) -> FailureScenario {
+        let target = self.intern(signature);
+        let orbits = self.orbits;
+        // Member links in ascending index order, each with the position of
+        // its orbit in `signature.counts`.
+        let mut members: Vec<(usize, usize)> = signature
+            .counts
+            .iter()
+            .enumerate()
+            .flat_map(|(at, &(orbit, _))| {
+                orbits.orbits[orbit as usize].iter().map(move |&l| (l, at))
+            })
+            .collect();
+        members.sort_unstable();
+        let mut need: Vec<usize> = signature.counts.iter().map(|&(_, c)| c as usize).collect();
+        // `left[at * stride + i]`: members of orbit `at` from position `i` on.
+        let stride = members.len() + 1;
+        let mut left = vec![0usize; need.len() * stride];
+        for (i, &(_, at)) in members.iter().enumerate().rev() {
+            for o in 0..need.len() {
+                left[o * stride + i] = left[o * stride + i + 1] + usize::from(o == at);
+            }
+        }
+        let walk = Walk {
+            members: &members,
+            left: &left,
+            stride,
+            target,
+        };
+        let mut chosen = Vec::with_capacity(signature.total_failures());
+        if walk.descend(self, &mut need, 0, &mut chosen) {
+            return FailureScenario::new(chosen.iter().map(|&i| orbits.links[i]).collect());
+        }
+        panic!("no scenario of this graph realizes signature {signature:?}")
     }
 
     /// The signature behind an id this interner handed out.
@@ -695,6 +701,52 @@ impl<'a> SignatureInterner<'a> {
     /// signatures; the gap is what interning by full signature merges).
     pub fn raw_keys(&self) -> usize {
         self.by_raw_key.len()
+    }
+}
+
+/// The fixed inputs of one [`SignatureInterner::canonical_scenario`] walk.
+struct Walk<'a> {
+    /// `(link index, orbit position)`, ascending by link index.
+    members: &'a [(usize, usize)],
+    /// Members left per orbit position and member position (`stride`
+    /// entries per orbit position).
+    left: &'a [usize],
+    stride: usize,
+    target: SigId,
+}
+
+impl Walk<'_> {
+    /// Extends the prefix `chosen` from member position `from` on, with
+    /// `need` links still to take per orbit position; true once `chosen`
+    /// holds the first matching leaf (it is then left in place).
+    fn descend(
+        &self,
+        memo: &mut SignatureInterner<'_>,
+        need: &mut [usize],
+        from: usize,
+        chosen: &mut Vec<usize>,
+    ) -> bool {
+        if need.iter().all(|&n| n == 0) {
+            return memo.id_of(chosen) == self.target;
+        }
+        for i in from..self.members.len() {
+            let short = (0..need.len()).any(|o| self.left[o * self.stride + i] < need[o]);
+            if short {
+                return false;
+            }
+            let (link, at) = self.members[i];
+            if need[at] == 0 {
+                continue;
+            }
+            need[at] -= 1;
+            chosen.push(link);
+            if self.descend(memo, need, i + 1, chosen) {
+                return true;
+            }
+            chosen.pop();
+            need[at] += 1;
+        }
+        false
     }
 }
 
@@ -819,9 +871,10 @@ impl ScenarioStream {
     }
 
     /// Iterates the stream pruned by signature: one representative — the
-    /// enumeration-first scenario, i.e. [`LinkOrbits::canonical_scenario`]
-    /// — per distinct [`OrbitSignature`] under `orbits`, so two scenarios
-    /// differing only in *which* symmetric links failed collapse to one.
+    /// enumeration-first scenario, i.e.
+    /// [`SignatureInterner::canonical_scenario`] — per distinct
+    /// [`OrbitSignature`] under `orbits`, so two scenarios differing only
+    /// in *which* symmetric links failed collapse to one.
     ///
     /// On symmetric topologies this shrinks a sweep by orders of magnitude
     /// (a fattree's `C(L,2)` pair scenarios collapse to a handful of
@@ -1236,30 +1289,6 @@ fn combinations(
     }
 }
 
-/// [`combinations`] with an aborting visitor: stops the whole walk as
-/// soon as `visit` returns true. Returns whether the walk was aborted.
-fn search_combinations(
-    n: usize,
-    size: usize,
-    start: usize,
-    chosen: &mut Vec<usize>,
-    visit: &mut impl FnMut(&[usize]) -> bool,
-) -> bool {
-    if chosen.len() == size {
-        return visit(chosen);
-    }
-    let remaining = size - chosen.len();
-    for i in start..=n.saturating_sub(remaining) {
-        chosen.push(i);
-        let stop = search_combinations(n, size, i + 1, chosen, visit);
-        chosen.pop();
-        if stop {
-            return true;
-        }
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1496,11 +1525,12 @@ mod tests {
     fn canonical_scenario_matches_pruned_representative() {
         let (topo, abs, sigs, _) = gadget_setup();
         let orbits = link_orbits(&topo.graph, &abs, &sigs);
+        let mut memo = SignatureInterner::new(&orbits);
         // For every pruned representative, round-tripping through its
         // signature reproduces the representative itself.
         for rep in pruned(&topo.graph, &abs, &sigs, 2) {
             let sig = orbits.signature_of(&rep).unwrap();
-            assert_eq!(orbits.canonical_scenario(&sig), rep);
+            assert_eq!(memo.canonical_scenario(&sig), rep);
         }
         // Every exhaustive scenario canonicalizes to *some* pruned
         // representative with the same signature.
@@ -1508,7 +1538,7 @@ mod tests {
             pruned(&topo.graph, &abs, &sigs, 2).into_iter().collect();
         for s in ScenarioStream::new(&topo.graph, 2).to_vec() {
             let sig = orbits.signature_of(&s).unwrap();
-            let rep = orbits.canonical_scenario(&sig);
+            let rep = memo.canonical_scenario(&sig);
             assert!(reps.contains(&rep), "{}", s.describe(&topo.graph));
             assert_eq!(orbits.signature_of(&rep).unwrap(), sig);
         }

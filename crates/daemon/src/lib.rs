@@ -636,6 +636,11 @@ pub fn answer_line(
                     )
                 }
             };
+            // A well-formed push of nothing is a truncated or mis-pointed
+            // rollout, not an intent to serve the empty network.
+            if network.devices.is_empty() {
+                return (render_error("bad_request", "config has no devices"), false);
+            }
             let start = std::time::Instant::now();
             match sessions.reload(network) {
                 Ok(outcome) => {
@@ -1555,6 +1560,34 @@ mod tests {
         }));
         assert!(reloaded.contains("\"rederived\": 0"), "{reloaded}");
         let reach = answer("{\"op\": \"reach\", \"src\": \"a\", \"dst\": \"d\"}");
+        assert!(reach.contains("\"delivered\": true"), "{reach}");
+    }
+
+    /// A `reload` of a configuration without devices — inline, or a file
+    /// that holds none — is a `bad_request`, and the session it would have
+    /// replaced keeps serving.
+    #[test]
+    fn a_reload_without_devices_is_refused_and_the_session_kept() {
+        let slot = SessionSlot::new(gadget_session());
+        let (options, gate) = (ServerOptions::default(), Gate::new(1));
+        let answer = |line: &str| answer_line(&slot, line, &options, &gate, Transport::Unix).0;
+        let empty =
+            std::env::temp_dir().join(format!("bonsaid-test-empty-{}.cfg", std::process::id()));
+        std::fs::write(&empty, "! nothing but a comment\n").expect("written");
+        let by_path = request("reload", |o| {
+            o.str("path", empty.to_str().expect("utf-8 path"));
+        });
+        for line in [r#"{"op": "reload", "config": ""}"#, by_path.as_str()] {
+            assert_eq!(
+                answer(line),
+                r#"{"ok": false, "code": "bad_request", "error": "config has no devices"}"#,
+                "{line}"
+            );
+        }
+        std::fs::remove_file(&empty).expect("removed");
+        let pong = answer(r#"{"op": "ping"}"#);
+        assert_eq!(pong, r#"{"ok": true, "op": "ping", "classes": 1, "k": 1}"#);
+        let reach = answer(r#"{"op": "reach", "src": "a", "dst": "d"}"#);
         assert!(reach.contains("\"delivered\": true"), "{reach}");
     }
 

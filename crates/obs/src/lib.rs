@@ -178,6 +178,10 @@ pub const METRICS: &[MetricDef] = &[
         "Symmetric transfers re-verified per receiving class",
     ),
     counter(
+        "sweep.transfer.witnessed",
+        "Symmetric transfers of tallied classes taken through the class witness, partition deferred",
+    ),
+    counter(
         "sweep.scenarios.streamed",
         "Scenario instances generated through streamed enumeration",
     ),

@@ -68,13 +68,23 @@
 //! origins, edge signatures and base blocks onto the donor's. A class with
 //! a witness is **tallied**: for each donor signature with representative
 //! R, its own signature is `signature_of(σ⁻¹(R))` and its representative
-//! the `canonical_scenario` of that; its refinement is resolved by the
-//! same [`resolve_refinement`] a visit calls (same shared cache, same
-//! transfer or derivation, same provenance), and its item count is the
-//! donor's count for that signature, the shard and prune filters applied
-//! per signature as a visit applies them per item. A class without a
-//! witness — no automorphism, or the search ran out of budget — is
-//! visited.
+//! the [`SignatureInterner::canonical_scenario`] of that (one memo per
+//! tallied class); its refinement is resolved by the same
+//! `resolve_refinement` a visit calls (same shared cache, same transfer
+//! or derivation, same provenance), and its item count is the donor's
+//! count for that signature, the shard and prune filters applied per
+//! signature as a visit applies them per item. A class without a witness —
+//! no automorphism, or the search ran out of budget — is visited.
+//!
+//! A tallied class's symmetric transfer is **witnessed** when σ⁻¹(R) *is*
+//! its representative and the donor's refinement of R is the stage-1
+//! endpoint-split partition: its node count is the donor's, and its
+//! partition is left to its first reader
+//! ([`ScenarioRefinement::abstraction`] — the `split_partition` call an
+//! eager transfer makes, so the block ids are the eager ones). A sweep
+//! that only counts refined nodes runs no Algorithm 1 for it (fattree-8
+//! `k = 2`: 1144 of the 1364 transfers; the other 220, where σ⁻¹(R) is
+//! another scenario of the signature, are refined as before).
 //!
 //! Exactness: the fingerprint + quotient-class + canonical-signature key
 //! certifies policy-level and quotient-level symmetry between two classes;
@@ -82,23 +92,30 @@
 //! space that commutes with signatures — intact distances are
 //! automorphism-invariant, and blocks and orbits map through σ, which the
 //! verifier checks — so a tallied class's per-signature counts are its
-//! donor's, and everything else is computed by the code that computes it
-//! for a visited class. What stays trusted is *within* a class: that
-//! scenarios of one signature are automorphic images of its
-//! representative (see [`bonsai_core::scenarios`]), which every signature
-//! cache hit and every symmetric transfer rests on, tallied or not. On
-//! networks whose orbit structure certifies real symmetry (every topology
-//! in our suite) a transfer is byte-identical to the fresh derivation —
+//! donor's. σ also commutes with the endpoint split (it maps base blocks
+//! onto base blocks of equal size) and with Algorithm 1 (it preserves edge
+//! signatures, `prefs` and origins, so every refinement step maps through
+//! it), so σ⁻¹ of the donor's stage-1 partition *is* the receiver's, as
+//! sets with equal copies: a witnessed transfer's node count comes through
+//! σ, exactly, and debug builds check it at tally time; everything else is
+//! computed by the code that computes it for a visited class. What stays
+//! trusted is *within* a class: that scenarios of one signature are
+//! automorphic images of its representative (see
+//! [`bonsai_core::scenarios`]), which every signature cache hit and every
+//! symmetric transfer's *verdict* rests on, tallied or not. On networks
+//! whose orbit structure certifies real symmetry (every topology in our
+//! suite) a transfer is byte-identical to the fresh derivation —
 //! `tests/netsweep_acceptance.rs` proves exactly that, per transfer,
-//! against [`crate::sweep::derive_refinement`] — and a tallied sweep's
-//! tallies and refinements equal those of the collected sweep, which
-//! always visits.
+//! against [`crate::sweep::derive_refinement`], and every witnessed
+//! transfer against σ⁻¹ of its donor and against the eager transfer — and
+//! a tallied sweep's tallies and refinements equal those of the collected
+//! sweep, which always visits.
 
 use crate::equivalence::EquivalenceError;
 use crate::sweep::{
     check_scenario_refined, derive_scenario_refinement, endpoint_split, sample_concrete_solutions,
-    split_partition, OutcomeStats, RefinementProvenance, ScenarioOutcome, ScenarioRefinement,
-    SweepCtx, SweepEnv, SweepOptions, SweepReport,
+    split_partition, OutcomeStats, PartitionInputs, RefinementProvenance, ScenarioOutcome,
+    ScenarioRefinement, SweepCtx, SweepEnv, SweepOptions, SweepReport,
 };
 use bonsai_config::{BuiltTopology, NetworkConfig};
 use bonsai_core::compress::CompressionReport;
@@ -246,6 +263,10 @@ pub struct NetworkSweepReport {
     pub symmetric_transfers: usize,
     /// Symmetric transfers that were re-verified per receiving class.
     pub verified_transfers: usize,
+    /// Symmetric transfers of tallied classes whose node count came through
+    /// the class witness, their partition deferred to its first reader (a
+    /// subset of `symmetric_transfers`; see the module docs).
+    pub witnessed_transfers: usize,
     /// Distinct policy fingerprints among the swept classes.
     pub distinct_fingerprints: usize,
     /// Classes tallied through a verified class witness instead of
@@ -311,6 +332,7 @@ impl NetworkSweepReport {
         bonsai_obs::add("sweep.transfer.exact", self.exact_transfers as u64);
         bonsai_obs::add("sweep.transfer.symmetric", self.symmetric_transfers as u64);
         bonsai_obs::add("sweep.transfer.verified", self.verified_transfers as u64);
+        bonsai_obs::add("sweep.transfer.witnessed", self.witnessed_transfers as u64);
         bonsai_obs::add("sweep.scenarios.streamed", self.scenarios_streamed as u64);
         bonsai_obs::add("sweep.scenarios.swept", self.scenarios_swept() as u64);
         bonsai_obs::set_max("sweep.resident.peak", self.peak_resident_scenarios as u64);
@@ -399,8 +421,9 @@ struct Slot {
 impl Slot {
     /// The canonical representative of this slot's signature.
     fn rep(&mut self, plane: &EcPlane<'_>, signature: &OrbitSignature) -> &FailureScenario {
-        self.rep
-            .get_or_insert_with(|| plane.ctx.orbits.canonical_scenario(signature))
+        self.rep.get_or_insert_with(|| {
+            SignatureInterner::new(&plane.ctx.orbits).canonical_scenario(signature)
+        })
     }
 }
 
@@ -413,6 +436,8 @@ struct Resolved {
     symmetric: usize,
     /// Symmetric transfers re-verified (`verify_transfers`).
     verified: usize,
+    /// Symmetric transfers taken through a class witness.
+    witnessed: usize,
 }
 
 impl Resolved {
@@ -425,6 +450,7 @@ impl Resolved {
                 // In audited mode a symmetric transfer only stands once
                 // re-verified.
                 self.verified += usize::from(options.verify_transfers);
+                self.witnessed += usize::from(refinement.is_witnessed());
             }
         }
     }
@@ -434,6 +460,7 @@ impl Resolved {
         self.exact += other.exact;
         self.symmetric += other.symmetric;
         self.verified += other.verified;
+        self.witnessed += other.witnessed;
     }
 }
 
@@ -659,11 +686,11 @@ pub(crate) fn sweep_with_distances(
     // Merge worker states: the slots fold back into per-class refinement
     // maps keyed by full signature (racing duplicates are deterministic,
     // so any copy is kept — and must agree), then aggregate tallies and
-    // the sharing counters; the slots also fold into per-signature item
-    // counts, keyed by representative — what a tally against the class
+    // the sharing counters; the slots also fold into per-signature donor
+    // facts, keyed by representative — what a tally against the class
     // reads.
     let mut classes: Vec<ClassTally> = (0..n_ecs).map(|_| ClassTally::default()).collect();
-    let mut donor_items: Vec<BTreeMap<FailureScenario, usize>> =
+    let mut donor_signatures: Vec<BTreeMap<FailureScenario, DonorSignature>> =
         (0..n_ecs).map(|_| BTreeMap::new()).collect();
     let mut scenarios_streamed = (n_ecs - visited.len()) * per_class;
     let mut signatures_interned = 0usize;
@@ -679,7 +706,11 @@ pub(crate) fn sweep_with_distances(
             for slot in class.slots {
                 if slot.items > 0 {
                     let rep = slot.rep.expect("a stepped slot knows its representative");
-                    *donor_items[e].entry(rep).or_insert(0) += slot.items;
+                    let donor = donor_signatures[e].entry(rep).or_default();
+                    donor.items += slot.items;
+                    if slot.refinement.as_ref().is_some_and(|r| r.stage1_only()) {
+                        donor.stage1_nodes = Some(slot.refined_nodes);
+                    }
                 }
                 let Some(refinement) = slot.refinement else {
                     continue;
@@ -689,8 +720,8 @@ pub(crate) fn sweep_with_distances(
                         v.insert(refinement);
                     }
                     Entry::Occupied(existing) => debug_assert_eq!(
-                        existing.get().abstraction.partition.as_sets(),
-                        refinement.abstraction.partition.as_sets(),
+                        existing.get().abstraction().partition.as_sets(),
+                        refinement.abstraction().partition.as_sets(),
                         "racing derivations of one signature must agree"
                     ),
                 }
@@ -706,13 +737,23 @@ pub(crate) fn sweep_with_distances(
         .enumerate()
         .filter_map(|(e, donor)| donor.as_ref().map(|(d, witness)| (e, *d, witness)))
         .collect();
+    // What witnessed transfers compute their partitions over, shared.
+    let graph = (!tallied.is_empty()).then(|| Arc::new(topo.graph.clone()));
     let (tallies, _) = fan_out(
         tallied.len(),
         threads,
         || (),
         |_, t| {
             let (e, d, witness) = tallied[t];
-            tally_class(&shared, &planes[e], witness, &donor_items[d], options)
+            let graph = graph.as_ref().expect("built for the tallies");
+            tally_class(
+                &shared,
+                &planes[e],
+                witness,
+                &donor_signatures[d],
+                graph,
+                options,
+            )
         },
     );
     for (&(e, _, _), tally) in tallied.iter().zip(tallies) {
@@ -758,6 +799,7 @@ pub(crate) fn sweep_with_distances(
         exact_transfers: resolved.exact,
         symmetric_transfers: resolved.symmetric,
         verified_transfers: resolved.verified,
+        witnessed_transfers: resolved.witnessed,
         distinct_fingerprints,
         classes_tallied: tallied.len(),
         chunk_size,
@@ -806,41 +848,82 @@ fn find_donors(graph: &Graph, planes: &[EcPlane<'_>]) -> Vec<Option<(usize, Clas
     donors
 }
 
+/// What a tally reads of one signature of its donor class, keyed by the
+/// signature's representative.
+#[derive(Default)]
+struct DonorSignature {
+    /// Items of the signature the donor's workers stepped onto.
+    items: usize,
+    /// The node count of the donor's refinement when it is the stage-1
+    /// endpoint-split partition (`None`: escalated, or filtered away).
+    stage1_nodes: Option<usize>,
+}
+
 /// A tallied class (module docs): every signature of the donor, carried
 /// onto this class through σ⁻¹, resolved as a visit would resolve it, and
-/// counted with the donor's item count.
+/// counted with the donor's item count. `graph` is the concrete graph the
+/// witnessed transfers' partitions are computed over.
 fn tally_class(
     shared: &SharedCache,
     plane: &EcPlane<'_>,
     witness: &ClassWitness,
-    donor_items: &BTreeMap<FailureScenario, usize>,
+    donor: &BTreeMap<FailureScenario, DonorSignature>,
+    graph: &Arc<Graph>,
     options: &NetworkSweepOptions,
 ) -> Result<ClassTally, EquivalenceError> {
-    let orbits = &plane.ctx.orbits;
+    let ctx = &plane.ctx;
+    let mut span = bonsai_obs::span!(
+        "sweep.tally",
+        class = ctx.ec.prefix.to_string(),
+        signatures = donor.len()
+    );
+    let mut reps = SignatureInterner::new(&ctx.orbits);
+    let mut inputs: Option<Arc<PartitionInputs>> = None;
     let mut tally = ClassTally::default();
-    for (donor_rep, &items) in donor_items {
-        let scenario = witness.to_receiver(&plane.ctx.env.topo.graph, donor_rep);
-        let signature = orbits
+    for (donor_rep, facts) in donor {
+        let scenario = witness.to_receiver(graph, donor_rep);
+        let signature = ctx
+            .orbits
             .signature_of(&scenario)
             .expect("σ⁻¹ maps links onto links");
-        let rep = orbits.canonical_scenario(&signature);
+        let rep = reps.canonical_scenario(&signature);
         if options
             .shard
             .is_some_and(|shard| !shard.holds(shard_key(plane, &signature, &rep)))
         {
             continue;
         }
-        let refinement = resolve_refinement(shared, plane, &signature, &rep, options)?;
+        // σ⁻¹ carries the donor's representative onto this class's own:
+        // σ commutes with the endpoint split and with Algorithm 1, so the
+        // donor's stage-1 node count is this class's.
+        let witnessed = match facts.stage1_nodes {
+            Some(nodes) if rep == scenario => Some(Witnessed {
+                inputs: inputs.get_or_insert_with(|| {
+                    Arc::new(PartitionInputs {
+                        graph: Arc::clone(graph),
+                        ec: ctx.ec.clone(),
+                        sigs: Arc::clone(&ctx.sigs),
+                        base: ctx.base.clone(),
+                    })
+                }),
+                nodes,
+            }),
+            _ => None,
+        };
+        let refinement = resolve_refinement(shared, plane, &signature, &rep, options, witnessed)?;
         tally.resolved.record(&refinement, options);
         // A pruned sweep keeps one item per signature: its representative.
         let items = if options.sweep.prune_symmetric {
             1
         } else {
-            items
+            facts.items
         };
         tally.stats.record_items(refinement.refined_nodes(), items);
         let previous = tally.refinements.insert(signature, refinement);
         debug_assert!(previous.is_none(), "σ maps signature classes one to one");
+    }
+    if let Some(span) = &mut span {
+        span.record("witnessed", tally.resolved.witnessed);
     }
     Ok(tally)
 }
@@ -885,6 +968,7 @@ pub fn merge_reports(mut shards: Vec<NetworkSweepReport>) -> Result<NetworkSweep
         acc.exact_transfers += r.exact_transfers;
         acc.symmetric_transfers += r.symmetric_transfers;
         acc.verified_transfers += r.verified_transfers;
+        acc.witnessed_transfers += r.witnessed_transfers;
         acc.classes_tallied += r.classes_tallied;
         acc.chunk_size = acc.chunk_size.max(r.chunk_size);
         acc.scenarios_streamed += r.scenarios_streamed;
@@ -1025,7 +1109,7 @@ fn process_item(
     let cache_hit = slot.refinement.is_some();
     if !cache_hit {
         let rep = slot.rep(plane, signature);
-        let refinement = resolve_refinement(shared, plane, signature, rep, options)?;
+        let refinement = resolve_refinement(shared, plane, signature, rep, options, None)?;
         class.resolved.record(&refinement, options);
         slot.refined_nodes = refinement.refined_nodes();
         slot.refinement = Some(refinement);
@@ -1040,16 +1124,28 @@ fn process_item(
     }))
 }
 
+/// A tallied class's knowledge that a symmetric transfer of a signature
+/// would be its donor class's stage-1 refinement carried through σ⁻¹.
+struct Witnessed<'a> {
+    /// The tallied class's partition inputs.
+    inputs: &'a Arc<PartitionInputs>,
+    /// The donor refinement's node count.
+    nodes: usize,
+}
+
 /// Resolves a (class, signature) slot miss for the signature's canonical
 /// representative `scenario`: cross-EC transfer when the canonical key
 /// hits with a compatible donor, full derivation otherwise (recording the
-/// result for future transfers). The result's provenance says which.
+/// result for future transfers). The result's provenance says which; a
+/// symmetric transfer a tally `witnessed` takes its node count from there
+/// and defers its partition.
 fn resolve_refinement(
     shared: &SharedCache,
     plane: &EcPlane<'_>,
     signature: &OrbitSignature,
     scenario: &FailureScenario,
     options: &NetworkSweepOptions,
+    witnessed: Option<Witnessed<'_>>,
 ) -> Result<ScenarioRefinement, EquivalenceError> {
     let ctx = &plane.ctx;
     let shared_key = plane.canon.as_ref().and_then(|canon| {
@@ -1069,7 +1165,7 @@ fn resolve_refinement(
             return Ok(transfer_exact(&entry.donor, signature));
         }
         if entry.stage1_only {
-            let candidate = transfer_symmetric(ctx, signature, scenario);
+            let candidate = transfer_symmetric(ctx, signature, scenario, witnessed);
             if !options.verify_transfers {
                 return Ok(candidate);
             }
@@ -1084,7 +1180,7 @@ fn resolve_refinement(
                 ctx,
                 &candidate.representative,
                 &solutions,
-                &candidate.abstraction,
+                candidate.abstraction(),
                 abs,
             )?
             .is_ok()
@@ -1123,14 +1219,32 @@ fn transfer_exact(donor: &ScenarioRefinement, signature: &OrbitSignature) -> Sce
 /// A symmetric transfer: the stage-1 endpoint split of the receiving
 /// class's own representative, refined against its own base abstraction —
 /// exactly the partition a fresh derivation produces when its first check
-/// passes, which is what the donor's verdict certifies.
+/// passes, which is what the donor's verdict certifies. A `witnessed`
+/// transfer knows that partition's node count already and leaves the
+/// partition to its first reader.
 fn transfer_symmetric(
     ctx: &SweepCtx<'_>,
     signature: &OrbitSignature,
     scenario: &FailureScenario,
+    witnessed: Option<Witnessed<'_>>,
 ) -> ScenarioRefinement {
     let split = endpoint_split(ctx.base, scenario);
     let graph = &ctx.env.topo.graph;
+    if let Some(Witnessed { inputs, nodes }) = witnessed {
+        debug_assert_eq!(
+            split_partition(graph, &ctx.ec, &ctx.sigs, ctx.base, &split).abstract_node_count(),
+            nodes,
+            "Algorithm 1 commutes with a verified class witness"
+        );
+        let inputs = Arc::clone(inputs);
+        return ScenarioRefinement::witnessed(
+            signature.clone(),
+            scenario.clone(),
+            split,
+            inputs,
+            nodes,
+        );
+    }
     let abstraction = split_partition(graph, &ctx.ec, &ctx.sigs, ctx.base, &split);
     ScenarioRefinement::new(
         signature.clone(),

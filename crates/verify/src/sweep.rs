@@ -66,6 +66,7 @@ use bonsai_core::ecs::DestEc;
 use bonsai_core::engine::CompiledPolicies;
 use bonsai_core::scenarios::{
     link_orbits_with_distances, FailureScenario, LinkOrbits, NodeDistances, OrbitSignature,
+    SignatureInterner,
 };
 use bonsai_core::signatures::{build_sig_table, SigTable};
 use bonsai_net::{Graph, NodeId};
@@ -162,6 +163,8 @@ impl RefinementProvenance {
 /// of (network, class, partition, representative) — and live behind
 /// [`ScenarioRefinement::materialized`], built by the first reader: a
 /// sweep that only counts refined nodes never assembles or solves them.
+/// A symmetric transfer taken through a class witness defers the
+/// partition itself the same way (see [`ScenarioRefinement::abstraction`]).
 #[derive(Clone, Debug)]
 pub struct ScenarioRefinement {
     /// The orbit signature this refinement is cached under.
@@ -171,9 +174,15 @@ pub struct ScenarioRefinement {
     /// Concrete nodes isolated from the base abstraction (empty when the
     /// base abstraction already verifies the representative).
     pub split: Vec<NodeId>,
-    /// The per-scenario abstraction (base + split, at the Algorithm-1
-    /// fixpoint).
-    pub abstraction: Abstraction,
+    /// The per-scenario abstraction, held from the start or — for a
+    /// witnessed transfer — filled by the first
+    /// [`ScenarioRefinement::abstraction`] read.
+    abstraction: OnceLock<Abstraction>,
+    /// What a deferred partition is computed against (`Some` exactly for a
+    /// witnessed transfer).
+    deferred: Option<Arc<PartitionInputs>>,
+    /// Abstract node count of the partition, known without it.
+    refined_nodes: usize,
     /// The localized endpoint split was refuted at least once.
     pub localized_refuted: bool,
     /// Rounds that split only deviating block members.
@@ -257,7 +266,9 @@ impl ScenarioRefinement {
             signature,
             representative,
             split,
-            abstraction,
+            refined_nodes: abstraction.abstract_node_count(),
+            abstraction: OnceLock::from(abstraction),
+            deferred: None,
             localized_refuted,
             deviating_rounds,
             global_fallback,
@@ -266,20 +277,77 @@ impl ScenarioRefinement {
         }
     }
 
-    /// A copy that holds the partition only: what the cross-class cache
-    /// keeps of a donor and what an exact transfer starts from (the
-    /// derived pair embeds the class's own prefix, so it never transfers).
+    /// A **witnessed** symmetric transfer: a class witness carried the
+    /// donor class's stage-1 refinement of the same signature onto this
+    /// one, so its node count is `refined_nodes`, and its partition —
+    /// [`split_partition`] of `split` over `inputs` — waits for its first
+    /// reader.
+    pub(crate) fn witnessed(
+        signature: OrbitSignature,
+        representative: FailureScenario,
+        split: Vec<NodeId>,
+        inputs: Arc<PartitionInputs>,
+        refined_nodes: usize,
+    ) -> Self {
+        ScenarioRefinement {
+            signature,
+            representative,
+            split,
+            abstraction: OnceLock::new(),
+            deferred: Some(inputs),
+            refined_nodes,
+            localized_refuted: false,
+            deviating_rounds: 0,
+            global_fallback: false,
+            provenance: RefinementProvenance::TransferredSymmetric,
+            materialized: OnceLock::new(),
+        }
+    }
+
+    /// A copy without the derived pair: what the cross-class cache keeps
+    /// of a donor and what an exact transfer starts from (the derived pair
+    /// embeds the class's own prefix, so it never transfers).
     pub(crate) fn unmaterialized(&self) -> Self {
-        ScenarioRefinement::new(
-            self.signature.clone(),
-            self.representative.clone(),
-            self.split.clone(),
-            self.abstraction.clone(),
-            self.localized_refuted,
-            self.deviating_rounds,
-            self.global_fallback,
-            self.provenance,
-        )
+        ScenarioRefinement {
+            signature: self.signature.clone(),
+            representative: self.representative.clone(),
+            split: self.split.clone(),
+            abstraction: self.abstraction.clone(),
+            deferred: self.deferred.clone(),
+            refined_nodes: self.refined_nodes,
+            localized_refuted: self.localized_refuted,
+            deviating_rounds: self.deviating_rounds,
+            global_fallback: self.global_fallback,
+            provenance: self.provenance,
+            materialized: OnceLock::new(),
+        }
+    }
+
+    /// The per-scenario abstraction: the class's base with `split`
+    /// isolated, at the Algorithm-1 fixpoint. A witnessed transfer
+    /// computes it here on first read, by the `split_partition` call an
+    /// eager transfer makes — same blocks, same block ids — and keeps it.
+    pub fn abstraction(&self) -> &Abstraction {
+        self.abstraction.get_or_init(|| {
+            let inputs = self
+                .deferred
+                .as_ref()
+                .expect("a refinement without a partition defers it");
+            split_partition(
+                &inputs.graph,
+                &inputs.ec,
+                &inputs.sigs,
+                &inputs.base,
+                &self.split,
+            )
+        })
+    }
+
+    /// Whether this is a witnessed transfer (its partition deferred at
+    /// creation; [`ScenarioRefinement::abstraction`] may have read it
+    /// since).
+    pub fn is_witnessed(&self) -> bool {
+        self.deferred.is_some()
     }
 
     /// The refinement's abstract network and canonical solution, built on
@@ -293,8 +361,9 @@ impl ScenarioRefinement {
         topo: &BuiltTopology,
         ec: &EcDest,
     ) -> &Materialized {
-        self.materialized
-            .get_or_init(|| materialize(network, topo, ec, &self.abstraction, &self.representative))
+        self.materialized.get_or_init(|| {
+            materialize(network, topo, ec, self.abstraction(), &self.representative)
+        })
     }
 
     /// Whether the derived pair is resident (a derivation's is from the
@@ -311,9 +380,10 @@ impl ScenarioRefinement {
         !self.localized_refuted && !self.global_fallback
     }
 
-    /// Abstract node count of the per-scenario refinement.
+    /// Abstract node count of the per-scenario refinement (read without
+    /// computing a deferred partition).
     pub fn refined_nodes(&self) -> usize {
-        self.abstraction.abstract_node_count()
+        self.refined_nodes
     }
 
     /// How the refinement was found, as the documents and the `bonsai
@@ -683,6 +753,25 @@ pub(crate) fn split_partition(
     }
 }
 
+/// The inputs of [`split_partition`] but the split, owned: what a
+/// witnessed transfer holds so that its first reader — with or without a
+/// class base at hand — can compute its partition. One per tallied class,
+/// shared by its witnessed refinements.
+pub(crate) struct PartitionInputs {
+    pub(crate) graph: Arc<Graph>,
+    pub(crate) ec: EcDest,
+    pub(crate) sigs: Arc<SigTable>,
+    pub(crate) base: Abstraction,
+}
+
+impl std::fmt::Debug for PartitionInputs {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PartitionInputs")
+            .field("class", &self.ec.prefix)
+            .finish_non_exhaustive()
+    }
+}
+
 /// What a scenario's own refinement is built against: one destination
 /// class, its hoisted signature table and its failure-free base
 /// abstraction.
@@ -723,8 +812,10 @@ pub struct ClassBase<'a> {
 /// the sweep already trusts for every symmetric transfer — scenarios of
 /// one orbit signature verify at the same stage — which is measured, not
 /// proved: `tests/answer_oracle.rs` reads 0 differences from the concrete
-/// simulation over every `≤ 2` scenario of its networks, and the
-/// automorphism witness of ROADMAP item 1(c) is what would certify it.
+/// simulation over every `≤ 2` scenario of its networks. What would
+/// certify it is a *scenario* witness — an automorphism fixing the
+/// class's origins that maps the scenario onto the representative — the
+/// within-class counterpart of [`bonsai_core::symmetry`]'s class witness.
 pub fn scenario_verdict(
     network: &NetworkConfig,
     topo: &BuiltTopology,
@@ -742,7 +833,7 @@ pub fn scenario_verdict(
     let verdict = match (held, class) {
         (Some(held), _) if held.representative == *scenario => {
             let materialized = held.materialized(network, topo, &ec.to_ec_dest());
-            let verdict = answer_on(&held.abstraction, materialized);
+            let verdict = answer_on(held.abstraction(), materialized);
             stats.by_representative += usize::from(verdict.is_some());
             stats.cached_answers += usize::from(verdict.is_some());
             verdict
@@ -776,7 +867,7 @@ pub(crate) fn derive_scenario_refinement(
     signature: &OrbitSignature,
 ) -> Result<ScenarioRefinement, EquivalenceError> {
     let env = ctx.env;
-    let rep = ctx.orbits.canonical_scenario(signature);
+    let rep = SignatureInterner::new(&ctx.orbits).canonical_scenario(signature);
     let mut split = endpoint_split(ctx.base, &rep);
 
     let (mut cur, mut cur_net) = if split.is_empty() {
@@ -1271,10 +1362,10 @@ mod tests {
             assert_eq!(cached.representative, fresh.representative);
             assert_eq!(cached.split, fresh.split);
             assert_eq!(
-                cached.abstraction.partition.as_sets(),
-                fresh.abstraction.partition.as_sets()
+                cached.abstraction().partition.as_sets(),
+                fresh.abstraction().partition.as_sets()
             );
-            assert_eq!(cached.abstraction.copies, fresh.abstraction.copies);
+            assert_eq!(cached.abstraction().copies, fresh.abstraction().copies);
             let network_of = |r: &ScenarioRefinement| {
                 let abs = r.materialized(&net, &topo, &ec_dest).abstract_network();
                 bonsai_config::print_network(&abs.network)
@@ -1410,8 +1501,11 @@ mod tests {
         );
         for (sig, r) in &pruned.refinements {
             assert_eq!(
-                r.abstraction.partition.as_sets(),
-                exhaustive.refinements[sig].abstraction.partition.as_sets()
+                r.abstraction().partition.as_sets(),
+                exhaustive.refinements[sig]
+                    .abstraction()
+                    .partition
+                    .as_sets()
             );
         }
         assert!(pruned.scenarios_swept() <= exhaustive.scenarios_swept());

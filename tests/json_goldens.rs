@@ -160,7 +160,9 @@ fn the_serve_transcript_and_its_warm_snapshot_are_the_parents_bytes() {
 /// shape; the argument errors of `snapshot` and `reload`; lines that are
 /// not JSON — with the reply the release binary of the commit before the
 /// typed member accessors gave on each transport. A `bad_request` message
-/// is all a client has to find its mistake with.
+/// is all a client has to find its mistake with. The last line, a `reload`
+/// of the empty configuration, was swapped in until the daemon refused
+/// configurations without devices; its reply is the refusal.
 #[test]
 fn refused_requests_are_answered_with_the_parents_bytes() {
     let session = Session::builder(bonsai::srp::papernets::figure2_gadget())

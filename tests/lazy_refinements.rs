@@ -117,11 +117,11 @@ fn check_sweep(label: &str, net: &NetworkConfig, k: usize, threads: usize) -> Se
                 (&refined.0, &refined.1)
             };
             assert_eq!(
-                r.abstraction.partition.as_sets(),
+                r.abstraction().partition.as_sets(),
                 abstraction.partition.as_sets(),
                 "{what}"
             );
-            assert_eq!(r.abstraction.copies, abstraction.copies, "{what}");
+            assert_eq!(r.abstraction().copies, abstraction.copies, "{what}");
 
             let lazy = r.materialized(net, &topo, &ec);
             assert!(r.is_materialized());

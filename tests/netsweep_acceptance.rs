@@ -163,11 +163,11 @@ fn transfers_are_byte_identical_to_fresh_derivations() {
                     );
                     assert_eq!(cached.split, fresh.split, "{label} k={k}");
                     assert_eq!(
-                        cached.abstraction.partition.as_sets(),
-                        fresh.abstraction.partition.as_sets(),
+                        cached.abstraction().partition.as_sets(),
+                        fresh.abstraction().partition.as_sets(),
                         "{label} k={k}"
                     );
-                    assert_eq!(cached.abstraction.copies, fresh.abstraction.copies);
+                    assert_eq!(cached.abstraction().copies, fresh.abstraction().copies);
                     let network_of = |r: &ScenarioRefinement| {
                         let abs = r.materialized(net, &topo, &ec_dest).abstract_network();
                         bonsai_config::print_network(&abs.network)
@@ -219,10 +219,10 @@ fn network_sweep_deterministic_across_thread_counts() {
                 for (sig, r) in &a.report.refinements {
                     let p = &b.report.refinements[sig];
                     assert_eq!(
-                        r.abstraction.partition.as_sets(),
-                        p.abstraction.partition.as_sets()
+                        r.abstraction().partition.as_sets(),
+                        p.abstraction().partition.as_sets()
                     );
-                    assert_eq!(r.abstraction.copies, p.abstraction.copies);
+                    assert_eq!(r.abstraction().copies, p.abstraction().copies);
                     assert_eq!(r.split, p.split);
                 }
                 assert_eq!(a.report.outcomes.len(), b.report.outcomes.len());
@@ -268,11 +268,11 @@ fn assert_reports_equivalent(label: &str, a: &NetworkSweepReport, b: &NetworkSwe
             assert_eq!(r.representative, p.representative, "{label}");
             assert_eq!(r.split, p.split, "{label}");
             assert_eq!(
-                r.abstraction.partition.as_sets(),
-                p.abstraction.partition.as_sets(),
+                r.abstraction().partition.as_sets(),
+                p.abstraction().partition.as_sets(),
                 "{label}"
             );
-            assert_eq!(r.abstraction.copies, p.abstraction.copies, "{label}");
+            assert_eq!(r.abstraction().copies, p.abstraction().copies, "{label}");
             assert_eq!(r.provenance, p.provenance, "{label}");
         }
         assert_eq!(x.report.outcomes.len(), y.report.outcomes.len(), "{label}");
@@ -409,11 +409,11 @@ fn pruned_sweeps_are_schedule_independent_and_cover_every_signature() {
                         let b = &x.refinements[sig];
                         assert_eq!(a.split, b.split, "{case}");
                         assert_eq!(
-                            a.abstraction.partition.as_sets(),
-                            b.abstraction.partition.as_sets(),
+                            a.abstraction().partition.as_sets(),
+                            b.abstraction().partition.as_sets(),
                             "{case}"
                         );
-                        assert_eq!(a.abstraction.copies, b.abstraction.copies, "{case}");
+                        assert_eq!(a.abstraction().copies, b.abstraction().copies, "{case}");
                     }
                 }
             }
@@ -804,8 +804,8 @@ fn assert_tally_matches(
             assert_eq!(t.representative, r.representative, "{label}");
             assert_eq!(t.split, r.split, "{label}");
             assert_eq!(
-                t.abstraction.partition.as_sets(),
-                r.abstraction.partition.as_sets(),
+                t.abstraction().partition.as_sets(),
+                r.abstraction().partition.as_sets(),
                 "{label}"
             );
             if threads == 1 {
@@ -865,45 +865,304 @@ fn assert_interned(
     }
 }
 
+/// One equivariance case: a network, its failure bound, the classes swept
+/// (`None`: all), and — where pinned — `(witnessed, symmetric)` transfers.
+struct WitnessCase {
+    label: &'static str,
+    net: NetworkConfig,
+    k: usize,
+    subset: Option<Vec<usize>>,
+    transfers: Option<(usize, usize)>,
+}
+
+/// A tallied class takes a symmetric transfer through its class witness σ
+/// when σ⁻¹ of the donor's representative is its own representative: the
+/// node count is the donor's, and the partition waits for a reader. That
+/// is exact because Algorithm 1 commutes with σ. Every witnessed transfer
+/// of fattree-4/6/8, mesh-10 and the lopsided tree at `k ≤ 2`, of
+/// `gen:datacenter`'s first group at `k = 1` (class 0 visited, the next 17
+/// tallied; all 1296 classes, 67 851 witnessed transfers, pass in a
+/// release build) and of the seeded networks (which tally nothing) is
+/// checked against the eager transfer, `split_partition` of the
+/// receiver's endpoint split:
+///
+/// * σ⁻¹ of the donor's partition is that partition, as sets, with equal
+///   per-set copies;
+/// * the node count is its node count;
+/// * the deferred partition, once read, is that partition block for block,
+///   block ids included.
+///
+/// Fattree-8 `k = 2` pins the counts: 1144 witnessed of 1364 symmetric
+/// transfers; the other 220 — σ⁻¹(R) is not the receiver's representative —
+/// are refined eagerly.
+#[test]
+fn witnessed_transfers_are_the_donors_carried_through_the_witness() {
+    use bonsai::topo::{datacenter, fattree, full_mesh, FattreePolicy::ShortestPath};
+    let mut cases = Vec::new();
+    for (label, net) in [
+        ("fattree4", fattree(4, ShortestPath)),
+        ("fattree6", fattree(6, ShortestPath)),
+        ("fattree8", fattree(8, ShortestPath)),
+        ("mesh10", full_mesh(10)),
+        ("lopsided tree", lopsided_tree()),
+    ] {
+        for k in 1..=2 {
+            let transfers = (label == "fattree8" && k == 2).then_some((1144, 1364));
+            cases.push(WitnessCase {
+                label,
+                net: net.clone(),
+                k,
+                subset: None,
+                transfers,
+            });
+        }
+    }
+    cases.push(WitnessCase {
+        label: "datacenter",
+        net: datacenter(Default::default()),
+        k: 1,
+        subset: Some((0..18).collect()),
+        transfers: None,
+    });
+    for net in random_nets::seeded_networks() {
+        cases.push(WitnessCase {
+            label: "seeded",
+            net,
+            k: 2,
+            subset: None,
+            transfers: Some((0, 0)),
+        });
+    }
+    let mut witnessed = 0;
+    for case in &cases {
+        let label = format!("{} k={}", case.label, case.k);
+        let topo = BuiltTopology::build(&case.net).unwrap();
+        let report = compress(&case.net, CompressOptions::default());
+        let every: Vec<usize> = (0..report.num_ecs()).collect();
+        let subset = case.subset.as_deref().unwrap_or(&every);
+        let options = NetworkSweepOptions {
+            sweep: SweepOptions {
+                max_failures: case.k,
+                threads: 1,
+                ..Default::default()
+            },
+            collect_outcomes: false,
+            ..Default::default()
+        };
+        let sweep = match sweep_network_subset(&case.net, &topo, &report, &options, subset) {
+            Ok(sweep) => sweep,
+            // The one unsweepable seeded network (`tests/answer_oracle.rs`).
+            Err(_) if case.label == "seeded" => continue,
+            Err(e) => panic!("{label}: {e}"),
+        };
+        let checked = assert_witnessed(&label, &case.net, &topo, &report, subset, &sweep);
+        assert_eq!(checked, sweep.witnessed_transfers, "{label}");
+        if let Some(transfers) = case.transfers {
+            let counts = (sweep.witnessed_transfers, sweep.symmetric_transfers);
+            assert_eq!(counts, transfers, "{label}");
+        }
+        witnessed += checked;
+    }
+    assert_eq!(witnessed, 3224);
+}
+
+/// The checks of [`witnessed_transfers_are_the_donors_carried_through_the_witness`]
+/// over one sweep of `subset`; returns the witnessed transfers checked.
+fn assert_witnessed(
+    label: &str,
+    net: &NetworkConfig,
+    topo: &BuiltTopology,
+    report: &CompressionReport,
+    subset: &[usize],
+    sweep: &NetworkSweepReport,
+) -> usize {
+    use bonsai::core::algorithm::{refine_with_split, Abstraction};
+    use bonsai::core::scenarios::{link_orbits, quotient_canon, FailureScenario};
+    use bonsai::core::symmetry::{find_class_witness, ClassView};
+    use std::collections::BTreeMap;
+
+    let graph = &topo.graph;
+    // The classes as the sweep hoists them, and their witness-search views.
+    let classes: Vec<_> = subset
+        .iter()
+        .map(|&ci| {
+            let comp = &report.per_ec[ci];
+            let ec = comp.ec.to_ec_dest();
+            let sigs = build_sig_table(&report.policies, net, topo, &ec);
+            let orbits = link_orbits(graph, &comp.abstraction, &sigs);
+            let canon = quotient_canon(graph, &ec, &comp.abstraction, &sigs, &orbits);
+            let fingerprint = report.policies.ec_fingerprint(net, topo, &ec);
+            (ec, sigs, canon, fingerprint, &comp.abstraction)
+        })
+        .collect();
+    let view = |i: usize| {
+        let (ec, sigs, canon, _, base) = &classes[i];
+        let canon = canon.as_ref()?;
+        Some(ClassView {
+            ec,
+            sigs,
+            base,
+            canon,
+        })
+    };
+    let group = |i: usize| Some((classes[i].3, &view(i)?.canon.class));
+    // Blocks as (sorted members, copies), after mapping members through `f`.
+    let blocks = |a: &Abstraction, f: &dyn Fn(u32) -> u32| {
+        let mut out: Vec<(Vec<u32>, u32)> = a
+            .partition
+            .blocks()
+            .map(|b| {
+                let mut members: Vec<u32> = a.partition.members(b).iter().map(|&m| f(m)).collect();
+                members.sort_unstable();
+                (members, a.copies[b.index()])
+            })
+            .collect();
+        out.sort();
+        out
+    };
+
+    let mut checked = 0;
+    for (e, ec_sweep) in sweep.per_ec.iter().enumerate() {
+        let mine: Vec<&ScenarioRefinement> = ec_sweep
+            .report
+            .refinements
+            .values()
+            .filter(|r| r.is_witnessed())
+            .collect();
+        if mine.is_empty() {
+            continue;
+        }
+        // A donor: an earlier visited class of the group (it holds no
+        // witnessed transfer) with a verified σ onto this one whose
+        // representatives are the images of these.
+        let image_of = |image: &[NodeId], r: &ScenarioRefinement| {
+            let link = |&(u, v): &(NodeId, NodeId)| {
+                graph
+                    .canonical_link(image[u.index()], image[v.index()])
+                    .unwrap()
+            };
+            FailureScenario::new(r.representative.links.iter().map(link).collect())
+        };
+        let visited = |d: usize| {
+            let refinements = &sweep.per_ec[d].report.refinements;
+            !refinements.values().any(|r| r.is_witnessed())
+        };
+        let (d, image) = (0..e)
+            .filter(|&d| group(d).is_some() && group(d) == group(e) && visited(d))
+            .find_map(|d| {
+                let witness = find_class_witness(graph, view(d)?, view(e)?).witness?;
+                let image = witness.image().to_vec();
+                let reps: BTreeSet<&FailureScenario> = sweep.per_ec[d]
+                    .report
+                    .refinements
+                    .values()
+                    .map(|r| &r.representative)
+                    .collect();
+                let carried = mine.iter().all(|r| reps.contains(&image_of(&image, r)));
+                carried.then_some((d, image))
+            })
+            .unwrap_or_else(|| panic!("{label}: class {e} has no donor"));
+        let mut preimage = vec![0u32; image.len()];
+        for (v, w) in image.iter().enumerate() {
+            preimage[w.index()] = v as u32;
+        }
+        let donor: BTreeMap<&FailureScenario, &ScenarioRefinement> = sweep.per_ec[d]
+            .report
+            .refinements
+            .values()
+            .map(|r| (&r.representative, r))
+            .collect();
+        let (ec, sigs, _, _, base) = &classes[e];
+        for r in mine {
+            // The eager transfer: `split_partition` of the endpoint split.
+            let mut split: Vec<NodeId> = r
+                .representative
+                .links
+                .iter()
+                .flat_map(|&(u, v)| [u, v])
+                .filter(|&n| base.partition.members(base.role_of(n)).len() > 1)
+                .collect();
+            split.sort();
+            split.dedup();
+            assert_eq!(r.split, split, "{label}");
+            let eager = if split.is_empty() {
+                (*base).clone()
+            } else {
+                refine_with_split(graph, ec, sigs, base, &split)
+            };
+            assert_eq!(r.refined_nodes(), eager.abstract_node_count(), "{label}");
+            let donor = donor[&image_of(&image, r)];
+            assert!(donor.stage1_only(), "{label}");
+            let pulled = blocks(donor.abstraction(), &|m| preimage[m as usize]);
+            assert_eq!(
+                pulled,
+                blocks(&eager, &|m| m),
+                "{label}: σ⁻¹ of the donor's"
+            );
+            let read = r.abstraction();
+            assert_eq!(read.copies, eager.copies, "{label}");
+            assert_eq!(read.iterations, eager.iterations, "{label}");
+            let ids = |a: &Abstraction| graph.nodes().map(|n| a.role_of(n)).collect::<Vec<_>>();
+            assert_eq!(ids(read), ids(&eager), "{label}: block ids");
+            assert_eq!(
+                read.partition.as_sets(),
+                eager.partition.as_sets(),
+                "{label}"
+            );
+            checked += 1;
+        }
+    }
+    checked
+}
+
 /// Audited symmetric transfers: re-verifying every transfer against the
 /// receiving class changes nothing (the symmetry certificate holds on the
-/// fattree) — same refinement bytes, and the audit actually ran.
+/// fattree) — same refinement bytes, and the audit actually ran, on every
+/// symmetric transfer: a visited class's, and a tallied class's whether it
+/// came through the class witness or not (the audit reads a witnessed
+/// transfer's deferred partition).
 #[test]
 fn verified_transfers_agree_with_trusted_transfers() {
     let net = bonsai::topo::fattree(4, bonsai::topo::FattreePolicy::ShortestPath);
     let topo = BuiltTopology::build(&net).unwrap();
     let report = compress(&net, CompressOptions::default());
-    let base_options = NetworkSweepOptions {
-        sweep: SweepOptions {
-            max_failures: 1,
-            threads: 1,
+    for (k, collect_outcomes) in [(1, true), (2, false)] {
+        let base_options = NetworkSweepOptions {
+            sweep: SweepOptions {
+                max_failures: k,
+                threads: 1,
+                ..Default::default()
+            },
+            collect_outcomes,
             ..Default::default()
-        },
-        ..Default::default()
-    };
-    let trusted = sweep_network(&net, &topo, &report, &base_options).unwrap();
-    let audited = sweep_network(
-        &net,
-        &topo,
-        &report,
-        &NetworkSweepOptions {
-            verify_transfers: true,
-            ..base_options
-        },
-    )
-    .unwrap();
-    assert!(audited.verified_transfers > 0);
-    assert_eq!(audited.derivations, trusted.derivations);
-    for (a, b) in trusted.per_ec.iter().zip(&audited.per_ec) {
-        assert_eq!(
-            a.report.refinements.keys().collect::<Vec<_>>(),
-            b.report.refinements.keys().collect::<Vec<_>>()
-        );
-        for (sig, r) in &a.report.refinements {
+        };
+        let trusted = sweep_network(&net, &topo, &report, &base_options).unwrap();
+        let audited = sweep_network(
+            &net,
+            &topo,
+            &report,
+            &NetworkSweepOptions {
+                verify_transfers: true,
+                ..base_options
+            },
+        )
+        .unwrap();
+        assert!(audited.verified_transfers > 0);
+        assert_eq!(audited.verified_transfers, audited.symmetric_transfers);
+        assert_eq!(audited.witnessed_transfers, trusted.witnessed_transfers);
+        assert_eq!(trusted.witnessed_transfers > 0, !collect_outcomes);
+        assert_eq!(audited.derivations, trusted.derivations);
+        for (a, b) in trusted.per_ec.iter().zip(&audited.per_ec) {
             assert_eq!(
-                r.abstraction.partition.as_sets(),
-                b.report.refinements[sig].abstraction.partition.as_sets()
+                a.report.refinements.keys().collect::<Vec<_>>(),
+                b.report.refinements.keys().collect::<Vec<_>>()
             );
+            for (sig, r) in &a.report.refinements {
+                assert_eq!(
+                    r.abstraction().partition.as_sets(),
+                    b.report.refinements[sig].abstraction().partition.as_sets()
+                );
+            }
         }
     }
 }

@@ -96,6 +96,9 @@ fn each_merged_kernel_is_defined_once() {
         ("fn split_partition(", VERIFY),
         ("refine_with_split(", VERIFY),
         ("fn scenario_verdict(", &["crates/", "src/"]),
+        // One search for a signature's representative: the count-respecting
+        // walk behind every visit, tally and derivation.
+        ("fn canonical_scenario(", EVERYWHERE),
         // One way to make a `Session` (PR 17): one struct literal (its
         // counter field is written once) behind one assembler, and names
         // become links through one orientation rule.
@@ -140,6 +143,15 @@ fn cut_paths_stay_cut() {
     let sweep = &["crates/verify/src/sweep.rs"];
     none(sweep, "pub abstract_network");
     none(sweep, "pub abstract_solution");
+    // Nor an eager partition field beside the deferred one.
+    none(sweep, "pub abstraction: Abstraction");
+    // The exhaustive representative search the walk replaced survives as
+    // the walk's test oracle only.
+    let oracle = lines_with(&tree, EVERYWHERE, "fn search_combinations(");
+    assert!(
+        oracle.len() == 1 && oracle[0].starts_with("crates/core/tests/"),
+        "the exhaustive search is a test oracle only: {oracle:?}"
+    );
     // The serving side never lifts a queried scenario onto a refinement
     // (the kernel's check and the bench keep the verified lift), and
     // every served scenario goes through the one verdict function.

@@ -184,11 +184,11 @@ fn cache_hits_verify_byte_identically_to_fresh_derivations() {
                 assert_eq!(cached.representative, fresh.representative, "{label} k={k}");
                 assert_eq!(cached.split, fresh.split, "{label} k={k}");
                 assert_eq!(
-                    cached.abstraction.partition.as_sets(),
-                    fresh.abstraction.partition.as_sets(),
+                    cached.abstraction().partition.as_sets(),
+                    fresh.abstraction().partition.as_sets(),
                     "{label} k={k}"
                 );
-                assert_eq!(cached.abstraction.copies, fresh.abstraction.copies);
+                assert_eq!(cached.abstraction().copies, fresh.abstraction().copies);
                 let network_of = |r: &ScenarioRefinement| {
                     let abs = r.materialized(net, &topo, &ec_dest).abstract_network();
                     bonsai_config::print_network(&abs.network)
@@ -242,10 +242,10 @@ fn parallel_sweep_is_deterministic_across_thread_counts() {
             for (sig, r) in &reference.refinements {
                 let p = &parallel.refinements[sig];
                 assert_eq!(
-                    r.abstraction.partition.as_sets(),
-                    p.abstraction.partition.as_sets()
+                    r.abstraction().partition.as_sets(),
+                    p.abstraction().partition.as_sets()
                 );
-                assert_eq!(r.abstraction.copies, p.abstraction.copies);
+                assert_eq!(r.abstraction().copies, p.abstraction().copies);
                 assert_eq!(r.split, p.split);
             }
             assert_eq!(reference.outcomes.len(), parallel.outcomes.len());
@@ -295,7 +295,7 @@ fn transported_abstract_warm_starts_beat_cold_in_updates() {
         let abs = r
             .materialized(&net, &topo, &ec.ec.to_ec_dest())
             .abstract_network();
-        let abs_mask = lift_failure_mask(&r.representative, &r.abstraction, abs);
+        let abs_mask = lift_failure_mask(&r.representative, r.abstraction(), abs);
         let origins: Vec<NodeId> = abs.ec.origins.iter().map(|(n, _)| *n).collect();
         let proto = MultiProtocol::build(&abs.network, &abs.topo, &abs.ec);
         let srp = Srp::with_origins(&abs.topo.graph, origins, proto);
@@ -303,7 +303,7 @@ fn transported_abstract_warm_starts_beat_cold_in_updates() {
         let initial = transport_abstract_solution(
             &ec.abstraction,
             base_abs,
-            &r.abstraction,
+            r.abstraction(),
             abs,
             &base_solution,
         );
