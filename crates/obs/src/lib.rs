@@ -160,6 +160,27 @@ pub const METRICS: &[MetricDef] = &[
         "compress.emit.bytes",
         "Bytes of abstract-network text written by compress --out",
     ),
+    // --- srp: the fixpoint solver -----------------------------------------
+    counter(
+        "srp.solves.cold",
+        "SRP solves from bottom labels in a given activation order",
+    ),
+    counter(
+        "srp.solves.seeded",
+        "SRP solves from a transported initial labeling",
+    ),
+    counter(
+        "srp.solves.warm",
+        "SRP solves repairing a failure-free fixpoint under a failure mask",
+    ),
+    counter(
+        "srp.label_updates",
+        "Label updates performed by SRP solves",
+    ),
+    counter(
+        "srp.offers",
+        "Route offers (transfer calls) evaluated by SRP solves, propagation and validation",
+    ),
     // --- sweep: the (scenario x EC) verification plane --------------------
     counter(
         "sweep.derivations",

@@ -87,6 +87,24 @@ pub struct SolveStats {
     pub updates: usize,
 }
 
+/// What one solve did, counted in locals and published into the metric
+/// registry once, when the solve ends (a diverged or refused solve too).
+#[derive(Default)]
+struct Work {
+    updates: usize,
+    /// Transfer calls: every route offer the solve evaluated, during
+    /// propagation and validation.
+    offers: usize,
+}
+
+impl Work {
+    fn publish(&self, kind: &str) {
+        bonsai_obs::add(kind, 1);
+        bonsai_obs::add("srp.label_updates", self.updates as u64);
+        bonsai_obs::add("srp.offers", self.offers as u64);
+    }
+}
+
 /// Solves the SRP with nodes initially activated in natural id order.
 pub fn solve<P: Protocol>(srp: &Srp<'_, P>) -> Result<Solution<P::Attr>, SolveError> {
     let order: Vec<NodeId> = srp.graph.nodes().collect();
@@ -150,12 +168,55 @@ pub fn solve_with_order_masked_stats<P: Protocol>(
         .copied()
         .filter(|&u| !srp.is_origin(u))
         .collect();
-    let mut touched = vec![false; n];
-    let updates = propagate(srp, &mut labels, &seeds, options, mask, &mut touched)?;
+    let mut work = Work::default();
+    let solved = solve_from(srp, labels, &seeds, options, mask, &mut work);
+    work.publish("srp.solves.cold");
+    solved
+}
+
+/// The tail of a cold and a seeded solve: propagate from `seeds`, then
+/// validate every node.
+fn solve_from<P: Protocol>(
+    srp: &Srp<'_, P>,
+    mut labels: Vec<Option<P::Attr>>,
+    seeds: &[NodeId],
+    options: SolverOptions,
+    mask: Option<&FailureMask>,
+    work: &mut Work,
+) -> Result<(Solution<P::Attr>, SolveStats), SolveError> {
+    let mut touched = vec![false; labels.len()];
+    propagate(srp, &mut labels, seeds, options, mask, &mut touched, work)?;
+    for u in srp.graph.nodes() {
+        work.offers += validation_offers(srp, &labels, u, mask);
+    }
     let solution = srp
         .solution_from_labels_masked(labels, mask)
         .map_err(SolveError::Internal)?;
-    Ok((solution, SolveStats { updates }))
+    Ok((
+        solution,
+        SolveStats {
+            updates: work.updates,
+        },
+    ))
+}
+
+/// Transfer calls the two validation passes make at `u`: the stability
+/// check's choice set and the forwarding pass's.
+fn validation_offers<P: Protocol>(
+    srp: &Srp<'_, P>,
+    labels: &[Option<P::Attr>],
+    u: NodeId,
+    mask: Option<&FailureMask>,
+) -> usize {
+    if srp.is_origin(u) {
+        return 0;
+    }
+    let degree = srp
+        .graph
+        .out(u)
+        .filter(|&e| !mask.is_some_and(|m| m.is_disabled(e)))
+        .count();
+    degree * if labels[u.index()].is_some() { 2 } else { 1 }
 }
 
 /// Solves the masked instance from an explicit initial labeling — the
@@ -190,12 +251,10 @@ pub fn solve_seeded_masked<P: Protocol>(
     }
 
     let seeds: Vec<NodeId> = srp.graph.nodes().filter(|&u| !srp.is_origin(u)).collect();
-    let mut touched = vec![false; n];
-    let updates = propagate(srp, &mut labels, &seeds, options, mask, &mut touched)?;
-    let solution = srp
-        .solution_from_labels_masked(labels, mask)
-        .map_err(SolveError::Internal)?;
-    Ok((solution, SolveStats { updates }))
+    let mut work = Work::default();
+    let solved = solve_from(srp, labels, &seeds, options, mask, &mut work);
+    work.publish("srp.solves.seeded");
+    solved
 }
 
 /// Repairs a failure-free fixpoint after edge deletion instead of
@@ -283,28 +342,44 @@ pub fn solve_warm_masked<P: Protocol>(
         .collect();
 
     let mut touched = seed_set;
-    propagate(srp, &mut labels, &seeds, options, Some(mask), &mut touched)?;
-
-    // Finish incrementally: only nodes whose inputs could have changed —
-    // the touched region — get their forwarding recomputed and their
-    // stability constraint rechecked. Everything else carries over from
-    // the validated base verbatim.
-    let mut fwd = base.fwd.clone();
-    for u in srp.graph.nodes() {
-        if touched[u.index()] {
-            srp.check_node_stable_masked(&labels, u, Some(mask))
-                .map_err(SolveError::Internal)?;
-            fwd[u.index()] = srp.node_forwarding_masked(&labels, u, Some(mask));
+    let mut work = Work::default();
+    let repaired = propagate(
+        srp,
+        &mut labels,
+        &seeds,
+        options,
+        Some(mask),
+        &mut touched,
+        &mut work,
+    )
+    .and_then(|()| {
+        // Finish incrementally: only nodes whose inputs could have
+        // changed — the touched region — get their forwarding recomputed
+        // and their stability constraint rechecked. Everything else
+        // carries over from the validated base verbatim.
+        let mut fwd = base.fwd.clone();
+        for u in srp.graph.nodes() {
+            if touched[u.index()] {
+                work.offers += validation_offers(srp, &labels, u, Some(mask));
+                srp.check_node_stable_masked(&labels, u, Some(mask))
+                    .map_err(SolveError::Internal)?;
+                fwd[u.index()] = srp.node_forwarding_masked(&labels, u, Some(mask));
+            }
         }
-    }
-    Ok(Solution { labels, fwd })
+        Ok(fwd)
+    });
+    work.publish("srp.solves.warm");
+    Ok(Solution {
+        labels,
+        fwd: repaired?,
+    })
 }
 
 /// The shared worklist loop: activates the seeds (in order), recomputes
 /// each popped node's best choice, and propagates label changes to
 /// predecessors until a fixpoint. Every node that is (re-)examined or
 /// enqueued is marked in `touched`; callers validate at least that region.
-/// Returns the number of label updates performed.
+/// Label updates and offers are counted into `work`.
 fn propagate<P: Protocol>(
     srp: &Srp<'_, P>,
     labels: &mut [Option<P::Attr>],
@@ -312,7 +387,8 @@ fn propagate<P: Protocol>(
     options: SolverOptions,
     mask: Option<&FailureMask>,
     touched: &mut [bool],
-) -> Result<usize, SolveError> {
+    work: &mut Work,
+) -> Result<(), SolveError> {
     let n = srp.graph.node_count();
     let mut queue: VecDeque<NodeId> = VecDeque::with_capacity(seeds.len().max(4) * 2);
     let mut queued = vec![false; n];
@@ -329,11 +405,14 @@ fn propagate<P: Protocol>(
         .update_factor
         .saturating_mul(n + srp.graph.edge_count())
         .max(1024);
-    let mut updates = 0usize;
-
     while let Some(u) = queue.pop_front() {
         queued[u.index()] = false;
         let choices = srp.choices_masked(labels, u, mask);
+        work.offers += srp
+            .graph
+            .out(u)
+            .filter(|&e| !mask.is_some_and(|m| m.is_disabled(e)))
+            .count();
         let new_label = if choices.is_empty() {
             None
         } else {
@@ -351,9 +430,11 @@ fn propagate<P: Protocol>(
         };
         if new_label != labels[u.index()] {
             labels[u.index()] = new_label;
-            updates += 1;
-            if updates > budget {
-                return Err(SolveError::Diverged { updates });
+            work.updates += 1;
+            if work.updates > budget {
+                return Err(SolveError::Diverged {
+                    updates: work.updates,
+                });
             }
             for w in srp.graph.predecessors(u) {
                 if !srp.is_origin(w) {
@@ -366,7 +447,7 @@ fn propagate<P: Protocol>(
             }
         }
     }
-    Ok(updates)
+    Ok(())
 }
 
 #[cfg(test)]
