@@ -1,10 +1,13 @@
 //! Policy semantics: route maps, prefix lists and ACLs.
 //!
 //! These functions are **the** definition of what a policy means. The SRP
-//! simulator interprets them directly; the BDD compiler in `bonsai-core`
-//! enumerates the same code over symbolic inputs. Keeping a single
-//! implementation is what justifies the paper's claim that BDD equality
-//! implies transfer-function equality.
+//! simulator specializes each route map per destination class through
+//! them — a map decided by prefix-list clauses alone is evaluated once, by
+//! [`eval_route_map`], and one that reads communities is run per route
+//! offer by [`eval_optional_route_map`] — and the BDD compiler in
+//! `bonsai-core` enumerates the same code over symbolic inputs, unchanged.
+//! Keeping a single implementation is what justifies the paper's claim
+//! that BDD equality implies transfer-function equality.
 
 use crate::ir::{Acl, Action, Community, DeviceConfig, MatchCond, PrefixList, RouteMap, SetAction};
 use bonsai_net::prefix::Prefix;

@@ -9,15 +9,19 @@
 //!
 //! One [`MultiProtocol`] is built per **destination equivalence class**
 //! ([`EcDest`]): the class's representative prefix specializes every prefix
-//! list, ACL and static route (paper §5.1 "Specialize(bdds, G.d)").
+//! list, ACL and static route, and every route map with them — a map
+//! decided by prefix lists alone becomes one constant result at build, so
+//! only maps that read communities are interpreted per offer (paper §5.1
+//! "Specialize(bdds, G.d)"; see [`crate::protocols::bgp`]).
 
 use crate::model::Protocol;
-use crate::protocols::bgp::{BgpAttr, BgpEdge, BgpProtocol};
+use crate::protocols::bgp::{BgpAttr, BgpProtocol};
 use crate::protocols::ospf::{OspfAttr, OspfEdge, OspfProtocol};
 use crate::protocols::static_route::StaticProtocol;
 use bonsai_config::{BuiltTopology, NetworkConfig};
 use bonsai_net::prefix::Prefix;
 use bonsai_net::{EdgeId, NodeId};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 /// Which protocol a node originates a destination into.
@@ -145,29 +149,24 @@ impl<'a> MultiProtocol<'a> {
         self.ospf.edge(e)
     }
 
-    /// The BGP session of one edge.
-    pub fn bgp_session(&self, e: EdgeId) -> Option<&BgpEdge> {
-        self.bgp.session(e)
-    }
-
     /// True if the edge carries a matching static route.
     pub fn static_on_edge(&self, e: EdgeId) -> bool {
         self.static_.on_edge(e)
     }
 
     /// The BGP route `v` would advertise given its RIB label — its own BGP
-    /// route, or a freshly originated one if it redistributes the label's
-    /// protocol into BGP.
-    fn bgp_advertisable(&self, v: NodeId, label: &RibAttr) -> Option<BgpAttr> {
+    /// route, lent, or a freshly originated one if it redistributes the
+    /// label's protocol into BGP.
+    fn bgp_advertisable<'l>(&self, v: NodeId, label: &'l RibAttr) -> Option<Cow<'l, BgpAttr>> {
         let dv = &self.network.devices[v.index()];
         let bgp_cfg = dv.bgp.as_ref()?;
         match label {
-            RibAttr::Bgp(a) => Some(a.clone()),
+            RibAttr::Bgp(a) => Some(Cow::Borrowed(a)),
             RibAttr::Static if bgp_cfg.redistribute_static => {
-                Some(BgpAttr::origin(bgp_cfg.default_local_pref))
+                Some(Cow::Owned(BgpAttr::origin(bgp_cfg.default_local_pref)))
             }
             RibAttr::Ospf(_) if bgp_cfg.redistribute_ospf => {
-                Some(BgpAttr::origin(bgp_cfg.default_local_pref))
+                Some(Cow::Owned(BgpAttr::origin(bgp_cfg.default_local_pref)))
             }
             _ => None,
         }

@@ -130,16 +130,32 @@ impl<'a, P: Protocol> Srp<'a, P> {
         mask: Option<&FailureMask>,
     ) -> Vec<(EdgeId, P::Attr)> {
         let mut out = Vec::new();
+        self.choices_into(labels, u, mask, &mut out);
+        out
+    }
+
+    /// [`Srp::choices_masked`] into a reused buffer (cleared first).
+    /// Returns the offers evaluated: one transfer per surviving out-edge.
+    pub(crate) fn choices_into(
+        &self,
+        labels: &[Option<P::Attr>],
+        u: NodeId,
+        mask: Option<&FailureMask>,
+        out: &mut Vec<(EdgeId, P::Attr)>,
+    ) -> usize {
+        out.clear();
+        let mut offers = 0;
         for e in self.graph.out(u) {
             if mask.is_some_and(|m| m.is_disabled(e)) {
                 continue;
             }
+            offers += 1;
             let v = self.graph.target(e);
             if let Some(a) = self.protocol.transfer(e, labels[v.index()].as_ref()) {
                 out.push((e, a));
             }
         }
-        out
+        offers
     }
 
     /// A ≺-minimal element of a non-empty choice set (first minimal in
@@ -160,48 +176,39 @@ impl<'a, P: Protocol> Srp<'a, P> {
             && !matches!(self.protocol.compare(b, a), Some(Ordering::Less))
     }
 
+    /// The edges of the choices that are ≈ `label`, in edge order.
+    fn minimal_edges(&self, choices: &[(EdgeId, P::Attr)], label: &P::Attr) -> Vec<EdgeId> {
+        choices
+            .iter()
+            .filter(|(_, a)| self.equally_good(a, label))
+            .map(|(e, _)| *e)
+            .collect()
+    }
+
     /// Computes the forwarding relation induced by a labeling.
     pub fn forwarding(&self, labels: &[Option<P::Attr>]) -> Vec<Vec<EdgeId>> {
         self.forwarding_masked(labels, None)
     }
 
     /// [`Srp::forwarding`] under a link-failure mask: disabled edges are
-    /// never forwarded on.
+    /// never forwarded on. A node forwards on its ≈-minimal surviving
+    /// choices; origins consume traffic and forward nowhere.
     pub fn forwarding_masked(
         &self,
         labels: &[Option<P::Attr>],
         mask: Option<&FailureMask>,
     ) -> Vec<Vec<EdgeId>> {
-        let n = self.graph.node_count();
-        let mut fwd = vec![Vec::new(); n];
-        for u in self.graph.nodes() {
-            fwd[u.index()] = self.node_forwarding_masked(labels, u, mask);
-        }
-        fwd
-    }
-
-    /// The forwarding edges of a single node under the given labels (and
-    /// mask): its ≈-minimal surviving choices. Origins consume traffic and
-    /// forward nowhere.
-    pub fn node_forwarding_masked(
-        &self,
-        labels: &[Option<P::Attr>],
-        u: NodeId,
-        mask: Option<&FailureMask>,
-    ) -> Vec<EdgeId> {
-        if self.is_origin(u) {
-            return Vec::new();
-        }
-        let Some(lu) = &labels[u.index()] else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for (e, a) in self.choices_masked(labels, u, mask) {
-            if self.equally_good(&a, lu) {
-                out.push(e);
-            }
-        }
-        out
+        let mut choices = Vec::new();
+        self.graph
+            .nodes()
+            .map(|u| match &labels[u.index()] {
+                Some(lu) if !self.is_origin(u) => {
+                    self.choices_into(labels, u, mask, &mut choices);
+                    self.minimal_edges(&choices, lu)
+                }
+                _ => Vec::new(),
+            })
+            .collect()
     }
 
     /// Checks the SRP solution constraints locally at every node.
@@ -218,56 +225,68 @@ impl<'a, P: Protocol> Srp<'a, P> {
         labels: &[Option<P::Attr>],
         mask: Option<&FailureMask>,
     ) -> Result<(), String> {
+        self.validated_forwarding(labels, mask, &mut 0).map(drop)
+    }
+
+    /// Validates every node in node order — the first violation is the
+    /// error — and returns the forwarding relation, one choice set per
+    /// node. The offers evaluated are added to `offers`.
+    pub(crate) fn validated_forwarding(
+        &self,
+        labels: &[Option<P::Attr>],
+        mask: Option<&FailureMask>,
+        offers: &mut usize,
+    ) -> Result<Vec<Vec<EdgeId>>, String> {
         if labels.len() != self.graph.node_count() {
             return Err("label vector length mismatch".into());
         }
-        for u in self.graph.nodes() {
-            self.check_node_stable_masked(labels, u, mask)?;
-        }
-        Ok(())
+        let mut choices = Vec::new();
+        self.graph
+            .nodes()
+            .map(|u| self.validated_node(labels, u, mask, &mut choices, offers))
+            .collect()
     }
 
-    /// The per-node constraint behind [`Srp::check_stable_masked`]:
-    /// validates the solution conditions at `u` alone. The warm-started
-    /// solver uses this to re-validate only the region a failure actually
-    /// touched (untouched nodes keep inputs identical to an
+    /// The solution constraints at `u` alone, and `u`'s forwarding edges —
+    /// its ≈-minimal surviving choices — from one choice set, computed into
+    /// `choices`. The warm-started solver calls this for the region a
+    /// failure touched only (untouched nodes keep inputs identical to an
     /// already-validated solution).
-    pub fn check_node_stable_masked(
+    pub(crate) fn validated_node(
         &self,
         labels: &[Option<P::Attr>],
         u: NodeId,
         mask: Option<&FailureMask>,
-    ) -> Result<(), String> {
+        choices: &mut Vec<(EdgeId, P::Attr)>,
+        offers: &mut usize,
+    ) -> Result<Vec<EdgeId>, String> {
         let lu = &labels[u.index()];
         if self.is_origin(u) {
             return match lu {
-                Some(a) if *a == self.protocol.origin(u) => Ok(()),
+                Some(a) if *a == self.protocol.origin(u) => Ok(Vec::new()),
                 _ => Err(format!("origin {u:?} not labeled with a_d")),
             };
         }
-        let choices = self.choices_masked(labels, u, mask);
-        match lu {
-            None => {
-                if !choices.is_empty() {
-                    return Err(format!("{u:?} labeled ⊥ but has {} choices", choices.len()));
-                }
-            }
-            Some(a) => {
-                // The label must be one of the offered attributes...
-                if !choices.iter().any(|(_, c)| c == a) {
-                    return Err(format!("{u:?} label {a:?} is not among its choices"));
-                }
-                // ...and no choice may be strictly preferred over it.
-                for (e, c) in &choices {
-                    if self.protocol.compare(c, a) == Some(Ordering::Less) {
-                        return Err(format!(
-                            "{u:?} prefers {c:?} (via {e:?}) over its label {a:?}"
-                        ));
-                    }
-                }
+        *offers += self.choices_into(labels, u, mask, choices);
+        let Some(a) = lu else {
+            return match choices.len() {
+                0 => Ok(Vec::new()),
+                n => Err(format!("{u:?} labeled ⊥ but has {n} choices")),
+            };
+        };
+        // The label must be one of the offered attributes...
+        if !choices.iter().any(|(_, c)| c == a) {
+            return Err(format!("{u:?} label {a:?} is not among its choices"));
+        }
+        // ...and no choice may be strictly preferred over it.
+        for (e, c) in choices.iter() {
+            if self.protocol.compare(c, a) == Some(Ordering::Less) {
+                return Err(format!(
+                    "{u:?} prefers {c:?} (via {e:?}) over its label {a:?}"
+                ));
             }
         }
-        Ok(())
+        Ok(self.minimal_edges(choices, a))
     }
 
     /// Builds a [`Solution`] from labels (computing forwarding), after
@@ -279,14 +298,14 @@ impl<'a, P: Protocol> Srp<'a, P> {
         self.solution_from_labels_masked(labels, None)
     }
 
-    /// [`Srp::solution_from_labels`] for the masked instance.
+    /// [`Srp::solution_from_labels`] for the masked instance: one choice
+    /// set per node serves the stability check and the forwarding.
     pub fn solution_from_labels_masked(
         &self,
         labels: Vec<Option<P::Attr>>,
         mask: Option<&FailureMask>,
     ) -> Result<Solution<P::Attr>, String> {
-        self.check_stable_masked(&labels, mask)?;
-        let fwd = self.forwarding_masked(&labels, mask);
+        let fwd = self.validated_forwarding(&labels, mask, &mut 0)?;
         Ok(Solution { labels, fwd })
     }
 }

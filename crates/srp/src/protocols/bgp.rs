@@ -14,12 +14,24 @@
 //! the ∀∀-abstraction + `transfer-approx` conditions of §4.3; this module
 //! therefore also exposes [`BgpProtocol::transfer_ignoring_loops`] so the
 //! compression layer can reason about the loop-free part of the function.
+//!
+//! Route maps are **specialized per instance** (the route-map half of §5.1's
+//! "Specialize(bdds, G.d)"): an instance has one destination, and prefix
+//! lists see nothing else, so a map whose clauses up to the deciding one
+//! match prefix lists only has one result for every route — computed once,
+//! at build, by [`bonsai_config::eval::eval_route_map`] itself. A map with a
+//! community condition at or before its deciding clause is interpreted on
+//! every offer, by the same functions. Plans are interned by value, so an
+//! instance holds one copy of each distinct result, not one per map.
 
 use crate::model::Protocol;
-use bonsai_config::eval::{eval_optional_route_map, PolicyInput};
-use bonsai_config::{BuiltTopology, Community, NetworkConfig};
+use bonsai_config::eval::{
+    eval_optional_route_map, eval_route_map, match_holds, PolicyInput, PolicyResult,
+};
+use bonsai_config::{BuiltTopology, Community, MatchCond, NetworkConfig};
 use bonsai_net::prefix::Prefix;
 use bonsai_net::{EdgeId, NodeId};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
@@ -64,16 +76,83 @@ pub struct BgpEdge {
     pub import_map: Option<String>,
 }
 
+/// How one direction of a session applies its route map under this
+/// instance's destination.
+#[derive(PartialEq, Debug)]
+enum MapPlan<'a> {
+    /// The same result for every route: no map (permit unchanged), a
+    /// dangling one (deny), or one decided by prefix-list clauses alone.
+    Constant(PolicyResult),
+    /// A community condition is reached: the map is run on each offer.
+    Interpreted { device: usize, map: &'a str },
+}
+
+impl<'a> MapPlan<'a> {
+    /// The plan of `device`'s map `name` for routes toward `dest`.
+    fn of(network: &'a NetworkConfig, device: NodeId, name: Option<&'a str>, dest: Prefix) -> Self {
+        let config = &network.devices[device.index()];
+        let Some(name) = name else {
+            return MapPlan::Constant(PolicyResult::permit_unchanged());
+        };
+        let Some(map) = config.route_map(name) else {
+            // Dangling route-map reference: IOS treats it as deny-all.
+            return MapPlan::Constant(PolicyResult::deny());
+        };
+        let input = PolicyInput {
+            dest,
+            communities: BTreeSet::new(),
+        };
+        for clause in &map.clauses {
+            if clause
+                .matches
+                .iter()
+                .any(|m| matches!(m, MatchCond::Community(_)))
+            {
+                return MapPlan::Interpreted {
+                    device: device.index(),
+                    map: name,
+                };
+            }
+            if clause
+                .matches
+                .iter()
+                .all(|m| match_holds(config, m, &input))
+            {
+                break;
+            }
+        }
+        // Every clause up to the deciding one (or the implicit deny)
+        // matches on the destination alone.
+        MapPlan::Constant(eval_route_map(config, map, &input))
+    }
+}
+
+/// One directed edge's session, its route maps resolved to plans.
+#[derive(Clone, Copy, Debug)]
+struct Session {
+    ibgp: bool,
+    /// Index into the instance's plans of the exporter's outbound map.
+    export: u16,
+    /// Index of the importer's inbound map.
+    import: u16,
+}
+
 /// The BGP protocol for one network and destination prefix.
 ///
-/// Holds per-edge session facts plus indices back into the configuration
-/// for route-map evaluation.
+/// Holds per-edge session facts, each route map resolved to its plan for
+/// the destination.
 pub struct BgpProtocol<'a> {
     network: &'a NetworkConfig,
     dest: Prefix,
     graph_edges: Vec<(NodeId, NodeId)>,
-    sessions: Vec<Option<BgpEdge>>,
+    sessions: Vec<Option<Session>>,
+    /// The distinct plans of this instance's maps.
+    plans: Vec<MapPlan<'a>>,
 }
+
+/// `(ibgp, export map, import map)` of the session on edge `e`, the names
+/// borrowed from the configuration.
+type SessionNames<'n> = (bool, Option<&'n str>, Option<&'n str>);
 
 impl<'a> BgpProtocol<'a> {
     /// Extracts BGP session facts from a configured network.
@@ -82,22 +161,51 @@ impl<'a> BgpProtocol<'a> {
     /// have a `neighbor` statement on the respective interface. The session
     /// is iBGP iff both sides declare `remote-as internal`.
     pub fn from_network(network: &'a NetworkConfig, topo: &BuiltTopology, dest: Prefix) -> Self {
+        let mut plans: Vec<MapPlan<'a>> = Vec::new();
+        let mut intern = |plan: MapPlan<'a>| {
+            let at = plans.iter().position(|p| *p == plan).unwrap_or_else(|| {
+                plans.push(plan);
+                plans.len() - 1
+            });
+            u16::try_from(at).expect("fewer than 65 536 distinct route-map plans")
+        };
         let mut sessions = Vec::with_capacity(topo.graph.edge_count());
         let mut graph_edges = Vec::with_capacity(topo.graph.edge_count());
         for e in topo.graph.edges() {
-            graph_edges.push(topo.graph.endpoints(e));
-            sessions.push(Self::edge_facts(network, topo, e));
+            let (u, v) = topo.graph.endpoints(e);
+            graph_edges.push((u, v));
+            sessions.push(
+                Self::session_names(network, topo, e).map(|(ibgp, export, import)| Session {
+                    ibgp,
+                    export: intern(MapPlan::of(network, v, export, dest)),
+                    import: intern(MapPlan::of(network, u, import, dest)),
+                }),
+            );
         }
         BgpProtocol {
             network,
             dest,
             graph_edges,
             sessions,
+            plans,
         }
     }
 
     /// The session facts of one edge (shared with the compression layer).
     pub fn edge_facts(network: &NetworkConfig, topo: &BuiltTopology, e: EdgeId) -> Option<BgpEdge> {
+        let (ibgp, export, import) = Self::session_names(network, topo, e)?;
+        Some(BgpEdge {
+            ibgp,
+            export_map: export.map(str::to_string),
+            import_map: import.map(str::to_string),
+        })
+    }
+
+    fn session_names<'n>(
+        network: &'n NetworkConfig,
+        topo: &BuiltTopology,
+        e: EdgeId,
+    ) -> Option<SessionNames<'n>> {
         let (u, v) = topo.graph.endpoints(e);
         let du = &network.devices[u.index()];
         let dv = &network.devices[v.index()];
@@ -107,16 +215,11 @@ impl<'a> BgpProtocol<'a> {
         let iface_v = &dv.interfaces[topo.ingress(e)].name;
         let nb_u = bgp_u.neighbors.iter().find(|n| n.iface == *iface_u)?;
         let nb_v = bgp_v.neighbors.iter().find(|n| n.iface == *iface_v)?;
-        Some(BgpEdge {
-            ibgp: nb_u.ibgp && nb_v.ibgp,
-            export_map: nb_v.export_policy.clone(),
-            import_map: nb_u.import_policy.clone(),
-        })
-    }
-
-    /// The session of one edge, if present.
-    pub fn session(&self, e: EdgeId) -> Option<&BgpEdge> {
-        self.sessions[e.index()].as_ref()
+        Some((
+            nb_u.ibgp && nb_v.ibgp,
+            nb_v.export_policy.as_deref(),
+            nb_u.import_policy.as_deref(),
+        ))
     }
 
     /// The `(source, target)` endpoints of an edge (cached from the graph).
@@ -136,12 +239,26 @@ impl<'a> BgpProtocol<'a> {
         self.transfer_inner(e, a, false)
     }
 
+    /// The result of plan `plan` on a route carrying `communities`: lent
+    /// when constant, computed when interpreted.
+    fn apply(&self, plan: u16, communities: &BTreeSet<Community>) -> Cow<'_, PolicyResult> {
+        match &self.plans[usize::from(plan)] {
+            MapPlan::Constant(result) => Cow::Borrowed(result),
+            MapPlan::Interpreted { device, map } => Cow::Owned(eval_optional_route_map(
+                &self.network.devices[*device],
+                Some(map),
+                &PolicyInput {
+                    dest: self.dest,
+                    communities: communities.clone(),
+                },
+            )),
+        }
+    }
+
     fn transfer_inner(&self, e: EdgeId, a: Option<&BgpAttr>, check_loop: bool) -> Option<BgpAttr> {
-        let session = self.sessions[e.index()].as_ref()?;
+        let session = self.sessions[e.index()]?;
         let a = a?;
         let (u, v) = self.graph_edges[e.index()];
-        let du = &self.network.devices[u.index()];
-        let dv = &self.network.devices[v.index()];
 
         // Rule: routes learned over iBGP are not re-advertised to other
         // iBGP peers (paper §6 relies on this to merge iBGP neighbors).
@@ -150,14 +267,7 @@ impl<'a> BgpProtocol<'a> {
         }
 
         // 1. Exporter's outbound policy.
-        let export = eval_optional_route_map(
-            dv,
-            session.export_map.as_deref(),
-            &PolicyInput {
-                dest: self.dest,
-                communities: a.comms.clone(),
-            },
-        );
+        let export = self.apply(session.export, &a.comms);
         if !export.permit {
             return None;
         }
@@ -177,18 +287,12 @@ impl<'a> BgpProtocol<'a> {
         }
 
         // 4. Importer's inbound policy; it decides the local preference.
-        let import = eval_optional_route_map(
-            du,
-            session.import_map.as_deref(),
-            &PolicyInput {
-                dest: self.dest,
-                communities: comms.clone(),
-            },
-        );
+        let import = self.apply(session.import, &comms);
         if !import.permit {
             return None;
         }
         import.apply_communities(&mut comms);
+        let du = &self.network.devices[u.index()];
         let default_lp = du.bgp.as_ref().map(|b| b.default_local_pref).unwrap_or(100);
         let lp = import.local_pref.unwrap_or(if session.ibgp {
             a.lp // local preference is carried across iBGP
@@ -301,6 +405,66 @@ link b2 to_d d to_b2
 ",
         )
         .unwrap()
+    }
+
+    /// A map is constant exactly when prefix-list clauses alone decide it
+    /// for the destination; the constant is what interpreting it returns.
+    #[test]
+    fn route_maps_specialize_per_destination() {
+        let net = parse_network(
+            "
+device x
+ip community-list C permit 1:1
+ip prefix-list TEN seq 5 permit 10.0.0.0/8 le 32
+route-map PREFIX_FIRST permit 10
+ match ip address prefix-list TEN
+ set local-preference 300
+route-map PREFIX_FIRST permit 20
+ match community C
+route-map COMM_FIRST permit 10
+ match community C
+route-map COMM_FIRST permit 20
+ match ip address prefix-list TEN
+end
+",
+        )
+        .unwrap();
+        let x = NodeId(0);
+        let inside = p("10.1.0.0/24");
+        let plan = |name, dest| MapPlan::of(&net, x, Some(name), dest);
+        let interpreted = MapPlan::Interpreted {
+            device: 0,
+            map: "COMM_FIRST",
+        };
+        let mut expected = PolicyResult::permit_unchanged();
+        expected.local_pref = Some(300);
+        assert_eq!(plan("PREFIX_FIRST", inside), MapPlan::Constant(expected));
+        // Outside TEN the community clause is reached.
+        assert!(matches!(
+            plan("PREFIX_FIRST", p("11.0.0.0/24")),
+            MapPlan::Interpreted { .. }
+        ));
+        assert_eq!(plan("COMM_FIRST", inside), interpreted);
+        assert_eq!(
+            plan("NOPE", inside),
+            MapPlan::Constant(PolicyResult::deny())
+        );
+        assert_eq!(
+            MapPlan::of(&net, x, None, inside),
+            MapPlan::Constant(PolicyResult::permit_unchanged())
+        );
+    }
+
+    /// Plans are interned by value: Figure 5 has three (no map, `a`'s
+    /// tagging export, `b2`'s community-matching import) over eight
+    /// session directions.
+    #[test]
+    fn plans_are_interned_by_value() {
+        let net = figure5();
+        let topo = BuiltTopology::build(&net).unwrap();
+        let bgp = BgpProtocol::from_network(&net, &topo, p("10.0.0.0/24"));
+        assert_eq!(bgp.sessions.iter().flatten().count(), 8);
+        assert_eq!(bgp.plans.len(), 3);
     }
 
     #[test]

@@ -32,6 +32,14 @@
 //! O(network) propagation into O(affected region) propagation, and the
 //! resulting labeling is validated by the same stability check as a cold
 //! solve — a warm solution is never trusted, only reached faster.
+//!
+//! **One choice set per validated node.** Validation evaluates a node's
+//! offers once: the same choice set is checked against the stability
+//! constraint and yields the node's forwarding edges (every node of a cold
+//! or seeded solve, the touched region of a warm one). The worklist reuses
+//! one choice buffer across activations. Each solve counts its label
+//! updates and offers in locals and publishes them, with its kind
+//! (`srp.solves.{cold,seeded,warm}`), once when it returns.
 
 use crate::model::{Protocol, Solution, Srp};
 use bonsai_net::{FailureMask, NodeId};
@@ -186,37 +194,15 @@ fn solve_from<P: Protocol>(
 ) -> Result<(Solution<P::Attr>, SolveStats), SolveError> {
     let mut touched = vec![false; labels.len()];
     propagate(srp, &mut labels, seeds, options, mask, &mut touched, work)?;
-    for u in srp.graph.nodes() {
-        work.offers += validation_offers(srp, &labels, u, mask);
-    }
-    let solution = srp
-        .solution_from_labels_masked(labels, mask)
+    let fwd = srp
+        .validated_forwarding(&labels, mask, &mut work.offers)
         .map_err(SolveError::Internal)?;
     Ok((
-        solution,
+        Solution { labels, fwd },
         SolveStats {
             updates: work.updates,
         },
     ))
-}
-
-/// Transfer calls the two validation passes make at `u`: the stability
-/// check's choice set and the forwarding pass's.
-fn validation_offers<P: Protocol>(
-    srp: &Srp<'_, P>,
-    labels: &[Option<P::Attr>],
-    u: NodeId,
-    mask: Option<&FailureMask>,
-) -> usize {
-    if srp.is_origin(u) {
-        return 0;
-    }
-    let degree = srp
-        .graph
-        .out(u)
-        .filter(|&e| !mask.is_some_and(|m| m.is_disabled(e)))
-        .count();
-    degree * if labels[u.index()].is_some() { 2 } else { 1 }
 }
 
 /// Solves the masked instance from an explicit initial labeling — the
@@ -358,13 +344,11 @@ pub fn solve_warm_masked<P: Protocol>(
         // and their stability constraint rechecked. Everything else
         // carries over from the validated base verbatim.
         let mut fwd = base.fwd.clone();
-        for u in srp.graph.nodes() {
-            if touched[u.index()] {
-                work.offers += validation_offers(srp, &labels, u, Some(mask));
-                srp.check_node_stable_masked(&labels, u, Some(mask))
-                    .map_err(SolveError::Internal)?;
-                fwd[u.index()] = srp.node_forwarding_masked(&labels, u, Some(mask));
-            }
+        let mut choices = Vec::new();
+        for u in srp.graph.nodes().filter(|u| touched[u.index()]) {
+            fwd[u.index()] = srp
+                .validated_node(&labels, u, Some(mask), &mut choices, &mut work.offers)
+                .map_err(SolveError::Internal)?;
         }
         Ok(fwd)
     });
@@ -405,14 +389,10 @@ fn propagate<P: Protocol>(
         .update_factor
         .saturating_mul(n + srp.graph.edge_count())
         .max(1024);
+    let mut choices = Vec::new();
     while let Some(u) = queue.pop_front() {
         queued[u.index()] = false;
-        let choices = srp.choices_masked(labels, u, mask);
-        work.offers += srp
-            .graph
-            .out(u)
-            .filter(|&e| !mask.is_some_and(|m| m.is_disabled(e)))
-            .count();
+        work.offers += srp.choices_into(labels, u, mask, &mut choices);
         let new_label = if choices.is_empty() {
             None
         } else {
@@ -420,13 +400,15 @@ fn propagate<P: Protocol>(
             // Keep the current label if it is still among the ≈-minimal
             // choices: real routers do not churn between equally good
             // routes, and this makes fixpoints sticky (helps convergence).
-            let keep = labels[u.index()].as_ref().and_then(|cur| {
+            let keep = labels[u.index()].as_ref().is_some_and(|cur| {
                 choices
                     .iter()
-                    .find(|(_, a)| a == cur && srp.equally_good(a, &choices[best].1))
-                    .map(|(_, a)| a.clone())
+                    .any(|(_, a)| a == cur && srp.equally_good(a, &choices[best].1))
             });
-            Some(keep.unwrap_or_else(|| choices[best].1.clone()))
+            if keep {
+                continue;
+            }
+            Some(choices.swap_remove(best).1)
         };
         if new_label != labels[u.index()] {
             labels[u.index()] = new_label;

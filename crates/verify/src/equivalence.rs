@@ -135,7 +135,12 @@ pub(crate) fn rotated_order(nodes: &[NodeId], rot: usize) -> Vec<NodeId> {
 
 /// The ≈-minimal choice set of a node under a solution, as `h`-labels.
 /// Origins contribute their pinned label; unrouted nodes the empty set.
-/// A failure mask restricts the choice set to surviving edges.
+///
+/// Read off the validated forwarding: `solution.fwd(u)` is exactly the
+/// edges of `u`'s ≈-minimal surviving choices — the solver built it from
+/// that choice set under this instance and `mask` — so only those offers
+/// are evaluated. Debug builds check the result against the whole choice
+/// set.
 fn minimal_hlabels<P: bonsai_srp::Protocol<Attr = RibAttr>>(
     srp: &Srp<'_, P>,
     solution: &Solution<RibAttr>,
@@ -143,27 +148,40 @@ fn minimal_hlabels<P: bonsai_srp::Protocol<Attr = RibAttr>>(
     keep: Option<&BTreeSet<Community>>,
     mask: Option<&FailureMask>,
 ) -> BTreeSet<HLabel> {
-    let mut out = BTreeSet::new();
-    match solution.label(u) {
-        None => {}
-        Some(label) if srp.is_origin(u) => {
-            out.insert(HLabel::of(Some(label), keep));
-        }
-        Some(label) => {
-            for (_, a) in srp.choices_masked(&solution.labels, u, mask) {
-                if srp.equally_good(&a, label) {
-                    out.insert(HLabel::of(Some(&a), keep));
-                }
-            }
-        }
+    let Some(label) = solution.label(u) else {
+        return BTreeSet::new();
+    };
+    if srp.is_origin(u) {
+        return BTreeSet::from([HLabel::of(Some(label), keep)]);
     }
+    let offer = |e| {
+        let v = srp.graph.target(e);
+        srp.protocol
+            .transfer(e, solution.labels[v.index()].as_ref())
+            .expect("a forwarding edge carries an offer")
+    };
+    let out: BTreeSet<HLabel> = solution
+        .fwd(u)
+        .iter()
+        .map(|&e| HLabel::of(Some(&offer(e)), keep))
+        .collect();
+    debug_assert_eq!(
+        out,
+        srp.choices_masked(&solution.labels, u, mask)
+            .iter()
+            .filter(|(_, a)| srp.equally_good(a, label))
+            .map(|(_, a)| HLabel::of(Some(a), keep))
+            .collect::<BTreeSet<HLabel>>(),
+        "the forwarding of {u:?} is its ≈-minimal choice set"
+    );
     out
 }
 
 /// The behavior of every concrete node under a solution, in node order:
-/// the per-node raw material of [`concrete_behaviors`], kept unaggregated
-/// so the sweep engine can split exactly the members whose behavior the
-/// abstract side cannot realize.
+/// the per-node raw material of the per-block behavior sets, kept
+/// unaggregated so the sweep engine can split exactly the members whose
+/// behavior the abstract side cannot realize. `srp` and `mask` are the
+/// instance and mask the solution was solved under.
 pub(crate) fn concrete_node_behaviors<P: bonsai_srp::Protocol<Attr = RibAttr>>(
     srp: &Srp<'_, P>,
     topo: &BuiltTopology,
@@ -200,37 +218,20 @@ pub(crate) fn aggregate_behaviors(
     map
 }
 
-pub(crate) fn concrete_behaviors(
-    network: &NetworkConfig,
-    topo: &BuiltTopology,
-    ec: &EcDest,
-    solution: &Solution<RibAttr>,
-    abstraction: &Abstraction,
-    keep: Option<&BTreeSet<Community>>,
-    mask: Option<&FailureMask>,
-) -> BTreeMap<BlockId, BTreeSet<Behavior>> {
-    let proto = MultiProtocol::build(network, topo, ec);
-    let origins: Vec<NodeId> = ec.origins.iter().map(|(n, _)| *n).collect();
-    let srp = Srp::with_origins(&topo.graph, origins, proto);
-    aggregate_behaviors(
-        &concrete_node_behaviors(&srp, topo, solution, abstraction, keep, mask),
-        abstraction,
-    )
-}
-
+/// The per-block behavior sets of an abstract network under a solution;
+/// `srp` and `mask` are the instance of `abs` and the mask the solution
+/// was solved under.
 pub(crate) fn abstract_behaviors(
     abs: &AbstractNetwork,
+    srp: &Srp<'_, MultiProtocol<'_>>,
     solution: &Solution<RibAttr>,
     keep: Option<&BTreeSet<Community>>,
     mask: Option<&FailureMask>,
 ) -> BTreeMap<BlockId, BTreeSet<Behavior>> {
-    let proto = MultiProtocol::build(&abs.network, &abs.topo, &abs.ec);
-    let origins: Vec<NodeId> = abs.ec.origins.iter().map(|(n, _)| *n).collect();
-    let srp = Srp::with_origins(&abs.topo.graph, origins, proto);
     let mut map: BTreeMap<BlockId, BTreeSet<Behavior>> = BTreeMap::new();
     for n in abs.topo.graph.nodes() {
         let (block, _copy) = abs.copy_of_node[n.index()];
-        let labels = minimal_hlabels(&srp, solution, n, keep, mask);
+        let labels = minimal_hlabels(srp, solution, n, keep, mask);
         let fwd_blocks: BTreeSet<u32> = solution
             .fwd(n)
             .iter()
@@ -241,57 +242,73 @@ pub(crate) fn abstract_behaviors(
     map
 }
 
+/// Whether an abstract solution's labeling is new to `tried`, recording it:
+/// equal labelings have equal forwarding and behaviors, so a repeat would
+/// only repeat the comparison.
+pub(crate) fn first_sighting(
+    tried: &mut Vec<Vec<Option<RibAttr>>>,
+    solution: &Solution<RibAttr>,
+) -> bool {
+    if tried.contains(&solution.labels) {
+        return false;
+    }
+    tried.push(solution.labels.clone());
+    true
+}
+
+/// The SRP instance of one destination class over a (concrete or
+/// abstract) network.
+pub(crate) fn class_srp<'n>(
+    network: &'n NetworkConfig,
+    topo: &'n BuiltTopology,
+    ec: &EcDest,
+) -> Srp<'n, MultiProtocol<'n>> {
+    let origins: Vec<NodeId> = ec.origins.iter().map(|(n, _)| *n).collect();
+    Srp::with_origins(
+        &topo.graph,
+        origins,
+        MultiProtocol::build(network, topo, ec),
+    )
+}
+
 /// Checks CP-equivalence of a concrete solution against the abstract
 /// network, trying up to `orders` abstract activation orders.
 ///
 /// Returns `Ok(())` when some abstract solution is label- and
 /// fwd-equivalent to the given concrete solution (modulo `h` and the
-/// copy assignment).
+/// copy assignment). `srp` and `abs_srp` are the concrete and abstract
+/// instances, built once by the caller for every order.
 #[allow(clippy::too_many_arguments)]
 fn check_solution_equivalence(
-    network: &NetworkConfig,
+    srp: &Srp<'_, MultiProtocol<'_>>,
     topo: &BuiltTopology,
-    ec: &EcDest,
     concrete_solution: &Solution<RibAttr>,
     abstraction: &Abstraction,
     abs: &AbstractNetwork,
+    abs_srp: &Srp<'_, MultiProtocol<'_>>,
     orders: usize,
     keep: Option<&BTreeSet<Community>>,
 ) -> Result<(), EquivalenceError> {
-    let concrete = concrete_behaviors(
-        network,
-        topo,
-        ec,
-        concrete_solution,
+    let concrete = aggregate_behaviors(
+        &concrete_node_behaviors(srp, topo, concrete_solution, abstraction, keep, None),
         abstraction,
-        keep,
-        None,
     );
 
-    let abs_origins: Vec<NodeId> = abs.ec.origins.iter().map(|(n, _)| *n).collect();
     let nodes: Vec<NodeId> = abs.topo.graph.nodes().collect();
     let mut last_detail = String::new();
-    let mut seen: BTreeSet<Vec<Option<String>>> = BTreeSet::new();
+    let mut tried = Vec::new();
 
     for rot in 0..orders.max(1) {
-        let proto = MultiProtocol::build(&abs.network, &abs.topo, &abs.ec);
-        let srp = Srp::with_origins(&abs.topo.graph, abs_origins.clone(), proto);
         let order = rotated_order(&nodes, rot);
-        let abs_solution = match solve_with_order(&srp, &order, SolverOptions::default()) {
+        let abs_solution = match solve_with_order(abs_srp, &order, SolverOptions::default()) {
             Ok(s) => s,
             Err(e) => return Err(EquivalenceError::AbstractDiverged(e.to_string())),
         };
-        // Dedup identical abstract solutions cheaply.
-        let fingerprint: Vec<Option<String>> = abs_solution
-            .labels
-            .iter()
-            .map(|l| l.as_ref().map(|a| format!("{a:?}")))
-            .collect();
-        if !seen.insert(fingerprint) {
+        if !first_sighting(&mut tried, &abs_solution) {
             continue;
         }
 
-        let abstract_b = abstract_behaviors(abs, &abs_solution, keep, None);
+        let abstract_b = abstract_behaviors(abs, abs_srp, &abs_solution, keep, None);
         match behaviors_match(&concrete, &abstract_b) {
             Ok(()) => return Ok(()),
             Err(mismatch) => last_detail = mismatch.detail,
@@ -374,21 +391,20 @@ pub fn check_cp_equivalence(
     let keep: Option<BTreeSet<Community>> = engine
         .filter(|e| e.strips_unused_communities())
         .map(|e| e.communities().iter().copied().collect());
-    let origins: Vec<NodeId> = ec.origins.iter().map(|(n, _)| *n).collect();
+    let srp = class_srp(network, topo, ec);
+    let abs_srp = class_srp(&abs.network, &abs.topo, &abs.ec);
     let nodes: Vec<NodeId> = topo.graph.nodes().collect();
     for rot in 0..concrete_orders.max(1) {
-        let proto = MultiProtocol::build(network, topo, ec);
-        let srp = Srp::with_origins(&topo.graph, origins.clone(), proto);
         let order = rotated_order(&nodes, rot);
         let solution = solve_with_order(&srp, &order, SolverOptions::default())
             .map_err(|e| EquivalenceError::ConcreteDiverged(e.to_string()))?;
         check_solution_equivalence(
-            network,
+            &srp,
             topo,
-            ec,
             &solution,
             abstraction,
             abs,
+            &abs_srp,
             abstract_orders,
             keep.as_ref(),
         )?;

@@ -39,8 +39,8 @@
 
 use crate::equivalence::EquivalenceError;
 use crate::sweep::{
-    check_scenario_refined, sample_concrete_solutions, split_candidates, SweepCtx, SweepEnv,
-    SweepOptions,
+    check_scenario_refined, sample_concrete_solutions, split_candidates, Candidate, SweepCtx,
+    SweepEnv, SweepOptions,
 };
 use bonsai_config::{BuiltTopology, NetworkConfig};
 use bonsai_core::abstraction::AbstractNetwork;
@@ -200,8 +200,8 @@ pub fn check_cp_equivalence_under_failures(
             scenarios_swept += 1;
             checks_performed += 1;
             let solutions = sample_concrete_solutions(&ctx, &scenario)?;
-            let Err(refutation) =
-                check_scenario_refined(&ctx, &scenario, &solutions, &current, &current_net)?
+            let candidate = Candidate::new(&current, &current_net, &scenario);
+            let Err(refutation) = check_scenario_refined(&ctx, &scenario, &solutions, &candidate)?
             else {
                 continue;
             };

@@ -114,8 +114,8 @@
 use crate::equivalence::EquivalenceError;
 use crate::sweep::{
     check_scenario_refined, derive_scenario_refinement, endpoint_split, sample_concrete_solutions,
-    split_partition, OutcomeStats, PartitionInputs, RefinementProvenance, ScenarioOutcome,
-    ScenarioRefinement, SweepCtx, SweepEnv, SweepOptions, SweepReport,
+    split_partition, Candidate, OutcomeStats, PartitionInputs, RefinementProvenance,
+    ScenarioOutcome, ScenarioRefinement, SweepCtx, SweepEnv, SweepOptions, SweepReport,
 };
 use bonsai_config::{BuiltTopology, NetworkConfig};
 use bonsai_core::compress::CompressionReport;
@@ -1176,15 +1176,8 @@ fn resolve_refinement(
             let abs = candidate
                 .materialized(ctx.env.network, ctx.env.topo, &ctx.ec)
                 .abstract_network();
-            if check_scenario_refined(
-                ctx,
-                &candidate.representative,
-                &solutions,
-                candidate.abstraction(),
-                abs,
-            )?
-            .is_ok()
-            {
+            let check = Candidate::new(candidate.abstraction(), abs, &candidate.representative);
+            if check_scenario_refined(ctx, &candidate.representative, &solutions, &check)?.is_ok() {
                 return Ok(candidate);
             }
         }

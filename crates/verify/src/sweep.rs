@@ -52,8 +52,8 @@
 //! apart; see the [`bonsai_core::scenarios`] module docs).
 
 use crate::equivalence::{
-    abstract_behaviors, aggregate_behaviors, behaviors_match, concrete_node_behaviors,
-    rotated_order, Behavior, BehaviorMismatch, EquivalenceError,
+    abstract_behaviors, aggregate_behaviors, behaviors_match, class_srp, concrete_node_behaviors,
+    first_sighting, rotated_order, Behavior, BehaviorMismatch, EquivalenceError,
 };
 use crate::failures::lift_failure_mask;
 use crate::query::QueryStats;
@@ -69,7 +69,7 @@ use bonsai_core::scenarios::{
     SignatureInterner,
 };
 use bonsai_core::signatures::{build_sig_table, SigTable};
-use bonsai_net::{Graph, NodeId};
+use bonsai_net::{FailureMask, Graph, NodeId};
 use bonsai_srp::instance::{EcDest, MultiProtocol, RibAttr};
 use bonsai_srp::solver::{
     solve_seeded_masked, solve_warm_masked, solve_with_order_masked, solve_with_order_masked_stats,
@@ -652,21 +652,6 @@ impl<'a> SweepCtx<'a> {
     }
 }
 
-/// The SRP instance of one destination class over a (concrete or
-/// abstract) network.
-fn class_srp<'n>(
-    network: &'n NetworkConfig,
-    topo: &'n BuiltTopology,
-    ec: &EcDest,
-) -> Srp<'n, MultiProtocol<'n>> {
-    let origins: Vec<NodeId> = ec.origins.iter().map(|(n, _)| *n).collect();
-    Srp::with_origins(
-        &topo.graph,
-        origins,
-        MultiProtocol::build(network, topo, ec),
-    )
-}
-
 /// Solves a refined abstract network under its representative's lifted
 /// failure mask with the **natural** activation order — the canonical
 /// per-refinement solution kept in
@@ -679,13 +664,44 @@ pub(crate) fn canonical_abstract_solution(
     abs: &AbstractNetwork,
     representative: &FailureScenario,
 ) -> Option<(Solution<RibAttr>, usize)> {
-    let abs_mask = lift_failure_mask(representative, abstraction, abs);
-    let srp = class_srp(&abs.network, &abs.topo, &abs.ec);
-    let order: Vec<NodeId> = abs.topo.graph.nodes().collect();
-    let solved = solve_with_order_masked_stats(&srp, &order, Default::default(), Some(&abs_mask));
-    solved
-        .ok()
-        .map(|(solution, stats)| (solution, stats.updates))
+    Candidate::new(abstraction, abs, representative).canonical_solution()
+}
+
+/// One candidate refinement under one scenario, as its abstract side is
+/// solved: the abstract network's SRP instance and the scenario's failure
+/// mask lifted onto it, built once and shared by every abstract solve and
+/// behavior read of a check and by the canonical solve of the derivation
+/// it verifies.
+pub(crate) struct Candidate<'n> {
+    abstraction: &'n Abstraction,
+    abs: &'n AbstractNetwork,
+    srp: Srp<'n, MultiProtocol<'n>>,
+    mask: FailureMask,
+}
+
+impl<'n> Candidate<'n> {
+    pub(crate) fn new(
+        abstraction: &'n Abstraction,
+        abs: &'n AbstractNetwork,
+        scenario: &FailureScenario,
+    ) -> Self {
+        Candidate {
+            abstraction,
+            abs,
+            srp: class_srp(&abs.network, &abs.topo, &abs.ec),
+            mask: lift_failure_mask(scenario, abstraction, abs),
+        }
+    }
+
+    /// The natural-order masked solve ([`canonical_abstract_solution`]).
+    fn canonical_solution(&self) -> Option<(Solution<RibAttr>, usize)> {
+        let order: Vec<NodeId> = self.abs.topo.graph.nodes().collect();
+        let solved =
+            solve_with_order_masked_stats(&self.srp, &order, Default::default(), Some(&self.mask));
+        solved
+            .ok()
+            .map(|(solution, stats)| (solution, stats.updates))
+    }
 }
 
 /// Derives (and verifies) the refinement of one orbit signature, bypassing
@@ -890,12 +906,13 @@ pub(crate) fn derive_scenario_refinement(
     // partition's abstract network is isomorphic to the concrete one and
     // verifies trivially.
     for _ in 0..=env.topo.graph.node_count() {
-        let refutation = match check_scenario_refined(ctx, &rep, &solutions, &cur, &cur_net)? {
+        let candidate = Candidate::new(&cur, &cur_net, &rep);
+        let refutation = match check_scenario_refined(ctx, &rep, &solutions, &candidate)? {
             Ok(()) => {
                 // The network just verified is the one `materialize` would
-                // build: keep it, and pay the canonical solve here as a
-                // derivation always has.
-                let canonical = canonical_abstract_solution(&cur, &cur_net, &rep);
+                // build: keep it, and pay the canonical solve here, on the
+                // instance the check solved, as a derivation always has.
+                let canonical = candidate.canonical_solution();
                 let refinement = ScenarioRefinement::new(
                     signature.clone(),
                     rep,
@@ -1027,16 +1044,17 @@ pub(crate) fn check_scenario_refined(
     ctx: &SweepCtx<'_>,
     scenario: &FailureScenario,
     solutions: &[Solution<RibAttr>],
-    abstraction: &Abstraction,
-    abs: &AbstractNetwork,
+    candidate: &Candidate<'_>,
 ) -> Result<Result<(), Refutation>, EquivalenceError> {
     let env = ctx.env;
     let mask = scenario.mask(&env.topo.graph);
-    let abs_mask = lift_failure_mask(scenario, abstraction, abs);
-
-    // One abstract instance serves every activation order and mask.
+    let Candidate {
+        abstraction,
+        abs,
+        srp: abs_srp,
+        mask: abs_mask,
+    } = candidate;
     let abs_nodes: Vec<NodeId> = abs.topo.graph.nodes().collect();
-    let abs_srp = class_srp(&abs.network, &abs.topo, &abs.ec);
 
     // Attempt 0 for every concrete solution, when the context carries the
     // base abstract fixpoint: that fixpoint transported through the
@@ -1047,7 +1065,7 @@ pub(crate) fn check_scenario_refined(
     let transported: Option<Solution<RibAttr>> = ctx.base_abs_solution().and_then(|base_abs| {
         let initial =
             transport_abstract_solution(ctx.base, ctx.base_net, abstraction, abs, base_abs);
-        solve_seeded_masked(&abs_srp, initial, SolverOptions::default(), Some(&abs_mask))
+        solve_seeded_masked(abs_srp, initial, SolverOptions::default(), Some(abs_mask))
             .ok()
             .map(|(s, _)| s)
     });
@@ -1065,32 +1083,29 @@ pub(crate) fn check_scenario_refined(
 
         let mut matched = false;
         let mut last_mismatch: Option<BehaviorMismatch> = None;
-        let mut seen: BTreeSet<Vec<Option<String>>> = BTreeSet::new();
-        let consider = |abs_solution: Solution<RibAttr>,
-                        last_mismatch: &mut Option<BehaviorMismatch>,
-                        seen: &mut BTreeSet<Vec<Option<String>>>|
-         -> bool {
-            let fingerprint: Vec<Option<String>> = abs_solution
-                .labels
-                .iter()
-                .map(|l| l.as_ref().map(|a| format!("{a:?}")))
-                .collect();
-            if !seen.insert(fingerprint) {
+        let mut tried = Vec::new();
+        let mut consider = |abs_solution: &Solution<RibAttr>| -> bool {
+            if !first_sighting(&mut tried, abs_solution) {
                 return false;
             }
-            let abstract_b =
-                abstract_behaviors(abs, &abs_solution, env.keep.as_ref(), Some(&abs_mask));
+            let abstract_b = abstract_behaviors(
+                abs,
+                abs_srp,
+                abs_solution,
+                env.keep.as_ref(),
+                Some(abs_mask),
+            );
             match behaviors_match(&concrete, &abstract_b) {
                 Ok(()) => true,
                 Err(mismatch) => {
-                    *last_mismatch = Some(mismatch);
+                    last_mismatch = Some(mismatch);
                     false
                 }
             }
         };
 
         if let Some(s) = &transported {
-            matched = consider(s.clone(), &mut last_mismatch, &mut seen);
+            matched = consider(s);
         }
 
         for arot in 0..env.options.abstract_orders.max(1) {
@@ -1099,19 +1114,17 @@ pub(crate) fn check_scenario_refined(
             }
             let order = rotated_order(&abs_nodes, arot);
             let abs_solution = match solve_with_order_masked(
-                &abs_srp,
+                abs_srp,
                 &order,
                 SolverOptions::default(),
-                Some(&abs_mask),
+                Some(abs_mask),
             ) {
                 Ok(s) => s,
                 // Abstract divergence under a failure the concrete plane
                 // survives is an abstraction failure — counterexample path.
                 Err(_) => continue,
             };
-            if consider(abs_solution, &mut last_mismatch, &mut seen) {
-                matched = true;
-            }
+            matched = consider(&abs_solution);
         }
         if !matched {
             return Ok(Err(Refutation {
@@ -1396,30 +1409,16 @@ mod tests {
 
         // Refute the *base* abstraction under the failure to obtain a real
         // mismatch (the lifted mask over-fails the merged b-block).
-        let origins: Vec<NodeId> = ec_dest.origins.iter().map(|(n, _)| *n).collect();
-        let proto = MultiProtocol::build(&net, &topo, &ec_dest);
-        let srp = Srp::with_origins(&topo.graph, origins, proto);
+        let srp = class_srp(&net, &topo, &ec_dest);
         let solution = bonsai_srp::solver::solve_masked(&srp, Some(&mask)).unwrap();
         let node_behaviors =
             concrete_node_behaviors(&srp, &topo, &solution, &ec.abstraction, None, Some(&mask));
         let concrete = aggregate_behaviors(&node_behaviors, &ec.abstraction);
-        let abs_mask = lift_failure_mask(&scenario, &ec.abstraction, &ec.abstract_network);
-        let abs_proto = MultiProtocol::build(
-            &ec.abstract_network.network,
-            &ec.abstract_network.topo,
-            &ec.abstract_network.ec,
-        );
-        let abs_origins: Vec<NodeId> = ec
-            .abstract_network
-            .ec
-            .origins
-            .iter()
-            .map(|(n, _)| *n)
-            .collect();
-        let abs_srp = Srp::with_origins(&ec.abstract_network.topo.graph, abs_origins, abs_proto);
+        let abs = &ec.abstract_network;
+        let abs_mask = lift_failure_mask(&scenario, &ec.abstraction, abs);
+        let abs_srp = class_srp(&abs.network, &abs.topo, &abs.ec);
         let abs_solution = bonsai_srp::solver::solve_masked(&abs_srp, Some(&abs_mask)).unwrap();
-        let abstract_b =
-            abstract_behaviors(&ec.abstract_network, &abs_solution, None, Some(&abs_mask));
+        let abstract_b = abstract_behaviors(abs, &abs_srp, &abs_solution, None, Some(&abs_mask));
         let mismatch = behaviors_match(&concrete, &abstract_b)
             .expect_err("the merged b-block must be refuted under the failure");
 
