@@ -232,8 +232,10 @@ fn audit(
 }
 
 /// `(family, wrong answers, unswept networks)`. The second column is the
-/// point of the file; the third is one seeded 7-router network whose sweep
-/// fails closed on a single link (`irrefinable mismatch`, ROADMAP item 1).
+/// point of the file; the third is one seeded 8-router network whose sweep
+/// fails closed on a single link (`irrefinable mismatch`, ROADMAP item 2):
+/// [`the_refused_network_has_a_stable_solution_no_tried_abstract_order_reaches`]
+/// says why.
 const PINNED: [(&str, usize, usize); 5] = [
     ("fattree4 k<=2", 0, 0),
     ("fattree6 k<=1", 0, 0),
@@ -344,5 +346,145 @@ fn the_two_failure_reproducer_delivers() {
     assert!(
         stdout.lines().any(|l| l == expected),
         "{expected}\n{stdout}"
+    );
+}
+
+/// Why the one refused network is refused. Seeded network 0, class
+/// 10.0.1.0/24 (originated by `r1`), under `{r2—r3}`: BGP has **three**
+/// stable solutions there (every one of the 8! concrete activation orders
+/// lands in one of them), because `r6` raises tagged routes to local
+/// preference 200 and `r4` tags everything it imports. The sweep samples two
+/// concrete solutions — the warm repair of the failure-free fixpoint and
+/// the cold solve in rotated order 1 — and the second is the one in which
+/// `r0` takes the tagged detour (local preference 200, six hops) instead of
+/// its direct route.
+///
+/// The base abstraction merges only `r5` and `r7`, and the abstract network
+/// *has* that solution: some activation order of its 7 nodes reaches it.
+/// None of the nine attempts the check makes — the transported fixpoint and
+/// rotated orders 0..8 — does, so the check finds no matching abstract
+/// solution. The mismatch falls on `r0`, and `r0`, `r2` and `r3` are
+/// singletons already, so stage 3 has nothing to split and the derivation
+/// stops. Of ROADMAP item 2's two candidates the second holds: a stable
+/// solution the tried abstract orders do not reach, not an abstraction too
+/// coarse to express it.
+#[test]
+fn the_refused_network_has_a_stable_solution_no_tried_abstract_order_reaches() {
+    use bonsai::srp::instance::{MultiProtocol, RibAttr};
+    use bonsai::srp::solver::{
+        solve, solve_seeded_masked, solve_warm_masked, solve_with_order_masked, SolverOptions,
+    };
+    use bonsai::srp::{Solution, Srp};
+    use bonsai::verify::failures::lift_failure_mask;
+    use bonsai::verify::netsweep::sweep_network_subset;
+    use bonsai::verify::sweep::transport_abstract_solution;
+    use bonsai_net::NodeId;
+
+    // The sampler's activation orders: the node list rotated left by
+    // `rot`, reversed on every second wrap (none here: `rot` < 8).
+    let rotated = |n: usize, rot: usize| -> Vec<NodeId> {
+        let mut order: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
+        order.rotate_left(rot % n);
+        order
+    };
+    let route = |s: &Solution<RibAttr>, n: NodeId| match s.label(n) {
+        Some(RibAttr::Bgp(a)) => (a.lp, a.path.len()),
+        other => panic!("{n:?} holds {other:?}, not a BGP route"),
+    };
+    let options = SolverOptions::default();
+
+    let net = &seeded_networks()[0];
+    let topo = BuiltTopology::build(net).expect("topology builds");
+    let graph = &topo.graph;
+    let report = compress(net, CompressOptions::default());
+    let class = report
+        .per_ec
+        .iter()
+        .position(|c| c.ec.rep.to_string() == "10.0.1.0/24")
+        .expect("r1's class");
+    let comp = &report.per_ec[class];
+    let router = |name| graph.node_by_name(name).expect("a router");
+    let (r0, r2, r3) = (router("r0"), router("r2"), router("r3"));
+    let scenario = FailureScenario::new(vec![(r2, r3)]);
+
+    let sweep = NetworkSweepOptions {
+        sweep: SweepOptions {
+            max_failures: 1,
+            threads: 1,
+            ..Default::default()
+        },
+        share_across_ecs: false,
+        ..Default::default()
+    };
+    let refused = sweep_network_subset(net, &topo, &report, &sweep, &[class])
+        .expect_err("the class is refused")
+        .to_string();
+    assert!(
+        refused.contains("irrefinable mismatch under {r2—r3}: block BlockId(0)")
+            && refused.contains("Bgp(200, [7:7], 6, 0, false)"),
+        "{refused}"
+    );
+    let base = &comp.abstraction;
+    let singleton = |n: NodeId| base.partition.members(base.role_of(n)).len() == 1;
+    assert!([r0, r2, r3].into_iter().all(singleton));
+    assert_eq!(base.abstract_node_count(), graph.node_count() - 1);
+
+    // The two concrete samples are different stable solutions.
+    let ec = comp.ec.to_ec_dest();
+    let srp = Srp::with_origins(
+        graph,
+        vec![router("r1")],
+        MultiProtocol::build(net, &topo, &ec),
+    );
+    let mask = scenario.mask(graph);
+    let failure_free = solve(&srp).expect("converges");
+    let warm = solve_warm_masked(&srp, &failure_free, options, &mask).expect("converges");
+    let order = rotated(graph.node_count(), 1);
+    let second = solve_with_order_masked(&srp, &order, options, Some(&mask)).expect("converges");
+    assert_eq!((route(&warm, r0), route(&second, r0)), ((100, 1), (200, 6)));
+
+    // The abstract network has the detour, but not in the orders tried.
+    let abs = &comp.abstract_network;
+    let abs_mask = lift_failure_mask(&scenario, base, abs);
+    let abs_origins = abs.ec.origins.iter().map(|(n, _)| *n).collect();
+    let abs_srp = Srp::with_origins(
+        &abs.topo.graph,
+        abs_origins,
+        MultiProtocol::build(&abs.network, &abs.topo, &abs.ec),
+    );
+    let abs_r0 = abs.node_of_copy[&(base.role_of(r0), 0)];
+    let detour = |s: &Solution<RibAttr>| route(s, abs_r0) == (200, 6);
+    let n = abs.topo.graph.node_count();
+    let base_solution = solve(&abs_srp).expect("converges");
+    let transported = transport_abstract_solution(base, abs, base, abs, &base_solution);
+    let (seeded, _) =
+        solve_seeded_masked(&abs_srp, transported, options, Some(&abs_mask)).expect("converges");
+    assert!(!detour(&seeded));
+    for rot in 0..8 {
+        let tried = solve_with_order_masked(&abs_srp, &rotated(n, rot), options, Some(&abs_mask));
+        assert!(!detour(&tried.expect("converges")), "rotated order {rot}");
+    }
+    // Every order of the abstract nodes, in lexicographic order, until one
+    // lands in the detour.
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    let reaches = loop {
+        let activation: Vec<NodeId> = order.iter().copied().map(NodeId).collect();
+        let solved = solve_with_order_masked(&abs_srp, &activation, options, Some(&abs_mask));
+        if solved.is_ok_and(|s| detour(&s)) {
+            break true;
+        }
+        let Some(i) = (1..n).rev().find(|&i| order[i - 1] < order[i]) else {
+            break false;
+        };
+        let j = (i..n)
+            .rev()
+            .find(|&j| order[j] > order[i - 1])
+            .expect("a larger successor");
+        order.swap(i - 1, j);
+        order[i..].reverse();
+    };
+    assert!(
+        reaches,
+        "no activation order of the abstract network reaches the detour"
     );
 }

@@ -690,7 +690,7 @@ fn the_datacenter() {
     );
 }
 
-/// Every `k ≤ 1` scenario of three datacenter classes: ≈ 70 s in a release
+/// Every `k ≤ 1` scenario of three datacenter classes: ≈ 45 s in a release
 /// build (`cargo test --release --test srp_reference -- --ignored`).
 #[test]
 #[ignore]
