@@ -139,7 +139,7 @@ impl<'a> MultiProtocol<'a> {
         }
     }
 
-    /// The BGP sub-protocol (for session introspection).
+    /// The BGP sub-protocol.
     pub fn bgp(&self) -> &BgpProtocol<'a> {
         &self.bgp
     }

@@ -95,8 +95,7 @@ pub struct SolveStats {
     pub updates: usize,
 }
 
-/// What one solve did, counted in locals and published into the metric
-/// registry once, when the solve ends (a diverged or refused solve too).
+/// What one solve did, counted in locals.
 #[derive(Default)]
 struct Work {
     updates: usize,
@@ -106,10 +105,15 @@ struct Work {
 }
 
 impl Work {
-    fn publish(&self, kind: &str) {
+    /// Runs one solve of `kind` and publishes what it did into the metric
+    /// registry once, when it ends (a diverged or refused solve too).
+    fn counted<T>(kind: &str, solve: impl FnOnce(&mut Work) -> T) -> T {
+        let mut work = Work::default();
+        let solved = solve(&mut work);
         bonsai_obs::add(kind, 1);
-        bonsai_obs::add("srp.label_updates", self.updates as u64);
-        bonsai_obs::add("srp.offers", self.offers as u64);
+        bonsai_obs::add("srp.label_updates", work.updates as u64);
+        bonsai_obs::add("srp.offers", work.offers as u64);
+        solved
     }
 }
 
@@ -176,10 +180,9 @@ pub fn solve_with_order_masked_stats<P: Protocol>(
         .copied()
         .filter(|&u| !srp.is_origin(u))
         .collect();
-    let mut work = Work::default();
-    let solved = solve_from(srp, labels, &seeds, options, mask, &mut work);
-    work.publish("srp.solves.cold");
-    solved
+    Work::counted("srp.solves.cold", |work| {
+        solve_from(srp, labels, &seeds, options, mask, work)
+    })
 }
 
 /// The tail of a cold and a seeded solve: propagate from `seeds`, then
@@ -237,10 +240,9 @@ pub fn solve_seeded_masked<P: Protocol>(
     }
 
     let seeds: Vec<NodeId> = srp.graph.nodes().filter(|&u| !srp.is_origin(u)).collect();
-    let mut work = Work::default();
-    let solved = solve_from(srp, labels, &seeds, options, mask, &mut work);
-    work.publish("srp.solves.seeded");
-    solved
+    Work::counted("srp.solves.seeded", |work| {
+        solve_from(srp, labels, &seeds, options, mask, work)
+    })
 }
 
 /// Repairs a failure-free fixpoint after edge deletion instead of
@@ -328,17 +330,16 @@ pub fn solve_warm_masked<P: Protocol>(
         .collect();
 
     let mut touched = seed_set;
-    let mut work = Work::default();
-    let repaired = propagate(
-        srp,
-        &mut labels,
-        &seeds,
-        options,
-        Some(mask),
-        &mut touched,
-        &mut work,
-    )
-    .and_then(|()| {
+    let fwd = Work::counted("srp.solves.warm", |work| {
+        propagate(
+            srp,
+            &mut labels,
+            &seeds,
+            options,
+            Some(mask),
+            &mut touched,
+            work,
+        )?;
         // Finish incrementally: only nodes whose inputs could have
         // changed — the touched region — get their forwarding recomputed
         // and their stability constraint rechecked. Everything else
@@ -351,12 +352,8 @@ pub fn solve_warm_masked<P: Protocol>(
                 .map_err(SolveError::Internal)?;
         }
         Ok(fwd)
-    });
-    work.publish("srp.solves.warm");
-    Ok(Solution {
-        labels,
-        fwd: repaired?,
-    })
+    })?;
+    Ok(Solution { labels, fwd })
 }
 
 /// The shared worklist loop: activates the seeds (in order), recomputes
