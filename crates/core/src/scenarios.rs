@@ -264,7 +264,7 @@ fn failure_pattern(
     permute_groups(&mut group_perms, 0, &mut |assignment: &[Vec<usize>]| {
         let order: Vec<usize> = assignment.iter().flatten().copied().collect();
         let candidate = materialize_pattern(&order, &raw_edges, &endpoints, dist);
-        if best.as_ref().map_or(true, |b| candidate < *b) {
+        if best.as_ref().is_none_or(|b| candidate < *b) {
             best = Some(candidate);
         }
     });

@@ -74,7 +74,7 @@ impl Layout {
 
 fn line_break(out: &mut String, indent: usize) {
     out.push('\n');
-    out.extend(std::iter::repeat(' ').take(indent));
+    out.extend(std::iter::repeat_n(' ', indent));
 }
 
 /// Appends `s` with the JSON string escapes — the one escape loop of the

@@ -38,7 +38,7 @@ impl Protocol for Weighted {
         Some(a.cmp(b))
     }
     fn transfer(&self, e: EdgeId, a: Option<&u32>) -> Option<u32> {
-        a.map(|x| x + if e.0 % 2 == 0 { 1 } else { 3 })
+        a.map(|x| x + if e.0.is_multiple_of(2) { 1 } else { 3 })
     }
 }
 

@@ -98,7 +98,10 @@ fn connect(
 ///
 /// Panics if `k` is odd or zero.
 pub fn fattree(k: usize, policy: FattreePolicy) -> NetworkConfig {
-    assert!(k > 0 && k % 2 == 0, "fattree parameter must be even");
+    assert!(
+        k > 0 && k.is_multiple_of(2),
+        "fattree parameter must be even"
+    );
     let half = k / 2;
     let mut net = NetworkConfig::default();
     let mut asn = 1u32;

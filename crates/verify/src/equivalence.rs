@@ -83,7 +83,7 @@ impl HLabel {
                 a.comms
                     .iter()
                     .copied()
-                    .filter(|c| keep.map_or(true, |k| k.contains(c)))
+                    .filter(|c| keep.is_none_or(|k| k.contains(c)))
                     .collect(),
                 a.path.len(),
                 a.med,

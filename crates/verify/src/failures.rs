@@ -187,7 +187,12 @@ pub fn check_cp_equivalence_under_failures(
         // counterexample is the clean confirmation the soundness claim
         // rests on.
         let orbits = options.prune_symmetric.then(|| {
-            link_orbits_with_distances(&topo.graph, &current, &ctx.sigs, env.distances.clone())
+            link_orbits_with_distances(
+                &topo.graph,
+                &current,
+                &ctx.class.sigs,
+                env.distances.clone(),
+            )
         });
         let scenarios: Box<dyn Iterator<Item = FailureScenario> + '_> = match &orbits {
             Some(orbits) => Box::new(stream.iter_pruned(orbits)),
@@ -218,7 +223,7 @@ pub fn check_cp_equivalence_under_failures(
                 });
             }
             (current, current_net) =
-                refine_ec_with_split(network, topo, ec, &ctx.sigs, &current, &split);
+                refine_ec_with_split(network, topo, ec, &ctx.class.sigs, &current, &split);
             counterexamples.push(FailureCounterexample {
                 scenario,
                 block: refutation.mismatch.as_ref().map(|m| m.block),

@@ -78,13 +78,14 @@
 //!
 //! A tallied class's symmetric transfer is **witnessed** when σ⁻¹(R) *is*
 //! its representative and the donor's refinement of R is the stage-1
-//! endpoint-split partition: its node count is the donor's, and its
-//! partition is left to its first reader
-//! ([`ScenarioRefinement::abstraction`] — the `split_partition` call an
-//! eager transfer makes, so the block ids are the eager ones). A sweep
-//! that only counts refined nodes runs no Algorithm 1 for it (fattree-8
-//! `k = 2`: 1144 of the 1364 transfers; the other 220, where σ⁻¹(R) is
-//! another scenario of the signature, are refined as before).
+//! endpoint-split partition: the transfer is handed the donor's node count
+//! and nothing else. Its partition, like every refinement's, is its split
+//! over the class handle ([`crate::sweep::ClassBase::split_partition`]),
+//! derived by its first reader ([`ScenarioRefinement::abstraction`]) — the
+//! call an eager transfer makes, so the block ids are the eager ones. A
+//! sweep that only counts refined nodes runs no Algorithm 1 for it
+//! (fattree-8 `k = 2`: 1144 of the 1364 transfers; the other 220, where
+//! σ⁻¹(R) is another scenario of the signature, are refined eagerly).
 //!
 //! Exactness: the fingerprint + quotient-class + canonical-signature key
 //! certifies policy-level and quotient-level symmetry between two classes;
@@ -114,8 +115,8 @@
 use crate::equivalence::EquivalenceError;
 use crate::sweep::{
     check_scenario_refined, derive_scenario_refinement, endpoint_split, sample_concrete_solutions,
-    split_partition, Candidate, OutcomeStats, PartitionInputs, RefinementProvenance,
-    ScenarioOutcome, ScenarioRefinement, SweepCtx, SweepEnv, SweepOptions, SweepReport,
+    Candidate, Known, OutcomeStats, RefinementProvenance, ScenarioOutcome, ScenarioRefinement,
+    SweepCtx, SweepEnv, SweepOptions, SweepReport,
 };
 use bonsai_config::{BuiltTopology, NetworkConfig};
 use bonsai_core::compress::CompressionReport;
@@ -264,8 +265,8 @@ pub struct NetworkSweepReport {
     /// Symmetric transfers that were re-verified per receiving class.
     pub verified_transfers: usize,
     /// Symmetric transfers of tallied classes whose node count came through
-    /// the class witness, their partition deferred to its first reader (a
-    /// subset of `symmetric_transfers`; see the module docs).
+    /// the class witness, with no partition until one is read (a subset of
+    /// `symmetric_transfers`; see the module docs).
     pub witnessed_transfers: usize,
     /// Distinct policy fingerprints among the swept classes.
     pub distinct_fingerprints: usize,
@@ -354,10 +355,11 @@ impl EcPlane<'_> {
     /// The class as a witness search sees it (`None` without a canonical
     /// quotient).
     fn view(&self) -> Option<ClassView<'_>> {
+        let class = &self.ctx.class;
         self.canon.as_ref().map(|canon| ClassView {
-            ec: &self.ctx.ec,
-            sigs: &self.ctx.sigs,
-            base: self.ctx.base,
+            ec: &class.ec,
+            sigs: &class.sigs,
+            base: &class.base,
             canon,
         })
     }
@@ -568,12 +570,19 @@ pub(crate) fn sweep_with_distances(
             &comp.abstract_network,
         )
         .warmed();
+        let class = &ctx.class;
         let canon = if options.share_across_ecs {
-            quotient_canon(&topo.graph, &ctx.ec, ctx.base, &ctx.sigs, &ctx.orbits)
+            quotient_canon(
+                &topo.graph,
+                &class.ec,
+                &class.base,
+                &class.sigs,
+                &ctx.orbits,
+            )
         } else {
             None
         };
-        let fingerprint = env.engine.ec_fingerprint(network, topo, &ctx.ec);
+        let fingerprint = env.engine.ec_fingerprint(network, topo, &class.ec);
         planes.push(EcPlane {
             ctx,
             canon,
@@ -737,23 +746,13 @@ pub(crate) fn sweep_with_distances(
         .enumerate()
         .filter_map(|(e, donor)| donor.as_ref().map(|(d, witness)| (e, *d, witness)))
         .collect();
-    // What witnessed transfers compute their partitions over, shared.
-    let graph = (!tallied.is_empty()).then(|| Arc::new(topo.graph.clone()));
     let (tallies, _) = fan_out(
         tallied.len(),
         threads,
         || (),
         |_, t| {
             let (e, d, witness) = tallied[t];
-            let graph = graph.as_ref().expect("built for the tallies");
-            tally_class(
-                &shared,
-                &planes[e],
-                witness,
-                &donor_signatures[d],
-                graph,
-                options,
-            )
+            tally_class(&shared, &planes[e], witness, &donor_signatures[d], options)
         },
     );
     for (&(e, _, _), tally) in tallied.iter().zip(tallies) {
@@ -769,13 +768,13 @@ pub(crate) fn sweep_with_distances(
         );
         resolved.merge(&class.resolved);
         per_ec.push(EcSweep {
-            rep: plane.ctx.ec.prefix,
+            rep: plane.ctx.class.ec.prefix,
             fingerprint: plane.fingerprint,
             canonical: plane.canon.is_some(),
             report: SweepReport {
                 k,
                 threads,
-                base_abstract_nodes: plane.ctx.base.abstract_node_count(),
+                base_abstract_nodes: plane.ctx.class.base.abstract_node_count(),
                 scenarios_exhaustive: stream.len(),
                 outcomes,
                 stats: class.stats,
@@ -831,8 +830,10 @@ fn find_donors(graph: &Graph, planes: &[EcPlane<'_>]) -> Vec<Option<(usize, Clas
             .or_default();
         let found = group.iter().find_map(|&d| {
             let donor = planes[d].view().expect("group members canonicalize");
-            let mut span =
-                bonsai_obs::span!("sweep.witness", class = plane.ctx.ec.prefix.to_string());
+            let mut span = bonsai_obs::span!(
+                "sweep.witness",
+                class = plane.ctx.class.ec.prefix.to_string()
+            );
             let search = find_class_witness(graph, donor, receiver);
             if let Some(span) = &mut span {
                 span.record("found", u64::from(search.witness.is_some()));
@@ -861,27 +862,24 @@ struct DonorSignature {
 
 /// A tallied class (module docs): every signature of the donor, carried
 /// onto this class through σ⁻¹, resolved as a visit would resolve it, and
-/// counted with the donor's item count. `graph` is the concrete graph the
-/// witnessed transfers' partitions are computed over.
+/// counted with the donor's item count.
 fn tally_class(
     shared: &SharedCache,
     plane: &EcPlane<'_>,
     witness: &ClassWitness,
     donor: &BTreeMap<FailureScenario, DonorSignature>,
-    graph: &Arc<Graph>,
     options: &NetworkSweepOptions,
 ) -> Result<ClassTally, EquivalenceError> {
     let ctx = &plane.ctx;
     let mut span = bonsai_obs::span!(
         "sweep.tally",
-        class = ctx.ec.prefix.to_string(),
+        class = ctx.class.ec.prefix.to_string(),
         signatures = donor.len()
     );
     let mut reps = SignatureInterner::new(&ctx.orbits);
-    let mut inputs: Option<Arc<PartitionInputs>> = None;
     let mut tally = ClassTally::default();
     for (donor_rep, facts) in donor {
-        let scenario = witness.to_receiver(graph, donor_rep);
+        let scenario = witness.to_receiver(&ctx.class.graph, donor_rep);
         let signature = ctx
             .orbits
             .signature_of(&scenario)
@@ -896,20 +894,7 @@ fn tally_class(
         // σ⁻¹ carries the donor's representative onto this class's own:
         // σ commutes with the endpoint split and with Algorithm 1, so the
         // donor's stage-1 node count is this class's.
-        let witnessed = match facts.stage1_nodes {
-            Some(nodes) if rep == scenario => Some(Witnessed {
-                inputs: inputs.get_or_insert_with(|| {
-                    Arc::new(PartitionInputs {
-                        graph: Arc::clone(graph),
-                        ec: ctx.ec.clone(),
-                        sigs: Arc::clone(&ctx.sigs),
-                        base: ctx.base.clone(),
-                    })
-                }),
-                nodes,
-            }),
-            _ => None,
-        };
+        let witnessed = facts.stage1_nodes.filter(|_| rep == scenario);
         let refinement = resolve_refinement(shared, plane, &signature, &rep, options, witnessed)?;
         tally.resolved.record(&refinement, options);
         // A pruned sweep keeps one item per signature: its representative.
@@ -1124,28 +1109,20 @@ fn process_item(
     }))
 }
 
-/// A tallied class's knowledge that a symmetric transfer of a signature
-/// would be its donor class's stage-1 refinement carried through σ⁻¹.
-struct Witnessed<'a> {
-    /// The tallied class's partition inputs.
-    inputs: &'a Arc<PartitionInputs>,
-    /// The donor refinement's node count.
-    nodes: usize,
-}
-
 /// Resolves a (class, signature) slot miss for the signature's canonical
 /// representative `scenario`: cross-EC transfer when the canonical key
 /// hits with a compatible donor, full derivation otherwise (recording the
 /// result for future transfers). The result's provenance says which; a
-/// symmetric transfer a tally `witnessed` takes its node count from there
-/// and defers its partition.
+/// tally passes the node count it `witnessed` — its donor class's stage-1
+/// refinement of the signature carried through σ⁻¹ — for a symmetric
+/// transfer to take.
 fn resolve_refinement(
     shared: &SharedCache,
     plane: &EcPlane<'_>,
     signature: &OrbitSignature,
     scenario: &FailureScenario,
     options: &NetworkSweepOptions,
-    witnessed: Option<Witnessed<'_>>,
+    witnessed: Option<usize>,
 ) -> Result<ScenarioRefinement, EquivalenceError> {
     let ctx = &plane.ctx;
     let shared_key = plane.canon.as_ref().and_then(|canon| {
@@ -1161,8 +1138,17 @@ fn resolve_refinement(
         .as_ref()
         .and_then(|key| shared.lock().unwrap().get(key).cloned());
     if let Some(entry) = hit {
-        if entry.donor_origins == ctx.ec.origins {
-            return Ok(transfer_exact(&entry.donor, signature));
+        if entry.donor_origins == ctx.class.ec.origins {
+            // Exact (same origins): the donor's partition replays
+            // byte-identically over this class's handle; the abstract
+            // network, which embeds this class's own prefix, is left to
+            // the refinement's first reader.
+            debug_assert_eq!(
+                entry.donor.signature, *signature,
+                "identical origins and fingerprints must yield identical per-EC signatures"
+            );
+            let exact = RefinementProvenance::TransferredExact;
+            return Ok(entry.donor.carried(&ctx.class, exact));
         }
         if entry.stage1_only {
             let candidate = transfer_symmetric(ctx, signature, scenario, witnessed);
@@ -1174,7 +1160,7 @@ fn resolve_refinement(
             // certificate over-promised) falls back to deriving.
             let solutions = sample_concrete_solutions(ctx, &candidate.representative)?;
             let abs = candidate
-                .materialized(ctx.env.network, ctx.env.topo, &ctx.ec)
+                .materialized(ctx.env.network, ctx.env.topo)
                 .abstract_network();
             let check = Candidate::new(candidate.abstraction(), abs, &candidate.representative);
             if check_scenario_refined(ctx, &candidate.representative, &solutions, &check)?.is_ok() {
@@ -1186,64 +1172,42 @@ fn resolve_refinement(
     let refinement = derive_scenario_refinement(ctx, signature)?;
     if let Some(key) = shared_key {
         let entry = Arc::new(SharedEntry {
-            donor_origins: ctx.ec.origins.clone(),
+            donor_origins: ctx.class.ec.origins.clone(),
             stage1_only: refinement.stage1_only(),
-            donor: refinement.unmaterialized(),
+            donor: refinement.carried(&ctx.class, refinement.provenance),
         });
         shared.lock().unwrap().entry(key).or_insert(entry);
     }
     Ok(refinement)
 }
 
-/// An exact (same-origin) transfer: the donor's partition replays
-/// byte-identically. The abstract network — the one part that embeds the
-/// receiving class's own prefix — is left to the refinement's first
-/// reader.
-fn transfer_exact(donor: &ScenarioRefinement, signature: &OrbitSignature) -> ScenarioRefinement {
-    debug_assert_eq!(
-        donor.signature, *signature,
-        "identical origins and fingerprints must yield identical per-EC signatures"
-    );
-    let mut refinement = donor.unmaterialized();
-    refinement.provenance = RefinementProvenance::TransferredExact;
-    refinement
-}
-
 /// A symmetric transfer: the stage-1 endpoint split of the receiving
-/// class's own representative, refined against its own base abstraction —
-/// exactly the partition a fresh derivation produces when its first check
-/// passes, which is what the donor's verdict certifies. A `witnessed`
-/// transfer knows that partition's node count already and leaves the
-/// partition to its first reader.
+/// class's own representative, over its own base abstraction — exactly
+/// the partition a fresh derivation produces when its first check passes,
+/// which is what the donor's verdict certifies. An eager transfer computes
+/// that partition; a `witnessed` one knows its node count already and
+/// leaves the partition to its first reader.
 fn transfer_symmetric(
     ctx: &SweepCtx<'_>,
     signature: &OrbitSignature,
     scenario: &FailureScenario,
-    witnessed: Option<Witnessed<'_>>,
+    witnessed: Option<usize>,
 ) -> ScenarioRefinement {
-    let split = endpoint_split(ctx.base, scenario);
-    let graph = &ctx.env.topo.graph;
-    if let Some(Witnessed { inputs, nodes }) = witnessed {
-        debug_assert_eq!(
-            split_partition(graph, &ctx.ec, &ctx.sigs, ctx.base, &split).abstract_node_count(),
-            nodes,
-            "Algorithm 1 commutes with a verified class witness"
-        );
-        let inputs = Arc::clone(inputs);
-        return ScenarioRefinement::witnessed(
-            signature.clone(),
-            scenario.clone(),
-            split,
-            inputs,
-            nodes,
-        );
-    }
-    let abstraction = split_partition(graph, &ctx.ec, &ctx.sigs, ctx.base, &split);
+    let split = endpoint_split(&ctx.class.base, scenario);
+    debug_assert!(
+        witnessed.is_none_or(|n| ctx.class.split_partition(&split).abstract_node_count() == n),
+        "Algorithm 1 commutes with a verified class witness"
+    );
+    let known = witnessed.map_or_else(
+        || Known::Partition(ctx.class.split_partition(&split)),
+        Known::Nodes,
+    );
     ScenarioRefinement::new(
+        Arc::clone(&ctx.class),
         signature.clone(),
         scenario.clone(),
         split,
-        abstraction,
+        known,
         false,
         0,
         false,

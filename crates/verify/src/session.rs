@@ -27,9 +27,9 @@
 //! 3. **snapshot** — [`Session::snapshot_json`] serializes the sweep's
 //!    refinement cache *and both answer memos* (see [module docs on the
 //!    format](#snapshot-format)) and [`SessionBuilder::restore`] rebuilds
-//!    a warm session from it with **zero verification solves**: splits
-//!    are replayed through [`bonsai_core::algorithm::refine_with_split`]
-//!    and every persisted verdict and path answer is reloaded verbatim —
+//!    a warm session from it with **zero verification solves** and no
+//!    Algorithm-1 run (splits are held, partitions built on first read);
+//!    every persisted verdict and path answer is reloaded verbatim —
 //!    so a restarted daemon answers previously-seen queries
 //!    byte-identically **without touching the solver at all**
 //!    (answer-warm, not just refinement-warm).
@@ -593,9 +593,10 @@ impl Session {
         mut summary: SweepSummary,
     ) -> Result<Session, SessionError> {
         let mut planes = Vec::with_capacity(sources.len());
+        let graph = Arc::new(topo.graph.clone());
         for (comp, source) in report.per_ec.iter().zip(sources) {
             // The one per-class hoist, for a class not carried over whole.
-            let hoist = || QueryPlane::hoist(&network, &topo, &report, comp, &distances);
+            let hoist = || QueryPlane::hoist(&network, &topo, &graph, &report, comp, &distances);
             let plane = match source {
                 PlaneSource::Swept(refinements) => {
                     let mut plane = hoist();
@@ -609,9 +610,7 @@ impl Session {
                 PlaneSource::Recorded(records) => {
                     let mut plane = hoist();
                     for record in records {
-                        let refinement = plane.replay(&topo.graph, &comp.abstraction, record)?;
-                        let signature = refinement.signature.clone();
-                        plane.refinements.insert(signature, refinement);
+                        plane.replay(record)?;
                     }
                     summary.restored += plane.refinements.len();
                     Arc::new(plane)
@@ -734,10 +733,10 @@ impl Session {
         let plane = &self.planes[i];
         let mut stats = QueryStats::default();
         let verdict = if !scenario.is_empty() {
-            let class = plane.class_base(&comp.abstraction);
             let signature = plane.orbits.signature_of(scenario);
             let held = signature.and_then(|sig| plane.refinements.get(&sig));
-            scenario_verdict(network, topo, ec, Some(class), held, scenario, &mut stats)
+            let class = Some(&*plane.class);
+            scenario_verdict(network, topo, ec, class, held, scenario, &mut stats)
         } else if let Some(solution) = &plane.base_solution {
             stats.cached_answers += 1;
             let (base, abs) = (&comp.abstraction, &comp.abstract_network);

@@ -1,12 +1,22 @@
 //! [`Session::state_digest`]: the canonical rendering the equivalence
-//! tests compare sessions by.
+//! tests compare sessions by, and [`Session::refinements`], the held
+//! refinements themselves.
 
 use super::Session;
+use crate::sweep::ScenarioRefinement;
 use bonsai_config::print_network;
 use bonsai_net::NodeId;
 use std::collections::HashMap;
 
 impl Session {
+    /// Every refinement the session holds, with the index of its class in
+    /// the compression report — swept, carried over by a reload, or
+    /// replayed from a snapshot (its partition built on first read).
+    pub fn refinements(&self) -> impl Iterator<Item = (usize, &ScenarioRefinement)> {
+        let planes = self.planes.iter().enumerate();
+        planes.flat_map(|(i, plane)| plane.refinements.values().map(move |r| (i, r)))
+    }
+
     /// A canonical, provenance-free rendering of the session's verified
     /// state: destination classes, abstractions, abstract configs,
     /// refinements, and the engine's sharing structure (policy

@@ -20,6 +20,7 @@
 //! simulated concretely — a refinement answers for its own scenario only
 //! ([`crate::sweep::scenario_verdict`]).
 
+use crate::equivalence::class_srp;
 use crate::properties::SolutionAnalysis;
 use crate::query::{QueryCtx, QueryScope, QueryStats};
 use crate::sweep::scenario_verdict;
@@ -28,9 +29,9 @@ use bonsai_config::{BuiltTopology, NetworkConfig};
 use bonsai_core::ecs::{compute_ecs, DestEc};
 use bonsai_net::prefix::Prefix;
 use bonsai_net::{FailureMask, NodeId};
-use bonsai_srp::instance::{MultiProtocol, RibAttr};
+use bonsai_srp::instance::RibAttr;
 use bonsai_srp::solver::{solve_with_order_masked_stats, SolveError, SolverOptions};
-use bonsai_srp::{Solution, Srp};
+use bonsai_srp::Solution;
 
 /// Control-plane simulation plus data-plane queries for one network.
 pub struct SimEngine<'a> {
@@ -78,10 +79,7 @@ impl<'a> SimEngine<'a> {
         ec: &DestEc,
         mask: Option<&FailureMask>,
     ) -> Result<(Solution<RibAttr>, bonsai_srp::solver::SolveStats), SolveError> {
-        let ec_dest = ec.to_ec_dest();
-        let origins: Vec<NodeId> = ec_dest.origins.iter().map(|(n, _)| *n).collect();
-        let proto = MultiProtocol::build(self.network, &self.topo, &ec_dest);
-        let srp = Srp::with_origins(&self.topo.graph, origins, proto);
+        let srp = class_srp(self.network, &self.topo, &ec.to_ec_dest());
         let order: Vec<NodeId> = self.topo.graph.nodes().collect();
         solve_with_order_masked_stats(&srp, &order, SolverOptions::default(), mask)
     }
@@ -91,12 +89,7 @@ impl<'a> SimEngine<'a> {
     /// class's packets (paper §6: ACLs do not affect routing, only
     /// delivery).
     pub fn data_plane(&self, ec: &DestEc, solution: &Solution<RibAttr>) -> Solution<RibAttr> {
-        let range = ec.ranges.first().copied().unwrap_or(ec.rep);
-        let mut pruned = solution.clone();
-        for fwd in pruned.fwd.iter_mut() {
-            fwd.retain(|&e| edge_passes_acls(self.network, &self.topo, e, range));
-        }
-        pruned
+        acl_pruned(self.network, &self.topo, ec, solution.clone())
     }
 
     /// All-pairs reachability over every class: the Figure 12 workload.
@@ -255,11 +248,7 @@ pub(crate) fn abstract_verdict(
     // Abstract data plane: the projected configs carry the ACLs, so the
     // same pruning applies on the abstract side.
     let abs_origins: Vec<NodeId> = abs.ec.origins.iter().map(|(n, _)| *n).collect();
-    let range = ec.ranges.first().copied().unwrap_or(ec.rep);
-    let mut solution = solution.clone();
-    for fwd in solution.fwd.iter_mut() {
-        fwd.retain(|&e| edge_passes_acls(&abs.network, &abs.topo, e, range));
-    }
+    let solution = acl_pruned(&abs.network, &abs.topo, ec, solution.clone());
     let analysis = SolutionAnalysis::new(&abs.topo.graph, &solution, &abs_origins);
 
     // Map back: concrete node → all copies of its block deliver.
@@ -290,21 +279,14 @@ pub(crate) fn concrete_data_plane(
     mask: Option<&FailureMask>,
     stats: &mut QueryStats,
 ) -> Result<(Solution<RibAttr>, Vec<NodeId>), SolveError> {
-    let ec_dest = ec.to_ec_dest();
-    let origins: Vec<NodeId> = ec_dest.origins.iter().map(|(n, _)| *n).collect();
-    let proto = MultiProtocol::build(network, topo, &ec_dest);
-    let srp = Srp::with_origins(&topo.graph, origins.clone(), proto);
+    let srp = class_srp(network, topo, &ec.to_ec_dest());
     let order: Vec<NodeId> = topo.graph.nodes().collect();
     let (solution, solve_stats) =
         solve_with_order_masked_stats(&srp, &order, SolverOptions::default(), mask)?;
     stats.concrete_solves += 1;
     stats.solver_updates += solve_stats.updates;
-    let range = ec.ranges.first().copied().unwrap_or(ec.rep);
-    let mut data = solution;
-    for fwd in data.fwd.iter_mut() {
-        fwd.retain(|&e| edge_passes_acls(network, topo, e, range));
-    }
-    Ok((data, origins))
+    let origins = ec.origins.iter().map(|(n, _)| *n).collect();
+    Ok((acl_pruned(network, topo, ec, solution), origins))
 }
 
 /// Per-node verdict of one concrete masked simulation — the fallback path
@@ -326,10 +308,27 @@ pub(crate) fn concrete_verdict(
         .collect())
 }
 
+/// `solution`'s data plane for class `ec`: its forwarding relation minus
+/// the edges whose ACLs drop the class's packet range. The one pruning of
+/// the concrete data plane and of an abstract one (the projected configs
+/// carry the ACLs, so `network` and `topo` are the abstract network's).
+fn acl_pruned(
+    network: &NetworkConfig,
+    topo: &BuiltTopology,
+    ec: &DestEc,
+    mut solution: Solution<RibAttr>,
+) -> Solution<RibAttr> {
+    let range = ec.ranges.first().copied().unwrap_or(ec.rep);
+    for fwd in solution.fwd.iter_mut() {
+        fwd.retain(|&e| edge_passes_acls(network, topo, e, range));
+    }
+    solution
+}
+
 /// True when neither the egress ACL of the edge's source interface nor
 /// the ingress ACL of its target interface drops the packet range —
 /// shared by the concrete and abstract data planes.
-pub(crate) fn edge_passes_acls(
+fn edge_passes_acls(
     network: &NetworkConfig,
     topo: &BuiltTopology,
     e: bonsai_net::EdgeId,

@@ -46,6 +46,15 @@
 //! * [`crate::failures`] — the audit: a thin counterexample-guided loop
 //!   that repairs **one** abstraction until it passes every scenario.
 //!
+//! Every refinement a sweep keeps — derived, transferred exactly or
+//! symmetrically (eagerly or through a class witness), or replayed from a
+//! snapshot — is [`ClassBase::split_partition`] of its split: it holds the
+//! split and one `Arc` of its class's handle, and its partition is derived
+//! on first read unless its producer already has it (a derivation hands
+//! over its verified partition and network, an eager transfer its
+//! partition, a witnessed transfer only the node count its donor carried
+//! through the class witness, a snapshot replay nothing).
+//!
 //! Soundness of signature keying: exact for `k = 1`, and for `k ≥ 2` up
 //! to labeled failed-subgraph isomorphism (the pattern-refined
 //! [`OrbitSignature`] keeps shared-endpoint and disjoint same-orbit pairs
@@ -155,16 +164,19 @@ impl RefinementProvenance {
     }
 }
 
-/// One cached per-scenario refinement: the partition that verified the
+/// One cached per-scenario refinement: the split that verified the
 /// canonical representative of an orbit signature, plus how it was found.
 ///
-/// A refinement *is* its partition (Algorithm 1's output). The abstract
-/// network and its canonical solution are derived data — a pure function
-/// of (network, class, partition, representative) — and live behind
-/// [`ScenarioRefinement::materialized`], built by the first reader: a
-/// sweep that only counts refined nodes never assembles or solves them.
-/// A symmetric transfer taken through a class witness defers the
-/// partition itself the same way (see [`ScenarioRefinement::abstraction`]).
+/// A refinement *is* its split (Algorithm 1's `Refine` is a pure function
+/// of the class's base partition and the nodes split off it): it holds
+/// one `Arc` of its class's [`ClassBase`], and its partition —
+/// [`ClassBase::split_partition`] of `split` — is derived on first read
+/// ([`ScenarioRefinement::abstraction`]) unless the producer already has
+/// it. The abstract network and its canonical solution are derived data
+/// the same way — a pure function of (network, class, partition,
+/// representative) — and live behind [`ScenarioRefinement::materialized`]:
+/// a sweep that only counts refined nodes never assembles or solves them,
+/// and a snapshot restore runs no Algorithm 1 at all.
 #[derive(Clone, Debug)]
 pub struct ScenarioRefinement {
     /// The orbit signature this refinement is cached under.
@@ -174,15 +186,14 @@ pub struct ScenarioRefinement {
     /// Concrete nodes isolated from the base abstraction (empty when the
     /// base abstraction already verifies the representative).
     pub split: Vec<NodeId>,
-    /// The per-scenario abstraction, held from the start or — for a
-    /// witnessed transfer — filled by the first
-    /// [`ScenarioRefinement::abstraction`] read.
+    /// The class the split is taken from, shared by its refinements.
+    class: Arc<ClassBase>,
+    /// The per-scenario abstraction, handed over by the producer or
+    /// filled by the first [`ScenarioRefinement::abstraction`] read.
     abstraction: OnceLock<Abstraction>,
-    /// What a deferred partition is computed against (`Some` exactly for a
-    /// witnessed transfer).
-    deferred: Option<Arc<PartitionInputs>>,
-    /// Abstract node count of the partition, known without it.
-    refined_nodes: usize,
+    /// The node count a class witness carried over from the donor
+    /// (`Some` exactly for a witnessed transfer).
+    witnessed: Option<usize>,
     /// The localized endpoint split was refuted at least once.
     pub localized_refuted: bool,
     /// Rounds that split only deviating block members.
@@ -196,6 +207,19 @@ pub struct ScenarioRefinement {
     /// Filled by the derivation that verified it, or by the first
     /// [`ScenarioRefinement::materialized`] read; never evicted.
     materialized: OnceLock<Materialized>,
+}
+
+/// What the producer of a [`ScenarioRefinement`] already has of the data
+/// derived from its split; the rest waits for the first reader.
+pub(crate) enum Known {
+    /// Nothing: a snapshot replay.
+    Split,
+    /// The partition's node count, carried through a class witness.
+    Nodes(usize),
+    /// The partition: an eager symmetric transfer, an exact one.
+    Partition(Abstraction),
+    /// The partition and the abstract network a derivation verified.
+    Verified(Abstraction, Box<Materialized>),
 }
 
 /// What [`ScenarioRefinement::materialized`] derives from a refinement's
@@ -250,119 +274,95 @@ fn materialize(
 
 impl ScenarioRefinement {
     /// The one place a refinement is put together: what it is and how it
-    /// was found, the derived pair left to its first reader.
+    /// was found, over its class's handle, with whatever of the derived
+    /// data its producer already has.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
+        class: Arc<ClassBase>,
         signature: OrbitSignature,
         representative: FailureScenario,
         split: Vec<NodeId>,
-        abstraction: Abstraction,
+        known: Known,
         localized_refuted: bool,
         deviating_rounds: usize,
         global_fallback: bool,
         provenance: RefinementProvenance,
     ) -> Self {
+        let (abstraction, witnessed, materialized) = match known {
+            Known::Split => (None, None, None),
+            Known::Nodes(nodes) => (None, Some(nodes), None),
+            Known::Partition(abstraction) => (Some(abstraction), None, None),
+            Known::Verified(abstraction, materialized) => {
+                (Some(abstraction), None, Some(*materialized))
+            }
+        };
         ScenarioRefinement {
             signature,
             representative,
             split,
-            refined_nodes: abstraction.abstract_node_count(),
-            abstraction: OnceLock::from(abstraction),
-            deferred: None,
+            class,
+            abstraction: abstraction.map_or_else(OnceLock::new, OnceLock::from),
+            witnessed,
             localized_refuted,
             deviating_rounds,
             global_fallback,
             provenance,
-            materialized: OnceLock::new(),
+            materialized: materialized.map_or_else(OnceLock::new, OnceLock::from),
         }
     }
 
-    /// A **witnessed** symmetric transfer: a class witness carried the
-    /// donor class's stage-1 refinement of the same signature onto this
-    /// one, so its node count is `refined_nodes`, and its partition —
-    /// [`split_partition`] of `split` over `inputs` — waits for its first
-    /// reader.
-    pub(crate) fn witnessed(
-        signature: OrbitSignature,
-        representative: FailureScenario,
-        split: Vec<NodeId>,
-        inputs: Arc<PartitionInputs>,
-        refined_nodes: usize,
-    ) -> Self {
-        ScenarioRefinement {
-            signature,
-            representative,
-            split,
-            abstraction: OnceLock::new(),
-            deferred: Some(inputs),
-            refined_nodes,
-            localized_refuted: false,
-            deviating_rounds: 0,
-            global_fallback: false,
-            provenance: RefinementProvenance::TransferredSymmetric,
-            materialized: OnceLock::new(),
-        }
-    }
-
-    /// A copy without the derived pair: what the cross-class cache keeps
-    /// of a donor and what an exact transfer starts from (the derived pair
-    /// embeds the class's own prefix, so it never transfers).
-    pub(crate) fn unmaterialized(&self) -> Self {
-        ScenarioRefinement {
-            signature: self.signature.clone(),
-            representative: self.representative.clone(),
-            split: self.split.clone(),
-            abstraction: self.abstraction.clone(),
-            deferred: self.deferred.clone(),
-            refined_nodes: self.refined_nodes,
-            localized_refuted: self.localized_refuted,
-            deviating_rounds: self.deviating_rounds,
-            global_fallback: self.global_fallback,
-            provenance: self.provenance,
-            materialized: OnceLock::new(),
-        }
+    /// This refinement over `class`, as `provenance`, with the partition
+    /// it holds and without the derived pair (which embeds the class's own
+    /// prefix): what the cross-class cache keeps of a donor, and what an
+    /// exact transfer makes of that.
+    pub(crate) fn carried(&self, class: &Arc<ClassBase>, provenance: RefinementProvenance) -> Self {
+        let known = self
+            .abstraction
+            .get()
+            .cloned()
+            .map_or(Known::Split, Known::Partition);
+        ScenarioRefinement::new(
+            Arc::clone(class),
+            self.signature.clone(),
+            self.representative.clone(),
+            self.split.clone(),
+            known,
+            self.localized_refuted,
+            self.deviating_rounds,
+            self.global_fallback,
+            provenance,
+        )
     }
 
     /// The per-scenario abstraction: the class's base with `split`
-    /// isolated, at the Algorithm-1 fixpoint. A witnessed transfer
-    /// computes it here on first read, by the `split_partition` call an
-    /// eager transfer makes — same blocks, same block ids — and keeps it.
+    /// isolated, at the Algorithm-1 fixpoint — [`ClassBase::split_partition`],
+    /// computed here on first read unless the producer handed it over, and
+    /// kept.
     pub fn abstraction(&self) -> &Abstraction {
-        self.abstraction.get_or_init(|| {
-            let inputs = self
-                .deferred
-                .as_ref()
-                .expect("a refinement without a partition defers it");
-            split_partition(
-                &inputs.graph,
-                &inputs.ec,
-                &inputs.sigs,
-                &inputs.base,
-                &self.split,
-            )
-        })
+        self.abstraction
+            .get_or_init(|| self.class.split_partition(&self.split))
     }
 
-    /// Whether this is a witnessed transfer (its partition deferred at
-    /// creation; [`ScenarioRefinement::abstraction`] may have read it
-    /// since).
+    /// The class this refinement refines.
+    pub fn class(&self) -> &ClassBase {
+        &self.class
+    }
+
+    /// Whether this is a witnessed transfer (its node count carried over
+    /// by a class witness; a recorded fact, nothing reads it to decide).
     pub fn is_witnessed(&self) -> bool {
-        self.deferred.is_some()
+        self.witnessed.is_some()
     }
 
     /// The refinement's abstract network and canonical solution, built on
     /// first read and shared by every later one (racing first readers get
-    /// one value). `network`, `topo` and `ec` must be the ones the
-    /// refinement was derived for. Deterministic, so a value built here
-    /// equals the one a derivation pre-fills byte for byte.
-    pub fn materialized(
-        &self,
-        network: &NetworkConfig,
-        topo: &BuiltTopology,
-        ec: &EcDest,
-    ) -> &Materialized {
+    /// one value). `network` and `topo` must be the ones the refinement was
+    /// derived for. Deterministic, so a value built here equals the one a
+    /// derivation pre-fills byte for byte.
+    pub fn materialized(&self, network: &NetworkConfig, topo: &BuiltTopology) -> &Materialized {
         self.materialized.get_or_init(|| {
-            materialize(network, topo, ec, self.abstraction(), &self.representative)
+            let (ec, representative) = (&self.class.ec, &self.representative);
+            materialize(network, topo, ec, self.abstraction(), representative)
         })
     }
 
@@ -380,10 +380,11 @@ impl ScenarioRefinement {
         !self.localized_refuted && !self.global_fallback
     }
 
-    /// Abstract node count of the per-scenario refinement (read without
-    /// computing a deferred partition).
+    /// Abstract node count of the per-scenario refinement (a witnessed
+    /// transfer's is read without its partition).
     pub fn refined_nodes(&self) -> usize {
-        self.refined_nodes
+        self.witnessed
+            .unwrap_or_else(|| self.abstraction().abstract_node_count())
     }
 
     /// How the refinement was found, as the documents and the `bonsai
@@ -544,6 +545,8 @@ impl SweepReport {
 pub(crate) struct SweepEnv<'a> {
     pub(crate) network: &'a NetworkConfig,
     pub(crate) topo: &'a BuiltTopology,
+    /// `topo.graph`, owned once for every class handle of the sweep.
+    graph: Arc<Graph>,
     pub(crate) engine: &'a CompiledPolicies,
     /// The communities labels are compared modulo — `Some` iff the
     /// compression itself stripped unused tags, so the two cannot disagree.
@@ -566,6 +569,7 @@ impl<'a> SweepEnv<'a> {
         SweepEnv {
             network,
             topo,
+            graph: Arc::new(topo.graph.clone()),
             engine,
             keep: engine
                 .strips_unused_communities()
@@ -581,11 +585,11 @@ impl<'a> SweepEnv<'a> {
 /// never clone or rebuild the concrete instance.
 pub(crate) struct SweepCtx<'a> {
     pub(crate) env: &'a SweepEnv<'a>,
-    pub(crate) ec: EcDest,
-    /// The failure-free (CP-equivalent) base pair refinements start from.
-    pub(crate) base: &'a Abstraction,
+    /// The class and its failure-free (CP-equivalent) base abstraction,
+    /// the handle every refinement of the class holds.
+    pub(crate) class: Arc<ClassBase>,
+    /// The base abstraction's network.
     pub(crate) base_net: &'a AbstractNetwork,
-    pub(crate) sigs: Arc<SigTable>,
     pub(crate) orbits: LinkOrbits,
     pub(crate) srp: Srp<'a, MultiProtocol<'a>>,
     /// `Some` once [`SweepCtx::warmed`]: the two failure-free fixpoints
@@ -595,25 +599,25 @@ pub(crate) struct SweepCtx<'a> {
 }
 
 impl<'a> SweepCtx<'a> {
-    /// Hoists one class: signature table, link orbits and the concrete
-    /// instance. No base fixpoints — every solve runs the cold rotated
-    /// orders (what the audit wants: its abstraction moves under it).
+    /// Hoists one class: its handle (signature table and base), link
+    /// orbits and the concrete instance. No base fixpoints — every solve
+    /// runs the cold rotated orders (what the audit wants: its abstraction
+    /// moves under it).
     pub(crate) fn hoist(
         env: &'a SweepEnv<'a>,
         ec: EcDest,
-        base: &'a Abstraction,
+        base: &Abstraction,
         base_net: &'a AbstractNetwork,
     ) -> Self {
-        let sigs = build_sig_table(env.engine, env.network, env.topo, &ec);
+        let (network, topo) = (env.network, env.topo);
+        let class = ClassBase::hoist(env.engine, network, topo, &env.graph, ec, base);
         let orbits =
-            link_orbits_with_distances(&env.topo.graph, base, &sigs, env.distances.clone());
-        let srp = class_srp(env.network, env.topo, &ec);
+            link_orbits_with_distances(&topo.graph, base, &class.sigs, env.distances.clone());
+        let srp = class_srp(network, topo, &class.ec);
         SweepCtx {
             env,
-            ec,
-            base,
+            class,
             base_net,
-            sigs,
             orbits,
             srp,
             fixpoints: None,
@@ -750,56 +754,66 @@ pub(crate) fn endpoint_split(base: &Abstraction, scenario: &FailureScenario) -> 
     split
 }
 
-/// From a split to its partition: the class's base with `split` isolated,
-/// back at the Algorithm-1 fixpoint (the base itself for an empty split).
-/// With [`endpoint_split`] this is stage 1 of a derivation without its
-/// check — what a symmetric transfer, a snapshot replay and
-/// [`scenario_verdict`]'s own-refinement arm all start from.
-pub(crate) fn split_partition(
-    graph: &Graph,
-    ec: &EcDest,
-    sigs: &SigTable,
-    base: &Abstraction,
-    split: &[NodeId],
-) -> Abstraction {
-    if split.is_empty() {
-        base.clone()
-    } else {
-        refine_with_split(graph, ec, sigs, base, split)
+/// One destination class as every refinement of it is built against:
+/// the concrete graph (one `Arc` per sweep or session, shared by every
+/// class), the class, its signature table and its failure-free base
+/// abstraction. Built once per class by `ClassBase::hoist` (for
+/// `SweepCtx::hoist` and the session's plane hoist), and shared by `Arc`
+/// with each refinement of the class, which derives its partition from it.
+pub struct ClassBase {
+    /// The concrete graph.
+    pub graph: Arc<Graph>,
+    /// The class, as the SRP instance names it.
+    pub ec: EcDest,
+    /// The class's signature table
+    /// ([`bonsai_core::signatures::build_sig_table`]).
+    pub sigs: Arc<SigTable>,
+    /// The class's failure-free base abstraction.
+    pub base: Abstraction,
+}
+
+impl ClassBase {
+    /// Hoists class `ec` over `graph` (`topo`'s, owned once by the
+    /// caller): its signature table from the run's shared engine, and a
+    /// copy of its failure-free base.
+    pub(crate) fn hoist(
+        engine: &CompiledPolicies,
+        network: &NetworkConfig,
+        topo: &BuiltTopology,
+        graph: &Arc<Graph>,
+        ec: EcDest,
+        base: &Abstraction,
+    ) -> Arc<Self> {
+        let sigs = build_sig_table(engine, network, topo, &ec);
+        let (graph, base) = (Arc::clone(graph), base.clone());
+        Arc::new(ClassBase {
+            graph,
+            ec,
+            sigs,
+            base,
+        })
+    }
+
+    /// From a split to its partition: the class's base with `split`
+    /// isolated, back at the Algorithm-1 fixpoint (the base itself for an
+    /// empty split). Of the endpoint split, this is stage 1 of a
+    /// derivation without its check. Every refinement's partition is this
+    /// of its split, and so is [`scenario_verdict`]'s own-refinement arm.
+    pub fn split_partition(&self, split: &[NodeId]) -> Abstraction {
+        if split.is_empty() {
+            self.base.clone()
+        } else {
+            refine_with_split(&self.graph, &self.ec, &self.sigs, &self.base, split)
+        }
     }
 }
 
-/// The inputs of [`split_partition`] but the split, owned: what a
-/// witnessed transfer holds so that its first reader — with or without a
-/// class base at hand — can compute its partition. One per tallied class,
-/// shared by its witnessed refinements.
-pub(crate) struct PartitionInputs {
-    pub(crate) graph: Arc<Graph>,
-    pub(crate) ec: EcDest,
-    pub(crate) sigs: Arc<SigTable>,
-    pub(crate) base: Abstraction,
-}
-
-impl std::fmt::Debug for PartitionInputs {
+impl std::fmt::Debug for ClassBase {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PartitionInputs")
+        f.debug_struct("ClassBase")
             .field("class", &self.ec.prefix)
             .finish_non_exhaustive()
     }
-}
-
-/// What a scenario's own refinement is built against: one destination
-/// class, its hoisted signature table and its failure-free base
-/// abstraction.
-#[derive(Clone, Copy)]
-pub struct ClassBase<'a> {
-    /// The class, as the SRP instance names it.
-    pub ec: &'a EcDest,
-    /// The class's signature table
-    /// ([`bonsai_core::signatures::build_sig_table`]).
-    pub sigs: &'a SigTable,
-    /// The class's failure-free base abstraction.
-    pub abstraction: &'a Abstraction,
 }
 
 /// The per-node verdict of class `ec` under `scenario` — one flag per
@@ -836,7 +850,7 @@ pub fn scenario_verdict(
     network: &NetworkConfig,
     topo: &BuiltTopology,
     ec: &DestEc,
-    class: Option<ClassBase<'_>>,
+    class: Option<&ClassBase>,
     held: Option<&ScenarioRefinement>,
     scenario: &FailureScenario,
     stats: &mut QueryStats,
@@ -848,17 +862,15 @@ pub fn scenario_verdict(
     };
     let verdict = match (held, class) {
         (Some(held), _) if held.representative == *scenario => {
-            let materialized = held.materialized(network, topo, &ec.to_ec_dest());
+            let materialized = held.materialized(network, topo);
             let verdict = answer_on(held.abstraction(), materialized);
             stats.by_representative += usize::from(verdict.is_some());
             stats.cached_answers += usize::from(verdict.is_some());
             verdict
         }
         (Some(held), Some(class)) if held.stage1_only() => {
-            let (sigs, base) = (class.sigs, class.abstraction);
-            let split = endpoint_split(base, scenario);
-            let own = split_partition(&topo.graph, class.ec, sigs, base, &split);
-            let materialized = materialize(network, topo, class.ec, &own, scenario);
+            let own = class.split_partition(&endpoint_split(&class.base, scenario));
+            let materialized = materialize(network, topo, &class.ec, &own, scenario);
             stats.abstract_solves += 1;
             stats.solver_updates += materialized.canonical.as_ref().map_or(0, |c| c.1);
             let verdict = answer_on(&own, &materialized);
@@ -882,14 +894,18 @@ pub(crate) fn derive_scenario_refinement(
     ctx: &SweepCtx<'_>,
     signature: &OrbitSignature,
 ) -> Result<ScenarioRefinement, EquivalenceError> {
-    let env = ctx.env;
+    let (env, class) = (ctx.env, &ctx.class);
+    let refine = |split: &[NodeId]| {
+        let (ec, sigs, base) = (&class.ec, &class.sigs, &class.base);
+        refine_ec_with_split(env.network, env.topo, ec, sigs, base, split)
+    };
     let rep = SignatureInterner::new(&ctx.orbits).canonical_scenario(signature);
-    let mut split = endpoint_split(ctx.base, &rep);
+    let mut split = endpoint_split(&class.base, &rep);
 
     let (mut cur, mut cur_net) = if split.is_empty() {
-        (ctx.base.clone(), ctx.base_net.clone())
+        (class.base.clone(), ctx.base_net.clone())
     } else {
-        refine_ec_with_split(env.network, env.topo, &ctx.ec, &ctx.sigs, ctx.base, &split)
+        refine(&split)
     };
 
     let mut localized_refuted = false;
@@ -913,22 +929,21 @@ pub(crate) fn derive_scenario_refinement(
                 // build: keep it, and pay the canonical solve here, on the
                 // instance the check solved, as a derivation always has.
                 let canonical = candidate.canonical_solution();
-                let refinement = ScenarioRefinement::new(
+                let verified = Materialized {
+                    abstract_network: cur_net,
+                    canonical,
+                };
+                return Ok(ScenarioRefinement::new(
+                    Arc::clone(class),
                     signature.clone(),
                     rep,
                     split,
-                    cur,
+                    Known::Verified(cur, Box::new(verified)),
                     localized_refuted,
                     deviating_rounds,
                     global_fallback,
                     RefinementProvenance::Derived,
-                );
-                let filled = refinement.materialized.set(Materialized {
-                    abstract_network: cur_net,
-                    canonical,
-                });
-                debug_assert!(filled.is_ok(), "a new refinement's cell is empty");
-                return Ok(refinement);
+                ));
             }
             Err(r) => r,
         };
@@ -957,10 +972,7 @@ pub(crate) fn derive_scenario_refinement(
         split.extend(additions);
         split.sort();
         split.dedup();
-        let refined =
-            refine_ec_with_split(env.network, env.topo, &ctx.ec, &ctx.sigs, ctx.base, &split);
-        cur = refined.0;
-        cur_net = refined.1;
+        (cur, cur_net) = refine(&split);
     }
     Err(EquivalenceError::NoMatchingSolution {
         detail: format!(
@@ -1064,7 +1076,7 @@ pub(crate) fn check_scenario_refined(
     // the cold rotated orders.
     let transported: Option<Solution<RibAttr>> = ctx.base_abs_solution().and_then(|base_abs| {
         let initial =
-            transport_abstract_solution(ctx.base, ctx.base_net, abstraction, abs, base_abs);
+            transport_abstract_solution(&ctx.class.base, ctx.base_net, abstraction, abs, base_abs);
         solve_seeded_masked(abs_srp, initial, SolverOptions::default(), Some(abs_mask))
             .ok()
             .map(|(s, _)| s)
@@ -1380,7 +1392,7 @@ mod tests {
             );
             assert_eq!(cached.abstraction().copies, fresh.abstraction().copies);
             let network_of = |r: &ScenarioRefinement| {
-                let abs = r.materialized(&net, &topo, &ec_dest).abstract_network();
+                let abs = r.materialized(&net, &topo).abstract_network();
                 bonsai_config::print_network(&abs.network)
             };
             assert_eq!(network_of(cached), network_of(&fresh));

@@ -57,7 +57,6 @@ use bonsai::cli::{
 use bonsai::core::compress::{compress, compress_each, recompress_delta, CompressOptions};
 use bonsai::core::engine::CompiledPolicies;
 use bonsai::core::roles::{count_roles, RoleOptions};
-use bonsai::core::signatures::build_sig_table;
 use bonsai::core::snapshot::Json;
 use bonsai::daemon::{render_control, render_error, render_query, Client, Server, ServerOptions};
 use bonsai::verify::equivalence::check_cp_equivalence;
@@ -66,7 +65,7 @@ use bonsai::verify::netsweep::{
 };
 use bonsai::verify::query::QueryStats;
 use bonsai::verify::session::{QueryRequest, Session, SessionOptions};
-use bonsai::verify::sweep::{scenario_verdict, ClassBase, SweepOptions};
+use bonsai::verify::sweep::{scenario_verdict, ScenarioRefinement, SweepOptions};
 use bonsai_config::{parse_network, print_network, BuiltTopology, NetworkConfig};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -413,20 +412,14 @@ fn answer_query(
         if !comp.ec.origins.iter().any(|(n, _)| *n == dst_node) {
             continue;
         }
-        let ec_dest = comp.ec.to_ec_dest();
-        let sigs = build_sig_table(&report.policies, network, topo, &ec_dest);
-        let class = ClassBase {
-            ec: &ec_dest,
-            sigs: &sigs,
-            abstraction: &comp.abstraction,
-        };
         let mut delivered = 0usize;
         for outcome in &ec_sweep.report.outcomes {
             let held = ec_sweep.report.refinements.get(&outcome.signature);
             let (ec, scenario) = (&comp.ec, &outcome.scenario);
-            let reach =
-                scenario_verdict(network, topo, ec, Some(class), held, scenario, &mut stats)
-                    .map_err(|e| format!("query under {}: {e}", scenario.describe(&topo.graph)))?;
+            // The class handle is the one the held refinement refines.
+            let class = held.map(ScenarioRefinement::class);
+            let reach = scenario_verdict(network, topo, ec, class, held, scenario, &mut stats)
+                .map_err(|e| format!("query under {}: {e}", scenario.describe(&topo.graph)))?;
             if reach[src_node.index()] {
                 delivered += 1;
             }

@@ -11,14 +11,16 @@ fn closed_stdout_is_a_quiet_exit() {
         &["failures", "gen:fattree4", "--failures", "1", "--aggregate"][..],
         &["ecs", "gen:fattree4"][..],
     ] {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_bonsai"))
+        // The read end is closed before the child starts, so its first
+        // write meets a closed pipe however fast it gets there.
+        let (reader, writer) = std::io::pipe().expect("a pipe");
+        drop(reader);
+        let child = Command::new(env!("CARGO_BIN_EXE_bonsai"))
             .args(args)
-            .stdout(Stdio::piped())
+            .stdout(writer)
             .stderr(Stdio::piped())
             .spawn()
             .expect("bonsai starts");
-        // Close the read end before the child has anything to print.
-        drop(child.stdout.take());
         let output = child.wait_with_output().expect("bonsai exits");
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert_eq!(output.status.code(), Some(141), "{args:?}: {stderr}");

@@ -1,9 +1,16 @@
-//! A refinement is its partition: the abstract network and the canonical
-//! solution behind [`ScenarioRefinement::materialized`] are built by the
-//! first reader, not when the refinement is derived, transferred or
-//! replayed from a snapshot. This file pins that laziness to the eager
-//! behaviour it replaced:
+//! A refinement is its split: its partition is its class handle's
+//! `split_partition` of the split, and the abstract network and the
+//! canonical solution behind [`ScenarioRefinement::materialized`] are
+//! built by the first reader, not when the refinement is derived,
+//! transferred or replayed from a snapshot. This file pins that laziness
+//! to the eager behaviour it replaced:
 //!
+//! * every refinement of fattree-4, mesh-10 and the gadget at `k ≤ 2`, of
+//!   `gen:datacenter`'s classes `0..18` at `k = 1` and of the 15 sweepable
+//!   seeded networks — derived, transferred exactly, transferred
+//!   symmetrically (eagerly or through a class witness) and replayed from
+//!   a snapshot — is a fresh `split_partition` of its split over its
+//!   handle, block ids included, with that node count;
 //! * for every refinement of the gadget, fattree-4, fattree-6, mesh-10 and
 //!   48 random policy-carrying networks at `k ∈ {1, 2}` and 1 and 2
 //!   threads, `materialized()` equals what used to be stored at transfer
@@ -20,16 +27,17 @@ mod random_nets;
 
 use bonsai::core::abstraction::AbstractNetwork;
 use bonsai::core::algorithm::Abstraction;
-use bonsai::core::compress::{refine_ec_with_split, CompressionReport};
+use bonsai::core::compress::{refine_ec_with_split, CompressionReport, EcCompression};
 use bonsai::core::signatures::build_sig_table;
 use bonsai::prelude::*;
 use bonsai::srp::instance::{MultiProtocol, RibAttr};
 use bonsai::srp::solver::solve_masked;
 use bonsai::srp::{Solution, Srp};
 use bonsai::verify::failures::lift_failure_mask;
-use bonsai::verify::sweep::{Materialized, RefinementProvenance};
+use bonsai::verify::netsweep::sweep_network_subset;
+use bonsai::verify::sweep::{Materialized, RefinementProvenance, ScenarioRefinement};
 use bonsai_config::print_network;
-use bonsai_net::NodeId;
+use bonsai_net::{Graph, NodeId};
 use proptest::prelude::*;
 use std::sync::Barrier;
 
@@ -123,7 +131,7 @@ fn check_sweep(label: &str, net: &NetworkConfig, k: usize, threads: usize) -> Se
             );
             assert_eq!(r.abstraction().copies, abstraction.copies, "{what}");
 
-            let lazy = r.materialized(net, &topo, &ec);
+            let lazy = r.materialized(net, &topo);
             assert!(r.is_materialized());
             assert_same_network(lazy.abstract_network(), network, &what);
             let solution = canonical_solution(abstraction, network, &r.representative);
@@ -210,15 +218,162 @@ proptest! {
     }
 }
 
+/// Refinements checked by [`every_refinement_is_its_split_over_its_handle`],
+/// by the five ways a refinement comes to be.
+#[derive(Debug, Default)]
+struct Kinds {
+    derived: usize,
+    exact: usize,
+    eager_symmetric: usize,
+    witnessed: usize,
+    replayed: usize,
+}
+
+/// `r` is its split: its handle is class `comp`'s, a fresh
+/// `split_partition` of `r.split` over that handle is `r`'s partition —
+/// sets, block ids, copies — and `r.refined_nodes()` (read first, before
+/// anything else reads the partition) is that partition's node count.
+fn assert_is_its_split(what: &str, graph: &Graph, comp: &EcCompression, r: &ScenarioRefinement) {
+    let nodes = r.refined_nodes();
+    let class = r.class();
+    assert_eq!(class.ec, comp.ec.to_ec_dest(), "{what}: the handle's class");
+    let ids = |a: &Abstraction| graph.nodes().map(|n| a.role_of(n)).collect::<Vec<_>>();
+    assert_eq!(ids(&class.base), ids(&comp.abstraction), "{what}: base");
+    let fresh = class.split_partition(&r.split);
+    let held = r.abstraction();
+    assert_eq!(
+        held.partition.as_sets(),
+        fresh.partition.as_sets(),
+        "{what}"
+    );
+    assert_eq!(ids(held), ids(&fresh), "{what}: block ids");
+    assert_eq!(held.copies, fresh.copies, "{what}: copies");
+    assert_eq!(nodes, fresh.abstract_node_count(), "{what}: node count");
+}
+
+/// Every refinement of one sweep of `subset` (every class when `None`),
+/// counted by kind.
+fn check_split_sweep(
+    label: &str,
+    net: &NetworkConfig,
+    k: usize,
+    subset: Option<&[usize]>,
+) -> Option<Kinds> {
+    let topo = BuiltTopology::build(net).expect("topology builds");
+    let report = compress(net, CompressOptions::default());
+    let every: Vec<usize> = (0..report.per_ec.len()).collect();
+    let subset = subset.unwrap_or(&every);
+    let options = NetworkSweepOptions {
+        sweep: SweepOptions {
+            max_failures: k,
+            threads: 1,
+            ..Default::default()
+        },
+        collect_outcomes: false,
+        ..Default::default()
+    };
+    // The one unsweepable seeded network (`tests/answer_oracle.rs`).
+    let sweep = sweep_network_subset(net, &topo, &report, &options, subset).ok()?;
+    let mut kinds = Kinds::default();
+    for (&ci, class) in subset.iter().zip(&sweep.per_ec) {
+        for r in class.report.refinements.values() {
+            let what = format!("{label} k={k} class {ci} {:?}", r.representative);
+            assert_is_its_split(&what, &topo.graph, &report.per_ec[ci], r);
+            match r.provenance {
+                RefinementProvenance::Derived => kinds.derived += 1,
+                RefinementProvenance::TransferredExact => kinds.exact += 1,
+                RefinementProvenance::TransferredSymmetric if r.is_witnessed() => {
+                    kinds.witnessed += 1
+                }
+                RefinementProvenance::TransferredSymmetric => kinds.eager_symmetric += 1,
+            }
+        }
+    }
+    Some(kinds)
+}
+
+/// Every refinement of a session restored from a `k`-failure snapshot of
+/// `net`: each one replayed from its recorded split.
+fn check_replayed(label: &str, net: &NetworkConfig, k: usize) -> usize {
+    let options = SessionOptions {
+        max_failures: k,
+        threads: 1,
+        ..Default::default()
+    };
+    let session = Session::builder(net.clone()).options(options);
+    let snapshot = session.build().expect("session builds").snapshot_json();
+    let restored = Session::builder(net.clone())
+        .options(options)
+        .restore(&snapshot)
+        .expect("snapshot restores");
+    let topo = BuiltTopology::build(net).expect("topology builds");
+    let report = compress(net, CompressOptions::default());
+    let mut replayed = 0;
+    for (ci, r) in restored.refinements() {
+        let what = format!("{label} k={k} restored class {ci} {:?}", r.representative);
+        assert_is_its_split(&what, &topo.graph, &report.per_ec[ci], r);
+        replayed += 1;
+    }
+    replayed
+}
+
+#[test]
+fn every_refinement_is_its_split_over_its_handle() {
+    let mut total = Kinds::default();
+    let mut add = |kinds: Kinds| {
+        total.derived += kinds.derived;
+        total.exact += kinds.exact;
+        total.eager_symmetric += kinds.eager_symmetric;
+        total.witnessed += kinds.witnessed;
+    };
+    let small = [
+        ("gadget", bonsai::srp::papernets::figure2_gadget()),
+        ("fattree4", fattree(4, FattreePolicy::ShortestPath)),
+        ("mesh10", full_mesh(10)),
+    ];
+    for (label, net) in &small {
+        for k in [1, 2] {
+            add(check_split_sweep(label, net, k, None).expect("sweeps"));
+        }
+    }
+    let datacenter = bonsai::topo::datacenter(Default::default());
+    let first_group: Vec<usize> = (0..18).collect();
+    add(check_split_sweep("datacenter", &datacenter, 1, Some(&first_group)).expect("sweeps"));
+    let mut sweepable = 0;
+    for (i, net) in random_nets::seeded_networks().iter().enumerate() {
+        if let Some(kinds) = check_split_sweep(&format!("seeded {i}"), net, 2, None) {
+            sweepable += 1;
+            add(kinds);
+        }
+    }
+    assert_eq!(sweepable, 15);
+    for (label, net) in &small {
+        total.replayed += check_replayed(label, net, 2);
+    }
+    // All five kinds were checked.
+    let Kinds {
+        derived,
+        exact,
+        eager_symmetric,
+        witnessed,
+        replayed,
+    } = total;
+    assert!(
+        [derived, exact, eager_symmetric, witnessed, replayed]
+            .iter()
+            .all(|&n| n > 0),
+        "{total:?}"
+    );
+}
+
 /// Eight threads released together onto the first read of one transferred
 /// refinement: one of them builds, all of them see that one value.
 #[test]
 fn racing_first_readers_get_one_value() {
     let net = fattree(4, FattreePolicy::ShortestPath);
-    let (topo, report, sweep) = swept(&net, 2, 1);
+    let (topo, _, sweep) = swept(&net, 2, 1);
     let mut raced = 0usize;
-    for (comp, class) in report.per_ec.iter().zip(&sweep.per_ec) {
-        let ec = comp.ec.to_ec_dest();
+    for class in &sweep.per_ec {
         let transferred = class.report.refinements.values();
         for r in transferred.filter(|r| !r.is_materialized()).take(4) {
             let barrier = Barrier::new(8);
@@ -227,7 +382,7 @@ fn racing_first_readers_get_one_value() {
                     .map(|_| {
                         scope.spawn(|| {
                             barrier.wait();
-                            r.materialized(&net, &topo, &ec) as *const Materialized as usize
+                            r.materialized(&net, &topo) as *const Materialized as usize
                         })
                     })
                     .collect();
@@ -236,7 +391,7 @@ fn racing_first_readers_get_one_value() {
                     .map(|reader| reader.join().expect("reader finishes"))
                     .collect()
             });
-            let resident = r.materialized(&net, &topo, &ec);
+            let resident = r.materialized(&net, &topo);
             assert!(seen
                 .iter()
                 .all(|&p| std::ptr::eq(p as *const Materialized, resident)));

@@ -20,8 +20,8 @@ use bonsai::verify::properties::SolutionAnalysis;
 use bonsai::verify::query::{QueryCtx, QueryStats};
 use bonsai::verify::sim_engine::SimEngine;
 use bonsai::verify::sweep::{
-    derive_refinement, scenario_verdict, ClassBase, OutcomeStats, RefinementProvenance,
-    ScenarioRefinement, SweepOptions,
+    derive_refinement, scenario_verdict, OutcomeStats, RefinementProvenance, ScenarioRefinement,
+    SweepOptions,
 };
 use bonsai_config::{BuiltTopology, NetworkConfig};
 use bonsai_net::NodeId;
@@ -169,7 +169,7 @@ fn transfers_are_byte_identical_to_fresh_derivations() {
                     );
                     assert_eq!(cached.abstraction().copies, fresh.abstraction().copies);
                     let network_of = |r: &ScenarioRefinement| {
-                        let abs = r.materialized(net, &topo, &ec_dest).abstract_network();
+                        let abs = r.materialized(net, &topo).abstract_network();
                         bonsai_config::print_network(&abs.network)
                     };
                     assert_eq!(
@@ -889,8 +889,8 @@ struct WitnessCase {
 /// * σ⁻¹ of the donor's partition is that partition, as sets, with equal
 ///   per-set copies;
 /// * the node count is its node count;
-/// * the deferred partition, once read, is that partition block for block,
-///   block ids included.
+/// * the partition, derived from the split on first read, is that
+///   partition block for block, block ids included.
 ///
 /// Fattree-8 `k = 2` pins the counts: 1144 witnessed of 1364 symmetric
 /// transfers; the other 220 — σ⁻¹(R) is not the receiver's representative —
@@ -1120,7 +1120,7 @@ fn assert_witnessed(
 /// fattree) — same refinement bytes, and the audit actually ran, on every
 /// symmetric transfer: a visited class's, and a tallied class's whether it
 /// came through the class witness or not (the audit reads a witnessed
-/// transfer's deferred partition).
+/// transfer's partition, derived on that read).
 #[test]
 fn verified_transfers_agree_with_trusted_transfers() {
     let net = bonsai::topo::fattree(4, bonsai::topo::FattreePolicy::ShortestPath);
@@ -1185,13 +1185,6 @@ fn masked_sim_queries_agree_with_refined_abstract_networks() {
         let scenarios = ScenarioStream::new(&topo.graph, 1).to_vec();
         let mut stats = QueryStats::default();
         for (comp, ec_sweep) in report.per_ec.iter().zip(&sweep.per_ec) {
-            let ec_dest = comp.ec.to_ec_dest();
-            let sigs = build_sig_table(&report.policies, &net, &topo, &ec_dest);
-            let class = ClassBase {
-                ec: &ec_dest,
-                sigs: &sigs,
-                abstraction: &comp.abstraction,
-            };
             let sim_ec = engine
                 .ecs
                 .iter()
@@ -1213,9 +1206,9 @@ fn masked_sim_queries_agree_with_refined_abstract_networks() {
                 // Compressed path: the refined abstract network. Without
                 // a class base the engine has the held refinement only,
                 // and must still say the same.
-                let held = Some(refinement);
+                let (held, class) = (Some(refinement), Some(refinement.class()));
                 let abstract_reach =
-                    scenario_verdict(&net, &topo, sim_ec, Some(class), held, scenario, &mut stats)
+                    scenario_verdict(&net, &topo, sim_ec, class, held, scenario, &mut stats)
                         .unwrap();
                 let ctx = QueryCtx::refined(refinement, scenario.clone());
                 assert_eq!(engine.reachability(sim_ec, &ctx).unwrap(), abstract_reach);

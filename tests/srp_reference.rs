@@ -173,7 +173,7 @@ impl<'a> Interpreting<'a> {
         let mut consider = |cand: RibAttr| {
             if best
                 .as_ref()
-                .map_or(true, |b| self.compare(&cand, b) == Some(Ordering::Less))
+                .is_none_or(|b| self.compare(&cand, b) == Some(Ordering::Less))
             {
                 best = Some(cand);
             }

@@ -111,6 +111,25 @@ fn each_merged_kernel_is_defined_once() {
         let hits = lines_with(&tree, roots, needle);
         assert_eq!(hits.len(), 1, "`{needle}` exists once, found at {hits:?}");
     }
+    // A refinement is its split: one struct literal, inside the one
+    // constructor every producer calls with what it already has.
+    let mut literals = Vec::new();
+    for source in &tree {
+        for (at, line) in source.text.lines().enumerate() {
+            let named = line.contains("ScenarioRefinement {");
+            let declared = ["struct ", "impl ", "-> "]
+                .iter()
+                .any(|d| line.contains(&format!("{d}ScenarioRefinement {{")));
+            if named && !declared {
+                literals.push(format!("{}:{}", source.path, at + 1));
+            }
+        }
+    }
+    assert_eq!(
+        literals.len(),
+        1,
+        "`ScenarioRefinement` literals: {literals:?}"
+    );
 }
 
 #[test]
@@ -143,8 +162,11 @@ fn cut_paths_stay_cut() {
     let sweep = &["crates/verify/src/sweep.rs"];
     none(sweep, "pub abstract_network");
     none(sweep, "pub abstract_solution");
-    // Nor an eager partition field beside the deferred one.
+    // Nor an eager partition field, nor a second way to hold a partition:
+    // every refinement derives its own from its split and class handle.
     none(sweep, "pub abstraction: Abstraction");
+    none(EVERYWHERE, "PartitionInputs");
+    none(EVERYWHERE, "fn witnessed(");
     // The exhaustive representative search the walk replaced survives as
     // the walk's test oracle only.
     let oracle = lines_with(&tree, EVERYWHERE, "fn search_combinations(");
