@@ -234,6 +234,10 @@ pub const METRICS: &[MetricDef] = &[
         "sweep.refinements.materialized",
         "Refinements whose abstract network and canonical solution were built on first read",
     ),
+    counter(
+        "sweep.check.search_fallbacks",
+        "Concrete samples the candidate's canonical abstract solution did not match, so the order search ran",
+    ),
     // --- session: the resident query layer --------------------------------
     counter(
         "session.queries",

@@ -27,7 +27,7 @@ use bonsai_net::{FailureMask, NodeId};
 use bonsai_srp::instance::{EcDest, MultiProtocol, RibAttr};
 use bonsai_srp::solver::{solve_with_order, SolverOptions};
 use bonsai_srp::{Solution, Srp};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeSet, HashMap};
 
 /// Why CP-equivalence checking failed.
 #[derive(Clone, Debug)]
@@ -58,7 +58,7 @@ impl std::fmt::Display for EquivalenceError {
 
 /// The observable content of a label under the attribute abstraction `h`:
 /// everything except concrete node identities in the path.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub(crate) enum HLabel {
     /// No route.
     Bottom,
@@ -74,7 +74,7 @@ impl HLabel {
     /// Applies `h` to a label. `keep` restricts the observed communities
     /// to the modeled set (the unused-tag-stripping `h` of §8); `None`
     /// keeps them all.
-    fn of(label: Option<&RibAttr>, keep: Option<&BTreeSet<Community>>) -> HLabel {
+    pub(crate) fn of(label: Option<&RibAttr>, keep: Option<&BTreeSet<Community>>) -> HLabel {
         match label {
             None => HLabel::Bottom,
             Some(RibAttr::Static) => HLabel::Static,
@@ -99,6 +99,11 @@ impl HLabel {
 /// whole set makes the check independent of how ties were broken; this is
 /// the paper's *choice-equivalence*, Definition A.1, restricted to minimal
 /// elements) plus the set of blocks it forwards into.
+///
+/// A check compares behaviors as ids of its [`BehaviorTable`]; this value
+/// form is read back from the table only to render a [`BehaviorMismatch`]
+/// and to order behaviors where the order is observable (the deviating
+/// split's tie-break).
 pub(crate) type Behavior = (BTreeSet<HLabel>, BTreeSet<u32>);
 
 /// A structured behavior mismatch: which block failed the comparison, and
@@ -110,11 +115,287 @@ pub(crate) struct BehaviorMismatch {
     pub block: BlockId,
     /// Human-readable description of the disagreement.
     pub detail: String,
-    /// The abstract side's behavior set for the block (empty when the
-    /// abstract network lacks the block entirely). The sweep engine's
-    /// deviating-member split compares each concrete member against this
-    /// set to refine only the members the abstraction cannot mirror.
-    pub(crate) abs_behaviors: BTreeSet<Behavior>,
+    /// The abstract side's behavior set for the block, as sorted ids of the
+    /// check's [`BehaviorTable`] (empty when the abstract network lacks the
+    /// block entirely). The sweep engine's deviating-member split compares
+    /// each concrete member against this set to refine only the members the
+    /// abstraction cannot mirror.
+    pub(crate) abs_behaviors: Vec<u32>,
+}
+
+/// The behaviors of one check, interned: an `h`-label is an id, and a
+/// behavior — its sorted label ids and its sorted forwarding blocks — is an
+/// id, so a block's behavior set is a sorted id slice ([`BlockSets`]) and
+/// comparing two sets is comparing two slices. Ids mean nothing outside
+/// the table that issued them; one table lives as long as one check.
+#[derive(Default)]
+pub(crate) struct BehaviorTable {
+    label_ids: HashMap<HLabel, u32>,
+    labels: Vec<HLabel>,
+    behavior_ids: HashMap<Vec<u32>, u32>,
+    /// Per behavior id, its key: the label count, the label ids, then the
+    /// forwarding blocks.
+    behaviors: Vec<Vec<u32>>,
+    // Scratch buffers, reused by every lookup.
+    comms: Vec<Community>,
+    ids: Vec<u32>,
+    blocks: Vec<u32>,
+    key: Vec<u32>,
+}
+
+impl BehaviorTable {
+    /// The id of `h(attr)`: the observed communities are collected into a
+    /// reused buffer, so a label seen before costs no allocation.
+    fn label_id(&mut self, attr: &RibAttr, keep: Option<&BTreeSet<Community>>) -> u32 {
+        let label = match attr {
+            RibAttr::Bgp(a) => {
+                let mut comms = std::mem::take(&mut self.comms);
+                comms.clear();
+                let kept = a
+                    .comms
+                    .iter()
+                    .filter(|c| keep.is_none_or(|k| k.contains(c)));
+                comms.extend(kept);
+                HLabel::Bgp(a.lp, comms, a.path.len(), a.med, a.from_ibgp)
+            }
+            other => HLabel::of(Some(other), keep),
+        };
+        let id = match self.label_ids.get(&label) {
+            Some(&id) => id,
+            None => {
+                let id = self.labels.len() as u32;
+                self.label_ids.insert(label.clone(), id);
+                self.labels.push(label.clone());
+                id
+            }
+        };
+        if let HLabel::Bgp(_, comms, ..) = label {
+            self.comms = comms;
+        }
+        id
+    }
+
+    /// The behavior id of node `u` under `solution`: `srp` and `mask` are
+    /// the instance and mask it was solved under, `block_of` names the
+    /// block a forwarding target stands for.
+    ///
+    /// The ≈-minimal choices are read off the validated forwarding:
+    /// `solution.fwd(u)` is exactly the edges of `u`'s ≈-minimal surviving
+    /// choices — the solver built it from that choice set under this
+    /// instance and `mask` — so only those offers are evaluated. Origins
+    /// contribute their pinned label, unrouted nodes none. Debug builds
+    /// check the labels against the whole choice set.
+    fn behavior_id<P: bonsai_srp::Protocol<Attr = RibAttr>>(
+        &mut self,
+        srp: &Srp<'_, P>,
+        solution: &Solution<RibAttr>,
+        u: NodeId,
+        keep: Option<&BTreeSet<Community>>,
+        mask: Option<&FailureMask>,
+        block_of: impl Fn(NodeId) -> u32,
+    ) -> u32 {
+        self.ids.clear();
+        self.blocks.clear();
+        if let Some(label) = solution.label(u) {
+            if srp.is_origin(u) {
+                let id = self.label_id(label, keep);
+                self.ids.push(id);
+            } else {
+                for &e in solution.fwd(u) {
+                    let v = srp.graph.target(e);
+                    let offer = srp
+                        .protocol
+                        .transfer(e, solution.labels[v.index()].as_ref())
+                        .expect("a forwarding edge carries an offer");
+                    let id = self.label_id(&offer, keep);
+                    self.ids.push(id);
+                }
+                debug_assert_eq!(
+                    self.ids
+                        .iter()
+                        .map(|&id| self.labels[id as usize].clone())
+                        .collect::<BTreeSet<HLabel>>(),
+                    srp.choices_masked(&solution.labels, u, mask)
+                        .iter()
+                        .filter(|(_, a)| srp.equally_good(a, label))
+                        .map(|(_, a)| HLabel::of(Some(a), keep))
+                        .collect::<BTreeSet<HLabel>>(),
+                    "the forwarding of {u:?} is its ≈-minimal choice set"
+                );
+            }
+        }
+        self.blocks.extend(
+            solution
+                .fwd(u)
+                .iter()
+                .map(|&e| block_of(srp.graph.target(e))),
+        );
+        for set in [&mut self.ids, &mut self.blocks] {
+            set.sort_unstable();
+            set.dedup();
+        }
+        self.key.clear();
+        self.key.push(self.ids.len() as u32);
+        self.key.extend_from_slice(&self.ids);
+        self.key.extend_from_slice(&self.blocks);
+        if let Some(&id) = self.behavior_ids.get(self.key.as_slice()) {
+            return id;
+        }
+        let id = self.behaviors.len() as u32;
+        self.behavior_ids.insert(self.key.clone(), id);
+        self.behaviors.push(self.key.clone());
+        id
+    }
+
+    /// The behavior an id stands for.
+    pub(crate) fn behavior(&self, id: u32) -> Behavior {
+        let key = &self.behaviors[id as usize];
+        let (labels, blocks) = key[1..].split_at(key[0] as usize);
+        let labels = labels.iter().map(|&l| self.labels[l as usize].clone());
+        (labels.collect(), blocks.iter().copied().collect())
+    }
+
+    /// The behavior of every concrete node under a solution, in node order:
+    /// the per-node raw material of the per-block sets
+    /// ([`BlockSets::of_nodes`]), kept so the sweep engine can split exactly
+    /// the members whose behavior the abstract side cannot realize. `srp`
+    /// and `mask` are the instance and mask the solution was solved under.
+    pub(crate) fn concrete<P: bonsai_srp::Protocol<Attr = RibAttr>>(
+        &mut self,
+        srp: &Srp<'_, P>,
+        topo: &BuiltTopology,
+        solution: &Solution<RibAttr>,
+        abstraction: &Abstraction,
+        keep: Option<&BTreeSet<Community>>,
+        mask: Option<&FailureMask>,
+    ) -> Vec<u32> {
+        let block_of = |v| abstraction.role_of(v).0;
+        (topo.graph.nodes())
+            .map(|u| self.behavior_id(srp, solution, u, keep, mask, block_of))
+            .collect()
+    }
+
+    /// The per-block behavior sets of an abstract network under a
+    /// solution; `srp` and `mask` are the instance of `abs` and the mask
+    /// the solution was solved under.
+    pub(crate) fn abstract_sets(
+        &mut self,
+        abs: &AbstractNetwork,
+        srp: &Srp<'_, MultiProtocol<'_>>,
+        solution: &Solution<RibAttr>,
+        keep: Option<&BTreeSet<Community>>,
+        mask: Option<&FailureMask>,
+    ) -> BlockSets {
+        let block_of = |v: NodeId| abs.copy_of_node[v.index()].0 .0;
+        let pairs = (abs.topo.graph.nodes())
+            .map(|n| {
+                let behavior = self.behavior_id(srp, solution, n, keep, mask, block_of);
+                (block_of(n), behavior)
+            })
+            .collect();
+        BlockSets::new(pairs)
+    }
+
+    /// The mismatch at `block`, the first block [`BlockSets::first_mismatch`]
+    /// names: either the abstract side lacks it, or the first concrete
+    /// behavior (in behavior order) no copy realizes, else the first copy
+    /// behavior no concrete member has (onto-ness of `f_r`, adjusted as in
+    /// Theorem 4.5: spare copies may duplicate an existing behavior).
+    pub(crate) fn mismatch(
+        &self,
+        block: BlockId,
+        concrete: &BlockSets,
+        abstract_sets: &BlockSets,
+    ) -> BehaviorMismatch {
+        let abs_behaviors = abstract_sets.block(block).to_vec();
+        if abs_behaviors.is_empty() {
+            return BehaviorMismatch {
+                block,
+                detail: format!("abstract network lacks block {block:?}"),
+                abs_behaviors,
+            };
+        }
+        let set = |ids: &[u32]| -> BTreeSet<Behavior> {
+            ids.iter().map(|&id| self.behavior(id)).collect()
+        };
+        let (cset, aset) = (set(concrete.block(block)), set(&abs_behaviors));
+        let detail = match cset.iter().find(|b| !aset.contains(b)) {
+            Some(b) => format!(
+                "block {block:?}: concrete behavior {b:?} not realized by any copy \
+                 (abstract behaviors: {aset:?})"
+            ),
+            None => {
+                let b = aset.iter().find(|b| !cset.contains(b));
+                let b = b.expect("the mismatched sets differ");
+                format!(
+                    "block {block:?}: abstract copy behavior {b:?} has no concrete witness \
+                     (concrete behaviors: {cset:?})"
+                )
+            }
+        };
+        BehaviorMismatch {
+            block,
+            detail,
+            abs_behaviors,
+        }
+    }
+}
+
+/// The per-block behavior sets of one solution, as ids of one
+/// [`BehaviorTable`]: block `b`'s set is `ids[start[b]..start[b + 1]]`,
+/// sorted and deduplicated, and empty for a block no node stands in.
+#[derive(Clone, Debug)]
+pub(crate) struct BlockSets {
+    start: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+impl BlockSets {
+    /// From `(block, behavior)` pairs, in any order and with repeats.
+    fn new(mut pairs: Vec<(u32, u32)>) -> Self {
+        pairs.sort_unstable();
+        pairs.dedup();
+        let blocks = pairs.last().map_or(0, |&(b, _)| b as usize + 1);
+        let mut start = vec![0u32; blocks + 1];
+        for &(b, _) in &pairs {
+            start[b as usize + 1] += 1;
+        }
+        for b in 0..blocks {
+            start[b + 1] += start[b];
+        }
+        let ids = pairs.into_iter().map(|(_, id)| id).collect();
+        BlockSets { start, ids }
+    }
+
+    /// The concrete side's sets: each node's behavior ([`BehaviorTable::concrete`])
+    /// in its block.
+    pub(crate) fn of_nodes(node_behaviors: &[u32], abstraction: &Abstraction) -> Self {
+        let block = |u: usize| abstraction.role_of(NodeId(u as u32)).0;
+        let pairs = node_behaviors.iter().enumerate();
+        BlockSets::new(pairs.map(|(u, &id)| (block(u), id)).collect())
+    }
+
+    fn block(&self, block: BlockId) -> &[u32] {
+        match self.start.get(block.index()..block.index() + 2) {
+            Some(&[from, to]) => &self.ids[from as usize..to as usize],
+            _ => &[],
+        }
+    }
+
+    /// CP-equivalence of one solution pair: concrete block behaviors
+    /// (`self`) must coincide with the copies' behaviors — every concrete
+    /// behavior realized by a copy (label- and fwd-equivalence for some
+    /// refinement `f_r`), and no copy exhibiting a behavior no concrete
+    /// member has. `None` when they do, else the first block, in block
+    /// order, where they do not ([`BehaviorTable::mismatch`] renders it).
+    pub(crate) fn first_mismatch(&self, abstract_sets: &BlockSets) -> Option<BlockId> {
+        (0..self.start.len() - 1)
+            .map(|b| BlockId(b as u32))
+            .find(|&b| {
+                let concrete = self.block(b);
+                !concrete.is_empty() && concrete != abstract_sets.block(b)
+            })
+    }
 }
 
 /// The shared activation-order scheme of every solution sampler in this
@@ -131,115 +412,6 @@ pub(crate) fn rotated_order(nodes: &[NodeId], rot: usize) -> Vec<NodeId> {
         order.reverse();
     }
     order
-}
-
-/// The ≈-minimal choice set of a node under a solution, as `h`-labels.
-/// Origins contribute their pinned label; unrouted nodes the empty set.
-///
-/// Read off the validated forwarding: `solution.fwd(u)` is exactly the
-/// edges of `u`'s ≈-minimal surviving choices — the solver built it from
-/// that choice set under this instance and `mask` — so only those offers
-/// are evaluated. Debug builds check the result against the whole choice
-/// set.
-fn minimal_hlabels<P: bonsai_srp::Protocol<Attr = RibAttr>>(
-    srp: &Srp<'_, P>,
-    solution: &Solution<RibAttr>,
-    u: NodeId,
-    keep: Option<&BTreeSet<Community>>,
-    mask: Option<&FailureMask>,
-) -> BTreeSet<HLabel> {
-    let Some(label) = solution.label(u) else {
-        return BTreeSet::new();
-    };
-    if srp.is_origin(u) {
-        return BTreeSet::from([HLabel::of(Some(label), keep)]);
-    }
-    let offer = |e| {
-        let v = srp.graph.target(e);
-        srp.protocol
-            .transfer(e, solution.labels[v.index()].as_ref())
-            .expect("a forwarding edge carries an offer")
-    };
-    let out: BTreeSet<HLabel> = solution
-        .fwd(u)
-        .iter()
-        .map(|&e| HLabel::of(Some(&offer(e)), keep))
-        .collect();
-    debug_assert_eq!(
-        out,
-        srp.choices_masked(&solution.labels, u, mask)
-            .iter()
-            .filter(|(_, a)| srp.equally_good(a, label))
-            .map(|(_, a)| HLabel::of(Some(a), keep))
-            .collect::<BTreeSet<HLabel>>(),
-        "the forwarding of {u:?} is its ≈-minimal choice set"
-    );
-    out
-}
-
-/// The behavior of every concrete node under a solution, in node order:
-/// the per-node raw material of the per-block behavior sets, kept
-/// unaggregated so the sweep engine can split exactly the members whose
-/// behavior the abstract side cannot realize. `srp` and `mask` are the
-/// instance and mask the solution was solved under.
-pub(crate) fn concrete_node_behaviors<P: bonsai_srp::Protocol<Attr = RibAttr>>(
-    srp: &Srp<'_, P>,
-    topo: &BuiltTopology,
-    solution: &Solution<RibAttr>,
-    abstraction: &Abstraction,
-    keep: Option<&BTreeSet<Community>>,
-    mask: Option<&FailureMask>,
-) -> Vec<(NodeId, Behavior)> {
-    topo.graph
-        .nodes()
-        .map(|u| {
-            let labels = minimal_hlabels(srp, solution, u, keep, mask);
-            let fwd_blocks: BTreeSet<u32> = solution
-                .fwd(u)
-                .iter()
-                .map(|&e| abstraction.role_of(topo.graph.target(e)).0)
-                .collect();
-            (u, (labels, fwd_blocks))
-        })
-        .collect()
-}
-
-/// Aggregates per-node behaviors into per-block behavior sets.
-pub(crate) fn aggregate_behaviors(
-    node_behaviors: &[(NodeId, Behavior)],
-    abstraction: &Abstraction,
-) -> BTreeMap<BlockId, BTreeSet<Behavior>> {
-    let mut map: BTreeMap<BlockId, BTreeSet<Behavior>> = BTreeMap::new();
-    for (u, behavior) in node_behaviors {
-        map.entry(abstraction.role_of(*u))
-            .or_default()
-            .insert(behavior.clone());
-    }
-    map
-}
-
-/// The per-block behavior sets of an abstract network under a solution;
-/// `srp` and `mask` are the instance of `abs` and the mask the solution
-/// was solved under.
-pub(crate) fn abstract_behaviors(
-    abs: &AbstractNetwork,
-    srp: &Srp<'_, MultiProtocol<'_>>,
-    solution: &Solution<RibAttr>,
-    keep: Option<&BTreeSet<Community>>,
-    mask: Option<&FailureMask>,
-) -> BTreeMap<BlockId, BTreeSet<Behavior>> {
-    let mut map: BTreeMap<BlockId, BTreeSet<Behavior>> = BTreeMap::new();
-    for n in abs.topo.graph.nodes() {
-        let (block, _copy) = abs.copy_of_node[n.index()];
-        let labels = minimal_hlabels(srp, solution, n, keep, mask);
-        let fwd_blocks: BTreeSet<u32> = solution
-            .fwd(n)
-            .iter()
-            .map(|&e| abs.copy_of_node[abs.topo.graph.target(e).index()].0 .0)
-            .collect();
-        map.entry(block).or_default().insert((labels, fwd_blocks));
-    }
-    map
 }
 
 /// Whether an abstract solution's labeling is new to `tried`, recording it:
@@ -271,103 +443,24 @@ pub(crate) fn class_srp<'n>(
     )
 }
 
-/// Checks CP-equivalence of a concrete solution against the abstract
-/// network, trying up to `orders` abstract activation orders.
-///
-/// Returns `Ok(())` when some abstract solution is label- and
-/// fwd-equivalent to the given concrete solution (modulo `h` and the
-/// copy assignment). `srp` and `abs_srp` are the concrete and abstract
-/// instances, built once by the caller for every order.
-#[allow(clippy::too_many_arguments)]
-fn check_solution_equivalence(
-    srp: &Srp<'_, MultiProtocol<'_>>,
-    topo: &BuiltTopology,
-    concrete_solution: &Solution<RibAttr>,
-    abstraction: &Abstraction,
-    abs: &AbstractNetwork,
-    abs_srp: &Srp<'_, MultiProtocol<'_>>,
-    orders: usize,
-    keep: Option<&BTreeSet<Community>>,
-) -> Result<(), EquivalenceError> {
-    let concrete = aggregate_behaviors(
-        &concrete_node_behaviors(srp, topo, concrete_solution, abstraction, keep, None),
-        abstraction,
-    );
-
-    let nodes: Vec<NodeId> = abs.topo.graph.nodes().collect();
-    let mut last_detail = String::new();
-    let mut tried = Vec::new();
-
-    for rot in 0..orders.max(1) {
-        let order = rotated_order(&nodes, rot);
-        let abs_solution = match solve_with_order(abs_srp, &order, SolverOptions::default()) {
-            Ok(s) => s,
-            Err(e) => return Err(EquivalenceError::AbstractDiverged(e.to_string())),
-        };
-        if !first_sighting(&mut tried, &abs_solution) {
-            continue;
-        }
-
-        let abstract_b = abstract_behaviors(abs, abs_srp, &abs_solution, keep, None);
-        match behaviors_match(&concrete, &abstract_b) {
-            Ok(()) => return Ok(()),
-            Err(mismatch) => last_detail = mismatch.detail,
-        }
-    }
-    Err(EquivalenceError::NoMatchingSolution {
-        detail: last_detail,
-    })
-}
-
-/// Concrete block behaviors must coincide with the copies' behaviors:
-/// every concrete behavior is realized by a copy (label- and
-/// fwd-equivalence for some refinement `f_r`), and no copy exhibits a
-/// behavior no concrete member has (onto-ness of `f_r`, adjusted as in
-/// Theorem 4.5: spare copies may duplicate an existing behavior).
-pub(crate) fn behaviors_match(
-    concrete: &BTreeMap<BlockId, BTreeSet<Behavior>>,
-    abstract_b: &BTreeMap<BlockId, BTreeSet<Behavior>>,
-) -> Result<(), BehaviorMismatch> {
-    for (block, cset) in concrete {
-        let Some(aset) = abstract_b.get(block) else {
-            return Err(BehaviorMismatch {
-                block: *block,
-                detail: format!("abstract network lacks block {block:?}"),
-                abs_behaviors: BTreeSet::new(),
-            });
-        };
-        for b in cset {
-            if !aset.contains(b) {
-                return Err(BehaviorMismatch {
-                    block: *block,
-                    detail: format!(
-                        "block {block:?}: concrete behavior {b:?} not realized by any copy \
-                         (abstract behaviors: {aset:?})"
-                    ),
-                    abs_behaviors: aset.clone(),
-                });
-            }
-        }
-        for b in aset {
-            if !cset.contains(b) {
-                return Err(BehaviorMismatch {
-                    block: *block,
-                    detail: format!(
-                        "block {block:?}: abstract copy behavior {b:?} has no concrete witness \
-                         (concrete behaviors: {cset:?})"
-                    ),
-                    abs_behaviors: aset.clone(),
-                });
-            }
-        }
-    }
-    Ok(())
+/// One abstract activation order of [`check_cp_equivalence`], solved once
+/// per class: no abstract solution depends on the concrete sample.
+enum Rotation {
+    /// The solve diverged.
+    Diverged(String),
+    /// The labeling of an earlier rotation again.
+    Repeat,
+    /// A new solution's per-block behavior sets.
+    Sets(BlockSets),
 }
 
 /// End-to-end CP-equivalence check for one destination class: solves the
 /// concrete network under `concrete_orders` different activation orders
 /// and requires every resulting solution to have a matching abstract
-/// solution.
+/// solution among up to `abstract_orders` abstract activation orders —
+/// some abstract solution label- and fwd-equivalent to it (modulo `h` and
+/// the copy assignment). Identical concrete samples are checked once, and
+/// each abstract order is solved once for every sample.
 ///
 /// The attribute abstraction `h` is taken **from `engine`** — the
 /// compression run's shared policy-compilation engine
@@ -391,23 +484,48 @@ pub fn check_cp_equivalence(
     let keep: Option<BTreeSet<Community>> = engine
         .filter(|e| e.strips_unused_communities())
         .map(|e| e.communities().iter().copied().collect());
+    let keep = keep.as_ref();
     let srp = class_srp(network, topo, ec);
     let abs_srp = class_srp(&abs.network, &abs.topo, &abs.ec);
     let nodes: Vec<NodeId> = topo.graph.nodes().collect();
-    for rot in 0..concrete_orders.max(1) {
+    let abs_nodes: Vec<NodeId> = abs.topo.graph.nodes().collect();
+    let mut behaviors = BehaviorTable::default();
+    let mut samples: Vec<Solution<RibAttr>> = Vec::new();
+    let mut rotations: Vec<Rotation> = Vec::new();
+    let mut tried = Vec::new();
+    'samples: for rot in 0..concrete_orders.max(1) {
         let order = rotated_order(&nodes, rot);
         let solution = solve_with_order(&srp, &order, SolverOptions::default())
             .map_err(|e| EquivalenceError::ConcreteDiverged(e.to_string()))?;
-        check_solution_equivalence(
-            &srp,
-            topo,
-            &solution,
-            abstraction,
-            abs,
-            &abs_srp,
-            abstract_orders,
-            keep.as_ref(),
-        )?;
+        if samples.contains(&solution) {
+            continue;
+        }
+        let node_behaviors = behaviors.concrete(&srp, topo, &solution, abstraction, keep, None);
+        let concrete = BlockSets::of_nodes(&node_behaviors, abstraction);
+        samples.push(solution);
+        let mut last_detail = String::new();
+        for arot in 0..abstract_orders.max(1) {
+            if arot == rotations.len() {
+                let order = rotated_order(&abs_nodes, arot);
+                let rotation = match solve_with_order(&abs_srp, &order, SolverOptions::default()) {
+                    Err(e) => Rotation::Diverged(e.to_string()),
+                    Ok(s) if !first_sighting(&mut tried, &s) => Rotation::Repeat,
+                    Ok(s) => Rotation::Sets(behaviors.abstract_sets(abs, &abs_srp, &s, keep, None)),
+                };
+                rotations.push(rotation);
+            }
+            match &rotations[arot] {
+                Rotation::Diverged(e) => return Err(EquivalenceError::AbstractDiverged(e.clone())),
+                Rotation::Repeat => {}
+                Rotation::Sets(sets) => match concrete.first_mismatch(sets) {
+                    None => continue 'samples,
+                    Some(block) => last_detail = behaviors.mismatch(block, &concrete, sets).detail,
+                },
+            }
+        }
+        return Err(EquivalenceError::NoMatchingSolution {
+            detail: last_detail,
+        });
     }
     Ok(())
 }

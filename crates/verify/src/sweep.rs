@@ -23,12 +23,15 @@
 //!    (endpoints still sharing a block, else the whole offending block)
 //!    applies. Every step strictly refines, so the loop is bounded by the
 //!    node count, where abstract = concrete and every scenario passes.
-//! 4. **Warm-started solves** — the concrete check repairs the class's
-//!    failure-free fixpoint ([`bonsai_srp::solve_warm_masked`]) and the
-//!    first abstract attempt transports the base abstract fixpoint through
-//!    the partition-refinement map ([`transport_abstract_solution`]);
-//!    cold rotated orders follow on divergence or mismatch, so
-//!    warm-starting is a pure optimization.
+//! 4. **One abstract solve per accepted candidate** — the concrete check
+//!    repairs the class's failure-free fixpoint
+//!    ([`bonsai_srp::solve_warm_masked`]), and each concrete sample is
+//!    compared first with the candidate's canonical abstract solution, the
+//!    one the derivation keeps. Only a sample it does not match searches:
+//!    the base abstract fixpoint transported through the
+//!    partition-refinement map ([`transport_abstract_solution`]), then the
+//!    cold rotated orders. The canonical solution is among the solutions
+//!    the search tries, so trying it first is a pure optimization.
 //!
 //! Everything a check needs is hoisted **once per class** into a
 //! `SweepCtx` (signature table, link orbits, the concrete SRP instance,
@@ -61,8 +64,8 @@
 //! apart; see the [`bonsai_core::scenarios`] module docs).
 
 use crate::equivalence::{
-    abstract_behaviors, aggregate_behaviors, behaviors_match, class_srp, concrete_node_behaviors,
-    first_sighting, rotated_order, Behavior, BehaviorMismatch, EquivalenceError,
+    class_srp, first_sighting, rotated_order, BehaviorMismatch, BehaviorTable, BlockSets,
+    EquivalenceError,
 };
 use crate::failures::lift_failure_mask;
 use crate::query::QueryStats;
@@ -85,6 +88,8 @@ use bonsai_srp::solver::{
     SolveError, SolverOptions,
 };
 use bonsai_srp::{Solution, Srp};
+use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, OnceLock};
 
@@ -668,19 +673,21 @@ pub(crate) fn canonical_abstract_solution(
     abs: &AbstractNetwork,
     representative: &FailureScenario,
 ) -> Option<(Solution<RibAttr>, usize)> {
-    Candidate::new(abstraction, abs, representative).canonical_solution()
+    Candidate::new(abstraction, abs, representative).into_canonical()
 }
 
 /// One candidate refinement under one scenario, as its abstract side is
 /// solved: the abstract network's SRP instance and the scenario's failure
 /// mask lifted onto it, built once and shared by every abstract solve and
-/// behavior read of a check and by the canonical solve of the derivation
-/// it verifies.
+/// behavior read of a check, and its canonical solution, solved once — the
+/// first abstract solution a check compares, rotation 0 of its search, and
+/// what the derivation it verifies keeps.
 pub(crate) struct Candidate<'n> {
     abstraction: &'n Abstraction,
     abs: &'n AbstractNetwork,
     srp: Srp<'n, MultiProtocol<'n>>,
     mask: FailureMask,
+    canonical: OnceCell<Option<(Solution<RibAttr>, usize)>>,
 }
 
 impl<'n> Candidate<'n> {
@@ -694,17 +701,27 @@ impl<'n> Candidate<'n> {
             abs,
             srp: class_srp(&abs.network, &abs.topo, &abs.ec),
             mask: lift_failure_mask(scenario, abstraction, abs),
+            canonical: OnceCell::new(),
         }
     }
 
-    /// The natural-order masked solve ([`canonical_abstract_solution`]).
-    fn canonical_solution(&self) -> Option<(Solution<RibAttr>, usize)> {
-        let order: Vec<NodeId> = self.abs.topo.graph.nodes().collect();
-        let solved =
-            solve_with_order_masked_stats(&self.srp, &order, Default::default(), Some(&self.mask));
-        solved
-            .ok()
-            .map(|(solution, stats)| (solution, stats.updates))
+    /// The natural-order masked solve ([`canonical_abstract_solution`]),
+    /// solved on first read.
+    fn canonical(&self) -> Option<&(Solution<RibAttr>, usize)> {
+        let solve = || {
+            let order: Vec<NodeId> = self.abs.topo.graph.nodes().collect();
+            let options = SolverOptions::default();
+            solve_with_order_masked_stats(&self.srp, &order, options, Some(&self.mask))
+                .ok()
+                .map(|(solution, stats)| (solution, stats.updates))
+        };
+        self.canonical.get_or_init(solve).as_ref()
+    }
+
+    /// The canonical solution, owned.
+    fn into_canonical(self) -> Option<(Solution<RibAttr>, usize)> {
+        self.canonical();
+        self.canonical.into_inner().flatten()
     }
 }
 
@@ -926,12 +943,11 @@ pub(crate) fn derive_scenario_refinement(
         let refutation = match check_scenario_refined(ctx, &rep, &solutions, &candidate)? {
             Ok(()) => {
                 // The network just verified is the one `materialize` would
-                // build: keep it, and pay the canonical solve here, on the
-                // instance the check solved, as a derivation always has.
-                let canonical = candidate.canonical_solution();
+                // build: keep it, with the canonical solution the check
+                // compared first.
                 let verified = Materialized {
+                    canonical: candidate.into_canonical(),
                     abstract_network: cur_net,
-                    canonical,
                 };
                 return Ok(ScenarioRefinement::new(
                     Arc::clone(class),
@@ -984,11 +1000,14 @@ pub(crate) fn derive_scenario_refinement(
 
 /// Why a representative was refuted under a candidate refinement: the
 /// closest mismatch plus the per-node concrete behaviors of the failing
-/// attempt (the raw material of the deviating-member split).
+/// attempt (the raw material of the deviating-member split), as ids of the
+/// check's behavior table, which comes along.
 pub(crate) struct Refutation {
     /// `None` when the abstract instance diverged on every order.
     pub(crate) mismatch: Option<BehaviorMismatch>,
-    node_behaviors: Vec<(NodeId, Behavior)>,
+    /// Each concrete node's behavior id, in node order.
+    node_behaviors: Vec<u32>,
+    behaviors: BehaviorTable,
 }
 
 impl Refutation {
@@ -1050,6 +1069,17 @@ pub(crate) fn sample_concrete_solutions(
 /// they do not depend on the candidate abstraction, so escalation rounds
 /// reuse them.
 ///
+/// Each sample is compared with the candidate's canonical solution first.
+/// Only a sample it does not match runs the search
+/// (`sweep.check.search_fallbacks`): the base abstract fixpoint
+/// transported onto the candidate and solved once per check when the
+/// context carries it, then `abstract_orders` rotated cold orders (rotation
+/// 0 *is* the canonical solve, taken from the candidate), skipping a
+/// labeling the sample was already compared with. The canonical solution
+/// is one the search tries, and a refutation comes from the search alone,
+/// so the verdict and the mismatch are the search's. Behaviors are interned
+/// in one [`BehaviorTable`] per check.
+///
 /// `Err(EquivalenceError)` is reserved for unauditable situations; the
 /// inner `Result` carries the verdict.
 pub(crate) fn check_scenario_refined(
@@ -1059,91 +1089,95 @@ pub(crate) fn check_scenario_refined(
     candidate: &Candidate<'_>,
 ) -> Result<Result<(), Refutation>, EquivalenceError> {
     let env = ctx.env;
+    let keep = env.keep.as_ref();
     let mask = scenario.mask(&env.topo.graph);
     let Candidate {
         abstraction,
         abs,
         srp: abs_srp,
         mask: abs_mask,
+        ..
     } = candidate;
-    let abs_nodes: Vec<NodeId> = abs.topo.graph.nodes().collect();
+    let mut behaviors = BehaviorTable::default();
+    let abs_sets = |behaviors: &mut BehaviorTable, solution: &Solution<RibAttr>| {
+        behaviors.abstract_sets(abs, abs_srp, solution, keep, Some(abs_mask))
+    };
+    let canonical = candidate
+        .canonical()
+        .map(|(solution, _)| (solution, abs_sets(&mut behaviors, solution)));
+    // The search's attempt 0, when the context carries the base abstract
+    // fixpoint: that fixpoint transported through the partition-refinement
+    // map, often the matching solution in a handful of label updates.
+    // Independent of the concrete solution, so solved once, by the first
+    // sample that needs it.
+    let mut transported: Option<Option<(Solution<RibAttr>, BlockSets)>> = None;
 
-    // Attempt 0 for every concrete solution, when the context carries the
-    // base abstract fixpoint: that fixpoint transported through the
-    // partition-refinement map — usually already the matching solution,
-    // found in a handful of label updates. Independent of the concrete
-    // solution, so solved once; divergence or a mismatch falls through to
-    // the cold rotated orders.
-    let transported: Option<Solution<RibAttr>> = ctx.base_abs_solution().and_then(|base_abs| {
-        let initial =
-            transport_abstract_solution(&ctx.class.base, ctx.base_net, abstraction, abs, base_abs);
-        solve_seeded_masked(abs_srp, initial, SolverOptions::default(), Some(abs_mask))
-            .ok()
-            .map(|(s, _)| s)
-    });
+    'samples: for solution in solutions {
+        let node_behaviors =
+            behaviors.concrete(&ctx.srp, env.topo, solution, abstraction, keep, Some(&mask));
+        let concrete = BlockSets::of_nodes(&node_behaviors, abstraction);
+        let matched_by = |(_, sets): &(_, BlockSets)| concrete.first_mismatch(sets).is_none();
+        if canonical.as_ref().is_some_and(matched_by) {
+            continue;
+        }
+        bonsai_obs::add("sweep.check.search_fallbacks", 1);
 
-    for solution in solutions {
-        let node_behaviors = concrete_node_behaviors(
-            &ctx.srp,
-            env.topo,
-            solution,
-            abstraction,
-            env.keep.as_ref(),
-            Some(&mask),
-        );
-        let concrete = aggregate_behaviors(&node_behaviors, abstraction);
-
-        let mut matched = false;
-        let mut last_mismatch: Option<BehaviorMismatch> = None;
-        let mut tried = Vec::new();
-        let mut consider = |abs_solution: &Solution<RibAttr>| -> bool {
-            if !first_sighting(&mut tried, abs_solution) {
-                return false;
-            }
-            let abstract_b = abstract_behaviors(
+        let transported = transported.get_or_insert_with(|| {
+            let base_abs = ctx.base_abs_solution()?;
+            let initial = transport_abstract_solution(
+                &ctx.class.base,
+                ctx.base_net,
+                abstraction,
                 abs,
-                abs_srp,
-                abs_solution,
-                env.keep.as_ref(),
-                Some(abs_mask),
+                base_abs,
             );
-            match behaviors_match(&concrete, &abstract_b) {
-                Ok(()) => true,
-                Err(mismatch) => {
-                    last_mismatch = Some(mismatch);
-                    false
+            let options = SolverOptions::default();
+            let (seeded, _) =
+                solve_seeded_masked(abs_srp, initial, options, Some(abs_mask)).ok()?;
+            let sets = abs_sets(&mut behaviors, &seeded);
+            Some((seeded, sets))
+        });
+        // Attempt 0 is the transported guess, attempt `r + 1` rotated order
+        // `r`, whose rotation 0 is the canonical solve.
+        let abs_nodes: Vec<NodeId> = abs.topo.graph.nodes().collect();
+        let mut tried = Vec::new();
+        let mut last_mismatch = None;
+        for attempt in 0..=env.options.abstract_orders.max(1) {
+            let solved;
+            let (abs_solution, known) = match (attempt, &*transported, &canonical) {
+                (0, Some((seeded, sets)), _) => (seeded, Some(sets)),
+                (1, _, Some((canonical, sets))) => (*canonical, Some(sets)),
+                (0 | 1, ..) => continue,
+                _ => {
+                    let order = rotated_order(&abs_nodes, attempt - 1);
+                    let options = SolverOptions::default();
+                    // Abstract divergence under a failure the concrete
+                    // plane survives is an abstraction failure —
+                    // counterexample path.
+                    match solve_with_order_masked(abs_srp, &order, options, Some(abs_mask)) {
+                        Ok(solution) => solved = solution,
+                        Err(_) => continue,
+                    }
+                    (&solved, None)
                 }
-            }
-        };
-
-        if let Some(s) = &transported {
-            matched = consider(s);
-        }
-
-        for arot in 0..env.options.abstract_orders.max(1) {
-            if matched {
-                break;
-            }
-            let order = rotated_order(&abs_nodes, arot);
-            let abs_solution = match solve_with_order_masked(
-                abs_srp,
-                &order,
-                SolverOptions::default(),
-                Some(abs_mask),
-            ) {
-                Ok(s) => s,
-                // Abstract divergence under a failure the concrete plane
-                // survives is an abstraction failure — counterexample path.
-                Err(_) => continue,
             };
-            matched = consider(&abs_solution);
+            if !first_sighting(&mut tried, abs_solution) {
+                continue;
+            }
+            let sets = known.map_or_else(
+                || Cow::Owned(abs_sets(&mut behaviors, abs_solution)),
+                Cow::Borrowed,
+            );
+            match concrete.first_mismatch(&sets) {
+                None => continue 'samples,
+                Some(block) => last_mismatch = Some(behaviors.mismatch(block, &concrete, &sets)),
+            }
         }
-        if !matched {
-            return Ok(Err(Refutation {
-                mismatch: last_mismatch,
-                node_behaviors,
-            }));
-        }
+        return Ok(Err(Refutation {
+            mismatch: last_mismatch,
+            node_behaviors,
+            behaviors,
+        }));
     }
     Ok(Ok(()))
 }
@@ -1226,18 +1260,11 @@ fn deviating_split(abstraction: &Abstraction, refutation: &Refutation) -> Vec<No
     if members.len() <= 1 {
         return Vec::new();
     }
-    let member_set: BTreeSet<u32> = members.iter().copied().collect();
-    let behaviors: Vec<(NodeId, &Behavior)> = refutation
-        .node_behaviors
-        .iter()
-        .filter(|(n, _)| member_set.contains(&n.0))
-        .map(|(n, b)| (*n, b))
-        .collect();
+    let behavior = |m: u32| refutation.node_behaviors[m as usize];
 
-    let mut deviating: Vec<NodeId> = behaviors
-        .iter()
-        .filter(|(_, b)| !mismatch.abs_behaviors.contains(*b))
-        .map(|(n, _)| *n)
+    let mut deviating: Vec<NodeId> = (members.iter().copied())
+        .filter(|&m| mismatch.abs_behaviors.binary_search(&behavior(m)).is_err())
+        .map(NodeId)
         .collect();
     deviating.sort();
     if !deviating.is_empty() && deviating.len() < members.len() {
@@ -1247,22 +1274,24 @@ fn deviating_split(abstraction: &Abstraction, refutation: &Refutation) -> Vec<No
     // Deviation alone cannot separate the members; keep the largest
     // behavior group together (ties: the ≤-smallest behavior) and isolate
     // the rest — still strictly less aggressive than the whole block.
-    let mut groups: BTreeMap<Behavior, Vec<NodeId>> = BTreeMap::new();
-    for (n, b) in &behaviors {
-        groups.entry((*b).clone()).or_default().push(*n);
+    let mut groups: BTreeMap<u32, usize> = BTreeMap::new();
+    for &m in members {
+        *groups.entry(behavior(m)).or_default() += 1;
     }
     if groups.len() <= 1 {
         return Vec::new();
     }
-    let keep: Behavior = groups
-        .iter()
-        .max_by(|(ka, va), (kb, vb)| va.len().cmp(&vb.len()).then(kb.cmp(ka)))
-        .map(|(k, _)| k.clone())
-        .expect("at least two groups");
-    let mut out: Vec<NodeId> = groups
-        .iter()
-        .filter(|(k, _)| **k != keep)
-        .flat_map(|(_, v)| v.iter().copied())
+    let largest = groups.values().copied().max().expect("at least two groups");
+    let table = &refutation.behaviors;
+    let keep = (groups.iter())
+        .filter(|&(_, &size)| size == largest)
+        .map(|(&id, _)| (table.behavior(id), id))
+        .min()
+        .map(|(_, id)| id)
+        .expect("a largest group");
+    let mut out: Vec<NodeId> = (members.iter().copied())
+        .filter(|&m| behavior(m) != keep)
+        .map(NodeId)
         .collect();
     out.sort();
     out
@@ -1295,6 +1324,9 @@ pub(crate) fn split_candidates(
     }
     out
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -1423,21 +1455,26 @@ mod tests {
         // mismatch (the lifted mask over-fails the merged b-block).
         let srp = class_srp(&net, &topo, &ec_dest);
         let solution = bonsai_srp::solver::solve_masked(&srp, Some(&mask)).unwrap();
+        let mut behaviors = BehaviorTable::default();
         let node_behaviors =
-            concrete_node_behaviors(&srp, &topo, &solution, &ec.abstraction, None, Some(&mask));
-        let concrete = aggregate_behaviors(&node_behaviors, &ec.abstraction);
+            behaviors.concrete(&srp, &topo, &solution, &ec.abstraction, None, Some(&mask));
+        let concrete = BlockSets::of_nodes(&node_behaviors, &ec.abstraction);
         let abs = &ec.abstract_network;
         let abs_mask = lift_failure_mask(&scenario, &ec.abstraction, abs);
         let abs_srp = class_srp(&abs.network, &abs.topo, &abs.ec);
         let abs_solution = bonsai_srp::solver::solve_masked(&abs_srp, Some(&abs_mask)).unwrap();
-        let abstract_b = abstract_behaviors(abs, &abs_srp, &abs_solution, None, Some(&abs_mask));
-        let mismatch = behaviors_match(&concrete, &abstract_b)
-            .expect_err("the merged b-block must be refuted under the failure");
+        let abstract_sets =
+            behaviors.abstract_sets(abs, &abs_srp, &abs_solution, None, Some(&abs_mask));
+        let block = concrete
+            .first_mismatch(&abstract_sets)
+            .expect("the merged b-block must be refuted under the failure");
+        let mismatch = behaviors.mismatch(block, &concrete, &abstract_sets);
 
         // The smarter split isolates exactly the deviating member b1…
         let refutation = Refutation {
             mismatch: Some(mismatch.clone()),
             node_behaviors,
+            behaviors,
         };
         let smart = deviating_split(&ec.abstraction, &refutation);
         assert_eq!(smart, vec![b1]);

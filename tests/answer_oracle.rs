@@ -416,6 +416,7 @@ fn the_refused_network_has_a_stable_solution_no_tried_abstract_order_reaches() {
         share_across_ecs: false,
         ..Default::default()
     };
+    let searched = bonsai::obs::value("sweep.check.search_fallbacks");
     let refused = sweep_network_subset(net, &topo, &report, &sweep, &[class])
         .expect_err("the class is refused")
         .to_string();
@@ -424,6 +425,10 @@ fn the_refused_network_has_a_stable_solution_no_tried_abstract_order_reaches() {
             && refused.contains("Bgp(200, [7:7], 6, 0, false)"),
         "{refused}"
     );
+    // The canonical abstract solution does not match the second sample, so
+    // the check searched past it (the counter is process-wide: other tests
+    // can only add to it).
+    assert!(bonsai::obs::value("sweep.check.search_fallbacks") > searched);
     let base = &comp.abstraction;
     let singleton = |n: NodeId| base.partition.members(base.role_of(n)).len() == 1;
     assert!([r0, r2, r3].into_iter().all(singleton));

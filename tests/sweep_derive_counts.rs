@@ -6,10 +6,11 @@
 //! of the `cli/failures` payload, and the SRP solver's solve and
 //! label-update totals. PreferBottom shares nothing across classes, so
 //! every one of the 702 refinements is derived and the solver does all of
-//! the work the row pins. The digest is the one `bonsai failures` writes
+//! the work the row pins. `sweep.check.search_fallbacks` rides along: a
+//! check that searches past the canonical solution would show there. The digest is the one `bonsai failures` writes
 //! (the envelope header, which names the build, left out).
 //!
-//! The solver counters are process-wide, so this file holds one test: no
+//! The counters are process-wide, so this file holds one test: no
 //! other test of its binary solves concurrently.
 
 use bonsai::cli::FailuresDoc;
@@ -22,11 +23,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-const SOLVER_COUNTERS: [&str; 4] = [
+const SOLVER_COUNTERS: [&str; 5] = [
     "srp.solves.cold",
     "srp.solves.seeded",
     "srp.solves.warm",
     "srp.label_updates",
+    "sweep.check.search_fallbacks",
 ];
 
 #[test]
@@ -79,13 +81,16 @@ fn fattree6_prefer_bottom_k1_counts() {
             vec![3129; 18],
             2_974_335_009_581_984_694,
             // Per derivation: the second concrete sample and the canonical
-            // solve cold, the transported guess seeded, the first concrete
-            // sample warm; plus each class's two failure-free fixpoints.
+            // solve cold, the first concrete sample warm; plus each class's
+            // two failure-free fixpoints. The canonical solution matches
+            // both samples of every derivation, so no check searches and
+            // no transported guess is solved.
             vec![
                 ("srp.solves.cold", 1440),
-                ("srp.solves.seeded", 702),
+                ("srp.solves.seeded", 0),
                 ("srp.solves.warm", 702),
-                ("srp.label_updates", 70_884),
+                ("srp.label_updates", 68_652),
+                ("sweep.check.search_fallbacks", 0),
             ],
         )
     );
