@@ -100,7 +100,27 @@ fn bench_stages(c: &mut Criterion) {
             b.iter(|| {
                 let split = &splits[next % splits.len()];
                 next += 1;
-                refine_ec_with_split(&net, &topo, &ec, &sigs, &base, split)
+                refine_ec_with_split(&topo.graph, &ec, &sigs, &base, split)
+            })
+        });
+        // What a derivation does with the layout (build its lifted SRP
+        // instance) and what only a reader of the configuration pays
+        // (render it), over the same splits.
+        let layouts: Vec<_> = (splits.iter())
+            .map(|split| refine_ec_with_split(&topo.graph, &ec, &sigs, &base, split).1)
+            .collect();
+        let mut next = 0usize;
+        group.bench_function("lifted_instance/fattree8", |b| {
+            b.iter(|| {
+                next += 1;
+                layouts[next % layouts.len()].instance(&net, &topo)
+            })
+        });
+        let mut next = 0usize;
+        group.bench_function("render/fattree8", |b| {
+            b.iter(|| {
+                next += 1;
+                layouts[next % layouts.len()].clone().render(&net, &topo)
             })
         });
     }

@@ -267,7 +267,6 @@ fn run_network(
             &topo,
             &ec_dest,
             &ec.abstraction,
-            &ec.abstract_network,
             &report.policies,
             &SweepOptions {
                 max_failures: k,

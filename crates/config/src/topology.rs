@@ -38,15 +38,12 @@ pub struct BuiltTopology {
     pub in_iface: Vec<usize>,
 }
 
-/// One end of a link with its names resolved: `(device index, index into
-/// that device's interface list)`.
-pub type ResolvedEnd = (usize, usize);
-
 impl BuiltTopology {
     /// Builds the topology, validating that every link endpoint names an
-    /// existing device and interface and that no interface is used twice.
+    /// existing device and interface, that no interface is used twice, and
+    /// that no link is a self-link or parallel to another.
     pub fn build(network: &NetworkConfig) -> Result<Self, TopologyError> {
-        let resolve = |end: &crate::ir::LinkEnd| -> Result<ResolvedEnd, TopologyError> {
+        let resolve = |end: &crate::ir::LinkEnd| -> Result<(usize, usize), TopologyError> {
             let dev = network
                 .device_index(&end.device)
                 .ok_or_else(|| TopologyError(format!("unknown device `{}`", end.device)))?;
@@ -65,26 +62,7 @@ impl BuiltTopology {
             .iter()
             .map(|link| Ok((resolve(&link.a)?, resolve(&link.b)?)))
             .collect::<Result<Vec<_>, TopologyError>>()?;
-        Self::assemble(network, &ends)
-    }
 
-    /// Assembles the topology of a network whose link ends are already
-    /// resolved: `ends[i]` are the indices `network.links[i]` names, `a`
-    /// side first. [`BuiltTopology::build`] ends here after looking the
-    /// names up; a caller that generated the network — and so knows every
-    /// index — skips the lookups.
-    ///
-    /// Validates what the indices can show: every end exists, no interface
-    /// is used twice, no link is a self-link or parallel to another.
-    pub fn assemble(
-        network: &NetworkConfig,
-        ends: &[(ResolvedEnd, ResolvedEnd)],
-    ) -> Result<Self, TopologyError> {
-        assert_eq!(
-            ends.len(),
-            network.links.len(),
-            "one resolved pair per link"
-        );
         let mut gb = GraphBuilder::new();
         for d in &network.devices {
             gb.add_node(d.name.clone());
@@ -101,20 +79,8 @@ impl BuiltTopology {
 
         let mut out_iface = Vec::with_capacity(2 * ends.len());
         let mut in_iface = Vec::with_capacity(2 * ends.len());
-        for (link, &(a, b)) in network.links.iter().zip(ends) {
+        for (link, &(a, b)) in network.links.iter().zip(&ends) {
             for ((dev, iface), end) in [(a, &link.a), (b, &link.b)] {
-                let exists = network
-                    .devices
-                    .get(dev)
-                    .is_some_and(|d| iface < d.interfaces.len());
-                if !exists {
-                    return Err(TopologyError(format!(
-                        "link end `{}` `{}` resolved outside the network",
-                        end.device, end.iface
-                    )));
-                }
-                debug_assert_eq!(network.devices[dev].name, end.device);
-                debug_assert_eq!(network.devices[dev].interfaces[iface].name, end.iface);
                 if std::mem::replace(&mut used[first_iface[dev] + iface], true) {
                     return Err(TopologyError(format!(
                         "interface `{}` on device `{}` appears in two links",

@@ -3,11 +3,27 @@
 //! Bonsai's output is a set of vendor-independent configurations for the
 //! *abstract* network, so that any downstream analyzer (here: the SRP
 //! solver and the verification engines) runs on it unchanged. This module
-//! builds that network: one abstract device per block copy, one interface
-//! per abstract neighbor, with route maps, filter lists, ACLs, OSPF
-//! settings and BGP sessions taken from a representative member (all
-//! members agree at the refinement fixpoint — that is what refinement
-//! enforced).
+//! builds that network in two steps:
+//!
+//! 1. The **layout** ([`AbstractLayout::new`]) is config-free: the abstract
+//!    node numbering (one node per block copy, a block's copies
+//!    consecutive, blocks by smallest member), the abstract graph and the
+//!    transported class, and for every abstract node and directed edge the
+//!    concrete object it copies — the block's representative (its smallest
+//!    member) and a representative concrete edge between the two blocks.
+//! 2. The **renderer** ([`AbstractLayout::render`]) writes the
+//!    configuration: one device per node with the representative's route
+//!    maps, filter lists, ACLs, OSPF settings and BGP globals (all members
+//!    agree at the refinement fixpoint — that is what refinement
+//!    enforced), and one interface per abstract neighbor configured from
+//!    the representative edge's source interface. It is the only code that
+//!    formats a name or clones a policy object.
+//!
+//! [`build_abstract_network`] is the two in a row. Whoever only solves the
+//! abstract network skips the second: [`AbstractLayout::view`] reads the
+//! concrete objects the renderer would copy, so the instance
+//! [`AbstractLayout::instance`] builds equals the one parsed back from the
+//! rendered files.
 //!
 //! Intra-block quotient edges are dropped for single-copy blocks (they can
 //! only represent strictly-worse detours at equal preference; this mirrors
@@ -17,17 +33,14 @@
 //!
 //! # Assembly by index
 //!
-//! The builder is the other half of the failure sweep's kernel, so it
-//! works block by block on indices and never looks a name up: the copies
-//! of a block get consecutive abstract node ids; one pass over a block's
-//! out-edges finds its adjacent blocks and the representative concrete
-//! edge toward each, which is every device's interface list (ascending by
-//! peer, so "interface `i` of device `a`" is "the `i`-th peer of `a`");
-//! each name is formatted once; and since both ends of every abstract
-//! link are then known as `(device, interface)` indices, the topology is
-//! put together by [`BuiltTopology::assemble`] — the same constructor
-//! [`BuiltTopology::build`] ends in once it has resolved a parsed
-//! network's names. `tests/kernel_reference.rs` keeps the builder that
+//! The layout is the other half of the failure sweep's kernel, so it
+//! works block by block on indices and never looks a name up: one pass
+//! over a block's out-edges finds its adjacent blocks and the
+//! representative concrete edge toward each, which is every node's
+//! neighbor list (ascending by peer, so "interface `i` of device `a`" is
+//! "the `i`-th peer of `a`"), and the graph is built link by link in that
+//! order. The renderer formats each name once and hands the graph over
+//! with names attached. `tests/kernel_reference.rs` keeps the builder that
 //! scanned the abstract links per device and re-resolved every name, and
 //! checks the two produce equal configurations and topologies.
 
@@ -38,8 +51,9 @@ use bonsai_config::{
 };
 use bonsai_net::partition::BlockId;
 use bonsai_net::prefix::Prefix;
-use bonsai_net::{EdgeId, NodeId};
-use bonsai_srp::instance::EcDest;
+use bonsai_net::{EdgeId, Graph, GraphBuilder, NodeId};
+use bonsai_srp::instance::{EcDest, MultiProtocol};
+use bonsai_srp::view::ConfigView;
 use std::collections::HashMap;
 
 /// The abstract network generated for one destination equivalence class.
@@ -73,80 +87,238 @@ impl AbstractNetwork {
     }
 }
 
-/// Builds the abstract network for one class from a refined abstraction.
-pub fn build_abstract_network(
-    network: &NetworkConfig,
-    topo: &BuiltTopology,
-    ec: &EcDest,
-    abstraction: &Abstraction,
-) -> AbstractNetwork {
-    let graph = &topo.graph;
-    let partition = &abstraction.partition;
-    let copies = &abstraction.copies;
+/// The abstract node numbering an [`AbstractLayout`] fixes and the
+/// [`AbstractNetwork`] rendered from it keeps: what lifting a scenario,
+/// transporting a solution or mapping a verdict back reads, on either.
+pub trait AbstractNumbering {
+    /// The abstract graph.
+    fn abstract_graph(&self) -> &Graph;
+    /// The destination class transported to the abstract network.
+    fn abstract_ec(&self) -> &EcDest;
+    /// `(block, copy)` of abstract node `n`.
+    fn copy_of(&self, n: NodeId) -> (BlockId, u32);
+    /// The abstract node of copy `copy` of `block`.
+    fn node_of(&self, block: BlockId, copy: u32) -> NodeId;
+}
 
-    // Deterministic block order: by smallest member.
-    let mut blocks: Vec<BlockId> = partition.blocks().collect();
-    blocks.sort_by_key(|b| partition.members(*b)[0]);
-
-    // Allocate abstract nodes: the copies of a block are consecutive ids.
-    let mut first_node = vec![0u32; copies.len()];
-    let mut copy_of_node: Vec<(BlockId, u32)> = Vec::new();
-    for &b in &blocks {
-        first_node[b.index()] = copy_of_node.len() as u32;
-        copy_of_node.extend((0..copies[b.index()]).map(|c| (b, c)));
+impl AbstractNumbering for AbstractNetwork {
+    fn abstract_graph(&self) -> &Graph {
+        &self.topo.graph
     }
-    let node_of_copy: HashMap<(BlockId, u32), NodeId> = copy_of_node
-        .iter()
-        .enumerate()
-        .map(|(node, &copy)| (copy, NodeId(node as u32)))
-        .collect();
-    let nodes = copy_of_node.len();
+    fn abstract_ec(&self) -> &EcDest {
+        &self.ec
+    }
+    fn copy_of(&self, n: NodeId) -> (BlockId, u32) {
+        self.copy_of_node[n.index()]
+    }
+    fn node_of(&self, block: BlockId, copy: u32) -> NodeId {
+        self.node_of_copy[&(block, copy)]
+    }
+}
 
-    // Every name is formatted once and cloned where a config object owns
-    // a copy.
-    let iface_names: Vec<String> = (0..nodes).map(|peer| format!("to{peer}")).collect();
+impl AbstractNumbering for AbstractLayout {
+    fn abstract_graph(&self) -> &Graph {
+        &self.graph
+    }
+    fn abstract_ec(&self) -> &EcDest {
+        &self.ec
+    }
+    fn copy_of(&self, n: NodeId) -> (BlockId, u32) {
+        self.copy_of_node[n.index()]
+    }
+    fn node_of(&self, block: BlockId, copy: u32) -> NodeId {
+        NodeId(self.first_node[block.index()] + copy)
+    }
+}
 
-    // Devices, block by block. `peers[peer_start[a]..peer_start[a + 1]]`
-    // are the abstract neighbors of node `a`, ascending — position `i`
-    // there is interface `i` of device `a`.
-    let mut devices: Vec<DeviceConfig> = Vec::with_capacity(nodes);
-    let mut peer_start: Vec<u32> = Vec::with_capacity(nodes + 1);
-    let mut peers: Vec<u32> = Vec::new();
-    // The quotient edges out of the block at hand: per neighbor block its
-    // representative concrete edge (`NO_EDGE` = not adjacent), and the
-    // adjacent blocks in abstract-node order.
-    const NO_EDGE: u32 = u32::MAX;
-    let mut edge_to_block = vec![NO_EDGE; copies.len()];
-    let mut adjacent: Vec<BlockId> = Vec::new();
-    for &block in &blocks {
-        let members = partition.members(block);
-        let rep = members[0];
-        // Prefer an edge whose source is the block representative so the
-        // interface settings we copy exist on the representative device;
-        // among equals, the lowest edge id. The representative is the
-        // first member and out-edges ascend, so its edges claim their
-        // slots first and only a lower non-representative edge replaces a
-        // non-representative one.
-        for &m in members {
-            for e in graph.out(NodeId(m)) {
-                let to = partition.block_of(graph.target(e).0);
-                let slot = &mut edge_to_block[to.index()];
-                if *slot == NO_EDGE {
-                    adjacent.push(to);
-                    *slot = e.0;
-                } else if m != rep && graph.source(EdgeId(*slot)).0 != rep && e.0 < *slot {
-                    *slot = e.0;
+/// The config-free half of an abstract network: its numbering, graph and
+/// class, and the concrete node and edge each abstract node and edge
+/// copies. See the [module docs](self).
+#[derive(Clone, Debug)]
+pub struct AbstractLayout {
+    /// The abstract graph, its nodes unnamed. The two directions of link
+    /// `i` are edges `2i` (lower node first) and `2i + 1`, and a node's
+    /// out-edges ascend by target: out-edge `i` leaves through interface
+    /// `i`.
+    pub graph: Graph,
+    /// The destination class transported to the abstract network.
+    pub ec: EcDest,
+    /// `(block, copy)` of each abstract node.
+    pub copy_of_node: Vec<(BlockId, u32)>,
+    /// The block representative (smallest member) of each abstract node:
+    /// the device it copies.
+    pub reps: Vec<NodeId>,
+    /// The concrete edge each abstract edge copies: out of the source's
+    /// block into the target's, from the representative when it has one.
+    pub rep_edges: Vec<EdgeId>,
+    /// Abstract node of copy 0 of each block, by block id.
+    first_node: Vec<u32>,
+}
+
+impl AbstractLayout {
+    /// Lays out the abstract network of `abstraction`, a partition of
+    /// `graph` for class `ec`.
+    pub fn new(graph: &Graph, ec: &EcDest, abstraction: &Abstraction) -> Self {
+        let partition = &abstraction.partition;
+        let copies = &abstraction.copies;
+
+        // Deterministic block order: by smallest member.
+        let mut blocks: Vec<BlockId> = partition.blocks().collect();
+        blocks.sort_by_key(|b| partition.members(*b)[0]);
+
+        // Allocate abstract nodes: the copies of a block are consecutive ids.
+        let mut first_node = vec![0u32; copies.len()];
+        let mut copy_of_node: Vec<(BlockId, u32)> = Vec::new();
+        for &b in &blocks {
+            first_node[b.index()] = copy_of_node.len() as u32;
+            copy_of_node.extend((0..copies[b.index()]).map(|c| (b, c)));
+        }
+        let nodes = copy_of_node.len();
+
+        // Neighbors, block by block. `peers[peer_start[a]..peer_start[a + 1]]`
+        // are the abstract neighbors of node `a`, ascending, and `via` the
+        // concrete edge toward each.
+        let mut reps: Vec<NodeId> = Vec::with_capacity(nodes);
+        let mut peer_start: Vec<u32> = Vec::with_capacity(nodes + 1);
+        let mut peers: Vec<u32> = Vec::new();
+        let mut via: Vec<EdgeId> = Vec::new();
+        // The quotient edges out of the block at hand: per neighbor block its
+        // representative concrete edge (`NO_EDGE` = not adjacent), and the
+        // adjacent blocks in abstract-node order.
+        const NO_EDGE: u32 = u32::MAX;
+        let mut edge_to_block = vec![NO_EDGE; copies.len()];
+        let mut adjacent: Vec<BlockId> = Vec::new();
+        for &block in &blocks {
+            let members = partition.members(block);
+            let rep = members[0];
+            // Prefer an edge whose source is the block representative so the
+            // interface settings we copy exist on the representative device;
+            // among equals, the lowest edge id. The representative is the
+            // first member and out-edges ascend, so its edges claim their
+            // slots first and only a lower non-representative edge replaces a
+            // non-representative one.
+            for &m in members {
+                for e in graph.out(NodeId(m)) {
+                    let to = partition.block_of(graph.target(e).0);
+                    let slot = &mut edge_to_block[to.index()];
+                    if *slot == NO_EDGE {
+                        adjacent.push(to);
+                        *slot = e.0;
+                    } else if m != rep && graph.source(EdgeId(*slot)).0 != rep && e.0 < *slot {
+                        *slot = e.0;
+                    }
                 }
             }
-        }
-        adjacent.sort_unstable_by_key(|b| first_node[b.index()]);
+            adjacent.sort_unstable_by_key(|b| first_node[b.index()]);
 
-        let rep_dev = &network.devices[rep as usize];
-        let block_copies = copies[block.index()];
-        for copy in 0..block_copies {
-            let abs_id = first_node[block.index()] + copy;
-            let mut dev = DeviceConfig::new(format!("abs{abs_id}_{}", rep_dev.name));
-            peer_start.push(peers.len() as u32);
+            // Intra-block adjacency links distinct copies only.
+            for copy in 0..copies[block.index()] {
+                reps.push(NodeId(rep));
+                peer_start.push(peers.len() as u32);
+                for &peer_block in &adjacent {
+                    let edge = EdgeId(edge_to_block[peer_block.index()]);
+                    for peer_copy in 0..copies[peer_block.index()] {
+                        if peer_block != block || peer_copy != copy {
+                            peers.push(first_node[peer_block.index()] + peer_copy);
+                            via.push(edge);
+                        }
+                    }
+                }
+            }
+
+            for b in adjacent.drain(..) {
+                edge_to_block[b.index()] = NO_EDGE;
+            }
+        }
+        peer_start.push(peers.len() as u32);
+        let range = |a: u32| peer_start[a as usize] as usize..peer_start[a as usize + 1] as usize;
+
+        // Links, lower end first, each as its two directions.
+        let mut gb = GraphBuilder::new();
+        for _ in 0..nodes {
+            gb.add_node(String::new());
+        }
+        let mut rep_edges = Vec::with_capacity(peers.len());
+        for a in 0..nodes as u32 {
+            for at in range(a) {
+                let b = peers[at];
+                if b < a {
+                    continue;
+                }
+                let back = peers[range(b)].binary_search(&a).expect(CONSISTENT);
+                gb.add_link(NodeId(a), NodeId(b));
+                rep_edges.push(via[at]);
+                rep_edges.push(via[range(b).start + back]);
+            }
+        }
+        // A one-way quotient edge would leave a peer without its link.
+        assert_eq!(rep_edges.len(), peers.len(), "{CONSISTENT}");
+
+        // Transport the EC: origins are copy 0 of each origin block (origin
+        // blocks always have exactly one copy).
+        let mut abs_origins: Vec<(NodeId, bonsai_srp::instance::OriginProto)> = Vec::new();
+        for &(n, proto) in &ec.origins {
+            let node = NodeId(first_node[abstraction.role_of(n).index()]);
+            if abs_origins.iter().all(|&(seen, _)| seen != node) {
+                abs_origins.push((node, proto));
+            }
+        }
+        let abs_ec = EcDest {
+            prefix: ec.prefix,
+            ranges: ec.ranges.clone(),
+            origins: abs_origins,
+        };
+
+        AbstractLayout {
+            graph: gb.build(),
+            ec: abs_ec,
+            copy_of_node,
+            reps,
+            rep_edges,
+            first_node,
+        }
+    }
+
+    /// The configuration the rendered network would hold, read from the
+    /// concrete `network` and `topo` the layout was made from.
+    pub fn view<'n, 't>(
+        &'t self,
+        network: &'n NetworkConfig,
+        topo: &'t BuiltTopology,
+    ) -> ConfigView<'n, 't> {
+        let (graph, class) = (&self.graph, self.ec.prefix);
+        ConfigView::lifted(network, topo, graph, &self.reps, &self.rep_edges, class)
+    }
+
+    /// The class's SRP instance over the abstract network, built on
+    /// [`AbstractLayout::view`]: equal to [`MultiProtocol::build`] over
+    /// the rendered network, with nothing rendered.
+    pub fn instance<'n>(
+        &self,
+        network: &'n NetworkConfig,
+        topo: &BuiltTopology,
+    ) -> MultiProtocol<'n> {
+        MultiProtocol::from_view(&self.view(network, topo), &self.ec)
+    }
+
+    /// Writes the configuration: names every node and interface and copies
+    /// the policy objects. `network` and `topo` must be the ones the layout
+    /// was made from.
+    pub fn render(self, network: &NetworkConfig, topo: &BuiltTopology) -> AbstractNetwork {
+        bonsai_obs::add("compress.abstract.rendered", 1);
+        let graph = &self.graph;
+        let ec = &self.ec;
+        let nodes = graph.node_count();
+
+        // Every name is formatted once and cloned where a config object owns
+        // a copy.
+        let iface_names: Vec<String> = (0..nodes).map(|peer| format!("to{peer}")).collect();
+
+        let mut devices: Vec<DeviceConfig> = Vec::with_capacity(nodes);
+        let mut out_iface = vec![0usize; graph.edge_count()];
+        for a in graph.nodes() {
+            let rep_dev = &network.devices[self.reps[a.index()].index()];
+            let mut dev = DeviceConfig::new(format!("abs{}_{}", a.0, rep_dev.name));
 
             // Copy named policy objects wholesale (referenced by name).
             dev.route_maps = rep_dev.route_maps.clone();
@@ -155,58 +327,48 @@ pub fn build_abstract_network(
             dev.acls = rep_dev.acls.clone();
 
             // One interface per abstract neighbor, configured from the
-            // representative's concrete interface toward that neighbor
-            // block. Intra-block adjacency links distinct copies only.
-            let degree = adjacent
-                .iter()
-                .map(|b| (copies[b.index()] - u32::from(*b == block)) as usize)
-                .sum::<usize>();
+            // representative edge's source interface.
+            let degree = graph.out_degree(a);
             dev.interfaces.reserve_exact(degree);
             let mut bgp_neighbors: Vec<BgpNeighbor> =
                 Vec::with_capacity(if rep_dev.bgp.is_some() { degree } else { 0 });
-            for &peer_block in &adjacent {
-                let ce = EdgeId(edge_to_block[peer_block.index()]);
-                let src_dev = &network.devices[graph.source(ce).index()];
+            for (iface, e) in graph.out(a).enumerate() {
+                out_iface[e.index()] = iface;
+                let ce = self.rep_edges[e.index()];
+                let src_dev = &network.devices[topo.graph.source(ce).index()];
                 let src_iface = &src_dev.interfaces[topo.egress(ce)];
+                let iface_name = &iface_names[graph.target(e).index()];
+                dev.interfaces.push(Interface {
+                    name: iface_name.clone(),
+                    prefix: None,
+                    acl_in: src_iface.acl_in.clone(),
+                    acl_out: src_iface.acl_out.clone(),
+                    ospf_cost: src_iface.ospf_cost,
+                    ospf_area: src_iface.ospf_area,
+                });
+
+                // BGP session on the representative edge → session here.
                 let session = src_dev
                     .bgp
                     .as_ref()
                     .and_then(|bgp| bgp.neighbors.iter().find(|n| n.iface == src_iface.name));
-                for peer_copy in 0..copies[peer_block.index()] {
-                    if peer_block == block && peer_copy == copy {
-                        continue;
-                    }
-                    let peer = first_node[peer_block.index()] + peer_copy;
-                    let iface_name = &iface_names[peer as usize];
-                    peers.push(peer);
-                    dev.interfaces.push(Interface {
-                        name: iface_name.clone(),
-                        prefix: None,
-                        acl_in: src_iface.acl_in.clone(),
-                        acl_out: src_iface.acl_out.clone(),
-                        ospf_cost: src_iface.ospf_cost,
-                        ospf_area: src_iface.ospf_area,
+                if let Some(session) = session {
+                    bgp_neighbors.push(BgpNeighbor {
+                        iface: iface_name.clone(),
+                        import_policy: session.import_policy.clone(),
+                        export_policy: session.export_policy.clone(),
+                        ibgp: session.ibgp,
                     });
+                }
 
-                    // BGP session on the representative edge → session here.
-                    if let Some(session) = session {
-                        bgp_neighbors.push(BgpNeighbor {
+                // Static routes out of the representative edge (only those
+                // matching this class).
+                for sr in &src_dev.static_routes {
+                    if sr.iface == src_iface.name && sr.prefix.contains(ec.prefix) {
+                        dev.static_routes.push(StaticRoute {
+                            prefix: sr.prefix,
                             iface: iface_name.clone(),
-                            import_policy: session.import_policy.clone(),
-                            export_policy: session.export_policy.clone(),
-                            ibgp: session.ibgp,
                         });
-                    }
-
-                    // Static routes out of the representative edge (only
-                    // those matching this class).
-                    for sr in &src_dev.static_routes {
-                        if sr.iface == src_iface.name && sr.prefix.contains(ec.prefix) {
-                            dev.static_routes.push(StaticRoute {
-                                prefix: sr.prefix,
-                                iface: iface_name.clone(),
-                            });
-                        }
                     }
                 }
             }
@@ -238,65 +400,54 @@ pub fn build_abstract_network(
             devices.push(dev);
         }
 
-        for b in adjacent.drain(..) {
-            edge_to_block[b.index()] = NO_EDGE;
+        // Links in edge-pair order; an edge arrives on the interface its
+        // reverse leaves through.
+        let in_iface: Vec<usize> = graph.edges().map(|e| out_iface[e.index() ^ 1]).collect();
+        let links = (graph.edges().step_by(2))
+            .map(|e| {
+                let (a, b) = graph.endpoints(e);
+                debug_assert_eq!(graph.endpoints(EdgeId(e.0 ^ 1)), (b, a), "{CONSISTENT}");
+                Link::new(
+                    (
+                        devices[a.index()].name.clone(),
+                        iface_names[b.index()].clone(),
+                    ),
+                    (
+                        devices[b.index()].name.clone(),
+                        iface_names[a.index()].clone(),
+                    ),
+                )
+            })
+            .collect();
+        let names = devices.iter().map(|d| d.name.clone()).collect();
+        let topo = BuiltTopology {
+            graph: self.graph.with_names(names),
+            out_iface,
+            in_iface,
+        };
+        let node_of_copy = (self.copy_of_node.iter().enumerate())
+            .map(|(node, &copy)| (copy, NodeId(node as u32)))
+            .collect();
+
+        AbstractNetwork {
+            network: NetworkConfig { devices, links },
+            topo,
+            ec: self.ec,
+            node_of_copy,
+            copy_of_node: self.copy_of_node,
         }
     }
-    peer_start.push(peers.len() as u32);
-    let peers_of =
-        |a: u32| &peers[peer_start[a as usize] as usize..peer_start[a as usize + 1] as usize];
+}
 
-    // Links between abstract devices, lower end first; the interface a
-    // link uses at either end is the other end's position among the peers.
-    let mut links = Vec::with_capacity(peers.len() / 2);
-    let mut ends = Vec::with_capacity(peers.len() / 2);
-    for a in 0..nodes as u32 {
-        for (iface_a, &b) in peers_of(a).iter().enumerate() {
-            if b < a {
-                continue;
-            }
-            let iface_b = peers_of(b).binary_search(&a).expect(CONSISTENT);
-            links.push(Link::new(
-                (
-                    devices[a as usize].name.clone(),
-                    iface_names[b as usize].clone(),
-                ),
-                (
-                    devices[b as usize].name.clone(),
-                    iface_names[a as usize].clone(),
-                ),
-            ));
-            ends.push(((a as usize, iface_a), (b as usize, iface_b)));
-        }
-    }
-    // A one-way quotient edge would leave a peer without its link.
-    assert_eq!(2 * links.len(), peers.len(), "{CONSISTENT}");
-
-    let abs_network = NetworkConfig { devices, links };
-    let abs_topo = BuiltTopology::assemble(&abs_network, &ends).expect(CONSISTENT);
-
-    // Transport the EC: origins are copy 0 of each origin block (origin
-    // blocks always have exactly one copy).
-    let mut abs_origins: Vec<(NodeId, bonsai_srp::instance::OriginProto)> = Vec::new();
-    for &(n, proto) in &ec.origins {
-        let node = NodeId(first_node[abstraction.role_of(n).index()]);
-        if abs_origins.iter().all(|&(seen, _)| seen != node) {
-            abs_origins.push((node, proto));
-        }
-    }
-    let abs_ec = EcDest {
-        prefix: ec.prefix,
-        ranges: ec.ranges.clone(),
-        origins: abs_origins,
-    };
-
-    AbstractNetwork {
-        network: abs_network,
-        topo: abs_topo,
-        ec: abs_ec,
-        node_of_copy,
-        copy_of_node,
-    }
+/// Builds the abstract network for one class from a refined abstraction:
+/// its [`AbstractLayout`], rendered.
+pub fn build_abstract_network(
+    network: &NetworkConfig,
+    topo: &BuiltTopology,
+    ec: &EcDest,
+    abstraction: &Abstraction,
+) -> AbstractNetwork {
+    AbstractLayout::new(&topo.graph, ec, abstraction).render(network, topo)
 }
 
 const CONSISTENT: &str = "abstract network construction yields a consistent topology";

@@ -19,7 +19,7 @@
 //! network per worker instead of one per class. [`compress`] is its
 //! collecting instance (the consumer is the identity).
 
-use crate::abstraction::{build_abstract_network, AbstractNetwork};
+use crate::abstraction::{build_abstract_network, AbstractLayout, AbstractNetwork};
 use crate::algorithm::{find_abstraction, Abstraction};
 use crate::ecs::{compute_ecs, DestEc};
 use crate::engine::{CompiledPolicies, EngineStats};
@@ -218,30 +218,32 @@ pub fn compress_ec(
 }
 
 /// The counterexample-guided refinement step of the failure-scenario
-/// auditor: isolates the given concrete nodes in an existing abstraction,
-/// re-runs refinement to the fixpoint, and rebuilds the abstract network.
+/// auditor and the failure sweep: isolates the given concrete nodes in an
+/// existing abstraction, re-runs refinement to the fixpoint, and lays out
+/// the refined abstract network.
 ///
 /// `sigs` is the class's signature table, which every caller hoists once
 /// per class (a sweep refines one class thousands of times); the kernel
-/// itself never touches the engine.
+/// itself never touches the engine, and reads no configuration: the
+/// layout is what a check solves ([`AbstractLayout::instance`]), and
+/// [`AbstractLayout::render`] writes the configuration for whoever reads
+/// it.
 ///
-/// Returns the refined abstraction and its materialized network. The
-/// result is at least as fine as the input; callers loop this against
-/// re-verification until the abstraction is sound for their scenario set
-/// (termination: each effective split strictly increases the block count,
-/// bounded by the node count, where abstract = concrete and every check
-/// passes).
+/// Returns the refined abstraction and its layout. The result is at least
+/// as fine as the input; callers loop this against re-verification until
+/// the abstraction is sound for their scenario set (termination: each
+/// effective split strictly increases the block count, bounded by the
+/// node count, where abstract = concrete and every check passes).
 pub fn refine_ec_with_split(
-    network: &NetworkConfig,
-    topo: &BuiltTopology,
+    graph: &bonsai_net::Graph,
     ec: &bonsai_srp::instance::EcDest,
     sigs: &SigTable,
     abstraction: &Abstraction,
     split: &[bonsai_net::NodeId],
-) -> (Abstraction, AbstractNetwork) {
-    let refined = crate::algorithm::refine_with_split(&topo.graph, ec, sigs, abstraction, split);
-    let abs_net = build_abstract_network(network, topo, ec, &refined);
-    (refined, abs_net)
+) -> (Abstraction, AbstractLayout) {
+    let refined = crate::algorithm::refine_with_split(graph, ec, sigs, abstraction, split);
+    let layout = AbstractLayout::new(graph, ec, &refined);
+    (refined, layout)
 }
 
 /// Compresses a whole network, streaming: every destination equivalence

@@ -23,8 +23,9 @@
 //!    nodes until the partition satisfies the effective-abstraction
 //!    conditions; bound BGP loop-prevention behaviors by `|prefs|` and
 //!    split abstract nodes into that many copies.
-//! 5. [`abstraction`] — materialize each class's abstract network as
-//!    vendor-independent configurations.
+//! 5. [`abstraction`] — lay out each class's abstract network (numbering,
+//!    graph, the concrete objects each node and edge copies) and render it
+//!    as vendor-independent configurations.
 //! 6. [`conditions`] — independently check the effective-abstraction
 //!    conditions of Figure 4 (test oracle / user sanity API).
 //! 7. [`mod@compress`] — the driver: classes fanned over scoped workers
@@ -76,7 +77,7 @@ pub mod signatures;
 pub mod snapshot;
 pub mod symmetry;
 
-pub use abstraction::{build_abstract_network, AbstractNetwork};
+pub use abstraction::{build_abstract_network, AbstractLayout, AbstractNetwork};
 pub use algorithm::{find_abstraction, find_abstraction_from, refine_with_split, Abstraction};
 pub use compress::{
     build_engine, compress, compress_each, compress_ec, recompress_delta, ClassStats,

@@ -146,8 +146,8 @@ fn oracle_refine(
 // The oracle: the name-resolving builder
 // ---------------------------------------------------------------------------
 
-/// What `BuiltTopology::build` did before it ended in `assemble`: resolve
-/// every link end by name, then add the halves.
+/// The abstract topology as a parsed network's is built: resolve every
+/// link end by name, then add the halves.
 fn oracle_build_topology(network: &NetworkConfig) -> (Graph, Vec<usize>, Vec<usize>) {
     let mut gb = GraphBuilder::new();
     for d in &network.devices {
@@ -480,12 +480,11 @@ fn check_network(
                 .map(|_| NodeId(rng.below(graph.node_count()) as u32))
                 .collect();
             let what = format!("{what} split {split:?}");
-            let (refined, refined_net) =
-                refine_ec_with_split(net, &topo, &ec, &sigs, &base, &split);
+            let (refined, refined_layout) = refine_ec_with_split(graph, &ec, &sigs, &base, &split);
             let oracle_refined = oracle_refine_with_split(graph, &ec, &sigs, &oracle_base, &split);
             assert_same_abstraction(&refined, &oracle_refined, &what);
             assert_same_network(
-                &refined_net,
+                &refined_layout.render(net, &topo),
                 &oracle_build_abstract_network(net, &topo, &ec, &oracle_refined),
                 &what,
             );

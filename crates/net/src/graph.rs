@@ -222,6 +222,20 @@ impl Graph {
         (0..self.edges.len() as u32).map(EdgeId)
     }
 
+    /// The same graph with node `i` named `names[i]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one name per node.
+    pub fn with_names(self, names: Vec<String>) -> Graph {
+        assert_eq!(names.len(), self.names.len(), "one name per node");
+        Graph {
+            names,
+            by_name: OnceLock::new(),
+            ..self
+        }
+    }
+
     /// The display name of a node.
     pub fn name(&self, u: NodeId) -> &str {
         &self.names[u.index()]

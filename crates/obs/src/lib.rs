@@ -153,6 +153,10 @@ pub const METRICS: &[MetricDef] = &[
         "Algorithm-1 refinement kernel runs (algorithm::refine_with_split)",
     ),
     counter(
+        "compress.abstract.rendered",
+        "Abstract configurations rendered from a layout (AbstractLayout::render)",
+    ),
+    counter(
         "compress.emit.files",
         "Abstract-network files written by compress --out",
     ),
@@ -564,6 +568,9 @@ fn write_record(kind: &str, name: &str, dur_us: Option<u64>, fields: &[(&str, Fi
     let Some(tracer) = TRACER.get() else {
         return;
     };
+    // The timestamp is taken under the sink's lock, so records from
+    // concurrent workers land in timestamp order.
+    let mut sink = tracer.sink.lock().unwrap();
     let ts_us = tracer.epoch.elapsed().as_micros() as u64;
     let mut line = String::new();
     json::write_object(&mut line, json::Layout::Spaced, |o| {
@@ -578,7 +585,6 @@ fn write_record(kind: &str, name: &str, dur_us: Option<u64>, fields: &[(&str, Fi
             };
         }
     });
-    let mut sink = tracer.sink.lock().unwrap();
     let _ = writeln!(sink, "{line}");
     let _ = sink.flush();
 }

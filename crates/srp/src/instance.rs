@@ -18,6 +18,7 @@ use crate::model::Protocol;
 use crate::protocols::bgp::{BgpAttr, BgpProtocol};
 use crate::protocols::ospf::{OspfAttr, OspfEdge, OspfProtocol};
 use crate::protocols::static_route::StaticProtocol;
+use crate::view::ConfigView;
 use bonsai_config::{BuiltTopology, NetworkConfig};
 use bonsai_net::prefix::Prefix;
 use bonsai_net::{EdgeId, NodeId};
@@ -118,23 +119,29 @@ pub struct MultiProtocol<'a> {
     bgp: BgpProtocol<'a>,
     ospf: OspfProtocol,
     static_: StaticProtocol,
-    network: &'a NetworkConfig,
     /// Per-origin protocol, indexed by node (None = not an origin).
     origin_proto: Vec<Option<OriginProto>>,
 }
 
 impl<'a> MultiProtocol<'a> {
-    /// Builds the combined protocol for one destination class.
+    /// Builds the combined protocol for one destination class of a plain
+    /// network: [`MultiProtocol::from_view`] over the identity view.
     pub fn build(network: &'a NetworkConfig, topo: &BuiltTopology, ec: &EcDest) -> Self {
-        let mut origin_proto = vec![None; topo.graph.node_count()];
+        Self::from_view(&ConfigView::identity(network, topo), ec)
+    }
+
+    /// Builds the combined protocol for one destination class (its origins
+    /// are nodes of `view`'s graph) from the configuration `view` reads:
+    /// the one builder, over a plain network or lifted onto an abstraction.
+    pub fn from_view(view: &ConfigView<'a, '_>, ec: &EcDest) -> Self {
+        let mut origin_proto = vec![None; view.graph().node_count()];
         for &(n, proto) in &ec.origins {
             origin_proto[n.index()] = Some(proto);
         }
         MultiProtocol {
-            bgp: BgpProtocol::from_network(network, topo, ec.prefix),
-            ospf: OspfProtocol::from_network(network, topo),
-            static_: StaticProtocol::from_network(network, topo, ec.range()),
-            network,
+            bgp: BgpProtocol::from_view(view, ec.prefix),
+            ospf: OspfProtocol::from_view(view),
+            static_: StaticProtocol::from_view(view, ec.range()),
             origin_proto,
         }
     }
@@ -158,8 +165,7 @@ impl<'a> MultiProtocol<'a> {
     /// route, lent, or a freshly originated one if it redistributes the
     /// label's protocol into BGP.
     fn bgp_advertisable<'l>(&self, v: NodeId, label: &'l RibAttr) -> Option<Cow<'l, BgpAttr>> {
-        let dv = &self.network.devices[v.index()];
-        let bgp_cfg = dv.bgp.as_ref()?;
+        let bgp_cfg = self.bgp.device(v).bgp.as_ref()?;
         match label {
             RibAttr::Bgp(a) => Some(Cow::Borrowed(a)),
             RibAttr::Static if bgp_cfg.redistribute_static => {
@@ -174,8 +180,7 @@ impl<'a> MultiProtocol<'a> {
 
     /// The OSPF route `v` would flood given its RIB label.
     fn ospf_advertisable(&self, v: NodeId, label: &RibAttr) -> Option<OspfAttr> {
-        let dv = &self.network.devices[v.index()];
-        let ospf_cfg = dv.ospf.as_ref()?;
+        let ospf_cfg = self.bgp.device(v).ospf.as_ref()?;
         match label {
             RibAttr::Ospf(a) => Some(*a),
             RibAttr::Static if ospf_cfg.redistribute_static => Some(OspfAttr {

@@ -16,7 +16,9 @@
 //!   static routes, and the multi-protocol RIB with administrative distance
 //!   and route redistribution.
 //! * [`instance`] — builds the multi-protocol SRP for one destination
-//!   equivalence class straight from a vendor-independent configuration.
+//!   equivalence class straight from a vendor-independent configuration,
+//!   read through a [`view`]: the network itself, or a concrete network
+//!   lifted onto an abstraction's graph.
 //!
 //! Attributes carry *node* paths (`list(V)`, exactly as in the paper's
 //! Figure 5) rather than AS numbers; in the networks studied each router is
@@ -30,6 +32,7 @@ pub mod model;
 pub mod papernets;
 pub mod protocols;
 pub mod solver;
+pub mod view;
 
 pub use instance::{EcDest, MultiProtocol, OriginProto};
 pub use model::{Protocol, Solution, Srp};
@@ -37,3 +40,4 @@ pub use solver::{
     solve, solve_masked, solve_warm_masked, solve_with_order, solve_with_order_masked, SolveError,
     SolverOptions,
 };
+pub use view::ConfigView;

@@ -25,10 +25,11 @@
 //! instance holds one copy of each distinct result, not one per map.
 
 use crate::model::Protocol;
+use crate::view::ConfigView;
 use bonsai_config::eval::{
     eval_optional_route_map, eval_route_map, match_holds, PolicyInput, PolicyResult,
 };
-use bonsai_config::{BuiltTopology, Community, MatchCond, NetworkConfig};
+use bonsai_config::{BuiltTopology, Community, DeviceConfig, MatchCond, NetworkConfig};
 use bonsai_net::prefix::Prefix;
 use bonsai_net::{EdgeId, NodeId};
 use std::borrow::Cow;
@@ -79,12 +80,18 @@ pub struct BgpEdge {
 /// How one direction of a session applies its route map under this
 /// instance's destination.
 #[derive(PartialEq, Debug)]
-enum MapPlan<'a> {
+pub enum MapPlan<'a> {
     /// The same result for every route: no map (permit unchanged), a
     /// dangling one (deny), or one decided by prefix-list clauses alone.
     Constant(PolicyResult),
     /// A community condition is reached: the map is run on each offer.
-    Interpreted { device: usize, map: &'a str },
+    Interpreted {
+        /// The device (of the network the instance reads) whose map,
+        /// prefix lists and community lists run.
+        device: usize,
+        /// The map's name.
+        map: &'a str,
+    },
 }
 
 impl<'a> MapPlan<'a> {
@@ -144,6 +151,8 @@ struct Session {
 pub struct BgpProtocol<'a> {
     network: &'a NetworkConfig,
     dest: Prefix,
+    /// The device each node reads.
+    devices: Vec<&'a DeviceConfig>,
     graph_edges: Vec<(NodeId, NodeId)>,
     sessions: Vec<Option<Session>>,
     /// The distinct plans of this instance's maps.
@@ -161,6 +170,14 @@ impl<'a> BgpProtocol<'a> {
     /// have a `neighbor` statement on the respective interface. The session
     /// is iBGP iff both sides declare `remote-as internal`.
     pub fn from_network(network: &'a NetworkConfig, topo: &BuiltTopology, dest: Prefix) -> Self {
+        Self::from_view(&ConfigView::identity(network, topo), dest)
+    }
+
+    /// The BGP protocol of the instance `view` describes. Each session
+    /// direction's route map is looked up on the device of the node that
+    /// applies it.
+    pub fn from_view(view: &ConfigView<'a, '_>, dest: Prefix) -> Self {
+        let (network, graph) = (view.network(), view.graph());
         let mut plans: Vec<MapPlan<'a>> = Vec::new();
         let mut intern = |plan: MapPlan<'a>| {
             let at = plans.iter().position(|p| *p == plan).unwrap_or_else(|| {
@@ -169,22 +186,23 @@ impl<'a> BgpProtocol<'a> {
             });
             u16::try_from(at).expect("fewer than 65 536 distinct route-map plans")
         };
-        let mut sessions = Vec::with_capacity(topo.graph.edge_count());
-        let mut graph_edges = Vec::with_capacity(topo.graph.edge_count());
-        for e in topo.graph.edges() {
-            let (u, v) = topo.graph.endpoints(e);
+        let mut sessions = Vec::with_capacity(graph.edge_count());
+        let mut graph_edges = Vec::with_capacity(graph.edge_count());
+        for e in graph.edges() {
+            let (u, v) = graph.endpoints(e);
             graph_edges.push((u, v));
             sessions.push(
-                Self::session_names(network, topo, e).map(|(ibgp, export, import)| Session {
+                Self::session_names(view, e).map(|(ibgp, export, import)| Session {
                     ibgp,
-                    export: intern(MapPlan::of(network, v, export, dest)),
-                    import: intern(MapPlan::of(network, u, import, dest)),
+                    export: intern(MapPlan::of(network, view.device_of(v), export, dest)),
+                    import: intern(MapPlan::of(network, view.device_of(u), import, dest)),
                 }),
             );
         }
         BgpProtocol {
             network,
             dest,
+            devices: graph.nodes().map(|n| view.device(n)).collect(),
             graph_edges,
             sessions,
             plans,
@@ -193,7 +211,7 @@ impl<'a> BgpProtocol<'a> {
 
     /// The session facts of one edge (shared with the compression layer).
     pub fn edge_facts(network: &NetworkConfig, topo: &BuiltTopology, e: EdgeId) -> Option<BgpEdge> {
-        let (ibgp, export, import) = Self::session_names(network, topo, e)?;
+        let (ibgp, export, import) = Self::session_names(&ConfigView::identity(network, topo), e)?;
         Some(BgpEdge {
             ibgp,
             export_map: export.map(str::to_string),
@@ -201,25 +219,35 @@ impl<'a> BgpProtocol<'a> {
         })
     }
 
-    fn session_names<'n>(
-        network: &'n NetworkConfig,
-        topo: &BuiltTopology,
-        e: EdgeId,
-    ) -> Option<SessionNames<'n>> {
-        let (u, v) = topo.graph.endpoints(e);
-        let du = &network.devices[u.index()];
-        let dv = &network.devices[v.index()];
-        let bgp_u = du.bgp.as_ref()?;
-        let bgp_v = dv.bgp.as_ref()?;
-        let iface_u = &du.interfaces[topo.egress(e)].name;
-        let iface_v = &dv.interfaces[topo.ingress(e)].name;
-        let nb_u = bgp_u.neighbors.iter().find(|n| n.iface == *iface_u)?;
-        let nb_v = bgp_v.neighbors.iter().find(|n| n.iface == *iface_v)?;
+    fn session_names<'n>(view: &ConfigView<'n, '_>, e: EdgeId) -> Option<SessionNames<'n>> {
+        let nb_u = view.egress_neighbor(e)?;
+        let nb_v = view.ingress_neighbor(e)?;
         Some((
             nb_u.ibgp && nb_v.ibgp,
             nb_v.export_policy.as_deref(),
             nb_u.import_policy.as_deref(),
         ))
+    }
+
+    /// The device node `n` reads.
+    pub(crate) fn device(&self, n: NodeId) -> &'a DeviceConfig {
+        self.devices[n.index()]
+    }
+
+    /// The default local preference of node `n`'s BGP process (100 without
+    /// one).
+    fn default_lp(&self, n: NodeId) -> u32 {
+        let bgp = self.device(n).bgp.as_ref();
+        bgp.map(|b| b.default_local_pref).unwrap_or(100)
+    }
+
+    /// The session on edge `e` as this instance applies it: whether it is
+    /// iBGP, then the plans of the exporter's outbound and the importer's
+    /// inbound map (what the lifted-instance oracle compares).
+    pub fn session_plans(&self, e: EdgeId) -> Option<(bool, &MapPlan<'a>, &MapPlan<'a>)> {
+        let session = self.sessions[e.index()]?;
+        let plan = |at: u16| &self.plans[usize::from(at)];
+        Some((session.ibgp, plan(session.export), plan(session.import)))
     }
 
     /// The `(source, target)` endpoints of an edge (cached from the graph).
@@ -292,12 +320,10 @@ impl<'a> BgpProtocol<'a> {
             return None;
         }
         import.apply_communities(&mut comms);
-        let du = &self.network.devices[u.index()];
-        let default_lp = du.bgp.as_ref().map(|b| b.default_local_pref).unwrap_or(100);
         let lp = import.local_pref.unwrap_or(if session.ibgp {
             a.lp // local preference is carried across iBGP
         } else {
-            default_lp
+            self.default_lp(u)
         });
         let med = import
             .metric
@@ -318,12 +344,7 @@ impl Protocol for BgpProtocol<'_> {
     type Attr = BgpAttr;
 
     fn origin(&self, origin: NodeId) -> BgpAttr {
-        let default_lp = self.network.devices[origin.index()]
-            .bgp
-            .as_ref()
-            .map(|b| b.default_local_pref)
-            .unwrap_or(100);
-        BgpAttr::origin(default_lp)
+        BgpAttr::origin(self.default_lp(origin))
     }
 
     fn compare(&self, a: &BgpAttr, b: &BgpAttr) -> Option<Ordering> {

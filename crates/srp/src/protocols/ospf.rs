@@ -6,6 +6,7 @@
 //! cost and sets the inter-area bit when a route crosses an area boundary.
 
 use crate::model::Protocol;
+use crate::view::ConfigView;
 use bonsai_config::{BuiltTopology, NetworkConfig};
 use bonsai_net::{EdgeId, NodeId};
 use std::cmp::Ordering;
@@ -41,11 +42,12 @@ impl OspfProtocol {
     /// OSPF runs over an edge `(u, v)` iff both endpoint interfaces carry
     /// an `ip ospf area` setting and both devices run an OSPF process.
     pub fn from_network(network: &NetworkConfig, topo: &BuiltTopology) -> Self {
-        let edges = topo
-            .graph
-            .edges()
-            .map(|e| Self::edge_facts(network, topo, e))
-            .collect();
+        Self::from_view(&ConfigView::identity(network, topo))
+    }
+
+    /// The OSPF protocol of the instance `view` describes.
+    pub fn from_view(view: &ConfigView<'_, '_>) -> Self {
+        let edges = view.graph().edges().map(|e| Self::facts(view, e)).collect();
         OspfProtocol { edges }
     }
 
@@ -56,13 +58,15 @@ impl OspfProtocol {
         topo: &BuiltTopology,
         e: EdgeId,
     ) -> Option<OspfEdge> {
-        let (u, v) = topo.graph.endpoints(e);
-        let du = &network.devices[u.index()];
-        let dv = &network.devices[v.index()];
-        du.ospf.as_ref()?;
-        dv.ospf.as_ref()?;
-        let iu = &du.interfaces[topo.egress(e)];
-        let iv = &dv.interfaces[topo.ingress(e)];
+        Self::facts(&ConfigView::identity(network, topo), e)
+    }
+
+    fn facts(view: &ConfigView<'_, '_>, e: EdgeId) -> Option<OspfEdge> {
+        let (u, v) = view.graph().endpoints(e);
+        view.device(u).ospf.as_ref()?;
+        view.device(v).ospf.as_ref()?;
+        let (_, iu) = view.egress(e);
+        let (_, iv) = view.ingress(e);
         let area_u = iu.ospf_area?;
         let area_v = iv.ospf_area?;
         Some(OspfEdge {

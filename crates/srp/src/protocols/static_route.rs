@@ -9,6 +9,7 @@
 //! (Theorem 4.3).
 
 use crate::model::Protocol;
+use crate::view::ConfigView;
 use bonsai_config::{BuiltTopology, NetworkConfig};
 use bonsai_net::prefix::Prefix;
 use bonsai_net::{EdgeId, NodeId};
@@ -25,10 +26,16 @@ pub struct StaticProtocol {
 impl StaticProtocol {
     /// Extracts static-route facts for a destination from a network.
     pub fn from_network(network: &NetworkConfig, topo: &BuiltTopology, dest: Prefix) -> Self {
-        let on_edge = topo
-            .graph
+        Self::from_view(&ConfigView::identity(network, topo), dest)
+    }
+
+    /// The static routes toward `dest` of the instance `view` describes.
+    pub fn from_view(view: &ConfigView<'_, '_>, dest: Prefix) -> Self {
+        let graph = view.graph();
+        let best: Vec<Option<u8>> = graph.nodes().map(|n| longest(view, n, dest)).collect();
+        let on_edge = graph
             .edges()
-            .map(|e| Self::edge_fact(network, topo, e, dest))
+            .map(|e| out_of(view, e, dest, best[graph.source(e).index()]))
             .collect();
         StaticProtocol { on_edge }
     }
@@ -44,28 +51,30 @@ impl StaticProtocol {
         e: EdgeId,
         dest: Prefix,
     ) -> bool {
-        let u = topo.graph.source(e);
-        let device = &network.devices[u.index()];
-        let Some(best) = device
-            .static_routes
-            .iter()
-            .filter(|r| r.prefix.contains(dest))
-            .max_by_key(|r| r.prefix.len())
-            .map(|r| r.prefix.len())
-        else {
-            return false;
-        };
-        let egress = &device.interfaces[topo.egress(e)].name;
-        device
-            .static_routes
-            .iter()
-            .any(|r| r.prefix.contains(dest) && r.prefix.len() == best && r.iface == *egress)
+        let view = ConfigView::identity(network, topo);
+        out_of(&view, e, dest, longest(&view, topo.graph.source(e), dest))
     }
 
     /// True if the edge carries a static route.
     pub fn on_edge(&self, e: EdgeId) -> bool {
         self.on_edge[e.index()]
     }
+}
+
+/// The length of node `n`'s longest static route covering `dest`.
+fn longest(view: &ConfigView<'_, '_>, n: NodeId, dest: Prefix) -> Option<u8> {
+    view.statics_of(n)
+        .filter(|p| p.contains(dest))
+        .map(|p| p.len())
+        .max()
+}
+
+/// Whether one of the routes out of `e` covers `dest` at length `best`.
+fn out_of(view: &ConfigView<'_, '_>, e: EdgeId, dest: Prefix, best: Option<u8>) -> bool {
+    best.is_some_and(|best| {
+        view.statics_out(e)
+            .any(|p| p.contains(dest) && p.len() == best)
+    })
 }
 
 impl Protocol for StaticProtocol {

@@ -20,7 +20,7 @@
 //! *some* abstract solution corresponds).
 
 use bonsai_config::{BuiltTopology, Community, NetworkConfig};
-use bonsai_core::abstraction::AbstractNetwork;
+use bonsai_core::abstraction::{AbstractNetwork, AbstractNumbering};
 use bonsai_core::algorithm::Abstraction;
 use bonsai_net::partition::BlockId;
 use bonsai_net::{FailureMask, NodeId};
@@ -276,18 +276,18 @@ impl BehaviorTable {
     }
 
     /// The per-block behavior sets of an abstract network under a
-    /// solution; `srp` and `mask` are the instance of `abs` and the mask
-    /// the solution was solved under.
+    /// solution; `srp` and `mask` are the network's instance and the mask
+    /// the solution was solved under, `abs` its numbering.
     pub(crate) fn abstract_sets(
         &mut self,
-        abs: &AbstractNetwork,
+        abs: &impl AbstractNumbering,
         srp: &Srp<'_, MultiProtocol<'_>>,
         solution: &Solution<RibAttr>,
         keep: Option<&BTreeSet<Community>>,
         mask: Option<&FailureMask>,
     ) -> BlockSets {
-        let block_of = |v: NodeId| abs.copy_of_node[v.index()].0 .0;
-        let pairs = (abs.topo.graph.nodes())
+        let block_of = |v: NodeId| abs.copy_of(v).0 .0;
+        let pairs = (srp.graph.nodes())
             .map(|n| {
                 let behavior = self.behavior_id(srp, solution, n, keep, mask, block_of);
                 (block_of(n), behavior)

@@ -20,7 +20,7 @@
 //! 2. On a refutation the kernel's fallback candidate rule names the split
 //!    — failed-link endpoints still sharing a block, else the offending
 //!    block itself — and [`refine_ec_with_split`] isolates those nodes,
-//!    restores the refinement fixpoint and rebuilds the abstract network
+//!    restores the refinement fixpoint and lays out the abstract network
 //!    against the class's hoisted signature table.
 //! 3. The pass continues against the refined abstraction (refinement is
 //!    monotone) and passes repeat until one finds no counterexample: the
@@ -43,7 +43,7 @@ use crate::sweep::{
     SweepEnv, SweepOptions,
 };
 use bonsai_config::{BuiltTopology, NetworkConfig};
-use bonsai_core::abstraction::AbstractNetwork;
+use bonsai_core::abstraction::{AbstractNetwork, AbstractNumbering};
 use bonsai_core::algorithm::Abstraction;
 use bonsai_core::compress::refine_ec_with_split;
 use bonsai_core::engine::CompiledPolicies;
@@ -118,20 +118,24 @@ impl FailureAuditReport {
 /// mask over-fails the abstract network. The auditor detects the
 /// resulting behavior mismatch and refines until every failed link is the
 /// unique concrete witness of the abstract links it lifts to.
+///
+/// `abs` is the abstract network of `abstraction`, laid out
+/// ([`bonsai_core::abstraction::AbstractLayout`]) or rendered
+/// ([`AbstractNetwork`]): both number it alike.
 pub fn lift_failure_mask(
     scenario: &FailureScenario,
     abstraction: &Abstraction,
-    abs: &AbstractNetwork,
+    abs: &impl AbstractNumbering,
 ) -> FailureMask {
-    let graph = &abs.topo.graph;
+    let graph = abs.abstract_graph();
     let mut mask = FailureMask::for_graph(graph);
     for &(u, v) in &scenario.links {
         let bu = abstraction.role_of(u);
         let bv = abstraction.role_of(v);
         for cu in 0..abstraction.copies[bu.index()] {
             for cv in 0..abstraction.copies[bv.index()] {
-                let nu = abs.node_of_copy[&(bu, cu)];
-                let nv = abs.node_of_copy[&(bv, cv)];
+                let nu = abs.node_of(bu, cu);
+                let nv = abs.node_of(bv, cv);
                 if nu != nv {
                     mask.disable_link(graph, nu, nv);
                 }
@@ -157,6 +161,10 @@ pub fn lift_failure_mask(
 /// [`CompiledPolicies`] engine (a cache hit after a compression run) and
 /// every refinement step reuses it, so an audit recompiles nothing.
 ///
+/// The audit checks every scenario on layouts and the lifted instance
+/// ([`bonsai_core::abstraction::AbstractLayout::instance`]) and renders
+/// only the network of the abstraction it returns.
+///
 /// Errors only when a *concrete* instance diverges under some scenario
 /// (nothing to audit against) or a mismatch is left with nothing to split.
 pub fn check_cp_equivalence_under_failures(
@@ -164,17 +172,16 @@ pub fn check_cp_equivalence_under_failures(
     topo: &BuiltTopology,
     ec: &EcDest,
     abstraction: &Abstraction,
-    abs: &AbstractNetwork,
     engine: &CompiledPolicies,
     options: &SweepOptions,
 ) -> Result<FailureAuditReport, EquivalenceError> {
     let distances = Arc::new(NodeDistances::of_graph(&topo.graph));
     let env = SweepEnv::new(network, topo, engine, options, distances);
-    let ctx = SweepCtx::hoist(&env, ec.clone(), abstraction, abs);
+    let ctx = SweepCtx::hoist(&env, ec.clone(), abstraction);
     let k = options.max_failures;
     let stream = ScenarioStream::new(&topo.graph, k);
     let mut current = abstraction.clone();
-    let mut current_net = abs.clone();
+    let mut current_layout = ctx.class.layout.clone();
     let mut counterexamples: Vec<FailureCounterexample> = Vec::new();
     let mut checks_performed = 0usize;
 
@@ -205,7 +212,7 @@ pub fn check_cp_equivalence_under_failures(
             scenarios_swept += 1;
             checks_performed += 1;
             let solutions = sample_concrete_solutions(&ctx, &scenario)?;
-            let candidate = Candidate::new(&current, &current_net, &scenario);
+            let candidate = Candidate::new(network, topo, &current, &current_layout, &scenario);
             let Err(refutation) = check_scenario_refined(&ctx, &scenario, &solutions, &candidate)?
             else {
                 continue;
@@ -222,8 +229,8 @@ pub fn check_cp_equivalence_under_failures(
                     ),
                 });
             }
-            (current, current_net) =
-                refine_ec_with_split(network, topo, ec, &ctx.class.sigs, &current, &split);
+            (current, current_layout) =
+                refine_ec_with_split(&topo.graph, ec, &ctx.class.sigs, &current, &split);
             counterexamples.push(FailureCounterexample {
                 scenario,
                 block: refutation.mismatch.as_ref().map(|m| m.block),
@@ -242,8 +249,8 @@ pub fn check_cp_equivalence_under_failures(
                 refinement_rounds: counterexamples.len(),
                 counterexamples,
                 initial_abstract_nodes: abstraction.abstract_node_count(),
+                abstract_network: current_layout.render(network, topo),
                 abstraction: current,
-                abstract_network: current_net,
             });
         }
     }
@@ -273,7 +280,6 @@ mod tests {
             &topo,
             &ec.ec.to_ec_dest(),
             &ec.abstraction,
-            &ec.abstract_network,
             &report.policies,
             options,
         )

@@ -563,13 +563,7 @@ pub(crate) fn sweep_with_distances(
     let mut planes: Vec<EcPlane<'_>> = Vec::with_capacity(n_ecs);
     for &ci in indices {
         let comp = &report.per_ec[ci];
-        let ctx = SweepCtx::hoist(
-            &env,
-            comp.ec.to_ec_dest(),
-            &comp.abstraction,
-            &comp.abstract_network,
-        )
-        .warmed();
+        let ctx = SweepCtx::hoist(&env, comp.ec.to_ec_dest(), &comp.abstraction).warmed();
         let class = &ctx.class;
         let canon = if options.share_across_ecs {
             quotient_canon(
@@ -1159,10 +1153,10 @@ fn resolve_refinement(
             // the transferred refinement; a refutation (the symmetry
             // certificate over-promised) falls back to deriving.
             let solutions = sample_concrete_solutions(ctx, &candidate.representative)?;
-            let abs = candidate
-                .materialized(ctx.env.network, ctx.env.topo)
-                .abstract_network();
-            let check = Candidate::new(candidate.abstraction(), abs, &candidate.representative);
+            let (network, topo) = (ctx.env.network, ctx.env.topo);
+            let layout = candidate.materialized(network, topo).layout();
+            let (abstraction, rep) = (candidate.abstraction(), &candidate.representative);
+            let check = Candidate::new(network, topo, abstraction, layout, rep);
             if check_scenario_refined(ctx, &candidate.representative, &solutions, &check)?.is_ok() {
                 return Ok(candidate);
             }

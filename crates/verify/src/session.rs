@@ -739,8 +739,8 @@ impl Session {
             scenario_verdict(network, topo, ec, class, held, scenario, &mut stats)
         } else if let Some(solution) = &plane.base_solution {
             stats.cached_answers += 1;
-            let (base, abs) = (&comp.abstraction, &comp.abstract_network);
-            Ok(abstract_verdict(topo, ec, base, abs, solution))
+            let (base, layout) = (&comp.abstraction, &plane.class.layout);
+            Ok(abstract_verdict(network, topo, ec, base, layout, solution))
         } else {
             concrete_verdict(network, topo, ec, None, &mut stats)
         }

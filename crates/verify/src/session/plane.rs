@@ -62,7 +62,7 @@ impl QueryPlane {
         let orbits = link_orbits_with_distances(&topo.graph, base, sigs, Arc::clone(distances));
         let failure_free = FailureScenario::new(vec![]);
         let base_solution =
-            canonical_abstract_solution(base, &comp.abstract_network, &failure_free)
+            canonical_abstract_solution(network, topo, base, &class.layout, &failure_free)
                 .map(|(solution, _)| solution);
         QueryPlane {
             class,

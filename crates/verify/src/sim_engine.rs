@@ -26,11 +26,14 @@ use crate::query::{QueryCtx, QueryScope, QueryStats};
 use crate::sweep::scenario_verdict;
 use bonsai_config::eval::acl_permits;
 use bonsai_config::{BuiltTopology, NetworkConfig};
+use bonsai_core::abstraction::{AbstractLayout, AbstractNumbering};
+use bonsai_core::algorithm::Abstraction;
 use bonsai_core::ecs::{compute_ecs, DestEc};
 use bonsai_net::prefix::Prefix;
 use bonsai_net::{FailureMask, NodeId};
 use bonsai_srp::instance::RibAttr;
 use bonsai_srp::solver::{solve_with_order_masked_stats, SolveError, SolverOptions};
+use bonsai_srp::view::ConfigView;
 use bonsai_srp::Solution;
 
 /// Control-plane simulation plus data-plane queries for one network.
@@ -89,7 +92,11 @@ impl<'a> SimEngine<'a> {
     /// class's packets (paper §6: ACLs do not affect routing, only
     /// delivery).
     pub fn data_plane(&self, ec: &DestEc, solution: &Solution<RibAttr>) -> Solution<RibAttr> {
-        acl_pruned(self.network, &self.topo, ec, solution.clone())
+        acl_pruned(
+            &ConfigView::identity(self.network, &self.topo),
+            ec,
+            solution.clone(),
+        )
     }
 
     /// All-pairs reachability over every class: the Figure 12 workload.
@@ -236,20 +243,21 @@ impl<'a> SimEngine<'a> {
 /// Per-node reachability read off a solution of a verified abstract
 /// network (the failure-free base or a per-scenario refinement), mapped
 /// back to concrete nodes: a node delivers iff every copy of its block
-/// does. No solve — `solution` is the canonical solution of `abs` under
-/// the state asked about.
+/// does. No solve — `solution` is the canonical solution of `abs`, the
+/// layout of `abstraction` over `network`, under the state asked about.
 pub(crate) fn abstract_verdict(
+    network: &NetworkConfig,
     topo: &BuiltTopology,
     ec: &DestEc,
-    abstraction: &bonsai_core::algorithm::Abstraction,
-    abs: &bonsai_core::abstraction::AbstractNetwork,
+    abstraction: &Abstraction,
+    abs: &AbstractLayout,
     solution: &Solution<RibAttr>,
 ) -> Vec<bool> {
-    // Abstract data plane: the projected configs carry the ACLs, so the
-    // same pruning applies on the abstract side.
+    // Abstract data plane: the abstract interfaces carry the ACLs of the
+    // edges they copy, so the same pruning applies on the abstract side.
     let abs_origins: Vec<NodeId> = abs.ec.origins.iter().map(|(n, _)| *n).collect();
-    let solution = acl_pruned(&abs.network, &abs.topo, ec, solution.clone());
-    let analysis = SolutionAnalysis::new(&abs.topo.graph, &solution, &abs_origins);
+    let solution = acl_pruned(&abs.view(network, topo), ec, solution.clone());
+    let analysis = SolutionAnalysis::new(&abs.graph, &solution, &abs_origins);
 
     // Map back: concrete node → all copies of its block deliver.
     let concrete_origins: Vec<NodeId> = ec.origins.iter().map(|(n, _)| *n).collect();
@@ -259,9 +267,9 @@ pub(crate) fn abstract_verdict(
             if concrete_origins.contains(&u) {
                 return true;
             }
-            abs.candidates_of(abstraction, u)
-                .iter()
-                .all(|&c| analysis.can_reach(c))
+            let block = abstraction.role_of(u);
+            (0..abstraction.copies[block.index()])
+                .all(|c| analysis.can_reach(abs.node_of(block, c)))
         })
         .collect()
 }
@@ -286,7 +294,10 @@ pub(crate) fn concrete_data_plane(
     stats.concrete_solves += 1;
     stats.solver_updates += solve_stats.updates;
     let origins = ec.origins.iter().map(|(n, _)| *n).collect();
-    Ok((acl_pruned(network, topo, ec, solution), origins))
+    Ok((
+        acl_pruned(&ConfigView::identity(network, topo), ec, solution),
+        origins,
+    ))
 }
 
 /// Per-node verdict of one concrete masked simulation — the fallback path
@@ -310,44 +321,39 @@ pub(crate) fn concrete_verdict(
 
 /// `solution`'s data plane for class `ec`: its forwarding relation minus
 /// the edges whose ACLs drop the class's packet range. The one pruning of
-/// the concrete data plane and of an abstract one (the projected configs
-/// carry the ACLs, so `network` and `topo` are the abstract network's).
+/// the concrete data plane (the identity view) and of an abstract one (a
+/// layout's lifted view: the ACLs the rendered configs would carry).
 fn acl_pruned(
-    network: &NetworkConfig,
-    topo: &BuiltTopology,
+    view: &ConfigView<'_, '_>,
     ec: &DestEc,
     mut solution: Solution<RibAttr>,
 ) -> Solution<RibAttr> {
     let range = ec.ranges.first().copied().unwrap_or(ec.rep);
     for fwd in solution.fwd.iter_mut() {
-        fwd.retain(|&e| edge_passes_acls(network, topo, e, range));
+        fwd.retain(|&e| edge_passes_acls(view, e, range));
     }
     solution
 }
 
 /// True when neither the egress ACL of the edge's source interface nor
-/// the ingress ACL of its target interface drops the packet range —
-/// shared by the concrete and abstract data planes.
-fn edge_passes_acls(
-    network: &NetworkConfig,
-    topo: &BuiltTopology,
+/// the ingress ACL of its target interface drops the packet range — each
+/// looked up on its node's device; shared by the concrete and abstract
+/// data planes.
+pub(crate) fn edge_passes_acls(
+    view: &ConfigView<'_, '_>,
     e: bonsai_net::EdgeId,
     range: Prefix,
 ) -> bool {
-    let (u, v) = topo.graph.endpoints(e);
-    let du = &network.devices[u.index()];
-    let dv = &network.devices[v.index()];
-    let out_ok = du.interfaces[topo.egress(e)]
-        .acl_out
-        .as_deref()
-        .map(|n| du.acl(n).map(|a| acl_permits(a, range)).unwrap_or(false))
-        .unwrap_or(true);
-    let in_ok = dv.interfaces[topo.ingress(e)]
-        .acl_in
-        .as_deref()
-        .map(|n| dv.acl(n).map(|a| acl_permits(a, range)).unwrap_or(false))
-        .unwrap_or(true);
-    out_ok && in_ok
+    let (u, v) = view.graph().endpoints(e);
+    let passes = |node: NodeId, acl: &Option<String>| {
+        let acl = acl.as_deref();
+        acl.is_none_or(|name| {
+            view.device(node)
+                .acl(name)
+                .is_some_and(|a| acl_permits(a, range))
+        })
+    };
+    passes(u, &view.egress(e).1.acl_out) && passes(v, &view.ingress(e).1.acl_in)
 }
 
 #[cfg(test)]

@@ -71,7 +71,7 @@ use crate::failures::lift_failure_mask;
 use crate::query::QueryStats;
 use crate::sim_engine::{abstract_verdict, concrete_verdict};
 use bonsai_config::{BuiltTopology, Community, NetworkConfig};
-use bonsai_core::abstraction::{build_abstract_network, AbstractNetwork};
+use bonsai_core::abstraction::{AbstractLayout, AbstractNetwork, AbstractNumbering};
 use bonsai_core::algorithm::{refine_with_split, Abstraction};
 use bonsai_core::compress::refine_ec_with_split;
 use bonsai_core::ecs::DestEc;
@@ -177,11 +177,13 @@ impl RefinementProvenance {
 /// one `Arc` of its class's [`ClassBase`], and its partition —
 /// [`ClassBase::split_partition`] of `split` — is derived on first read
 /// ([`ScenarioRefinement::abstraction`]) unless the producer already has
-/// it. The abstract network and its canonical solution are derived data
-/// the same way — a pure function of (network, class, partition,
-/// representative) — and live behind [`ScenarioRefinement::materialized`]:
-/// a sweep that only counts refined nodes never assembles or solves them,
-/// and a snapshot restore runs no Algorithm 1 at all.
+/// it. The abstract network's layout and its canonical solution are
+/// derived data the same way — a pure function of (network, class,
+/// partition, representative) — and live behind
+/// [`ScenarioRefinement::materialized`]: a sweep that only counts refined
+/// nodes never lays out or solves them, a snapshot restore runs no
+/// Algorithm 1 at all, and the configuration is written only for a reader
+/// of [`Materialized::abstract_network`].
 #[derive(Clone, Debug)]
 pub struct ScenarioRefinement {
     /// The orbit signature this refinement is cached under.
@@ -223,23 +225,47 @@ pub(crate) enum Known {
     Nodes(usize),
     /// The partition: an eager symmetric transfer, an exact one.
     Partition(Abstraction),
-    /// The partition and the abstract network a derivation verified.
+    /// The partition and the abstract layout a derivation verified.
     Verified(Abstraction, Box<Materialized>),
 }
 
 /// What [`ScenarioRefinement::materialized`] derives from a refinement's
-/// partition.
+/// partition: the abstract network's layout and canonical solution, and
+/// its configuration once someone reads it.
 #[derive(Clone, Debug)]
 pub struct Materialized {
-    abstract_network: AbstractNetwork,
+    layout: AbstractLayout,
     /// The canonical solution and the label updates it took.
     canonical: Option<(Solution<RibAttr>, usize)>,
+    /// The rendered configuration, filled by the first
+    /// [`Materialized::abstract_network`] read.
+    rendered: OnceLock<AbstractNetwork>,
 }
 
 impl Materialized {
-    /// The refinement's abstract network.
-    pub fn abstract_network(&self) -> &AbstractNetwork {
-        &self.abstract_network
+    fn new(layout: AbstractLayout, canonical: Option<(Solution<RibAttr>, usize)>) -> Self {
+        Materialized {
+            layout,
+            canonical,
+            rendered: OnceLock::new(),
+        }
+    }
+
+    /// The refinement's abstract network, laid out: what its canonical
+    /// solution was solved on.
+    pub fn layout(&self) -> &AbstractLayout {
+        &self.layout
+    }
+
+    /// The refinement's abstract network, rendered on first read
+    /// ([`AbstractLayout::render`]) and kept. `network` and `topo` must be
+    /// the ones the refinement was derived for.
+    pub fn abstract_network(
+        &self,
+        network: &NetworkConfig,
+        topo: &BuiltTopology,
+    ) -> &AbstractNetwork {
+        (self.rendered).get_or_init(|| self.layout.clone().render(network, topo))
     }
 
     /// The **canonical solution** of that network under the
@@ -254,8 +280,9 @@ impl Materialized {
     }
 }
 
-/// The one function from a partition to its derived pair: assembles the
-/// abstract network and solves it canonically under the representative.
+/// The one function from a partition to its derived pair: lays out the
+/// abstract network and solves its lifted instance canonically under the
+/// representative. Renders nothing.
 fn materialize(
     network: &NetworkConfig,
     topo: &BuiltTopology,
@@ -269,12 +296,10 @@ fn materialize(
         abstract_nodes = abstraction.abstract_node_count()
     );
     bonsai_obs::add("sweep.refinements.materialized", 1);
-    let abstract_network = build_abstract_network(network, topo, ec, abstraction);
-    let canonical = canonical_abstract_solution(abstraction, &abstract_network, representative);
-    Materialized {
-        abstract_network,
-        canonical,
-    }
+    let layout = AbstractLayout::new(&topo.graph, ec, abstraction);
+    let canonical =
+        canonical_abstract_solution(network, topo, abstraction, &layout, representative);
+    Materialized::new(layout, canonical)
 }
 
 impl ScenarioRefinement {
@@ -359,7 +384,7 @@ impl ScenarioRefinement {
         self.witnessed.is_some()
     }
 
-    /// The refinement's abstract network and canonical solution, built on
+    /// The refinement's abstract layout and canonical solution, built on
     /// first read and shared by every later one (racing first readers get
     /// one value). `network` and `topo` must be the ones the refinement was
     /// derived for. Deterministic, so a value built here equals the one a
@@ -593,8 +618,6 @@ pub(crate) struct SweepCtx<'a> {
     /// The class and its failure-free (CP-equivalent) base abstraction,
     /// the handle every refinement of the class holds.
     pub(crate) class: Arc<ClassBase>,
-    /// The base abstraction's network.
-    pub(crate) base_net: &'a AbstractNetwork,
     pub(crate) orbits: LinkOrbits,
     pub(crate) srp: Srp<'a, MultiProtocol<'a>>,
     /// `Some` once [`SweepCtx::warmed`]: the two failure-free fixpoints
@@ -608,12 +631,7 @@ impl<'a> SweepCtx<'a> {
     /// orbits and the concrete instance. No base fixpoints — every solve
     /// runs the cold rotated orders (what the audit wants: its abstraction
     /// moves under it).
-    pub(crate) fn hoist(
-        env: &'a SweepEnv<'a>,
-        ec: EcDest,
-        base: &Abstraction,
-        base_net: &'a AbstractNetwork,
-    ) -> Self {
+    pub(crate) fn hoist(env: &'a SweepEnv<'a>, ec: EcDest, base: &Abstraction) -> Self {
         let (network, topo) = (env.network, env.topo);
         let class = ClassBase::hoist(env.engine, network, topo, &env.graph, ec, base);
         let orbits =
@@ -622,7 +640,6 @@ impl<'a> SweepCtx<'a> {
         SweepCtx {
             env,
             class,
-            base_net,
             orbits,
             srp,
             fixpoints: None,
@@ -651,14 +668,27 @@ impl<'a> SweepCtx<'a> {
     }
 
     fn fixpoints(&self) -> Option<&[Option<Solution<RibAttr>>; 2]> {
-        let abs = self.base_net;
+        let (network, topo) = (self.env.network, self.env.topo);
         Some(self.fixpoints.as_ref()?.get_or_init(|| {
+            let base = layout_srp(network, topo, &self.class.layout);
             [
                 bonsai_srp::solver::solve(&self.srp).ok(),
-                bonsai_srp::solver::solve(&class_srp(&abs.network, &abs.topo, &abs.ec)).ok(),
+                bonsai_srp::solver::solve(&base).ok(),
             ]
         }))
     }
+}
+
+/// The class's SRP instance over an abstract network's layout: the lifted
+/// instance ([`AbstractLayout::instance`]), equal to the one the rendered
+/// configuration parses into.
+pub(crate) fn layout_srp<'n>(
+    network: &'n NetworkConfig,
+    topo: &BuiltTopology,
+    layout: &'n AbstractLayout,
+) -> Srp<'n, MultiProtocol<'n>> {
+    let origins: Vec<NodeId> = layout.ec.origins.iter().map(|(n, _)| *n).collect();
+    Srp::with_origins(&layout.graph, origins, layout.instance(network, topo))
 }
 
 /// Solves a refined abstract network under its representative's lifted
@@ -669,22 +699,24 @@ impl<'a> SweepCtx<'a> {
 /// derivation, and a snapshot-restored refinement all agree byte-for-byte.
 /// `None` when the instance diverges under the mask.
 pub(crate) fn canonical_abstract_solution(
+    network: &NetworkConfig,
+    topo: &BuiltTopology,
     abstraction: &Abstraction,
-    abs: &AbstractNetwork,
+    layout: &AbstractLayout,
     representative: &FailureScenario,
 ) -> Option<(Solution<RibAttr>, usize)> {
-    Candidate::new(abstraction, abs, representative).into_canonical()
+    Candidate::new(network, topo, abstraction, layout, representative).into_canonical()
 }
 
 /// One candidate refinement under one scenario, as its abstract side is
-/// solved: the abstract network's SRP instance and the scenario's failure
-/// mask lifted onto it, built once and shared by every abstract solve and
-/// behavior read of a check, and its canonical solution, solved once — the
-/// first abstract solution a check compares, rotation 0 of its search, and
-/// what the derivation it verifies keeps.
+/// solved: the lifted SRP instance over the abstract network's layout and
+/// the scenario's failure mask lifted onto it, built once and shared by
+/// every abstract solve and behavior read of a check, and its canonical
+/// solution, solved once — the first abstract solution a check compares,
+/// rotation 0 of its search, and what the derivation it verifies keeps.
 pub(crate) struct Candidate<'n> {
     abstraction: &'n Abstraction,
-    abs: &'n AbstractNetwork,
+    layout: &'n AbstractLayout,
     srp: Srp<'n, MultiProtocol<'n>>,
     mask: FailureMask,
     canonical: OnceCell<Option<(Solution<RibAttr>, usize)>>,
@@ -692,15 +724,17 @@ pub(crate) struct Candidate<'n> {
 
 impl<'n> Candidate<'n> {
     pub(crate) fn new(
+        network: &'n NetworkConfig,
+        topo: &BuiltTopology,
         abstraction: &'n Abstraction,
-        abs: &'n AbstractNetwork,
+        layout: &'n AbstractLayout,
         scenario: &FailureScenario,
     ) -> Self {
         Candidate {
             abstraction,
-            abs,
-            srp: class_srp(&abs.network, &abs.topo, &abs.ec),
-            mask: lift_failure_mask(scenario, abstraction, abs),
+            layout,
+            srp: layout_srp(network, topo, layout),
+            mask: lift_failure_mask(scenario, abstraction, layout),
             canonical: OnceCell::new(),
         }
     }
@@ -709,7 +743,7 @@ impl<'n> Candidate<'n> {
     /// solved on first read.
     fn canonical(&self) -> Option<&(Solution<RibAttr>, usize)> {
         let solve = || {
-            let order: Vec<NodeId> = self.abs.topo.graph.nodes().collect();
+            let order: Vec<NodeId> = self.layout.graph.nodes().collect();
             let options = SolverOptions::default();
             solve_with_order_masked_stats(&self.srp, &order, options, Some(&self.mask))
                 .ok()
@@ -731,8 +765,9 @@ impl<'n> Candidate<'n> {
 /// fresh derivation would.
 ///
 /// `abstraction`/`abs` must be the failure-free (CP-equivalent) base pair
-/// of a compression run; `engine` the run's shared policy-compilation
-/// engine.
+/// of a compression run — the derivation reads the layout `abs` was
+/// rendered from, not `abs` itself; `engine` the run's shared
+/// policy-compilation engine.
 ///
 /// Errors when the concrete instance diverges under the representative or
 /// the representative stays refuted at the discrete partition (a genuine
@@ -750,7 +785,11 @@ pub fn derive_refinement(
 ) -> Result<ScenarioRefinement, EquivalenceError> {
     let distances = Arc::new(NodeDistances::of_graph(&topo.graph));
     let env = SweepEnv::new(network, topo, engine, options, distances);
-    let ctx = SweepCtx::hoist(&env, ec.clone(), abstraction, abs).warmed();
+    let ctx = SweepCtx::hoist(&env, ec.clone(), abstraction).warmed();
+    debug_assert_eq!(
+        ctx.class.layout.copy_of_node, abs.copy_of_node,
+        "the base pair"
+    );
     derive_scenario_refinement(&ctx, signature)
 }
 
@@ -773,10 +812,11 @@ pub(crate) fn endpoint_split(base: &Abstraction, scenario: &FailureScenario) -> 
 
 /// One destination class as every refinement of it is built against:
 /// the concrete graph (one `Arc` per sweep or session, shared by every
-/// class), the class, its signature table and its failure-free base
-/// abstraction. Built once per class by `ClassBase::hoist` (for
-/// `SweepCtx::hoist` and the session's plane hoist), and shared by `Arc`
-/// with each refinement of the class, which derives its partition from it.
+/// class), the class, its signature table, and its failure-free base
+/// abstraction with that abstraction's layout. Built once per class by
+/// `ClassBase::hoist` (for `SweepCtx::hoist` and the session's plane
+/// hoist), and shared by `Arc` with each refinement of the class, which
+/// derives its partition from it.
 pub struct ClassBase {
     /// The concrete graph.
     pub graph: Arc<Graph>,
@@ -787,12 +827,16 @@ pub struct ClassBase {
     pub sigs: Arc<SigTable>,
     /// The class's failure-free base abstraction.
     pub base: Abstraction,
+    /// The base abstraction's layout: what the base fixpoint is solved on
+    /// and transported from, and what the failure-free state is answered
+    /// on.
+    pub layout: AbstractLayout,
 }
 
 impl ClassBase {
     /// Hoists class `ec` over `graph` (`topo`'s, owned once by the
-    /// caller): its signature table from the run's shared engine, and a
-    /// copy of its failure-free base.
+    /// caller): its signature table from the run's shared engine, a copy
+    /// of its failure-free base and the base's layout.
     pub(crate) fn hoist(
         engine: &CompiledPolicies,
         network: &NetworkConfig,
@@ -802,12 +846,14 @@ impl ClassBase {
         base: &Abstraction,
     ) -> Arc<Self> {
         let sigs = build_sig_table(engine, network, topo, &ec);
+        let layout = AbstractLayout::new(graph, &ec, base);
         let (graph, base) = (Arc::clone(graph), base.clone());
         Arc::new(ClassBase {
             graph,
             ec,
             sigs,
             base,
+            layout,
         })
     }
 
@@ -873,9 +919,15 @@ pub fn scenario_verdict(
     stats: &mut QueryStats,
 ) -> Result<Vec<bool>, SolveError> {
     let answer_on = |abstraction: &Abstraction, materialized: &Materialized| {
-        let abs = materialized.abstract_network();
-        let solution = materialized.abstract_solution()?;
-        Some(abstract_verdict(topo, ec, abstraction, abs, solution))
+        let (layout, solution) = (materialized.layout(), materialized.abstract_solution()?);
+        Some(abstract_verdict(
+            network,
+            topo,
+            ec,
+            abstraction,
+            layout,
+            solution,
+        ))
     };
     let verdict = match (held, class) {
         (Some(held), _) if held.representative == *scenario => {
@@ -912,15 +964,16 @@ pub(crate) fn derive_scenario_refinement(
     signature: &OrbitSignature,
 ) -> Result<ScenarioRefinement, EquivalenceError> {
     let (env, class) = (ctx.env, &ctx.class);
+    let mut span = bonsai_obs::span!("sweep.derive", class = class.ec.prefix.to_string());
     let refine = |split: &[NodeId]| {
         let (ec, sigs, base) = (&class.ec, &class.sigs, &class.base);
-        refine_ec_with_split(env.network, env.topo, ec, sigs, base, split)
+        refine_ec_with_split(&env.topo.graph, ec, sigs, base, split)
     };
     let rep = SignatureInterner::new(&ctx.orbits).canonical_scenario(signature);
     let mut split = endpoint_split(&class.base, &rep);
 
-    let (mut cur, mut cur_net) = if split.is_empty() {
-        (class.base.clone(), ctx.base_net.clone())
+    let (mut cur, mut cur_layout) = if split.is_empty() {
+        (class.base.clone(), class.layout.clone())
     } else {
         refine(&split)
     };
@@ -938,17 +991,19 @@ pub(crate) fn derive_scenario_refinement(
     // split, so the loop is bounded by the node count; the discrete
     // partition's abstract network is isomorphic to the concrete one and
     // verifies trivially.
-    for _ in 0..=env.topo.graph.node_count() {
-        let candidate = Candidate::new(&cur, &cur_net, &rep);
+    for round in 1..=env.topo.graph.node_count() + 1 {
+        let candidate = Candidate::new(env.network, env.topo, &cur, &cur_layout, &rep);
         let refutation = match check_scenario_refined(ctx, &rep, &solutions, &candidate)? {
             Ok(()) => {
-                // The network just verified is the one `materialize` would
+                if let Some(span) = &mut span {
+                    span.record("rounds", round);
+                    span.record("abstract_nodes", cur.abstract_node_count());
+                }
+                // The layout just verified is the one `materialize` would
                 // build: keep it, with the canonical solution the check
                 // compared first.
-                let verified = Materialized {
-                    canonical: candidate.into_canonical(),
-                    abstract_network: cur_net,
-                };
+                let canonical = candidate.into_canonical();
+                let verified = Materialized::new(cur_layout, canonical);
                 return Ok(ScenarioRefinement::new(
                     Arc::clone(class),
                     signature.clone(),
@@ -988,7 +1043,7 @@ pub(crate) fn derive_scenario_refinement(
         split.extend(additions);
         split.sort();
         split.dedup();
-        (cur, cur_net) = refine(&split);
+        (cur, cur_layout) = refine(&split);
     }
     Err(EquivalenceError::NoMatchingSolution {
         detail: format!(
@@ -1093,14 +1148,14 @@ pub(crate) fn check_scenario_refined(
     let mask = scenario.mask(&env.topo.graph);
     let Candidate {
         abstraction,
-        abs,
+        layout: abs,
         srp: abs_srp,
         mask: abs_mask,
         ..
     } = candidate;
     let mut behaviors = BehaviorTable::default();
     let abs_sets = |behaviors: &mut BehaviorTable, solution: &Solution<RibAttr>| {
-        behaviors.abstract_sets(abs, abs_srp, solution, keep, Some(abs_mask))
+        behaviors.abstract_sets(*abs, abs_srp, solution, keep, Some(abs_mask))
     };
     let canonical = candidate
         .canonical()
@@ -1126,9 +1181,9 @@ pub(crate) fn check_scenario_refined(
             let base_abs = ctx.base_abs_solution()?;
             let initial = transport_abstract_solution(
                 &ctx.class.base,
-                ctx.base_net,
+                &ctx.class.layout,
                 abstraction,
-                abs,
+                *abs,
                 base_abs,
             );
             let options = SolverOptions::default();
@@ -1139,7 +1194,7 @@ pub(crate) fn check_scenario_refined(
         });
         // Attempt 0 is the transported guess, attempt `r + 1` rotated order
         // `r`, whose rotation 0 is the canonical solve.
-        let abs_nodes: Vec<NodeId> = abs.topo.graph.nodes().collect();
+        let abs_nodes: Vec<NodeId> = abs.graph.nodes().collect();
         let mut tried = Vec::new();
         let mut last_mismatch = None;
         for attempt in 0..=env.options.abstract_orders.max(1) {
@@ -1189,26 +1244,27 @@ pub(crate) fn check_scenario_refined(
 /// through a representative refined node per base node. The result is a
 /// warm *guess* for [`solve_seeded_masked`] — near the refined fixpoint
 /// when the refinement is local (most blocks carry over 1:1), and merely
-/// a slow start when it is not; it is always fully re-validated.
+/// a slow start when it is not; it is always fully re-validated. Either
+/// network may be laid out or rendered: both number it alike.
 pub fn transport_abstract_solution(
     base: &Abstraction,
-    base_net: &AbstractNetwork,
+    base_net: &impl AbstractNumbering,
     refined: &Abstraction,
-    refined_net: &AbstractNetwork,
+    refined_net: &impl AbstractNumbering,
     base_solution: &Solution<RibAttr>,
 ) -> Vec<Option<RibAttr>> {
-    let fine_n = refined_net.topo.graph.node_count();
-    let coarse_n = base_net.topo.graph.node_count();
+    let fine_n = refined_net.abstract_graph().node_count();
+    let coarse_n = base_net.abstract_graph().node_count();
 
     // Refined abstract node → base abstract node: any member of the fine
     // block names the parent block (refinement only splits blocks).
     let mut fine_to_coarse: Vec<NodeId> = Vec::with_capacity(fine_n);
     for i in 0..fine_n {
-        let (fb, copy) = refined_net.copy_of_node[i];
+        let (fb, copy) = refined_net.copy_of(NodeId(i as u32));
         let member = refined.partition.members(fb)[0];
         let pb = base.role_of(NodeId(member));
         let c = copy.min(base.copies[pb.index()].saturating_sub(1));
-        fine_to_coarse.push(base_net.node_of_copy[&(pb, c)]);
+        fine_to_coarse.push(base_net.node_of(pb, c));
     }
     // Base abstract node → representative refined node (first taker), for
     // path remapping. Base copies beyond every fine block's copy count
@@ -1326,6 +1382,8 @@ pub(crate) fn split_candidates(
 }
 
 #[cfg(test)]
+mod lifted;
+#[cfg(test)]
 mod reference;
 
 #[cfg(test)]
@@ -1424,7 +1482,7 @@ mod tests {
             );
             assert_eq!(cached.abstraction().copies, fresh.abstraction().copies);
             let network_of = |r: &ScenarioRefinement| {
-                let abs = r.materialized(&net, &topo).abstract_network();
+                let abs = r.materialized(&net, &topo).abstract_network(&net, &topo);
                 bonsai_config::print_network(&abs.network)
             };
             assert_eq!(network_of(cached), network_of(&fresh));
@@ -1480,7 +1538,7 @@ mod tests {
         assert_eq!(smart, vec![b1]);
         let sigs = build_sig_table(&report.policies, &net, &topo, &ec_dest);
         let (smart_abs, _) =
-            refine_ec_with_split(&net, &topo, &ec_dest, &sigs, &ec.abstraction, &smart);
+            refine_ec_with_split(&topo.graph, &ec_dest, &sigs, &ec.abstraction, &smart);
 
         // …while the old fallback isolates the whole offending block.
         let whole: Vec<NodeId> = ec
@@ -1492,7 +1550,7 @@ mod tests {
             .collect();
         assert_eq!(whole.len(), 3);
         let (whole_abs, _) =
-            refine_ec_with_split(&net, &topo, &ec_dest, &sigs, &ec.abstraction, &whole);
+            refine_ec_with_split(&topo.graph, &ec_dest, &sigs, &ec.abstraction, &whole);
 
         // Strictly smaller: {b2, b3} stay merged.
         assert!(smart_abs.abstract_node_count() < whole_abs.abstract_node_count());

@@ -11,15 +11,16 @@
 //! candidates coarse enough to be refuted.
 
 #[path = "../../../../tests/common/random_nets.rs"]
-mod random_nets;
+pub(super) mod random_nets;
 
 use super::*;
 use crate::equivalence::{check_cp_equivalence, Behavior, HLabel};
 use bonsai_config::BuiltTopology;
-use bonsai_core::abstraction::build_abstract_network;
+use bonsai_core::abstraction::{build_abstract_network, AbstractLayout};
 use bonsai_core::compress::{compress_each, CompressOptions, EcCompression};
 use bonsai_core::scenarios::ScenarioStream;
 use bonsai_net::partition::BlockId;
+use bonsai_net::Graph;
 use bonsai_srp::papernets;
 use bonsai_srp::solver::solve_with_order;
 use bonsai_topo::{datacenter, fattree, FattreePolicy};
@@ -81,17 +82,17 @@ fn aggregate_behaviors(
 }
 
 fn abstract_behaviors(
-    abs: &AbstractNetwork,
+    abs: &impl AbstractNumbering,
     srp: &Srp<'_, MultiProtocol<'_>>,
     solution: &Solution<RibAttr>,
     keep: Option<&BTreeSet<Community>>,
 ) -> BTreeMap<BlockId, BTreeSet<Behavior>> {
     let mut map: BTreeMap<BlockId, BTreeSet<Behavior>> = BTreeMap::new();
-    for n in abs.topo.graph.nodes() {
-        let (block, _copy) = abs.copy_of_node[n.index()];
+    for n in srp.graph.nodes() {
+        let (block, _copy) = abs.copy_of(n);
         let labels = minimal_hlabels(srp, solution, n, keep);
         let fwd_blocks: BTreeSet<u32> = (solution.fwd(n).iter())
-            .map(|&e| abs.copy_of_node[abs.topo.graph.target(e).index()].0 .0)
+            .map(|&e| abs.copy_of(srp.graph.target(e)).0 .0)
             .collect();
         map.entry(block).or_default().insert((labels, fwd_blocks));
     }
@@ -157,12 +158,12 @@ fn check(
     candidate: &Candidate<'_>,
 ) -> Result<(), Refuted> {
     let env = ctx.env;
-    let (abstraction, abs) = (candidate.abstraction, candidate.abs);
+    let (abstraction, abs) = (candidate.abstraction, candidate.layout);
     let (abs_srp, abs_mask) = (&candidate.srp, &candidate.mask);
-    let abs_nodes: Vec<NodeId> = abs.topo.graph.nodes().collect();
+    let abs_nodes: Vec<NodeId> = abs.graph.nodes().collect();
     let transported: Option<Solution<RibAttr>> = ctx.base_abs_solution().and_then(|base_abs| {
-        let initial =
-            transport_abstract_solution(&ctx.class.base, ctx.base_net, abstraction, abs, base_abs);
+        let (base, base_layout) = (&ctx.class.base, &ctx.class.layout);
+        let initial = transport_abstract_solution(base, base_layout, abstraction, abs, base_abs);
         solve_seeded_masked(abs_srp, initial, SolverOptions::default(), Some(abs_mask))
             .ok()
             .map(|(s, _)| s)
@@ -383,33 +384,65 @@ fn agree_failure_free(
     }
 }
 
-/// `abstraction` with one copy per block, and its network: Figure 2(b)'s
-/// abstraction of the gadget, too coarse wherever BGP needed copies.
-fn one_copy(
-    net: &NetworkConfig,
-    topo: &BuiltTopology,
-    ec: &EcDest,
-    abstraction: &Abstraction,
-) -> (Abstraction, AbstractNetwork) {
+/// `abstraction` with one copy per block: Figure 2(b)'s abstraction of the
+/// gadget, too coarse wherever BGP needed copies.
+fn one_copy(abstraction: &Abstraction) -> Abstraction {
     let mut coarse = abstraction.clone();
     coarse.copies.iter_mut().for_each(|c| *c = 1);
-    let network = build_abstract_network(net, topo, ec, &coarse);
-    (coarse, network)
+    coarse
 }
 
-/// Compares the two checks over class `class` of `net` at bound `k`, on
-/// every `step`-th signature representative: the base abstraction and the
-/// one-copy abstraction (coarse wherever a scenario needs a split or BGP
-/// needs copies), then every round of the derivation, escalated as
-/// `derive_scenario_refinement` escalates. The failure-free oracles are
-/// compared on the base and the one-copy abstraction.
-fn compare_class(
+/// The coarsest candidate of class `ec` over `graph`: every origin alone,
+/// every other node in one block of two copies (one if it is a single
+/// node). No fixpoint of Algorithm 1 — a member may lack the edges its
+/// block's representative has, and the other way round.
+fn coarsest(graph: &Graph, ec: &EcDest) -> Abstraction {
+    let mut partition = bonsai_net::Partition::coarsest(graph.node_count());
+    for &(origin, _) in &ec.origins {
+        partition.split(&[origin.0]);
+    }
+    let copies = (0..partition.block_count())
+        .map(|b| {
+            let members = partition.members(BlockId(b as u32));
+            let origin = ec.origins.iter().any(|(o, _)| members.contains(&o.0));
+            if !origin && members.len() > 1 {
+                2
+            } else {
+                1
+            }
+        })
+        .collect();
+    Abstraction {
+        partition,
+        copies,
+        iterations: 0,
+    }
+}
+
+/// What a walk over one class's candidates hands its visitor: the class's
+/// context, the scenario, its concrete samples and the candidate.
+pub(super) type Visit<'v> = dyn FnMut(
+        &SweepCtx<'_>,
+        &FailureScenario,
+        &[Solution<RibAttr>],
+        &Candidate<'_>,
+    ) -> Option<Refutation>
+    + 'v;
+
+/// Walks the candidates of class `class` of `net` at bound `k`, on the
+/// failure-free state and every `step`-th signature representative: the
+/// base abstraction, the one-copy abstraction (coarse wherever a scenario
+/// needs a split or BGP needs copies) and the [`coarsest`] one, then every
+/// round of the derivation, escalated as `derive_scenario_refinement`
+/// escalates on the refutation `visit` returns.
+pub(super) fn walk_class(
     net: &NetworkConfig,
     engine: &CompiledPolicies,
     class: &EcCompression,
     k: usize,
     step: usize,
-) -> Tally {
+    visit: &mut Visit<'_>,
+) {
     let topo = BuiltTopology::build(net).expect("topology builds");
     let options = SweepOptions {
         max_failures: k,
@@ -419,12 +452,17 @@ fn compare_class(
     let distances = Arc::new(NodeDistances::of_graph(&topo.graph));
     let env = SweepEnv::new(net, &topo, engine, &options, distances);
     let ec = class.ec.to_ec_dest();
-    let (base, base_net) = (&class.abstraction, &class.abstract_network);
-    let ctx = SweepCtx::hoist(&env, ec.clone(), base, base_net).warmed();
-    let (coarse, coarse_net) = one_copy(net, &topo, &ec, base);
-    let mut tally = Tally::default();
-    agree_failure_free(net, &topo, &ec, base, base_net, &mut tally);
-    agree_failure_free(net, &topo, &ec, &coarse, &coarse_net, &mut tally);
+    let base = &class.abstraction;
+    let ctx = SweepCtx::hoist(&env, ec.clone(), base).warmed();
+    let coarse = one_copy(base);
+    let coarse_layout = AbstractLayout::new(&topo.graph, &ec, &coarse);
+    let coarsest = coarsest(&topo.graph, &ec);
+    let coarsest_layout = AbstractLayout::new(&topo.graph, &ec, &coarsest);
+    let candidates = [
+        (base, &ctx.class.layout),
+        (&coarse, &coarse_layout),
+        (&coarsest, &coarsest_layout),
+    ];
 
     let stream = ScenarioStream::new(&topo.graph, k);
     let scenarios = std::iter::once(FailureScenario::new(vec![]))
@@ -433,14 +471,9 @@ fn compare_class(
         let Ok(solutions) = sample_concrete_solutions(&ctx, &rep) else {
             continue;
         };
-        for (abstraction, abs) in [(base, base_net), (&coarse, &coarse_net)] {
-            agree(
-                &ctx,
-                &rep,
-                &solutions,
-                &Candidate::new(abstraction, abs, &rep),
-                &mut tally,
-            );
+        for (abstraction, layout) in candidates {
+            let candidate = Candidate::new(net, &topo, abstraction, layout, &rep);
+            visit(&ctx, &rep, &solutions, &candidate);
         }
         let mut split = endpoint_split(base, &rep);
         if split.is_empty() {
@@ -448,9 +481,9 @@ fn compare_class(
         }
         for _ in 0..=topo.graph.node_count() {
             let (ec, sigs) = (&ctx.class.ec, &ctx.class.sigs);
-            let (cur, cur_net) = refine_ec_with_split(net, &topo, ec, sigs, base, &split);
-            let candidate = Candidate::new(&cur, &cur_net, &rep);
-            let Some(refutation) = agree(&ctx, &rep, &solutions, &candidate, &mut tally) else {
+            let (cur, cur_layout) = refine_ec_with_split(&topo.graph, ec, sigs, base, &split);
+            let candidate = Candidate::new(net, &topo, &cur, &cur_layout, &rep);
+            let Some(refutation) = visit(&ctx, &rep, &solutions, &candidate) else {
                 break;
             };
             let mut additions = deviating_split(&cur, &refutation);
@@ -465,6 +498,34 @@ fn compare_class(
             split.dedup();
         }
     }
+}
+
+/// Compares the two checks over class `class` of `net` at bound `k` on
+/// every candidate [`walk_class`] visits, and the failure-free oracles on
+/// the base and the one-copy abstraction.
+fn compare_class(
+    net: &NetworkConfig,
+    engine: &CompiledPolicies,
+    class: &EcCompression,
+    k: usize,
+    step: usize,
+) -> Tally {
+    let topo = BuiltTopology::build(net).expect("topology builds");
+    let ec = class.ec.to_ec_dest();
+    let (base, base_net) = (&class.abstraction, &class.abstract_network);
+    let coarse = one_copy(base);
+    let coarse_net = build_abstract_network(net, &topo, &ec, &coarse);
+    let mut tally = Tally::default();
+    agree_failure_free(net, &topo, &ec, base, base_net, &mut tally);
+    agree_failure_free(net, &topo, &ec, &coarse, &coarse_net, &mut tally);
+    walk_class(
+        net,
+        engine,
+        class,
+        k,
+        step,
+        &mut |ctx, rep, solutions, candidate| agree(ctx, rep, solutions, candidate, &mut tally),
+    );
     tally
 }
 

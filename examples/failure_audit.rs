@@ -40,7 +40,6 @@ fn main() {
         &topo,
         &ec.ec.to_ec_dest(),
         &ec.abstraction,
-        &ec.abstract_network,
         &report.policies,
         &SweepOptions {
             prune_symmetric: true,

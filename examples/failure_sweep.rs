@@ -35,7 +35,6 @@ fn main() {
         &topo,
         &ec_dest,
         &ec.abstraction,
-        &ec.abstract_network,
         &report.policies,
         &SweepOptions {
             prune_symmetric: true,

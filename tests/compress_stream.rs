@@ -3,15 +3,34 @@
 //! workers write must be, byte for byte, what printing the collected
 //! report would have written — at every thread count — and a directory
 //! that cannot take the files must come back as a structured error for
-//! the lowest failing class, never a panic.
+//! the lowest failing class, never a panic. The bytes themselves are
+//! pinned: every class file of four networks has the FNV-1a digest the
+//! emitter wrote before configurations were rendered from layouts.
+//!
+//! Every test takes [`serial`]: the emit counters are process-wide, and
+//! holding them still lets the counter test compare exactly.
 
 use bonsai::cli::{
     class_file_name, compress_streamed, compress_summary_line, first_emit_error, EmitError,
 };
 use bonsai::config::{parse_network, print_network, BuiltTopology, NetworkConfig};
 use bonsai::core::compress::{compress, compress_each, CompressOptions};
-use bonsai::topo::{datacenter, DatacenterParams};
+use bonsai::topo::{datacenter, fattree, DatacenterParams, FattreePolicy};
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard};
+
+/// One test of this binary at a time.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// FNV-1a, 64-bit.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
 
 /// A Clos small enough for a debug build: 2 clusters × (2 aggs + 3 ToRs),
 /// 2 spines, 1 border, 12 destination classes.
@@ -89,6 +108,7 @@ fn exact_part(summary: &str) -> &str {
 
 #[test]
 fn emitted_directory_is_the_printed_collected_report_at_every_thread_count() {
+    let _serial = serial();
     for (name, net) in [("dc", small_datacenter()), ("tags", community_net())] {
         let collected = compress(&net, options(1));
         assert!(collected.num_ecs() > 1, "{name}: one class proves little");
@@ -140,26 +160,96 @@ fn emitted_directory_is_the_printed_collected_report_at_every_thread_count() {
 
 #[test]
 fn emit_counters_cover_what_the_run_wrote() {
+    let _serial = serial();
     let net = community_net();
     let dir = scratch("counters");
-    // Other tests of this binary emit concurrently: the counters only grow.
-    let (files0, bytes0) = (
-        bonsai::obs::value("compress.emit.files"),
-        bonsai::obs::value("compress.emit.bytes"),
-    );
+    const COUNTERS: [&str; 3] = [
+        "compress.emit.files",
+        "compress.emit.bytes",
+        "compress.abstract.rendered",
+    ];
+    let before = COUNTERS.map(bonsai::obs::value);
     let report = compress_streamed(&net, options(2), Some(&dir)).unwrap();
     let written: usize = report
         .per_ec
         .iter()
         .map(|c| *c.emitted.as_ref().unwrap())
         .sum();
-    assert!(bonsai::obs::value("compress.emit.files") >= files0 + report.num_ecs() as u64);
-    assert!(bonsai::obs::value("compress.emit.bytes") >= bytes0 + written as u64);
+    let files = std::fs::read_dir(&dir).unwrap().count() as u64;
+    let moved: Vec<u64> = (COUNTERS.iter().zip(before))
+        .map(|(&name, was)| bonsai::obs::value(name) - was)
+        .collect();
+    // One configuration rendered per file written, and nothing else.
+    assert_eq!(moved, [files, written as u64, files]);
+    assert_eq!(files, report.num_ecs() as u64);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The FNV-1a digest of every class file `compress --out` writes for
+/// `gen:fattree4`, `gen:gadget`, [`small_datacenter`] and
+/// [`community_net`], as the emitter that rendered each configuration
+/// inside `build_abstract_network` wrote them.
+const DIGESTS: &[(&str, &str, u64)] = &[
+    ("fattree4", "10.0.0.0_24.cfg", 5081978263261476970),
+    ("fattree4", "10.0.1.0_24.cfg", 3998342206302551657),
+    ("fattree4", "10.1.0.0_24.cfg", 299656601610950009),
+    ("fattree4", "10.1.1.0_24.cfg", 390706138010012602),
+    ("fattree4", "10.2.0.0_24.cfg", 6992711387526916534),
+    ("fattree4", "10.2.1.0_24.cfg", 2131127438401555287),
+    ("fattree4", "10.3.0.0_24.cfg", 11375048485624717819),
+    ("fattree4", "10.3.1.0_24.cfg", 18028645730654287990),
+    ("gadget", "10.0.0.0_24.cfg", 4918747876147711357),
+    ("dc", "10.1.0.0_24.cfg", 15483684812100533706),
+    ("dc", "10.1.1.0_24.cfg", 10982597642665435393),
+    ("dc", "10.1.2.0_24.cfg", 12947430880346233796),
+    ("dc", "10.1.3.0_24.cfg", 13695402111054844821),
+    ("dc", "10.1.4.0_24.cfg", 7836239807424930019),
+    ("dc", "10.1.5.0_24.cfg", 17096987124942978962),
+    ("dc", "10.2.0.0_24.cfg", 11142065918697460573),
+    ("dc", "10.2.1.0_24.cfg", 1111847832648405412),
+    ("dc", "10.2.2.0_24.cfg", 11935542543223389597),
+    ("dc", "10.2.3.0_24.cfg", 12143373410324756326),
+    ("dc", "10.2.4.0_24.cfg", 1513895311561031034),
+    ("dc", "10.2.5.0_24.cfg", 8240268613535879313),
+    ("tags", "10.0.1.0_24.cfg", 11587681941555255330),
+    ("tags", "10.0.2.0_24.cfg", 18365056463651554695),
+    ("tags", "10.0.3.0_24.cfg", 3692043937374550616),
+    ("tags", "10.1.0.0_24.cfg", 3009610785844977406),
+];
+
+#[test]
+fn emitted_files_have_the_pinned_digests() {
+    let _serial = serial();
+    let mut found = Vec::new();
+    for (name, net) in [
+        ("fattree4", fattree(4, FattreePolicy::ShortestPath)),
+        ("gadget", bonsai::srp::papernets::figure2_gadget()),
+        ("dc", small_datacenter()),
+        ("tags", community_net()),
+    ] {
+        let dir = scratch(&format!("digests-{name}"));
+        let report = compress_streamed(&net, options(2), Some(&dir)).unwrap();
+        assert!(first_emit_error(&report).is_none());
+        let mut files: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        files.sort();
+        for file in files {
+            let text = std::fs::read(dir.join(&file)).unwrap();
+            found.push((name, file, fnv1a(&text)));
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    let pinned: Vec<(&str, String, u64)> = (DIGESTS.iter())
+        .map(|&(name, file, digest)| (name, file.to_string(), digest))
+        .collect();
+    assert_eq!(found, pinned);
 }
 
 #[test]
 fn without_an_output_directory_nothing_is_written_and_the_summary_is_the_same() {
+    let _serial = serial();
     let net = small_datacenter();
     let streamed = compress_streamed(&net, options(2), None).unwrap();
     assert!(streamed.per_ec.iter().all(|c| matches!(c.emitted, Ok(0))));
@@ -171,6 +261,7 @@ fn without_an_output_directory_nothing_is_written_and_the_summary_is_the_same() 
 
 #[test]
 fn an_output_path_under_a_regular_file_is_a_create_error() {
+    let _serial = serial();
     let dir = scratch("under-file");
     let file = dir.join("plain");
     std::fs::write(&file, "not a directory").unwrap();
@@ -189,6 +280,7 @@ fn an_output_path_under_a_regular_file_is_a_create_error() {
 
 #[test]
 fn unwritable_class_files_report_the_lowest_failing_class() {
+    let _serial = serial();
     let net = small_datacenter();
     let collected = compress(&net, options(1));
     // Two classes' file names are taken by directories; the run must name
@@ -225,6 +317,7 @@ fn unwritable_class_files_report_the_lowest_failing_class() {
 
 #[test]
 fn compress_is_compress_each_collected() {
+    let _serial = serial();
     for net in [small_datacenter(), community_net()] {
         let collected = compress(&net, options(2));
         for threads in [1, 2, 4] {

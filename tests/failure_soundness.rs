@@ -90,7 +90,6 @@ fn refinement_repairs_the_gadget_to_k_failure_soundness() {
         &topo,
         &ec_dest,
         &ec.abstraction,
-        &ec.abstract_network,
         &report.policies,
         &thorough(false),
     )
@@ -111,7 +110,6 @@ fn refinement_repairs_the_gadget_to_k_failure_soundness() {
         &topo,
         &ec_dest,
         &audit.abstraction,
-        &audit.abstract_network,
         &report.policies,
         &thorough(false),
     )
@@ -138,7 +136,6 @@ fn fattree_class_audit_converges() {
         &topo,
         &ec_dest,
         &ec.abstraction,
-        &ec.abstract_network,
         &report.policies,
         &SweepOptions {
             prune_symmetric: true,
@@ -183,7 +180,6 @@ fn audit_repairs_are_pinned() {
                 &topo,
                 &ec.ec.to_ec_dest(),
                 &ec.abstraction,
-                &ec.abstract_network,
                 &report.policies,
                 &thorough(prune_symmetric),
             )

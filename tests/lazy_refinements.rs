@@ -121,7 +121,9 @@ fn check_sweep(label: &str, net: &NetworkConfig, k: usize, threads: usize) -> Se
                 seen.empty_splits += 1;
                 (&comp.abstraction, &comp.abstract_network)
             } else {
-                refined = refine_ec_with_split(net, &topo, &ec, &sigs, &comp.abstraction, &r.split);
+                let (partition, layout) =
+                    refine_ec_with_split(&topo.graph, &ec, &sigs, &comp.abstraction, &r.split);
+                refined = (partition, layout.render(net, &topo));
                 (&refined.0, &refined.1)
             };
             assert_eq!(
@@ -133,7 +135,7 @@ fn check_sweep(label: &str, net: &NetworkConfig, k: usize, threads: usize) -> Se
 
             let lazy = r.materialized(net, &topo);
             assert!(r.is_materialized());
-            assert_same_network(lazy.abstract_network(), network, &what);
+            assert_same_network(lazy.abstract_network(net, &topo), network, &what);
             let solution = canonical_solution(abstraction, network, &r.representative);
             assert_eq!(
                 lazy.abstract_solution().map(|s| &s.labels),

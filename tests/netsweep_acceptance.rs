@@ -169,7 +169,7 @@ fn transfers_are_byte_identical_to_fresh_derivations() {
                     );
                     assert_eq!(cached.abstraction().copies, fresh.abstraction().copies);
                     let network_of = |r: &ScenarioRefinement| {
-                        let abs = r.materialized(net, &topo).abstract_network();
+                        let abs = r.materialized(net, &topo).abstract_network(net, &topo);
                         bonsai_config::print_network(&abs.network)
                     };
                     assert_eq!(

@@ -190,7 +190,7 @@ fn cache_hits_verify_byte_identically_to_fresh_derivations() {
                 );
                 assert_eq!(cached.abstraction().copies, fresh.abstraction().copies);
                 let network_of = |r: &ScenarioRefinement| {
-                    let abs = r.materialized(net, &topo).abstract_network();
+                    let abs = r.materialized(net, &topo).abstract_network(net, &topo);
                     bonsai_config::print_network(&abs.network)
                 };
                 assert_eq!(
@@ -292,7 +292,7 @@ fn transported_abstract_warm_starts_beat_cold_in_updates() {
     let mut warm_updates = 0usize;
     let mut cold_updates = 0usize;
     for r in sweep.refinements.values() {
-        let abs = r.materialized(&net, &topo).abstract_network();
+        let abs = r.materialized(&net, &topo).abstract_network(&net, &topo);
         let abs_mask = lift_failure_mask(&r.representative, r.abstraction(), abs);
         let origins: Vec<NodeId> = abs.ec.origins.iter().map(|(n, _)| *n).collect();
         let proto = MultiProtocol::build(&abs.network, &abs.topo, &abs.ec);

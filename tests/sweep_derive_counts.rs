@@ -7,7 +7,9 @@
 //! label-update totals. PreferBottom shares nothing across classes, so
 //! every one of the 702 refinements is derived and the solver does all of
 //! the work the row pins. `sweep.check.search_fallbacks` rides along: a
-//! check that searches past the canonical solution would show there. The digest is the one `bonsai failures` writes
+//! check that searches past the canonical solution would show there, and
+//! `compress.abstract.rendered` stays 0: the sweep renders no
+//! configuration. The digest is the one `bonsai failures` writes
 //! (the envelope header, which names the build, left out).
 //!
 //! The counters are process-wide, so this file holds one test: no
@@ -23,12 +25,13 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-const SOLVER_COUNTERS: [&str; 5] = [
+const SOLVER_COUNTERS: [&str; 6] = [
     "srp.solves.cold",
     "srp.solves.seeded",
     "srp.solves.warm",
     "srp.label_updates",
     "sweep.check.search_fallbacks",
+    "compress.abstract.rendered",
 ];
 
 #[test]
@@ -91,6 +94,9 @@ fn fattree6_prefer_bottom_k1_counts() {
                 ("srp.solves.warm", 702),
                 ("srp.label_updates", 68_652),
                 ("sweep.check.search_fallbacks", 0),
+                // Derivations check layouts on their lifted instances:
+                // no configuration is written.
+                ("compress.abstract.rendered", 0),
             ],
         )
     );
