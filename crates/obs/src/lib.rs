@@ -239,8 +239,8 @@ pub const METRICS: &[MetricDef] = &[
         "Refinements whose abstract network and canonical solution were built on first read",
     ),
     counter(
-        "sweep.check.search_fallbacks",
-        "Concrete samples the candidate's canonical abstract solution did not match, so the order search ran",
+        "sweep.check.transported",
+        "Concrete samples the candidate's canonical abstract solution did not match, so they were transported onto the candidate",
     ),
     // --- session: the resident query layer --------------------------------
     counter(

@@ -14,10 +14,12 @@
 //! For BGP-split blocks the node abstraction `f` is *solution-dependent*
 //! (paper §4.3): a concrete member maps to whichever copy exhibits its
 //! behavior. The check therefore matches each block's set of concrete
-//! behaviors against its copies' behaviors, and — because the abstract
-//! network may itself have several stable solutions — retries abstract
-//! activation orders until one matches (CP-equivalence promises only that
-//! *some* abstract solution corresponds).
+//! behaviors against its copies' behaviors. The abstract network may have
+//! several stable solutions, and CP-equivalence promises only that *some*
+//! of them corresponds; the check does not search for it but builds it the
+//! way the paper's proof does (Theorem 4.5): each copy takes a concrete
+//! member's label, mapped through the abstraction ([`transport_sample`]),
+//! and the labelling is validated, not solved.
 
 use bonsai_config::{BuiltTopology, Community, NetworkConfig};
 use bonsai_core::abstraction::{AbstractNetwork, AbstractNumbering};
@@ -34,12 +36,9 @@ use std::collections::{BTreeSet, HashMap};
 pub enum EquivalenceError {
     /// The concrete instance did not converge.
     ConcreteDiverged(String),
-    /// The abstract instance did not converge.
-    AbstractDiverged(String),
-    /// No abstract solution (over the tried activation orders) matched the
-    /// concrete solution's behaviors.
+    /// No abstract solution matched the concrete solution's behaviors.
     NoMatchingSolution {
-        /// Human-readable mismatch report for the closest attempt.
+        /// Human-readable mismatch report.
         detail: String,
     },
 }
@@ -48,7 +47,6 @@ impl std::fmt::Display for EquivalenceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             EquivalenceError::ConcreteDiverged(e) => write!(f, "concrete diverged: {e}"),
-            EquivalenceError::AbstractDiverged(e) => write!(f, "abstract diverged: {e}"),
             EquivalenceError::NoMatchingSolution { detail } => {
                 write!(f, "no abstract solution matches: {detail}")
             }
@@ -414,20 +412,6 @@ pub(crate) fn rotated_order(nodes: &[NodeId], rot: usize) -> Vec<NodeId> {
     order
 }
 
-/// Whether an abstract solution's labeling is new to `tried`, recording it:
-/// equal labelings have equal forwarding and behaviors, so a repeat would
-/// only repeat the comparison.
-pub(crate) fn first_sighting(
-    tried: &mut Vec<Vec<Option<RibAttr>>>,
-    solution: &Solution<RibAttr>,
-) -> bool {
-    if tried.contains(&solution.labels) {
-        return false;
-    }
-    tried.push(solution.labels.clone());
-    true
-}
-
 /// The SRP instance of one destination class over a (concrete or
 /// abstract) network.
 pub(crate) fn class_srp<'n>(
@@ -443,24 +427,84 @@ pub(crate) fn class_srp<'n>(
     )
 }
 
-/// One abstract activation order of [`check_cp_equivalence`], solved once
-/// per class: no abstract solution depends on the concrete sample.
-enum Rotation {
-    /// The solve diverged.
-    Diverged(String),
-    /// The labeling of an earlier rotation again.
-    Repeat,
-    /// A new solution's per-block behavior sets.
-    Sets(BlockSets),
+/// The paper's witness for one concrete sample (Theorem 4.5): the abstract
+/// labelling built from `sample` through the abstraction, validated on the
+/// abstract instance `abs_srp` under `abs_mask` and compared by behavior.
+/// No abstract instance is solved.
+///
+/// Each block's members are grouped by behavior (`node_behaviors`, the
+/// sample's per-node ids in `behaviors`, as [`BehaviorTable::concrete`]
+/// returns them), in member order. A block with more groups than copies
+/// refutes the sample; otherwise copy `c` takes the label of the first
+/// member of group `min(c, groups − 1)`, and every BGP path entry names the
+/// copy of its concrete node's group. `concrete` is the sample's per-block
+/// sets ([`BlockSets::of_nodes`]). `Err` carries the refutation's detail.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn transport_sample(
+    behaviors: &mut BehaviorTable,
+    sample: &Solution<RibAttr>,
+    node_behaviors: &[u32],
+    concrete: &BlockSets,
+    abstraction: &Abstraction,
+    abs: &impl AbstractNumbering,
+    abs_srp: &Srp<'_, MultiProtocol<'_>>,
+    abs_mask: Option<&FailureMask>,
+    keep: Option<&BTreeSet<Community>>,
+) -> Result<(), String> {
+    // Per concrete node, the copy of its group; per abstract node, the
+    // member whose label it takes.
+    let mut copy_of = vec![0u32; node_behaviors.len()];
+    let mut source = vec![0u32; abs.abstract_graph().node_count()];
+    let mut groups: Vec<(u32, u32)> = Vec::new();
+    for block in abstraction.partition.blocks() {
+        groups.clear();
+        for &m in abstraction.partition.members(block) {
+            let behavior = node_behaviors[m as usize];
+            let group = match groups.iter().position(|&(b, _)| b == behavior) {
+                Some(group) => group,
+                None => {
+                    groups.push((behavior, m));
+                    groups.len() - 1
+                }
+            };
+            copy_of[m as usize] = group as u32;
+        }
+        let copies = abstraction.copies[block.index()];
+        if groups.len() > copies as usize {
+            return Err(format!(
+                "block {block:?}: {} concrete behaviors, copies: {copies}",
+                groups.len()
+            ));
+        }
+        for c in 0..copies {
+            let (_, member) = groups[(c as usize).min(groups.len() - 1)];
+            source[abs.node_of(block, c).index()] = member;
+        }
+    }
+    let node = |u: NodeId| abs.node_of(abstraction.role_of(u), copy_of[u.index()]);
+    let labels = source.iter().map(|&m| {
+        let mut label = sample.labels[m as usize].clone();
+        if let Some(RibAttr::Bgp(b)) = &mut label {
+            b.path.iter_mut().for_each(|p| *p = node(*p));
+        }
+        label
+    });
+    let witness = (abs_srp.solution_from_labels_masked(labels.collect(), abs_mask))
+        .map_err(|e| format!("the transported labelling is not stable: {e}"))?;
+    let sets = behaviors.abstract_sets(abs, abs_srp, &witness, keep, abs_mask);
+    match concrete.first_mismatch(&sets) {
+        None => Ok(()),
+        Some(block) => Err(behaviors.mismatch(block, concrete, &sets).detail),
+    }
 }
 
 /// End-to-end CP-equivalence check for one destination class: solves the
 /// concrete network under `concrete_orders` different activation orders
-/// and requires every resulting solution to have a matching abstract
-/// solution among up to `abstract_orders` abstract activation orders —
-/// some abstract solution label- and fwd-equivalent to it (modulo `h` and
-/// the copy assignment). Identical concrete samples are checked once, and
-/// each abstract order is solved once for every sample.
+/// and requires every resulting solution to transport onto a stable
+/// abstract solution with the same per-block behaviors
+/// ([`transport_sample`]): label- and fwd-equivalence modulo `h` and the
+/// copy assignment. Identical concrete samples are checked once, and no
+/// abstract instance is solved.
 ///
 /// The attribute abstraction `h` is taken **from `engine`** — the
 /// compression run's shared policy-compilation engine
@@ -470,7 +514,6 @@ enum Rotation {
 /// compression itself stripped them (the `h` of the paper's data-center
 /// study) and the two can never disagree. `None` compares every
 /// community.
-#[allow(clippy::too_many_arguments)]
 pub fn check_cp_equivalence(
     network: &NetworkConfig,
     topo: &BuiltTopology,
@@ -478,7 +521,6 @@ pub fn check_cp_equivalence(
     abstraction: &Abstraction,
     abs: &AbstractNetwork,
     concrete_orders: usize,
-    abstract_orders: usize,
     engine: Option<&bonsai_core::engine::CompiledPolicies>,
 ) -> Result<(), EquivalenceError> {
     let keep: Option<BTreeSet<Community>> = engine
@@ -488,12 +530,9 @@ pub fn check_cp_equivalence(
     let srp = class_srp(network, topo, ec);
     let abs_srp = class_srp(&abs.network, &abs.topo, &abs.ec);
     let nodes: Vec<NodeId> = topo.graph.nodes().collect();
-    let abs_nodes: Vec<NodeId> = abs.topo.graph.nodes().collect();
     let mut behaviors = BehaviorTable::default();
     let mut samples: Vec<Solution<RibAttr>> = Vec::new();
-    let mut rotations: Vec<Rotation> = Vec::new();
-    let mut tried = Vec::new();
-    'samples: for rot in 0..concrete_orders.max(1) {
+    for rot in 0..concrete_orders.max(1) {
         let order = rotated_order(&nodes, rot);
         let solution = solve_with_order(&srp, &order, SolverOptions::default())
             .map_err(|e| EquivalenceError::ConcreteDiverged(e.to_string()))?;
@@ -502,30 +541,19 @@ pub fn check_cp_equivalence(
         }
         let node_behaviors = behaviors.concrete(&srp, topo, &solution, abstraction, keep, None);
         let concrete = BlockSets::of_nodes(&node_behaviors, abstraction);
+        transport_sample(
+            &mut behaviors,
+            &solution,
+            &node_behaviors,
+            &concrete,
+            abstraction,
+            abs,
+            &abs_srp,
+            None,
+            keep,
+        )
+        .map_err(|detail| EquivalenceError::NoMatchingSolution { detail })?;
         samples.push(solution);
-        let mut last_detail = String::new();
-        for arot in 0..abstract_orders.max(1) {
-            if arot == rotations.len() {
-                let order = rotated_order(&abs_nodes, arot);
-                let rotation = match solve_with_order(&abs_srp, &order, SolverOptions::default()) {
-                    Err(e) => Rotation::Diverged(e.to_string()),
-                    Ok(s) if !first_sighting(&mut tried, &s) => Rotation::Repeat,
-                    Ok(s) => Rotation::Sets(behaviors.abstract_sets(abs, &abs_srp, &s, keep, None)),
-                };
-                rotations.push(rotation);
-            }
-            match &rotations[arot] {
-                Rotation::Diverged(e) => return Err(EquivalenceError::AbstractDiverged(e.clone())),
-                Rotation::Repeat => {}
-                Rotation::Sets(sets) => match concrete.first_mismatch(sets) {
-                    None => continue 'samples,
-                    Some(block) => last_detail = behaviors.mismatch(block, &concrete, sets).detail,
-                },
-            }
-        }
-        return Err(EquivalenceError::NoMatchingSolution {
-            detail: last_detail,
-        });
     }
     Ok(())
 }
@@ -550,7 +578,6 @@ mod tests {
                 &ec.abstraction,
                 &ec.abstract_network,
                 8,
-                16,
                 Some(&report.policies),
             )
             .unwrap_or_else(|e| panic!("CP-equivalence failed for {}: {e}", ec.ec.rep));
@@ -590,10 +617,15 @@ mod tests {
         }
         let naive_abs =
             bonsai_core::abstraction::build_abstract_network(&net, &topo, &ec_dest, &naive);
-        let result = check_cp_equivalence(&net, &topo, &ec_dest, &naive, &naive_abs, 4, 16, None);
+        let result = check_cp_equivalence(&net, &topo, &ec_dest, &naive, &naive_abs, 4, None);
+        // The b's show two behaviors (direct and indirect), one copy can
+        // hold only one.
+        let refused = result.expect_err("the unsound single-copy abstraction must be rejected");
         assert!(
-            result.is_err(),
-            "the unsound single-copy abstraction must be rejected"
+            refused
+                .to_string()
+                .contains("2 concrete behaviors, copies: 1"),
+            "{refused}"
         );
     }
 }

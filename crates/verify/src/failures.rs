@@ -15,8 +15,8 @@
 //!    scenario's mask, the abstract instance under the *lifted* mask
 //!    ([`lift_failure_mask`]), per-block behaviors compared exactly like
 //!    the failure-free oracle. The audit's context carries no base
-//!    fixpoints — the abstraction moves under it — so both sides sample
-//!    cold rotated activation orders.
+//!    fixpoint, so its concrete samples are cold rotated activation
+//!    orders.
 //! 2. On a refutation the kernel's fallback candidate rule names the split
 //!    — failed-link endpoints still sharing a block, else the offending
 //!    block itself — and [`refine_ec_with_split`] isolates those nodes,
@@ -213,7 +213,7 @@ pub fn check_cp_equivalence_under_failures(
             checks_performed += 1;
             let solutions = sample_concrete_solutions(&ctx, &scenario)?;
             let candidate = Candidate::new(network, topo, &current, &current_layout, &scenario);
-            let Err(refutation) = check_scenario_refined(&ctx, &scenario, &solutions, &candidate)?
+            let Err(refutation) = check_scenario_refined(&ctx, &scenario, &solutions, &candidate)
             else {
                 continue;
             };

@@ -1157,7 +1157,7 @@ fn resolve_refinement(
             let layout = candidate.materialized(network, topo).layout();
             let (abstraction, rep) = (candidate.abstraction(), &candidate.representative);
             let check = Candidate::new(network, topo, abstraction, layout, rep);
-            if check_scenario_refined(ctx, &candidate.representative, &solutions, &check)?.is_ok() {
+            if check_scenario_refined(ctx, &candidate.representative, &solutions, &check).is_ok() {
                 return Ok(candidate);
             }
         }

@@ -23,19 +23,19 @@
 //!    (endpoints still sharing a block, else the whole offending block)
 //!    applies. Every step strictly refines, so the loop is bounded by the
 //!    node count, where abstract = concrete and every scenario passes.
-//! 4. **One abstract solve per accepted candidate** — the concrete check
-//!    repairs the class's failure-free fixpoint
+//! 4. **One abstract solve per candidate** — the concrete check repairs
+//!    the class's failure-free fixpoint
 //!    ([`bonsai_srp::solve_warm_masked`]), and each concrete sample is
 //!    compared first with the candidate's canonical abstract solution, the
-//!    one the derivation keeps. Only a sample it does not match searches:
-//!    the base abstract fixpoint transported through the
-//!    partition-refinement map ([`transport_abstract_solution`]), then the
-//!    cold rotated orders. The canonical solution is among the solutions
-//!    the search tries, so trying it first is a pure optimization.
+//!    one the derivation keeps. A sample it does not match is transported
+//!    onto the candidate the way the paper's proof builds its witness
+//!    (each copy takes a member's label; `equivalence::transport_sample`)
+//!    and the labelling is validated, not solved. Nothing searches
+//!    abstract activation orders.
 //!
 //! Everything a check needs is hoisted **once per class** into a
 //! `SweepCtx` (signature table, link orbits, the concrete SRP instance,
-//! and the two failure-free fixpoints once a derivation reads them) over
+//! and the concrete failure-free fixpoint once a derivation reads it) over
 //! a per-sweep `SweepEnv`; the three entry points of the crate all build
 //! exactly that and call the same two functions,
 //! `derive_scenario_refinement` and `check_scenario_refined`:
@@ -64,14 +64,14 @@
 //! apart; see the [`bonsai_core::scenarios`] module docs).
 
 use crate::equivalence::{
-    class_srp, first_sighting, rotated_order, BehaviorMismatch, BehaviorTable, BlockSets,
+    class_srp, rotated_order, transport_sample, BehaviorMismatch, BehaviorTable, BlockSets,
     EquivalenceError,
 };
 use crate::failures::lift_failure_mask;
 use crate::query::QueryStats;
 use crate::sim_engine::{abstract_verdict, concrete_verdict};
 use bonsai_config::{BuiltTopology, Community, NetworkConfig};
-use bonsai_core::abstraction::{AbstractLayout, AbstractNetwork, AbstractNumbering};
+use bonsai_core::abstraction::{AbstractLayout, AbstractNetwork};
 use bonsai_core::algorithm::{refine_with_split, Abstraction};
 use bonsai_core::compress::refine_ec_with_split;
 use bonsai_core::ecs::DestEc;
@@ -84,11 +84,10 @@ use bonsai_core::signatures::{build_sig_table, SigTable};
 use bonsai_net::{FailureMask, Graph, NodeId};
 use bonsai_srp::instance::{EcDest, MultiProtocol, RibAttr};
 use bonsai_srp::solver::{
-    solve_seeded_masked, solve_warm_masked, solve_with_order_masked, solve_with_order_masked_stats,
-    SolveError, SolverOptions,
+    solve_warm_masked, solve_with_order_masked, solve_with_order_masked_stats, SolveError,
+    SolverOptions,
 };
 use bonsai_srp::{Solution, Srp};
-use std::borrow::Cow;
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, OnceLock};
@@ -111,8 +110,6 @@ pub struct SweepOptions {
     /// warm-started when a base fixpoint is available, the rest use
     /// rotated cold activation orders).
     pub concrete_orders: usize,
-    /// Abstract activation orders tried per concrete solution.
-    pub abstract_orders: usize,
 }
 
 impl Default for SweepOptions {
@@ -122,7 +119,6 @@ impl Default for SweepOptions {
             prune_symmetric: false,
             threads: 0,
             concrete_orders: 2,
-            abstract_orders: 8,
         }
     }
 }
@@ -620,17 +616,16 @@ pub(crate) struct SweepCtx<'a> {
     pub(crate) class: Arc<ClassBase>,
     pub(crate) orbits: LinkOrbits,
     pub(crate) srp: Srp<'a, MultiProtocol<'a>>,
-    /// `Some` once [`SweepCtx::warmed`]: the two failure-free fixpoints
-    /// (`[concrete, base abstract]`), solved by the first derivation that
-    /// reads them — on a symmetric sweep most classes derive nothing.
-    fixpoints: Option<OnceLock<[Option<Solution<RibAttr>>; 2]>>,
+    /// `Some` once [`SweepCtx::warmed`]: the concrete failure-free
+    /// fixpoint, solved by the first derivation that reads it — on a
+    /// symmetric sweep most classes derive nothing.
+    fixpoint: Option<OnceLock<Option<Solution<RibAttr>>>>,
 }
 
 impl<'a> SweepCtx<'a> {
     /// Hoists one class: its handle (signature table and base), link
-    /// orbits and the concrete instance. No base fixpoints — every solve
-    /// runs the cold rotated orders (what the audit wants: its abstraction
-    /// moves under it).
+    /// orbits and the concrete instance. No base fixpoint — every concrete
+    /// sample is a cold rotated order.
     pub(crate) fn hoist(env: &'a SweepEnv<'a>, ec: EcDest, base: &Abstraction) -> Self {
         let (network, topo) = (env.network, env.topo);
         let class = ClassBase::hoist(env.engine, network, topo, &env.graph, ec, base);
@@ -642,40 +637,26 @@ impl<'a> SweepCtx<'a> {
             class,
             orbits,
             srp,
-            fixpoints: None,
+            fixpoint: None,
         }
     }
 
-    /// Warm-starts the context's checks from the two failure-free
-    /// fixpoints (natural order), solved on first read. An instance that
-    /// does not converge failure-free keeps `None`: its checks fall back
-    /// to cold orders.
+    /// Warm-starts the context's first concrete samples from the concrete
+    /// failure-free fixpoint (natural order), solved on first read. An
+    /// instance that does not converge failure-free keeps `None`: its
+    /// samples fall back to cold orders.
     pub(crate) fn warmed(mut self) -> Self {
-        self.fixpoints = Some(OnceLock::new());
+        self.fixpoint = Some(OnceLock::new());
         self
     }
 
     /// Failure-free fixpoint of the concrete instance, the warm start of
     /// every scenario's first concrete sample.
     fn base_solution(&self) -> Option<&Solution<RibAttr>> {
-        self.fixpoints()?[0].as_ref()
-    }
-
-    /// Failure-free fixpoint of the **base abstract** network, transported
-    /// onto refined abstract networks as a warm initial labeling.
-    fn base_abs_solution(&self) -> Option<&Solution<RibAttr>> {
-        self.fixpoints()?[1].as_ref()
-    }
-
-    fn fixpoints(&self) -> Option<&[Option<Solution<RibAttr>>; 2]> {
-        let (network, topo) = (self.env.network, self.env.topo);
-        Some(self.fixpoints.as_ref()?.get_or_init(|| {
-            let base = layout_srp(network, topo, &self.class.layout);
-            [
-                bonsai_srp::solver::solve(&self.srp).ok(),
-                bonsai_srp::solver::solve(&base).ok(),
-            ]
-        }))
+        let fixpoint = self.fixpoint.as_ref()?;
+        fixpoint
+            .get_or_init(|| bonsai_srp::solver::solve(&self.srp).ok())
+            .as_ref()
     }
 }
 
@@ -712,8 +693,8 @@ pub(crate) fn canonical_abstract_solution(
 /// solved: the lifted SRP instance over the abstract network's layout and
 /// the scenario's failure mask lifted onto it, built once and shared by
 /// every abstract solve and behavior read of a check, and its canonical
-/// solution, solved once — the first abstract solution a check compares,
-/// rotation 0 of its search, and what the derivation it verifies keeps.
+/// solution, solved once — the abstract solution a check compares first,
+/// and what the derivation it verifies keeps.
 pub(crate) struct Candidate<'n> {
     abstraction: &'n Abstraction,
     layout: &'n AbstractLayout,
@@ -827,9 +808,9 @@ pub struct ClassBase {
     pub sigs: Arc<SigTable>,
     /// The class's failure-free base abstraction.
     pub base: Abstraction,
-    /// The base abstraction's layout: what the base fixpoint is solved on
-    /// and transported from, and what the failure-free state is answered
-    /// on.
+    /// The base abstraction's layout: the candidate of a derivation whose
+    /// endpoint split is empty, and what the failure-free state is
+    /// answered on.
     pub layout: AbstractLayout,
 }
 
@@ -993,7 +974,7 @@ pub(crate) fn derive_scenario_refinement(
     // verifies trivially.
     for round in 1..=env.topo.graph.node_count() + 1 {
         let candidate = Candidate::new(env.network, env.topo, &cur, &cur_layout, &rep);
-        let refutation = match check_scenario_refined(ctx, &rep, &solutions, &candidate)? {
+        let refutation = match check_scenario_refined(ctx, &rep, &solutions, &candidate) {
             Ok(()) => {
                 if let Some(span) = &mut span {
                     span.record("rounds", round);
@@ -1054,11 +1035,12 @@ pub(crate) fn derive_scenario_refinement(
 }
 
 /// Why a representative was refuted under a candidate refinement: the
-/// closest mismatch plus the per-node concrete behaviors of the failing
-/// attempt (the raw material of the deviating-member split), as ids of the
-/// check's behavior table, which comes along.
+/// canonical solution's mismatch with the refuted sample plus that
+/// sample's per-node concrete behaviors (the raw material of the
+/// deviating-member split), as ids of the check's behavior table, which
+/// comes along.
 pub(crate) struct Refutation {
-    /// `None` when the abstract instance diverged on every order.
+    /// `None` when the canonical solve diverged.
     pub(crate) mismatch: Option<BehaviorMismatch>,
     /// Each concrete node's behavior id, in node order.
     node_behaviors: Vec<u32>,
@@ -1125,24 +1107,17 @@ pub(crate) fn sample_concrete_solutions(
 /// reuse them.
 ///
 /// Each sample is compared with the candidate's canonical solution first.
-/// Only a sample it does not match runs the search
-/// (`sweep.check.search_fallbacks`): the base abstract fixpoint
-/// transported onto the candidate and solved once per check when the
-/// context carries it, then `abstract_orders` rotated cold orders (rotation
-/// 0 *is* the canonical solve, taken from the candidate), skipping a
-/// labeling the sample was already compared with. The canonical solution
-/// is one the search tries, and a refutation comes from the search alone,
-/// so the verdict and the mismatch are the search's. Behaviors are interned
-/// in one [`BehaviorTable`] per check.
-///
-/// `Err(EquivalenceError)` is reserved for unauditable situations; the
-/// inner `Result` carries the verdict.
+/// A sample it does not match (`sweep.check.transported`) is transported
+/// onto the candidate, validated and compared (`transport_sample`: the
+/// witness the paper's proof constructs, no solve). A sample neither
+/// matches refutes the candidate with the canonical solution's mismatch.
+/// Behaviors are interned in one [`BehaviorTable`] per check.
 pub(crate) fn check_scenario_refined(
     ctx: &SweepCtx<'_>,
     scenario: &FailureScenario,
     solutions: &[Solution<RibAttr>],
     candidate: &Candidate<'_>,
-) -> Result<Result<(), Refutation>, EquivalenceError> {
+) -> Result<(), Box<Refutation>> {
     let env = ctx.env;
     let keep = env.keep.as_ref();
     let mask = scenario.mask(&env.topo.graph);
@@ -1154,142 +1129,46 @@ pub(crate) fn check_scenario_refined(
         ..
     } = candidate;
     let mut behaviors = BehaviorTable::default();
-    let abs_sets = |behaviors: &mut BehaviorTable, solution: &Solution<RibAttr>| {
+    let canonical = (candidate.canonical()).map(|(solution, _)| {
         behaviors.abstract_sets(*abs, abs_srp, solution, keep, Some(abs_mask))
-    };
-    let canonical = candidate
-        .canonical()
-        .map(|(solution, _)| (solution, abs_sets(&mut behaviors, solution)));
-    // The search's attempt 0, when the context carries the base abstract
-    // fixpoint: that fixpoint transported through the partition-refinement
-    // map, often the matching solution in a handful of label updates.
-    // Independent of the concrete solution, so solved once, by the first
-    // sample that needs it.
-    let mut transported: Option<Option<(Solution<RibAttr>, BlockSets)>> = None;
+    });
 
-    'samples: for solution in solutions {
+    for solution in solutions {
         let node_behaviors =
             behaviors.concrete(&ctx.srp, env.topo, solution, abstraction, keep, Some(&mask));
         let concrete = BlockSets::of_nodes(&node_behaviors, abstraction);
-        let matched_by = |(_, sets): &(_, BlockSets)| concrete.first_mismatch(sets).is_none();
-        if canonical.as_ref().is_some_and(matched_by) {
+        let mismatch = canonical
+            .as_ref()
+            .map(|sets| (concrete.first_mismatch(sets), sets));
+        if let Some((None, _)) = mismatch {
             continue;
         }
-        bonsai_obs::add("sweep.check.search_fallbacks", 1);
-
-        let transported = transported.get_or_insert_with(|| {
-            let base_abs = ctx.base_abs_solution()?;
-            let initial = transport_abstract_solution(
-                &ctx.class.base,
-                &ctx.class.layout,
-                abstraction,
-                *abs,
-                base_abs,
-            );
-            let options = SolverOptions::default();
-            let (seeded, _) =
-                solve_seeded_masked(abs_srp, initial, options, Some(abs_mask)).ok()?;
-            let sets = abs_sets(&mut behaviors, &seeded);
-            Some((seeded, sets))
-        });
-        // Attempt 0 is the transported guess, attempt `r + 1` rotated order
-        // `r`, whose rotation 0 is the canonical solve.
-        let abs_nodes: Vec<NodeId> = abs.graph.nodes().collect();
-        let mut tried = Vec::new();
-        let mut last_mismatch = None;
-        for attempt in 0..=env.options.abstract_orders.max(1) {
-            let solved;
-            let (abs_solution, known) = match (attempt, &*transported, &canonical) {
-                (0, Some((seeded, sets)), _) => (seeded, Some(sets)),
-                (1, _, Some((canonical, sets))) => (*canonical, Some(sets)),
-                (0 | 1, ..) => continue,
-                _ => {
-                    let order = rotated_order(&abs_nodes, attempt - 1);
-                    let options = SolverOptions::default();
-                    // Abstract divergence under a failure the concrete
-                    // plane survives is an abstraction failure —
-                    // counterexample path.
-                    match solve_with_order_masked(abs_srp, &order, options, Some(abs_mask)) {
-                        Ok(solution) => solved = solution,
-                        Err(_) => continue,
-                    }
-                    (&solved, None)
-                }
-            };
-            if !first_sighting(&mut tried, abs_solution) {
-                continue;
-            }
-            let sets = known.map_or_else(
-                || Cow::Owned(abs_sets(&mut behaviors, abs_solution)),
-                Cow::Borrowed,
-            );
-            match concrete.first_mismatch(&sets) {
-                None => continue 'samples,
-                Some(block) => last_mismatch = Some(behaviors.mismatch(block, &concrete, &sets)),
-            }
+        bonsai_obs::add("sweep.check.transported", 1);
+        let transported = transport_sample(
+            &mut behaviors,
+            solution,
+            &node_behaviors,
+            &concrete,
+            abstraction,
+            *abs,
+            abs_srp,
+            Some(abs_mask),
+            keep,
+        );
+        if transported.is_ok() {
+            continue;
         }
-        return Ok(Err(Refutation {
-            mismatch: last_mismatch,
+        let mismatch = mismatch.map(|(block, sets)| {
+            let block = block.expect("the canonical solution did not match");
+            behaviors.mismatch(block, &concrete, sets)
+        });
+        return Err(Box::new(Refutation {
+            mismatch,
             node_behaviors,
             behaviors,
         }));
     }
-    Ok(Ok(()))
-}
-
-/// Transports the failure-free fixpoint of the **base** abstract network
-/// onto a **refined** abstract network of the same class: each refined
-/// abstract node takes the label of its parent block's corresponding copy
-/// (clamped to the parent's copy count), with BGP path entries remapped
-/// through a representative refined node per base node. The result is a
-/// warm *guess* for [`solve_seeded_masked`] — near the refined fixpoint
-/// when the refinement is local (most blocks carry over 1:1), and merely
-/// a slow start when it is not; it is always fully re-validated. Either
-/// network may be laid out or rendered: both number it alike.
-pub fn transport_abstract_solution(
-    base: &Abstraction,
-    base_net: &impl AbstractNumbering,
-    refined: &Abstraction,
-    refined_net: &impl AbstractNumbering,
-    base_solution: &Solution<RibAttr>,
-) -> Vec<Option<RibAttr>> {
-    let fine_n = refined_net.abstract_graph().node_count();
-    let coarse_n = base_net.abstract_graph().node_count();
-
-    // Refined abstract node → base abstract node: any member of the fine
-    // block names the parent block (refinement only splits blocks).
-    let mut fine_to_coarse: Vec<NodeId> = Vec::with_capacity(fine_n);
-    for i in 0..fine_n {
-        let (fb, copy) = refined_net.copy_of(NodeId(i as u32));
-        let member = refined.partition.members(fb)[0];
-        let pb = base.role_of(NodeId(member));
-        let c = copy.min(base.copies[pb.index()].saturating_sub(1));
-        fine_to_coarse.push(base_net.node_of(pb, c));
-    }
-    // Base abstract node → representative refined node (first taker), for
-    // path remapping. Base copies beyond every fine block's copy count
-    // have no preimage; their ids pass through and the worklist repairs.
-    let mut coarse_to_fine: Vec<Option<NodeId>> = vec![None; coarse_n];
-    for (i, c) in fine_to_coarse.iter().enumerate() {
-        coarse_to_fine[c.index()].get_or_insert(NodeId(i as u32));
-    }
-
-    (0..fine_n)
-        .map(|i| {
-            base_solution.labels[fine_to_coarse[i].index()]
-                .clone()
-                .map(|mut attr| {
-                    if let RibAttr::Bgp(b) = &mut attr {
-                        for p in b.path.iter_mut() {
-                            if let Some(f) = coarse_to_fine.get(p.index()).copied().flatten() {
-                                *p = f;
-                            }
-                        }
-                    }
-                    attr
-                })
-        })
-        .collect()
+    Ok(())
 }
 
 /// One cold masked solve under the shared rotation scheme.

@@ -92,7 +92,6 @@ fn main() {
         &naive,
         &naive_net,
         4,
-        16,
         Some(&report.policies),
     );
     println!(
@@ -111,7 +110,6 @@ fn main() {
         &ec_result.abstraction,
         &ec_result.abstract_network,
         6,
-        16,
         Some(&report.policies),
     )
     .expect("the split abstraction is CP-equivalent");

@@ -56,7 +56,6 @@ fn main() {
         &ec.abstraction,
         &ec.abstract_network,
         4,
-        8,
         Some(&report.policies),
     )
     .expect("CP-equivalence holds");

@@ -353,7 +353,6 @@ fn cmd_check(m: &Matches, network: &NetworkConfig, topo: &BuiltTopology) -> Resu
             &ec.abstraction,
             &ec.abstract_network,
             4,
-            16,
             h.as_ref(),
         )
         .map_err(|e| format!("class {}: {e}", ec.ec.rep))

@@ -44,20 +44,21 @@ impl Lcg {
 /// count pinned against them names the same networks every run.
 pub fn seeded_networks() -> Vec<NetworkConfig> {
     let mut rng = Lcg(0x5eed);
-    (0..16)
-        .map(|_| {
-            let n = 4 + rng.below(5);
-            let spec = NetSpec {
-                n,
-                extra_edges: (0..rng.below(6))
-                    .map(|_| (rng.below(256) as u8, rng.below(256) as u8))
-                    .collect(),
-                policies: (0..n).map(|_| rng.below(4) as u8).collect(),
-                origins: 1 + rng.below(2),
-            };
-            build(&spec)
-        })
-        .collect()
+    (0..16).map(|_| build(&seeded_spec(&mut rng))).collect()
+}
+
+/// The next network of the seeded generator `rng`: what
+/// [`seeded_networks`] draws sixteen times from seed `0x5eed`.
+pub fn seeded_spec(rng: &mut Lcg) -> NetSpec {
+    let n = 4 + rng.below(5);
+    NetSpec {
+        n,
+        extra_edges: (0..rng.below(6))
+            .map(|_| (rng.below(256) as u8, rng.below(256) as u8))
+            .collect(),
+        policies: (0..n).map(|_| rng.below(4) as u8).collect(),
+        origins: 1 + rng.below(2),
+    }
 }
 
 pub fn arb_spec() -> impl Strategy<Value = NetSpec> {

@@ -3,8 +3,9 @@
 //!
 //! For each network we compress every destination class (or a sample on
 //! the larger ones), solve the concrete SRP under several activation
-//! orders, and require a matching abstract solution — label-equivalence
-//! modulo `h` plus block-level fwd-equivalence.
+//! orders, and require each solution to transport onto a stable abstract
+//! solution — label-equivalence modulo `h` plus block-level
+//! fwd-equivalence.
 
 use bonsai::core::compress::{compress, CompressOptions};
 use bonsai::topo::{
@@ -26,7 +27,6 @@ fn check(net: &NetworkConfig, options: CompressOptions, sample: usize) {
             &ec.abstraction,
             &ec.abstract_network,
             4,
-            16,
             Some(&report.policies),
         )
         .unwrap_or_else(|e| panic!("CP-equivalence failed for class {}: {e}", ec.ec.rep));

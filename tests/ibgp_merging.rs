@@ -88,7 +88,6 @@ fn merged_ibgp_network_is_cp_equivalent() {
         &ec.abstraction,
         &ec.abstract_network,
         6,
-        16,
         Some(&report.policies),
     )
     .unwrap();

@@ -750,20 +750,12 @@ fn aggregate_tallies_match_collected_outcomes_through_the_slots() {
                         let sweep = |options| {
                             sweep_network_subset(&case.net, &topo, &report, options, subset)
                         };
-                        match (sweep(&collected_options), sweep(&aggregate_options)) {
-                            (Ok(collected), Ok(aggregate)) => {
-                                assert_tally_matches(&label, &collected, &aggregate, threads);
-                                let unsharded = threads == 1 && shard.is_none();
-                                assert_interned(&label, &collected, &aggregate, unsharded);
-                                assert_eq!(aggregate.classes_tallied, case.tallied, "{label}");
-                            }
-                            // The one unsweepable seeded network fails the
-                            // same way either way (`tests/answer_oracle.rs`).
-                            (Err(c), Err(a)) => assert_eq!(c.to_string(), a.to_string(), "{label}"),
-                            (c, a) => {
-                                panic!("{label}: collected {:?}, aggregate {:?}", c.err(), a.err())
-                            }
-                        }
+                        let collected = sweep(&collected_options).expect(&label);
+                        let aggregate = sweep(&aggregate_options).expect(&label);
+                        assert_tally_matches(&label, &collected, &aggregate, threads);
+                        let unsharded = threads == 1 && shard.is_none();
+                        assert_interned(&label, &collected, &aggregate, unsharded);
+                        assert_eq!(aggregate.classes_tallied, case.tallied, "{label}");
                     }
                 }
             }
@@ -949,12 +941,8 @@ fn witnessed_transfers_are_the_donors_carried_through_the_witness() {
             collect_outcomes: false,
             ..Default::default()
         };
-        let sweep = match sweep_network_subset(&case.net, &topo, &report, &options, subset) {
-            Ok(sweep) => sweep,
-            // The one unsweepable seeded network (`tests/answer_oracle.rs`).
-            Err(_) if case.label == "seeded" => continue,
-            Err(e) => panic!("{label}: {e}"),
-        };
+        let sweep = sweep_network_subset(&case.net, &topo, &report, &options, subset)
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
         let checked = assert_witnessed(&label, &case.net, &topo, &report, subset, &sweep);
         assert_eq!(checked, sweep.witnessed_transfers, "{label}");
         if let Some(transfers) = case.transfers {

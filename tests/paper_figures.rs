@@ -66,7 +66,6 @@ fn figure5_incompressible_but_sound() {
         &ec.abstraction,
         &ec.abstract_network,
         4,
-        8,
         Some(&report.policies),
     )
     .unwrap();

@@ -174,6 +174,22 @@ fn cut_paths_stay_cut() {
         oracle.len() == 1 && oracle[0].starts_with("crates/core/tests/"),
         "the exhaustive search is a test oracle only: {oracle:?}"
     );
+    // A check builds the paper's abstract witness from each concrete
+    // sample: the abstract-order search it replaced, its knob and the base
+    // abstract fixpoint it started from survive as the check's test oracle
+    // only.
+    for name in [
+        "abstract_orders",
+        "transport_abstract_solution",
+        "base_abs_solution",
+        "fn first_sighting",
+    ] {
+        let hits = lines_with(&tree, EVERYWHERE, name);
+        assert!(
+            (hits.iter()).all(|h| h.starts_with("crates/verify/src/sweep/reference.rs:")),
+            "`{name}` is back at {hits:?}"
+        );
+    }
     // The serving side never lifts a queried scenario onto a refinement
     // (the kernel's check and the bench keep the verified lift), and
     // every served scenario goes through the one verdict function.

@@ -9,16 +9,10 @@
 use bonsai::core::compress::{compress, CompressOptions, CompressionReport};
 use bonsai::core::scenarios::ScenarioStream;
 use bonsai::srp::instance::MultiProtocol;
-use bonsai::srp::solver::{
-    solve, solve_masked, solve_seeded_masked, solve_warm_masked, solve_with_order_masked_stats,
-    SolverOptions,
-};
+use bonsai::srp::solver::{solve, solve_masked, solve_warm_masked, SolverOptions};
 use bonsai::srp::Srp;
-use bonsai::verify::failures::lift_failure_mask;
 use bonsai::verify::netsweep::{sweep_network_subset, NetworkSweepOptions};
-use bonsai::verify::sweep::{
-    derive_refinement, transport_abstract_solution, ScenarioRefinement, SweepOptions, SweepReport,
-};
+use bonsai::verify::sweep::{derive_refinement, ScenarioRefinement, SweepOptions, SweepReport};
 use bonsai_config::{BuiltTopology, NetworkConfig};
 use bonsai_net::NodeId;
 
@@ -256,70 +250,6 @@ fn parallel_sweep_is_deterministic_across_thread_counts() {
             }
         }
     }
-}
-
-/// The transported warm start for refined **abstract** solves: carrying
-/// the base abstract fixpoint through the partition-refinement map onto
-/// each scenario's refined abstract network costs strictly fewer label
-/// updates than solving the refined network cold, summed over the
-/// fattree-4 k=1 refinements — and lands on the same fixpoint. Updates
-/// are a deterministic cost measure, so the assertion is noise-free
-/// (unlike wall clock); `BENCH_failures.json` records the wall-clock
-/// side.
-#[test]
-fn transported_abstract_warm_starts_beat_cold_in_updates() {
-    let net = bonsai::topo::fattree(4, bonsai::topo::FattreePolicy::ShortestPath);
-    let topo = BuiltTopology::build(&net).unwrap();
-    let report = compress(&net, CompressOptions::default());
-    let ec = &report.per_ec[0];
-    let sweep = sweep_class(
-        &net,
-        &topo,
-        &report,
-        &SweepOptions {
-            threads: 1,
-            ..Default::default()
-        },
-    );
-
-    // The base abstract fixpoint (failure-free), computed once.
-    let base_abs = &ec.abstract_network;
-    let base_origins: Vec<NodeId> = base_abs.ec.origins.iter().map(|(n, _)| *n).collect();
-    let base_proto = MultiProtocol::build(&base_abs.network, &base_abs.topo, &base_abs.ec);
-    let base_srp = Srp::with_origins(&base_abs.topo.graph, base_origins, base_proto);
-    let base_solution = solve(&base_srp).unwrap();
-
-    let mut warm_updates = 0usize;
-    let mut cold_updates = 0usize;
-    for r in sweep.refinements.values() {
-        let abs = r.materialized(&net, &topo).abstract_network(&net, &topo);
-        let abs_mask = lift_failure_mask(&r.representative, r.abstraction(), abs);
-        let origins: Vec<NodeId> = abs.ec.origins.iter().map(|(n, _)| *n).collect();
-        let proto = MultiProtocol::build(&abs.network, &abs.topo, &abs.ec);
-        let srp = Srp::with_origins(&abs.topo.graph, origins, proto);
-
-        let initial = transport_abstract_solution(
-            &ec.abstraction,
-            base_abs,
-            r.abstraction(),
-            abs,
-            &base_solution,
-        );
-        let (warm_sol, warm) =
-            solve_seeded_masked(&srp, initial, SolverOptions::default(), Some(&abs_mask)).unwrap();
-        let order: Vec<NodeId> = abs.topo.graph.nodes().collect();
-        let (cold_sol, cold) =
-            solve_with_order_masked_stats(&srp, &order, SolverOptions::default(), Some(&abs_mask))
-                .unwrap();
-        warm_updates += warm.updates;
-        cold_updates += cold.updates;
-        // Same fixpoint on this deterministic instance.
-        assert_eq!(warm_sol.labels, cold_sol.labels);
-    }
-    assert!(
-        warm_updates < cold_updates,
-        "transported warm starts ({warm_updates} updates) must beat cold ({cold_updates})"
-    );
 }
 
 /// Warm-started masked solves beat cold solves (loose assertion: strictly

@@ -6,8 +6,8 @@
 //! of the `cli/failures` payload, and the SRP solver's solve and
 //! label-update totals. PreferBottom shares nothing across classes, so
 //! every one of the 702 refinements is derived and the solver does all of
-//! the work the row pins. `sweep.check.search_fallbacks` rides along: a
-//! check that searches past the canonical solution would show there, and
+//! the work the row pins. `sweep.check.transported` rides along: a sample
+//! the canonical solution does not match would show there, and
 //! `compress.abstract.rendered` stays 0: the sweep renders no
 //! configuration. The digest is the one `bonsai failures` writes
 //! (the envelope header, which names the build, left out).
@@ -30,7 +30,7 @@ const SOLVER_COUNTERS: [&str; 6] = [
     "srp.solves.seeded",
     "srp.solves.warm",
     "srp.label_updates",
-    "sweep.check.search_fallbacks",
+    "sweep.check.transported",
     "compress.abstract.rendered",
 ];
 
@@ -85,15 +85,15 @@ fn fattree6_prefer_bottom_k1_counts() {
             2_974_335_009_581_984_694,
             // Per derivation: the second concrete sample and the canonical
             // solve cold, the first concrete sample warm; plus each class's
-            // two failure-free fixpoints. The canonical solution matches
-            // both samples of every derivation, so no check searches and
-            // no transported guess is solved.
+            // concrete failure-free fixpoint. The canonical solution
+            // matches both samples of every derivation, so no sample is
+            // transported (and a transport validates, it does not solve).
             vec![
-                ("srp.solves.cold", 1440),
+                ("srp.solves.cold", 1422),
                 ("srp.solves.seeded", 0),
                 ("srp.solves.warm", 702),
-                ("srp.label_updates", 68_652),
-                ("sweep.check.search_fallbacks", 0),
+                ("srp.label_updates", 67_986),
+                ("sweep.check.transported", 0),
                 // Derivations check layouts on their lifted instances:
                 // no configuration is written.
                 ("compress.abstract.rendered", 0),
