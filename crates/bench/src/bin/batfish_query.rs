@@ -83,11 +83,9 @@ fn main() {
     {
         queried += 1;
         let compression = compress_ec(&policy_engine, &net, &topo, ec);
-        let abs = &compression.abstract_network;
+        let abs = compression.abstract_network(&net, &topo);
         let abs_engine = SimEngine::new(&abs.network);
-        let abs_src = compression
-            .abstract_network
-            .candidates_of(&compression.abstraction, src_node);
+        let abs_src = abs.candidates_of(&compression.abstraction, src_node);
         // The source reaches iff all its candidate copies reach (copy
         // assignment is solution-dependent).
         let solution = abs_engine

@@ -355,7 +355,7 @@ pub fn fig12_point(net: &bonsai_config::NetworkConfig, budget: SearchBudget) -> 
     // series).
     let t1 = Instant::now();
     let report = compress(net, Default::default());
-    let abstract_outcome = abstract_all_pairs(&report, budget);
+    let abstract_outcome = abstract_all_pairs(net, &report, budget);
     let compressed_time = t1.elapsed();
 
     // Sanity: when both complete, the mapped-back counts must agree —
@@ -373,19 +373,21 @@ pub fn fig12_point(net: &bonsai_config::NetworkConfig, budget: SearchBudget) -> 
     }
 }
 
-/// All-pairs reachability answered on the *compressed* networks, mapped
-/// back to concrete `(node, class)` pair counts via the abstraction.
+/// All-pairs reachability answered on the *compressed* networks of `net`,
+/// mapped back to concrete `(node, class)` pair counts via the abstraction.
 pub fn abstract_all_pairs(
+    net: &bonsai_config::NetworkConfig,
     report: &CompressionReport,
     budget: SearchBudget,
 ) -> SearchOutcome<usize> {
     let deadline = Instant::now() + budget.wall;
+    let topo = bonsai_config::BuiltTopology::build(net).expect("network has a consistent topology");
     let mut total = 0usize;
     for ec in &report.per_ec {
         if Instant::now() >= deadline {
             return SearchOutcome::Timeout;
         }
-        let abs = &ec.abstract_network;
+        let abs = ec.abstract_network(net, &topo);
         let abs_ecs = bonsai_core::ecs::compute_ecs(&abs.network, &abs.topo);
         let n = abs.topo.graph.node_count();
         let mut reach_all = vec![true; n];
@@ -416,12 +418,8 @@ pub fn abstract_all_pairs(
         // reaches (copy assignment is solution-dependent, so "in all
         // solutions" quantifies over copies too). Origin blocks are
         // excluded like the concrete count excludes origins.
-        let abs_origin_blocks: std::collections::BTreeSet<_> = ec
-            .abstract_network
-            .ec
-            .origins
-            .iter()
-            .map(|(o, _)| ec.abstract_network.copy_of_node[o.index()].0)
+        let abs_origin_blocks: std::collections::BTreeSet<_> = (abs.ec.origins.iter())
+            .map(|(o, _)| abs.copy_of_node[o.index()].0)
             .collect();
         for block in ec.abstraction.partition.blocks() {
             if abs_origin_blocks.contains(&block) {
@@ -438,7 +436,7 @@ pub fn abstract_all_pairs(
                 total += member_count - origin_count;
                 continue;
             }
-            let copies: Vec<NodeId> = ec.abstract_network.candidates_of(
+            let copies: Vec<NodeId> = abs.candidates_of(
                 &ec.abstraction,
                 NodeId(ec.abstraction.partition.members(block)[0]),
             );

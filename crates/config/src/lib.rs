@@ -33,5 +33,5 @@ pub mod topology;
 pub use eval::{PolicyInput, PolicyResult};
 pub use ir::*;
 pub use parse::{parse_device, parse_network, ParseError};
-pub use print::{print_device, print_network, print_network_into};
+pub use print::{print_device, print_network};
 pub use topology::BuiltTopology;

@@ -4,13 +4,19 @@
 //! as its input, so that downstream analyzers can run unchanged; this
 //! module is how abstract networks are materialized back into text.
 //!
-//! Everything renders straight into the caller's `fmt::Write` sink — one
-//! buffer per network, no per-device or per-line temporaries — so a
-//! caller that prints many networks ([`print_network_into`]) reuses one
-//! allocation for all of them.
+//! Everything renders straight into a `fmt::Write` sink, with no
+//! per-device or per-line temporaries.
+//!
+//! Each statement has one writer here (device framing, interface, policy
+//! objects, BGP, OSPF, static route, link), and the configuration printer
+//! is those writers over a [`NetworkConfig`]. A printer that formats an
+//! abstract network straight from its layout, without building the
+//! configuration, calls the same writers, so the two cannot disagree on a
+//! byte.
 
 use crate::ir::*;
-use std::fmt::{self, Write};
+use bonsai_net::prefix::Prefix;
+use std::fmt::{self, Display, Write};
 
 fn action(a: Action) -> &'static str {
     match a {
@@ -20,7 +26,7 @@ fn action(a: Action) -> &'static str {
 }
 
 /// A prefix as the dialect spells it: the default route prints as `any`.
-struct Pfx(bonsai_net::prefix::Prefix);
+struct Pfx(Prefix);
 
 impl fmt::Display for Pfx {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -32,28 +38,51 @@ impl fmt::Display for Pfx {
     }
 }
 
-fn write_device(w: &mut impl Write, d: &DeviceConfig) -> fmt::Result {
-    writeln!(w, "hostname {}", d.name)?;
+/// The lines that open device `name` in a network file.
+pub fn write_device_open(w: &mut impl Write, name: impl Display) -> fmt::Result {
+    writeln!(w, "device {name}")?;
+    write_hostname(w, name)
+}
 
-    for iface in &d.interfaces {
-        writeln!(w, "interface {}", iface.name)?;
-        if let Some(p) = iface.prefix {
-            writeln!(w, " ip address {}", Pfx(p))?;
-        }
-        if let Some(acl) = &iface.acl_in {
-            writeln!(w, " ip access-group {acl} in")?;
-        }
-        if let Some(acl) = &iface.acl_out {
-            writeln!(w, " ip access-group {acl} out")?;
-        }
-        if let Some(cost) = iface.ospf_cost {
-            writeln!(w, " ip ospf cost {cost}")?;
-        }
-        if let Some(area) = iface.ospf_area {
-            writeln!(w, " ip ospf area {area}")?;
-        }
+/// The lines that close a device in a network file.
+pub fn write_device_close(w: &mut impl Write) -> fmt::Result {
+    w.write_str("end\n!\n")
+}
+
+fn write_hostname(w: &mut impl Write, name: impl Display) -> fmt::Result {
+    writeln!(w, "hostname {name}")
+}
+
+/// `interface <name>` with address `prefix` and the other settings of
+/// `iface` (its ACL bindings and OSPF cost and area).
+pub fn write_interface(
+    w: &mut impl Write,
+    name: impl Display,
+    prefix: Option<Prefix>,
+    iface: &Interface,
+) -> fmt::Result {
+    writeln!(w, "interface {name}")?;
+    if let Some(p) = prefix {
+        writeln!(w, " ip address {}", Pfx(p))?;
     }
+    if let Some(acl) = &iface.acl_in {
+        writeln!(w, " ip access-group {acl} in")?;
+    }
+    if let Some(acl) = &iface.acl_out {
+        writeln!(w, " ip access-group {acl} out")?;
+    }
+    if let Some(cost) = iface.ospf_cost {
+        writeln!(w, " ip ospf cost {cost}")?;
+    }
+    if let Some(area) = iface.ospf_area {
+        writeln!(w, " ip ospf area {area}")?;
+    }
+    Ok(())
+}
 
+/// A device's named policy objects: its prefix lists, community lists,
+/// ACLs and route maps, in that order.
+pub fn write_policies(w: &mut impl Write, d: &DeviceConfig) -> fmt::Result {
     for pl in &d.prefix_lists {
         for e in &pl.entries {
             write!(
@@ -118,72 +147,123 @@ fn write_device(w: &mut impl Write, d: &DeviceConfig) -> fmt::Result {
             }
         }
     }
-
-    if let Some(bgp) = &d.bgp {
-        writeln!(w, "router bgp {}", bgp.asn)?;
-        if bgp.default_local_pref != 100 {
-            writeln!(
-                w,
-                " bgp default local-preference {}",
-                bgp.default_local_pref
-            )?;
-        }
-        for n in &bgp.networks {
-            writeln!(w, " network {}", Pfx(*n))?;
-        }
-        for nb in &bgp.neighbors {
-            writeln!(
-                w,
-                " neighbor {} remote-as {}",
-                nb.iface,
-                if nb.ibgp { "internal" } else { "external" }
-            )?;
-            if let Some(m) = &nb.import_policy {
-                writeln!(w, " neighbor {} route-map {m} in", nb.iface)?;
-            }
-            if let Some(m) = &nb.export_policy {
-                writeln!(w, " neighbor {} route-map {m} out", nb.iface)?;
-            }
-        }
-        if bgp.redistribute_static {
-            writeln!(w, " redistribute static")?;
-        }
-        if bgp.redistribute_ospf {
-            writeln!(w, " redistribute ospf")?;
-        }
-    }
-
-    if let Some(ospf) = &d.ospf {
-        writeln!(w, "router ospf")?;
-        for n in &ospf.networks {
-            writeln!(w, " network {}", Pfx(*n))?;
-        }
-        if ospf.redistribute_static {
-            writeln!(w, " redistribute static")?;
-        }
-    }
-
-    for sr in &d.static_routes {
-        writeln!(w, "ip route {} {}", Pfx(sr.prefix), sr.iface)?;
-    }
-
     Ok(())
+}
+
+/// The BGP process `bgp` with the given `network` statements and
+/// sessions — `(interface, session)` pairs, each printed under the
+/// interface named beside it.
+pub fn write_bgp<'a, N: Display>(
+    w: &mut impl Write,
+    bgp: &BgpConfig,
+    networks: impl IntoIterator<Item = Prefix>,
+    sessions: impl IntoIterator<Item = (N, &'a BgpNeighbor)>,
+) -> fmt::Result {
+    writeln!(w, "router bgp {}", bgp.asn)?;
+    if bgp.default_local_pref != 100 {
+        writeln!(
+            w,
+            " bgp default local-preference {}",
+            bgp.default_local_pref
+        )?;
+    }
+    write_process_networks(w, networks)?;
+    for (iface, nb) in sessions {
+        writeln!(
+            w,
+            " neighbor {iface} remote-as {}",
+            if nb.ibgp { "internal" } else { "external" }
+        )?;
+        if let Some(m) = &nb.import_policy {
+            writeln!(w, " neighbor {iface} route-map {m} in")?;
+        }
+        if let Some(m) = &nb.export_policy {
+            writeln!(w, " neighbor {iface} route-map {m} out")?;
+        }
+    }
+    if bgp.redistribute_static {
+        write_redistribute(w, "static")?;
+    }
+    if bgp.redistribute_ospf {
+        write_redistribute(w, "ospf")?;
+    }
+    Ok(())
+}
+
+/// The OSPF process `ospf` with the given `network` statements.
+pub fn write_ospf(
+    w: &mut impl Write,
+    ospf: &OspfConfig,
+    networks: impl IntoIterator<Item = Prefix>,
+) -> fmt::Result {
+    writeln!(w, "router ospf")?;
+    write_process_networks(w, networks)?;
+    if ospf.redistribute_static {
+        write_redistribute(w, "static")?;
+    }
+    Ok(())
+}
+
+fn write_process_networks(
+    w: &mut impl Write,
+    networks: impl IntoIterator<Item = Prefix>,
+) -> fmt::Result {
+    networks
+        .into_iter()
+        .try_for_each(|n| writeln!(w, " network {}", Pfx(n)))
+}
+
+fn write_redistribute(w: &mut impl Write, source: &str) -> fmt::Result {
+    writeln!(w, " redistribute {source}")
+}
+
+/// A static route for `prefix` out of interface `iface`.
+pub fn write_static_route(w: &mut impl Write, prefix: Prefix, iface: impl Display) -> fmt::Result {
+    writeln!(w, "ip route {} {iface}", Pfx(prefix))
+}
+
+/// A link between interface `a.1` of device `a.0` and interface `b.1` of
+/// device `b.0`.
+pub fn write_link(
+    w: &mut impl Write,
+    a: (impl Display, impl Display),
+    b: (impl Display, impl Display),
+) -> fmt::Result {
+    writeln!(w, "link {} {} {} {}", a.0, a.1, b.0, b.1)
+}
+
+/// Everything of a device after its name.
+fn write_device_body(w: &mut impl Write, d: &DeviceConfig) -> fmt::Result {
+    for iface in &d.interfaces {
+        write_interface(w, &iface.name, iface.prefix, iface)?;
+    }
+    write_policies(w, d)?;
+    if let Some(bgp) = &d.bgp {
+        let sessions = bgp.neighbors.iter().map(|nb| (&nb.iface, nb));
+        write_bgp(w, bgp, bgp.networks.iter().copied(), sessions)?;
+    }
+    if let Some(ospf) = &d.ospf {
+        write_ospf(w, ospf, ospf.networks.iter().copied())?;
+    }
+    d.static_routes
+        .iter()
+        .try_for_each(|sr| write_static_route(w, sr.prefix, &sr.iface))
+}
+
+fn write_device(w: &mut impl Write, d: &DeviceConfig) -> fmt::Result {
+    write_hostname(w, &d.name)?;
+    write_device_body(w, d)
 }
 
 fn write_network(w: &mut impl Write, n: &NetworkConfig) -> fmt::Result {
     for d in &n.devices {
-        writeln!(w, "device {}", d.name)?;
-        write_device(w, d)?;
-        w.write_str("end\n!\n")?;
+        write_device_open(w, &d.name)?;
+        write_device_body(w, d)?;
+        write_device_close(w)?;
     }
-    for l in &n.links {
-        writeln!(
-            w,
-            "link {} {} {} {}",
-            l.a.device, l.a.iface, l.b.device, l.b.iface
-        )?;
-    }
-    Ok(())
+    n.links
+        .iter()
+        .try_for_each(|l| write_link(w, (&l.a.device, &l.a.iface), (&l.b.device, &l.b.iface)))
 }
 
 /// Renders one device configuration in the textual dialect.
@@ -196,14 +276,8 @@ pub fn print_device(d: &DeviceConfig) -> String {
 /// Renders a whole network (devices + links) in the textual dialect.
 pub fn print_network(n: &NetworkConfig) -> String {
     let mut out = String::new();
-    print_network_into(&mut out, n);
+    write_network(&mut out, n).expect("writing to a String cannot fail");
     out
-}
-
-/// Appends a whole network to `out` — [`print_network`] into a buffer the
-/// caller keeps (clear it between networks to reuse its allocation).
-pub fn print_network_into(out: &mut String, n: &NetworkConfig) {
-    write_network(out, n).expect("writing to a String cannot fail");
 }
 
 #[cfg(test)]

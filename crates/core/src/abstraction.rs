@@ -3,7 +3,7 @@
 //! Bonsai's output is a set of vendor-independent configurations for the
 //! *abstract* network, so that any downstream analyzer (here: the SRP
 //! solver and the verification engines) runs on it unchanged. This module
-//! builds that network in two steps:
+//! builds that network in two steps, and prints it without the second:
 //!
 //! 1. The **layout** ([`AbstractLayout::new`]) is config-free: the abstract
 //!    node numbering (one node per block copy, a block's copies
@@ -17,13 +17,20 @@
 //!    agree at the refinement fixpoint — that is what refinement
 //!    enforced), and one interface per abstract neighbor configured from
 //!    the representative edge's source interface. It is the only code that
-//!    formats a name or clones a policy object.
+//!    builds a configuration object.
 //!
 //! [`build_abstract_network`] is the two in a row. Whoever only solves the
 //! abstract network skips the second: [`AbstractLayout::view`] reads the
 //! concrete objects the renderer would copy, so the instance
 //! [`AbstractLayout::instance`] builds equals the one parsed back from the
-//! rendered files.
+//! rendered files. Whoever only wants the text skips it too:
+//! [`AbstractLayout::print_into`] writes what printing the rendered network
+//! writes, formatting names, interfaces and processes from the layout with
+//! the dialect's own line writers ([`bonsai_config::print`]) and copying
+//! each device's policy objects from a section printed once per concrete
+//! device ([`PolicySections`]). The renderer and the printer read the
+//! representative edges through the same helpers, so they cannot disagree
+//! on which interface, session or static route an edge copies.
 //!
 //! Intra-block quotient edges are dropped for single-copy blocks (they can
 //! only represent strictly-worse detours at equal preference; this mirrors
@@ -40,13 +47,14 @@
 //! neighbor list (ascending by peer, so "interface `i` of device `a`" is
 //! "the `i`-th peer of `a`"), and the graph is built link by link in that
 //! order. The renderer formats each name once and hands the graph over
-//! with names attached. `tests/kernel_reference.rs` keeps the builder that
-//! scanned the abstract links per device and re-resolved every name, and
-//! checks the two produce equal configurations and topologies.
+//! with names attached; the printer formats names as it writes them.
+//! `tests/kernel_reference.rs` keeps the builder that scanned the abstract
+//! links per device and re-resolved every name, and checks the two
+//! produce equal configurations and topologies.
 
 use crate::algorithm::Abstraction;
 use bonsai_config::{
-    BgpConfig, BgpNeighbor, BuiltTopology, DeviceConfig, Interface, Link, NetworkConfig,
+    print, BgpConfig, BgpNeighbor, BuiltTopology, DeviceConfig, Interface, Link, NetworkConfig,
     OspfConfig, StaticRoute,
 };
 use bonsai_net::partition::BlockId;
@@ -55,6 +63,8 @@ use bonsai_net::{EdgeId, Graph, GraphBuilder, NodeId};
 use bonsai_srp::instance::{EcDest, MultiProtocol};
 use bonsai_srp::view::ConfigView;
 use std::collections::HashMap;
+use std::fmt;
+use std::sync::OnceLock;
 
 /// The abstract network generated for one destination equivalence class.
 #[derive(Clone, Debug)]
@@ -301,24 +311,48 @@ impl AbstractLayout {
         MultiProtocol::from_view(&self.view(network, topo), &self.ec)
     }
 
+    /// The interfaces of abstract node `a`, one per out-edge in edge
+    /// order: the concrete device and interface the edge copies (the
+    /// representative edge's source), and the peer it leads to.
+    fn out_interfaces<'a>(
+        &'a self,
+        a: NodeId,
+        network: &'a NetworkConfig,
+        topo: &'a BuiltTopology,
+    ) -> impl Iterator<Item = (EdgeId, &'a DeviceConfig, &'a Interface, NodeId)> + 'a {
+        self.graph.out(a).map(move |e| {
+            let ce = self.rep_edges[e.index()];
+            let src_dev = &network.devices[topo.graph.source(ce).index()];
+            let src_iface = &src_dev.interfaces[topo.egress(ce)];
+            (e, src_dev, src_iface, self.graph.target(e))
+        })
+    }
+
+    /// The name of abstract node `a`.
+    fn device_name<'n>(&self, a: NodeId, network: &'n NetworkConfig) -> DeviceName<'n> {
+        DeviceName(a, &network.devices[self.reps[a.index()].index()].name)
+    }
+
     /// Writes the configuration: names every node and interface and copies
     /// the policy objects. `network` and `topo` must be the ones the layout
     /// was made from.
     pub fn render(self, network: &NetworkConfig, topo: &BuiltTopology) -> AbstractNetwork {
         bonsai_obs::add("compress.abstract.rendered", 1);
         let graph = &self.graph;
-        let ec = &self.ec;
+        let class = self.ec.prefix;
         let nodes = graph.node_count();
 
         // Every name is formatted once and cloned where a config object owns
         // a copy.
-        let iface_names: Vec<String> = (0..nodes).map(|peer| format!("to{peer}")).collect();
+        let iface_names: Vec<String> = (0..nodes)
+            .map(|peer| IfaceName(NodeId(peer as u32)).to_string())
+            .collect();
 
         let mut devices: Vec<DeviceConfig> = Vec::with_capacity(nodes);
         let mut out_iface = vec![0usize; graph.edge_count()];
         for a in graph.nodes() {
             let rep_dev = &network.devices[self.reps[a.index()].index()];
-            let mut dev = DeviceConfig::new(format!("abs{}_{}", a.0, rep_dev.name));
+            let mut dev = DeviceConfig::new(self.device_name(a, network).to_string());
 
             // Copy named policy objects wholesale (referenced by name).
             dev.route_maps = rep_dev.route_maps.clone();
@@ -332,12 +366,10 @@ impl AbstractLayout {
             dev.interfaces.reserve_exact(degree);
             let mut bgp_neighbors: Vec<BgpNeighbor> =
                 Vec::with_capacity(if rep_dev.bgp.is_some() { degree } else { 0 });
-            for (iface, e) in graph.out(a).enumerate() {
+            let out = self.out_interfaces(a, network, topo);
+            for (iface, (e, src_dev, src_iface, peer)) in out.enumerate() {
                 out_iface[e.index()] = iface;
-                let ce = self.rep_edges[e.index()];
-                let src_dev = &network.devices[topo.graph.source(ce).index()];
-                let src_iface = &src_dev.interfaces[topo.egress(ce)];
-                let iface_name = &iface_names[graph.target(e).index()];
+                let iface_name = &iface_names[peer.index()];
                 dev.interfaces.push(Interface {
                     name: iface_name.clone(),
                     prefix: None,
@@ -348,11 +380,7 @@ impl AbstractLayout {
                 });
 
                 // BGP session on the representative edge → session here.
-                let session = src_dev
-                    .bgp
-                    .as_ref()
-                    .and_then(|bgp| bgp.neighbors.iter().find(|n| n.iface == src_iface.name));
-                if let Some(session) = session {
+                if let Some(session) = session_on(src_dev, src_iface) {
                     bgp_neighbors.push(BgpNeighbor {
                         iface: iface_name.clone(),
                         import_policy: session.import_policy.clone(),
@@ -363,38 +391,24 @@ impl AbstractLayout {
 
                 // Static routes out of the representative edge (only those
                 // matching this class).
-                for sr in &src_dev.static_routes {
-                    if sr.iface == src_iface.name && sr.prefix.contains(ec.prefix) {
-                        dev.static_routes.push(StaticRoute {
-                            prefix: sr.prefix,
-                            iface: iface_name.clone(),
-                        });
-                    }
-                }
+                let statics = statics_on(src_dev, src_iface, class).map(|sr| StaticRoute {
+                    prefix: sr.prefix,
+                    iface: iface_name.clone(),
+                });
+                dev.static_routes.extend(statics);
             }
 
             // Processes.
-            let covers_class = |p: &Prefix| *p == ec.prefix || p.contains(ec.prefix);
             dev.bgp = rep_dev.bgp.as_ref().map(|rep_bgp| BgpConfig {
                 asn: rep_bgp.asn,
-                networks: rep_bgp
-                    .networks
-                    .iter()
-                    .copied()
-                    .filter(covers_class)
-                    .collect(),
+                networks: covering(&rep_bgp.networks, class).collect(),
                 neighbors: bgp_neighbors,
                 default_local_pref: rep_bgp.default_local_pref,
                 redistribute_static: rep_bgp.redistribute_static,
                 redistribute_ospf: rep_bgp.redistribute_ospf,
             });
             dev.ospf = rep_dev.ospf.as_ref().map(|rep_ospf| OspfConfig {
-                networks: rep_ospf
-                    .networks
-                    .iter()
-                    .copied()
-                    .filter(covers_class)
-                    .collect(),
+                networks: covering(&rep_ospf.networks, class).collect(),
                 redistribute_static: rep_ospf.redistribute_static,
             });
             devices.push(dev);
@@ -436,6 +450,140 @@ impl AbstractLayout {
             node_of_copy,
             copy_of_node: self.copy_of_node,
         }
+    }
+
+    /// Appends the text [`AbstractLayout::render`] would produce, printed
+    /// with [`bonsai_config::print_network`], to `out` — without building
+    /// the configuration: names, interfaces, processes, static routes and
+    /// links are formatted from the layout, and each device's policy
+    /// objects are copied from its representative's section in
+    /// `sections`. `network` and `topo` must be the ones the layout was
+    /// made from, and `sections` made for `network`.
+    pub fn print_into(
+        &self,
+        out: &mut String,
+        network: &NetworkConfig,
+        topo: &BuiltTopology,
+        sections: &PolicySections,
+    ) {
+        self.write(out, network, topo, sections)
+            .expect("writing to a String cannot fail");
+    }
+
+    fn write(
+        &self,
+        w: &mut String,
+        network: &NetworkConfig,
+        topo: &BuiltTopology,
+        sections: &PolicySections,
+    ) -> fmt::Result {
+        let graph = &self.graph;
+        let class = self.ec.prefix;
+        for a in graph.nodes() {
+            let rep = self.reps[a.index()];
+            let rep_dev = &network.devices[rep.index()];
+            print::write_device_open(w, self.device_name(a, network))?;
+            let out = || self.out_interfaces(a, network, topo);
+            for (_, _, src_iface, peer) in out() {
+                print::write_interface(w, IfaceName(peer), None, src_iface)?;
+            }
+            w.push_str(sections.section(network, rep));
+            if let Some(bgp) = &rep_dev.bgp {
+                let sessions = out().filter_map(|(_, src_dev, src_iface, peer)| {
+                    Some((IfaceName(peer), session_on(src_dev, src_iface)?))
+                });
+                print::write_bgp(w, bgp, covering(&bgp.networks, class), sessions)?;
+            }
+            if let Some(ospf) = &rep_dev.ospf {
+                print::write_ospf(w, ospf, covering(&ospf.networks, class))?;
+            }
+            for (_, src_dev, src_iface, peer) in out() {
+                for sr in statics_on(src_dev, src_iface, class) {
+                    print::write_static_route(w, sr.prefix, IfaceName(peer))?;
+                }
+            }
+            print::write_device_close(w)?;
+        }
+        for e in graph.edges().step_by(2) {
+            let (a, b) = graph.endpoints(e);
+            let (a_name, b_name) = (self.device_name(a, network), self.device_name(b, network));
+            print::write_link(w, (a_name, IfaceName(b)), (b_name, IfaceName(a)))?;
+        }
+        Ok(())
+    }
+}
+
+/// The name of an abstract node: `abs<node>_<representative>`.
+#[derive(Clone, Copy)]
+struct DeviceName<'n>(NodeId, &'n str);
+
+impl fmt::Display for DeviceName<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "abs{}_{}", self.0 .0, self.1)
+    }
+}
+
+/// The name of the interface toward abstract node `peer`: `to<peer>`.
+#[derive(Clone, Copy)]
+struct IfaceName(NodeId);
+
+impl fmt::Display for IfaceName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "to{}", self.0 .0)
+    }
+}
+
+/// The BGP session `device` runs on `iface`, if any.
+fn session_on<'n>(device: &'n DeviceConfig, iface: &Interface) -> Option<&'n BgpNeighbor> {
+    let bgp = device.bgp.as_ref()?;
+    bgp.neighbors.iter().find(|n| n.iface == iface.name)
+}
+
+/// The static routes `device` sends out of `iface` that cover `class`.
+fn statics_on<'n>(
+    device: &'n DeviceConfig,
+    iface: &'n Interface,
+    class: Prefix,
+) -> impl Iterator<Item = &'n StaticRoute> {
+    (device.static_routes.iter())
+        .filter(move |sr| sr.iface == iface.name && sr.prefix.contains(class))
+}
+
+/// The process `network` statements that cover `class`.
+fn covering(networks: &[Prefix], class: Prefix) -> impl Iterator<Item = Prefix> + '_ {
+    (networks.iter().copied()).filter(move |p| *p == class || p.contains(class))
+}
+
+/// Every concrete device's policy objects, printed
+/// ([`bonsai_config::print::write_policies`]) by the first abstract
+/// network that copies them and shared with every later one: the text
+/// [`AbstractLayout::print_into`] copies verbatim. One per network, shared
+/// by the workers that print its classes.
+pub struct PolicySections {
+    sections: Vec<OnceLock<Box<str>>>,
+}
+
+impl PolicySections {
+    /// No section printed yet, one slot per device of `network`.
+    pub fn new(network: &NetworkConfig) -> Self {
+        PolicySections {
+            sections: network.devices.iter().map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// The policy objects of `device`, printed on first read.
+    fn section(&self, network: &NetworkConfig, device: NodeId) -> &str {
+        self.sections[device.index()].get_or_init(|| {
+            let mut text = String::new();
+            print::write_policies(&mut text, &network.devices[device.index()])
+                .expect("writing to a String cannot fail");
+            text.into_boxed_str()
+        })
+    }
+
+    /// How many devices' sections have been printed.
+    pub fn printed(&self) -> usize {
+        self.sections.iter().filter(|s| s.get().is_some()).count()
     }
 }
 
@@ -554,5 +702,37 @@ mod tests {
         assert_eq!(abs.abstract_node_count(), 2);
         assert_eq!(abs_net.topo.graph.node_count(), 2);
         assert_eq!(abs_net.link_count(), 1);
+    }
+
+    /// The printer formats from the layout what printing the rendered
+    /// configuration writes, and prints each representative's policy
+    /// objects once however many classes copy them.
+    #[test]
+    fn printed_layout_is_the_printed_rendering() {
+        for (net, dest) in [
+            (papernets::figure1_rip(), "d"),
+            (papernets::figure2_gadget(), "d"),
+            (papernets::figure5_bgp(), "d"),
+        ] {
+            let topo = BuiltTopology::build(&net).unwrap();
+            let d = topo.graph.node_by_name(dest).unwrap();
+            let ec = EcDest::new(
+                papernets::DEST_PREFIX.parse().unwrap(),
+                vec![(d, OriginProto::Bgp)],
+            );
+            let engine = CompiledPolicies::from_network(&net, false);
+            let sigs = build_sig_table(&engine, &net, &topo, &ec);
+            let abs = find_abstraction(&topo.graph, &ec, &sigs);
+            let layout = AbstractLayout::new(&topo.graph, &ec, &abs);
+            let sections = PolicySections::new(&net);
+            let mut printed = String::new();
+            layout.print_into(&mut printed, &net, &topo, &sections);
+            let reps = sections.printed();
+            assert!(reps > 0 && reps <= net.devices.len());
+            layout.print_into(&mut printed, &net, &topo, &sections);
+            assert_eq!(sections.printed(), reps, "a section is printed once");
+            let rendered = bonsai_config::print_network(&layout.render(&net, &topo).network);
+            assert_eq!(printed, rendered.repeat(2));
+        }
     }
 }

@@ -17,16 +17,19 @@
 //! it* and keeps only what the consumer returns, so a consumer that
 //! prints, checks or counts a class and drops it holds one abstract
 //! network per worker instead of one per class. [`compress`] is its
-//! collecting instance (the consumer is the identity).
+//! collecting instance (the consumer is the identity). A class comes with
+//! its abstract network laid out, not rendered: printing reads the layout
+//! ([`AbstractLayout::print_into`]), and only a reader of
+//! [`EcCompression::abstract_network`] builds the configuration.
 
-use crate::abstraction::{build_abstract_network, AbstractLayout, AbstractNetwork};
+use crate::abstraction::{AbstractLayout, AbstractNetwork};
 use crate::algorithm::{find_abstraction, Abstraction};
 use crate::ecs::{compute_ecs, DestEc};
 use crate::engine::{CompiledPolicies, EngineStats};
 use crate::signatures::{build_sig_table, SigTable};
 use bonsai_config::{BuiltTopology, NetworkConfig};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Options for a compression run.
@@ -46,13 +49,49 @@ pub struct EcCompression {
     pub ec: DestEc,
     /// The refined abstraction.
     pub abstraction: Abstraction,
-    /// The materialized abstract network.
-    pub abstract_network: AbstractNetwork,
+    /// The abstract network, laid out: its numbering, graph and
+    /// transported class, and the concrete device and edge each abstract
+    /// node and edge copies. [`AbstractLayout::print_into`] prints it;
+    /// [`EcCompression::abstract_network`] renders its configuration.
+    pub abstract_network: AbstractLayout,
+    /// The rendered configuration, filled by the first
+    /// [`EcCompression::abstract_network`] read.
+    rendered: OnceLock<AbstractNetwork>,
     /// Time spent building the BDD signature table (mostly engine-cache
     /// lookups after the first class touches a policy).
     pub bdd_time: Duration,
-    /// Time spent in refinement + abstract-network construction.
+    /// Time spent in refinement + abstract-network layout.
     pub compress_time: Duration,
+}
+
+impl EcCompression {
+    fn new(
+        ec: DestEc,
+        abstraction: Abstraction,
+        layout: AbstractLayout,
+        bdd_time: Duration,
+        compress_time: Duration,
+    ) -> Self {
+        EcCompression {
+            ec,
+            abstraction,
+            abstract_network: layout,
+            rendered: OnceLock::new(),
+            bdd_time,
+            compress_time,
+        }
+    }
+
+    /// The class's abstract network, rendered on first read
+    /// ([`AbstractLayout::render`]) and kept. `network` and `topo` must be
+    /// the ones the class was compressed from.
+    pub fn abstract_network(
+        &self,
+        network: &NetworkConfig,
+        topo: &BuiltTopology,
+    ) -> &AbstractNetwork {
+        (self.rendered).get_or_init(|| self.abstract_network.clone().render(network, topo))
+    }
 }
 
 /// The per-class numbers the report's statistics read — everything a
@@ -74,7 +113,7 @@ impl ClassStats for EcCompression {
         self.abstraction.abstract_node_count()
     }
     fn abstract_links(&self) -> usize {
-        self.abstract_network.link_count()
+        self.abstract_network.graph.link_count()
     }
     fn bdd_time(&self) -> Duration {
         self.bdd_time
@@ -205,16 +244,10 @@ pub fn compress_ec(
 
     let t1 = Instant::now();
     let abstraction = find_abstraction(&topo.graph, &ec_dest, &sigs);
-    let abstract_network = build_abstract_network(network, topo, &ec_dest, &abstraction);
+    let layout = AbstractLayout::new(&topo.graph, &ec_dest, &abstraction);
     let compress_time = t1.elapsed();
 
-    EcCompression {
-        ec: ec.clone(),
-        abstraction,
-        abstract_network,
-        bdd_time,
-        compress_time,
-    }
+    EcCompression::new(ec.clone(), abstraction, layout, bdd_time, compress_time)
 }
 
 /// The counterexample-guided refinement step of the failure-scenario
@@ -248,8 +281,11 @@ pub fn refine_ec_with_split(
 
 /// Compresses a whole network, streaming: every destination equivalence
 /// class is compressed in parallel over one shared policy-compilation
-/// engine, and `each(index, class)` runs **inside the fan-out worker** that
-/// compressed the class — only what it returns is kept, in class order.
+/// engine, and `each(index, class, topo)` runs **inside the fan-out worker**
+/// that compressed the class — only what it returns is kept, in class
+/// order. `topo` is the network's topology, the one a consumer that prints
+/// or renders the class's layout passes along with `network`. Nothing is
+/// rendered unless the consumer asks ([`EcCompression::abstract_network`]).
 ///
 /// The fan-out is the unified driver of [`crate::fanout::fan_out`]:
 /// workers claim class indices from one atomic counter and collect into
@@ -261,7 +297,7 @@ pub fn refine_ec_with_split(
 pub fn compress_each<R: Send>(
     network: &NetworkConfig,
     options: CompressOptions,
-    each: impl Fn(usize, EcCompression) -> R + Sync,
+    each: impl Fn(usize, EcCompression, &BuiltTopology) -> R + Sync,
 ) -> CompressionReport<R> {
     let start = Instant::now();
     let topo = BuiltTopology::build(network).expect("network has a consistent topology");
@@ -287,7 +323,7 @@ pub fn compress_each<R: Send>(
         ecs.len(),
         threads,
         || (),
-        |(), i| each(i, compress_ec(&engine, network, &topo, &ecs[i])),
+        |(), i| each(i, compress_ec(&engine, network, &topo, &ecs[i]), &topo),
     );
 
     CompressionReport {
@@ -305,7 +341,7 @@ pub fn compress_each<R: Send>(
 /// Compresses a whole network and keeps every class: [`compress_each`]
 /// with the identity consumer.
 pub fn compress(network: &NetworkConfig, options: CompressOptions) -> CompressionReport {
-    compress_each(network, options, |_, class| class)
+    compress_each(network, options, |_, class, _| class)
 }
 
 /// Result of absorbing a config delta into an existing compression: the
@@ -440,17 +476,17 @@ pub fn recompress_delta(
                 let t1 = Instant::now();
                 let abstraction = old.per_ec[*old_idx].abstraction.clone();
                 // The abstraction is provably still the fixpoint (same
-                // signature table), but its materialization embeds
-                // concrete device configs — rebuild against the new ones.
-                let abstract_network =
-                    build_abstract_network(new_network, &topo, &ec_dest, &abstraction);
-                per_ec.push(EcCompression {
-                    ec: ec.clone(),
+                // signature table); its layout reads no configuration, and
+                // whoever renders or prints it reads the new one.
+                let layout = AbstractLayout::new(&topo.graph, &ec_dest, &abstraction);
+                let compress_time = t1.elapsed();
+                per_ec.push(EcCompression::new(
+                    ec.clone(),
                     abstraction,
-                    abstract_network,
+                    layout,
                     bdd_time,
-                    compress_time: t1.elapsed(),
-                });
+                    compress_time,
+                ));
             }
             _ => {
                 rederived.push(i);
@@ -665,10 +701,14 @@ link a i b i
 
         // The delta result is semantically the fresh result.
         let fresh = compress(&new_net, CompressOptions::default());
+        let topo = BuiltTopology::build(&new_net).unwrap();
         assert_eq!(d.report.num_ecs(), fresh.num_ecs());
         for (a, b) in d.report.per_ec.iter().zip(&fresh.per_ec) {
             assert_eq!(a.ec.rep, b.ec.rep);
-            assert_eq!(a.abstract_network.network, b.abstract_network.network);
+            assert_eq!(
+                a.abstract_network(&new_net, &topo).network,
+                b.abstract_network(&new_net, &topo).network
+            );
         }
     }
 
@@ -763,13 +803,17 @@ link a i b i
             },
         );
         assert_eq!(seq.num_ecs(), report.num_ecs());
+        let topo = BuiltTopology::build(&more).unwrap();
         for (a, b) in seq.per_ec.iter().zip(report.per_ec.iter()) {
             assert_eq!(a.ec.rep, b.ec.rep);
             assert_eq!(
                 a.abstraction.abstract_node_count(),
                 b.abstraction.abstract_node_count()
             );
-            assert_eq!(a.abstract_network.network, b.abstract_network.network);
+            assert_eq!(
+                a.abstract_network(&more, &topo).network,
+                b.abstract_network(&more, &topo).network
+            );
         }
     }
 }

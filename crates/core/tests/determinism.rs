@@ -16,11 +16,16 @@
 //! two racing workers may both miss the same cache entry, which changes
 //! the statistics but never the results.
 
+use bonsai_config::{BuiltTopology, NetworkConfig};
+use bonsai_core::abstraction::PolicySections;
 use bonsai_core::compress::{compress, CompressOptions, CompressionReport};
 use bonsai_topo::{fattree, FattreePolicy};
 
-/// Canonical byte serialization of every semantic output of a run.
-fn canonical_bytes(report: &CompressionReport) -> String {
+/// Canonical byte serialization of every semantic output of a run over
+/// `net`.
+fn canonical_bytes(report: &CompressionReport, net: &NetworkConfig) -> String {
+    let topo = BuiltTopology::build(net).unwrap();
+    let sections = PolicySections::new(net);
     let mut out = String::new();
     out.push_str(&format!(
         "concrete {} nodes {} links, {} ecs\n",
@@ -48,7 +53,7 @@ fn canonical_bytes(report: &CompressionReport) -> String {
             ec.abstraction.copies,
             ec.abstraction.iterations
         ));
-        out.push_str(&bonsai_config::print_network(&ec.abstract_network.network));
+        (ec.abstract_network).print_into(&mut out, net, &topo, &sections);
         out.push_str(&format!("abs_ec {:?}\n", ec.abstract_network.ec));
     }
     out
@@ -76,8 +81,8 @@ fn fattree8_compression_is_thread_count_invariant() {
             },
         );
         assert_eq!(
-            canonical_bytes(&sequential),
-            canonical_bytes(&parallel),
+            canonical_bytes(&sequential, &net),
+            canonical_bytes(&parallel, &net),
             "threads: 1 vs threads: {threads} diverged"
         );
     }
@@ -102,5 +107,8 @@ fn fattree8_policy_compression_is_thread_count_invariant() {
             strip_unused_communities: true,
         },
     );
-    assert_eq!(canonical_bytes(&sequential), canonical_bytes(&parallel));
+    assert_eq!(
+        canonical_bytes(&sequential, &net),
+        canonical_bytes(&parallel, &net)
+    );
 }

@@ -91,7 +91,7 @@ fn ospf_costs_and_areas_preserved() {
     let concrete = solve(&srp).unwrap();
 
     // Abstract solution.
-    let abs = &ec.abstract_network;
+    let abs = ec.abstract_network(&net, &topo);
     let abs_proto = MultiProtocol::build(&abs.network, &abs.topo, &abs.ec);
     let abs_origins: Vec<NodeId> = abs.ec.origins.iter().map(|(o, _)| *o).collect();
     let abs_srp = Srp::with_origins(&abs.topo.graph, abs_origins, abs_proto);

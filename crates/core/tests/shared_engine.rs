@@ -65,7 +65,8 @@ fn assert_shared_matches_rebuilt(net: &bonsai_config::NetworkConfig, strip: bool
         );
         // ...and the same materialized configurations, byte for byte.
         assert_eq!(
-            result.abstract_network.network, abstract_network.network,
+            result.abstract_network(net, &topo).network,
+            abstract_network.network,
             "abstract network mismatch for EC {}",
             ec.rep
         );

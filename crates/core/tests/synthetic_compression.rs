@@ -22,7 +22,7 @@ fn fattree_compresses_to_six_nodes_five_links() {
                 ec.abstraction.partition.as_sets()
             );
             assert_eq!(
-                ec.abstract_network.link_count(),
+                ec.abstract_network.graph.link_count(),
                 5,
                 "k={k}, ec={}",
                 ec.ec.rep
@@ -76,7 +76,7 @@ fn mesh_compresses_to_two_nodes_one_link() {
         assert_eq!(report.num_ecs(), n);
         for ec in &report.per_ec {
             assert_eq!(ec.abstraction.abstract_node_count(), 2, "n={n}");
-            assert_eq!(ec.abstract_network.link_count(), 1, "n={n}");
+            assert_eq!(ec.abstract_network.graph.link_count(), 1, "n={n}");
         }
     }
 }

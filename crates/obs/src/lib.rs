@@ -164,6 +164,10 @@ pub const METRICS: &[MetricDef] = &[
         "compress.emit.bytes",
         "Bytes of abstract-network text written by compress --out",
     ),
+    counter(
+        "compress.emit.sections",
+        "Device policy sections printed by compress --out, once per device a class copies",
+    ),
     // --- srp: the fixpoint solver -----------------------------------------
     counter(
         "srp.solves.cold",

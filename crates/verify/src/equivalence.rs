@@ -18,7 +18,7 @@
 //! several stable solutions, and CP-equivalence promises only that *some*
 //! of them corresponds; the check does not search for it but builds it the
 //! way the paper's proof does (Theorem 4.5): each copy takes a concrete
-//! member's label, mapped through the abstraction ([`transport_sample`]),
+//! member's label, mapped through the abstraction (`transport_sample`),
 //! and the labelling is validated, not solved.
 
 use bonsai_config::{BuiltTopology, Community, NetworkConfig};
@@ -502,7 +502,7 @@ pub(crate) fn transport_sample(
 /// concrete network under `concrete_orders` different activation orders
 /// and requires every resulting solution to transport onto a stable
 /// abstract solution with the same per-block behaviors
-/// ([`transport_sample`]): label- and fwd-equivalence modulo `h` and the
+/// (`transport_sample`): label- and fwd-equivalence modulo `h` and the
 /// copy assignment. Identical concrete samples are checked once, and no
 /// abstract instance is solved.
 ///
@@ -576,7 +576,7 @@ mod tests {
                 &topo,
                 &ec_dest,
                 &ec.abstraction,
-                &ec.abstract_network,
+                ec.abstract_network(net, &topo),
                 8,
                 Some(&report.policies),
             )

@@ -4,7 +4,7 @@
 
 use super::Session;
 use crate::sweep::ScenarioRefinement;
-use bonsai_config::print_network;
+use bonsai_core::abstraction::PolicySections;
 use bonsai_net::NodeId;
 use std::collections::HashMap;
 
@@ -41,6 +41,8 @@ impl Session {
         out.push_str(&format!("network {}\n", self.fingerprint));
         out.push_str(&format!("classes {}\n", self.planes.len()));
         let mut canon_fp: HashMap<u32, usize> = HashMap::new();
+        let sections = PolicySections::new(&self.network);
+        let mut config = String::new();
         for (i, plane) in self.planes.iter().enumerate() {
             let comp = &self.report.per_ec[i];
             let ec_dest = comp.ec.to_ec_dest();
@@ -85,7 +87,9 @@ impl Session {
                 ));
             }
             out.push_str("  abstract-config\n");
-            for line in print_network(&comp.abstract_network.network).lines() {
+            config.clear();
+            (comp.abstract_network).print_into(&mut config, &self.network, &self.topo, &sections);
+            for line in config.lines() {
                 out.push_str("    ");
                 out.push_str(line);
                 out.push('\n');

@@ -71,7 +71,7 @@ use crate::failures::lift_failure_mask;
 use crate::query::QueryStats;
 use crate::sim_engine::{abstract_verdict, concrete_verdict};
 use bonsai_config::{BuiltTopology, Community, NetworkConfig};
-use bonsai_core::abstraction::{AbstractLayout, AbstractNetwork};
+use bonsai_core::abstraction::{AbstractLayout, AbstractNetwork, AbstractNumbering};
 use bonsai_core::algorithm::{refine_with_split, Abstraction};
 use bonsai_core::compress::refine_ec_with_split;
 use bonsai_core::ecs::DestEc;
@@ -746,8 +746,8 @@ impl<'n> Candidate<'n> {
 /// fresh derivation would.
 ///
 /// `abstraction`/`abs` must be the failure-free (CP-equivalent) base pair
-/// of a compression run — the derivation reads the layout `abs` was
-/// rendered from, not `abs` itself; `engine` the run's shared
+/// of a compression run — `abs` its layout or the network rendered from
+/// it, whose numbering only a debug build reads; `engine` the run's shared
 /// policy-compilation engine.
 ///
 /// Errors when the concrete instance diverges under the representative or
@@ -759,7 +759,7 @@ pub fn derive_refinement(
     topo: &BuiltTopology,
     ec: &EcDest,
     abstraction: &Abstraction,
-    abs: &AbstractNetwork,
+    abs: &impl AbstractNumbering,
     engine: &CompiledPolicies,
     options: &SweepOptions,
     signature: &OrbitSignature,
@@ -767,8 +767,10 @@ pub fn derive_refinement(
     let distances = Arc::new(NodeDistances::of_graph(&topo.graph));
     let env = SweepEnv::new(network, topo, engine, options, distances);
     let ctx = SweepCtx::hoist(&env, ec.clone(), abstraction).warmed();
-    debug_assert_eq!(
-        ctx.class.layout.copy_of_node, abs.copy_of_node,
+    let base = &ctx.class.layout;
+    debug_assert!(
+        abs.abstract_graph().node_count() == base.graph.node_count()
+            && (base.graph.nodes()).all(|n| abs.copy_of(n) == base.copy_of(n)),
         "the base pair"
     );
     derive_scenario_refinement(&ctx, signature)
@@ -1396,7 +1398,7 @@ mod tests {
         let node_behaviors =
             behaviors.concrete(&srp, &topo, &solution, &ec.abstraction, None, Some(&mask));
         let concrete = BlockSets::of_nodes(&node_behaviors, &ec.abstraction);
-        let abs = &ec.abstract_network;
+        let abs = ec.abstract_network(&net, &topo);
         let abs_mask = lift_failure_mask(&scenario, &ec.abstraction, abs);
         let abs_srp = class_srp(&abs.network, &abs.topo, &abs.ec);
         let abs_solution = bonsai_srp::solver::solve_masked(&abs_srp, Some(&abs_mask)).unwrap();

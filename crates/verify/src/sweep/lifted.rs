@@ -1,7 +1,9 @@
 //! The lifted-instance oracle: the SRP instance a check builds over a
 //! candidate's layout ([`AbstractLayout::instance`], no configuration
 //! written) against [`MultiProtocol::build`] over the configuration the
-//! layout renders, on every candidate the check reference walks
+//! layout renders, and the text printed from the layout
+//! ([`AbstractLayout::print_into`]) against that configuration printed,
+//! on every candidate the check reference walks
 //! ([`super::reference::walk_class`]: the base and one-copy abstractions,
 //! then every derivation round, refuted ones included). Per edge: the BGP
 //! session (iBGP, the export and import plans), the OSPF and static facts
@@ -16,7 +18,8 @@ use super::reference::{random_nets, walk_class};
 use super::*;
 use crate::equivalence::rotated_order;
 use crate::sim_engine::edge_passes_acls;
-use bonsai_config::DeviceConfig;
+use bonsai_config::{print_network, DeviceConfig};
+use bonsai_core::abstraction::PolicySections;
 use bonsai_core::compress::{compress_each, CompressOptions, EcCompression};
 use bonsai_srp::papernets;
 use bonsai_srp::protocols::bgp::MapPlan;
@@ -51,11 +54,21 @@ fn policies(device: &DeviceConfig) -> impl PartialEq + std::fmt::Debug + '_ {
     )
 }
 
-/// One candidate: its lifted instance against the rendered network's.
-fn compare(ctx: &SweepCtx<'_>, candidate: &Candidate<'_>, tally: &mut Tally, what: &str) {
+/// One candidate: its lifted instance against the rendered network's, and
+/// the text printed from its layout against the rendered network printed.
+fn compare(
+    ctx: &SweepCtx<'_>,
+    candidate: &Candidate<'_>,
+    sections: &PolicySections,
+    tally: &mut Tally,
+    what: &str,
+) {
     let (network, topo) = (ctx.env.network, ctx.env.topo);
     let layout = candidate.layout;
     let rendered = layout.clone().render(network, topo);
+    let mut printed = String::new();
+    layout.print_into(&mut printed, network, topo, sections);
+    assert_eq!(printed, print_network(&rendered.network), "{what}: printed");
     let parsed = class_srp(&rendered.network, &rendered.topo, &rendered.ec);
     let lifted = &candidate.srp;
     let graph = &layout.graph;
@@ -148,8 +161,11 @@ fn compare(ctx: &SweepCtx<'_>, candidate: &Candidate<'_>, tally: &mut Tally, wha
 /// Compares every candidate of every `class_step`-th class of `net` at
 /// bound `k`, on every `step`-th signature representative.
 fn compare_network(net: &NetworkConfig, k: usize, class_step: usize, step: usize) -> Tally {
-    let keep = |i: usize, class: EcCompression| i.is_multiple_of(class_step).then_some(class);
+    let keep = |i: usize, class: EcCompression, _: &BuiltTopology| {
+        i.is_multiple_of(class_step).then_some(class)
+    };
     let report = compress_each(net, CompressOptions::default(), keep);
+    let sections = PolicySections::new(net);
     let mut tally = Tally::default();
     for class in report.per_ec.iter().flatten() {
         walk_class(
@@ -164,7 +180,7 @@ fn compare_network(net: &NetworkConfig, k: usize, class_step: usize, step: usize
                     ctx.class.ec.prefix,
                     rep.describe(&ctx.env.topo.graph)
                 );
-                compare(ctx, candidate, &mut tally, &what);
+                compare(ctx, candidate, &sections, &mut tally, &what);
                 let verdict = check_scenario_refined(ctx, rep, solutions, candidate);
                 let refutation = verdict.err().map(|r| *r);
                 tally.refuted += usize::from(refutation.is_some());

@@ -617,7 +617,7 @@ fn compare_class(
 ) -> Tally {
     let topo = BuiltTopology::build(net).expect("topology builds");
     let ec = class.ec.to_ec_dest();
-    let (base, base_net) = (&class.abstraction, &class.abstract_network);
+    let (base, base_net) = (&class.abstraction, class.abstract_network(net, &topo));
     let coarse = one_copy(base);
     let coarse_net = build_abstract_network(net, &topo, &ec, &coarse);
     let mut tally = Tally::default();
@@ -638,7 +638,9 @@ fn compare_class(
 
 /// Compares every `class_step`-th class of `net`.
 fn compare_network(net: &NetworkConfig, k: usize, class_step: usize, step: usize) -> Tally {
-    let keep = |i: usize, class: EcCompression| i.is_multiple_of(class_step).then_some(class);
+    let keep = |i: usize, class: EcCompression, _: &BuiltTopology| {
+        i.is_multiple_of(class_step).then_some(class)
+    };
     let report = compress_each(net, CompressOptions::default(), keep);
     let mut tally = Tally::default();
     for class in report.per_ec.iter().flatten() {

@@ -74,7 +74,7 @@ fn main() {
     println!(
         "\nabstract network: {} nodes, {} links (paper: 4 nodes, 4 edges)",
         ec_result.abstraction.abstract_node_count(),
-        ec_result.abstract_network.link_count(),
+        ec_result.abstract_network.graph.link_count(),
     );
 
     // --- Why one copy is NOT enough (Figure 2(b)) -----------------------
@@ -108,7 +108,7 @@ fn main() {
         &topo,
         &ec_dest,
         &ec_result.abstraction,
-        &ec_result.abstract_network,
+        ec_result.abstract_network(&network, &topo),
         6,
         Some(&report.policies),
     )

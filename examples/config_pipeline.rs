@@ -11,7 +11,7 @@
 //! ```
 
 use bonsai::core::compress::{compress, CompressOptions};
-use bonsai_config::{parse_network, print_network};
+use bonsai_config::{parse_network, print_network, BuiltTopology};
 
 /// A small campus: two identical distribution routers between a core and
 /// four identical access routers — classic compressible symmetry, plus a
@@ -114,19 +114,21 @@ fn main() {
                 .map(|(n, _)| network.devices[n.index()].name.as_str())
                 .collect::<Vec<_>>(),
             ec.abstraction.abstract_node_count(),
-            ec.abstract_network.link_count(),
+            ec.abstract_network.graph.link_count(),
         );
     }
 
     // Emit the compressed network for the first class, in configuration
     // text, and round-trip it.
     let first = &report.per_ec[0];
-    let text = print_network(&first.abstract_network.network);
+    let topo = BuiltTopology::build(&network).expect("the campus topology builds");
+    let abstract_network = first.abstract_network(&network, &topo);
+    let text = print_network(&abstract_network.network);
     println!(
         "\ncompressed configurations for {}:\n\n{}",
         first.ec.rep, text
     );
     let reparsed = parse_network(&text).expect("emitted configuration parses");
-    assert_eq!(reparsed, first.abstract_network.network);
+    assert_eq!(reparsed, abstract_network.network);
     println!("round-trip through the parser: ok");
 }

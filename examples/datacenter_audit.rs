@@ -10,6 +10,7 @@
 //! cargo run --release --example datacenter_audit
 //! ```
 
+use bonsai::config::BuiltTopology;
 use bonsai::core::compress::{compress, CompressOptions};
 use bonsai::core::roles::{count_roles, RoleOptions};
 use bonsai::topo::{datacenter, DatacenterParams};
@@ -79,8 +80,9 @@ fn main() {
     let t = Instant::now();
     let mut delivered = 0usize;
     let mut holes = 0usize;
+    let topo = BuiltTopology::build(&network).expect("the data center's topology builds");
     for ec in &report.per_ec {
-        let abs = &ec.abstract_network;
+        let abs = ec.abstract_network(&network, &topo);
         let engine = SimEngine::new(&abs.network);
         let solution = engine
             .solve_ec(&engine.ecs[0], &QueryCtx::failure_free())

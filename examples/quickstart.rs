@@ -42,19 +42,20 @@ fn main() {
     // The abstract network is ordinary configuration text — Bonsai's
     // actual output format — so any tool can consume it.
     println!("\nabstract network configurations:\n");
+    let topo = BuiltTopology::build(&network).unwrap();
+    let abstract_network = ec.abstract_network(&network, &topo);
     println!(
         "{}",
-        bonsai_config::print_network(&ec.abstract_network.network)
+        bonsai_config::print_network(&abstract_network.network)
     );
 
     // And it is control-plane equivalent to the original.
-    let topo = BuiltTopology::build(&network).unwrap();
     check_cp_equivalence(
         &network,
         &topo,
         &ec.ec.to_ec_dest(),
         &ec.abstraction,
-        &ec.abstract_network,
+        abstract_network,
         4,
         Some(&report.policies),
     )

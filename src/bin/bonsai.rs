@@ -170,7 +170,7 @@ fn run() -> Result<(), Failure> {
         "ecs" => cmd_ecs(&network, &topo),
         "roles" => cmd_roles(&m, &network),
         "compress" => return cmd_compress(&m, &network),
-        "check" => return cmd_check(&m, &network, &topo),
+        "check" => return cmd_check(&m, &network),
         "failures" => return cmd_failures(&m, &network, &topo),
         "serve" => return cmd_serve(&m, &network),
         other => unreachable!("`{other}` is a row of the table without a handler"),
@@ -337,21 +337,22 @@ fn cmd_compress(m: &Matches, network: &NetworkConfig) -> Result<(), Failure> {
 
 /// `bonsai check`: each class is checked inside the worker that
 /// compressed it and dropped after its verdict; the failures print in
-/// class order. The attribute abstraction `h` — one scan of the network
+/// class order. The check reads the rendered configuration, so this is
+/// the one command that renders every class. The attribute abstraction `h` — one scan of the network
 /// for the communities any configuration matches — is built once for the
 /// run and shared by every class's check.
-fn cmd_check(m: &Matches, network: &NetworkConfig, topo: &BuiltTopology) -> Result<(), Failure> {
+fn cmd_check(m: &Matches, network: &NetworkConfig) -> Result<(), Failure> {
     let options = compress_options(m);
     let h = options
         .strip_unused_communities
         .then(|| CompiledPolicies::from_network(network, true));
-    let report = compress_each(network, options, |_, ec| {
+    let report = compress_each(network, options, |_, ec, topo| {
         check_cp_equivalence(
             network,
             topo,
             &ec.ec.to_ec_dest(),
             &ec.abstraction,
-            &ec.abstract_network,
+            ec.abstract_network(network, topo),
             4,
             h.as_ref(),
         )

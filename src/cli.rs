@@ -30,12 +30,13 @@
 
 pub mod args;
 
+use crate::core::abstraction::PolicySections;
 use crate::core::compress::{
     compress_each, ClassStats, CompressOptions, CompressionReport, EcCompression,
 };
 use crate::core::snapshot::{write_envelope, Envelope, Json, Layout, Object};
 use crate::verify::netsweep::NetworkSweepReport;
-use bonsai_config::{print_network_into, BuiltTopology, NetworkConfig};
+use bonsai_config::{BuiltTopology, NetworkConfig};
 use std::cell::RefCell;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -667,17 +668,21 @@ pub fn class_file_name(rep: bonsai_net::prefix::Prefix) -> String {
 }
 
 thread_local! {
-    /// The render buffer of the fan-out worker running on this thread:
+    /// The print buffer of the fan-out worker running on this thread:
     /// one allocation serves every class the worker prints.
-    static RENDER_BUF: RefCell<String> = const { RefCell::new(String::new()) };
+    static PRINT_BUF: RefCell<String> = const { RefCell::new(String::new()) };
 }
 
 /// `bonsai compress [--out <dir>]`: compresses every class and, inside the
-/// worker that built it, renders the class's abstract network, writes
-/// `<dir>/<rep>.cfg` and drops it — printing and writing run on the
-/// fan-out's workers, and one abstract network per worker is resident
-/// instead of one per class. Files of classes that no longer exist are
-/// left alone.
+/// worker that built it, prints the class's abstract network from its
+/// layout
+/// ([`print_into`](crate::core::abstraction::AbstractLayout::print_into)),
+/// writes `<dir>/<rep>.cfg` and drops it — printing and writing run on the
+/// fan-out's workers, one abstract network per worker is resident instead
+/// of one per class, and no configuration is built. Each concrete device's policy objects are
+/// printed once for the run ([`PolicySections`]) and copied into every
+/// class that copies the device. Files of classes that no longer exist
+/// are left alone.
 ///
 /// Fails only when `dir` cannot be created (before any compression). A
 /// class whose file cannot be written records that in its
@@ -695,12 +700,17 @@ pub fn compress_streamed(
             source,
         })?;
     }
-    let report = compress_each(network, options, |index, class: EcCompression| {
+    let sections = PolicySections::new(network);
+    let report = compress_each(network, options, |index, class: EcCompression, topo| {
         let emitted = match out_dir {
             None => Ok(0),
-            Some(dir) => RENDER_BUF.with_borrow_mut(|buf| {
+            Some(dir) => PRINT_BUF.with_borrow_mut(|buf| {
+                let mut span = bonsai_obs::span!("compress.emit", class = class.ec.rep.to_string());
                 buf.clear();
-                print_network_into(buf, &class.abstract_network.network);
+                (class.abstract_network).print_into(buf, network, topo, &sections);
+                if let Some(span) = &mut span {
+                    span.record("bytes", buf.len());
+                }
                 let file = dir.join(class_file_name(class.ec.rep));
                 match std::fs::write(&file, buf.as_bytes()) {
                     Ok(()) => Ok(buf.len()),
@@ -724,6 +734,7 @@ pub fn compress_streamed(
         let written = || report.per_ec.iter().filter_map(|c| c.emitted.as_ref().ok());
         bonsai_obs::add("compress.emit.files", written().count() as u64);
         bonsai_obs::add("compress.emit.bytes", written().sum::<usize>() as u64);
+        bonsai_obs::add("compress.emit.sections", sections.printed() as u64);
     }
     Ok(report)
 }
@@ -736,19 +747,23 @@ pub fn first_emit_error(report: &CompressionReport<ClassSummary>) -> Option<&Emi
 
 /// The Table 1-style row `bonsai compress` prints. Everything before
 /// `; BDD` is exact (computed from the class-ordered summaries); the two
-/// timings after it vary from run to run.
+/// timings after it vary from run to run. A network without a destination
+/// class has no ratio to print.
 pub fn compress_summary_line<T: ClassStats>(report: &CompressionReport<T>) -> String {
+    let ratios = if report.per_ec.is_empty() {
+        "no classes".to_string()
+    } else {
+        format!("{:.2}x / {:.2}x", report.node_ratio(), report.link_ratio())
+    };
     format!(
         "{} devices / {} links -> {:.1}±{:.1} nodes, {:.1}±{:.1} links \
-         ({:.2}x / {:.2}x) across {} classes; BDD {:.2}s, {:.4}s/EC",
+         ({ratios}) across {} classes; BDD {:.2}s, {:.4}s/EC",
         report.concrete_nodes,
         report.concrete_links,
         report.mean_abstract_nodes(),
         report.std_abstract_nodes(),
         report.mean_abstract_links(),
         report.std_abstract_links(),
-        report.node_ratio(),
-        report.link_ratio(),
         report.num_ecs(),
         report.bdd_time().as_secs_f64(),
         report.compress_time_per_ec().as_secs_f64(),

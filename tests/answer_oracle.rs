@@ -448,7 +448,7 @@ fn the_once_refused_network_sweeps_on_the_transported_witness() {
     // The second sample, transported: one copy per block, so each abstract
     // node takes its block's first member's label, and a path names the
     // abstract nodes of its concrete nodes.
-    let abs = &comp.abstract_network;
+    let abs = comp.abstract_network(net, &topo);
     let abstract_of = |u: NodeId| abs.node_of_copy[&(base.role_of(u), 0)];
     let labels = (abs.copy_of_node.iter())
         .map(|&(block, _)| {

@@ -110,6 +110,7 @@ fn exact_part(summary: &str) -> &str {
 fn emitted_directory_is_the_printed_collected_report_at_every_thread_count() {
     let _serial = serial();
     for (name, net) in [("dc", small_datacenter()), ("tags", community_net())] {
+        let topo = BuiltTopology::build(&net).unwrap();
         let collected = compress(&net, options(1));
         assert!(collected.num_ecs() > 1, "{name}: one class proves little");
         let expected_summary = compress_summary_line(&collected);
@@ -140,9 +141,10 @@ fn emitted_directory_is_the_printed_collected_report_at_every_thread_count() {
             for (class, summary) in collected.per_ec.iter().zip(&report.per_ec) {
                 let text =
                     std::fs::read_to_string(dir.join(class_file_name(class.ec.rep))).unwrap();
+                let rendered = class.abstract_network(&net, &topo);
                 assert_eq!(
                     text,
-                    print_network(&class.abstract_network.network),
+                    print_network(&rendered.network),
                     "{name}, {threads} threads, class {}",
                     class.ec.rep
                 );
@@ -150,7 +152,7 @@ fn emitted_directory_is_the_printed_collected_report_at_every_thread_count() {
                 assert_eq!(*summary.emitted.as_ref().unwrap(), text.len());
                 // The product is a network in the input format.
                 let reparsed = parse_network(&text).unwrap();
-                assert_eq!(reparsed, class.abstract_network.network);
+                assert_eq!(reparsed, rendered.network);
                 BuiltTopology::build(&reparsed).unwrap();
             }
             std::fs::remove_dir_all(&dir).unwrap();
@@ -158,31 +160,81 @@ fn emitted_directory_is_the_printed_collected_report_at_every_thread_count() {
     }
 }
 
+const COUNTERS: [&str; 4] = [
+    "compress.emit.files",
+    "compress.emit.bytes",
+    "compress.emit.sections",
+    "compress.abstract.rendered",
+];
+
+/// How far each of [`COUNTERS`] moves while `run` runs.
+fn counters_moved<T>(run: impl FnOnce() -> T) -> (T, [u64; 4]) {
+    let before = COUNTERS.map(bonsai::obs::value);
+    let result = run();
+    let mut moved = COUNTERS.map(bonsai::obs::value);
+    for (now, was) in moved.iter_mut().zip(before) {
+        *now -= was;
+    }
+    (result, moved)
+}
+
 #[test]
 fn emit_counters_cover_what_the_run_wrote() {
     let _serial = serial();
-    let net = community_net();
-    let dir = scratch("counters");
-    const COUNTERS: [&str; 3] = [
-        "compress.emit.files",
-        "compress.emit.bytes",
-        "compress.abstract.rendered",
-    ];
-    let before = COUNTERS.map(bonsai::obs::value);
-    let report = compress_streamed(&net, options(2), Some(&dir)).unwrap();
-    let written: usize = report
-        .per_ec
-        .iter()
-        .map(|c| *c.emitted.as_ref().unwrap())
-        .sum();
-    let files = std::fs::read_dir(&dir).unwrap().count() as u64;
-    let moved: Vec<u64> = (COUNTERS.iter().zip(before))
-        .map(|(&name, was)| bonsai::obs::value(name) - was)
-        .collect();
-    // One configuration rendered per file written, and nothing else.
-    assert_eq!(moved, [files, written as u64, files]);
-    assert_eq!(files, report.num_ecs() as u64);
-    std::fs::remove_dir_all(&dir).unwrap();
+    for (name, net) in [("tags", community_net()), ("dc", small_datacenter())] {
+        let dir = scratch(&format!("counters-{name}"));
+        let (report, moved) =
+            counters_moved(|| compress_streamed(&net, options(2), Some(&dir)).unwrap());
+        let written: usize = report
+            .per_ec
+            .iter()
+            .map(|c| *c.emitted.as_ref().unwrap())
+            .sum();
+        let files = std::fs::read_dir(&dir).unwrap().count() as u64;
+        // One policy section per device some class copies, however many
+        // classes copy it.
+        let reps: std::collections::BTreeSet<_> = (compress(&net, options(1)).per_ec.iter())
+            .flat_map(|c| c.abstract_network.reps.clone())
+            .collect();
+        assert!(reps.len() <= net.devices.len());
+        // Printed from the layouts: no configuration is rendered.
+        assert_eq!(
+            moved,
+            [files, written as u64, reps.len() as u64, 0],
+            "{name}"
+        );
+        assert_eq!(files, report.num_ecs() as u64);
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        // Without an output directory nothing is printed or rendered.
+        let (_, moved) = counters_moved(|| compress_streamed(&net, options(2), None).unwrap());
+        assert_eq!(moved, [0; 4], "{name}");
+    }
+}
+
+/// Two linked routers that originate nothing have no destination class,
+/// and so no compression ratio.
+#[test]
+fn a_network_without_classes_prints_no_ratio() {
+    let _serial = serial();
+    let net = parse_network(
+        "
+device a
+interface i
+end
+device b
+interface i
+end
+link a i b i
+",
+    )
+    .unwrap();
+    let report = compress_streamed(&net, options(1), None).unwrap();
+    assert_eq!(report.num_ecs(), 0);
+    assert_eq!(
+        exact_part(&compress_summary_line(&report)),
+        "2 devices / 1 links -> 0.0±0.0 nodes, 0.0±0.0 links (no classes) across 0 classes"
+    );
 }
 
 /// The FNV-1a digest of every class file `compress --out` writes for
@@ -319,10 +371,12 @@ fn unwritable_class_files_report_the_lowest_failing_class() {
 fn compress_is_compress_each_collected() {
     let _serial = serial();
     for net in [small_datacenter(), community_net()] {
+        let topo = BuiltTopology::build(&net).unwrap();
         let collected = compress(&net, options(2));
         for threads in [1, 2, 4] {
-            let streamed = compress_each(&net, options(threads), |index, class| {
-                (index, class.ec.rep, class.abstract_network.network)
+            let streamed = compress_each(&net, options(threads), |index, class, topo| {
+                let network = class.abstract_network(&net, topo).network.clone();
+                (index, class.ec.rep, network)
             });
             assert_eq!(streamed.num_ecs(), collected.num_ecs());
             assert_eq!(streamed.concrete_nodes, collected.concrete_nodes);
@@ -332,7 +386,7 @@ fn compress_is_compress_each_collected() {
             {
                 assert_eq!(*index, i, "results come back in class order");
                 assert_eq!(*rep, class.ec.rep);
-                assert_eq!(*network, class.abstract_network.network);
+                assert_eq!(*network, class.abstract_network(&net, &topo).network);
             }
         }
     }

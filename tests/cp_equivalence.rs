@@ -25,7 +25,7 @@ fn check(net: &NetworkConfig, options: CompressOptions, sample: usize) {
             &topo,
             &ec.ec.to_ec_dest(),
             &ec.abstraction,
-            &ec.abstract_network,
+            ec.abstract_network(net, &topo),
             4,
             Some(&report.policies),
         )

@@ -43,7 +43,7 @@ fn crafted_gadget_abstract_differs_from_concrete_under_one_failure() {
         &topo,
         &ec_dest,
         &ec.abstraction,
-        &ec.abstract_network,
+        ec.abstract_network(&net, &topo),
         4,
         Some(&report.policies),
     )
@@ -61,7 +61,7 @@ fn crafted_gadget_abstract_differs_from_concrete_under_one_failure() {
     // Concretely, everything still routes (b1 detours through a).
     assert_eq!(concrete.routed_count(), topo.graph.node_count());
 
-    let abs = &ec.abstract_network;
+    let abs = ec.abstract_network(&net, &topo);
     let abs_mask = lift_failure_mask(&scenario, &ec.abstraction, abs);
     let abs_proto = MultiProtocol::build(&abs.network, &abs.topo, &abs.ec);
     let abs_origins: Vec<NodeId> = abs.ec.origins.iter().map(|(n, _)| *n).collect();

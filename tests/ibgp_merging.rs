@@ -86,7 +86,7 @@ fn merged_ibgp_network_is_cp_equivalent() {
         &topo,
         &ec.ec.to_ec_dest(),
         &ec.abstraction,
-        &ec.abstract_network,
+        ec.abstract_network(&net, &topo),
         6,
         Some(&report.policies),
     )

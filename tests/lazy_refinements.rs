@@ -119,7 +119,7 @@ fn check_sweep(label: &str, net: &NetworkConfig, k: usize, threads: usize) -> Se
             let refined;
             let (abstraction, network) = if r.split.is_empty() {
                 seen.empty_splits += 1;
-                (&comp.abstraction, &comp.abstract_network)
+                (&comp.abstraction, comp.abstract_network(net, &topo))
             } else {
                 let (partition, layout) =
                     refine_ec_with_split(&topo.graph, &ec, &sigs, &comp.abstraction, &r.split);

@@ -14,7 +14,7 @@ fn figure1_three_node_abstraction() {
     let report = compress(&papernets::figure1_rip(), CompressOptions::default());
     assert_eq!(report.num_ecs(), 1);
     assert_eq!(report.per_ec[0].abstraction.abstract_node_count(), 3);
-    assert_eq!(report.per_ec[0].abstract_network.link_count(), 2);
+    assert_eq!(report.per_ec[0].abstract_network.graph.link_count(), 2);
 }
 
 /// Figures 2/3/9: the gadget's final abstraction has 4 abstract nodes and
@@ -29,7 +29,7 @@ fn figure3_final_abstraction_is_four_by_four() {
     let report = compress(&net, CompressOptions::default());
     let ec = &report.per_ec[0];
     assert_eq!(ec.abstraction.abstract_node_count(), 4);
-    assert_eq!(ec.abstract_network.link_count(), 4);
+    assert_eq!(ec.abstract_network.graph.link_count(), 4);
 }
 
 /// Figure 3's walk-through: the refinement needs at least two iterations
@@ -64,7 +64,7 @@ fn figure5_incompressible_but_sound() {
         &topo,
         &ec.ec.to_ec_dest(),
         &ec.abstraction,
-        &ec.abstract_network,
+        ec.abstract_network(&net, &topo),
         4,
         Some(&report.policies),
     )

@@ -83,7 +83,7 @@ fn divergence_is_preserved() {
     // solve the abstract instance.
     let report = compress(&net, CompressOptions::default());
     let ec_c = &report.per_ec[0];
-    let abs = &ec_c.abstract_network;
+    let abs = ec_c.abstract_network(&net, &topo);
     let abs_proto = MultiProtocol::build(&abs.network, &abs.topo, &abs.ec);
     let abs_origins: Vec<NodeId> = abs.ec.origins.iter().map(|(n, _)| *n).collect();
     let abs_srp = Srp::with_origins(&abs.topo.graph, abs_origins, abs_proto);
@@ -130,7 +130,7 @@ fn fault_tolerance_is_not_preserved() {
 
     // Abstract: the compressed chain has exactly one next hop everywhere —
     // redundancy is gone.
-    let abs = &ec.abstract_network;
+    let abs = ec.abstract_network(&net, &engine.topo);
     let abs_engine = SimEngine::new(&abs.network);
     let abs_sol = abs_engine
         .solve_ec(&abs_engine.ecs[0], &QueryCtx::failure_free())

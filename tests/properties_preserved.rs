@@ -23,7 +23,7 @@ fn check_properties(net: &NetworkConfig) {
         let concrete = SolutionAnalysis::new(&engine.topo.graph, &concrete_sol, &concrete_origins);
 
         // Abstract analysis.
-        let abs = &ec.abstract_network;
+        let abs = ec.abstract_network(net, &engine.topo);
         let abs_engine = SimEngine::new(&abs.network);
         let abs_sol = abs_engine
             .solve_ec(&abs_engine.ecs[0], &QueryCtx::failure_free())
@@ -118,7 +118,7 @@ fn fattree_waypointing_preserved() {
     assert!(concrete.waypointed(src, &cores), "concrete waypointing");
 
     // Abstract side: image of src, waypoints = copies of core blocks.
-    let abs = &ec.abstract_network;
+    let abs = ec.abstract_network(&net, &engine.topo);
     let abs_engine = SimEngine::new(&abs.network);
     let abs_sol = abs_engine
         .solve_ec(&abs_engine.ecs[0], &QueryCtx::failure_free())
@@ -144,7 +144,11 @@ fn compression_is_idempotent() {
     let net = fattree(4, FattreePolicy::ShortestPath);
     let report = compress(&net, CompressOptions::default());
     let ec = &report.per_ec[0];
-    let again = compress(&ec.abstract_network.network, CompressOptions::default());
+    let topo = bonsai::config::BuiltTopology::build(&net).unwrap();
+    let again = compress(
+        &ec.abstract_network(&net, &topo).network,
+        CompressOptions::default(),
+    );
     assert_eq!(again.num_ecs(), 1);
     assert_eq!(
         again.per_ec[0].abstraction.abstract_node_count(),

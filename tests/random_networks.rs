@@ -36,7 +36,7 @@ proptest! {
                 &topo,
                 &ec.ec.to_ec_dest(),
                 &ec.abstraction,
-                &ec.abstract_network,
+                ec.abstract_network(&net, &topo),
                 6,
                 Some(&report.policies),
             );
