@@ -120,7 +120,7 @@ fn bench_stages(c: &mut Criterion) {
         group.bench_function("render/fattree8", |b| {
             b.iter(|| {
                 next += 1;
-                layouts[next % layouts.len()].clone().render(&net, &topo)
+                layouts[next % layouts.len()].render(&net, &topo)
             })
         });
     }

@@ -83,9 +83,12 @@ fn main() {
     {
         queried += 1;
         let compression = compress_ec(&policy_engine, &net, &topo, ec);
-        let abs = compression.abstract_network(&net, &topo);
+        // The analyzer reads configurations: render the class's, and keep
+        // its layout for the numbering.
+        let layout = &compression.abstract_network;
+        let abs = layout.render(&net, &topo);
         let abs_engine = SimEngine::new(&abs.network);
-        let abs_src = abs.candidates_of(&compression.abstraction, src_node);
+        let abs_src = layout.candidates_of(&compression.abstraction, src_node);
         // The source reaches iff all its candidate copies reach (copy
         // assignment is solution-dependent).
         let solution = abs_engine

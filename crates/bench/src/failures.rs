@@ -23,7 +23,7 @@ use bonsai_core::compress::{compress, CompressOptions};
 use bonsai_core::scenarios::{link_orbits, FailureScenario, ScenarioStream};
 use bonsai_core::signatures::build_sig_table;
 use bonsai_core::snapshot::{write_object, Layout};
-use bonsai_net::NodeId;
+use bonsai_net::{FailureMask, Graph, NodeId};
 use bonsai_srp::instance::{EcDest, MultiProtocol};
 use bonsai_srp::solver::{solve, solve_masked, solve_warm_masked, SolverOptions};
 use bonsai_srp::{papernets, Srp};
@@ -184,36 +184,39 @@ impl FailureRow {
     }
 }
 
-/// Solves every scenario of the sweep on one (network, EC) instance —
-/// cold (from ⊥) or warm-started from the failure-free fixpoint.
-fn sweep_time(
-    network: &NetworkConfig,
-    topo: &BuiltTopology,
+/// The SRP of class `ec` over `graph` with protocol `proto`.
+fn class_srp<'n>(
+    graph: &'n Graph,
     ec: &EcDest,
+    proto: MultiProtocol<'n>,
+) -> Srp<'n, MultiProtocol<'n>> {
+    let origins: Vec<NodeId> = ec.origins.iter().map(|(n, _)| *n).collect();
+    Srp::with_origins(graph, origins, proto)
+}
+
+/// Solves every scenario of the sweep on one (network, EC) instance —
+/// cold (from ⊥) or warm-started from the failure-free fixpoint — under
+/// the mask `mask_of` gives each scenario.
+fn sweep_time(
+    srp: &Srp<'_, MultiProtocol<'_>>,
     scenarios: &[FailureScenario],
-    lift: Option<(&bonsai_core::Abstraction, &bonsai_core::AbstractNetwork)>,
+    mask_of: impl Fn(&FailureScenario) -> FailureMask,
     warm: bool,
 ) -> Duration {
-    let proto = MultiProtocol::build(network, topo, ec);
-    let origins: Vec<NodeId> = ec.origins.iter().map(|(n, _)| *n).collect();
-    let srp = Srp::with_origins(&topo.graph, origins, proto);
     let t0 = Instant::now();
     // The failure-free fixpoint is part of the warm column's cost: one
     // cold solve amortized over every scenario.
-    let base = if warm { solve(&srp).ok() } else { None };
+    let base = if warm { solve(srp).ok() } else { None };
     for scenario in scenarios {
-        let mask = match lift {
-            None => scenario.mask(&topo.graph),
-            Some((abstraction, abs)) => lift_failure_mask(scenario, abstraction, abs),
-        };
+        let mask = mask_of(scenario);
         // Divergence is a property of the instance, not the harness; it
         // is counted like any other solve.
         match &base {
             Some(b) => {
-                let _ = solve_warm_masked(&srp, b, SolverOptions::default(), &mask);
+                let _ = solve_warm_masked(srp, b, SolverOptions::default(), &mask);
             }
             None => {
-                let _ = solve_masked(&srp, Some(&mask));
+                let _ = solve_masked(srp, Some(&mask));
             }
         }
     }
@@ -257,8 +260,14 @@ fn run_network(
         // enumeration — "verify every scenario" is the workload these
         // columns price, and the same one the sweep engine covers.
         let all_scenarios = stream.to_vec();
-        concrete += sweep_time(net, &topo, &ec_dest, &all_scenarios, None, false);
-        warm += sweep_time(net, &topo, &ec_dest, &all_scenarios, None, true);
+        let srp = class_srp(
+            &topo.graph,
+            &ec_dest,
+            MultiProtocol::build(net, &topo, &ec_dest),
+        );
+        let concrete_mask = |scenario: &FailureScenario| scenario.mask(&topo.graph);
+        concrete += sweep_time(&srp, &all_scenarios, concrete_mask, false);
+        warm += sweep_time(&srp, &all_scenarios, concrete_mask, true);
 
         // Column 3: one-off audit + repair through the shared engine.
         let t1 = Instant::now();
@@ -282,14 +291,11 @@ fn run_network(
 
         // Column 4: the same exhaustive sweep on the audit's refined
         // abstract network (comparable to the cold/warm columns).
-        abstract_ += sweep_time(
-            &audit.abstract_network.network,
-            &audit.abstract_network.topo,
-            &audit.abstract_network.ec,
-            &all_scenarios,
-            Some((&audit.abstraction, &audit.abstract_network)),
-            false,
-        );
+        let layout = &audit.layout;
+        let abs_srp = class_srp(&layout.graph, &layout.ec, layout.instance(net, &topo));
+        let lift =
+            |scenario: &FailureScenario| lift_failure_mask(scenario, &audit.abstraction, layout);
+        abstract_ += sweep_time(&abs_srp, &all_scenarios, lift, false);
     }
 
     let exhaustive = SweepOptions {

@@ -387,7 +387,10 @@ pub fn abstract_all_pairs(
         if Instant::now() >= deadline {
             return SearchOutcome::Timeout;
         }
-        let abs = ec.abstract_network(net, &topo);
+        // The downstream analyzer reads configurations: render them, and
+        // keep the layout for the numbering.
+        let layout = &ec.abstract_network;
+        let abs = layout.render(net, &topo);
         let abs_ecs = bonsai_core::ecs::compute_ecs(&abs.network, &abs.topo);
         let n = abs.topo.graph.node_count();
         let mut reach_all = vec![true; n];
@@ -418,8 +421,8 @@ pub fn abstract_all_pairs(
         // reaches (copy assignment is solution-dependent, so "in all
         // solutions" quantifies over copies too). Origin blocks are
         // excluded like the concrete count excludes origins.
-        let abs_origin_blocks: std::collections::BTreeSet<_> = (abs.ec.origins.iter())
-            .map(|(o, _)| abs.copy_of_node[o.index()].0)
+        let abs_origin_blocks: std::collections::BTreeSet<_> = (layout.ec.origins.iter())
+            .map(|(o, _)| layout.copy_of_node[o.index()].0)
             .collect();
         for block in ec.abstraction.partition.blocks() {
             if abs_origin_blocks.contains(&block) {
@@ -436,7 +439,7 @@ pub fn abstract_all_pairs(
                 total += member_count - origin_count;
                 continue;
             }
-            let copies: Vec<NodeId> = abs.candidates_of(
+            let copies: Vec<NodeId> = layout.candidates_of(
                 &ec.abstraction,
                 NodeId(ec.abstraction.partition.members(block)[0]),
             );

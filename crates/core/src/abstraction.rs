@@ -62,11 +62,13 @@ use bonsai_net::prefix::Prefix;
 use bonsai_net::{EdgeId, Graph, GraphBuilder, NodeId};
 use bonsai_srp::instance::{EcDest, MultiProtocol};
 use bonsai_srp::view::ConfigView;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::OnceLock;
 
-/// The abstract network generated for one destination equivalence class.
+/// The configuration of an abstract network: what [`AbstractLayout::render`]
+/// writes for a consumer that reads configurations. Its nodes are numbered
+/// as the layout it was rendered from numbers them; the numbering itself
+/// lives on the layout.
 #[derive(Clone, Debug)]
 pub struct AbstractNetwork {
     /// The generated configurations.
@@ -75,69 +77,12 @@ pub struct AbstractNetwork {
     pub topo: BuiltTopology,
     /// The destination class transported to the abstract network.
     pub ec: EcDest,
-    /// Abstract node of each `(block, copy)` pair.
-    pub node_of_copy: HashMap<(BlockId, u32), NodeId>,
-    /// `(block, copy)` of each abstract node.
-    pub copy_of_node: Vec<(BlockId, u32)>,
 }
 
 impl AbstractNetwork {
-    /// The abstract nodes a concrete node may map to (all copies of its
-    /// block — which copy applies is solution-dependent, paper §4.3).
-    pub fn candidates_of(&self, abstraction: &Abstraction, u: NodeId) -> Vec<NodeId> {
-        let block = abstraction.role_of(u);
-        (0..abstraction.copies[block.index()])
-            .map(|c| self.node_of_copy[&(block, c)])
-            .collect()
-    }
-
     /// Undirected link count of the abstract network.
     pub fn link_count(&self) -> usize {
         self.topo.graph.link_count()
-    }
-}
-
-/// The abstract node numbering an [`AbstractLayout`] fixes and the
-/// [`AbstractNetwork`] rendered from it keeps: what lifting a scenario,
-/// transporting a solution or mapping a verdict back reads, on either.
-pub trait AbstractNumbering {
-    /// The abstract graph.
-    fn abstract_graph(&self) -> &Graph;
-    /// The destination class transported to the abstract network.
-    fn abstract_ec(&self) -> &EcDest;
-    /// `(block, copy)` of abstract node `n`.
-    fn copy_of(&self, n: NodeId) -> (BlockId, u32);
-    /// The abstract node of copy `copy` of `block`.
-    fn node_of(&self, block: BlockId, copy: u32) -> NodeId;
-}
-
-impl AbstractNumbering for AbstractNetwork {
-    fn abstract_graph(&self) -> &Graph {
-        &self.topo.graph
-    }
-    fn abstract_ec(&self) -> &EcDest {
-        &self.ec
-    }
-    fn copy_of(&self, n: NodeId) -> (BlockId, u32) {
-        self.copy_of_node[n.index()]
-    }
-    fn node_of(&self, block: BlockId, copy: u32) -> NodeId {
-        self.node_of_copy[&(block, copy)]
-    }
-}
-
-impl AbstractNumbering for AbstractLayout {
-    fn abstract_graph(&self) -> &Graph {
-        &self.graph
-    }
-    fn abstract_ec(&self) -> &EcDest {
-        &self.ec
-    }
-    fn copy_of(&self, n: NodeId) -> (BlockId, u32) {
-        self.copy_of_node[n.index()]
-    }
-    fn node_of(&self, block: BlockId, copy: u32) -> NodeId {
-        NodeId(self.first_node[block.index()] + copy)
     }
 }
 
@@ -311,6 +256,20 @@ impl AbstractLayout {
         MultiProtocol::from_view(&self.view(network, topo), &self.ec)
     }
 
+    /// The abstract node of copy `copy` of `block`.
+    pub fn node_of(&self, block: BlockId, copy: u32) -> NodeId {
+        NodeId(self.first_node[block.index()] + copy)
+    }
+
+    /// The abstract nodes a concrete node may map to (all copies of its
+    /// block — which copy applies is solution-dependent, paper §4.3).
+    pub fn candidates_of(&self, abstraction: &Abstraction, u: NodeId) -> Vec<NodeId> {
+        let block = abstraction.role_of(u);
+        (0..abstraction.copies[block.index()])
+            .map(|c| self.node_of(block, c))
+            .collect()
+    }
+
     /// The interfaces of abstract node `a`, one per out-edge in edge
     /// order: the concrete device and interface the edge copies (the
     /// representative edge's source), and the peer it leads to.
@@ -336,7 +295,7 @@ impl AbstractLayout {
     /// Writes the configuration: names every node and interface and copies
     /// the policy objects. `network` and `topo` must be the ones the layout
     /// was made from.
-    pub fn render(self, network: &NetworkConfig, topo: &BuiltTopology) -> AbstractNetwork {
+    pub fn render(&self, network: &NetworkConfig, topo: &BuiltTopology) -> AbstractNetwork {
         bonsai_obs::add("compress.abstract.rendered", 1);
         let graph = &self.graph;
         let class = self.ec.prefix;
@@ -435,20 +394,14 @@ impl AbstractLayout {
             .collect();
         let names = devices.iter().map(|d| d.name.clone()).collect();
         let topo = BuiltTopology {
-            graph: self.graph.with_names(names),
+            graph: self.graph.clone().with_names(names),
             out_iface,
             in_iface,
         };
-        let node_of_copy = (self.copy_of_node.iter().enumerate())
-            .map(|(node, &copy)| (copy, NodeId(node as u32)))
-            .collect();
-
         AbstractNetwork {
             network: NetworkConfig { devices, links },
             topo,
-            ec: self.ec,
-            node_of_copy,
-            copy_of_node: self.copy_of_node,
+            ec: self.ec.clone(),
         }
     }
 
@@ -612,7 +565,7 @@ mod tests {
     fn abstract_of(
         net: &NetworkConfig,
         dest: &str,
-    ) -> (BuiltTopology, Abstraction, AbstractNetwork) {
+    ) -> (BuiltTopology, Abstraction, AbstractLayout, AbstractNetwork) {
         let topo = BuiltTopology::build(net).unwrap();
         let d = topo.graph.node_by_name(dest).unwrap();
         let ec = EcDest::new(
@@ -622,14 +575,15 @@ mod tests {
         let engine = CompiledPolicies::from_network(net, false);
         let sigs = build_sig_table(&engine, net, &topo, &ec);
         let abs = find_abstraction(&topo.graph, &ec, &sigs);
+        let layout = AbstractLayout::new(&topo.graph, &ec, &abs);
         let abs_net = build_abstract_network(net, &topo, &ec, &abs);
-        (topo, abs, abs_net)
+        (topo, abs, layout, abs_net)
     }
 
     #[test]
     fn figure1_abstract_is_three_node_chain() {
         let net = papernets::figure1_rip();
-        let (_topo, abs, abs_net) = abstract_of(&net, "d");
+        let (_topo, abs, _, abs_net) = abstract_of(&net, "d");
         assert_eq!(abs.abstract_node_count(), 3);
         assert_eq!(abs_net.topo.graph.node_count(), 3);
         assert_eq!(abs_net.link_count(), 2); // d̂—b̂—â
@@ -643,7 +597,7 @@ mod tests {
     #[test]
     fn gadget_abstract_has_four_nodes_four_links() {
         let net = papernets::figure2_gadget();
-        let (_topo, abs, abs_net) = abstract_of(&net, "d");
+        let (_topo, abs, _, abs_net) = abstract_of(&net, "d");
         assert_eq!(abs.abstract_node_count(), 4);
         assert_eq!(abs_net.topo.graph.node_count(), 4);
         assert_eq!(abs_net.link_count(), 4);
@@ -663,11 +617,11 @@ mod tests {
     #[test]
     fn candidates_cover_all_copies() {
         let net = papernets::figure2_gadget();
-        let (topo, abs, abs_net) = abstract_of(&net, "d");
+        let (topo, abs, layout, _) = abstract_of(&net, "d");
         let b1 = topo.graph.node_by_name("b1").unwrap();
-        assert_eq!(abs_net.candidates_of(&abs, b1).len(), 2);
+        assert_eq!(layout.candidates_of(&abs, b1).len(), 2);
         let d = topo.graph.node_by_name("d").unwrap();
-        assert_eq!(abs_net.candidates_of(&abs, d).len(), 1);
+        assert_eq!(layout.candidates_of(&abs, d).len(), 1);
     }
 
     #[test]
@@ -698,7 +652,7 @@ mod tests {
             }
         }
         let net = bonsai_config::parse_network(&text).unwrap();
-        let (_topo, abs, abs_net) = abstract_of(&net, "m0");
+        let (_topo, abs, _, abs_net) = abstract_of(&net, "m0");
         assert_eq!(abs.abstract_node_count(), 2);
         assert_eq!(abs_net.topo.graph.node_count(), 2);
         assert_eq!(abs_net.link_count(), 1);
@@ -731,7 +685,8 @@ mod tests {
             assert!(reps > 0 && reps <= net.devices.len());
             layout.print_into(&mut printed, &net, &topo, &sections);
             assert_eq!(sections.printed(), reps, "a section is printed once");
-            let rendered = bonsai_config::print_network(&layout.render(&net, &topo).network);
+            let rendered = build_abstract_network(&net, &topo, &ec, &abs);
+            let rendered = bonsai_config::print_network(&rendered.network);
             assert_eq!(printed, rendered.repeat(2));
         }
     }

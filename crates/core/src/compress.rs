@@ -19,17 +19,18 @@
 //! network per worker instead of one per class. [`compress`] is its
 //! collecting instance (the consumer is the identity). A class comes with
 //! its abstract network laid out, not rendered: printing reads the layout
-//! ([`AbstractLayout::print_into`]), and only a reader of
-//! [`EcCompression::abstract_network`] builds the configuration.
+//! ([`AbstractLayout::print_into`]), checking solves its lifted instance
+//! ([`AbstractLayout::instance`]), and only a consumer of configurations
+//! calls [`AbstractLayout::render`].
 
-use crate::abstraction::{AbstractLayout, AbstractNetwork};
+use crate::abstraction::AbstractLayout;
 use crate::algorithm::{find_abstraction, Abstraction};
 use crate::ecs::{compute_ecs, DestEc};
 use crate::engine::{CompiledPolicies, EngineStats};
 use crate::signatures::{build_sig_table, SigTable};
 use bonsai_config::{BuiltTopology, NetworkConfig};
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Options for a compression run.
@@ -51,47 +52,15 @@ pub struct EcCompression {
     pub abstraction: Abstraction,
     /// The abstract network, laid out: its numbering, graph and
     /// transported class, and the concrete device and edge each abstract
-    /// node and edge copies. [`AbstractLayout::print_into`] prints it;
-    /// [`EcCompression::abstract_network`] renders its configuration.
+    /// node and edge copies. [`AbstractLayout::print_into`] prints it,
+    /// [`AbstractLayout::instance`] is what a check solves and
+    /// [`AbstractLayout::render`] writes its configuration.
     pub abstract_network: AbstractLayout,
-    /// The rendered configuration, filled by the first
-    /// [`EcCompression::abstract_network`] read.
-    rendered: OnceLock<AbstractNetwork>,
     /// Time spent building the BDD signature table (mostly engine-cache
     /// lookups after the first class touches a policy).
     pub bdd_time: Duration,
     /// Time spent in refinement + abstract-network layout.
     pub compress_time: Duration,
-}
-
-impl EcCompression {
-    fn new(
-        ec: DestEc,
-        abstraction: Abstraction,
-        layout: AbstractLayout,
-        bdd_time: Duration,
-        compress_time: Duration,
-    ) -> Self {
-        EcCompression {
-            ec,
-            abstraction,
-            abstract_network: layout,
-            rendered: OnceLock::new(),
-            bdd_time,
-            compress_time,
-        }
-    }
-
-    /// The class's abstract network, rendered on first read
-    /// ([`AbstractLayout::render`]) and kept. `network` and `topo` must be
-    /// the ones the class was compressed from.
-    pub fn abstract_network(
-        &self,
-        network: &NetworkConfig,
-        topo: &BuiltTopology,
-    ) -> &AbstractNetwork {
-        (self.rendered).get_or_init(|| self.abstract_network.clone().render(network, topo))
-    }
 }
 
 /// The per-class numbers the report's statistics read — everything a
@@ -244,10 +213,16 @@ pub fn compress_ec(
 
     let t1 = Instant::now();
     let abstraction = find_abstraction(&topo.graph, &ec_dest, &sigs);
-    let layout = AbstractLayout::new(&topo.graph, &ec_dest, &abstraction);
+    let abstract_network = AbstractLayout::new(&topo.graph, &ec_dest, &abstraction);
     let compress_time = t1.elapsed();
 
-    EcCompression::new(ec.clone(), abstraction, layout, bdd_time, compress_time)
+    EcCompression {
+        ec: ec.clone(),
+        abstraction,
+        abstract_network,
+        bdd_time,
+        compress_time,
+    }
 }
 
 /// The counterexample-guided refinement step of the failure-scenario
@@ -284,8 +259,8 @@ pub fn refine_ec_with_split(
 /// engine, and `each(index, class, topo)` runs **inside the fan-out worker**
 /// that compressed the class — only what it returns is kept, in class
 /// order. `topo` is the network's topology, the one a consumer that prints
-/// or renders the class's layout passes along with `network`. Nothing is
-/// rendered unless the consumer asks ([`EcCompression::abstract_network`]).
+/// or checks the class's layout passes along with `network`. Nothing is
+/// rendered unless the consumer calls [`AbstractLayout::render`].
 ///
 /// The fan-out is the unified driver of [`crate::fanout::fan_out`]:
 /// workers claim class indices from one atomic counter and collect into
@@ -478,15 +453,15 @@ pub fn recompress_delta(
                 // The abstraction is provably still the fixpoint (same
                 // signature table); its layout reads no configuration, and
                 // whoever renders or prints it reads the new one.
-                let layout = AbstractLayout::new(&topo.graph, &ec_dest, &abstraction);
+                let abstract_network = AbstractLayout::new(&topo.graph, &ec_dest, &abstraction);
                 let compress_time = t1.elapsed();
-                per_ec.push(EcCompression::new(
-                    ec.clone(),
+                per_ec.push(EcCompression {
+                    ec: ec.clone(),
                     abstraction,
-                    layout,
+                    abstract_network,
                     bdd_time,
                     compress_time,
-                ));
+                });
             }
             _ => {
                 rederived.push(i);
@@ -543,7 +518,15 @@ fn ec_match_key(ec: &DestEc) -> EcMatchKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::abstraction::PolicySections;
     use bonsai_srp::papernets;
+
+    /// The class's abstract network as `compress --out` writes it.
+    fn printed(class: &EcCompression, net: &NetworkConfig, topo: &BuiltTopology) -> String {
+        let mut text = String::new();
+        (class.abstract_network).print_into(&mut text, net, topo, &PolicySections::new(net));
+        text
+    }
 
     #[test]
     fn gadget_report() {
@@ -705,10 +688,7 @@ link a i b i
         assert_eq!(d.report.num_ecs(), fresh.num_ecs());
         for (a, b) in d.report.per_ec.iter().zip(&fresh.per_ec) {
             assert_eq!(a.ec.rep, b.ec.rep);
-            assert_eq!(
-                a.abstract_network(&new_net, &topo).network,
-                b.abstract_network(&new_net, &topo).network
-            );
+            assert_eq!(printed(a, &new_net, &topo), printed(b, &new_net, &topo));
         }
     }
 
@@ -810,10 +790,7 @@ link a i b i
                 a.abstraction.abstract_node_count(),
                 b.abstraction.abstract_node_count()
             );
-            assert_eq!(
-                a.abstract_network(&more, &topo).network,
-                b.abstract_network(&more, &topo).network
-            );
+            assert_eq!(printed(a, &more, &topo), printed(b, &more, &topo));
         }
     }
 }

@@ -9,14 +9,14 @@
 //! names — as a test-only oracle, and checks that the kernel's results
 //! are *equal*, not merely equivalent: block ids, members, `copies` and
 //! `iterations`; the abstract configuration; the abstract topology (graph,
-//! `out_iface`, `in_iface`); `node_of_copy` / `copy_of_node`; the
-//! transported class.
+//! `out_iface`, `in_iface`); the layout's numbering (`node_of` /
+//! `copy_of_node`); the transported class.
 
 use bonsai_config::{
     parse_network, BgpConfig, BgpNeighbor, BuiltTopology, Community, CommunityList, DeviceConfig,
     Interface, Link, MatchCond, NetworkConfig, RouteMap, RouteMapClause, SetAction, StaticRoute,
 };
-use bonsai_core::abstraction::{build_abstract_network, AbstractNetwork};
+use bonsai_core::abstraction::AbstractLayout;
 use bonsai_core::algorithm::{find_abstraction, refine_with_split, Abstraction};
 use bonsai_core::compress::refine_ec_with_split;
 use bonsai_core::ecs::compute_ecs;
@@ -401,17 +401,23 @@ fn assert_same_graph(kernel: &Graph, oracle: &Graph, what: &str) {
     assert_eq!(kernel.links(), oracle.links(), "{what}: links");
 }
 
-fn assert_same_network(kernel: &AbstractNetwork, oracle: &OracleNetwork, what: &str) {
+fn assert_same_network(
+    net: &NetworkConfig,
+    topo: &BuiltTopology,
+    layout: &AbstractLayout,
+    oracle: &OracleNetwork,
+    what: &str,
+) {
+    let kernel = layout.render(net, topo);
     assert_eq!(kernel.network, oracle.network, "{what}: abstract config");
     assert_same_graph(&kernel.topo.graph, &oracle.graph, what);
     assert_eq!(kernel.topo.out_iface, oracle.out_iface, "{what}: out_iface");
     assert_eq!(kernel.topo.in_iface, oracle.in_iface, "{what}: in_iface");
+    for (&(block, copy), &node) in &oracle.node_of_copy {
+        assert_eq!(layout.node_of(block, copy), node, "{what}: node_of");
+    }
     assert_eq!(
-        kernel.node_of_copy, oracle.node_of_copy,
-        "{what}: node_of_copy"
-    );
-    assert_eq!(
-        kernel.copy_of_node, oracle.copy_of_node,
+        layout.copy_of_node, oracle.copy_of_node,
         "{what}: copy_of_node"
     );
     assert_eq!(kernel.ec.prefix, oracle.ec.prefix, "{what}: class prefix");
@@ -470,7 +476,9 @@ fn check_network(
         let oracle_base = oracle_find_abstraction(graph, &ec, &sigs);
         assert_same_abstraction(&base, &oracle_base, &what);
         assert_same_network(
-            &build_abstract_network(net, &topo, &ec, &base),
+            net,
+            &topo,
+            &AbstractLayout::new(graph, &ec, &base),
             &oracle_build_abstract_network(net, &topo, &ec, &oracle_base),
             &what,
         );
@@ -484,7 +492,9 @@ fn check_network(
             let oracle_refined = oracle_refine_with_split(graph, &ec, &sigs, &oracle_base, &split);
             assert_same_abstraction(&refined, &oracle_refined, &what);
             assert_same_network(
-                &refined_layout.render(net, &topo),
+                net,
+                &topo,
+                &refined_layout,
                 &oracle_build_abstract_network(net, &topo, &ec, &oracle_refined),
                 &what,
             );
@@ -496,7 +506,9 @@ fn check_network(
                     oracle_refine_with_split(graph, &ec, &sigs, &oracle_refined, &again);
                 assert_same_abstraction(&chained, &oracle_chained, &what);
                 assert_same_network(
-                    &build_abstract_network(net, &topo, &ec, &chained),
+                    net,
+                    &topo,
+                    &AbstractLayout::new(graph, &ec, &chained),
                     &oracle_build_abstract_network(net, &topo, &ec, &oracle_chained),
                     &what,
                 );

@@ -91,10 +91,9 @@ fn ospf_costs_and_areas_preserved() {
     let concrete = solve(&srp).unwrap();
 
     // Abstract solution.
-    let abs = ec.abstract_network(&net, &topo);
-    let abs_proto = MultiProtocol::build(&abs.network, &abs.topo, &abs.ec);
+    let abs = &ec.abstract_network;
     let abs_origins: Vec<NodeId> = abs.ec.origins.iter().map(|(o, _)| *o).collect();
-    let abs_srp = Srp::with_origins(&abs.topo.graph, abs_origins, abs_proto);
+    let abs_srp = Srp::with_origins(&abs.graph, abs_origins, abs.instance(&net, &topo));
     let abstract_sol = solve(&abs_srp).unwrap();
 
     for name in ["a0_0", "a0_1", "a0_2"] {

@@ -22,7 +22,7 @@
 //! and the labelling is validated, not solved.
 
 use bonsai_config::{BuiltTopology, Community, NetworkConfig};
-use bonsai_core::abstraction::{AbstractNetwork, AbstractNumbering};
+use bonsai_core::abstraction::AbstractLayout;
 use bonsai_core::algorithm::Abstraction;
 use bonsai_net::partition::BlockId;
 use bonsai_net::{FailureMask, NodeId};
@@ -275,16 +275,16 @@ impl BehaviorTable {
 
     /// The per-block behavior sets of an abstract network under a
     /// solution; `srp` and `mask` are the network's instance and the mask
-    /// the solution was solved under, `abs` its numbering.
+    /// the solution was solved under, `abs` its layout.
     pub(crate) fn abstract_sets(
         &mut self,
-        abs: &impl AbstractNumbering,
+        abs: &AbstractLayout,
         srp: &Srp<'_, MultiProtocol<'_>>,
         solution: &Solution<RibAttr>,
         keep: Option<&BTreeSet<Community>>,
         mask: Option<&FailureMask>,
     ) -> BlockSets {
-        let block_of = |v: NodeId| abs.copy_of(v).0 .0;
+        let block_of = |v: NodeId| abs.copy_of_node[v.index()].0 .0;
         let pairs = (srp.graph.nodes())
             .map(|n| {
                 let behavior = self.behavior_id(srp, solution, n, keep, mask, block_of);
@@ -427,6 +427,18 @@ pub(crate) fn class_srp<'n>(
     )
 }
 
+/// The class's SRP instance over an abstract network's layout: the lifted
+/// instance ([`AbstractLayout::instance`]), equal to the one the rendered
+/// configuration parses into.
+pub(crate) fn layout_srp<'n>(
+    network: &'n NetworkConfig,
+    topo: &BuiltTopology,
+    layout: &'n AbstractLayout,
+) -> Srp<'n, MultiProtocol<'n>> {
+    let origins: Vec<NodeId> = layout.ec.origins.iter().map(|(n, _)| *n).collect();
+    Srp::with_origins(&layout.graph, origins, layout.instance(network, topo))
+}
+
 /// The paper's witness for one concrete sample (Theorem 4.5): the abstract
 /// labelling built from `sample` through the abstraction, validated on the
 /// abstract instance `abs_srp` under `abs_mask` and compared by behavior.
@@ -446,7 +458,7 @@ pub(crate) fn transport_sample(
     node_behaviors: &[u32],
     concrete: &BlockSets,
     abstraction: &Abstraction,
-    abs: &impl AbstractNumbering,
+    abs: &AbstractLayout,
     abs_srp: &Srp<'_, MultiProtocol<'_>>,
     abs_mask: Option<&FailureMask>,
     keep: Option<&BTreeSet<Community>>,
@@ -454,7 +466,7 @@ pub(crate) fn transport_sample(
     // Per concrete node, the copy of its group; per abstract node, the
     // member whose label it takes.
     let mut copy_of = vec![0u32; node_behaviors.len()];
-    let mut source = vec![0u32; abs.abstract_graph().node_count()];
+    let mut source = vec![0u32; abs.graph.node_count()];
     let mut groups: Vec<(u32, u32)> = Vec::new();
     for block in abstraction.partition.blocks() {
         groups.clear();
@@ -506,6 +518,10 @@ pub(crate) fn transport_sample(
 /// copy assignment. Identical concrete samples are checked once, and no
 /// abstract instance is solved.
 ///
+/// The abstract side is `layout`, the abstract network of `abstraction`:
+/// the check validates on its lifted instance ([`AbstractLayout::instance`],
+/// what the rendered configuration parses into) and renders nothing.
+///
 /// The attribute abstraction `h` is taken **from `engine`** — the
 /// compression run's shared policy-compilation engine
 /// (`CompressionReport::policies`): an engine built with
@@ -519,7 +535,7 @@ pub fn check_cp_equivalence(
     topo: &BuiltTopology,
     ec: &EcDest,
     abstraction: &Abstraction,
-    abs: &AbstractNetwork,
+    layout: &AbstractLayout,
     concrete_orders: usize,
     engine: Option<&bonsai_core::engine::CompiledPolicies>,
 ) -> Result<(), EquivalenceError> {
@@ -528,7 +544,7 @@ pub fn check_cp_equivalence(
         .map(|e| e.communities().iter().copied().collect());
     let keep = keep.as_ref();
     let srp = class_srp(network, topo, ec);
-    let abs_srp = class_srp(&abs.network, &abs.topo, &abs.ec);
+    let abs_srp = layout_srp(network, topo, layout);
     let nodes: Vec<NodeId> = topo.graph.nodes().collect();
     let mut behaviors = BehaviorTable::default();
     let mut samples: Vec<Solution<RibAttr>> = Vec::new();
@@ -547,7 +563,7 @@ pub fn check_cp_equivalence(
             &node_behaviors,
             &concrete,
             abstraction,
-            abs,
+            layout,
             &abs_srp,
             None,
             keep,
@@ -576,7 +592,7 @@ mod tests {
                 &topo,
                 &ec_dest,
                 &ec.abstraction,
-                ec.abstract_network(net, &topo),
+                &ec.abstract_network,
                 8,
                 Some(&report.policies),
             )
@@ -615,9 +631,8 @@ mod tests {
         for c in naive.copies.iter_mut() {
             *c = 1;
         }
-        let naive_abs =
-            bonsai_core::abstraction::build_abstract_network(&net, &topo, &ec_dest, &naive);
-        let result = check_cp_equivalence(&net, &topo, &ec_dest, &naive, &naive_abs, 4, None);
+        let naive_layout = AbstractLayout::new(&topo.graph, &ec_dest, &naive);
+        let result = check_cp_equivalence(&net, &topo, &ec_dest, &naive, &naive_layout, 4, None);
         // The b's show two behaviors (direct and indirect), one copy can
         // hold only one.
         let refused = result.expect_err("the unsound single-copy abstraction must be rejected");

@@ -43,7 +43,7 @@ use crate::sweep::{
     SweepEnv, SweepOptions,
 };
 use bonsai_config::{BuiltTopology, NetworkConfig};
-use bonsai_core::abstraction::{AbstractNetwork, AbstractNumbering};
+use bonsai_core::abstraction::AbstractLayout;
 use bonsai_core::algorithm::Abstraction;
 use bonsai_core::compress::refine_ec_with_split;
 use bonsai_core::engine::CompiledPolicies;
@@ -92,8 +92,9 @@ pub struct FailureAuditReport {
     /// The k-failure-sound abstraction (the input one if no refinement
     /// was needed).
     pub abstraction: Abstraction,
-    /// Its materialized abstract network.
-    pub abstract_network: AbstractNetwork,
+    /// Its abstract network, laid out: [`AbstractLayout::instance`] is
+    /// what a solver runs, [`AbstractLayout::print_into`] what is written.
+    pub layout: AbstractLayout,
 }
 
 impl FailureAuditReport {
@@ -119,15 +120,13 @@ impl FailureAuditReport {
 /// resulting behavior mismatch and refines until every failed link is the
 /// unique concrete witness of the abstract links it lifts to.
 ///
-/// `abs` is the abstract network of `abstraction`, laid out
-/// ([`bonsai_core::abstraction::AbstractLayout`]) or rendered
-/// ([`AbstractNetwork`]): both number it alike.
+/// `abs` is the abstract network of `abstraction`, laid out.
 pub fn lift_failure_mask(
     scenario: &FailureScenario,
     abstraction: &Abstraction,
-    abs: &impl AbstractNumbering,
+    abs: &AbstractLayout,
 ) -> FailureMask {
-    let graph = abs.abstract_graph();
+    let graph = &abs.graph;
     let mut mask = FailureMask::for_graph(graph);
     for &(u, v) in &scenario.links {
         let bu = abstraction.role_of(u);
@@ -162,8 +161,8 @@ pub fn lift_failure_mask(
 /// every refinement step reuses it, so an audit recompiles nothing.
 ///
 /// The audit checks every scenario on layouts and the lifted instance
-/// ([`bonsai_core::abstraction::AbstractLayout::instance`]) and renders
-/// only the network of the abstraction it returns.
+/// ([`AbstractLayout::instance`]) and renders nothing: it returns the
+/// sound abstraction's layout.
 ///
 /// Errors only when a *concrete* instance diverges under some scenario
 /// (nothing to audit against) or a mismatch is left with nothing to split.
@@ -249,7 +248,7 @@ pub fn check_cp_equivalence_under_failures(
                 refinement_rounds: counterexamples.len(),
                 counterexamples,
                 initial_abstract_nodes: abstraction.abstract_node_count(),
-                abstract_network: current_layout.render(network, topo),
+                layout: current_layout,
                 abstraction: current,
             });
         }

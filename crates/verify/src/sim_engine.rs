@@ -26,7 +26,7 @@ use crate::query::{QueryCtx, QueryScope, QueryStats};
 use crate::sweep::scenario_verdict;
 use bonsai_config::eval::acl_permits;
 use bonsai_config::{BuiltTopology, NetworkConfig};
-use bonsai_core::abstraction::{AbstractLayout, AbstractNumbering};
+use bonsai_core::abstraction::AbstractLayout;
 use bonsai_core::algorithm::Abstraction;
 use bonsai_core::ecs::{compute_ecs, DestEc};
 use bonsai_net::prefix::Prefix;

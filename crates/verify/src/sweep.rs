@@ -64,14 +64,14 @@
 //! apart; see the [`bonsai_core::scenarios`] module docs).
 
 use crate::equivalence::{
-    class_srp, rotated_order, transport_sample, BehaviorMismatch, BehaviorTable, BlockSets,
-    EquivalenceError,
+    class_srp, layout_srp, rotated_order, transport_sample, BehaviorMismatch, BehaviorTable,
+    BlockSets, EquivalenceError,
 };
 use crate::failures::lift_failure_mask;
 use crate::query::QueryStats;
 use crate::sim_engine::{abstract_verdict, concrete_verdict};
 use bonsai_config::{BuiltTopology, Community, NetworkConfig};
-use bonsai_core::abstraction::{AbstractLayout, AbstractNetwork, AbstractNumbering};
+use bonsai_core::abstraction::AbstractLayout;
 use bonsai_core::algorithm::{refine_with_split, Abstraction};
 use bonsai_core::compress::refine_ec_with_split;
 use bonsai_core::ecs::DestEc;
@@ -178,8 +178,7 @@ impl RefinementProvenance {
 /// partition, representative) — and live behind
 /// [`ScenarioRefinement::materialized`]: a sweep that only counts refined
 /// nodes never lays out or solves them, a snapshot restore runs no
-/// Algorithm 1 at all, and the configuration is written only for a reader
-/// of [`Materialized::abstract_network`].
+/// Algorithm 1 at all, and no configuration is written.
 #[derive(Clone, Debug)]
 pub struct ScenarioRefinement {
     /// The orbit signature this refinement is cached under.
@@ -226,42 +225,19 @@ pub(crate) enum Known {
 }
 
 /// What [`ScenarioRefinement::materialized`] derives from a refinement's
-/// partition: the abstract network's layout and canonical solution, and
-/// its configuration once someone reads it.
+/// partition: the abstract network's layout and canonical solution.
 #[derive(Clone, Debug)]
 pub struct Materialized {
     layout: AbstractLayout,
     /// The canonical solution and the label updates it took.
     canonical: Option<(Solution<RibAttr>, usize)>,
-    /// The rendered configuration, filled by the first
-    /// [`Materialized::abstract_network`] read.
-    rendered: OnceLock<AbstractNetwork>,
 }
 
 impl Materialized {
-    fn new(layout: AbstractLayout, canonical: Option<(Solution<RibAttr>, usize)>) -> Self {
-        Materialized {
-            layout,
-            canonical,
-            rendered: OnceLock::new(),
-        }
-    }
-
     /// The refinement's abstract network, laid out: what its canonical
     /// solution was solved on.
     pub fn layout(&self) -> &AbstractLayout {
         &self.layout
-    }
-
-    /// The refinement's abstract network, rendered on first read
-    /// ([`AbstractLayout::render`]) and kept. `network` and `topo` must be
-    /// the ones the refinement was derived for.
-    pub fn abstract_network(
-        &self,
-        network: &NetworkConfig,
-        topo: &BuiltTopology,
-    ) -> &AbstractNetwork {
-        (self.rendered).get_or_init(|| self.layout.clone().render(network, topo))
     }
 
     /// The **canonical solution** of that network under the
@@ -295,7 +271,7 @@ fn materialize(
     let layout = AbstractLayout::new(&topo.graph, ec, abstraction);
     let canonical =
         canonical_abstract_solution(network, topo, abstraction, &layout, representative);
-    Materialized::new(layout, canonical)
+    Materialized { layout, canonical }
 }
 
 impl ScenarioRefinement {
@@ -660,18 +636,6 @@ impl<'a> SweepCtx<'a> {
     }
 }
 
-/// The class's SRP instance over an abstract network's layout: the lifted
-/// instance ([`AbstractLayout::instance`]), equal to the one the rendered
-/// configuration parses into.
-pub(crate) fn layout_srp<'n>(
-    network: &'n NetworkConfig,
-    topo: &BuiltTopology,
-    layout: &'n AbstractLayout,
-) -> Srp<'n, MultiProtocol<'n>> {
-    let origins: Vec<NodeId> = layout.ec.origins.iter().map(|(n, _)| *n).collect();
-    Srp::with_origins(&layout.graph, origins, layout.instance(network, topo))
-}
-
 /// Solves a refined abstract network under its representative's lifted
 /// failure mask with the **natural** activation order — the canonical
 /// per-refinement solution kept in
@@ -746,9 +710,8 @@ impl<'n> Candidate<'n> {
 /// fresh derivation would.
 ///
 /// `abstraction`/`abs` must be the failure-free (CP-equivalent) base pair
-/// of a compression run — `abs` its layout or the network rendered from
-/// it, whose numbering only a debug build reads; `engine` the run's shared
-/// policy-compilation engine.
+/// of a compression run — `abs` its layout, whose numbering only a debug
+/// build reads; `engine` the run's shared policy-compilation engine.
 ///
 /// Errors when the concrete instance diverges under the representative or
 /// the representative stays refuted at the discrete partition (a genuine
@@ -759,7 +722,7 @@ pub fn derive_refinement(
     topo: &BuiltTopology,
     ec: &EcDest,
     abstraction: &Abstraction,
-    abs: &impl AbstractNumbering,
+    abs: &AbstractLayout,
     engine: &CompiledPolicies,
     options: &SweepOptions,
     signature: &OrbitSignature,
@@ -767,10 +730,8 @@ pub fn derive_refinement(
     let distances = Arc::new(NodeDistances::of_graph(&topo.graph));
     let env = SweepEnv::new(network, topo, engine, options, distances);
     let ctx = SweepCtx::hoist(&env, ec.clone(), abstraction).warmed();
-    let base = &ctx.class.layout;
-    debug_assert!(
-        abs.abstract_graph().node_count() == base.graph.node_count()
-            && (base.graph.nodes()).all(|n| abs.copy_of(n) == base.copy_of(n)),
+    debug_assert_eq!(
+        abs.copy_of_node, ctx.class.layout.copy_of_node,
         "the base pair"
     );
     derive_scenario_refinement(&ctx, signature)
@@ -986,7 +947,10 @@ pub(crate) fn derive_scenario_refinement(
                 // build: keep it, with the canonical solution the check
                 // compared first.
                 let canonical = candidate.into_canonical();
-                let verified = Materialized::new(cur_layout, canonical);
+                let verified = Materialized {
+                    layout: cur_layout,
+                    canonical,
+                };
                 return Ok(ScenarioRefinement::new(
                     Arc::clone(class),
                     signature.clone(),
@@ -1132,7 +1096,7 @@ pub(crate) fn check_scenario_refined(
     } = candidate;
     let mut behaviors = BehaviorTable::default();
     let canonical = (candidate.canonical()).map(|(solution, _)| {
-        behaviors.abstract_sets(*abs, abs_srp, solution, keep, Some(abs_mask))
+        behaviors.abstract_sets(abs, abs_srp, solution, keep, Some(abs_mask))
     });
 
     for solution in solutions {
@@ -1152,7 +1116,7 @@ pub(crate) fn check_scenario_refined(
             &node_behaviors,
             &concrete,
             abstraction,
-            *abs,
+            abs,
             abs_srp,
             Some(abs_mask),
             keep,
@@ -1271,6 +1235,7 @@ mod reference;
 mod tests {
     use super::*;
     use crate::netsweep::{sweep_network_subset, NetworkSweepOptions};
+    use bonsai_core::abstraction::PolicySections;
     use bonsai_core::compress::{compress, CompressOptions, CompressionReport};
     use bonsai_srp::papernets;
 
@@ -1363,8 +1328,10 @@ mod tests {
             );
             assert_eq!(cached.abstraction().copies, fresh.abstraction().copies);
             let network_of = |r: &ScenarioRefinement| {
-                let abs = r.materialized(&net, &topo).abstract_network(&net, &topo);
-                bonsai_config::print_network(&abs.network)
+                let (mut text, sections) = (String::new(), PolicySections::new(&net));
+                let layout = r.materialized(&net, &topo).layout();
+                layout.print_into(&mut text, &net, &topo, &sections);
+                text
             };
             assert_eq!(network_of(cached), network_of(&fresh));
         }
@@ -1398,9 +1365,9 @@ mod tests {
         let node_behaviors =
             behaviors.concrete(&srp, &topo, &solution, &ec.abstraction, None, Some(&mask));
         let concrete = BlockSets::of_nodes(&node_behaviors, &ec.abstraction);
-        let abs = ec.abstract_network(&net, &topo);
+        let abs = &ec.abstract_network;
         let abs_mask = lift_failure_mask(&scenario, &ec.abstraction, abs);
-        let abs_srp = class_srp(&abs.network, &abs.topo, &abs.ec);
+        let abs_srp = layout_srp(&net, &topo, abs);
         let abs_solution = bonsai_srp::solver::solve_masked(&abs_srp, Some(&abs_mask)).unwrap();
         let abstract_sets =
             behaviors.abstract_sets(abs, &abs_srp, &abs_solution, None, Some(&abs_mask));

@@ -2,8 +2,8 @@
 //! candidate's layout ([`AbstractLayout::instance`], no configuration
 //! written) against [`MultiProtocol::build`] over the configuration the
 //! layout renders, and the text printed from the layout
-//! ([`AbstractLayout::print_into`]) against that configuration printed,
-//! on every candidate the check reference walks
+//! ([`AbstractLayout::print_into`]) against that configuration printed and
+//! parsed back, on every candidate the check reference walks
 //! ([`super::reference::walk_class`]: the base and one-copy abstractions,
 //! then every derivation round, refuted ones included). Per edge: the BGP
 //! session (iBGP, the export and import plans), the OSPF and static facts
@@ -18,7 +18,7 @@ use super::reference::{random_nets, walk_class};
 use super::*;
 use crate::equivalence::rotated_order;
 use crate::sim_engine::edge_passes_acls;
-use bonsai_config::{print_network, DeviceConfig};
+use bonsai_config::{parse_network, print_network, DeviceConfig};
 use bonsai_core::abstraction::PolicySections;
 use bonsai_core::compress::{compress_each, CompressOptions, EcCompression};
 use bonsai_srp::papernets;
@@ -65,10 +65,12 @@ fn compare(
 ) {
     let (network, topo) = (ctx.env.network, ctx.env.topo);
     let layout = candidate.layout;
-    let rendered = layout.clone().render(network, topo);
+    let rendered = layout.render(network, topo);
     let mut printed = String::new();
     layout.print_into(&mut printed, network, topo, sections);
     assert_eq!(printed, print_network(&rendered.network), "{what}: printed");
+    let reparsed = parse_network(&printed).unwrap_or_else(|e| panic!("{what}: {e}"));
+    assert_eq!(reparsed, rendered.network, "{what}: parsed");
     let parsed = class_srp(&rendered.network, &rendered.topo, &rendered.ec);
     let lifted = &candidate.srp;
     let graph = &layout.graph;

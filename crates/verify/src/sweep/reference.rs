@@ -23,7 +23,7 @@ pub(super) mod random_nets;
 use super::*;
 use crate::equivalence::{check_cp_equivalence, Behavior, HLabel};
 use bonsai_config::BuiltTopology;
-use bonsai_core::abstraction::{build_abstract_network, AbstractLayout, AbstractNumbering};
+use bonsai_core::abstraction::AbstractLayout;
 use bonsai_core::compress::{compress_each, CompressOptions, EcCompression};
 use bonsai_core::scenarios::ScenarioStream;
 use bonsai_net::partition::BlockId;
@@ -89,17 +89,17 @@ fn aggregate_behaviors(
 }
 
 fn abstract_behaviors(
-    abs: &impl AbstractNumbering,
+    abs: &AbstractLayout,
     srp: &Srp<'_, MultiProtocol<'_>>,
     solution: &Solution<RibAttr>,
     keep: Option<&BTreeSet<Community>>,
 ) -> BTreeMap<BlockId, BTreeSet<Behavior>> {
     let mut map: BTreeMap<BlockId, BTreeSet<Behavior>> = BTreeMap::new();
     for n in srp.graph.nodes() {
-        let (block, _copy) = abs.copy_of(n);
+        let (block, _copy) = abs.copy_of_node[n.index()];
         let labels = minimal_hlabels(srp, solution, n, keep);
         let fwd_blocks: BTreeSet<u32> = (solution.fwd(n).iter())
-            .map(|&e| abs.copy_of(srp.graph.target(e)).0 .0)
+            .map(|&e| abs.copy_of_node[srp.graph.target(e).index()].0 .0)
             .collect();
         map.entry(block).or_default().insert((labels, fwd_blocks));
     }
@@ -187,16 +187,16 @@ fn base_abs_solution(ctx: &SweepCtx<'_>) -> Option<Solution<RibAttr>> {
 /// search solves from.
 fn transport_abstract_solution(
     base: &Abstraction,
-    base_net: &impl AbstractNumbering,
+    base_net: &AbstractLayout,
     refined: &Abstraction,
-    refined_net: &impl AbstractNumbering,
+    refined_net: &AbstractLayout,
     base_solution: &Solution<RibAttr>,
 ) -> Vec<Option<RibAttr>> {
-    let fine_n = refined_net.abstract_graph().node_count();
-    let coarse_n = base_net.abstract_graph().node_count();
+    let fine_n = refined_net.graph.node_count();
+    let coarse_n = base_net.graph.node_count();
     let mut fine_to_coarse: Vec<NodeId> = Vec::with_capacity(fine_n);
     for i in 0..fine_n {
-        let (fb, copy) = refined_net.copy_of(NodeId(i as u32));
+        let (fb, copy) = refined_net.copy_of_node[i];
         let member = refined.partition.members(fb)[0];
         let pb = base.role_of(NodeId(member));
         let c = copy.min(base.copies[pb.index()].saturating_sub(1));
@@ -320,19 +320,21 @@ fn deviating_split_of(abstraction: &Abstraction, refuted: &Refuted) -> Vec<NodeI
     out
 }
 
-/// The failure-free oracle, every abstract order solved for each sample.
+/// The failure-free oracle on the configuration `layout` renders, every
+/// abstract order solved for each sample.
 #[allow(clippy::too_many_arguments)]
 fn cp_equivalence(
     network: &NetworkConfig,
     topo: &BuiltTopology,
     ec: &EcDest,
     abstraction: &Abstraction,
-    abs: &AbstractNetwork,
+    layout: &AbstractLayout,
     concrete_orders: usize,
     abstract_orders: usize,
     keep: Option<&BTreeSet<Community>>,
 ) -> Result<(), EquivalenceError> {
     let srp = class_srp(network, topo, ec);
+    let abs = layout.render(network, topo);
     let abs_srp = class_srp(&abs.network, &abs.topo, &abs.ec);
     let nodes: Vec<NodeId> = topo.graph.nodes().collect();
     let abs_nodes: Vec<NodeId> = abs.topo.graph.nodes().collect();
@@ -356,7 +358,7 @@ fn cp_equivalence(
             if !first_sighting(&mut tried, &abs_solution) {
                 continue;
             }
-            let abstract_b = abstract_behaviors(abs, &abs_srp, &abs_solution, keep);
+            let abstract_b = abstract_behaviors(layout, &abs_srp, &abs_solution, keep);
             match behaviors_match(&concrete, &abstract_b) {
                 Ok(()) => {
                     matched = true;
@@ -445,23 +447,25 @@ fn agree(
     }
 }
 
-/// Both failure-free oracles on one candidate of one class.
+/// Both failure-free oracles on one candidate of one class: the shipped
+/// check, which validates on `layout`'s lifted instance, accepts whatever
+/// the reference check run on the configuration `layout` renders accepts.
 fn agree_failure_free(
     net: &NetworkConfig,
     topo: &BuiltTopology,
     ec: &EcDest,
     abstraction: &Abstraction,
-    abs: &AbstractNetwork,
+    layout: &AbstractLayout,
     tally: &mut Tally,
 ) {
     for (concrete, abstract_orders) in [(4, 16), (8, 2)] {
-        let shipped = check_cp_equivalence(net, topo, ec, abstraction, abs, concrete, None);
+        let shipped = check_cp_equivalence(net, topo, ec, abstraction, layout, concrete, None);
         let reference = cp_equivalence(
             net,
             topo,
             ec,
             abstraction,
-            abs,
+            layout,
             concrete,
             abstract_orders,
             None,
@@ -617,12 +621,12 @@ fn compare_class(
 ) -> Tally {
     let topo = BuiltTopology::build(net).expect("topology builds");
     let ec = class.ec.to_ec_dest();
-    let (base, base_net) = (&class.abstraction, class.abstract_network(net, &topo));
+    let base = &class.abstraction;
     let coarse = one_copy(base);
-    let coarse_net = build_abstract_network(net, &topo, &ec, &coarse);
+    let coarse_layout = AbstractLayout::new(&topo.graph, &ec, &coarse);
     let mut tally = Tally::default();
-    agree_failure_free(net, &topo, &ec, base, base_net, &mut tally);
-    agree_failure_free(net, &topo, &ec, &coarse, &coarse_net, &mut tally);
+    agree_failure_free(net, &topo, &ec, base, &class.abstract_network, &mut tally);
+    agree_failure_free(net, &topo, &ec, &coarse, &coarse_layout, &mut tally);
     walk_class(
         net,
         engine,

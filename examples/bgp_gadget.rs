@@ -12,6 +12,7 @@
 //! cargo run --release --example bgp_gadget
 //! ```
 
+use bonsai::core::abstraction::AbstractLayout;
 use bonsai::core::compress::{compress, CompressOptions};
 use bonsai::srp::instance::{MultiProtocol, RibAttr};
 use bonsai::srp::papernets;
@@ -83,14 +84,15 @@ fn main() {
         *c = 1;
     }
     let ec_dest = ec_result.ec.to_ec_dest();
-    let naive_net =
-        bonsai::core::abstraction::build_abstract_network(&network, &topo, &ec_dest, &naive);
+    // The check reads the abstract network's layout: its lifted instance is
+    // what the rendered configuration would parse into.
+    let naive_layout = AbstractLayout::new(&topo.graph, &ec_dest, &naive);
     let verdict = bonsai::verify::equivalence::check_cp_equivalence(
         &network,
         &topo,
         &ec_dest,
         &naive,
-        &naive_net,
+        &naive_layout,
         4,
         Some(&report.policies),
     );
@@ -108,7 +110,7 @@ fn main() {
         &topo,
         &ec_dest,
         &ec_result.abstraction,
-        ec_result.abstract_network(&network, &topo),
+        &ec_result.abstract_network,
         6,
         Some(&report.policies),
     )

@@ -10,6 +10,7 @@
 //! cargo run --release --example config_pipeline
 //! ```
 
+use bonsai::core::abstraction::PolicySections;
 use bonsai::core::compress::{compress, CompressOptions};
 use bonsai_config::{parse_network, print_network, BuiltTopology};
 
@@ -119,16 +120,17 @@ fn main() {
     }
 
     // Emit the compressed network for the first class, in configuration
-    // text, and round-trip it.
+    // text — the bytes `bonsai compress --out` writes — and round-trip it.
     let first = &report.per_ec[0];
     let topo = BuiltTopology::build(&network).expect("the campus topology builds");
-    let abstract_network = first.abstract_network(&network, &topo);
-    let text = print_network(&abstract_network.network);
+    let mut text = String::new();
+    let sections = PolicySections::new(&network);
+    (first.abstract_network).print_into(&mut text, &network, &topo, &sections);
     println!(
         "\ncompressed configurations for {}:\n\n{}",
         first.ec.rep, text
     );
     let reparsed = parse_network(&text).expect("emitted configuration parses");
-    assert_eq!(reparsed, abstract_network.network);
+    assert_eq!(print_network(&reparsed), text);
     println!("round-trip through the parser: ok");
 }

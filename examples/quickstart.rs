@@ -5,6 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use bonsai::core::abstraction::PolicySections;
 use bonsai::core::compress::{compress, CompressOptions};
 use bonsai::srp::papernets;
 use bonsai::verify::equivalence::check_cp_equivalence;
@@ -40,14 +41,14 @@ fn main() {
     }
 
     // The abstract network is ordinary configuration text — Bonsai's
-    // actual output format — so any tool can consume it.
+    // actual output format, the bytes `bonsai compress --out` writes — so
+    // any tool can consume it. It is printed from the class's layout.
     println!("\nabstract network configurations:\n");
     let topo = BuiltTopology::build(&network).unwrap();
-    let abstract_network = ec.abstract_network(&network, &topo);
-    println!(
-        "{}",
-        bonsai_config::print_network(&abstract_network.network)
-    );
+    let mut text = String::new();
+    let sections = PolicySections::new(&network);
+    (ec.abstract_network).print_into(&mut text, &network, &topo, &sections);
+    println!("{text}");
 
     // And it is control-plane equivalent to the original.
     check_cp_equivalence(
@@ -55,7 +56,7 @@ fn main() {
         &topo,
         &ec.ec.to_ec_dest(),
         &ec.abstraction,
-        abstract_network,
+        &ec.abstract_network,
         4,
         Some(&report.policies),
     )

@@ -337,10 +337,10 @@ fn cmd_compress(m: &Matches, network: &NetworkConfig) -> Result<(), Failure> {
 
 /// `bonsai check`: each class is checked inside the worker that
 /// compressed it and dropped after its verdict; the failures print in
-/// class order. The check reads the rendered configuration, so this is
-/// the one command that renders every class. The attribute abstraction `h` — one scan of the network
-/// for the communities any configuration matches — is built once for the
-/// run and shared by every class's check.
+/// class order. The check solves the class's layout (its lifted SRP
+/// instance), so nothing is rendered. The attribute abstraction `h` — one
+/// scan of the network for the communities any configuration matches — is
+/// built once for the run and shared by every class's check.
 fn cmd_check(m: &Matches, network: &NetworkConfig) -> Result<(), Failure> {
     let options = compress_options(m);
     let h = options
@@ -352,7 +352,7 @@ fn cmd_check(m: &Matches, network: &NetworkConfig) -> Result<(), Failure> {
             topo,
             &ec.ec.to_ec_dest(),
             &ec.abstraction,
-            ec.abstract_network(network, topo),
+            &ec.abstract_network,
             4,
             h.as_ref(),
         )

@@ -448,8 +448,8 @@ fn the_once_refused_network_sweeps_on_the_transported_witness() {
     // The second sample, transported: one copy per block, so each abstract
     // node takes its block's first member's label, and a path names the
     // abstract nodes of its concrete nodes.
-    let abs = comp.abstract_network(net, &topo);
-    let abstract_of = |u: NodeId| abs.node_of_copy[&(base.role_of(u), 0)];
+    let abs = &comp.abstract_network;
+    let abstract_of = |u: NodeId| abs.node_of(base.role_of(u), 0);
     let labels = (abs.copy_of_node.iter())
         .map(|&(block, _)| {
             let member = NodeId(base.partition.members(block)[0]);
@@ -462,11 +462,7 @@ fn the_once_refused_network_sweeps_on_the_transported_witness() {
         .collect();
     let abs_mask = lift_failure_mask(&scenario, base, abs);
     let abs_origins = abs.ec.origins.iter().map(|(n, _)| *n).collect();
-    let abs_srp = Srp::with_origins(
-        &abs.topo.graph,
-        abs_origins,
-        MultiProtocol::build(&abs.network, &abs.topo, &abs.ec),
-    );
+    let abs_srp = Srp::with_origins(&abs.graph, abs_origins, abs.instance(net, &topo));
     let witness = abs_srp
         .solution_from_labels_masked(labels, Some(&abs_mask))
         .expect("the transported labelling is stable");
@@ -478,7 +474,7 @@ fn the_once_refused_network_sweeps_on_the_transported_witness() {
         Some(RibAttr::Bgp(a)) => (a.lp, a.comms.clone(), a.path.len(), a.med),
         other => panic!("{n:?} holds {other:?}, not a BGP route"),
     };
-    let abs_graph = &abs.topo.graph;
+    let abs_graph = &abs.graph;
     for u in graph.nodes() {
         let a = abstract_of(u);
         let concrete: BTreeSet<u32> = (second.fwd(u).iter())

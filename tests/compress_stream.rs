@@ -16,6 +16,7 @@ use bonsai::cli::{
 use bonsai::config::{parse_network, print_network, BuiltTopology, NetworkConfig};
 use bonsai::core::compress::{compress, compress_each, CompressOptions};
 use bonsai::topo::{datacenter, fattree, DatacenterParams, FattreePolicy};
+use bonsai::verify::equivalence::check_cp_equivalence;
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 
@@ -141,7 +142,7 @@ fn emitted_directory_is_the_printed_collected_report_at_every_thread_count() {
             for (class, summary) in collected.per_ec.iter().zip(&report.per_ec) {
                 let text =
                     std::fs::read_to_string(dir.join(class_file_name(class.ec.rep))).unwrap();
-                let rendered = class.abstract_network(&net, &topo);
+                let rendered = class.abstract_network.render(&net, &topo);
                 assert_eq!(
                     text,
                     print_network(&rendered.network),
@@ -208,6 +209,27 @@ fn emit_counters_cover_what_the_run_wrote() {
 
         // Without an output directory nothing is printed or rendered.
         let (_, moved) = counters_moved(|| compress_streamed(&net, options(2), None).unwrap());
+        assert_eq!(moved, [0; 4], "{name}");
+    }
+}
+
+/// `bonsai check`'s path renders nothing: every class is checked on its
+/// layout's lifted instance inside the worker that compressed it.
+#[test]
+fn checking_every_class_renders_nothing() {
+    let _serial = serial();
+    for (name, net) in [("tags", community_net()), ("dc", small_datacenter())] {
+        let (report, moved) = counters_moved(|| {
+            compress_each(&net, options(2), |_, class, topo| {
+                let ec = class.ec.to_ec_dest();
+                let layout = &class.abstract_network;
+                check_cp_equivalence(&net, topo, &ec, &class.abstraction, layout, 4, None)
+            })
+        });
+        assert!(report.num_ecs() > 0, "{name}");
+        for verdict in &report.per_ec {
+            verdict.as_ref().unwrap_or_else(|e| panic!("{name}: {e}"));
+        }
         assert_eq!(moved, [0; 4], "{name}");
     }
 }
@@ -375,7 +397,7 @@ fn compress_is_compress_each_collected() {
         let collected = compress(&net, options(2));
         for threads in [1, 2, 4] {
             let streamed = compress_each(&net, options(threads), |index, class, topo| {
-                let network = class.abstract_network(&net, topo).network.clone();
+                let network = class.abstract_network.render(&net, topo).network;
                 (index, class.ec.rep, network)
             });
             assert_eq!(streamed.num_ecs(), collected.num_ecs());
@@ -386,7 +408,7 @@ fn compress_is_compress_each_collected() {
             {
                 assert_eq!(*index, i, "results come back in class order");
                 assert_eq!(*rep, class.ec.rep);
-                assert_eq!(*network, class.abstract_network(&net, &topo).network);
+                assert_eq!(*network, class.abstract_network.render(&net, &topo).network);
             }
         }
     }

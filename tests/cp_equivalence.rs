@@ -25,7 +25,7 @@ fn check(net: &NetworkConfig, options: CompressOptions, sample: usize) {
             &topo,
             &ec.ec.to_ec_dest(),
             &ec.abstraction,
-            ec.abstract_network(net, &topo),
+            &ec.abstract_network,
             4,
             Some(&report.policies),
         )

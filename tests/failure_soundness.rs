@@ -43,7 +43,7 @@ fn crafted_gadget_abstract_differs_from_concrete_under_one_failure() {
         &topo,
         &ec_dest,
         &ec.abstraction,
-        ec.abstract_network(&net, &topo),
+        &ec.abstract_network,
         4,
         Some(&report.policies),
     )
@@ -61,15 +61,14 @@ fn crafted_gadget_abstract_differs_from_concrete_under_one_failure() {
     // Concretely, everything still routes (b1 detours through a).
     assert_eq!(concrete.routed_count(), topo.graph.node_count());
 
-    let abs = ec.abstract_network(&net, &topo);
+    let abs = &ec.abstract_network;
     let abs_mask = lift_failure_mask(&scenario, &ec.abstraction, abs);
-    let abs_proto = MultiProtocol::build(&abs.network, &abs.topo, &abs.ec);
     let abs_origins: Vec<NodeId> = abs.ec.origins.iter().map(|(n, _)| *n).collect();
-    let abs_srp = Srp::with_origins(&abs.topo.graph, abs_origins, abs_proto);
+    let abs_srp = Srp::with_origins(&abs.graph, abs_origins, abs.instance(&net, &topo));
     let abstract_sol = solve_masked(&abs_srp, Some(&abs_mask)).unwrap();
     // Abstractly, the one b̂—d̂ link carried every b—d link: the network
     // black-holes. Abstract ≠ concrete under one failure.
-    assert!(abstract_sol.routed_count() < abs.topo.graph.node_count());
+    assert!(abstract_sol.routed_count() < abs.graph.node_count());
 }
 
 /// The refinement loop repairs the gadget and the result is k-failure

@@ -86,7 +86,7 @@ fn merged_ibgp_network_is_cp_equivalent() {
         &topo,
         &ec.ec.to_ec_dest(),
         &ec.abstraction,
-        ec.abstract_network(&net, &topo),
+        &ec.abstract_network,
         6,
         Some(&report.policies),
     )

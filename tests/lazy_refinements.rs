@@ -25,7 +25,7 @@
 #[path = "common/random_nets.rs"]
 mod random_nets;
 
-use bonsai::core::abstraction::AbstractNetwork;
+use bonsai::core::abstraction::{AbstractLayout, PolicySections};
 use bonsai::core::algorithm::Abstraction;
 use bonsai::core::compress::{refine_ec_with_split, CompressionReport, EcCompression};
 use bonsai::core::signatures::build_sig_table;
@@ -36,7 +36,6 @@ use bonsai::srp::{Solution, Srp};
 use bonsai::verify::failures::lift_failure_mask;
 use bonsai::verify::netsweep::sweep_network_subset;
 use bonsai::verify::sweep::{Materialized, RefinementProvenance, ScenarioRefinement};
-use bonsai_config::print_network;
 use bonsai_net::{Graph, NodeId};
 use proptest::prelude::*;
 use std::sync::Barrier;
@@ -62,33 +61,49 @@ fn swept(
 }
 
 /// The canonical solve as the parent commit ran it on every refinement:
-/// natural order, the representative's mask lifted onto the network.
+/// natural order, the representative's mask lifted onto the network, on
+/// the configuration the layout renders.
 fn canonical_solution(
+    net: &NetworkConfig,
+    topo: &BuiltTopology,
     abstraction: &Abstraction,
-    abs: &AbstractNetwork,
+    layout: &AbstractLayout,
     representative: &FailureScenario,
 ) -> Option<Solution<RibAttr>> {
-    let mask = lift_failure_mask(representative, abstraction, abs);
+    let mask = lift_failure_mask(representative, abstraction, layout);
+    let abs = layout.render(net, topo);
     let origins: Vec<NodeId> = abs.ec.origins.iter().map(|(n, _)| *n).collect();
     let proto = MultiProtocol::build(&abs.network, &abs.topo, &abs.ec);
     let srp = Srp::with_origins(&abs.topo.graph, origins, proto);
     solve_masked(&srp, Some(&mask)).ok()
 }
 
-fn assert_same_network(lazy: &AbstractNetwork, eager: &AbstractNetwork, what: &str) {
+fn assert_same_layout(
+    net: &NetworkConfig,
+    topo: &BuiltTopology,
+    lazy: &AbstractLayout,
+    eager: &AbstractLayout,
+    what: &str,
+) {
+    let printed = |layout: &AbstractLayout| {
+        let (mut text, sections) = (String::new(), PolicySections::new(net));
+        layout.print_into(&mut text, net, topo, &sections);
+        text
+    };
     assert_eq!(
-        print_network(&lazy.network),
-        print_network(&eager.network),
+        printed(lazy),
+        printed(eager),
         "{what}: abstract configuration"
     );
     assert_eq!(
-        format!("{:?}", lazy.topo),
-        format!("{:?}", eager.topo),
+        format!("{:?}", lazy.graph),
+        format!("{:?}", eager.graph),
         "{what}: abstract topology"
     );
     assert_eq!(lazy.ec, eager.ec, "{what}: transported class");
-    assert_eq!(lazy.node_of_copy, eager.node_of_copy, "{what}");
     assert_eq!(lazy.copy_of_node, eager.copy_of_node, "{what}");
+    assert_eq!(lazy.reps, eager.reps, "{what}");
+    assert_eq!(lazy.rep_edges, eager.rep_edges, "{what}");
 }
 
 /// How many refinements a check saw, by the cases the issue names.
@@ -117,13 +132,12 @@ fn check_sweep(label: &str, net: &NetworkConfig, k: usize, threads: usize) -> Se
             assert_eq!(r.is_materialized(), derived, "{what}: cell on return");
 
             let refined;
-            let (abstraction, network) = if r.split.is_empty() {
+            let (abstraction, layout) = if r.split.is_empty() {
                 seen.empty_splits += 1;
-                (&comp.abstraction, comp.abstract_network(net, &topo))
+                (&comp.abstraction, &comp.abstract_network)
             } else {
-                let (partition, layout) =
+                refined =
                     refine_ec_with_split(&topo.graph, &ec, &sigs, &comp.abstraction, &r.split);
-                refined = (partition, layout.render(net, &topo));
                 (&refined.0, &refined.1)
             };
             assert_eq!(
@@ -135,8 +149,8 @@ fn check_sweep(label: &str, net: &NetworkConfig, k: usize, threads: usize) -> Se
 
             let lazy = r.materialized(net, &topo);
             assert!(r.is_materialized());
-            assert_same_network(lazy.abstract_network(net, &topo), network, &what);
-            let solution = canonical_solution(abstraction, network, &r.representative);
+            assert_same_layout(net, &topo, lazy.layout(), layout, &what);
+            let solution = canonical_solution(net, &topo, abstraction, layout, &r.representative);
             assert_eq!(
                 lazy.abstract_solution().map(|s| &s.labels),
                 solution.as_ref().map(|s| &s.labels),

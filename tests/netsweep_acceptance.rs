@@ -9,6 +9,7 @@
 #[path = "common/random_nets.rs"]
 mod random_nets;
 
+use bonsai::core::abstraction::PolicySections;
 use bonsai::core::compress::{compress, CompressOptions, CompressionReport};
 use bonsai::core::scenarios::ScenarioStream;
 use bonsai::core::signatures::build_sig_table;
@@ -169,8 +170,10 @@ fn transfers_are_byte_identical_to_fresh_derivations() {
                     );
                     assert_eq!(cached.abstraction().copies, fresh.abstraction().copies);
                     let network_of = |r: &ScenarioRefinement| {
-                        let abs = r.materialized(net, &topo).abstract_network(net, &topo);
-                        bonsai_config::print_network(&abs.network)
+                        let (mut text, sections) = (String::new(), PolicySections::new(net));
+                        let layout = r.materialized(net, &topo).layout();
+                        layout.print_into(&mut text, net, &topo, &sections);
+                        text
                     };
                     assert_eq!(
                         network_of(cached),

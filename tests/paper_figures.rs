@@ -64,7 +64,7 @@ fn figure5_incompressible_but_sound() {
         &topo,
         &ec.ec.to_ec_dest(),
         &ec.abstraction,
-        ec.abstract_network(&net, &topo),
+        &ec.abstract_network,
         4,
         Some(&report.policies),
     )

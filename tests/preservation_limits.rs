@@ -83,10 +83,9 @@ fn divergence_is_preserved() {
     // solve the abstract instance.
     let report = compress(&net, CompressOptions::default());
     let ec_c = &report.per_ec[0];
-    let abs = ec_c.abstract_network(&net, &topo);
-    let abs_proto = MultiProtocol::build(&abs.network, &abs.topo, &abs.ec);
+    let abs = &ec_c.abstract_network;
     let abs_origins: Vec<NodeId> = abs.ec.origins.iter().map(|(n, _)| *n).collect();
-    let abs_srp = Srp::with_origins(&abs.topo.graph, abs_origins, abs_proto);
+    let abs_srp = Srp::with_origins(&abs.graph, abs_origins, abs.instance(&net, &topo));
     let abstract_diverges = matches!(solve(&abs_srp), Err(SolveError::Diverged { .. }));
 
     assert_eq!(
@@ -130,12 +129,13 @@ fn fault_tolerance_is_not_preserved() {
 
     // Abstract: the compressed chain has exactly one next hop everywhere —
     // redundancy is gone.
-    let abs = ec.abstract_network(&net, &engine.topo);
+    let layout = &ec.abstract_network;
+    let abs = layout.render(&net, &engine.topo);
     let abs_engine = SimEngine::new(&abs.network);
     let abs_sol = abs_engine
         .solve_ec(&abs_engine.ecs[0], &QueryCtx::failure_free())
         .unwrap();
-    let abs_remote = abs.candidates_of(&ec.abstraction, remote)[0];
+    let abs_remote = layout.candidates_of(&ec.abstraction, remote)[0];
     assert_eq!(
         abs_sol.fwd(abs_remote).len(),
         1,

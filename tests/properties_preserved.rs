@@ -23,7 +23,8 @@ fn check_properties(net: &NetworkConfig) {
         let concrete = SolutionAnalysis::new(&engine.topo.graph, &concrete_sol, &concrete_origins);
 
         // Abstract analysis.
-        let abs = ec.abstract_network(net, &engine.topo);
+        let layout = &ec.abstract_network;
+        let abs = layout.render(net, &engine.topo);
         let abs_engine = SimEngine::new(&abs.network);
         let abs_sol = abs_engine
             .solve_ec(&abs_engine.ecs[0], &QueryCtx::failure_free())
@@ -45,7 +46,7 @@ fn check_properties(net: &NetworkConfig) {
             }
             // All copies of u's block (deterministic single-solution
             // networks: one copy suffices, but check them all).
-            let candidates = abs.candidates_of(&ec.abstraction, u);
+            let candidates = layout.candidates_of(&ec.abstraction, u);
 
             // Reachability: u reaches iff every candidate copy reaches
             // (these networks are deterministic, so candidates agree).
@@ -118,17 +119,18 @@ fn fattree_waypointing_preserved() {
     assert!(concrete.waypointed(src, &cores), "concrete waypointing");
 
     // Abstract side: image of src, waypoints = copies of core blocks.
-    let abs = ec.abstract_network(&net, &engine.topo);
+    let layout = &ec.abstract_network;
+    let abs = layout.render(&net, &engine.topo);
     let abs_engine = SimEngine::new(&abs.network);
     let abs_sol = abs_engine
         .solve_ec(&abs_engine.ecs[0], &QueryCtx::failure_free())
         .unwrap();
     let abs_origins: Vec<NodeId> = abs_engine.ecs[0].origins.iter().map(|(n, _)| *n).collect();
     let abstract_a = SolutionAnalysis::new(&abs_engine.topo.graph, &abs_sol, &abs_origins);
-    let abs_src = abs.candidates_of(&ec.abstraction, src)[0];
+    let abs_src = layout.candidates_of(&ec.abstraction, src)[0];
     let abs_cores: BTreeSet<NodeId> = cores
         .iter()
-        .flat_map(|&c| abs.candidates_of(&ec.abstraction, c))
+        .flat_map(|&c| layout.candidates_of(&ec.abstraction, c))
         .collect();
     assert!(
         abstract_a.waypointed(abs_src, &abs_cores),
@@ -146,7 +148,7 @@ fn compression_is_idempotent() {
     let ec = &report.per_ec[0];
     let topo = bonsai::config::BuiltTopology::build(&net).unwrap();
     let again = compress(
-        &ec.abstract_network(&net, &topo).network,
+        &ec.abstract_network.render(&net, &topo).network,
         CompressOptions::default(),
     );
     assert_eq!(again.num_ecs(), 1);

@@ -36,7 +36,7 @@ proptest! {
                 &topo,
                 &ec.ec.to_ec_dest(),
                 &ec.abstraction,
-                ec.abstract_network(&net, &topo),
+                &ec.abstract_network,
                 6,
                 Some(&report.policies),
             );

@@ -216,6 +216,45 @@ fn cut_paths_stay_cut() {
     // Every failure of `bonsai` leaves through `main`'s one exit site.
     let exits = lines_with(&tree, binary, "ExitCode::from(");
     assert!(exits.len() <= 2, "exit sites: {exits:?}");
+    // Verification reads abstract networks as layouts: no numbering trait
+    // lets it accept a rendered configuration instead, and no cache keeps
+    // one rendered on read.
+    none(EVERYWHERE, "AbstractNumbering");
+    for needle in ["fn abstract_network(", "OnceLock<AbstractNetwork>"] {
+        let hits = lines_with(&tree, &["crates/", "src/"], needle);
+        let shipped: Vec<&String> = hits.iter().filter(|h| h.contains("src/")).collect();
+        assert!(shipped.is_empty(), "`{needle}` is back at {shipped:?}");
+    }
+    // A configuration is rendered (`.render(` with arguments; `.render()`
+    // writes a JSON document) by `build_abstract_network` and by the two
+    // test oracles that compare it with the layout, nowhere else in the
+    // library or the binary.
+    let build = "crates/core/src/abstraction.rs";
+    for source in &tree {
+        let roots = ["crates/core/src/", "crates/verify/src/", "src/"];
+        let oracle = [
+            "crates/verify/src/sweep/lifted.rs",
+            "crates/verify/src/sweep/reference.rs",
+        ];
+        if !roots.iter().any(|r| source.path.starts_with(r))
+            || oracle.contains(&source.path.as_str())
+        {
+            continue;
+        }
+        let mut in_build = false;
+        for (at, line) in source.text.lines().enumerate() {
+            in_build = source.path == build
+                && (line.starts_with("pub fn build_abstract_network(") || in_build && line != "}");
+            let renders =
+                (line.match_indices(".render(")).any(|(i, _)| !line[i..].starts_with(".render()"));
+            assert!(
+                !renders || in_build,
+                "{}:{}: a configuration is rendered outside `build_abstract_network`",
+                source.path,
+                at + 1
+            );
+        }
+    }
 }
 
 #[test]

@@ -6,6 +6,7 @@
 //! derivations, the parallel fan-out is deterministic, and warm-started
 //! concrete solves beat cold ones.
 
+use bonsai::core::abstraction::PolicySections;
 use bonsai::core::compress::{compress, CompressOptions, CompressionReport};
 use bonsai::core::scenarios::ScenarioStream;
 use bonsai::srp::instance::MultiProtocol;
@@ -184,8 +185,10 @@ fn cache_hits_verify_byte_identically_to_fresh_derivations() {
                 );
                 assert_eq!(cached.abstraction().copies, fresh.abstraction().copies);
                 let network_of = |r: &ScenarioRefinement| {
-                    let abs = r.materialized(net, &topo).abstract_network(net, &topo);
-                    bonsai_config::print_network(&abs.network)
+                    let (mut text, sections) = (String::new(), PolicySections::new(net));
+                    let layout = r.materialized(net, &topo).layout();
+                    layout.print_into(&mut text, net, &topo, &sections);
+                    text
                 };
                 assert_eq!(
                     network_of(cached),
