@@ -3,9 +3,8 @@
 //!
 //! ```text
 //! failures                 # diamond / gadget / mesh-10 / fattree-4, k = 1..2
-//! failures --quick         # CI-friendly subset (fewer audited classes)
+//! failures --quick         # CI-friendly subset (fewer sampled classes)
 //! failures --k 3           # raise the failure bound
-//! failures --exhaustive    # disable symmetry pruning in the audit sweep
 //! failures --json [PATH]   # write a BENCH_failures.json snapshot
 //!                          # (default path BENCH_failures.json)
 //! ```
@@ -17,7 +16,6 @@ use bonsai_bench::{snapshot_json, FAILURES_SNAPSHOT_KIND, FAILURES_SNAPSHOT_VERS
 fn main() {
     let flags = Flags::from_env(&[
         ("--quick", Arity::Switch),
-        ("--exhaustive", Arity::Switch),
         ("--k", Arity::Number),
         ("--json", Arity::Optional),
     ]);
@@ -26,11 +24,7 @@ fn main() {
     println!("Bounded link-failure study (concrete vs refined-abstract solving)");
     println!("{}", FailureRow::header());
     let mut snapshot: Vec<String> = Vec::new();
-    for row in rows(
-        flags.switch("--quick"),
-        max_k,
-        !flags.switch("--exhaustive"),
-    ) {
+    for row in rows(flags.switch("--quick"), max_k) {
         println!("{}", row.render());
         snapshot.push(row.json());
     }

@@ -1,21 +1,18 @@
 //! The bounded link-failure study behind the `failures` binary: what does
 //! it cost to verify every `≤ k` link-failure scenario concretely, versus
-//! auditing + repairing one abstraction for all of them, versus the
-//! per-scenario refinement **sweep** (signature-cached refinements,
+//! the per-scenario refinement **sweep** (signature-cached refinements,
 //! warm-started solves)?
 //!
 //! Per network and per `k`, a [`FailureRow`] reports the scenario counts
-//! (pruned vs exhaustive), the audit outcome (counterexamples found,
-//! abstract nodes before → after refinement) and six wall-clock columns:
+//! (one per orbit signature vs exhaustive) and five wall-clock columns:
 //! solving every scenario cold on the concrete network, the same sweep
-//! **warm-started** from the failure-free fixpoint, the one-off
-//! audit-and-refine, solving every scenario on the audit's refined
-//! abstract network, the sweep plane over the audited classes with
-//! sharing off (always exhaustive — the signature cache absorbs the
-//! symmetry), and the **network-level sweep** over *every* class with
-//! cross-EC refinement sharing — together with the sweep's cache hit
-//! rate, refined sizes, and the cross-EC sharing statistics (classes
-//! covered, derivations vs. the unshared count, sharing ratio).
+//! **warm-started** from the failure-free fixpoint, the sweep plane over
+//! the sampled classes with sharing off (always exhaustive — the
+//! signature cache absorbs the symmetry), the **network-level sweep**
+//! over *every* class with cross-EC refinement sharing, and the merge of
+//! its two shards — together with the sweep's cache hit rate, refined
+//! sizes, and the cross-EC sharing statistics (classes covered,
+//! derivations vs. the unshared count, sharing ratio).
 
 use crate::secs;
 use bonsai_config::{BuiltTopology, NetworkConfig};
@@ -23,12 +20,11 @@ use bonsai_core::compress::{compress, CompressOptions};
 use bonsai_core::scenarios::{link_orbits, FailureScenario, ScenarioStream};
 use bonsai_core::signatures::build_sig_table;
 use bonsai_core::snapshot::{write_object, Layout};
-use bonsai_net::{FailureMask, Graph, NodeId};
-use bonsai_srp::instance::{EcDest, MultiProtocol};
+use bonsai_net::NodeId;
+use bonsai_srp::instance::MultiProtocol;
 use bonsai_srp::solver::{solve, solve_masked, solve_warm_masked, SolverOptions};
 use bonsai_srp::{papernets, Srp};
 use bonsai_topo::{fattree, full_mesh, FattreePolicy};
-use bonsai_verify::failures::{check_cp_equivalence_under_failures, lift_failure_mask};
 use bonsai_verify::netsweep::{
     merge_reports, sweep_network, sweep_network_subset, NetworkSweepOptions, ShardSpec,
 };
@@ -41,16 +37,11 @@ pub struct FailureRow {
     label: String,
     k: usize,
     links: usize,
-    ecs_audited: usize,
+    ecs_sampled: usize,
     scenarios: usize,
     scenarios_exhaustive: usize,
-    counterexamples: usize,
-    abs_nodes_before: usize,
-    abs_nodes_after: usize,
     concrete: Duration,
     warm: Duration,
-    audit: Duration,
-    abstract_: Duration,
     sweep: Duration,
     sweep_scenarios: usize,
     sweep_refinements: usize,
@@ -79,19 +70,14 @@ impl FailureRow {
     /// The row as the binary prints it, under [`FailureRow::header`].
     pub fn render(&self) -> String {
         format!(
-            "{:<10} {:>2} {:>6} {:>7}/{:<7} {:>4} {:>6} -> {:<6} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>5.0}% {:>5.0}% {:>6.1} {:>7} {:>9.0} {:>9.0}",
+            "{:<10} {:>2} {:>6} {:>7}/{:<7} {:>8} {:>8} {:>8} {:>8} {:>8} {:>5.0}% {:>5.0}% {:>6.1} {:>7} {:>9.0} {:>9.0}",
             self.label,
             self.k,
             self.links,
             self.scenarios,
             self.scenarios_exhaustive,
-            self.counterexamples,
-            self.abs_nodes_before,
-            self.abs_nodes_after,
             secs(self.concrete),
             secs(self.warm),
-            secs(self.audit),
-            secs(self.abstract_),
             secs(self.sweep),
             secs(self.netsweep),
             secs(self.merge),
@@ -107,19 +93,14 @@ impl FailureRow {
     /// The column headings of [`FailureRow::render`].
     pub fn header() -> String {
         format!(
-            "{:<10} {:>2} {:>6} {:>7}/{:<7} {:>4} {:>6}    {:<6} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>6} {:>6} {:>6} {:>7} {:>9} {:>9}",
+            "{:<10} {:>2} {:>6} {:>7}/{:<7} {:>8} {:>8} {:>8} {:>8} {:>8} {:>6} {:>6} {:>6} {:>7} {:>9} {:>9}",
             "Topology",
             "k",
             "Links",
             "Scen.",
             "All",
-            "Cex",
-            "Abs",
-            "Abs'",
             "Cold(s)",
             "Warm(s)",
-            "Audit(s)",
-            "Abst'(s)",
             "Sweep(s)",
             "Net(s)",
             "Merge(s)",
@@ -139,17 +120,12 @@ impl FailureRow {
             o.str("label", &self.label)
                 .uint("k", self.k)
                 .uint("links", self.links)
-                .uint("ecs_audited", self.ecs_audited)
+                .uint("ecs_sampled", self.ecs_sampled)
                 .uint("scenarios", self.scenarios)
-                .uint("scenarios_exhaustive", self.scenarios_exhaustive)
-                .uint("counterexamples", self.counterexamples)
-                .uint("abs_nodes_before", self.abs_nodes_before)
-                .uint("abs_nodes_after", self.abs_nodes_after);
+                .uint("scenarios_exhaustive", self.scenarios_exhaustive);
             o.object("times", Layout::Compact, |o| {
                 o.float("concrete_s", self.concrete.as_secs_f64(), 6)
                     .float("warm_s", self.warm.as_secs_f64(), 6)
-                    .float("audit_s", self.audit.as_secs_f64(), 6)
-                    .float("abstract_s", self.abstract_.as_secs_f64(), 6)
                     .float("sweep_s", self.sweep.as_secs_f64(), 6)
                     .float("netsweep_s", self.netsweep.as_secs_f64(), 6)
                     .float("merge_s", self.merge.as_secs_f64(), 6);
@@ -184,23 +160,12 @@ impl FailureRow {
     }
 }
 
-/// The SRP of class `ec` over `graph` with protocol `proto`.
-fn class_srp<'n>(
-    graph: &'n Graph,
-    ec: &EcDest,
-    proto: MultiProtocol<'n>,
-) -> Srp<'n, MultiProtocol<'n>> {
-    let origins: Vec<NodeId> = ec.origins.iter().map(|(n, _)| *n).collect();
-    Srp::with_origins(graph, origins, proto)
-}
-
 /// Solves every scenario of the sweep on one (network, EC) instance —
 /// cold (from ⊥) or warm-started from the failure-free fixpoint — under
-/// the mask `mask_of` gives each scenario.
+/// its mask.
 fn sweep_time(
     srp: &Srp<'_, MultiProtocol<'_>>,
     scenarios: &[FailureScenario],
-    mask_of: impl Fn(&FailureScenario) -> FailureMask,
     warm: bool,
 ) -> Duration {
     let t0 = Instant::now();
@@ -208,7 +173,7 @@ fn sweep_time(
     // cold solve amortized over every scenario.
     let base = if warm { solve(srp).ok() } else { None };
     for scenario in scenarios {
-        let mask = mask_of(scenario);
+        let mask = scenario.mask(srp.graph);
         // Divergence is a property of the instance, not the harness; it
         // is counted like any other solve.
         match &base {
@@ -223,36 +188,21 @@ fn sweep_time(
     t0.elapsed()
 }
 
-fn run_network(
-    label: &str,
-    net: &NetworkConfig,
-    k: usize,
-    max_ecs: usize,
-    pruned: bool,
-) -> FailureRow {
+fn run_network(label: &str, net: &NetworkConfig, k: usize, max_ecs: usize) -> FailureRow {
     let topo = BuiltTopology::build(net).expect("network builds");
     let report = compress(net, CompressOptions::default());
-    let ecs_audited = report.num_ecs().min(max_ecs);
+    let ecs_sampled = report.num_ecs().min(max_ecs);
 
     let mut concrete = Duration::ZERO;
     let mut warm = Duration::ZERO;
-    let mut audit_time = Duration::ZERO;
-    let mut abstract_ = Duration::ZERO;
-    let mut counterexamples = 0usize;
-    let mut abs_nodes_before = 0usize;
-    let mut abs_nodes_after = 0usize;
     let mut scenario_count = 0usize;
     let stream = ScenarioStream::new(&topo.graph, k);
 
-    for ec in report.per_ec.iter().take(ecs_audited) {
+    for ec in report.per_ec.iter().take(ecs_sampled) {
         let ec_dest = ec.ec.to_ec_dest();
-        scenario_count += if pruned {
-            let sigs = build_sig_table(&report.policies, net, &topo, &ec_dest);
-            let orbits = link_orbits(&topo.graph, &ec.abstraction, &sigs);
-            stream.iter_pruned(&orbits).count()
-        } else {
-            stream.len()
-        };
+        let sigs = build_sig_table(&report.policies, net, &topo, &ec_dest);
+        let orbits = link_orbits(&topo.graph, &ec.abstraction, &sigs);
+        scenario_count += stream.iter_pruned(&orbits).count();
 
         // Columns 1+2: concrete per-scenario verification, cold (from ⊥)
         // vs warm-started (repairing the failure-free fixpoint, whose one
@@ -260,42 +210,14 @@ fn run_network(
         // enumeration — "verify every scenario" is the workload these
         // columns price, and the same one the sweep engine covers.
         let all_scenarios = stream.to_vec();
-        let srp = class_srp(
+        let origins: Vec<NodeId> = ec_dest.origins.iter().map(|(n, _)| *n).collect();
+        let srp = Srp::with_origins(
             &topo.graph,
-            &ec_dest,
+            origins,
             MultiProtocol::build(net, &topo, &ec_dest),
         );
-        let concrete_mask = |scenario: &FailureScenario| scenario.mask(&topo.graph);
-        concrete += sweep_time(&srp, &all_scenarios, concrete_mask, false);
-        warm += sweep_time(&srp, &all_scenarios, concrete_mask, true);
-
-        // Column 3: one-off audit + repair through the shared engine.
-        let t1 = Instant::now();
-        let audit = check_cp_equivalence_under_failures(
-            net,
-            &topo,
-            &ec_dest,
-            &ec.abstraction,
-            &report.policies,
-            &SweepOptions {
-                max_failures: k,
-                prune_symmetric: pruned,
-                ..Default::default()
-            },
-        )
-        .expect("audit converges");
-        audit_time += t1.elapsed();
-        counterexamples += audit.counterexamples.len();
-        abs_nodes_before += audit.initial_abstract_nodes;
-        abs_nodes_after += audit.final_abstract_nodes();
-
-        // Column 4: the same exhaustive sweep on the audit's refined
-        // abstract network (comparable to the cold/warm columns).
-        let layout = &audit.layout;
-        let abs_srp = class_srp(&layout.graph, &layout.ec, layout.instance(net, &topo));
-        let lift =
-            |scenario: &FailureScenario| lift_failure_mask(scenario, &audit.abstraction, layout);
-        abstract_ += sweep_time(&abs_srp, &all_scenarios, lift, false);
+        concrete += sweep_time(&srp, &all_scenarios, false);
+        warm += sweep_time(&srp, &all_scenarios, true);
     }
 
     let exhaustive = SweepOptions {
@@ -305,10 +227,10 @@ fn run_network(
         ..Default::default()
     };
 
-    // Column 5: the sweep plane over the audited classes, nothing shared
+    // Column 3: the sweep plane over the sampled classes, nothing shared
     // between them — always exhaustive (the signature cache absorbs the
     // symmetry; the hit rate proves it).
-    let audited: Vec<usize> = (0..ecs_audited).collect();
+    let sampled: Vec<usize> = (0..ecs_sampled).collect();
     let t2 = Instant::now();
     let per_class = sweep_network_subset(
         net,
@@ -319,7 +241,7 @@ fn run_network(
             share_across_ecs: false,
             ..Default::default()
         },
-        &audited,
+        &sampled,
     )
     .expect("sweep completes");
     let sweep_total = t2.elapsed();
@@ -337,7 +259,7 @@ fn run_network(
     }
 
     // The network-level column: one orchestrated sweep over **every**
-    // class (not just the audited subset) with cross-EC sharing — the
+    // class (not just the sampled subset) with cross-EC sharing — the
     // "verify any property under ≤ k failures, for all destinations"
     // workload. Single-threaded like the other columns.
     let t3 = Instant::now();
@@ -451,16 +373,11 @@ fn run_network(
         label: label.to_string(),
         k,
         links: topo.graph.link_count(),
-        ecs_audited,
+        ecs_sampled,
         scenarios: scenario_count,
-        scenarios_exhaustive: stream.len() * ecs_audited.max(1),
-        counterexamples,
-        abs_nodes_before,
-        abs_nodes_after,
+        scenarios_exhaustive: stream.len() * ecs_sampled.max(1),
         concrete,
         warm,
-        audit: audit_time,
-        abstract_,
         sweep: sweep_total,
         sweep_scenarios,
         sweep_refinements,
@@ -472,7 +389,7 @@ fn run_network(
         // Per-EC mean, the same unit as mean_refined_nodes — the snapshot
         // ratio mean_refined_nodes / base_abs_nodes_mean is the headline
         // "stays within 2x of base" number.
-        sweep_base_mean: sweep_base_sum as f64 / ecs_audited.max(1) as f64,
+        sweep_base_mean: sweep_base_sum as f64 / ecs_sampled.max(1) as f64,
         sweep_mean_refined: if sweep_scenarios == 0 {
             0.0
         } else {
@@ -499,9 +416,9 @@ fn run_network(
 
 /// The rows of the study, one per (network, `k ≤ max_k`), each measured
 /// when the iterator reaches it: diamond, gadget and fattree-4 (two
-/// audited classes under `quick`, four otherwise), plus mesh-10 when not
-/// `quick`. `pruned` keeps one scenario per orbit signature in the audit.
-pub fn rows(quick: bool, max_k: usize, pruned: bool) -> impl Iterator<Item = FailureRow> {
+/// sampled classes under `quick`, four otherwise), plus mesh-10 when not
+/// `quick`.
+pub fn rows(quick: bool, max_k: usize) -> impl Iterator<Item = FailureRow> {
     let mut cases = vec![
         ("Diamond", papernets::figure1_rip(), usize::MAX),
         ("Gadget", papernets::figure2_gadget(), usize::MAX),
@@ -515,6 +432,6 @@ pub fn rows(quick: bool, max_k: usize, pruned: bool) -> impl Iterator<Item = Fai
         cases.push(("FullMesh10", full_mesh(10), 1));
     }
     cases.into_iter().flat_map(move |(label, net, max_ecs)| {
-        (1..=max_k).map(move |k| run_network(label, &net, k, max_ecs, pruned))
+        (1..=max_k).map(move |k| run_network(label, &net, k, max_ecs))
     })
 }

@@ -8,8 +8,8 @@
 //! at the repository root compares a fresh in-process run of the same rows
 //! against them on every `cargo test`. Everything those rows carry besides
 //! wall-clock time is exact and repeats from run to run — sizes, scenario
-//! and counterexample counts, engine lookups and hits, derivations,
-//! transfers, hit rates computed from them — so the gate requires every
+//! counts, engine lookups and hits, derivations, transfers, hit rates
+//! computed from them — so the gate requires every
 //! such number of a baseline row to be **equal** in the candidate's row
 //! (rows matched on `label`, failure rows additionally on `k`). A moved
 //! count is a behaviour change: either a regression, or an intended one

@@ -298,8 +298,11 @@ pub const FAILURES_SNAPSHOT_KIND: &str = "bench/failures";
 /// resident-session query latencies (`query_cold_us`, `query_warm_us`);
 /// v5 the streamed fan-out columns (`chunk_size`, `scenarios_streamed`,
 /// `peak_resident_scenarios` in the `streamed` object — the
-/// bounded-memory proof) and the sharded-sweep merge stage (`merge_s`).
-pub const FAILURES_SNAPSHOT_VERSION: u32 = 5;
+/// bounded-memory proof) and the sharded-sweep merge stage (`merge_s`);
+/// v6 dropped the k-failure audit's columns (`counterexamples`,
+/// `abs_nodes_before`, `abs_nodes_after`, `audit_s`, `abstract_s`) and
+/// renamed `ecs_audited` to `ecs_sampled`.
+pub const FAILURES_SNAPSHOT_VERSION: u32 = 6;
 
 /// Assembles a bench snapshot: `rows` — each already rendered through
 /// the shared writer — one per line in a [`bonsai_core::snapshot`]

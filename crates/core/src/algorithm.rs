@@ -150,8 +150,8 @@ pub fn find_abstraction(graph: &Graph, ec: &EcDest, sigs: &SigTable) -> Abstract
 /// partition instead of the coarsest one, then recomputes BGP copy counts.
 ///
 /// This is the re-entry point of counterexample-guided refinement: the
-/// failure-scenario auditor splits nodes out of their blocks and calls
-/// this to restore the effective-abstraction fixpoint (splits only ever
+/// failure sweep splits nodes out of their blocks and calls this to
+/// restore the effective-abstraction fixpoint (splits only ever
 /// propagate more splits — refinement is monotone — so starting from a
 /// finer partition is sound and yields a partition at least as fine as
 /// `find_abstraction`'s).
@@ -217,7 +217,7 @@ pub fn find_abstraction_from(
 /// Splits the given concrete nodes into singleton blocks of an existing
 /// abstraction and re-runs refinement to the fixpoint.
 ///
-/// The counterexample-guided step of the failure-scenario auditor: when an
+/// The counterexample-guided step of the failure sweep: when an
 /// abstraction turns out to be unsound under a link-failure scenario, the
 /// nodes adjacent to the failed links (or the members of the offending
 /// block) are isolated so the abstract network can represent the asymmetry

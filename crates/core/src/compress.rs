@@ -225,10 +225,9 @@ pub fn compress_ec(
     }
 }
 
-/// The counterexample-guided refinement step of the failure-scenario
-/// auditor and the failure sweep: isolates the given concrete nodes in an
-/// existing abstraction, re-runs refinement to the fixpoint, and lays out
-/// the refined abstract network.
+/// The counterexample-guided refinement step of the failure sweep:
+/// isolates the given concrete nodes in an existing abstraction, re-runs
+/// refinement to the fixpoint, and lays out the refined abstract network.
 ///
 /// `sigs` is the class's signature table, which every caller hoists once
 /// per class (a sweep refines one class thousands of times); the kernel

@@ -32,13 +32,13 @@
 //!    against the shared engine, collected lock-free, with the timing and
 //!    engine-statistics breakdown reported in Table 1; plus the
 //!    counterexample-guided [`compress::refine_ec_with_split`] step the
-//!    failure auditor uses to repair an abstraction.
+//!    failure sweep derives each scenario's refinement with.
 //! 8. [`roles`] — the §8 role analysis (unique transfer functions per
 //!    device, with the unused-community-stripping `h`).
 //! 9. [`scenarios`] — bounded link-failure scenario enumeration with
 //!    symmetry pruning over the abstraction's link orbits (the input to
-//!    `bonsai-verify`'s k-failure soundness audit), plus the orbit
-//!    *signatures* the per-scenario sweep engine caches refinements by.
+//!    `bonsai-verify`'s failure sweep), plus the orbit *signatures* the
+//!    sweep caches refinements by.
 //! 10. [`fanout`] — the shared lock-free atomic-index fan-out driver that
 //!     both the compression driver and the failure-scenario sweep pull
 //!     work items from.

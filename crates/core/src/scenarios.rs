@@ -484,7 +484,7 @@ pub fn link_orbits_with_distances(
 /// Directed descriptor of one half of a link: `(block(src), block(dst),
 /// sig(src→dst))`, with a sentinel signature for a missing reverse edge.
 /// Kept unpacked — truncating ids into packed bit fields could silently
-/// merge distinct orbits, which the pruned audit would turn into unswept
+/// merge distinct orbits, which a pruned sweep would turn into unswept
 /// scenarios.
 type Descr = (u32, u32, Option<u32>);
 
@@ -1506,8 +1506,8 @@ mod tests {
         let disjoint = FailureScenario::new(vec![(n("d"), n("b1")), (n("a"), n("b2"))]);
         let sig_shared = orbits.signature_of(&shared).unwrap();
         let sig_disjoint = orbits.signature_of(&disjoint).unwrap();
-        // The old multiset part agrees — this is exactly what the pruned
-        // audit used to key by...
+        // The old multiset part agrees — this is exactly what pruning
+        // used to key by...
         assert_eq!(sig_shared.counts, sig_disjoint.counts);
         // ...but the full signatures differ (the bug this fixes).
         assert_ne!(sig_shared, sig_disjoint);

@@ -443,7 +443,7 @@ impl Lcg {
 
 /// Checks the base abstraction and `splits_per_class` random splits (one
 /// to four nodes each, every third one refined a second time on top of
-/// the first — the audit's chained use) of every `stride`-th class.
+/// the first — a derivation's escalation chain) of every `stride`-th class.
 fn check_network(
     name: &str,
     net: &NetworkConfig,

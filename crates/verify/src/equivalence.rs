@@ -105,8 +105,9 @@ impl HLabel {
 pub(crate) type Behavior = (BTreeSet<HLabel>, BTreeSet<u32>);
 
 /// A structured behavior mismatch: which block failed the comparison, and
-/// a human-readable description. The failure auditor uses the block to
-/// choose a refinement split when no failed-link endpoint is available.
+/// a human-readable description. A failure-sweep derivation uses the
+/// block to choose a refinement split when no failed-link endpoint is
+/// available.
 #[derive(Clone, Debug)]
 pub(crate) struct BehaviorMismatch {
     /// The block whose concrete and abstract behavior sets disagree.
@@ -398,8 +399,8 @@ impl BlockSets {
 
 /// The shared activation-order scheme of every solution sampler in this
 /// crate: the node list rotated left by `rot`, reversed on every second
-/// wrap. The equivalence oracle, the failure auditor and the sweep engine
-/// MUST all draw orders from this one function — the sweep's cache
+/// wrap. The equivalence oracle and the sweep engine MUST both draw
+/// orders from this one function — the sweep's cache
 /// determinism ("a cache hit is byte-identical to a fresh derivation")
 /// rests on the samplers staying in lockstep.
 pub(crate) fn rotated_order(nodes: &[NodeId], rot: usize) -> Vec<NodeId> {

@@ -11,7 +11,7 @@
 //!   modulo the attribute abstraction `h` (and modulo the
 //!   solution-dependent copy assignment of BGP-split nodes, §4.3).
 //! * Link-failure verification (the paper's §9 caveat, made checkable) is
-//!   **one plane, one kernel and a thin audit loop**:
+//!   **one plane and one kernel**:
 //!   * [`netsweep`] — the plane: the only scenario loop. One lazy
 //!     scenario stream, fanned out over the (scenario × destination class)
 //!     product by the shared lock-free driver, with per-worker signature
@@ -25,9 +25,6 @@
 //!     verified with warm-started masked solves (concrete *and* abstract,
 //!     via solution transport). [`sweep::derive_refinement`] runs it once,
 //!     every cache bypassed — the reference the plane is tested against.
-//!   * [`failures`] — the audit: the same kernel checks in a sequential
-//!     counterexample-guided loop that repairs **one** abstraction until
-//!     it is globally k-failure sound.
 //! * [`sim_engine`] — the **Batfish substitute**: simulates the control
 //!   plane per destination class, derives the data plane (with ACLs), and
 //!   answers reachability queries — failure-free, under a failure mask,
@@ -44,7 +41,6 @@
 #![warn(missing_docs)]
 
 pub mod equivalence;
-pub mod failures;
 pub mod netsweep;
 pub mod properties;
 pub mod query;
@@ -54,10 +50,6 @@ pub mod sim_engine;
 pub mod sweep;
 
 pub use equivalence::{check_cp_equivalence, EquivalenceError};
-pub use failures::{
-    check_cp_equivalence_under_failures, lift_failure_mask, FailureAuditReport,
-    FailureCounterexample,
-};
 pub use netsweep::{
     sweep_network, sweep_network_subset, EcSweep, NetworkSweepOptions, NetworkSweepReport,
 };
@@ -70,6 +62,6 @@ pub use session::{
 };
 pub use sim_engine::SimEngine;
 pub use sweep::{
-    derive_refinement, Materialized, RefinementProvenance, ScenarioOutcome, ScenarioRefinement,
-    SweepOptions, SweepReport,
+    derive_refinement, lift_failure_mask, Materialized, RefinementProvenance, ScenarioOutcome,
+    ScenarioRefinement, SweepOptions, SweepReport,
 };

@@ -563,7 +563,7 @@ pub(crate) fn sweep_with_distances(
     let mut planes: Vec<EcPlane<'_>> = Vec::with_capacity(n_ecs);
     for &ci in indices {
         let comp = &report.per_ec[ci];
-        let ctx = SweepCtx::hoist(&env, comp.ec.to_ec_dest(), &comp.abstraction).warmed();
+        let ctx = SweepCtx::hoist(&env, comp.ec.to_ec_dest(), &comp.abstraction);
         let class = &ctx.class;
         let canon = if options.share_across_ecs {
             quotient_canon(

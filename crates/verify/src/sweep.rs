@@ -36,9 +36,9 @@
 //! Everything a check needs is hoisted **once per class** into a
 //! `SweepCtx` (signature table, link orbits, the concrete SRP instance,
 //! and the concrete failure-free fixpoint once a derivation reads it) over
-//! a per-sweep `SweepEnv`; the three entry points of the crate all build
-//! exactly that and call the same two functions,
-//! `derive_scenario_refinement` and `check_scenario_refined`:
+//! a per-sweep `SweepEnv`; both entry points of the crate build exactly
+//! that and call the same two functions, `derive_scenario_refinement` and
+//! `check_scenario_refined`:
 //!
 //! * [`crate::netsweep`] — the one scenario loop: the (scenario × class)
 //!   plane, fanned out over worker threads, with per-worker signature
@@ -46,8 +46,6 @@
 //!   restricted to it.
 //! * [`derive_refinement`] — one derivation, every cache bypassed: the
 //!   independent reference cache hits and transfers are tested against.
-//! * [`crate::failures`] — the audit: a thin counterexample-guided loop
-//!   that repairs **one** abstraction until it passes every scenario.
 //!
 //! Every refinement a sweep keeps — derived, transferred exactly or
 //! symmetrically (eagerly or through a class witness), or replayed from a
@@ -67,7 +65,6 @@ use crate::equivalence::{
     class_srp, layout_srp, rotated_order, transport_sample, BehaviorMismatch, BehaviorTable,
     BlockSets, EquivalenceError,
 };
-use crate::failures::lift_failure_mask;
 use crate::query::QueryStats;
 use crate::sim_engine::{abstract_verdict, concrete_verdict};
 use bonsai_config::{BuiltTopology, Community, NetworkConfig};
@@ -92,8 +89,7 @@ use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, OnceLock};
 
-/// Options of the failure-verification kernel, shared by the network
-/// sweep and the audit.
+/// Options of the failure-verification kernel.
 #[derive(Clone, Copy, Debug)]
 pub struct SweepOptions {
     /// Maximum number of simultaneously failed links (`k`).
@@ -104,7 +100,6 @@ pub struct SweepOptions {
     /// the default keeps the exhaustive per-scenario records.
     pub prune_symmetric: bool,
     /// Worker threads for the scenario fan-out (0 = all available cores).
-    /// The audit is sequential and ignores it.
     pub threads: usize,
     /// Concrete solution samples per verified scenario (the first is
     /// warm-started when a base fixpoint is available, the rest use
@@ -592,16 +587,17 @@ pub(crate) struct SweepCtx<'a> {
     pub(crate) class: Arc<ClassBase>,
     pub(crate) orbits: LinkOrbits,
     pub(crate) srp: Srp<'a, MultiProtocol<'a>>,
-    /// `Some` once [`SweepCtx::warmed`]: the concrete failure-free
-    /// fixpoint, solved by the first derivation that reads it — on a
-    /// symmetric sweep most classes derive nothing.
-    fixpoint: Option<OnceLock<Option<Solution<RibAttr>>>>,
+    /// The concrete failure-free fixpoint (natural order), solved by the
+    /// first derivation that reads it — on a symmetric sweep most classes
+    /// derive nothing. `None` inside when the instance does not converge
+    /// failure-free: its samples fall back to cold orders.
+    fixpoint: OnceLock<Option<Solution<RibAttr>>>,
 }
 
 impl<'a> SweepCtx<'a> {
     /// Hoists one class: its handle (signature table and base), link
-    /// orbits and the concrete instance. No base fixpoint — every concrete
-    /// sample is a cold rotated order.
+    /// orbits and the concrete instance. The base fixpoint is solved on
+    /// first read.
     pub(crate) fn hoist(env: &'a SweepEnv<'a>, ec: EcDest, base: &Abstraction) -> Self {
         let (network, topo) = (env.network, env.topo);
         let class = ClassBase::hoist(env.engine, network, topo, &env.graph, ec, base);
@@ -613,27 +609,52 @@ impl<'a> SweepCtx<'a> {
             class,
             orbits,
             srp,
-            fixpoint: None,
+            fixpoint: OnceLock::new(),
         }
-    }
-
-    /// Warm-starts the context's first concrete samples from the concrete
-    /// failure-free fixpoint (natural order), solved on first read. An
-    /// instance that does not converge failure-free keeps `None`: its
-    /// samples fall back to cold orders.
-    pub(crate) fn warmed(mut self) -> Self {
-        self.fixpoint = Some(OnceLock::new());
-        self
     }
 
     /// Failure-free fixpoint of the concrete instance, the warm start of
     /// every scenario's first concrete sample.
     fn base_solution(&self) -> Option<&Solution<RibAttr>> {
-        let fixpoint = self.fixpoint.as_ref()?;
-        fixpoint
+        self.fixpoint
             .get_or_init(|| bonsai_srp::solver::solve(&self.srp).ok())
             .as_ref()
     }
+}
+
+/// Lifts a concrete failure scenario onto an abstract network: for every
+/// failed concrete link `u — v`, every abstract link between a copy of
+/// `u`'s block and a copy of `v`'s block is failed.
+///
+/// This is the only possible interpretation of the scenario on the
+/// abstract topology — and precisely where unsoundness comes from: when
+/// the blocks have *other* concrete links that did not fail, the lifted
+/// mask over-fails the abstract network. A check detects the resulting
+/// behavior mismatch, and a derivation refines until every failed link is
+/// the unique concrete witness of the abstract links it lifts to.
+///
+/// `abs` is the abstract network of `abstraction`, laid out.
+pub fn lift_failure_mask(
+    scenario: &FailureScenario,
+    abstraction: &Abstraction,
+    abs: &AbstractLayout,
+) -> FailureMask {
+    let graph = &abs.graph;
+    let mut mask = FailureMask::for_graph(graph);
+    for &(u, v) in &scenario.links {
+        let bu = abstraction.role_of(u);
+        let bv = abstraction.role_of(v);
+        for cu in 0..abstraction.copies[bu.index()] {
+            for cv in 0..abstraction.copies[bv.index()] {
+                let nu = abs.node_of(bu, cu);
+                let nv = abs.node_of(bv, cv);
+                if nu != nv {
+                    mask.disable_link(graph, nu, nv);
+                }
+            }
+        }
+    }
+    mask
 }
 
 /// Solves a refined abstract network under its representative's lifted
@@ -729,7 +750,7 @@ pub fn derive_refinement(
 ) -> Result<ScenarioRefinement, EquivalenceError> {
     let distances = Arc::new(NodeDistances::of_graph(&topo.graph));
     let env = SweepEnv::new(network, topo, engine, options, distances);
-    let ctx = SweepCtx::hoist(&env, ec.clone(), abstraction).warmed();
+    let ctx = SweepCtx::hoist(&env, ec.clone(), abstraction);
     debug_assert_eq!(
         abs.copy_of_node, ctx.class.layout.copy_of_node,
         "the base pair"
@@ -1024,8 +1045,8 @@ impl Refutation {
 }
 
 /// Samples the concrete solutions of one scenario: the first is
-/// warm-started from the failure-free fixpoint when the context carries
-/// one (cold on divergence), the rest use rotated cold orders.
+/// warm-started from the failure-free fixpoint (cold when there is none
+/// or on divergence), the rest use rotated cold orders.
 /// Deduplicated — identical fixpoints would only repeat the abstract
 /// matching work.
 pub(crate) fn sample_concrete_solutions(
@@ -1095,9 +1116,8 @@ pub(crate) fn check_scenario_refined(
         ..
     } = candidate;
     let mut behaviors = BehaviorTable::default();
-    let canonical = (candidate.canonical()).map(|(solution, _)| {
-        behaviors.abstract_sets(abs, abs_srp, solution, keep, Some(abs_mask))
-    });
+    let canonical = (candidate.canonical())
+        .map(|(solution, _)| behaviors.abstract_sets(abs, abs_srp, solution, keep, Some(abs_mask)));
 
     for solution in solutions {
         let node_behaviors =
@@ -1201,8 +1221,8 @@ fn deviating_split(abstraction: &Abstraction, refutation: &Refutation) -> Vec<No
 /// The fallback candidate rule, against the current partition: failed-link
 /// endpoints still sharing a block with other nodes; if all endpoints are
 /// already singletons, the members of the offending block. The last-resort
-/// escalation of a derivation and the audit's only refinement step.
-pub(crate) fn split_candidates(
+/// escalation of a derivation.
+fn split_candidates(
     abstraction: &Abstraction,
     scenario: &FailureScenario,
     mismatch: &Option<BehaviorMismatch>,
@@ -1336,6 +1356,23 @@ mod tests {
             assert_eq!(network_of(cached), network_of(&fresh));
         }
         assert!(sweep.outcomes.iter().any(|o| o.cache_hit));
+    }
+
+    /// The lifted mask over-fails exactly when a block-pair is partially
+    /// failed — the documented source of unsoundness.
+    #[test]
+    fn lift_mask_covers_all_copies() {
+        let net = papernets::figure1_rip();
+        let topo = BuiltTopology::build(&net).unwrap();
+        let report = compress(&net, CompressOptions::default());
+        let ec = &report.per_ec[0];
+        let d = topo.graph.node_by_name("d").unwrap();
+        let b1 = topo.graph.node_by_name("b1").unwrap();
+        let scenario = FailureScenario::new(vec![(d, b1)]);
+        let mask = lift_failure_mask(&scenario, &ec.abstraction, &ec.abstract_network);
+        // The single concrete failure kills the one abstract d̂—b̂ link,
+        // i.e. both directed edges.
+        assert_eq!(mask.disabled_count(), 2);
     }
 
     /// A widened Figure-1 diamond (three parallel b's): the deviating-

@@ -556,7 +556,7 @@ pub(super) fn walk_class(
     let env = SweepEnv::new(net, &topo, engine, &options, distances);
     let ec = class.ec.to_ec_dest();
     let base = &class.abstraction;
-    let ctx = SweepCtx::hoist(&env, ec.clone(), base).warmed();
+    let ctx = SweepCtx::hoist(&env, ec.clone(), base);
     let coarse = one_copy(base);
     let coarse_layout = AbstractLayout::new(&topo.graph, &ec, &coarse);
     let coarsest = coarsest(&topo.graph, &ec);

@@ -1,18 +1,17 @@
-//! The per-scenario refinement sweep on a fattree: where the global audit
-//! decompresses one abstraction to survive *every* failure at once, the
-//! sweep keeps the failure-free base and derives a tiny refinement per
-//! scenario — cached by orbit signature, solved warm-started, fanned out
-//! over worker threads. One class here: the network plane restricted to
-//! it, with cross-class sharing off.
+//! The per-scenario refinement sweep on a fattree. The failure-free
+//! abstraction cannot express "exactly one of these links is down" (the
+//! paper's §9 caveat); instead of decompressing it, the sweep keeps the
+//! failure-free base and derives a tiny refinement per scenario — cached
+//! by orbit signature, solved warm-started, fanned out over worker
+//! threads. One class here: the network plane restricted to it, with
+//! cross-class sharing off.
 //!
 //! ```sh
 //! cargo run --release --example failure_sweep
 //! ```
 
 use bonsai::core::compress::{compress, CompressOptions};
-use bonsai::verify::failures::check_cp_equivalence_under_failures;
 use bonsai::verify::netsweep::{sweep_network_subset, NetworkSweepOptions};
-use bonsai::verify::sweep::SweepOptions;
 use bonsai_config::BuiltTopology;
 
 fn main() {
@@ -20,7 +19,6 @@ fn main() {
     let topo = BuiltTopology::build(&net).unwrap();
     let report = compress(&net, CompressOptions::default());
     let ec = &report.per_ec[0];
-    let ec_dest = ec.ec.to_ec_dest();
     println!(
         "fattree-4: {} nodes / {} links, base abstraction {} nodes",
         topo.graph.node_count(),
@@ -28,30 +26,8 @@ fn main() {
         ec.abstraction.abstract_node_count(),
     );
 
-    // The audit: repair ONE abstraction until it is sound for every scenario.
-    let t0 = std::time::Instant::now();
-    let audit = check_cp_equivalence_under_failures(
-        &net,
-        &topo,
-        &ec_dest,
-        &ec.abstraction,
-        &report.policies,
-        &SweepOptions {
-            prune_symmetric: true,
-            ..Default::default()
-        },
-    )
-    .expect("audit converges");
-    println!(
-        "global audit: {} -> {} abstract nodes after {} refinements ({:.1?})",
-        audit.initial_abstract_nodes,
-        audit.final_abstract_nodes(),
-        audit.refinement_rounds,
-        t0.elapsed(),
-    );
-
     // The sweep: exhaustive coverage of class 0, per-scenario refinements.
-    let t1 = std::time::Instant::now();
+    let t0 = std::time::Instant::now();
     // One scenario per claimed range: 32 scenarios would otherwise fit
     // one default-sized chunk and leave every other worker idle.
     let options = NetworkSweepOptions {
@@ -70,7 +46,7 @@ fn main() {
         sweep.cache_hit_rate() * 100.0,
         sweep.mean_refined_nodes(),
         sweep.max_refined_nodes(),
-        t1.elapsed(),
+        t0.elapsed(),
         sweep.threads,
     );
     for r in sweep.refinements.values() {
@@ -84,6 +60,8 @@ fn main() {
                 .collect::<Vec<_>>(),
         );
     }
-    assert!(sweep.max_refined_nodes() < audit.final_abstract_nodes());
-    println!("every per-scenario refinement is smaller than the global repair — compression kept.");
+    assert!(sweep.max_refined_nodes() < topo.graph.node_count());
+    println!(
+        "every per-scenario refinement is smaller than the concrete network — compression kept."
+    );
 }

@@ -378,8 +378,8 @@ fn the_once_refused_network_sweeps_on_the_transported_witness() {
     use bonsai::srp::instance::{MultiProtocol, RibAttr};
     use bonsai::srp::solver::{solve, solve_warm_masked, solve_with_order_masked, SolverOptions};
     use bonsai::srp::{Solution, Srp};
-    use bonsai::verify::failures::lift_failure_mask;
     use bonsai::verify::netsweep::sweep_network_subset;
+    use bonsai::verify::sweep::lift_failure_mask;
     use bonsai_net::NodeId;
     use std::collections::BTreeSet;
 

@@ -2,10 +2,10 @@
 //! `BENCH_baseline.json`, `BENCH_failures_baseline.json` and
 //! `BENCH_delta_baseline.json` record are produced again in process — the
 //! same library functions the `table1`, `failures` and `delta` bins print
-//! — and every count a baseline row carries (sizes, scenario and
-//! counterexample counts, engine lookups and hits, derivations, transfers,
-//! the ratios computed from them: 304 fields) must be **equal** in the
-//! fresh row. Durations are skipped.
+//! — and every count a baseline row carries (sizes, scenario counts,
+//! engine lookups and hits, derivations, transfers, the ratios computed
+//! from them: 286 fields) must be **equal** in the fresh row. Durations
+//! are skipped.
 //!
 //! A count that moves on purpose re-blesses its baseline in the same
 //! commit, with the bin that wrote it:
@@ -89,15 +89,13 @@ fn compression_counts_equal_the_committed_baseline() {
 
 #[test]
 fn failure_study_counts_equal_the_committed_baseline() {
-    let rows: Vec<String> = failures::rows(true, 2, true)
-        .map(|row| row.json())
-        .collect();
+    let rows: Vec<String> = failures::rows(true, 2).map(|row| row.json()).collect();
     let snapshot = held_to_baseline(
         "BENCH_failures_baseline.json",
         FAILURES_SNAPSHOT_KIND,
         FAILURES_SNAPSHOT_VERSION,
         &rows,
-        150,
+        132,
     );
     let rows = snapshot.payload.get("rows").and_then(Json::as_arr);
     let rows = rows.expect("a snapshot has rows");
@@ -108,9 +106,13 @@ fn failure_study_counts_equal_the_committed_baseline() {
         assert!(0 < peak && peak <= count(row, &["streamed", "chunk_size"]));
         assert!(count(row, &["streamed", "scenarios_streamed"]) > 0);
     }
-    // The §9 caveat is real on these inputs: the failure-free abstraction
-    // is unsound under failures somewhere, and the audit finds it.
-    assert!(rows.iter().any(|row| count(row, &["counterexamples"]) > 0));
+    // The §9 caveat is real on these inputs: somewhere a scenario's
+    // refinement outgrows the failure-free abstraction.
+    assert!(rows.iter().any(|row| {
+        let base = row.get("sweep").and_then(|s| s.get("base_abs_nodes_mean"));
+        let base = base.and_then(Json::as_f64).expect("a base size");
+        count(row, &["sweep", "max_refined_nodes"]) as f64 > base
+    }));
 }
 
 #[test]

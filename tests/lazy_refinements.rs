@@ -33,8 +33,8 @@ use bonsai::prelude::*;
 use bonsai::srp::instance::{MultiProtocol, RibAttr};
 use bonsai::srp::solver::solve_masked;
 use bonsai::srp::{Solution, Srp};
-use bonsai::verify::failures::lift_failure_mask;
 use bonsai::verify::netsweep::sweep_network_subset;
+use bonsai::verify::sweep::lift_failure_mask;
 use bonsai::verify::sweep::{Materialized, RefinementProvenance, ScenarioRefinement};
 use bonsai_net::{Graph, NodeId};
 use proptest::prelude::*;

@@ -130,6 +130,35 @@ fn each_merged_kernel_is_defined_once() {
         1,
         "`ScenarioRefinement` literals: {literals:?}"
     );
+    // One refinement loop in the verifier: its shipped lines call the
+    // kernel once, from the derivation every sweep, session and reference
+    // derivation runs (the cache-free reference loop is the test oracle).
+    let mut calls = Vec::new();
+    for source in &tree {
+        if !source.path.starts_with(VERIFY[0])
+            || source.path == "crates/verify/src/sweep/reference.rs"
+        {
+            continue;
+        }
+        let mut within = "";
+        for (at, line) in source.shipped_lines() {
+            if line.trim_start().starts_with("//") {
+                continue;
+            }
+            let mut words = line.split_whitespace();
+            if words.any(|w| w == "fn") {
+                let name = words.next().unwrap_or("");
+                within = name.split(['(', '<']).next().unwrap_or(name);
+            }
+            if line.contains("refine_ec_with_split(") {
+                calls.push(format!("{}:{} in {within}", source.path, at + 1));
+            }
+        }
+    }
+    assert!(
+        calls.len() == 1 && calls[0].ends_with(" in derive_scenario_refinement"),
+        "the refinement kernel's callers in the verifier: {calls:?}"
+    );
 }
 
 #[test]
@@ -167,6 +196,9 @@ fn cut_paths_stay_cut() {
     none(sweep, "pub abstraction: Abstraction");
     none(EVERYWHERE, "PartitionInputs");
     none(EVERYWHERE, "fn witnessed(");
+    // A class context has one shape: it always warm-starts from its
+    // failure-free fixpoint.
+    none(EVERYWHERE, "fn warmed(");
     // The exhaustive representative search the walk replaced survives as
     // the walk's test oracle only.
     let oracle = lines_with(&tree, EVERYWHERE, "fn search_combinations(");
